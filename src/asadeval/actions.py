@@ -59,20 +59,17 @@ def match_pairs(
     gt: VideoRecord,
     pred: VideoRecord,
     iou_threshold: float = DEFAULT_IOU_GATE,
-    score_cutoff: Optional[float] = None,
 ) -> MatchedPairSet:
     """Pair ground truth with predictions per keyframe by gated assignment.
 
-    All predictions participate regardless of confidence unless an explicit
-    ``score_cutoff`` is given. Identity and scores play no role in the
-    pairing; only geometry does.
+    All predictions participate regardless of confidence. Identity and scores
+    play no role in the pairing; only geometry does. This is the one gated
+    matching per keyframe: HL scores its pairs and MT/ML counts their GT side.
     """
     pairs: list[MatchedPair] = []
     for keyframe in sorted(set(gt.frames) | set(pred.frames)):
         g_frame = gt.frames.get(keyframe, ())
         p_frame = pred.frames.get(keyframe, ())
-        if score_cutoff is not None:
-            p_frame = tuple(o for o in p_frame if o.score >= score_cutoff)
         if not g_frame or not p_frame:
             continue
         problem = build_cost_matrix(

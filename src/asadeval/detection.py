@@ -123,10 +123,9 @@ def average_precision(
     """Area under the interpolated precision-recall curve, pooled over videos.
 
     All predictions are ranked by descending score (ties broken by stable
-    input order and flagged); walking down the ranking accumulates TP/FP by
-    greedily matching each prediction against still-unmatched ground truth in
-    its own keyframe. AP sums recall increments times the interpolated
-    precision at the higher recall.
+    input order and flagged); walking down the ranking accumulates TP/FP from
+    `tally_frame`'s greedy matching within each (video, keyframe). AP sums
+    recall increments times the interpolated precision at the higher recall.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
@@ -157,26 +156,21 @@ def average_precision(
             had_score_ties=had_ties,
         )
 
-    gt_taken: dict[tuple[str, int], list[bool]] = {
-        key: [False] * len(boxes) for key, boxes in gt_boxes.items()
+    by_frame: dict[tuple[str, int], list[tuple[BoundingBox, float]]] = {}
+    for video_id, keyframe, box, score in ranked:
+        by_frame.setdefault((video_id, keyframe), []).append((box, score))
+    # Each frame's group is in global rank order, which tally_frame's stable
+    # sort keeps, so its flags are read back in ranking order.
+    frame_flags = {
+        key: iter(tally_frame(gt_boxes.get(key, ()), preds, iou_threshold)[1])
+        for key, preds in by_frame.items()
     }
     cum_tp = 0
     cum_fp = 0
     raw: list[tuple[float, bool, float, float]] = []
-    for video_id, keyframe, box, score in ranked:
-        key = (video_id, keyframe)
-        best_iou = 0.0
-        best_idx = -1
-        for g_idx, g_box in enumerate(gt_boxes.get(key, ())):
-            if gt_taken[key][g_idx]:
-                continue
-            overlap = iou(g_box, box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_idx = g_idx
-        is_tp = best_idx >= 0 and best_iou >= iou_threshold
+    for video_id, keyframe, _, score in ranked:
+        is_tp = next(frame_flags[(video_id, keyframe)])
         if is_tp:
-            gt_taken[key][best_idx] = True
             cum_tp += 1
         else:
             cum_fp += 1

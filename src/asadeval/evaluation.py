@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .actions import hamming_loss, match_pairs, merge_pair_sets
 from .detection import average_precision
-from .identity import id_switches, idf1, mt_ml
+from .identity import id_switches, idf1, mt_ml_from_pairs
 from .matching import DEFAULT_IOU_GATE
 from .model import DEFAULT_N_LABELS, VideoRecord
 from .version import __version__
@@ -98,9 +98,9 @@ def _evaluate_one(
     idf1_value, id_counts = idf1(gt, pred, iou_threshold)
     if id_counts.vacuous:
         flags.append("identity_vacuous")
-    track_stats = mt_ml(gt, pred, iou_threshold)
-    switches = id_switches(gt, pred, iou_threshold, persistence=persistence)
     pairs = match_pairs(gt, pred, iou_threshold)
+    track_stats = mt_ml_from_pairs(gt, pairs)
+    switches = id_switches(gt, pred, iou_threshold, persistence=persistence)
     hl_result = hamming_loss(pairs, n_labels)
 
     block = MetricBlock(
@@ -240,14 +240,9 @@ def evaluate_records(
         "iou_threshold": iou_threshold,
         "n_labels": n_labels,
         "id_persistence": id_persistence,
-        "ap_label": f"AP@{_format_threshold(iou_threshold)}",
-        "hl_label": f"HL@{_format_threshold(iou_threshold)}",
+        "ap_label": f"AP@{iou_threshold:g}",
+        "hl_label": f"HL@{iou_threshold:g}",
     }
     if config:
         resolved.update(config)
     return EvalReport(config=resolved, aggregate=aggregate, per_video=per_video)
-
-
-def _format_threshold(threshold: float) -> str:
-    text = f"{threshold:g}"
-    return text

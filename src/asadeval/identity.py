@@ -4,10 +4,11 @@ IDF1 follows the identification-measure convention: a one-to-one pairing
 between ground-truth identities and predicted identities is chosen to
 maximize the number of correctly identified observations (IDTP), then
 IDF1 = 2*IDTP / (2*IDTP + IDFP + IDFN). MT/ML classify each ground-truth
-tracklet by the fraction of its keyframes covered by any matched prediction
-(identity-agnostic), with inclusive thresholds at 0.8 and 0.2. ID switches
-count changes of the matched predicted identity between a ground-truth
-tracklet's consecutive matched keyframes, with optional match persistence.
+tracklet by the fraction of its keyframes that appear on the ground-truth
+side of `match_pairs`' gated pairs (identity-agnostic; the same pairs HL
+scores), with inclusive thresholds at 0.8 and 0.2. ID switches count changes
+of the matched predicted identity between a ground-truth tracklet's
+consecutive matched keyframes, with optional match persistence.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from .actions import MatchedPairSet, match_pairs
 from .matching import DEFAULT_IOU_GATE, build_cost_matrix, iou, solve_assignment
 from .model import ActorObservation, VideoRecord, build_tracklets
 
@@ -118,36 +120,9 @@ def idf1(
     return value, IdMatchResult(idtp, idfp, idfn, tuple(sorted(pairing)))
 
 
-def _covered_keyframes(
-    gt: VideoRecord, pred: VideoRecord, iou_threshold: float
-) -> set[tuple[int, int]]:
-    """(keyframe, gt_actor_id) pairs covered by a gate-passing matched box."""
-    covered: set[tuple[int, int]] = set()
-    for keyframe in _keyframe_union(gt, pred):
-        g_frame = gt.frames.get(keyframe, ())
-        p_frame = pred.frames.get(keyframe, ())
-        if not g_frame or not p_frame:
-            continue
-        problem = build_cost_matrix(
-            [o.box for o in g_frame], [o.box for o in p_frame], gate=iou_threshold
-        )
-        for g_idx, _ in solve_assignment(problem).pairs:
-            covered.add((keyframe, g_frame[g_idx].actor_id))
-    return covered
-
-
-def mt_ml(
-    gt: VideoRecord,
-    pred: VideoRecord,
-    iou_threshold: float = DEFAULT_IOU_GATE,
-) -> MtMlResult:
-    """Mostly-tracked / mostly-lost classification of ground-truth tracklets.
-
-    Coverage is identity-agnostic: a keyframe counts as covered when the
-    per-keyframe gated assignment matches the tracklet's box to any predicted
-    box. Thresholds are inclusive: ratio >= 0.8 is MT, ratio <= 0.2 is ML.
-    """
-    covered = _covered_keyframes(gt, pred, iou_threshold)
+def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
+    """MT/ML of ``gt``'s tracklets, covered where they appear on the pairs' GT side."""
+    covered = {(pair.gt.keyframe, pair.gt.actor_id) for pair in pairs.pairs}
     coverage: list[TrackCoverage] = []
     mt_count = 0
     ml_count = 0
@@ -167,6 +142,21 @@ def mt_ml(
         n_tracklets=len(coverage),
         coverage=tuple(coverage),
     )
+
+
+def mt_ml(
+    gt: VideoRecord,
+    pred: VideoRecord,
+    iou_threshold: float = DEFAULT_IOU_GATE,
+) -> MtMlResult:
+    """Mostly-tracked / mostly-lost classification of ground-truth tracklets.
+
+    Coverage comes from `match_pairs`' gated pairs and is identity-agnostic:
+    a keyframe counts as covered when the per-keyframe gated assignment pairs
+    the tracklet's box with any predicted box. Thresholds are inclusive:
+    ratio >= 0.8 is MT, ratio <= 0.2 is ML.
+    """
+    return mt_ml_from_pairs(gt, match_pairs(gt, pred, iou_threshold))
 
 
 def id_switches(

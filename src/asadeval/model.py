@@ -64,9 +64,7 @@ class ActorObservation:
     """One actor at one keyframe: box, identity, action labels, score.
 
     ``score`` is the detection confidence for predictions and is fixed at
-    1.0 for ground truth, so the same type serves both roles. ``appearance``
-    is an optional embedding used only as data-association input; it never
-    affects any metric.
+    1.0 for ground truth, so the same type serves both roles.
     """
 
     video_id: str
@@ -75,7 +73,6 @@ class ActorObservation:
     actor_id: int
     actions: frozenset[int] = frozenset()
     score: float = 1.0
-    appearance: Optional[tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keyframe", int(self.keyframe))
@@ -195,7 +192,6 @@ def validate_record(
                 )
             )
 
-    appearance_dim: Optional[int] = None
     for obs in record.observations:
         kf, actor_id = obs.keyframe, obs.actor_id
         if obs.video_id != record.video_id:
@@ -240,18 +236,6 @@ def validate_record(
             if not (1 <= label <= n_labels):
                 violations.append(
                     Violation("bad_label", f"action label {label} outside [1, {n_labels}]", kf, actor_id)
-                )
-        if obs.appearance is not None:
-            if appearance_dim is None:
-                appearance_dim = len(obs.appearance)
-            elif len(obs.appearance) != appearance_dim:
-                violations.append(
-                    Violation(
-                        "appearance_dim",
-                        f"appearance length {len(obs.appearance)} != {appearance_dim}",
-                        kf,
-                        actor_id,
-                    )
                 )
     return violations
 

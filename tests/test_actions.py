@@ -38,7 +38,6 @@ def test_score_cutoff_is_opt_in():
     gt = record("v", [obs("v", 0, 1, LEFT)])
     pred = record("v", [obs("v", 0, 9, LEFT, score=0.01)])
     assert match_pairs(gt, pred).n_pairs == 1
-    assert match_pairs(gt, pred, score_cutoff=0.5).n_pairs == 0
 
 
 def two_pair_fixture(pred_actions_1=(1, 2), pred_actions_2=(3,)):

@@ -243,3 +243,33 @@ def test_score_ties_flagged():
     gt = record("v", [obs("v", 0, 1, LEFT)])
     pred = record("v", [obs("v", 0, 1, LEFT, score=0.5), obs("v", 0, 2, FAR, score=0.5)])
     assert average_precision([gt], [pred]).had_score_ties
+
+
+def test_pooled_ap_matches_within_video_and_keyframe():
+    # Both videos have keyframe 0; the prediction in "b" sits on "a"'s box.
+    gts = [record("a", [obs("a", 0, 1, LEFT)]), record("b", [obs("b", 0, 1, RIGHT)])]
+    preds = [
+        record("a", [obs("a", 0, 1, LEFT, score=0.8)]),
+        record("b", [obs("b", 0, 1, LEFT, score=0.9)]),
+    ]
+    result = average_precision(gts, preds)
+    assert [p.is_tp for p in result.curve.points] == [False, True]
+    assert result.tally == DetectionTally(tp=1, fp=1, fn=1)
+    assert result.ap == pytest.approx(sweep_ap(gts, preds), abs=1e-12)
+
+
+def test_tied_scores_earlier_prediction_claims_the_box():
+    near = (0.1, 0.1, 0.3, 0.29)  # IoU 0.95 with LEFT
+    gt = record("v", [obs("v", 0, 1, LEFT)])
+    # Actor 3 precedes actor 5 in (keyframe, actor_id) order, so it wins the
+    # tie even though actor 5 overlaps the ground truth exactly.
+    pred = record("v", [obs("v", 0, 5, LEFT, score=0.7), obs("v", 0, 3, near, score=0.7)])
+    result = average_precision([gt], [pred])
+    assert result.had_score_ties
+    assert [p.is_tp for p in result.curve.points] == [True, False]
+    assert result.tally == DetectionTally(tp=1, fp=1, fn=0)
+    tally, flags = tally_frame(
+        [BoundingBox(*LEFT)], [(BoundingBox(*near), 0.7), (BoundingBox(*LEFT), 0.7)]
+    )
+    assert flags == [True, False]
+    assert tally == result.tally
