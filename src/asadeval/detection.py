@@ -5,6 +5,11 @@ Precision at a given IoU threshold (AP@0.5 by default). Predictions from all
 videos are pooled into one global confidence ranking and the area under the
 all-point interpolated precision-recall curve is integrated over every
 recall increment.
+
+AP takes two steps: `rank_predictions` gives each prediction its TP flag as
+ranked ``(score, is_tp)`` pairs and `curve_from_ranked` builds the curve from
+them. Per-video lists concatenated in input order and stably sorted by
+descending score are exactly the pooled ranking.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import csv
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .matching import DEFAULT_IOU_GATE, iou
+import numpy as np
+
+from .matching import DEFAULT_IOU_GATE, boxes_to_array, frame_ious, iou_matrix
 from .model import BoundingBox, VideoRecord
 
 AP_NO_GROUND_TRUTH = "no ground truth boxes"
@@ -83,25 +90,24 @@ def tally_frame(
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
-    order = sorted(range(len(pred)), key=lambda idx: -pred[idx][1])
-    gt_taken = [False] * len(gt)
-    flags = [False] * len(pred)
-    for idx in order:
-        box = pred[idx][0]
-        best_iou = 0.0
-        best_gt = -1
-        for g_idx, g_box in enumerate(gt):
-            if gt_taken[g_idx]:
-                continue
-            overlap = iou(g_box, box)
-            if overlap > best_iou:
-                best_iou = overlap
-                best_gt = g_idx
-        if best_gt >= 0 and best_iou >= iou_threshold:
-            gt_taken[best_gt] = True
-            flags[idx] = True
+    overlaps = iou_matrix(boxes_to_array(gt), boxes_to_array([box for box, _ in pred]))
+    flags = _greedy_flags(overlaps, [score for _, score in pred], iou_threshold)
     tp = sum(flags)
     return DetectionTally(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp), flags
+
+
+def _greedy_flags(overlaps: np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[bool]:
+    """`tally_frame`'s TP flags from its GT x prediction IoU matrix, which it overwrites."""
+    # A claimed row is set to -1 so it never wins again; argmax keeps the
+    # first of equal overlaps, as a strict ">" scan over the rows would.
+    flags = [False] * len(scores)
+    if overlaps.shape[0]:
+        for idx in sorted(range(len(scores)), key=lambda i: -scores[i]):
+            best_gt = int(overlaps[:, idx].argmax())
+            if overlaps[best_gt, idx] >= iou_threshold:
+                overlaps[best_gt, :] = -1.0
+                flags[idx] = True
+    return flags
 
 
 def precision_recall(tally: DetectionTally) -> tuple[float, float]:
@@ -115,68 +121,67 @@ def precision_recall(tally: DetectionTally) -> tuple[float, float]:
     return precision, recall
 
 
-def average_precision(
+def rank_predictions(
     gt_records: Sequence[VideoRecord],
     pred_records: Sequence[VideoRecord],
     iou_threshold: float = DEFAULT_IOU_GATE,
-) -> APResult:
-    """Area under the interpolated precision-recall curve, pooled over videos.
+) -> list[tuple[float, bool]]:
+    """Step one of AP: every prediction as ``(score, is_tp)``, ranked.
 
-    All predictions are ranked by descending score (ties broken by stable
-    input order and flagged); walking down the ranking accumulates TP/FP from
-    `tally_frame`'s greedy matching within each (video, keyframe). AP sums
-    recall increments times the interpolated precision at the higher recall.
+    All predictions are ranked by descending score, ties kept in stable input
+    order. Each TP flag comes from `tally_frame`'s greedy matching within the
+    prediction's (video, keyframe), on the IoUs of `frame_ious`.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError("iou_threshold must lie in (0, 1)")
 
     gt_boxes: dict[tuple[str, int], list[BoundingBox]] = {}
-    total_gt = 0
     for record in gt_records:
         for obs in record.observations:
             gt_boxes.setdefault((record.video_id, obs.keyframe), []).append(obs.box)
-            total_gt += 1
 
-    ranked: list[tuple[str, int, BoundingBox, float]] = []
-    for record in pred_records:
-        for obs in record.observations:
-            ranked.append((record.video_id, obs.keyframe, obs.box, obs.score))
+    ranked = [(r.video_id, o.keyframe, o.box, o.score) for r in pred_records for o in r.observations]
     ranked.sort(key=lambda item: -item[3])
-    had_ties = any(
-        ranked[i][3] == ranked[i + 1][3] for i in range(len(ranked) - 1)
-    )
-
-    if total_gt == 0:
-        tally = DetectionTally(tp=0, fp=len(ranked), fn=0)
-        return APResult(
-            ap=None,
-            reason=AP_NO_GROUND_TRUTH,
-            curve=PRCurve(points=()),
-            tally=tally,
-            had_score_ties=had_ties,
-        )
 
     by_frame: dict[tuple[str, int], list[tuple[BoundingBox, float]]] = {}
     for video_id, keyframe, box, score in ranked:
         by_frame.setdefault((video_id, keyframe), []).append((box, score))
-    # Each frame's group is in global rank order, which tally_frame's stable
-    # sort keeps, so its flags are read back in ranking order.
-    frame_flags = {
-        key: iter(tally_frame(gt_boxes.get(key, ()), preds, iou_threshold)[1])
-        for key, preds in by_frame.items()
-    }
+    ious = frame_ious(gt_boxes, {key: [box for box, _ in preds] for key, preds in by_frame.items()})
+    # Each frame's group is in global rank order, which the greedy matching's
+    # stable sort keeps, so its flags are read back in ranking order.
+    frame_flags = {}
+    for key, preds in by_frame.items():
+        scores = [score for _, score in preds]
+        flags = _greedy_flags(ious[key], scores, iou_threshold) if key in ious else [False] * len(preds)
+        frame_flags[key] = iter(flags)
+    return [
+        (score, next(frame_flags[(video_id, keyframe)]))
+        for video_id, keyframe, _, score in ranked
+    ]
+
+
+def curve_from_ranked(ranked: Sequence[tuple[float, bool]], n_gt: int) -> APResult:
+    """Step two of AP: the PR curve and AP of ranked ``(score, is_tp)`` pairs.
+
+    ``n_gt`` is the number of ground-truth boxes the flags were matched
+    against. Equal adjacent scores set ``had_score_ties``. AP sums recall
+    increments times the interpolated precision at the higher recall.
+    """
+    had_ties = any(ranked[i][0] == ranked[i + 1][0] for i in range(len(ranked) - 1))
+    if n_gt == 0:
+        return APResult(
+            ap=None,
+            reason=AP_NO_GROUND_TRUTH,
+            curve=PRCurve(points=()),
+            tally=DetectionTally(tp=0, fp=len(ranked), fn=0),
+            had_score_ties=had_ties,
+        )
+
     cum_tp = 0
-    cum_fp = 0
     raw: list[tuple[float, bool, float, float]] = []
-    for video_id, keyframe, _, score in ranked:
-        is_tp = next(frame_flags[(video_id, keyframe)])
-        if is_tp:
-            cum_tp += 1
-        else:
-            cum_fp += 1
-        recall = cum_tp / total_gt
-        precision = cum_tp / (cum_tp + cum_fp)
-        raw.append((score, is_tp, recall, precision))
+    for rank, (score, is_tp) in enumerate(ranked, start=1):
+        cum_tp += is_tp
+        raw.append((score, is_tp, cum_tp / n_gt, cum_tp / rank))
 
     interp = [0.0] * len(raw)
     running_max = 0.0
@@ -184,17 +189,8 @@ def average_precision(
         running_max = max(running_max, raw[i][3])
         interp[i] = running_max
 
-    points = tuple(
-        PRPoint(
-            rank=i + 1,
-            score=raw[i][0],
-            is_tp=raw[i][1],
-            recall=raw[i][2],
-            precision=raw[i][3],
-            p_interp=interp[i],
-        )
-        for i in range(len(raw))
-    )
+    # raw holds (score, is_tp, recall, precision), PRPoint's fields after rank.
+    points = tuple(PRPoint(i + 1, *raw[i], p_interp=interp[i]) for i in range(len(raw)))
 
     ap = 0.0
     prev_recall = 0.0
@@ -203,14 +199,27 @@ def average_precision(
             ap += (point.recall - prev_recall) * point.p_interp
             prev_recall = point.recall
 
-    tally = DetectionTally(tp=cum_tp, fp=cum_fp, fn=total_gt - cum_tp)
     return APResult(
         ap=ap,
         reason=None,
         curve=PRCurve(points=points),
-        tally=tally,
+        tally=DetectionTally(tp=cum_tp, fp=len(ranked) - cum_tp, fn=n_gt - cum_tp),
         had_score_ties=had_ties,
     )
+
+
+def average_precision(
+    gt_records: Sequence[VideoRecord],
+    pred_records: Sequence[VideoRecord],
+    iou_threshold: float = DEFAULT_IOU_GATE,
+) -> APResult:
+    """Area under the interpolated precision-recall curve, pooled over videos.
+
+    The two steps composed: `rank_predictions` over all videos, then
+    `curve_from_ranked` against every ground-truth box.
+    """
+    n_gt = sum(len(record.observations) for record in gt_records)
+    return curve_from_ranked(rank_predictions(gt_records, pred_records, iou_threshold), n_gt)
 
 
 def write_pr_curve(result: APResult, path: str) -> None:

@@ -1,22 +1,25 @@
 """Ties the three metric families together into per-video and aggregate reports.
 
 Videos are evaluated independently (optionally by a bounded worker pool) and
-then reduced in video_id order, so results never depend on scheduling. The
-aggregate detection curve pools every prediction into one global ranking;
-identification counts and matched action pairs sum across videos. Every
-reported ratio can be recomputed from the tallies carried next to it.
+the aggregate is reduced from their results in video_id order, so results
+never depend on scheduling. The aggregate detection curve merges the
+per-video ranked TP flags into one global ranking without matching again;
+identification, MT/ML, switch and matched action-pair tallies sum across
+videos. One builder makes every `MetricBlock`, per video and aggregate, so
+every reported ratio can be recomputed from the tallies carried next to it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .actions import hamming_loss, match_pairs, merge_pair_sets
-from .detection import average_precision
-from .identity import id_switches, idf1, mt_ml_from_pairs
+from .actions import HammingResult, MatchedPairSet, hamming_loss, match_pairs, merge_pair_sets
+from .detection import APResult, curve_from_ranked, rank_predictions
+from .identity import IdMatchResult, MtMlResult, id_switches, idf1, mt_ml_from_pairs
 from .matching import DEFAULT_IOU_GATE
 from .model import DEFAULT_N_LABELS, VideoRecord
 from .version import __version__
@@ -74,8 +77,16 @@ class EvalReport:
     per_video: dict[str, MetricBlock] = field(default_factory=dict)
 
 
-def _empty_record(video_id: str) -> VideoRecord:
-    return VideoRecord(video_id=video_id, observations=())
+class _VideoResult(NamedTuple):
+    """One video's metric results, plus what the aggregate reduces from them."""
+
+    ranked: list[tuple[float, bool]]
+    pairs: MatchedPairSet
+    ap: APResult
+    ids: IdMatchResult
+    tracks: MtMlResult
+    switches: int
+    hl: HammingResult
 
 
 def _evaluate_one(
@@ -84,48 +95,81 @@ def _evaluate_one(
     iou_threshold: float,
     n_labels: int,
     persistence: bool,
-) -> tuple[MetricBlock, object]:
-    flags: list[str] = []
-
-    ap_result = average_precision([gt], [pred], iou_threshold)
-    if ap_result.had_score_ties:
-        flags.append("score_ties")
-    if len(pred.observations) == 0:
-        flags.append("no_predictions")
-    if len(gt.observations) == 0:
-        flags.append("no_ground_truth")
-
-    idf1_value, id_counts = idf1(gt, pred, iou_threshold)
-    if id_counts.vacuous:
-        flags.append("identity_vacuous")
+) -> _VideoResult:
+    ranked = rank_predictions([gt], [pred], iou_threshold)
     pairs = match_pairs(gt, pred, iou_threshold)
-    track_stats = mt_ml_from_pairs(gt, pairs)
-    switches = id_switches(gt, pred, iou_threshold, persistence=persistence)
-    hl_result = hamming_loss(pairs, n_labels)
-
-    block = MetricBlock(
-        ap=ap_result.ap,
-        ap_reason=ap_result.reason,
-        hl=hl_result.value,
-        hl_reason=hl_result.reason,
-        idf1=idf1_value,
-        idtp=id_counts.idtp,
-        idfp=id_counts.idfp,
-        idfn=id_counts.idfn,
-        mt_count=track_stats.mt_count,
-        ml_count=track_stats.ml_count,
-        n_gt_tracklets=track_stats.n_tracklets,
-        mt_pct=track_stats.mt_pct,
-        ml_pct=track_stats.ml_pct,
-        id_switches=switches,
-        tp=ap_result.tally.tp,
-        fp=ap_result.tally.fp,
-        fn=ap_result.tally.fn,
-        n_matched_pairs=pairs.n_pairs,
-        wrong_label_bits=hl_result.wrong_bits,
-        flags=tuple(flags),
+    return _VideoResult(
+        ranked=ranked,
+        pairs=pairs,
+        ap=curve_from_ranked(ranked, len(gt.observations)),
+        ids=idf1(gt, pred, iou_threshold)[1],
+        tracks=mt_ml_from_pairs(gt, pairs),
+        switches=id_switches(gt, pred, iou_threshold, persistence=persistence),
+        hl=hamming_loss(pairs, n_labels),
     )
-    return block, pairs
+
+
+def _metric_block(
+    ap: APResult, ids: IdMatchResult, tracks: MtMlResult, switches: int, hl: HammingResult
+) -> MetricBlock:
+    """The one place a `MetricBlock` is made, for a video or the aggregate."""
+    flag_conditions = (
+        ("identity_vacuous", ids.vacuous),
+        ("score_ties", ap.had_score_ties),
+        ("no_predictions", ids.idtp + ids.idfp == 0),
+        ("no_ground_truth", ids.idtp + ids.idfn == 0),
+    )
+    return MetricBlock(
+        ap=ap.ap,
+        ap_reason=ap.reason,
+        hl=hl.value,
+        hl_reason=hl.reason,
+        idf1=ids.idf1,
+        idtp=ids.idtp,
+        idfp=ids.idfp,
+        idfn=ids.idfn,
+        mt_count=tracks.mt_count,
+        ml_count=tracks.ml_count,
+        n_gt_tracklets=tracks.n_tracklets,
+        mt_pct=tracks.mt_pct,
+        ml_pct=tracks.ml_pct,
+        id_switches=switches,
+        tp=ap.tally.tp,
+        fp=ap.tally.fp,
+        fn=ap.tally.fn,
+        n_matched_pairs=hl.n_pairs,
+        wrong_label_bits=hl.wrong_bits,
+        flags=tuple(name for name, holds in flag_conditions if holds),
+    )
+
+
+def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> MetricBlock:
+    """Reduce per-video results, in video_id order, to the aggregate block."""
+    # Concatenated and stably sorted by descending score, the per-video ranked
+    # lists are the pooled ranking with its TP flags (see `detection`).
+    pooled = sorted(
+        itertools.chain.from_iterable(r.ranked for r in results), key=lambda item: -item[0]
+    )
+    ids = IdMatchResult(
+        idtp=sum(r.ids.idtp for r in results),
+        idfp=sum(r.ids.idfp for r in results),
+        idfn=sum(r.ids.idfn for r in results),
+        pairing=(),
+        vacuous=all(r.ids.vacuous for r in results),
+    )
+    tracks = MtMlResult(
+        mt_count=sum(r.tracks.mt_count for r in results),
+        ml_count=sum(r.tracks.ml_count for r in results),
+        n_tracklets=sum(r.tracks.n_tracklets for r in results),
+        coverage=(),
+    )
+    return _metric_block(
+        curve_from_ranked(pooled, ids.idtp + ids.idfn),  # every ground-truth observation
+        ids,
+        tracks,
+        sum(r.switches for r in results),
+        hamming_loss(merge_pair_sets(r.pairs for r in results), n_labels),
+    )
 
 
 def evaluate_records(
@@ -140,9 +184,10 @@ def evaluate_records(
     """Score predictions against ground truth across all three metric families.
 
     Videos present on only one side are evaluated against an empty
-    counterpart. The aggregate AP pools every prediction into one ranking;
-    identification and action-pair tallies are exact sums of the per-video
-    tallies.
+    counterpart. The aggregate is reduced from the per-video results: its AP
+    pools every prediction into one ranking of the per-video TP flags, and
+    its identification, MT/ML, switch and action-pair tallies are exact sums
+    of the per-video tallies.
     """
     gt_by_video = {record.video_id: record for record in gt_records}
     pred_by_video = {record.video_id: record for record in pred_records}
@@ -154,85 +199,28 @@ def evaluate_records(
 
     aligned = [
         (
-            gt_by_video.get(video_id, _empty_record(video_id)),
-            pred_by_video.get(video_id, _empty_record(video_id)),
+            gt_by_video.get(video_id, VideoRecord(video_id)),
+            pred_by_video.get(video_id, VideoRecord(video_id)),
         )
         for video_id in video_ids
     ]
+
+    def evaluate(pair: tuple[VideoRecord, VideoRecord]) -> _VideoResult:
+        return _evaluate_one(*pair, iou_threshold, n_labels, id_persistence)
 
     workers = max_workers if max_workers is not None else worker_count()
     workers = max(1, min(workers, max(1, len(aligned))))
     if workers > 1 and len(aligned) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda pair: _evaluate_one(
-                        pair[0], pair[1], iou_threshold, n_labels, id_persistence
-                    ),
-                    aligned,
-                )
-            )
+            results = list(pool.map(evaluate, aligned))
     else:
-        results = [
-            _evaluate_one(gt, pred, iou_threshold, n_labels, id_persistence)
-            for gt, pred in aligned
-        ]
+        results = [evaluate(pair) for pair in aligned]
 
     per_video = {
-        video_id: block for video_id, (block, _) in zip(video_ids, results)
+        video_id: _metric_block(r.ap, r.ids, r.tracks, r.switches, r.hl)
+        for video_id, r in zip(video_ids, results)
     }
-
-    pooled_ap = average_precision(
-        [pair[0] for pair in aligned], [pair[1] for pair in aligned], iou_threshold
-    )
-    pooled_pairs = merge_pair_sets(pair_set for _, pair_set in results)
-    pooled_hl = hamming_loss(pooled_pairs, n_labels)
-
-    idtp = sum(b.idtp for b in per_video.values())
-    idfp = sum(b.idfp for b in per_video.values())
-    idfn = sum(b.idfn for b in per_video.values())
-    total_gt_obs = idtp + idfn
-    total_pred_obs = idtp + idfp
-    agg_flags: list[str] = []
-    if total_gt_obs == 0 and total_pred_obs == 0:
-        agg_idf1 = 1.0
-        agg_flags.append("identity_vacuous")
-    else:
-        denom = 2 * idtp + idfp + idfn
-        agg_idf1 = 2 * idtp / denom if denom else 0.0
-    if pooled_ap.had_score_ties:
-        agg_flags.append("score_ties")
-    if total_pred_obs == 0:
-        agg_flags.append("no_predictions")
-    if total_gt_obs == 0:
-        agg_flags.append("no_ground_truth")
-
-    mt_count = sum(b.mt_count for b in per_video.values())
-    ml_count = sum(b.ml_count for b in per_video.values())
-    n_tracklets = sum(b.n_gt_tracklets for b in per_video.values())
-
-    aggregate = MetricBlock(
-        ap=pooled_ap.ap,
-        ap_reason=pooled_ap.reason,
-        hl=pooled_hl.value,
-        hl_reason=pooled_hl.reason,
-        idf1=agg_idf1,
-        idtp=idtp,
-        idfp=idfp,
-        idfn=idfn,
-        mt_count=mt_count,
-        ml_count=ml_count,
-        n_gt_tracklets=n_tracklets,
-        mt_pct=100.0 * mt_count / n_tracklets if n_tracklets else 0.0,
-        ml_pct=100.0 * ml_count / n_tracklets if n_tracklets else 0.0,
-        id_switches=sum(b.id_switches for b in per_video.values()),
-        tp=sum(b.tp for b in per_video.values()),
-        fp=sum(b.fp for b in per_video.values()),
-        fn=sum(b.fn for b in per_video.values()),
-        n_matched_pairs=pooled_pairs.n_pairs,
-        wrong_label_bits=pooled_hl.wrong_bits,
-        flags=tuple(agg_flags),
-    )
+    aggregate = _aggregate_block(results, n_labels)
 
     resolved = {
         "tool": "asadeval",

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .actions import MatchedPairSet, match_pairs
-from .matching import DEFAULT_IOU_GATE, build_cost_matrix, iou, solve_assignment
+from .matching import DEFAULT_IOU_GATE, build_cost_matrix, frame_ious, iou, solve_assignment
 from .model import ActorObservation, VideoRecord, build_tracklets
 
 MT_THRESHOLD = 0.8
@@ -35,6 +35,14 @@ class IdMatchResult:
     idfn: int
     pairing: tuple[tuple[int, int], ...]  # (gt_actor_id, pred_actor_id), overlap > 0 only
     vacuous: bool = False
+
+    @property
+    def idf1(self) -> float:
+        """2*IDTP / (2*IDTP + IDFP + IDFN); 1.0 when vacuous (both sides empty)."""
+        if self.vacuous:
+            return 1.0
+        denom = 2 * self.idtp + self.idfp + self.idfn
+        return 2 * self.idtp / denom if denom else 0.0
 
 
 @dataclass(frozen=True)
@@ -66,10 +74,6 @@ class MtMlResult:
         return 100.0 * self.ml_count / self.n_tracklets if self.n_tracklets else 0.0
 
 
-def _keyframe_union(gt: VideoRecord, pred: VideoRecord) -> list[int]:
-    return sorted(set(gt.frames) | set(pred.frames))
-
-
 def idf1(
     gt: VideoRecord,
     pred: VideoRecord,
@@ -89,20 +93,20 @@ def idf1(
     """
     total_gt = len(gt.observations)
     total_pred = len(pred.observations)
-    if total_gt == 0 and total_pred == 0:
-        return 1.0, IdMatchResult(0, 0, 0, (), vacuous=True)
-
     gt_ids = gt.actor_ids
     pred_ids = pred.actor_ids
     gt_index = {actor: i for i, actor in enumerate(gt_ids)}
     pred_index = {actor: j for j, actor in enumerate(pred_ids)}
 
     overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    for keyframe in _keyframe_union(gt, pred):
-        for g_obs in gt.frames.get(keyframe, ()):
-            for p_obs in pred.frames.get(keyframe, ()):
-                if iou(g_obs.box, p_obs.box) >= iou_threshold:
-                    overlap[gt_index[g_obs.actor_id], pred_index[p_obs.actor_id]] += 1
+    ious = frame_ious(
+        {keyframe: [o.box for o in frame] for keyframe, frame in gt.frames.items()},
+        {keyframe: [o.box for o in frame] for keyframe, frame in pred.frames.items()},
+    )
+    for keyframe, frame_iou in ious.items():
+        rows = np.array([gt_index[o.actor_id] for o in gt.frames[keyframe]])
+        cols = np.array([pred_index[o.actor_id] for o in pred.frames[keyframe]])
+        np.add.at(overlap, (rows[:, None], cols), frame_iou >= iou_threshold)
 
     pairing: list[tuple[int, int]] = []
     idtp = 0
@@ -113,11 +117,9 @@ def idf1(
             if count > 0:
                 idtp += count
                 pairing.append((gt_ids[r], pred_ids[c]))
-    idfn = total_gt - idtp
-    idfp = total_pred - idtp
-    denom = 2 * idtp + idfp + idfn
-    value = 2 * idtp / denom if denom else 0.0
-    return value, IdMatchResult(idtp, idfp, idfn, tuple(sorted(pairing)))
+    vacuous = total_gt + total_pred == 0
+    result = IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, tuple(sorted(pairing)), vacuous)
+    return result.idf1, result
 
 
 def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
@@ -176,7 +178,7 @@ def id_switches(
     """
     last_match: dict[int, int] = {}
     switches = 0
-    for keyframe in _keyframe_union(gt, pred):
+    for keyframe in sorted(set(gt.frames) | set(pred.frames)):
         g_frame = list(gt.frames.get(keyframe, ()))
         p_frame = list(pred.frames.get(keyframe, ()))
         matches: dict[int, int] = {}

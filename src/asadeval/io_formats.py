@@ -22,16 +22,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .association import Detection, DetectionStream
 from .evaluation import AGGREGATE_KEY, EvalReport, MetricBlock
 from .model import (
-    DEFAULT_KEYFRAME_STRIDE,
     DEFAULT_N_LABELS,
     ActorObservation,
     BoundingBox,
@@ -57,6 +57,25 @@ class FormatError(ValueError):
     def __init__(self, errors: Sequence[str]):
         self.errors = list(errors)[:_MAX_REPORTED_ERRORS]
         super().__init__("\n".join(self.errors))
+
+
+@contextmanager
+def _csv_reader(path: str) -> Iterator:
+    """A csv.reader over a UTF-8 file; bad bytes or csv syntax raise a line-numbered FormatError."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise FormatError([f"{path}:{reader.line_num}: {exc}"]) from None
+        except UnicodeDecodeError:
+            # The text layer decodes ahead of the csv reader, so find the line afresh.
+            for line_no, line in enumerate(Path(path).read_bytes().split(b"\n"), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise FormatError([f"{path}:{line_no}: invalid UTF-8: {exc}"]) from None
+            raise
 
 
 def _parse_int(text: str, minimum: Optional[int] = None) -> int:
@@ -89,7 +108,6 @@ def parse_annotations(
     path: str,
     role: str,
     n_labels: int = DEFAULT_N_LABELS,
-    keyframe_stride: int = DEFAULT_KEYFRAME_STRIDE,
 ) -> list[VideoRecord]:
     """Parse an annotation CSV into validated records, one per video.
 
@@ -102,8 +120,7 @@ def parse_annotations(
     errors: list[str] = []
     groups: dict[tuple[str, int, int], dict] = {}
 
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise FormatError([f"{path}:1: empty file, expected header {','.join(expected)}"])
@@ -198,11 +215,7 @@ def parse_annotations(
         )
 
     records = [
-        VideoRecord(
-            video_id=video_id,
-            observations=tuple(observations),
-            keyframe_stride=keyframe_stride,
-        )
+        VideoRecord(video_id=video_id, observations=tuple(observations))
         for video_id, observations in sorted(by_video.items())
     ]
     for record in records:
@@ -250,8 +263,7 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
 def parse_detection_stream(path: str) -> DetectionStream:
     """Parse a detection-stream CSV; one video per file, fixed embedding width."""
     errors: list[str] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         if header is None:
             raise FormatError([f"{path}:1: empty file, expected a stream header"])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence, TypeVar
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,6 +19,9 @@ from scipy.optimize import linear_sum_assignment
 from .model import BoundingBox
 
 DEFAULT_IOU_GATE = 0.5
+# Entries per batched IoU call: bounds the temporaries at 64 KiB each.
+_IOU_BATCH_ENTRIES = 8192
+K = TypeVar("K")
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -46,22 +49,46 @@ def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between (n, 4) and (m, 4) arrays of corner boxes."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=float)
-    ix1 = np.maximum(a[:, None, 0], b[None, :, 0])
-    iy1 = np.maximum(a[:, None, 1], b[None, :, 1])
-    ix2 = np.minimum(a[:, None, 2], b[None, :, 2])
-    iy2 = np.minimum(a[:, None, 3], b[None, :, 3])
+    """Pairwise IoU between (..., n, 4) and (..., m, 4) arrays of corner boxes.
+
+    Leading dimensions broadcast. Entries take `iou`'s float operations in its order.
+    """
+    ix1 = np.maximum(a[..., :, None, 0], b[..., None, :, 0])
+    iy1 = np.maximum(a[..., :, None, 1], b[..., None, :, 1])
+    ix2 = np.minimum(a[..., :, None, 2], b[..., None, :, 2])
+    iy2 = np.minimum(a[..., :, None, 3], b[..., None, :, 3])
     iw = np.clip(ix2 - ix1, 0.0, None)
     ih = np.clip(iy2 - iy1, 0.0, None)
     inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
+
+
+def frame_ious(
+    gt: Mapping[K, Sequence[BoundingBox]], pred: Mapping[K, Sequence[BoundingBox]]
+) -> dict[K, np.ndarray]:
+    """The IoU matrix (GT rows x prediction columns) of every key with boxes on both sides.
+
+    Same-shape frames share `iou_matrix` calls of bounded size: the entries of
+    one call per frame, at far less cost when frames are small.
+    """
+    by_shape: dict[tuple[int, int], list[K]] = {}
+    for key, boxes in gt.items():
+        if boxes and pred.get(key):
+            by_shape.setdefault((len(boxes), len(pred[key])), []).append(key)
+    ious: dict[K, np.ndarray] = {}
+    for (n_gt, n_pred), keys in by_shape.items():
+        step = max(1, _IOU_BATCH_ENTRIES // (n_gt * n_pred))
+        for start in range(0, len(keys), step):
+            chunk = keys[start : start + step]
+            a = boxes_to_array([box for key in chunk for box in gt[key]]).reshape(-1, n_gt, 4)
+            b = boxes_to_array([box for key in chunk for box in pred[key]]).reshape(-1, n_pred, 4)
+            ious.update(zip(chunk, iou_matrix(a, b)))
+    return ious
 
 
 @dataclass(frozen=True)

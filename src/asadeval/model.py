@@ -2,9 +2,7 @@
 
 All box coordinates are normalized fractions of the frame size, so every
 valid box lives inside the unit square. A keyframe is an integer index into
-the annotated-frame sequence; the stride between annotated frames (25 raw
-video frames by default, roughly one second) is carried as metadata only and
-never enters any metric computation.
+the annotated-frame sequence.
 
 Action labels are integer category ids in ``[1, n_labels]`` held as plain
 ``frozenset`` instances. Ground-truth observations must carry at least one
@@ -19,7 +17,6 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_N_LABELS = 80
-DEFAULT_KEYFRAME_STRIDE = 25
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,6 @@ class VideoRecord:
 
     video_id: str
     observations: tuple[ActorObservation, ...] = ()
-    keyframe_stride: int = DEFAULT_KEYFRAME_STRIDE
 
     def __post_init__(self) -> None:
         ordered = tuple(

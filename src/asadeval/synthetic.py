@@ -20,13 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .association import Detection, DetectionStream
-from .model import (
-    DEFAULT_KEYFRAME_STRIDE,
-    DEFAULT_N_LABELS,
-    ActorObservation,
-    BoundingBox,
-    VideoRecord,
-)
+from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 
 GENERATOR_ALGORITHM = "numpy-default-rng-pcg64"
 
@@ -55,7 +49,6 @@ class ScenarioSpec:
     min_box_size: float = 0.10
     max_box_size: float = 0.18
     max_speed: float = 0.015
-    keyframe_stride: int = DEFAULT_KEYFRAME_STRIDE
 
     def __post_init__(self) -> None:
         if self.n_actors < 1:
@@ -242,11 +235,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
         if detections:
             frames[keyframe] = tuple(detections)
 
-    record = VideoRecord(
-        video_id=spec.video_id,
-        observations=tuple(gt_observations),
-        keyframe_stride=spec.keyframe_stride,
-    )
+    record = VideoRecord(video_id=spec.video_id, observations=tuple(gt_observations))
     stream = DetectionStream(video_id=spec.video_id, dim=spec.appearance_dim, frames=frames)
     return record, stream
 
@@ -397,8 +386,4 @@ def perturb(gt: VideoRecord, p: Perturbation) -> VideoRecord:
                 next_id += 1
         observations.extend(extra)
 
-    return VideoRecord(
-        video_id=gt.video_id,
-        observations=tuple(observations),
-        keyframe_stride=gt.keyframe_stride,
-    )
+    return VideoRecord(video_id=gt.video_id, observations=tuple(observations))

@@ -18,10 +18,8 @@ def obs(video_id, keyframe, actor_id, box_coords, actions=(1,), score=1.0):
     )
 
 
-def record(video_id, observations, stride=25):
-    return VideoRecord(
-        video_id=video_id, observations=tuple(observations), keyframe_stride=stride
-    )
+def record(video_id, observations):
+    return VideoRecord(video_id=video_id, observations=tuple(observations))
 
 
 def track_obs(video_id, actor_id, keyframes, box_coords, actions=(1,), score=1.0):

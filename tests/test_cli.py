@@ -35,16 +35,25 @@ def test_evaluate_identity_fixture(identity_fixture, tmp_path, capsys):
     assert "AP@0.5" in out and "IDF1" in out
 
 
-def test_evaluate_malformed_pred_exits_2(identity_fixture, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        (b"v,99,0.5,0.1,0.4,0.3,1,1,0.9", "degenerate"),  # x2 < x1
+        (b"v,99,0.1,0.1,0.4,0.3,1,1,0.\xff", "UTF-8"),
+        (b"v,99,0.1,0.1,0.4,0.3,1,1," + b"9" * 131073, "field limit"),
+    ],
+    ids=["degenerate-box", "invalid-utf8", "oversized-field"],
+)
+def test_evaluate_malformed_pred_exits_2(identity_fixture, tmp_path, capsys, bad_row, message):
     gt_path, pred_path = identity_fixture
     broken = tmp_path / "broken.csv"
-    lines = pred_path.read_text().splitlines()
-    lines.append("v,99,0.5,0.1,0.4,0.3,1,1,0.9")  # x2 < x1
-    broken.write_text("\n".join(lines) + "\n")
+    lines = pred_path.read_bytes().splitlines()
+    lines.append(bad_row)
+    broken.write_bytes(b"\n".join(lines) + b"\n")
     code = main(["evaluate", "--gt", str(gt_path), "--pred", str(broken)])
     assert code == EXIT_DATA
     err = capsys.readouterr().err
-    assert "degenerate" in err and f":{len(lines)}:" in err
+    assert message in err and f":{len(lines)}:" in err
 
 
 def test_evaluate_custom_iou_renames_metrics(identity_fixture, tmp_path):
@@ -194,9 +203,18 @@ def test_missing_input_file_is_io_error(tmp_path, capsys):
     assert code == EXIT_IO
 
 
-def test_track_malformed_stream_exits_2(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        b"v,0,0.1,0.1,0.3,0.3,0.9",  # ragged: no embedding
+        b"v,0,0.1,0.1,0.3,0.3,0.9,0.\xff",
+        b"v,0,0.1,0.1,0.3,0.3,0.9," + b"1" * 131073,
+    ],
+    ids=["ragged", "invalid-utf8", "oversized-field"],
+)
+def test_track_malformed_stream_exits_2(tmp_path, capsys, bad_row):
     bad = tmp_path / "stream.csv"
-    bad.write_text("video_id,keyframe,x1,y1,x2,y2,score,e0\nv,0,0.1,0.1,0.3,0.3,0.9\n")
+    bad.write_bytes(b"video_id,keyframe,x1,y1,x2,y2,score,e0\n" + bad_row + b"\n")
     code = main(["track", "--detections", str(bad), "--mode", "online",
                  "--out", str(tmp_path / "out.csv")])
     assert code == EXIT_DATA

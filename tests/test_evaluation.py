@@ -72,7 +72,7 @@ def test_video_only_in_gt_counts_as_missed():
 def test_vacuous_empty_evaluation():
     report = evaluate_records([], [])
     assert report.aggregate.idf1 == 1.0
-    assert "identity_vacuous" in report.aggregate.flags
+    assert report.aggregate.flags == ("identity_vacuous", "no_predictions", "no_ground_truth")
     assert report.aggregate.ap is None
     assert report.aggregate.hl is None
 

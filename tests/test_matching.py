@@ -7,6 +7,7 @@ import pytest
 from asadeval.matching import (
     AssignmentProblem,
     build_cost_matrix,
+    frame_ious,
     iou,
     iou_matrix,
     solve_assignment,
@@ -77,15 +78,42 @@ def test_iou_symmetric_on_random_boxes():
 
 
 def test_iou_matrix_matches_scalar():
+    # Exact equality: AP and IDF1 compare matrix entries against the gate,
+    # where the scalar oracles compare iou(); the two must agree bit for bit.
     rng = np.random.default_rng(5)
-    gts = random_boxes(rng, 4)
-    preds = random_boxes(rng, 3)
+    base = BoundingBox(0.2, 0.2, 0.5, 0.6)
+    special = [
+        BoundingBox(0.2, 0.2, 0.5, 0.6),  # identical
+        BoundingBox(0.25, 0.3, 0.45, 0.5),  # nested
+        BoundingBox(0.5, 0.2, 0.7, 0.6),  # touches the right edge
+        BoundingBox(0.2, 0.6, 0.5, 0.9),  # touches the bottom edge
+        BoundingBox(0.5, 0.6, 0.8, 0.9),  # touches a corner
+        BoundingBox(0.7, 0.7, 0.9, 0.9),  # disjoint
+    ]
+    gts = random_boxes(rng, 4) + [base]
+    preds = random_boxes(rng, 3) + special
     arr_a = np.array([[b.x1, b.y1, b.x2, b.y2] for b in gts])
     arr_b = np.array([[b.x1, b.y1, b.x2, b.y2] for b in preds])
     matrix = iou_matrix(arr_a, arr_b)
     for i, g in enumerate(gts):
         for j, p in enumerate(preds):
-            assert matrix[i, j] == pytest.approx(iou(g, p), abs=1e-15)
+            assert matrix[i, j] == iou(g, p)
+    assert list(matrix[-1, -6:]) == [1.0, iou(base, special[1]), 0.0, 0.0, 0.0, 0.0]
+
+
+def test_frame_ious_match_scalar_per_frame():
+    # Frames of different sizes share one padded stack; padding must not leak.
+    rng = np.random.default_rng(8)
+    gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(12)}
+    pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(4, 16)}
+    ious = frame_ious(gt, pred)
+    assert set(ious) == {kf for kf in range(4, 12) if gt[kf] and pred[kf]}
+    for kf, matrix in ious.items():
+        assert matrix.shape == (len(gt[kf]), len(pred[kf]))
+        for i, g in enumerate(gt[kf]):
+            for j, p in enumerate(pred[kf]):
+                assert matrix[i, j] == iou(g, p)
+    assert frame_ious({0: gt[4]}, {1: pred[4]}) == {}
 
 
 def test_cost_matrix_keeps_above_gate():

@@ -56,3 +56,55 @@ def test_fast_paths_match_oracles_on_generated_scenes(scene):
     standalone = mt_ml(gt, pred)
     assert (block.mt_count, block.ml_count) == (standalone.mt_count, standalone.ml_count)
     assert block.n_matched_pairs == match_pairs(gt, pred).n_pairs
+
+
+@st.composite
+def corpora(draw):
+    """1-3 videos, each on the GT side, the prediction side or both.
+
+    Scores come from a small set so that predictions of different videos tie,
+    and predicted identities repeat across keyframes so IDs can switch.
+    """
+    gts, preds = [], []
+    for video_id in ("a", "b", "c")[: draw(st.integers(1, 3))]:
+        gt_obs, pred_obs = [], []
+        for kf in range(draw(st.integers(1, 3))):
+            gt_boxes = draw(st.lists(boxes(), max_size=3))
+            gt_obs += [obs(video_id, kf, actor, box) for actor, box in enumerate(gt_boxes)]
+            pred_boxes = draw(st.lists(st.sampled_from(gt_boxes), max_size=3)) if gt_boxes else []
+            pred_boxes += draw(st.lists(boxes(), max_size=2))
+            actors = draw(st.permutations(range(len(pred_boxes))))
+            pred_obs += [
+                obs(video_id, kf, actor, box, actions=draw(st.sets(st.integers(1, 3), max_size=2)),
+                    score=draw(st.sampled_from((0.25, 0.5, 0.75))))
+                for actor, box in zip(actors, pred_boxes)
+            ]
+        side = draw(st.sampled_from(("both", "gt", "pred")))
+        if side != "pred":
+            gts.append(record(video_id, gt_obs))
+        if side != "gt":
+            preds.append(record(video_id, pred_obs))
+    return gts, preds
+
+
+SUMMED = ("idtp", "idfp", "idfn", "mt_count", "ml_count", "n_gt_tracklets", "id_switches",
+          "n_matched_pairs", "wrong_label_bits")
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(corpora())
+def test_aggregate_is_a_reduce_of_the_videos(corpus):
+    gts, preds = corpus
+    report = evaluate_records(gts, preds, n_labels=3)
+    agg = report.aggregate
+    # Both lists are in video_id order, the order evaluate_records pools in;
+    # with tied scores across videos, that order decides the ranking.
+    pooled = average_precision(gts, preds)
+    assert (agg.ap, agg.tp, agg.fp, agg.fn) == (
+        pooled.ap, pooled.tally.tp, pooled.tally.fp, pooled.tally.fn
+    )
+    assert ("score_ties" in agg.flags) == pooled.had_score_ties
+    for name in SUMMED:
+        assert getattr(agg, name) == sum(getattr(b, name) for b in report.per_video.values())
+    if len(report.per_video) == 1:
+        assert [agg] == list(report.per_video.values())
