@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import DEFAULT_IOU_GATE, build_cost_matrix, solve_assignment
+from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_cost, solve_assignment
 from .model import DEFAULT_N_LABELS, ActorObservation, VideoRecord
 
 HL_NO_PAIRS = "no pairs at IoU >= gate"
@@ -66,16 +66,18 @@ def match_pairs(
     play no role in the pairing; only geometry does. This is the one gated
     matching per keyframe: HL scores its pairs and MT/ML counts their GT side.
     """
+    return match_pairs_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold)
+
+
+def match_pairs_from_ious(
+    gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float
+) -> MatchedPairSet:
+    """`match_pairs` on the videos' `frame_ious` table."""
     pairs: list[MatchedPair] = []
-    for keyframe in sorted(set(gt.frames) | set(pred.frames)):
-        g_frame = gt.frames.get(keyframe, ())
-        p_frame = pred.frames.get(keyframe, ())
-        if not g_frame or not p_frame:
-            continue
-        problem = build_cost_matrix(
-            [o.box for o in g_frame], [o.box for o in p_frame], gate=iou_threshold
-        )
-        for g_idx, p_idx in solve_assignment(problem).pairs:
+    for keyframe, overlaps in ious.items():
+        g_frame = gt.frames[keyframe]
+        p_frame = pred.frames[keyframe]
+        for g_idx, p_idx in solve_assignment(gated_cost(overlaps, iou_threshold)).pairs:
             pairs.append(MatchedPair(gt=g_frame[g_idx], pred=p_frame[p_idx]))
     return MatchedPairSet(pairs=tuple(pairs))
 

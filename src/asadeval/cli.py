@@ -189,14 +189,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         n_labels = sidecar_n_labels(resolved["gt"]) or DEFAULT_N_LABELS
         resolved["labels"] = n_labels
 
-    try:
-        gt_records = parse_annotations(resolved["gt"], role="gt", n_labels=n_labels)
-        pred_records = parse_annotations(resolved["pred"], role="pred", n_labels=n_labels)
-    except FormatError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return EXIT_DATA
-
+    gt_records = parse_annotations(resolved["gt"], role="gt", n_labels=n_labels)
+    pred_records = parse_annotations(resolved["pred"], role="pred", n_labels=n_labels)
     echo = {f"cli_{key}": value for key, value in resolved.items()}
     report = evaluate_records(
         gt_records,
@@ -244,13 +238,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     if resolved["mode"] not in ("online", "offline"):
         raise _UsageError(f"track: --mode must be online or offline, got {resolved['mode']!r}")
 
-    try:
-        stream = parse_detection_stream(resolved["detections"])
-    except FormatError as exc:
-        for line in exc.errors:
-            print(line, file=sys.stderr)
-        return EXIT_DATA
-
+    stream = parse_detection_stream(resolved["detections"])
     cfg = _association_config(
         resolved["mode"], resolved["iou_weight"], resolved["tau"], resolved["gap"]
     )

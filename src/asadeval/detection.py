@@ -6,22 +6,23 @@ videos are pooled into one global confidence ranking and the area under the
 all-point interpolated precision-recall curve is integrated over every
 recall increment.
 
-AP takes two steps: `rank_predictions` gives each prediction its TP flag as
-ranked ``(score, is_tp)`` pairs and `curve_from_ranked` builds the curve from
-them. Per-video lists concatenated in input order and stably sorted by
-descending score are exactly the pooled ranking.
+AP takes two steps: `rank_predictions` ranks one video's predictions as
+``(score, is_tp)`` pairs, flagged on its `frame_ious` table, and
+`curve_from_ranked` builds the curve. `pool_rankings` of the per-video lists,
+in input order, is exactly the pooled ranking.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .matching import DEFAULT_IOU_GATE, boxes_to_array, frame_ious, iou_matrix
-from .model import BoundingBox, VideoRecord
+from .matching import DEFAULT_IOU_GATE, IouTable, boxes_to_array, check_gate, frame_ious, iou_matrix
+from .model import BoundingBox, VideoRecord, records_by_video
 
 AP_NO_GROUND_TRUTH = "no ground truth boxes"
 
@@ -88,8 +89,7 @@ def tally_frame(
     truth counts as false negatives. Returns the tally and a per-prediction
     TP flag aligned with the input order.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must lie in (0, 1)")
+    check_gate(iou_threshold)
     overlaps = iou_matrix(boxes_to_array(gt), boxes_to_array([box for box, _ in pred]))
     flags = _greedy_flags(overlaps, [score for _, score in pred], iou_threshold)
     tp = sum(flags)
@@ -97,11 +97,12 @@ def tally_frame(
 
 
 def _greedy_flags(overlaps: np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[bool]:
-    """`tally_frame`'s TP flags from its GT x prediction IoU matrix, which it overwrites."""
-    # A claimed row is set to -1 so it never wins again; argmax keeps the
-    # first of equal overlaps, as a strict ">" scan over the rows would.
+    """`tally_frame`'s TP flags from its GT x prediction IoU matrix."""
+    # A claimed row is set to -1 in a copy so it never wins again; argmax keeps
+    # the first of equal overlaps, as a strict ">" scan over the rows would.
     flags = [False] * len(scores)
     if overlaps.shape[0]:
+        overlaps = overlaps.copy()
         for idx in sorted(range(len(scores)), key=lambda i: -scores[i]):
             best_gt = int(overlaps[:, idx].argmax())
             if overlaps[best_gt, idx] >= iou_threshold:
@@ -122,42 +123,26 @@ def precision_recall(tally: DetectionTally) -> tuple[float, float]:
 
 
 def rank_predictions(
-    gt_records: Sequence[VideoRecord],
-    pred_records: Sequence[VideoRecord],
+    pred: VideoRecord,
+    ious: IouTable,
     iou_threshold: float = DEFAULT_IOU_GATE,
 ) -> list[tuple[float, bool]]:
-    """Step one of AP: every prediction as ``(score, is_tp)``, ranked.
+    """Step one of AP: one video's predictions as ``(score, is_tp)``, ranked.
 
-    All predictions are ranked by descending score, ties kept in stable input
-    order. Each TP flag comes from `tally_frame`'s greedy matching within the
-    prediction's (video, keyframe), on the IoUs of `frame_ious`.
+    Each keyframe's TP flags come from `tally_frame`'s greedy matching on its
+    matrix in ``ious``, the video's `frame_ious` table.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError("iou_threshold must lie in (0, 1)")
+    flagged: list[tuple[float, bool]] = []
+    for keyframe, frame in pred.frames.items():
+        scores = [o.score for o in frame]
+        flags = _greedy_flags(ious[keyframe], scores, iou_threshold) if keyframe in ious else [False] * len(frame)
+        flagged.extend(zip(scores, flags))
+    return pool_rankings([flagged])
 
-    gt_boxes: dict[tuple[str, int], list[BoundingBox]] = {}
-    for record in gt_records:
-        for obs in record.observations:
-            gt_boxes.setdefault((record.video_id, obs.keyframe), []).append(obs.box)
 
-    ranked = [(r.video_id, o.keyframe, o.box, o.score) for r in pred_records for o in r.observations]
-    ranked.sort(key=lambda item: -item[3])
-
-    by_frame: dict[tuple[str, int], list[tuple[BoundingBox, float]]] = {}
-    for video_id, keyframe, box, score in ranked:
-        by_frame.setdefault((video_id, keyframe), []).append((box, score))
-    ious = frame_ious(gt_boxes, {key: [box for box, _ in preds] for key, preds in by_frame.items()})
-    # Each frame's group is in global rank order, which the greedy matching's
-    # stable sort keeps, so its flags are read back in ranking order.
-    frame_flags = {}
-    for key, preds in by_frame.items():
-        scores = [score for _, score in preds]
-        flags = _greedy_flags(ious[key], scores, iou_threshold) if key in ious else [False] * len(preds)
-        frame_flags[key] = iter(flags)
-    return [
-        (score, next(frame_flags[(video_id, keyframe)]))
-        for video_id, keyframe, _, score in ranked
-    ]
+def pool_rankings(rankings: Iterable[Sequence[tuple[float, bool]]]) -> list[tuple[float, bool]]:
+    """``(score, is_tp)`` lists concatenated, then stably sorted by descending score."""
+    return sorted(itertools.chain.from_iterable(rankings), key=lambda item: -item[0])
 
 
 def curve_from_ranked(ranked: Sequence[tuple[float, bool]], n_gt: int) -> APResult:
@@ -215,11 +200,18 @@ def average_precision(
 ) -> APResult:
     """Area under the interpolated precision-recall curve, pooled over videos.
 
-    The two steps composed: `rank_predictions` over all videos, then
-    `curve_from_ranked` against every ground-truth box.
+    The two steps composed: `rank_predictions` per video, pooled in
+    ``pred_records`` order, then `curve_from_ranked` against every
+    ground-truth box. A repeated video_id is a ValueError.
     """
+    check_gate(iou_threshold)
+    gt_by_video = records_by_video(gt_records, "ground-truth")
+    rankings = []
+    for pred in records_by_video(pred_records, "prediction").values():
+        gt = gt_by_video.get(pred.video_id, VideoRecord(pred.video_id))
+        rankings.append(rank_predictions(pred, frame_ious(gt, pred), iou_threshold))
     n_gt = sum(len(record.observations) for record in gt_records)
-    return curve_from_ranked(rank_predictions(gt_records, pred_records, iou_threshold), n_gt)
+    return curve_from_ranked(pool_rankings(rankings), n_gt)
 
 
 def write_pr_curve(result: APResult, path: str) -> None:

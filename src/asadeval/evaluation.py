@@ -2,26 +2,27 @@
 
 Videos are evaluated independently (optionally by a bounded worker pool) and
 the aggregate is reduced from their results in video_id order, so results
-never depend on scheduling. The aggregate detection curve merges the
-per-video ranked TP flags into one global ranking without matching again;
-identification, MT/ML, switch and matched action-pair tallies sum across
-videos. One builder makes every `MetricBlock`, per video and aggregate, so
-every reported ratio can be recomputed from the tallies carried next to it.
+never depend on scheduling. Each video's IoUs are computed once, as the
+`frame_ious` table that AP, IDF1, switches and the gated pairs read. The
+aggregate detection curve merges the per-video ranked TP flags into one
+global ranking without matching again; identification, MT/ML, switch and
+matched action-pair tallies sum across videos. One builder makes every
+`MetricBlock`, per video and aggregate, so every reported ratio can be
+recomputed from the tallies carried next to it.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .actions import HammingResult, MatchedPairSet, hamming_loss, match_pairs, merge_pair_sets
-from .detection import APResult, curve_from_ranked, rank_predictions
-from .identity import IdMatchResult, MtMlResult, id_switches, idf1, mt_ml_from_pairs
-from .matching import DEFAULT_IOU_GATE
-from .model import DEFAULT_N_LABELS, VideoRecord
+from .actions import HammingResult, MatchedPairSet, hamming_loss, match_pairs_from_ious, merge_pair_sets
+from .detection import APResult, curve_from_ranked, pool_rankings, rank_predictions
+from .identity import IdMatchResult, MtMlResult, id_switches_from_ious, idf1_from_ious, mt_ml_from_pairs
+from .matching import DEFAULT_IOU_GATE, check_gate, frame_ious
+from .model import DEFAULT_N_LABELS, VideoRecord, records_by_video
 from .version import __version__
 
 THREADS_ENV_VAR = "ASAD_BENCH_THREADS"
@@ -96,15 +97,16 @@ def _evaluate_one(
     n_labels: int,
     persistence: bool,
 ) -> _VideoResult:
-    ranked = rank_predictions([gt], [pred], iou_threshold)
-    pairs = match_pairs(gt, pred, iou_threshold)
+    ious = frame_ious(gt, pred)
+    ranked = rank_predictions(pred, ious, iou_threshold)
+    pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
     return _VideoResult(
         ranked=ranked,
         pairs=pairs,
         ap=curve_from_ranked(ranked, len(gt.observations)),
-        ids=idf1(gt, pred, iou_threshold)[1],
+        ids=idf1_from_ious(gt, pred, ious, iou_threshold),
         tracks=mt_ml_from_pairs(gt, pairs),
-        switches=id_switches(gt, pred, iou_threshold, persistence=persistence),
+        switches=id_switches_from_ious(gt, pred, ious, iou_threshold, persistence),
         hl=hamming_loss(pairs, n_labels),
     )
 
@@ -145,11 +147,6 @@ def _metric_block(
 
 def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> MetricBlock:
     """Reduce per-video results, in video_id order, to the aggregate block."""
-    # Concatenated and stably sorted by descending score, the per-video ranked
-    # lists are the pooled ranking with its TP flags (see `detection`).
-    pooled = sorted(
-        itertools.chain.from_iterable(r.ranked for r in results), key=lambda item: -item[0]
-    )
     ids = IdMatchResult(
         idtp=sum(r.ids.idtp for r in results),
         idfp=sum(r.ids.idfp for r in results),
@@ -164,7 +161,8 @@ def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> MetricBl
         coverage=(),
     )
     return _metric_block(
-        curve_from_ranked(pooled, ids.idtp + ids.idfn),  # every ground-truth observation
+        # The pooled ranking of every prediction against every GT observation.
+        curve_from_ranked(pool_rankings(r.ranked for r in results), ids.idtp + ids.idfn),
         ids,
         tracks,
         sum(r.switches for r in results),
@@ -187,14 +185,12 @@ def evaluate_records(
     counterpart. The aggregate is reduced from the per-video results: its AP
     pools every prediction into one ranking of the per-video TP flags, and
     its identification, MT/ML, switch and action-pair tallies are exact sums
-    of the per-video tallies.
+    of the per-video tallies. A gate outside (0, 1) or a video_id repeated on
+    either side is a ValueError.
     """
-    gt_by_video = {record.video_id: record for record in gt_records}
-    pred_by_video = {record.video_id: record for record in pred_records}
-    if len(gt_by_video) != len(gt_records):
-        raise ValueError("duplicate video_id among ground-truth records")
-    if len(pred_by_video) != len(pred_records):
-        raise ValueError("duplicate video_id among prediction records")
+    check_gate(iou_threshold)
+    gt_by_video = records_by_video(gt_records, "ground-truth")
+    pred_by_video = records_by_video(pred_records, "prediction")
     video_ids = sorted(set(gt_by_video) | set(pred_by_video))
 
     aligned = [

@@ -9,6 +9,9 @@ side of `match_pairs`' gated pairs (identity-agnostic; the same pairs HL
 scores), with inclusive thresholds at 0.8 and 0.2. ID switches count changes
 of the matched predicted identity between a ground-truth tracklet's
 consecutive matched keyframes, with optional match persistence.
+
+`idf1` and `id_switches` are `frame_ious` composed with their ``*_from_ious``
+readers, which `evaluate_records` calls on the one table all families share.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .actions import MatchedPairSet, match_pairs
-from .matching import DEFAULT_IOU_GATE, build_cost_matrix, frame_ious, iou, solve_assignment
-from .model import ActorObservation, VideoRecord, build_tracklets
+from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_cost, solve_assignment
+from .model import VideoRecord, build_tracklets
 
 MT_THRESHOLD = 0.8
 ML_THRESHOLD = 0.2
@@ -91,6 +94,14 @@ def idf1(
     Empty vs empty is vacuously perfect (flagged); empty ground truth with
     predictions present scores 0.
     """
+    result = idf1_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold)
+    return result.idf1, result
+
+
+def idf1_from_ious(
+    gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float
+) -> IdMatchResult:
+    """`idf1`'s counts on the videos' `frame_ious` table."""
     total_gt = len(gt.observations)
     total_pred = len(pred.observations)
     gt_ids = gt.actor_ids
@@ -99,10 +110,6 @@ def idf1(
     pred_index = {actor: j for j, actor in enumerate(pred_ids)}
 
     overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
-    ious = frame_ious(
-        {keyframe: [o.box for o in frame] for keyframe, frame in gt.frames.items()},
-        {keyframe: [o.box for o in frame] for keyframe, frame in pred.frames.items()},
-    )
     for keyframe, frame_iou in ious.items():
         rows = np.array([gt_index[o.actor_id] for o in gt.frames[keyframe]])
         cols = np.array([pred_index[o.actor_id] for o in pred.frames[keyframe]])
@@ -118,8 +125,7 @@ def idf1(
                 idtp += count
                 pairing.append((gt_ids[r], pred_ids[c]))
     vacuous = total_gt + total_pred == 0
-    result = IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, tuple(sorted(pairing)), vacuous)
-    return result.idf1, result
+    return IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, tuple(sorted(pairing)), vacuous)
 
 
 def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
@@ -176,35 +182,35 @@ def id_switches(
     where a tracklet's matched predicted identity differs from the identity
     at its previous matched keyframe.
     """
+    return id_switches_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold, persistence)
+
+
+def id_switches_from_ious(
+    gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float, persistence: bool
+) -> int:
+    """`id_switches` on the videos' `frame_ious` table: only its keyframes can match."""
     last_match: dict[int, int] = {}
     switches = 0
-    for keyframe in sorted(set(gt.frames) | set(pred.frames)):
-        g_frame = list(gt.frames.get(keyframe, ()))
-        p_frame = list(pred.frames.get(keyframe, ()))
-        matches: dict[int, int] = {}
-
-        if persistence and g_frame and p_frame:
-            by_pred_id: dict[int, ActorObservation] = {o.actor_id: o for o in p_frame}
-            claimed: set[int] = set()
-            persisted: set[int] = set()
-            for g_obs in g_frame:
+    for keyframe, overlaps in ious.items():
+        g_frame = gt.frames[keyframe]
+        p_frame = pred.frames[keyframe]
+        matches: dict[int, int] = {}  # persisted pairs first, then the residual's
+        claimed: set[int] = set()
+        if persistence:
+            column_of = {o.actor_id: j for j, o in enumerate(p_frame)}
+            for i, g_obs in enumerate(g_frame):
                 prev = last_match.get(g_obs.actor_id)
-                if prev is None or prev in claimed:
-                    continue
-                p_obs = by_pred_id.get(prev)
-                if p_obs is not None and iou(g_obs.box, p_obs.box) >= iou_threshold:
+                j = column_of.get(prev)
+                if j is not None and prev not in claimed and overlaps[i, j] >= iou_threshold:
                     matches[g_obs.actor_id] = prev
                     claimed.add(prev)
-                    persisted.add(g_obs.actor_id)
-            g_frame = [o for o in g_frame if o.actor_id not in persisted]
-            p_frame = [o for o in p_frame if o.actor_id not in claimed]
 
-        if g_frame and p_frame:
-            problem = build_cost_matrix(
-                [o.box for o in g_frame], [o.box for o in p_frame], gate=iou_threshold
-            )
-            for g_idx, p_idx in solve_assignment(problem).pairs:
-                matches[g_frame[g_idx].actor_id] = p_frame[p_idx].actor_id
+        rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
+        cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
+        if rows and cols:
+            residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)
+            for r, c in solve_assignment(residual).pairs:
+                matches[g_frame[rows[r]].actor_id] = p_frame[cols[c]].actor_id
 
         for gt_actor, pred_actor in matches.items():
             prev = last_match.get(gt_actor)

@@ -131,7 +131,8 @@ def parse_annotations(
                     f"{','.join(expected)}, got {','.join(header)}"
                 ]
             )
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != len(expected):
@@ -284,7 +285,8 @@ def parse_detection_stream(path: str) -> DetectionStream:
 
         video_id: Optional[str] = None
         rows: list[tuple[int, Detection]] = []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            line_no = reader.line_num
             if not row:
                 continue
             if len(row) != len(header):

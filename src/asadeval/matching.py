@@ -1,27 +1,29 @@
 """IoU, gated cost matrices, and exact one-to-one assignment.
 
-This is the shared matching substrate for all three metric families. The
-cost matrix construction puts exactly 1.0 wherever the IoU gate fails, so a
-surviving pair can always be recognized by cost < 1. The solver returns the
-exact optimum and, among equal-cost optima, the lexicographically smallest
-(row, col) pair list so results are identical across platforms.
+The shared matching substrate: `frame_ious` computes a video's overlaps once,
+as one read-only GT x prediction IoU matrix per keyframe, for every metric
+family to read. `gated_cost` puts exactly 1.0 wherever the IoU gate fails,
+so a surviving pair can always be recognized by cost < 1. The solver returns
+the exact optimum and, among equal-cost optima, the lexicographically
+smallest (row, col) pair list so results are identical across platforms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import BoundingBox
+from .model import BoundingBox, VideoRecord
 
 DEFAULT_IOU_GATE = 0.5
 # Entries per batched IoU call: bounds the temporaries at 64 KiB each.
 _IOU_BATCH_ENTRIES = 8192
-K = TypeVar("K")
+# One video's IoU table, as `frame_ious` returns it: keyframe -> IoU matrix.
+IouTable = dict[int, np.ndarray]
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -68,27 +70,33 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def frame_ious(
-    gt: Mapping[K, Sequence[BoundingBox]], pred: Mapping[K, Sequence[BoundingBox]]
-) -> dict[K, np.ndarray]:
-    """The IoU matrix (GT rows x prediction columns) of every key with boxes on both sides.
+def check_gate(iou_threshold: float) -> None:
+    """Reject an IoU gate outside (0, 1)."""
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValueError("iou_threshold must lie in (0, 1)")
 
-    Same-shape frames share `iou_matrix` calls of bounded size: the entries of
-    one call per frame, at far less cost when frames are small.
+
+def frame_ious(gt: VideoRecord, pred: VideoRecord) -> IouTable:
+    """The read-only IoU matrix of every keyframe with boxes on both sides, ascending.
+
+    Rows and columns are the keyframe's GT and predictions in frame order.
+    Same-shape frames share `iou_matrix` calls of bounded size: the entries
+    of one call per frame, at far less cost when frames are small.
     """
-    by_shape: dict[tuple[int, int], list[K]] = {}
-    for key, boxes in gt.items():
-        if boxes and pred.get(key):
-            by_shape.setdefault((len(boxes), len(pred[key])), []).append(key)
-    ious: dict[K, np.ndarray] = {}
-    for (n_gt, n_pred), keys in by_shape.items():
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for keyframe in sorted(gt.frames.keys() & pred.frames.keys()):
+        by_shape.setdefault((len(gt.frames[keyframe]), len(pred.frames[keyframe])), []).append(keyframe)
+    ious: IouTable = {}
+    for (n_gt, n_pred), keyframes in by_shape.items():
         step = max(1, _IOU_BATCH_ENTRIES // (n_gt * n_pred))
-        for start in range(0, len(keys), step):
-            chunk = keys[start : start + step]
-            a = boxes_to_array([box for key in chunk for box in gt[key]]).reshape(-1, n_gt, 4)
-            b = boxes_to_array([box for key in chunk for box in pred[key]]).reshape(-1, n_pred, 4)
-            ious.update(zip(chunk, iou_matrix(a, b)))
-    return ious
+        for start in range(0, len(keyframes), step):
+            chunk = keyframes[start : start + step]
+            a = boxes_to_array([o.box for kf in chunk for o in gt.frames[kf]])
+            b = boxes_to_array([o.box for kf in chunk for o in pred.frames[kf]])
+            stack = iou_matrix(a.reshape(-1, n_gt, 4), b.reshape(-1, n_pred, 4))
+            stack.setflags(write=False)
+            ious.update(zip(chunk, stack))
+    return {keyframe: ious[keyframe] for keyframe in sorted(ious)}
 
 
 @dataclass(frozen=True)
@@ -121,12 +129,13 @@ def build_cost_matrix(
     pred: Sequence[BoundingBox],
     gate: float = DEFAULT_IOU_GATE,
 ) -> AssignmentProblem:
-    """Gated matching distance: 1 where IoU < gate, else 1 - IoU."""
-    overlaps = iou_matrix(boxes_to_array(gt), boxes_to_array(pred))
-    cost = np.ones_like(overlaps)
-    keep = overlaps >= gate
-    cost[keep] = 1.0 - overlaps[keep]
-    return AssignmentProblem(cost=cost)
+    """Gated matching distance of two box lists (see `gated_cost`)."""
+    return gated_cost(iou_matrix(boxes_to_array(gt), boxes_to_array(pred)), gate)
+
+
+def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> AssignmentProblem:
+    """Gated matching distance of an IoU matrix: 1 where IoU < gate, else 1 - IoU."""
+    return AssignmentProblem(cost=np.where(overlaps >= gate, 1.0 - overlaps, 1.0))
 
 
 def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Assignment:

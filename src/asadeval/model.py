@@ -132,6 +132,14 @@ class VideoRecord:
         return len(self.observations)
 
 
+def records_by_video(records: Sequence[VideoRecord], role: str) -> dict[str, VideoRecord]:
+    """``records`` keyed by video_id, in input order; a repeated video_id is a ValueError."""
+    by_video = {record.video_id: record for record in records}
+    if len(by_video) != len(records):
+        raise ValueError(f"duplicate video_id among {role} records")
+    return by_video
+
+
 @dataclass(frozen=True)
 class Violation:
     """A single invariant breach found by `validate_record`."""

@@ -70,6 +70,17 @@ def test_evaluate_custom_iou_renames_metrics(identity_fixture, tmp_path):
     assert data["config"]["iou_threshold"] == 0.75
 
 
+def test_evaluate_bad_gate_is_usage_error_without_rows(tmp_path, capsys):
+    # Header-only inputs reach no metric, so the gate is checked on entry.
+    gt_path = tmp_path / "gt.csv"
+    pred_path = tmp_path / "pred.csv"
+    write_annotations([], str(gt_path), role="gt")
+    write_annotations([], str(pred_path), role="pred")
+    code = main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--iou", "1.5"])
+    assert code == EXIT_USAGE
+    assert "iou_threshold" in capsys.readouterr().err
+
+
 def test_evaluate_missing_inputs_is_usage_error(capsys):
     assert main(["evaluate"]) == EXIT_USAGE
     assert "--gt" in capsys.readouterr().err

@@ -157,6 +157,15 @@ def test_ap_no_ground_truth_reports_null():
     assert result.tally.fp == 1
 
 
+def test_ap_rejects_repeated_videos():
+    gt = record("v", [obs("v", 0, 1, LEFT)])
+    pred = record("v", [obs("v", 0, 1, LEFT, score=0.9)])
+    with pytest.raises(ValueError, match="duplicate video_id"):
+        average_precision([gt], [pred, pred])
+    with pytest.raises(ValueError, match="duplicate video_id"):
+        average_precision([gt, gt], [pred])
+
+
 def test_ap_matches_sweep_oracle_on_random_scenes():
     rng = np.random.default_rng(23)
     for _ in range(20):

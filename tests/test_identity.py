@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from asadeval.identity import id_switches, idf1, mt_ml
-from asadeval.matching import iou
+from asadeval.matching import build_cost_matrix, iou, solve_assignment
 from asadeval.model import VideoRecord
 from support import LEFT, RIGHT, obs, record, track_obs
 
@@ -34,6 +34,43 @@ def brute_force_idtp(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5) -> i
         for chosen in itertools.permutations(gt_ids, len(pred_ids)):
             best = max(best, sum(overlap[(g, p)] for g, p in zip(chosen, pred_ids)))
     return best
+
+
+def scalar_id_switches(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5, persistence=True) -> int:
+    """Reference switch count: scalar IoUs and a fresh cost matrix per keyframe."""
+    last_match: dict[int, int] = {}
+    switches = 0
+    for keyframe in sorted(set(gt.frames) | set(pred.frames)):
+        g_frame = list(gt.frames.get(keyframe, ()))
+        p_frame = list(pred.frames.get(keyframe, ()))
+        matches: dict[int, int] = {}
+        if persistence and g_frame and p_frame:
+            by_pred_id = {o.actor_id: o for o in p_frame}
+            claimed: set[int] = set()
+            persisted: set[int] = set()
+            for g_obs in g_frame:
+                prev = last_match.get(g_obs.actor_id)
+                if prev is None or prev in claimed:
+                    continue
+                p_obs = by_pred_id.get(prev)
+                if p_obs is not None and iou(g_obs.box, p_obs.box) >= iou_threshold:
+                    matches[g_obs.actor_id] = prev
+                    claimed.add(prev)
+                    persisted.add(g_obs.actor_id)
+            g_frame = [o for o in g_frame if o.actor_id not in persisted]
+            p_frame = [o for o in p_frame if o.actor_id not in claimed]
+        if g_frame and p_frame:
+            problem = build_cost_matrix(
+                [o.box for o in g_frame], [o.box for o in p_frame], gate=iou_threshold
+            )
+            for g_idx, p_idx in solve_assignment(problem).pairs:
+                matches[g_frame[g_idx].actor_id] = p_frame[p_idx].actor_id
+        for gt_actor, pred_actor in matches.items():
+            prev = last_match.get(gt_actor)
+            if prev is not None and prev != pred_actor:
+                switches += 1
+            last_match[gt_actor] = pred_actor
+    return switches
 
 
 def random_instance(rng: np.random.Generator) -> tuple[VideoRecord, VideoRecord]:

@@ -41,16 +41,36 @@ def test_multi_label_rows_group_into_one_observation(tmp_path):
     assert observation.score == 1.0
 
 
-def test_degenerate_box_row_names_the_line(tmp_path):
-    path = write_text(
-        tmp_path / "gt.csv",
-        f"{GT_HEADER}\n"
-        "v,0,0.1,0.1,0.3,0.3,1,1\n"
-        "v,1,0.5,0.1,0.4,0.3,1,1\n",
-    )
+STREAM_HEADER = "video_id,keyframe,x1,y1,x2,y2,score,e0,e1"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (
+            lambda path: parse_annotations(path, role="gt"),
+            f"{GT_HEADER}\nv,0,0.1,0.1,0.3,0.3,1,1\nv,1,0.5,0.1,0.4,0.3,1,1\n",
+            ":3:",
+        ),
+        # A quoted field holding a newline: messages name physical lines.
+        (
+            lambda path: parse_annotations(path, role="gt"),
+            f'{GT_HEADER}\n"two\nlines",0,0.1,0.1,0.3,0.3,1,1\nv,1,0.5,0.1,0.4,0.3,1,1\n',
+            ":4:",
+        ),
+        (
+            parse_detection_stream,
+            f'{STREAM_HEADER}\nv,0,0.1,0.1,0.3,0.3,0.9,"1.0\n",0.0\nv,1,0.5,0.1,0.4,0.3,0.9,1.0,0.0\n',
+            ":4:",
+        ),
+    ],
+    ids=["annotations", "annotations-quoted-newline", "stream-quoted-newline"],
+)
+def test_degenerate_box_row_names_the_line(tmp_path, parse, text, line):
+    path = write_text(tmp_path / "in.csv", text)
     with pytest.raises(FormatError) as excinfo:
-        parse_annotations(path, role="gt")
-    assert any(":3:" in line and "degenerate" in line for line in excinfo.value.errors)
+        parse(path)
+    assert any(line in message and "degenerate" in message for message in excinfo.value.errors)
 
 
 def test_header_only_file_is_empty(tmp_path):

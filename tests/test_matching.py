@@ -12,7 +12,7 @@ from asadeval.matching import (
     iou_matrix,
     solve_assignment,
 )
-from asadeval.model import BoundingBox
+from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -106,14 +106,23 @@ def test_frame_ious_match_scalar_per_frame():
     rng = np.random.default_rng(8)
     gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(12)}
     pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(4, 16)}
-    ious = frame_ious(gt, pred)
-    assert set(ious) == {kf for kf in range(4, 12) if gt[kf] and pred[kf]}
+    ious = frame_ious(boxes_record(gt), boxes_record(pred))
+    assert list(ious) == sorted(kf for kf in range(4, 12) if gt[kf] and pred[kf])
     for kf, matrix in ious.items():
         assert matrix.shape == (len(gt[kf]), len(pred[kf]))
+        assert not matrix.flags.writeable
         for i, g in enumerate(gt[kf]):
             for j, p in enumerate(pred[kf]):
                 assert matrix[i, j] == iou(g, p)
-    assert frame_ious({0: gt[4]}, {1: pred[4]}) == {}
+    assert frame_ious(boxes_record({0: gt[4]}), boxes_record({1: pred[4]})) == {}
+
+
+def boxes_record(frames):
+    """A record whose keyframe ``kf`` holds ``frames[kf]``, in list order."""
+    return VideoRecord("v", tuple(
+        ActorObservation("v", kf, box, actor_id)
+        for kf, boxes in frames.items() for actor_id, box in enumerate(boxes)
+    ))
 
 
 def test_cost_matrix_keeps_above_gate():

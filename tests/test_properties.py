@@ -8,8 +8,10 @@ from asadeval.actions import match_pairs
 from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import mt_ml
+from asadeval.model import VideoRecord
 from support import obs, record
 from test_detection import sweep_ap
+from test_identity import brute_force_idtp, scalar_id_switches
 
 
 @st.composite
@@ -60,19 +62,24 @@ def test_fast_paths_match_oracles_on_generated_scenes(scene):
 
 @st.composite
 def corpora(draw):
-    """1-3 videos, each on the GT side, the prediction side or both.
+    """1-3 videos of 1-4 keyframes, each on the GT side, the prediction side or both.
 
     Scores come from a small set so that predictions of different videos tie,
-    and predicted identities repeat across keyframes so IDs can switch.
+    and predicted identities repeat across keyframes so IDs can switch. A
+    video's GT boxes come from a small palette, and a keyframe may repeat the
+    previous one's boxes under reshuffled predicted identities, so that some
+    matches persist while others switch.
     """
     gts, preds = [], []
     for video_id in ("a", "b", "c")[: draw(st.integers(1, 3))]:
         gt_obs, pred_obs = [], []
-        for kf in range(draw(st.integers(1, 3))):
-            gt_boxes = draw(st.lists(boxes(), max_size=3))
+        palette = draw(st.lists(boxes(), min_size=1, max_size=3))
+        for kf in range(draw(st.integers(1, 4))):
+            if not (kf and draw(st.booleans())):
+                gt_boxes = draw(st.lists(st.sampled_from(palette), max_size=3))
+                pred_boxes = draw(st.lists(st.sampled_from(gt_boxes), max_size=3)) if gt_boxes else []
+                pred_boxes += draw(st.lists(boxes(), max_size=2))
             gt_obs += [obs(video_id, kf, actor, box) for actor, box in enumerate(gt_boxes)]
-            pred_boxes = draw(st.lists(st.sampled_from(gt_boxes), max_size=3)) if gt_boxes else []
-            pred_boxes += draw(st.lists(boxes(), max_size=2))
             actors = draw(st.permutations(range(len(pred_boxes))))
             pred_obs += [
                 obs(video_id, kf, actor, box, actions=draw(st.sets(st.integers(1, 3), max_size=2)),
@@ -108,3 +115,18 @@ def test_aggregate_is_a_reduce_of_the_videos(corpus):
         assert getattr(agg, name) == sum(getattr(b, name) for b in report.per_video.values())
     if len(report.per_video) == 1:
         assert [agg] == list(report.per_video.values())
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(corpora())
+def test_switches_and_idtp_match_scalar_references(corpus):
+    gts, preds = corpus
+    gt_by_video = {r.video_id: r for r in gts}
+    pred_by_video = {r.video_id: r for r in preds}
+    for persistence in (True, False):
+        report = evaluate_records(gts, preds, id_persistence=persistence)
+        for video_id, block in report.per_video.items():
+            gt = gt_by_video.get(video_id, VideoRecord(video_id))
+            pred = pred_by_video.get(video_id, VideoRecord(video_id))
+            assert block.id_switches == scalar_id_switches(gt, pred, persistence=persistence)
+            assert block.idtp == brute_force_idtp(gt, pred)
