@@ -106,7 +106,7 @@ def _evaluate_one(
         ap=curve_from_ranked(ranked, len(gt.observations)),
         ids=idf1_from_ious(gt, pred, ious, iou_threshold),
         tracks=mt_ml_from_pairs(gt, pairs),
-        switches=id_switches_from_ious(gt, pred, ious, iou_threshold, persistence),
+        switches=id_switches_from_ious(gt, pred, ious, pairs, iou_threshold, persistence),
         hl=hamming_loss(pairs, n_labels),
     )
 

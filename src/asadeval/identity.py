@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .actions import MatchedPairSet, match_pairs
+from .actions import MatchedPairSet, match_pairs, match_pairs_from_ious
 from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_cost, solve_assignment
 from .model import VideoRecord, build_tracklets
 
@@ -182,13 +182,28 @@ def id_switches(
     where a tracklet's matched predicted identity differs from the identity
     at its previous matched keyframe.
     """
-    return id_switches_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold, persistence)
+    ious = frame_ious(gt, pred)
+    pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
+    return id_switches_from_ious(gt, pred, ious, pairs, iou_threshold, persistence)
 
 
 def id_switches_from_ious(
-    gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float, persistence: bool
+    gt: VideoRecord,
+    pred: VideoRecord,
+    ious: IouTable,
+    pairs: MatchedPairSet,
+    iou_threshold: float,
+    persistence: bool,
 ) -> int:
-    """`id_switches` on the videos' `frame_ious` table: only its keyframes can match."""
+    """`id_switches` on the videos' `frame_ious` table: only its keyframes can match.
+
+    ``pairs`` is `match_pairs_from_ious` on the same table and gate. Where
+    nothing persisted at a keyframe the residual problem is that keyframe's
+    full problem, so its pairs are read from ``pairs`` instead of solved again.
+    """
+    full_matches: dict[int, list[tuple[int, int]]] = {}
+    for pair in pairs.pairs:
+        full_matches.setdefault(pair.gt.keyframe, []).append((pair.gt.actor_id, pair.pred.actor_id))
     last_match: dict[int, int] = {}
     switches = 0
     for keyframe, overlaps in ious.items():
@@ -207,7 +222,9 @@ def id_switches_from_ious(
 
         rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
         cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
-        if rows and cols:
+        if not matches:
+            matches.update(full_matches.get(keyframe, ()))
+        elif rows and cols:
             residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)
             for r, c in solve_assignment(residual).pairs:
                 matches[g_frame[rows[r]].actor_id] = p_frame[cols[c]].actor_id

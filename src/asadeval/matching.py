@@ -6,10 +6,15 @@ family to read. `gated_cost` puts exactly 1.0 wherever the IoU gate fails,
 so a surviving pair can always be recognized by cost < 1. The solver returns
 the exact optimum and, among equal-cost optima, the lexicographically
 smallest (row, col) pair list so results are identical across platforms.
+One `linear_sum_assignment` finds the optimum; the reduced costs of its
+optimal duals rule out every pair no optimum can hold, and the tie search
+confirms each remaining pair by comparing `math.fsum` totals with the
+optimum's. There is no fallback to the solver's own order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -143,9 +148,13 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
 
     Minimizes total cost over all assignments of size min(rows, cols); among
     equal-cost optima the lexicographically smallest (row, col) pair list is
-    chosen. With ``drop_gated`` (the default), pairs whose cost is exactly 1
-    are then removed from the result, so every surviving pair passed the IoU
-    gate. Callers doing their own thresholding (e.g. trackers) pass False.
+    chosen. One `linear_sum_assignment` finds the optimum; its optimal duals
+    rule out the pairs no optimum can hold, and `math.fsum` confirms each
+    remaining pair the tie search keeps (see `_lexicographic_optimal_pairs`).
+    There is no fallback: the search always returns a pair list. With
+    ``drop_gated`` (the default), pairs whose cost is exactly 1 are then
+    removed from the result, so every surviving pair passed the IoU gate.
+    Callers doing their own thresholding (e.g. trackers) pass False.
     """
     cost = np.asarray(problem.cost, dtype=float)
     if cost.ndim != 2:
@@ -157,10 +166,9 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
         raise ValueError("cost matrix must be finite")
 
     rows, cols = linear_sum_assignment(cost)
-    best = math.fsum(float(cost[r, c]) for r, c in zip(rows, cols))
-    pairs = _lexicographic_optimal_pairs(cost, best)
-    if pairs is None:
-        pairs = sorted(zip(rows.tolist(), cols.tolist()))
+    optimum = list(zip(rows.tolist(), cols.tolist()))
+    best = math.fsum(float(cost[r, c]) for r, c in optimum)
+    pairs = _lexicographic_optimal_pairs(cost, best, optimum)
     if drop_gated:
         kept = tuple((i, j) for i, j in pairs if cost[i, j] != 1.0)
     else:
@@ -168,47 +176,87 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     return Assignment(pairs=kept, total_cost=best)
 
 
+def _tight_pairs(cost: np.ndarray, optimum: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The (row, col) pairs, ascending, that some minimum-cost assignment may hold.
+
+    Optimal duals u, v come from ``optimum``, an optimal assignment, extended
+    to a perfect matching of the zero-padded square problem: row potentials
+    are shortest distances in its residual graph (Bellman-Ford from a virtual
+    source, at most n vectorised relaxations) and column potentials make every
+    matched pair tight. Every assignment holding (i, j) then costs at least
+    the optimum plus the reduced cost ``c_ij - u_i - v_j``, so a pair whose
+    reduced cost exceeds a tolerance far above the duals' rounding error lies
+    on no optimum.
+    """
+    n_rows, n_cols = cost.shape
+    n = max(n_rows, n_cols)
+    square = np.zeros((n, n))
+    square[:n_rows, :n_cols] = cost
+    matched_col = dict(optimum)
+    spare_cols = iter(sorted(set(range(n)).difference(matched_col.values())))
+    col_of = [matched_col[i] if i in matched_col else next(spare_cols) for i in range(n)]
+    matched = square[range(n), col_of]
+    # shift[i, k]: cost change of moving row i onto row k's column; shift[i, i] == 0,
+    # so a relaxation never raises a potential.
+    shift = square[:, col_of] - matched
+    u = np.zeros(n)
+    for _ in range(n):
+        relaxed = (shift + u).min(axis=1)
+        if not (relaxed < u).any():
+            break
+        u = relaxed
+    v = np.empty(n)
+    v[col_of] = matched - u
+    reduced = (square - u[:, None] - v)[:n_rows, :n_cols]
+    tolerance = 1e-9 * (1.0 + float(np.abs(cost).max())) * n
+    return list(zip(*(index.tolist() for index in np.nonzero(reduced <= tolerance))))
+
+
 def _lexicographic_optimal_pairs(
-    cost: np.ndarray, best: float
-) -> list[tuple[int, int]] | None:
+    cost: np.ndarray, best: float, optimum: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
     """Smallest (row, col) pair list among all minimum-cost assignments.
 
     Fixes pairs greedily in lexicographic order, keeping a candidate only if
-    the remaining submatrix still completes to the optimal total. Totals are
-    compared through math.fsum, so assignments with equal real-valued cost
-    compare equal regardless of summation order. Returns None if floating
-    point noise ever leaves no completable candidate (callers then fall back
-    to the raw solver order).
+    the remaining submatrix still completes to the optimal total ``best``.
+    Totals are compared through math.fsum, so assignments with equal
+    real-valued cost compare equal regardless of summation order.
+
+    Two facts spare almost every sub-solve. A candidate outside
+    `_tight_pairs` lies on no optimum, so it is skipped. And a known optimal
+    completion of the pairs fixed so far is carried along: ``optimum`` at
+    first, then the sub-solve of the last candidate kept. Its smallest pair
+    completes to ``best`` by that same fsum, so the scan accepts it without a
+    solve once every earlier candidate has failed; it always gets that far.
     """
     n_rows, n_cols = cost.shape
     k = min(n_rows, n_cols)
+    tight = _tight_pairs(cost, optimum)
+    completion = sorted(optimum)
     pairs: list[tuple[int, int]] = []
     fixed: list[float] = []
     free_cols = list(range(n_cols))
     row_start = 0
     while len(pairs) < k:
         need = k - len(pairs) - 1
-        accepted: tuple[int, int] | None = None
-        for i in range(row_start, n_rows - need):
-            for j in free_cols:
-                candidate = fixed + [float(cost[i, j])]
-                if need == 0:
-                    total = math.fsum(candidate)
-                else:
-                    rest_rows = list(range(i + 1, n_rows))
-                    rest_cols = [c for c in free_cols if c != j]
-                    sub = cost[np.ix_(rest_rows, rest_cols)]
-                    sr, sc = linear_sum_assignment(sub)
-                    total = math.fsum(
-                        candidate + [float(sub[r, c]) for r, c in zip(sr, sc)]
-                    )
-                if total == best:
-                    accepted = (i, j)
-                    break
-            if accepted is not None:
+        known = completion[0]
+        accepted, completion = known, completion[1:]
+        for i, j in tight[bisect.bisect_left(tight, (row_start, 0)) :]:
+            if (i, j) >= known:
                 break
-        if accepted is None:
-            return None
+            if j not in free_cols:
+                continue
+            candidate = fixed + [float(cost[i, j])]
+            rest: list[tuple[int, int]] = []
+            if need:
+                rest_cols = [c for c in free_cols if c != j]
+                sub = cost[i + 1 :, rest_cols]
+                sr, sc = linear_sum_assignment(sub)
+                candidate += [float(sub[r, c]) for r, c in zip(sr, sc)]
+                rest = [(i + 1 + r, rest_cols[c]) for r, c in zip(sr.tolist(), sc.tolist())]
+            if math.fsum(candidate) == best:
+                accepted, completion = (i, j), sorted(rest)
+                break
         pairs.append(accepted)
         fixed.append(float(cost[accepted]))
         free_cols.remove(accepted[1])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -198,3 +200,23 @@ def test_offline_ids_ordered_by_first_appearance():
     out = track_offline(make_stream(frames), AssociationConfig.offline(max_gap=1))
     first = [o for o in out.observations if o.keyframe == 0][0]
     assert first.actor_id == 1
+
+
+@pytest.mark.parametrize(
+    "tracker, cfg, digest",
+    [
+        (track_online, AssociationConfig.online(),
+         "eeaf5992bd61d3f0a479c6006e02c7b32615b07aed802bb1498303488647405d"),
+        (track_offline, AssociationConfig.offline(),
+         "2df2b3fc1f5546f31d36dfc2a984eb9a41704e9a16c617db4075538e7712ec48"),
+    ],
+    ids=["online", "offline"],
+)
+def test_tracker_output_is_pinned(tracker, cfg, digest, tmp_path):
+    # Pins the solver's tie order inside the trackers: the written predictions
+    # must stay byte-identical.
+    spec = scenario_preset("camera-cut", seed=3, n_actors=12, n_keyframes=40, n_cuts=6, appearance_dim=16)
+    _, stream = generate(spec)
+    path = tmp_path / "pred.csv"
+    write_annotations([tracker(stream, cfg)], str(path), role="pred")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from asadeval import identity
+from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
 from asadeval.matching import build_cost_matrix, iou, solve_assignment
 from asadeval.model import VideoRecord
@@ -252,3 +254,20 @@ def test_id_switches_persistence_flag():
     pred = record("v", pred_obs)
     assert id_switches(gt, pred, persistence=True) == 0
     assert id_switches(gt, pred, persistence=False) == 2  # jumps to 9 and back
+
+
+def test_switches_without_persistence_reuse_the_gated_pairs(monkeypatch):
+    # Every keyframe's residual is then its full problem, which match_pairs solved.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(identity, "solve_assignment", counting)
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        gt, pred = random_instance(rng)
+        block = evaluate_records([gt], [pred], id_persistence=False).per_video["v"]
+        assert block.id_switches == scalar_id_switches(gt, pred, persistence=False)
+    assert calls == []

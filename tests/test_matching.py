@@ -3,7 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
+from asadeval import matching
 from asadeval.matching import (
     AssignmentProblem,
     build_cost_matrix,
@@ -30,17 +34,67 @@ def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
 
 def brute_force_min_cost(cost: np.ndarray) -> float:
     """Exhaustive permutation enumeration of all size-min(r,c) assignments."""
+    return brute_force_lex_pairs(cost)[1]
+
+
+def brute_force_lex_pairs(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """The smallest sorted pair list among the minimum-fsum assignments, and that minimum.
+
+    Enumerates every assignment of size min(rows, cols).
+    """
     n_rows, n_cols = cost.shape
-    best = math.inf
     if n_rows <= n_cols:
-        for cols in itertools.permutations(range(n_cols), n_rows):
-            total = math.fsum(float(cost[i, c]) for i, c in enumerate(cols))
-            best = min(best, total)
+        assignments = [list(enumerate(cols)) for cols in itertools.permutations(range(n_cols), n_rows)]
     else:
-        for rows in itertools.permutations(range(n_rows), n_cols):
-            total = math.fsum(float(cost[r, j]) for j, r in enumerate(rows))
-            best = min(best, total)
-    return best
+        assignments = [
+            sorted(zip(rows, range(n_cols))) for rows in itertools.permutations(range(n_rows), n_cols)
+        ]
+    totals = [math.fsum(float(cost[pair]) for pair in pairs) for pairs in assignments]
+    best = min(totals)
+    return min(pairs for pairs, total in zip(assignments, totals) if total == best), best
+
+
+def reference_lex_pairs(cost: np.ndarray, best: float) -> list[tuple[int, int]] | None:
+    """Reference tie search: one fresh sub-solve per candidate pair, no pruning.
+
+    Fixes pairs greedily in lexicographic order, keeping a candidate only if
+    the remaining submatrix still completes to the optimal total. Returns None
+    if floating point noise ever leaves no completable candidate.
+    """
+    n_rows, n_cols = cost.shape
+    k = min(n_rows, n_cols)
+    pairs: list[tuple[int, int]] = []
+    fixed: list[float] = []
+    free_cols = list(range(n_cols))
+    row_start = 0
+    while len(pairs) < k:
+        need = k - len(pairs) - 1
+        accepted: tuple[int, int] | None = None
+        for i in range(row_start, n_rows - need):
+            for j in free_cols:
+                candidate = fixed + [float(cost[i, j])]
+                if need == 0:
+                    total = math.fsum(candidate)
+                else:
+                    rest_rows = list(range(i + 1, n_rows))
+                    rest_cols = [c for c in free_cols if c != j]
+                    sub = cost[np.ix_(rest_rows, rest_cols)]
+                    sr, sc = linear_sum_assignment(sub)
+                    total = math.fsum(
+                        candidate + [float(sub[r, c]) for r, c in zip(sr, sc)]
+                    )
+                if total == best:
+                    accepted = (i, j)
+                    break
+            if accepted is not None:
+                break
+        if accepted is None:
+            return None
+        pairs.append(accepted)
+        fixed.append(float(cost[accepted]))
+        free_cols.remove(accepted[1])
+        row_start = accepted[0] + 1
+    return pairs
 
 
 def random_boxes(rng: np.random.Generator, count: int) -> list[BoundingBox]:
@@ -218,3 +272,70 @@ def test_gate_soundness_no_pair_below_half_iou():
         problem = build_cost_matrix(gts, preds)
         for i, j in solve_assignment(problem).pairs:
             assert iou(gts[i], preds[j]) >= 0.5
+
+
+COST_GRID = np.array([0.0, 0.25, 0.5, 1.0])
+
+
+@st.composite
+def tie_heavy_costs(draw):
+    """Cost matrices of 1-12 rows and columns, built to have many equal-cost optima.
+
+    Kinds: grid values with some all-1.0 (fully gated) rows and columns;
+    duplicated rows and columns; `build_cost_matrix` on repeated boxes; and
+    dense continuous costs in the trackers' range [0, 1.3].
+    """
+    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "duplicates", "boxes", "dense"]))
+    if kind == "grid":
+        cost = rng.choice(COST_GRID, size=(n_rows, n_cols))
+        cost[rng.random(n_rows) < 0.2] = 1.0
+        cost[:, rng.random(n_cols) < 0.2] = 1.0
+    elif kind == "duplicates":
+        base = rng.random((3, 3))
+        cost = base[np.ix_(rng.integers(0, 3, n_rows), rng.integers(0, 3, n_cols))]
+    elif kind == "boxes":
+        palette = random_boxes(rng, 3)
+        cost = build_cost_matrix(
+            [palette[i] for i in rng.integers(0, 3, n_rows)],
+            [palette[i] for i in rng.integers(0, 3, n_cols)],
+        ).cost
+    else:
+        cost = rng.uniform(0.0, 1.3, size=(n_rows, n_cols))
+    return cost
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(tie_heavy_costs())
+def test_tie_break_matches_oracle_and_reference(cost):
+    # Both orientations; the oracle up to 6 x 6, the unpruned search up to 12 x 12.
+    for matrix in (cost, cost.T):
+        problem = AssignmentProblem(cost=matrix)
+        total = solve_assignment(problem).total_cost
+        expected = [reference_lex_pairs(matrix, total)]
+        if max(matrix.shape) <= 6:
+            oracle_pairs, oracle_total = brute_force_lex_pairs(matrix)
+            assert total == oracle_total
+            expected.append(oracle_pairs)
+        for drop_gated in (True, False):
+            solution = solve_assignment(problem, drop_gated=drop_gated)
+            for pairs in expected:
+                assert pairs is not None
+                assert solution.pairs == tuple(p for p in pairs if not drop_gated or matrix[p] != 1.0)
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (30, 24), (24, 30)])
+def test_reduced_costs_spare_the_sub_solves(shape, monkeypatch):
+    # Without the reduced-cost prune the tie search makes hundreds of sub-solves here.
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        return linear_sum_assignment(cost)
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+    cost = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+    solution = solve_assignment(AssignmentProblem(cost=cost))
+    assert len(calls) <= 30
+    assert list(solution.pairs) == reference_lex_pairs(cost, solution.total_cost)
