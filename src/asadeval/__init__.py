@@ -12,7 +12,6 @@ from .association import (
     AssociationConfig,
     Detection,
     DetectionStream,
-    cosine_distance,
     track_offline,
     track_online,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "average_precision",
     "build_cost_matrix",
     "build_tracklets",
-    "cosine_distance",
     "evaluate_records",
     "generate",
     "hamming_loss",

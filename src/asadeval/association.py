@@ -3,12 +3,13 @@
 Both strategies turn a stream of anonymous per-keyframe detections (box,
 score, appearance embedding) into a record with unique actor identities and
 empty action sets. The online tracker walks keyframes in order and links
-each detection to an active track by a blend of box overlap with the track's
-last box and cosine distance to the track's mean embedding, so it leans on
-motion continuity. The offline tracker sees the whole stream and greedily
-agglomerates detections by a decayed blend of overlap and appearance
-similarity, subject to the constraint that a cluster never holds two
-detections from the same keyframe.
+each detection to an active track at cost 1 - affinity, where the affinity
+blends box overlap with the track's last box and cosine similarity to the
+track's mean embedding, so it leans on motion continuity. The offline tracker
+sees the whole stream and greedily agglomerates detections by the same
+affinity with its overlap weight decayed over the keyframe gap, subject to the
+constraint that a cluster never holds two detections from the same keyframe.
+Both build that affinity as one array per pair of frames (`_affinity`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .matching import AssignmentProblem, iou, iou_matrix, solve_assignment
+from .matching import AssignmentProblem, boxes_to_array, iou_matrix, solve_assignment
 from .model import ActorObservation, BoundingBox, VideoRecord
 
 ONLINE_IOU_WEIGHT = 0.7
@@ -94,14 +95,26 @@ class AssociationConfig:
         return cls(**params)
 
 
-def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """1 - cosine similarity, clipped to [0, 1]; zero vectors are maximally far."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 1.0
-    sim = float(np.dot(u, v)) / (nu * nv)
-    return float(min(1.0, max(0.0, 1.0 - sim)))
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; a zero row stays the zero vector."""
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return vectors / norms
+
+
+def _affinity(
+    boxes_a: np.ndarray, unit_a: np.ndarray, boxes_b: np.ndarray, unit_b: np.ndarray, w: float
+) -> np.ndarray:
+    """(1 - w) * clipped cosine similarity + w * IoU between every row of a and of b.
+
+    Boxes are (n, 4) corner arrays and embeddings `_unit_rows`, so a zero
+    embedding has similarity 0 to everything. The dot products use einsum,
+    not a BLAS matrix product: BLAS kernels sum a row differently depending on
+    its position, so two identical tracks could differ in the last bit and no
+    longer tie exactly in the assignment.
+    """
+    similarity = np.clip(np.einsum("ik,jk->ij", unit_a, unit_b), 0.0, 1.0)
+    return (1.0 - w) * similarity + w * iou_matrix(boxes_a, boxes_b)
 
 
 def _check_dims(stream: DetectionStream) -> None:
@@ -130,13 +143,13 @@ class _Track:
 def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord:
     """Sequential association: each keyframe matched only against live tracks.
 
-    Cost between a track and a detection is
-    iou_weight * (1 - IoU(last box, detection box))
-    + (1 - iou_weight) * cosine distance(track mean embedding, detection embedding);
-    per keyframe the optimal assignment is taken and pairs costing more than
-    ``match_threshold`` are rejected. Unmatched detections open new
-    identities in first-appearance order; tracks unmatched for more than
-    ``max_gap`` keyframes retire. Output actions are empty.
+    Cost between a track and a detection is 1 - the offline affinity without
+    decay (`_affinity` at w = iou_weight) of the track's last box and mean
+    embedding with the detection's; a zero embedding costs 1 on the
+    appearance term. Per keyframe the optimal assignment is taken and pairs
+    costing more than ``match_threshold`` are rejected. Unmatched detections
+    open new identities in first-appearance order; tracks unmatched for more
+    than ``max_gap`` keyframes retire. Output actions are empty.
     """
     if cfg.mode != "online":
         raise ValueError("track_online requires cfg.mode == 'online'")
@@ -151,15 +164,13 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
 
         assigned: dict[int, int] = {}
         if active and detections:
-            cost = np.empty((len(active), len(detections)))
-            for i, track in enumerate(active):
-                mean_app = track.mean_appearance
-                for j, det in enumerate(detections):
-                    box_term = 1.0 - iou(track.last_box, det.box)
-                    app_term = cosine_distance(mean_app, det.appearance)
-                    cost[i, j] = (
-                        cfg.iou_weight * box_term + (1.0 - cfg.iou_weight) * app_term
-                    )
+            cost = 1.0 - _affinity(
+                boxes_to_array([t.last_box for t in active]),
+                _unit_rows(np.array([t.mean_appearance for t in active])),
+                boxes_to_array([d.box for d in detections]),
+                _unit_rows(np.array([d.appearance for d in detections], dtype=float)),
+                cfg.iou_weight,
+            )
             solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
             for i, j in solution.pairs:
                 if cost[i, j] <= cfg.match_threshold:
@@ -241,48 +252,35 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
         raise ValueError("track_offline requires cfg.mode == 'offline'")
     _check_dims(stream)
 
-    flat: list[tuple[int, Detection]] = []
-    for keyframe in stream.keyframes:
-        for det in stream.frames[keyframe]:
-            flat.append((keyframe, det))
+    flat = [(kf, det) for kf in stream.keyframes for det in stream.frames[kf]]
     if not flat:
         return VideoRecord(video_id=stream.video_id, observations=())
 
     keyframes = [kf for kf, _ in flat]
-    boxes = np.array(
-        [[d.box.x1, d.box.y1, d.box.x2, d.box.y2] for _, d in flat], dtype=float
-    )
-    embeddings = np.array([d.appearance for _, d in flat], dtype=float)
-    norms = np.linalg.norm(embeddings, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    unit = embeddings / norms
+    boxes = boxes_to_array([d.box for _, d in flat])
+    unit = _unit_rows(np.array([d.appearance for _, d in flat], dtype=float))
 
-    frame_index: dict[int, list[int]] = {}
-    for idx, kf in enumerate(keyframes):
-        frame_index.setdefault(kf, []).append(idx)
-    ordered_frames = sorted(frame_index)
+    # flat is grouped by keyframe, so each keyframe's detections are one slice of it
+    bounds = np.cumsum([0] + [len(stream.frames[kf]) for kf in stream.keyframes]).tolist()
+    frames = list(zip(stream.keyframes, map(slice, bounds, bounds[1:])))
 
     edges: list[tuple[float, int, int]] = []
-    for a_pos, kf_a in enumerate(ordered_frames):
-        rows = frame_index[kf_a]
-        for kf_b in ordered_frames[a_pos + 1 :]:
+    for a_pos, (kf_a, rows) in enumerate(frames):
+        for kf_b, cols in frames[a_pos + 1 :]:
             gap = kf_b - kf_a
             if gap > cfg.max_gap:
                 break
-            cols = frame_index[kf_b]
             if cfg.max_gap == 1:
                 decay = 1.0
             else:
                 decay = (cfg.max_gap - gap) / (cfg.max_gap - 1)
-            w = cfg.iou_weight * decay
-            overlap = iou_matrix(boxes[rows], boxes[cols])
-            similarity = np.clip(unit[rows] @ unit[cols].T, 0.0, 1.0)
-            affinity = (1.0 - w) * similarity + w * overlap
-            for i, row in enumerate(rows):
-                for j, col in enumerate(cols):
-                    value = float(affinity[i, j])
-                    if value >= cfg.merge_threshold:
-                        edges.append((value, row, col))
+            affinity = _affinity(
+                boxes[rows], unit[rows], boxes[cols], unit[cols], cfg.iou_weight * decay
+            )
+            i, j = np.nonzero(affinity >= cfg.merge_threshold)
+            edges.extend(
+                zip(affinity[i, j].tolist(), (i + rows.start).tolist(), (j + cols.start).tolist())
+            )
 
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
     clusters = _UnionFind(keyframes)

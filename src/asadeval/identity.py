@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .actions import MatchedPairSet, match_pairs, match_pairs_from_ious
+from .actions import MatchedPairSet, match_pairs
 from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_cost, solve_assignment
 from .model import VideoRecord, build_tracklets
 
@@ -182,27 +182,27 @@ def id_switches(
     where a tracklet's matched predicted identity differs from the identity
     at its previous matched keyframe.
     """
-    ious = frame_ious(gt, pred)
-    pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
-    return id_switches_from_ious(gt, pred, ious, pairs, iou_threshold, persistence)
+    return id_switches_from_ious(gt, pred, frame_ious(gt, pred), None, iou_threshold, persistence)
 
 
 def id_switches_from_ious(
     gt: VideoRecord,
     pred: VideoRecord,
     ious: IouTable,
-    pairs: MatchedPairSet,
+    pairs: MatchedPairSet | None,
     iou_threshold: float,
     persistence: bool,
 ) -> int:
     """`id_switches` on the videos' `frame_ious` table: only its keyframes can match.
 
-    ``pairs`` is `match_pairs_from_ious` on the same table and gate. Where
-    nothing persisted at a keyframe the residual problem is that keyframe's
-    full problem, so its pairs are read from ``pairs`` instead of solved again.
+    ``pairs``, if given, is `match_pairs_from_ious` on the same table and
+    gate. Where nothing persisted at a keyframe the residual problem is that
+    keyframe's full problem, so its pairs are read from ``pairs`` instead of
+    solved again; without ``pairs`` only residuals are solved, so a keyframe
+    where every ground-truth actor persisted costs no assignment.
     """
     full_matches: dict[int, list[tuple[int, int]]] = {}
-    for pair in pairs.pairs:
+    for pair in pairs.pairs if pairs is not None else ():
         full_matches.setdefault(pair.gt.keyframe, []).append((pair.gt.actor_id, pair.pred.actor_id))
     last_match: dict[int, int] = {}
     switches = 0
@@ -222,7 +222,7 @@ def id_switches_from_ious(
 
         rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
         cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
-        if not matches:
+        if not matches and pairs is not None:
             matches.update(full_matches.get(keyframe, ()))
         elif rows and cols:
             residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)

@@ -1,21 +1,96 @@
 import hashlib
+from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asadeval import association
 from asadeval.association import (
     AssociationConfig,
     Detection,
     DetectionStream,
-    cosine_distance,
+    _affinity,
+    _unit_rows,
     track_offline,
     track_online,
 )
 from asadeval.identity import id_switches
 from asadeval.io_formats import write_annotations
-from asadeval.model import BoundingBox, validate_record
-from asadeval.synthetic import generate, scenario_preset
+from asadeval.matching import AssignmentProblem, boxes_to_array, iou, solve_assignment
+from asadeval.model import ActorObservation, BoundingBox, VideoRecord, validate_record
+from asadeval.synthetic import ScenarioSpec, generate, scenario_preset
 from support import record, track_obs
+
+
+def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """1 - cosine similarity, clipped to [0, 1]; zero vectors are maximally far."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 1.0
+    sim = float(np.dot(u, v)) / (nu * nv)
+    return float(min(1.0, max(0.0, 1.0 - sim)))
+
+
+@dataclass
+class _RefTrack:
+    track_id: int
+    last_box: BoundingBox
+    last_seen: int
+    appearance_sum: np.ndarray
+    count: int
+
+
+def reference_track_online(
+    stream: DetectionStream, cfg: AssociationConfig, costs=None
+) -> VideoRecord:
+    """The per-pair scalar online tracker; appends each keyframe's cost matrix to ``costs``."""
+    tracks: list[_RefTrack] = []
+    next_id = 1
+    observations: list[ActorObservation] = []
+    for keyframe in stream.keyframes:
+        detections = stream.frames[keyframe]
+        active = [t for t in tracks if keyframe - t.last_seen <= cfg.max_gap]
+
+        assigned: dict[int, int] = {}
+        if active and detections:
+            cost = np.empty((len(active), len(detections)))
+            for i, track in enumerate(active):
+                mean_app = track.appearance_sum / track.count
+                for j, det in enumerate(detections):
+                    box_term = 1.0 - iou(track.last_box, det.box)
+                    app_term = cosine_distance(mean_app, det.appearance)
+                    cost[i, j] = cfg.iou_weight * box_term + (1.0 - cfg.iou_weight) * app_term
+            if costs is not None:
+                costs.append(cost)
+            solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
+            for i, j in solution.pairs:
+                if cost[i, j] <= cfg.match_threshold:
+                    assigned[j] = i
+
+        for j, det in enumerate(detections):
+            if j in assigned:
+                track = active[assigned[j]]
+                track.last_box = det.box
+                track.last_seen = keyframe
+                track.appearance_sum = track.appearance_sum + det.appearance
+                track.count += 1
+                track_id = track.track_id
+            else:
+                track_id = next_id
+                next_id += 1
+                tracks.append(
+                    _RefTrack(track_id, det.box, keyframe, det.appearance.astype(float).copy(), 1)
+                )
+            observations.append(
+                ActorObservation(
+                    stream.video_id, keyframe, det.box, track_id, frozenset(), det.score
+                )
+            )
+    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
 
 
 def det(x1, y1, x2, y2, appearance, score=0.9):
@@ -68,9 +143,15 @@ def test_mode_mismatch_rejected():
 
 
 def test_cosine_distance_basics():
-    assert cosine_distance(unit(4, 0), unit(4, 0)) == 0.0
-    assert cosine_distance(unit(4, 0), unit(4, 1)) == 1.0
-    assert cosine_distance(np.zeros(4), unit(4, 0)) == 1.0
+    # At w = 0 the online cost 1 - affinity is the cosine distance alone.
+    box = boxes_to_array([BoundingBox(0.1, 0.1, 0.3, 0.3)])
+
+    def cost(u, v):
+        return float(1.0 - _affinity(box, _unit_rows(u[None]), box, _unit_rows(v[None]), 0.0)[0, 0])
+
+    assert cost(unit(4, 0), unit(4, 0)) == 0.0
+    assert cost(unit(4, 0), unit(4, 1)) == 1.0
+    assert cost(np.zeros(4), unit(4, 0)) == 1.0
 
 
 def test_appearance_dim_mismatch_is_hard_error():
@@ -220,3 +301,71 @@ def test_tracker_output_is_pinned(tracker, cfg, digest, tmp_path):
     path = tmp_path / "pred.csv"
     write_annotations([tracker(stream, cfg)], str(path), role="pred")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_identical_tracks_tie_exactly():
+    # n copies of one detection open n identical tracks; the next detection's
+    # costs to them must be equal bits, so the assignment's lexicographic tie
+    # break hands it to the first track, as the scalar reference does.
+    rng = np.random.default_rng(4)
+    for n in range(2, 10):
+        for dim in (3, 8, 17, 64):
+            first = det(0.1, 0.1, 0.3, 0.3, rng.standard_normal(dim))
+            second = det(0.12, 0.1, 0.32, 0.3, first.appearance + 0.1 * rng.standard_normal(dim))
+            stream = DetectionStream("v", dim, {0: (first,) * n, 1: (second,)})
+            out = track_online(stream, AssociationConfig.online())
+            assert out == reference_track_online(stream, AssociationConfig.online())
+            assert out.observations[-1].actor_id == 1
+
+
+@st.composite
+def online_cases(draw):
+    """A `generate` stream with some embeddings zeroed and some detections duplicated."""
+    spec = ScenarioSpec(
+        n_actors=draw(st.integers(1, 4)),
+        n_keyframes=draw(st.integers(2, 12)),
+        n_cuts=draw(st.integers(0, 1)),
+        seed=draw(st.integers(0, 2**16)),
+        appearance_dim=8,
+        appearance_noise=draw(st.sampled_from([0.1, 0.5])),
+    )
+    _, stream = generate(spec)
+    frames = {}
+    for keyframe in stream.keyframes:
+        dets = []
+        for det in stream.frames[keyframe]:
+            if draw(st.integers(0, 4)) == 0:
+                det = Detection(det.box, det.score, np.zeros(spec.appearance_dim))
+            dets.append(det)
+            if draw(st.integers(0, 5)) == 0:
+                dets.append(det)
+        frames[keyframe] = tuple(dets)
+    cfg = AssociationConfig.online(
+        iou_weight=draw(st.floats(0.0, 1.0)),
+        match_threshold=draw(st.floats(0.05, 0.95)),
+        max_gap=draw(st.integers(1, 4)),
+    )
+    return DetectionStream(stream.video_id, stream.dim, frames), cfg
+
+
+# Embeddings stay continuous: quantised ones (say, multiples of 0.5) can put a
+# real-valued cost exactly on match_threshold, where the two formulas' last-bit
+# rounding lands on opposite sides of it and the outputs may legitimately differ.
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(online_cases())
+def test_online_cost_matches_scalar_reference(case):
+    stream, cfg = case
+    expected_costs: list[np.ndarray] = []
+    expected = reference_track_online(stream, cfg, expected_costs)
+    costs: list[np.ndarray] = []
+
+    def recording(problem, **kwargs):
+        costs.append(problem.cost)
+        return solve_assignment(problem, **kwargs)
+
+    with mock.patch.object(association, "solve_assignment", recording):
+        out = track_online(stream, cfg)
+    assert out == expected
+    assert len(costs) == len(expected_costs)
+    for cost, reference in zip(costs, expected_costs):
+        np.testing.assert_allclose(cost, reference, rtol=0.0, atol=1e-12)

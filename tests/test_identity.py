@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from asadeval import identity
+from asadeval import actions, identity
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
 from asadeval.matching import build_cost_matrix, iou, solve_assignment
@@ -271,3 +271,32 @@ def test_switches_without_persistence_reuse_the_gated_pairs(monkeypatch):
         block = evaluate_records([gt], [pred], id_persistence=False).per_video["v"]
         assert block.id_switches == scalar_id_switches(gt, pred, persistence=False)
     assert calls == []
+
+
+def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
+    # Three jittered actors; predicted ids 1 and 2 swap boxes from keyframe 6 on.
+    # Only keyframe 0 (nothing to persist yet) and keyframe 6 (ids 1 and 2 lost
+    # their boxes) leave a residual; every other keyframe persists every actor.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve_assignment(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "solve_assignment", counting)
+    monkeypatch.setattr(identity, "solve_assignment", counting)
+    rng = np.random.default_rng(6)
+    corners = {1: LEFT, 2: RIGHT, 3: (0.6, 0.1, 0.8, 0.3)}
+
+    def jittered(kf, actor, box_of):
+        dx, dy = rng.uniform(-0.01, 0.01, size=2)
+        x1, y1, x2, y2 = corners[box_of]
+        return obs("v", kf, actor, (x1 + dx, y1 + dy, x2 + dx, y2 + dy))
+
+    swap = {1: 2, 2: 1, 3: 3}
+    gt = record("v", [jittered(kf, a, a) for kf in range(12) for a in corners])
+    pred = record(
+        "v", [jittered(kf, a, swap[a] if kf >= 6 else a) for kf in range(12) for a in corners]
+    )
+    assert id_switches(gt, pred) == scalar_id_switches(gt, pred) == 2
+    assert len(calls) == 2
