@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .association import AssociationConfig, track_offline, track_online
-from .detection import average_precision, write_pr_curve
+from .detection import average_precision
 from .evaluation import EvalReport, evaluate_records
 from .io_formats import (
     FormatError,
@@ -25,6 +25,7 @@ from .io_formats import (
     write_annotations,
     write_bench_table,
     write_detection_stream,
+    write_pr_curve,
     write_report,
     write_scenario_manifest,
 )

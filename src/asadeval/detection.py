@@ -14,7 +14,6 @@ in input order, is exactly the pooled ranking.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -213,21 +212,3 @@ def average_precision(
     n_gt = sum(len(record.observations) for record in gt_records)
     return curve_from_ranked(pool_rankings(rankings), n_gt)
 
-
-def write_pr_curve(result: APResult, path: str) -> None:
-    """Dump the ranked PR curve as CSV for offline inspection."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["rank", "score", "tp", "fp", "recall", "precision", "p_interp"])
-        for point in result.curve.points:
-            writer.writerow(
-                [
-                    point.rank,
-                    repr(point.score),
-                    int(point.is_tp),
-                    int(not point.is_tp),
-                    repr(point.recall),
-                    repr(point.precision),
-                    repr(point.p_interp),
-                ]
-            )

@@ -1,6 +1,6 @@
 """Bit-exact parsing and serialization of the interchange CSV/JSON formats.
 
-Three CSV schemas are defined (all UTF-8, LF or CRLF, header required):
+Four CSV schemas are defined (all UTF-8, LF or CRLF, header required):
 
 * annotations: ``video_id,keyframe,x1,y1,x2,y2,action_id,actor_id`` with a
   trailing ``score`` column for predictions only. One row per
@@ -11,10 +11,14 @@ Three CSV schemas are defined (all UTF-8, LF or CRLF, header required):
 * detection streams: ``video_id,keyframe,x1,y1,x2,y2,score,e0..e{D-1}``
   with the embedding width D fixed by the header; one video per file.
 * bench tables: ``seed,mode,ap50,hl50,idf1,mt_pct,ml_pct,id_switches``.
+* PR curves: ``rank,score,tp,fp,recall,precision,p_interp``, one row per
+  ranked prediction.
 
-Reports serialize to JSON (exact round trip) or flattened CSV. Floats are
-written with ``repr`` so parsing reproduces them bit-exactly; parsing is
-locale independent (decimal point only).
+Every CSV is written through one cell rule: a float (a numpy float
+included) is written as the ``repr`` of the Python float, so parsing
+reproduces it bit-exactly; None is an empty cell. Reports serialize to JSON
+(exact round trip) or a flattened CSV table. Parsing is locale independent
+(decimal point only).
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ import math
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .association import Detection, DetectionStream
+from .detection import APResult
 from .evaluation import AGGREGATE_KEY, EvalReport, MetricBlock
 from .model import (
     DEFAULT_N_LABELS,
@@ -47,6 +52,7 @@ GT_COLUMNS = ["video_id", "keyframe", "x1", "y1", "x2", "y2", "action_id", "acto
 PRED_COLUMNS = GT_COLUMNS + ["score"]
 STREAM_FIXED_COLUMNS = ["video_id", "keyframe", "x1", "y1", "x2", "y2", "score"]
 BENCH_COLUMNS = ["seed", "mode", "ap50", "hl50", "idf1", "mt_pct", "ml_pct", "id_switches"]
+PR_CURVE_COLUMNS = ["rank", "score", "tp", "fp", "recall", "precision", "p_interp"]
 NO_ACTION_MARKER = 0
 _MAX_REPORTED_ERRORS = 50
 
@@ -99,9 +105,37 @@ def _parse_fraction(text: str) -> float:
     return value
 
 
-def _check_role(role: str) -> None:
+def _parse_located_box(row: Sequence[str]) -> tuple[int, tuple[float, float, float, float]]:
+    """Cells 1-5, shared by both schemas: the keyframe and the box corners."""
+    keyframe = _parse_int(row[1], minimum=0)
+    x1, y1 = _parse_fraction(row[2]), _parse_fraction(row[3])
+    x2, y2 = _parse_fraction(row[4]), _parse_fraction(row[5])
+    if not (x1 < x2 and y1 < y2):
+        raise ValueError("degenerate box: requires x1 < x2 and y1 < y2")
+    return keyframe, (x1, y1, x2, y2)
+
+
+def _columns(role: str) -> list[str]:
     if role not in ("gt", "pred"):
         raise ValueError(f"role must be 'gt' or 'pred', got {role!r}")
+    return PRED_COLUMNS if role == "pred" else GT_COLUMNS
+
+
+def _header(reader, path: str, expected: str) -> list[str]:
+    """The first row; an empty file is an error naming the ``expected`` header."""
+    header = next(reader, None)
+    if header is None:
+        raise FormatError([f"{path}:1: empty file, expected {expected}"])
+    return header
+
+
+def _data_rows(reader, path: str, width: int, errors: list[str], note: str = "") -> Iterator:
+    """``(line number, row)`` for each data row; blank rows are skipped, other widths are errors."""
+    for row in reader:
+        if len(row) == width:
+            yield reader.line_num, row
+        elif row:
+            errors.append(f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}{note}")
 
 
 def parse_annotations(
@@ -115,15 +149,12 @@ def parse_annotations(
     observation and must agree exactly on geometry (and score). Every
     problem is reported with its line number; any problem aborts the parse.
     """
-    _check_role(role)
-    expected = PRED_COLUMNS if role == "pred" else GT_COLUMNS
+    expected = _columns(role)
     errors: list[str] = []
     groups: dict[tuple[str, int, int], dict] = {}
 
     with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise FormatError([f"{path}:1: empty file, expected header {','.join(expected)}"])
+        header = _header(reader, path, f"header {','.join(expected)}")
         if [cell.strip() for cell in header] != expected:
             raise FormatError(
                 [
@@ -131,26 +162,12 @@ def parse_annotations(
                     f"{','.join(expected)}, got {','.join(header)}"
                 ]
             )
-        for row in reader:
-            line_no = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(expected):
-                errors.append(
-                    f"{path}:{line_no}: expected {len(expected)} columns, got {len(row)}"
-                )
-                continue
+        for line_no, row in _data_rows(reader, path, len(expected), errors):
             try:
                 video_id = row[0]
                 if not video_id:
                     raise ValueError("video_id: must be non-empty")
-                keyframe = _parse_int(row[1], minimum=0)
-                x1 = _parse_fraction(row[2])
-                y1 = _parse_fraction(row[3])
-                x2 = _parse_fraction(row[4])
-                y2 = _parse_fraction(row[5])
-                if not (x1 < x2 and y1 < y2):
-                    raise ValueError("degenerate box: requires x1 < x2 and y1 < y2")
+                keyframe, box = _parse_located_box(row)
                 action_id = _parse_int(row[6], minimum=0)
                 if action_id == NO_ACTION_MARKER:
                     if role == "gt":
@@ -161,56 +178,38 @@ def parse_annotations(
                     raise ValueError(f"action_id {action_id} outside [1, {n_labels}]")
                 actor_id = _parse_int(row[7], minimum=0)
                 score = _parse_fraction(row[8]) if role == "pred" else 1.0
+                key = (video_id, keyframe, actor_id)
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = {"box": box, "score": score, "actions": {action_id}, "line": line_no}
+                elif group["box"] != box:
+                    raise ValueError(
+                        f"geometry conflicts with line {group['line']} "
+                        f"for (video_id={video_id}, keyframe={keyframe}, actor_id={actor_id})"
+                    )
+                elif group["score"] != score:
+                    raise ValueError(f"score conflicts with line {group['line']}")
+                elif action_id == NO_ACTION_MARKER or NO_ACTION_MARKER in group["actions"]:
+                    raise ValueError("action_id 0 must be the observation's only row")
+                elif action_id in group["actions"]:
+                    raise ValueError(f"duplicate action_id {action_id}")
+                else:
+                    group["actions"].add(action_id)
             except ValueError as exc:
                 errors.append(f"{path}:{line_no}: {exc}")
-                continue
-
-            key = (video_id, keyframe, actor_id)
-            box = (x1, y1, x2, y2)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = {
-                    "box": box,
-                    "score": score,
-                    "actions": set() if action_id == NO_ACTION_MARKER else {action_id},
-                    "marker": action_id == NO_ACTION_MARKER,
-                    "line": line_no,
-                }
-                continue
-            if group["box"] != box:
-                errors.append(
-                    f"{path}:{line_no}: geometry conflicts with line {group['line']} "
-                    f"for (video_id={video_id}, keyframe={keyframe}, actor_id={actor_id})"
-                )
-                continue
-            if group["score"] != score:
-                errors.append(
-                    f"{path}:{line_no}: score conflicts with line {group['line']}"
-                )
-                continue
-            if group["marker"] or action_id == NO_ACTION_MARKER:
-                errors.append(
-                    f"{path}:{line_no}: action_id 0 must be the observation's only row"
-                )
-                continue
-            if action_id in group["actions"]:
-                errors.append(f"{path}:{line_no}: duplicate action_id {action_id}")
-                continue
-            group["actions"].add(action_id)
 
     if errors:
         raise FormatError(errors)
 
     by_video: dict[str, list[ActorObservation]] = {}
     for (video_id, keyframe, actor_id), group in groups.items():
-        x1, y1, x2, y2 = group["box"]
         by_video.setdefault(video_id, []).append(
             ActorObservation(
                 video_id=video_id,
                 keyframe=keyframe,
-                box=BoundingBox(x1, y1, x2, y2),
+                box=BoundingBox(*group["box"]),
                 actor_id=actor_id,
-                actions=frozenset(group["actions"]),
+                actions=frozenset(group["actions"] - {NO_ACTION_MARKER}),
                 score=group["score"],
             )
         )
@@ -227,13 +226,35 @@ def parse_annotations(
     return records
 
 
-def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> None:
-    """Serialize records in canonical row order (video, keyframe, actor, action)."""
-    _check_role(role)
-    expected = PRED_COLUMNS if role == "pred" else GT_COLUMNS
+def _cell(value):
+    """The one cell rule: a float, numpy's included, is its repr; None is empty."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return "" if value is None else value
+
+
+# csv.writer itself writes these types by `_cell`'s rule (a float as its repr,
+# None empty), so a row holding nothing else skips the per-cell call.
+_CSV_NATIVE = frozenset((str, int, float, type(None)))
+
+
+def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV writer: the header, then every row's cells under `_cell`."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(expected)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow(row if _CSV_NATIVE.issuperset(map(type, row)) else map(_cell, row))
+
+
+def _box_cells(box: BoundingBox) -> tuple[float, float, float, float]:
+    return box.x1, box.y1, box.x2, box.y2
+
+
+def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> None:
+    """Serialize records in canonical row order (video, keyframe, actor, action)."""
+
+    def rows():
         for record in sorted(records, key=lambda r: r.video_id):
             for obs in record.observations:
                 if obs.actions:
@@ -245,30 +266,19 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
                         f"ground-truth observation without labels at video "
                         f"{record.video_id!r} keyframe {obs.keyframe}"
                     )
+                location = (record.video_id, obs.keyframe, *_box_cells(obs.box))
+                score = (obs.score,) if role == "pred" else ()
                 for action_id in action_ids:
-                    row = [
-                        record.video_id,
-                        obs.keyframe,
-                        repr(obs.box.x1),
-                        repr(obs.box.y1),
-                        repr(obs.box.x2),
-                        repr(obs.box.y2),
-                        action_id,
-                        obs.actor_id,
-                    ]
-                    if role == "pred":
-                        row.append(repr(obs.score))
-                    writer.writerow(row)
+                    yield (*location, action_id, obs.actor_id, *score)
+
+    _write_table(path, _columns(role), rows())
 
 
 def parse_detection_stream(path: str) -> DetectionStream:
     """Parse a detection-stream CSV; one video per file, fixed embedding width."""
     errors: list[str] = []
     with _csv_reader(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise FormatError([f"{path}:1: empty file, expected a stream header"])
-        header = [cell.strip() for cell in header]
+        header = [cell.strip() for cell in _header(reader, path, "a stream header")]
         if header[: len(STREAM_FIXED_COLUMNS)] != STREAM_FIXED_COLUMNS:
             raise FormatError(
                 [
@@ -284,17 +294,8 @@ def parse_detection_stream(path: str) -> DetectionStream:
             )
 
         video_id: Optional[str] = None
-        rows: list[tuple[int, Detection]] = []
-        for row in reader:
-            line_no = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(header):
-                errors.append(
-                    f"{path}:{line_no}: expected {len(header)} columns, got {len(row)} "
-                    f"(ragged embedding width)"
-                )
-                continue
+        frames: dict[int, list[Detection]] = {}
+        for line_no, row in _data_rows(reader, path, len(header), errors, " (ragged embedding width)"):
             try:
                 if not row[0]:
                     raise ValueError("video_id: must be non-empty")
@@ -304,30 +305,16 @@ def parse_detection_stream(path: str) -> DetectionStream:
                     raise ValueError(
                         f"multiple videos in one stream file ({video_id!r} and {row[0]!r})"
                     )
-                keyframe = _parse_int(row[1], minimum=0)
-                x1 = _parse_fraction(row[2])
-                y1 = _parse_fraction(row[3])
-                x2 = _parse_fraction(row[4])
-                y2 = _parse_fraction(row[5])
-                if not (x1 < x2 and y1 < y2):
-                    raise ValueError("degenerate box: requires x1 < x2 and y1 < y2")
+                keyframe, box = _parse_located_box(row)
                 score = _parse_fraction(row[6])
-                embedding = np.array(
-                    [_parse_float(cell) for cell in row[7:]], dtype=float
-                )
+                embedding = np.array([_parse_float(cell) for cell in row[7:]], dtype=float)
+                # File order is kept within a keyframe.
+                frames.setdefault(keyframe, []).append(Detection(BoundingBox(*box), score, embedding))
             except ValueError as exc:
                 errors.append(f"{path}:{line_no}: {exc}")
-                continue
-            rows.append(
-                (keyframe, Detection(box=BoundingBox(x1, y1, x2, y2), score=score, appearance=embedding))
-            )
 
     if errors:
         raise FormatError(errors)
-
-    frames: dict[int, list[Detection]] = {}
-    for keyframe, detection in rows:  # stable within keyframe regardless of file order
-        frames.setdefault(keyframe, []).append(detection)
     return DetectionStream(
         video_id=video_id or "",
         dim=dim,
@@ -336,23 +323,13 @@ def parse_detection_stream(path: str) -> DetectionStream:
 
 
 def write_detection_stream(stream: DetectionStream, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(stream.dim)])
-        for keyframe in stream.keyframes:
-            for det in stream.frames[keyframe]:
-                writer.writerow(
-                    [
-                        stream.video_id,
-                        keyframe,
-                        repr(det.box.x1),
-                        repr(det.box.y1),
-                        repr(det.box.x2),
-                        repr(det.box.y2),
-                        repr(det.score),
-                    ]
-                    + [repr(float(v)) for v in det.appearance]
-                )
+    columns = STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(stream.dim)]
+    _write_table(path, columns, (
+        (stream.video_id, keyframe, *_box_cells(det.box), det.score,
+         *np.asarray(det.appearance, dtype=float).tolist())
+        for keyframe in stream.keyframes
+        for det in stream.frames[keyframe]
+    ))
 
 
 def _block_to_dict(block: MetricBlock) -> dict:
@@ -404,25 +381,12 @@ def write_report(report: EvalReport, path: str, fmt: str = "json") -> None:
             json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
             handle.write("\n")
     elif fmt == "csv":
-        columns = ["video_id"] + [f.name for f in fields(MetricBlock)]
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            rows = [(AGGREGATE_KEY, report.aggregate)] + sorted(report.per_video.items())
-            for video_id, block in rows:
-                data = _block_to_dict(block)
-                row = [video_id]
-                for name in columns[1:]:
-                    value = data[name]
-                    if value is None:
-                        row.append("")
-                    elif name == "flags":
-                        row.append(";".join(value))
-                    elif isinstance(value, float):
-                        row.append(repr(value))
-                    else:
-                        row.append(value)
-                writer.writerow(row)
+        names = [f.name for f in fields(MetricBlock)]
+        rows = []
+        for video_id, block in [(AGGREGATE_KEY, report.aggregate)] + sorted(report.per_video.items()):
+            data = {**asdict(block), "flags": ";".join(block.flags)}
+            rows.append([video_id] + [data[name] for name in names])
+        _write_table(path, ["video_id"] + names, rows)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -465,27 +429,12 @@ def sidecar_n_labels(annotation_path: str) -> Optional[int]:
 
 def write_bench_table(rows: Sequence[dict], path: str) -> None:
     """Two-row-per-seed online/offline comparison table."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(BENCH_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["seed"],
-                    row["mode"],
-                    _bench_cell(row["ap50"]),
-                    _bench_cell(row["hl50"]),
-                    _bench_cell(row["idf1"]),
-                    _bench_cell(row["mt_pct"]),
-                    _bench_cell(row["ml_pct"]),
-                    row["id_switches"],
-                ]
-            )
+    _write_table(path, BENCH_COLUMNS, ([row[name] for name in BENCH_COLUMNS] for row in rows))
 
 
-def _bench_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def write_pr_curve(result: APResult, path: str) -> None:
+    """The ranked PR curve, one row per prediction, for offline inspection."""
+    _write_table(path, PR_CURVE_COLUMNS, (
+        (p.rank, p.score, int(p.is_tp), int(not p.is_tp), p.recall, p.precision, p.p_interp)
+        for p in result.curve.points
+    ))

@@ -1,8 +1,12 @@
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from asadeval.association import Detection, DetectionStream
+from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.io_formats import (
     FormatError,
@@ -12,10 +16,13 @@ from asadeval.io_formats import (
     report_from_dict,
     report_to_dict,
     write_annotations,
+    write_bench_table,
     write_detection_stream,
+    write_pr_curve,
     write_report,
 )
 from asadeval.model import BoundingBox, VideoRecord
+from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from support import LEFT, RIGHT, obs, record
 
 
@@ -282,6 +289,82 @@ def test_report_csv_has_aggregate_and_video_rows(tmp_path):
     assert lines[2].startswith("v,")
 
 
+def test_numpy_float_cells_are_written_as_python_floats(tmp_path):
+    stream = DetectionStream(
+        "v", dim=2, frames={0: (Detection(BoundingBox(*LEFT), np.float64(0.9), np.array([0.5, -1.0])),)}
+    )
+    path = str(tmp_path / "stream.csv")
+    write_detection_stream(stream, path)
+    (det,) = parse_detection_stream(path).frames[0]
+    assert det.score == 0.9 and det.appearance.tolist() == [0.5, -1.0]
+
+    report = sample_report()
+    floats = {name: np.float64(value) for name, value in vars(report.aggregate).items()
+              if isinstance(value, float)}
+    numpy_report = replace(report, aggregate=replace(report.aggregate, **floats))
+    write_report(report, str(tmp_path / "python.csv"), fmt="csv")
+    write_report(numpy_report, str(tmp_path / "numpy.csv"), fmt="csv")
+    assert (tmp_path / "numpy.csv").read_bytes() == (tmp_path / "python.csv").read_bytes()
+
+
 def test_report_dict_schema_checked():
     with pytest.raises(FormatError, match="schema"):
         report_from_dict({"schema": "something-else"})
+
+
+def pinned_writer_outputs(directory) -> dict[str, bytes]:
+    """Every writer's output on one fixed generate/perturb case, by name."""
+    spec = scenario_preset("camera-cut", seed=5, n_actors=4, n_keyframes=12, n_cuts=2)
+    gt, stream = generate(spec)
+    other_gt, _ = generate(replace(spec, seed=6, video_id="w"))
+    pred = perturb(gt, Perturbation("jitter_boxes", sigma=0.03, seed=1))
+    pred = perturb(pred, Perturbation("inject_fp", rate=0.5, seed=2))
+    rng = np.random.default_rng(3)
+    observations = [replace(o, score=float(rng.uniform(0.5, 1.0))) for o in pred.observations]
+    observations[0] = replace(observations[0], actions=frozenset())
+    pred = record(pred.video_id, observations)
+    # Fresh embeddings: generate's are normalised through BLAS, whose last bits
+    # vary with the kernel, and a byte pin must not.
+    stream = replace(stream, dim=3, frames={
+        kf: tuple(replace(d, appearance=rng.standard_normal(3)) for d in dets)
+        for kf, dets in stream.frames.items()
+    })
+    report = evaluate_records([gt, other_gt], [pred], n_labels=spec.n_labels)
+    bench_rows = [
+        {"seed": seed, "mode": mode, "ap50": block.ap, "hl50": block.hl, "idf1": block.idf1,
+         "mt_pct": block.mt_pct, "ml_pct": block.ml_pct, "id_switches": block.id_switches}
+        for seed, mode, block in ((1, "online", report.per_video["synthetic"]), (1, "offline", report.per_video["w"]))
+    ]
+    writers = {
+        "gt.csv": lambda path: write_annotations([gt, other_gt], path, role="gt"),
+        "pred.csv": lambda path: write_annotations([pred], path, role="pred"),
+        "stream.csv": lambda path: write_detection_stream(stream, path),
+        "report.json": lambda path: write_report(report, path, fmt="json"),
+        "report.csv": lambda path: write_report(report, path, fmt="csv"),
+        "pr.csv": lambda path: write_pr_curve(average_precision([gt, other_gt], [pred]), path),
+        "bench.csv": lambda path: write_bench_table(bench_rows, path),
+    }
+    outputs = {}
+    for name, write in writers.items():
+        write(str(directory / name))
+        outputs[name] = (directory / name).read_bytes()
+    return outputs
+
+
+# sha256 of each output, recorded before the writers shared one cell rule.
+PINNED_WRITER_DIGESTS = {
+    "gt.csv": "357f7aaeb2444d7f67e93281e2b8b32bcf444f6c664caa6a6b9066e563b71e4b",
+    "pred.csv": "256a71914f0164d9f6bf78ba384dcc23cd3b922a7d35230b01afbc0970dad295",
+    "stream.csv": "26fb352423e4f0fc5b2545bbc5d0a8773665f199f08f7cd64045554f4194d15a",
+    "report.json": "6a86967ee091080f800ccdbd3b263b7e4c4a9e2e25cc456b929b359dabf4fcfe",
+    "report.csv": "75eef6b86b5e9c23f380af25aa18474688a13e5fa01a97fe08b931ec4c724e95",
+    "pr.csv": "a4318c7e2ddec1fe74cb07c8816ad35488f42f1482902fde75c13a1c27686c8f",
+    "bench.csv": "9cf662940fbf9326b152dbd4c075c8599367c408e14494afa1b2f4ad080ba759",
+}
+
+
+def test_every_writer_output_is_pinned(tmp_path):
+    digests = {
+        name: hashlib.sha256(data).hexdigest() for name, data in pinned_writer_outputs(tmp_path).items()
+    }
+    assert digests == PINNED_WRITER_DIGESTS

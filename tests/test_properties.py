@@ -1,14 +1,24 @@
 """Generated scenes checked against the brute-force and standalone paths."""
 
+import contextlib
+import functools
+import io
+import re
+import tempfile
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asadeval.actions import match_pairs
+from asadeval.cli import main
 from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import mt_ml
-from asadeval.model import VideoRecord
+from asadeval.io_formats import FormatError, parse_annotations, parse_detection_stream
+from asadeval.model import VideoRecord, validate_record
+from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
 from support import obs, record
 from test_detection import sweep_ap
 from test_identity import brute_force_idtp, scalar_id_switches
@@ -130,3 +140,55 @@ def test_switches_and_idtp_match_scalar_references(corpus):
             pred = pred_by_video.get(video_id, VideoRecord(video_id))
             assert block.id_switches == scalar_id_switches(gt, pred, persistence=persistence)
             assert block.idtp == brute_force_idtp(gt, pred)
+
+
+valid_files = functools.cache(valid_inputs)
+
+
+@st.composite
+def fuzzed_files(draw):
+    """``(kind, bytes)``: a mutated valid gt, pred or stream file, or raw bytes."""
+    kind = draw(st.sampled_from(KINDS + ("raw",)))
+    rng = draw(st.randoms(use_true_random=False))
+    return kind, raw_input(rng, valid_files()) if kind == "raw" else mutate(valid_files()[kind], rng)
+
+
+def assert_records_or_located_errors(parse, path):
+    """Returns what ``parse`` returns, or None if it raised a FormatError naming where."""
+    try:
+        return parse()
+    except FormatError as exc:
+        located = re.compile(re.escape(path) + r"(:\d+:|: video )")
+        assert exc.errors and all(located.match(error) for error in exc.errors), exc.errors
+        return None
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(fuzzed_files())
+def test_malformed_files_give_records_or_located_errors(case):
+    kind, data = case
+    with tempfile.TemporaryDirectory() as directory:
+        paths = {name: str(Path(directory) / f"{name}.csv") for name in KINDS}
+        for name, valid in valid_files().items():
+            Path(paths[name]).write_bytes(valid)
+        path = str(Path(directory) / "fuzzed.csv")
+        Path(path).write_bytes(data)
+
+        for role in ("gt", "pred"):
+            for n_labels in N_LABELS:
+                parse = functools.partial(parse_annotations, path, role=role, n_labels=n_labels)
+                for parsed in assert_records_or_located_errors(parse, path) or []:
+                    assert validate_record(parsed, role=role, n_labels=n_labels) == []
+        assert_records_or_located_errors(functools.partial(parse_detection_stream, path), path)
+
+        commands = []
+        if kind != "stream":
+            gt, pred = (paths["gt"], path) if kind == "pred" else (path, paths["pred"])
+            commands.append(["evaluate", "--gt", gt, "--pred", pred])
+        if kind in ("stream", "raw"):
+            out = str(Path(directory) / "tracked.csv")
+            commands += [["track", "--detections", path, "--mode", mode, "--out", out]
+                         for mode in ("online", "offline")]
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(command) in (0, 2), command
