@@ -9,11 +9,14 @@ track's mean embedding, so it leans on motion continuity. The offline tracker
 sees the whole stream and greedily agglomerates detections by the same
 affinity with its overlap weight decayed over the keyframe gap, subject to the
 constraint that a cluster never holds two detections from the same keyframe.
-Both build that affinity as one array per pair of frames (`_affinity`).
+Both build that affinity as arrays (`_affinity`): the online tracker one per
+keyframe against the live tracks, the offline tracker one per keyframe against
+every detection of the following ``max_gap`` keyframes.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,15 +106,17 @@ def _unit_rows(vectors: np.ndarray) -> np.ndarray:
 
 
 def _affinity(
-    boxes_a: np.ndarray, unit_a: np.ndarray, boxes_b: np.ndarray, unit_b: np.ndarray, w: float
+    boxes_a: np.ndarray, unit_a: np.ndarray, boxes_b: np.ndarray, unit_b: np.ndarray,
+    w: float | np.ndarray,
 ) -> np.ndarray:
     """(1 - w) * clipped cosine similarity + w * IoU between every row of a and of b.
 
     Boxes are (n, 4) corner arrays and embeddings `_unit_rows`, so a zero
-    embedding has similarity 0 to everything. The dot products use einsum,
-    not a BLAS matrix product: BLAS kernels sum a row differently depending on
-    its position, so two identical tracks could differ in the last bit and no
-    longer tie exactly in the assignment.
+    embedding has similarity 0 to everything. ``w`` is one weight or one per
+    row of b (shape (m,)), broadcast over the columns. The dot products use
+    einsum, not a BLAS matrix product: BLAS kernels sum a row differently
+    depending on its position, so two identical tracks could differ in the
+    last bit and no longer tie exactly in the assignment.
     """
     similarity = np.clip(np.einsum("ik,jk->ij", unit_a, unit_b), 0.0, 1.0)
     return (1.0 - w) * similarity + w * iou_matrix(boxes_a, boxes_b)
@@ -260,33 +265,39 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
     boxes = boxes_to_array([d.box for _, d in flat])
     unit = _unit_rows(np.array([d.appearance for _, d in flat], dtype=float))
 
-    # flat is grouped by keyframe, so each keyframe's detections are one slice of it
-    bounds = np.cumsum([0] + [len(stream.frames[kf]) for kf in stream.keyframes]).tolist()
-    frames = list(zip(stream.keyframes, map(slice, bounds, bounds[1:])))
+    # flat is grouped by sorted keyframe: frame p's detections are rows
+    # bounds[p]:bounds[p + 1], and every detection at most max_gap keyframes
+    # later lies in the one slice up to bounds[q]. Keyframes and gaps stay
+    # Python ints, which numpy's int64 cannot hold from 2**63 on.
+    frames = stream.keyframes
+    sizes = [len(stream.frames[kf]) for kf in frames]
+    bounds = np.cumsum([0] + sizes).tolist()
 
-    edges: list[tuple[float, int, int]] = []
-    for a_pos, (kf_a, rows) in enumerate(frames):
-        for kf_b, cols in frames[a_pos + 1 :]:
-            gap = kf_b - kf_a
-            if gap > cfg.max_gap:
-                break
-            if cfg.max_gap == 1:
-                decay = 1.0
-            else:
-                decay = (cfg.max_gap - gap) / (cfg.max_gap - 1)
-            affinity = _affinity(
-                boxes[rows], unit[rows], boxes[cols], unit[cols], cfg.iou_weight * decay
-            )
-            i, j = np.nonzero(affinity >= cfg.merge_threshold)
-            edges.extend(
-                zip(affinity[i, j].tolist(), (i + rows.start).tolist(), (j + cols.start).tolist())
-            )
+    edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for p, kf_a in enumerate(frames):
+        q = bisect.bisect_right(frames, kf_a + cfg.max_gap, p + 1)
+        start, stop, end = bounds[p], bounds[p + 1], bounds[q]
+        if start == stop or stop == end:
+            continue
+        decay = [
+            1.0 if cfg.max_gap == 1 else (cfg.max_gap - (kf_b - kf_a)) / (cfg.max_gap - 1)
+            for kf_b in frames[p + 1 : q]
+        ]
+        affinity = _affinity(
+            boxes[start:stop], unit[start:stop], boxes[stop:end], unit[stop:end],
+            cfg.iou_weight * np.repeat(decay, sizes[p + 1 : q]),
+        )
+        i, j = np.nonzero(affinity >= cfg.merge_threshold)
+        edges.append((affinity[i, j], i + start, j + stop))
 
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
     clusters = _UnionFind(keyframes)
-    for _, a, b in edges:
-        if clusters.can_merge(a, b):
-            clusters.merge(a, b)
+    if edges:
+        value, a, b = (np.concatenate(column) for column in zip(*edges))
+        # Highest affinity first, ties by (a, b): every (a, b) pair occurs once.
+        order = np.lexsort((b, a, -value))
+        for x, y in zip(a[order].tolist(), b[order].tolist()):
+            if clusters.can_merge(x, y):
+                clusters.merge(x, y)
 
     members: dict[int, list[int]] = {}
     for idx in range(len(flat)):

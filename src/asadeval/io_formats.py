@@ -98,6 +98,23 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_embedding(cells: Sequence[str]) -> list[float]:
+    """The floats of ``cells``, all finite, in one pass over a valid row.
+
+    A non-finite value (or an overflowing sum) makes the sum's ``total - total``
+    nan. Only then, or when a cell does not parse, are the cells re-read one by
+    one, so the error names the first bad cell as `_parse_float` does.
+    """
+    try:
+        values = list(map(float, cells))
+        total = sum(values)
+        if total - total == 0.0:
+            return values
+    except ValueError:
+        pass
+    return [_parse_float(cell) for cell in cells]
+
+
 def _parse_fraction(text: str) -> float:
     value = _parse_float(text)
     if not (0.0 <= value <= 1.0):
@@ -130,12 +147,25 @@ def _header(reader, path: str, expected: str) -> list[str]:
 
 
 def _data_rows(reader, path: str, width: int, errors: list[str], note: str = "") -> Iterator:
-    """``(line number, row)`` for each data row; blank rows are skipped, other widths are errors."""
+    """``(line number, row)`` for each data row; blank rows are skipped, other widths are errors.
+
+    A row is numbered by the line it ends on. A wrong-width record that spans
+    lines is reported at the line it starts on, with its span: a stray ``"``
+    opens a quoted field that swallows the lines after it.
+    """
+    first = reader.line_num + 1
     for row in reader:
+        last = reader.line_num
         if len(row) == width:
-            yield reader.line_num, row
+            yield last, row
+        elif row and first == last:
+            errors.append(f"{path}:{last}: expected {width} columns, got {len(row)}{note}")
         elif row:
-            errors.append(f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}{note}")
+            errors.append(
+                f"{path}:{first}: expected {width} columns, got {len(row)} "
+                f"(record runs from line {first} to line {last}; unbalanced quote?)"
+            )
+        first = last + 1
 
 
 def parse_annotations(
@@ -307,7 +337,7 @@ def parse_detection_stream(path: str) -> DetectionStream:
                     )
                 keyframe, box = _parse_located_box(row)
                 score = _parse_fraction(row[6])
-                embedding = np.array([_parse_float(cell) for cell in row[7:]], dtype=float)
+                embedding = np.array(_parse_embedding(row[7:]), dtype=float)
                 # File order is kept within a keyframe.
                 frames.setdefault(keyframe, []).append(Detection(BoundingBox(*box), score, embedding))
             except ValueError as exc:

@@ -148,8 +148,9 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
 
     Minimizes total cost over all assignments of size min(rows, cols); among
     equal-cost optima the lexicographically smallest (row, col) pair list is
-    chosen. One `linear_sum_assignment` finds the optimum; its optimal duals
-    rule out the pairs no optimum can hold, and `math.fsum` confirms each
+    chosen. A single-row or single-column problem takes its first smallest
+    entry. Otherwise one `linear_sum_assignment` finds the optimum; its optimal
+    duals rule out the pairs no optimum can hold, and `math.fsum` confirms each
     remaining pair the tie search keeps (see `_lexicographic_optimal_pairs`).
     There is no fallback: the search always returns a pair list. With
     ``drop_gated`` (the default), pairs whose cost is exactly 1 are then
@@ -165,10 +166,16 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must be finite")
 
-    rows, cols = linear_sum_assignment(cost)
-    optimum = list(zip(rows.tolist(), cols.tolist()))
-    best = math.fsum(float(cost[r, c]) for r, c in optimum)
-    pairs = _lexicographic_optimal_pairs(cost, best, optimum)
+    if min(n_rows, n_cols) == 1:
+        # One pair: the optimum is a smallest entry, and the lexicographically
+        # smallest among them is the first in row-major order.
+        pairs = [divmod(int(np.argmin(cost)), n_cols)]
+        best = math.fsum([float(cost[pairs[0]])])
+    else:
+        rows, cols = linear_sum_assignment(cost)
+        optimum = list(zip(rows.tolist(), cols.tolist()))
+        best = math.fsum(float(cost[r, c]) for r, c in optimum)
+        pairs = _lexicographic_optimal_pairs(cost, best, optimum)
     if drop_gated:
         kept = tuple((i, j) for i, j in pairs if cost[i, j] != 1.0)
     else:

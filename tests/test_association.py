@@ -12,6 +12,7 @@ from asadeval.association import (
     AssociationConfig,
     Detection,
     DetectionStream,
+    _UnionFind,
     _affinity,
     _unit_rows,
     track_offline,
@@ -90,6 +91,56 @@ def reference_track_online(
                     stream.video_id, keyframe, det.box, track_id, frozenset(), det.score
                 )
             )
+    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
+
+
+def reference_track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord:
+    """The offline tracker with one `_affinity` call per (keyframe, later keyframe) pair."""
+    flat = [(kf, det) for kf in stream.keyframes for det in stream.frames[kf]]
+    if not flat:
+        return VideoRecord(video_id=stream.video_id, observations=())
+
+    keyframes = [kf for kf, _ in flat]
+    boxes = boxes_to_array([d.box for _, d in flat])
+    unit = _unit_rows(np.array([d.appearance for _, d in flat], dtype=float))
+
+    bounds = np.cumsum([0] + [len(stream.frames[kf]) for kf in stream.keyframes]).tolist()
+    frames = list(zip(stream.keyframes, map(slice, bounds, bounds[1:])))
+
+    edges: list[tuple[float, int, int]] = []
+    for a_pos, (kf_a, rows) in enumerate(frames):
+        for kf_b, cols in frames[a_pos + 1 :]:
+            gap = kf_b - kf_a
+            if gap > cfg.max_gap:
+                break
+            if cfg.max_gap == 1:
+                decay = 1.0
+            else:
+                decay = (cfg.max_gap - gap) / (cfg.max_gap - 1)
+            affinity = _affinity(
+                boxes[rows], unit[rows], boxes[cols], unit[cols], cfg.iou_weight * decay
+            )
+            i, j = np.nonzero(affinity >= cfg.merge_threshold)
+            edges.extend(
+                zip(affinity[i, j].tolist(), (i + rows.start).tolist(), (j + cols.start).tolist())
+            )
+
+    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+    clusters = _UnionFind(keyframes)
+    for _, a, b in edges:
+        if clusters.can_merge(a, b):
+            clusters.merge(a, b)
+
+    members: dict[int, list[int]] = {}
+    for idx in range(len(flat)):
+        members.setdefault(clusters.find(idx), []).append(idx)
+    roots = sorted(members, key=lambda root: min(members[root]))
+    observations = [
+        ActorObservation(stream.video_id, flat[idx][0], flat[idx][1].box, actor_id, frozenset(),
+                         flat[idx][1].score)
+        for actor_id, root in enumerate(roots, start=1)
+        for idx in members[root]
+    ]
     return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
 
 
@@ -369,3 +420,66 @@ def test_online_cost_matches_scalar_reference(case):
     assert len(costs) == len(expected_costs)
     for cost, reference in zip(costs, expected_costs):
         np.testing.assert_allclose(cost, reference, rtol=0.0, atol=1e-12)
+
+
+@st.composite
+def offline_cases(draw):
+    """A `generate` stream, edited as `online_cases` does, on irregular keyframes.
+
+    Keyframes are renumbered with gaps of 1 to 3 from a base that may lie past
+    int64's range, and some keyframes are emptied.
+    """
+    spec = ScenarioSpec(
+        n_actors=draw(st.integers(1, 4)),
+        n_keyframes=draw(st.integers(2, 12)),
+        n_cuts=draw(st.integers(0, 1)),
+        seed=draw(st.integers(0, 2**16)),
+        appearance_dim=8,
+        appearance_noise=draw(st.sampled_from([0.1, 0.5])),
+    )
+    _, stream = generate(spec)
+    keyframe = draw(st.sampled_from([0, 2**63 - 8, 10**20]))
+    frames = {}
+    for original in stream.keyframes:
+        keyframe += draw(st.integers(1, 3))
+        dets = []
+        if draw(st.integers(0, 5)) > 0:
+            for det in stream.frames[original]:
+                if draw(st.integers(0, 4)) == 0:
+                    det = Detection(det.box, det.score, np.zeros(spec.appearance_dim))
+                dets.append(det)
+                if draw(st.integers(0, 5)) == 0:
+                    dets.append(det)
+        frames[keyframe] = tuple(dets)
+    cfg = AssociationConfig.offline(
+        iou_weight=draw(st.floats(0.0, 1.0)),
+        merge_threshold=draw(st.floats(0.05, 1.0)),
+        max_gap=draw(st.integers(1, 4)),
+    )
+    return DetectionStream(stream.video_id, stream.dim, frames), cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(offline_cases())
+def test_offline_matches_pair_reference(case):
+    stream, cfg = case
+    assert track_offline(stream, cfg) == reference_track_offline(stream, cfg)
+
+
+def test_offline_equal_affinities_merge_in_pair_order():
+    # At max_gap 2 the gap-2 affinity is appearance alone. Edges (0, 1), (0, 3)
+    # and (1, 2) all score exactly 1; taken by (a, b), (0, 3) claims keyframe 3
+    # before (1, 2) can, so detection 2 opens the second identity.
+    both = [1.0, 1.0, 0.0, 0.0]
+    frames = {
+        1: (det(0.1, 0.1, 0.3, 0.3, unit(4, 1)),),
+        2: (det(0.1, 0.1, 0.3, 0.3, both),),
+        3: (det(0.1, 0.1, 0.3, 0.3, both), det(0.15, 0.1, 0.35, 0.3, unit(4, 1))),
+    }
+    stream = make_stream(frames)
+    cfg = AssociationConfig.offline(iou_weight=1.0, merge_threshold=0.1, max_gap=2)
+    out = track_offline(stream, cfg)
+    assert out == reference_track_offline(stream, cfg)
+    assert [(o.keyframe, o.box.x1, o.actor_id) for o in out.observations] == [
+        (1, 0.1, 1), (2, 0.1, 1), (3, 0.15, 1), (3, 0.1, 2)
+    ]

@@ -238,6 +238,62 @@ def test_stream_refuses_multiple_videos(tmp_path):
         parse_detection_stream(path)
 
 
+def test_stray_quote_names_the_line_the_record_starts_on(tmp_path):
+    # The quote on line 3 swallows lines 4-5 into one 3-column record.
+    path = write_text(
+        tmp_path / "q.csv",
+        f"{GT_HEADER}\n"
+        "v,1,0.1,0.1,0.3,0.3,1,1\n"
+        'v,2,"0.1,0.1,0.3,0.3,1,1\n'
+        "v,3,0.1,0.1,0.3,0.3,1,1\n"
+        "v,4,0.1,0.1,0.3,0.3,1,1\n",
+    )
+    with pytest.raises(FormatError) as excinfo:
+        parse_annotations(path, role="gt")
+    assert excinfo.value.errors == [
+        f"{path}:3: expected 8 columns, got 3 (record runs from line 3 to line 5; unbalanced quote?)"
+    ]
+
+
+def parse_embedding_cells(tmp_path, cells):
+    """Parse one stream row holding the embedding ``cells``."""
+    header = ",".join(["video_id,keyframe,x1,y1,x2,y2,score"] + [f"e{i}" for i in range(len(cells))])
+    row = ",".join(["v,0,0.1,0.1,0.3,0.3,0.9"] + cells)
+    return parse_detection_stream(write_text(tmp_path / "stream.csv", f"{header}\n{row}\n"))
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["1.0", "nan", "abc"], "must be finite"),
+        (["1.0", "abc", "nan"], "could not convert string to float: 'abc'"),
+        (["-inf", "1.0"], "must be finite"),
+        (["1e309", "0.0"], "must be finite"),
+    ],
+    ids=["nan-before-abc", "abc-before-nan", "inf", "overflowing-cell"],
+)
+def test_stream_embedding_error_names_the_first_bad_cell(tmp_path, cells, message):
+    with pytest.raises(FormatError) as excinfo:
+        parse_embedding_cells(tmp_path, cells)
+    assert excinfo.value.errors == [f"{tmp_path / 'stream.csv'}:2: {message}"]
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        ["1e308", "1e308"],
+        ["-1.7976931348623157e+308", "-1e308", "0.5"],
+        ["1_0", " 2.5 ", "\t-0.0", "+3", ".5e1", "1E-320"],
+        [repr(float(v)) for v in np.random.default_rng(5).standard_normal(64)],
+    ],
+    ids=["sum-overflows", "sum-overflows-negative", "float-syntax", "dim-64"],
+)
+def test_stream_embedding_bytes_equal_the_per_cell_parse(tmp_path, cells):
+    stream = parse_embedding_cells(tmp_path, cells)
+    (detection,) = stream.frames[0]
+    assert detection.appearance.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
 def sample_report():
     gt = record("v", [obs("v", 0, 1, LEFT, actions=(1, 2)), obs("v", 1, 1, LEFT)])
     pred = record(

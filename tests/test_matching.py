@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -283,7 +283,9 @@ def tie_heavy_costs(draw):
 
     Kinds: grid values with some all-1.0 (fully gated) rows and columns;
     duplicated rows and columns; `build_cost_matrix` on repeated boxes; and
-    dense continuous costs in the trackers' range [0, 1.3].
+    dense continuous costs in the trackers' range [0, 1.3]. A quarter keep
+    only their first row, so the single-pair case gets ties and fully gated
+    rows of its own.
     """
     n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -303,11 +305,15 @@ def tie_heavy_costs(draw):
         ).cost
     else:
         cost = rng.uniform(0.0, 1.3, size=(n_rows, n_cols))
+    if draw(st.integers(0, 3)) == 0:
+        cost = cost[:1]
     return cost
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(tie_heavy_costs())
+@example(np.array([[1.0, 1.0, 1.0]]))
+@example(np.array([[0.5, 0.25, 1.0, 0.25]]))
 def test_tie_break_matches_oracle_and_reference(cost):
     # Both orientations; the oracle up to 6 x 6, the unpruned search up to 12 x 12.
     for matrix in (cost, cost.T):
