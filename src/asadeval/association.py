@@ -9,9 +9,10 @@ track's mean embedding, so it leans on motion continuity. The offline tracker
 sees the whole stream and greedily agglomerates detections by the same
 affinity with its overlap weight decayed over the keyframe gap, subject to the
 constraint that a cluster never holds two detections from the same keyframe.
-Both build that affinity as arrays (`_affinity`): the online tracker one per
-keyframe against the live tracks, the offline tracker one per keyframe against
-every detection of the following ``max_gap`` keyframes.
+Both read the stream as one stack of rows (`_stacked`), build that affinity as
+arrays (`_affinity`), the online tracker one per keyframe against the live
+tracks and the offline tracker one per keyframe against the following
+``max_gap`` keyframes, and label the rows with one builder (`_labelled`).
 """
 
 from __future__ import annotations
@@ -132,17 +133,30 @@ def _check_dims(stream: DetectionStream) -> None:
                 )
 
 
-@dataclass
-class _Track:
-    track_id: int
-    last_box: BoundingBox
-    last_seen: int
-    appearance_sum: np.ndarray
-    count: int
+def _stacked(stream: DetectionStream) -> tuple[tuple[int, ...], list[int], np.ndarray, np.ndarray]:
+    """The stream as rows: (keyframes, bounds, boxes, embeddings).
 
-    @property
-    def mean_appearance(self) -> np.ndarray:
-        return self.appearance_sum / self.count
+    Rows are grouped by ascending keyframe, in file order within a keyframe:
+    keyframe p's detections are rows bounds[p]:bounds[p + 1] of the (n, 4)
+    box array and the (n, dim) float embedding array. Keyframes stay Python
+    ints, which numpy's int64 cannot hold from 2**63 on.
+    """
+    _check_dims(stream)
+    keyframes = stream.keyframes
+    rows = [det for kf in keyframes for det in stream.frames[kf]]
+    bounds = np.cumsum([0] + [len(stream.frames[kf]) for kf in keyframes]).tolist()
+    embeddings = np.array([d.appearance for d in rows], dtype=float).reshape(len(rows), stream.dim)
+    return keyframes, bounds, boxes_to_array([d.box for d in rows]), embeddings
+
+
+def _labelled(stream: DetectionStream, identities: list[int]) -> VideoRecord:
+    """The stream's detections, in `_stacked` row order, with one identity per row."""
+    rows = ((kf, det) for kf in stream.keyframes for det in stream.frames[kf])
+    observations = (
+        ActorObservation(stream.video_id, keyframe, det.box, actor_id, frozenset(), det.score)
+        for (keyframe, det), actor_id in zip(rows, identities, strict=True)
+    )
+    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
 
 
 def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord:
@@ -158,60 +172,46 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
     """
     if cfg.mode != "online":
         raise ValueError("track_online requires cfg.mode == 'online'")
-    _check_dims(stream)
+    keyframes, bounds, boxes, embeddings = _stacked(stream)
+    unit = _unit_rows(embeddings)
 
-    tracks: list[_Track] = []
-    next_id = 1
-    observations: list[ActorObservation] = []
-    for keyframe in stream.keyframes:
-        detections = stream.frames[keyframe]
-        active = [t for t in tracks if keyframe - t.last_seen <= cfg.max_gap]
-
+    # Track t (identity t + 1) keeps its last box, embedding sum and count in
+    # row t; a stream opens at most one track per detection. `live` holds the
+    # unretired tracks in opening order: keyframes ascend, so none returns.
+    last_box = np.empty_like(boxes)
+    sums = np.empty_like(embeddings)
+    counts = np.zeros(len(boxes))
+    last_seen: list[int] = []
+    live: list[int] = []
+    identities: list[int] = []
+    for keyframe, start, stop in zip(keyframes, bounds, bounds[1:]):
+        live = [t for t in live if keyframe - last_seen[t] <= cfg.max_gap]
         assigned: dict[int, int] = {}
-        if active and detections:
+        if live and start < stop:
             cost = 1.0 - _affinity(
-                boxes_to_array([t.last_box for t in active]),
-                _unit_rows(np.array([t.mean_appearance for t in active])),
-                boxes_to_array([d.box for d in detections]),
-                _unit_rows(np.array([d.appearance for d in detections], dtype=float)),
-                cfg.iou_weight,
+                last_box[live], _unit_rows(sums[live] / counts[live, None]),
+                boxes[start:stop], unit[start:stop], cfg.iou_weight,
             )
             solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
-            for i, j in solution.pairs:
-                if cost[i, j] <= cfg.match_threshold:
-                    assigned[j] = i
+            assigned = {
+                start + j: live[i] for i, j in solution.pairs if cost[i, j] <= cfg.match_threshold
+            }
 
-        for j, det in enumerate(detections):
-            if j in assigned:
-                track = active[assigned[j]]
-                track.last_box = det.box
-                track.last_seen = keyframe
-                track.appearance_sum = track.appearance_sum + det.appearance
-                track.count += 1
-                track_id = track.track_id
+        for row in range(start, stop):
+            t = assigned.get(row)
+            if t is None:
+                t = len(last_seen)
+                last_seen.append(keyframe)
+                sums[t] = embeddings[row]
+                counts[t] = 1
+                live.append(t)
             else:
-                track_id = next_id
-                next_id += 1
-                tracks.append(
-                    _Track(
-                        track_id=track_id,
-                        last_box=det.box,
-                        last_seen=keyframe,
-                        appearance_sum=det.appearance.astype(float).copy(),
-                        count=1,
-                    )
-                )
-            observations.append(
-                ActorObservation(
-                    video_id=stream.video_id,
-                    keyframe=keyframe,
-                    box=det.box,
-                    actor_id=track_id,
-                    actions=frozenset(),
-                    score=det.score,
-                )
-            )
-    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
+                last_seen[t] = keyframe
+                sums[t] += embeddings[row]
+                counts[t] += 1
+            last_box[t] = boxes[row]
+            identities.append(t + 1)
+    return _labelled(stream, identities)
 
 
 class _UnionFind:
@@ -255,24 +255,12 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
     """
     if cfg.mode != "offline":
         raise ValueError("track_offline requires cfg.mode == 'offline'")
-    _check_dims(stream)
+    frames, bounds, boxes, embeddings = _stacked(stream)
+    unit = _unit_rows(embeddings)
+    sizes = np.diff(bounds)
 
-    flat = [(kf, det) for kf in stream.keyframes for det in stream.frames[kf]]
-    if not flat:
-        return VideoRecord(video_id=stream.video_id, observations=())
-
-    keyframes = [kf for kf, _ in flat]
-    boxes = boxes_to_array([d.box for _, d in flat])
-    unit = _unit_rows(np.array([d.appearance for _, d in flat], dtype=float))
-
-    # flat is grouped by sorted keyframe: frame p's detections are rows
-    # bounds[p]:bounds[p + 1], and every detection at most max_gap keyframes
-    # later lies in the one slice up to bounds[q]. Keyframes and gaps stay
-    # Python ints, which numpy's int64 cannot hold from 2**63 on.
-    frames = stream.keyframes
-    sizes = [len(stream.frames[kf]) for kf in frames]
-    bounds = np.cumsum([0] + sizes).tolist()
-
+    # Every detection at most max_gap keyframes after frame p lies in the one
+    # slice of rows bounds[p + 1]:bounds[q].
     edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for p, kf_a in enumerate(frames):
         q = bisect.bisect_right(frames, kf_a + cfg.max_gap, p + 1)
@@ -290,7 +278,7 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
         i, j = np.nonzero(affinity >= cfg.merge_threshold)
         edges.append((affinity[i, j], i + start, j + stop))
 
-    clusters = _UnionFind(keyframes)
+    clusters = _UnionFind([kf for kf, size in zip(frames, sizes) for _ in range(size)])
     if edges:
         value, a, b = (np.concatenate(column) for column in zip(*edges))
         # Highest affinity first, ties by (a, b): every (a, b) pair occurs once.
@@ -299,23 +287,9 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
             if clusters.can_merge(x, y):
                 clusters.merge(x, y)
 
-    members: dict[int, list[int]] = {}
-    for idx in range(len(flat)):
-        members.setdefault(clusters.find(idx), []).append(idx)
-    roots = sorted(members, key=lambda root: min(members[root]))
-
-    observations: list[ActorObservation] = []
-    for actor_id, root in enumerate(roots, start=1):
-        for idx in members[root]:
-            keyframe, det = flat[idx]
-            observations.append(
-                ActorObservation(
-                    video_id=stream.video_id,
-                    keyframe=keyframe,
-                    box=det.box,
-                    actor_id=actor_id,
-                    actions=frozenset(),
-                    score=det.score,
-                )
-            )
-    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
+    # Clusters are numbered in the order of their first row.
+    first_row: dict[int, int] = {}
+    identities = [
+        first_row.setdefault(clusters.find(row), len(first_row) + 1) for row in range(bounds[-1])
+    ]
+    return _labelled(stream, identities)

@@ -103,10 +103,31 @@ def _build_parser() -> _Parser:
     bench.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS),
                        help="scenario preset (default 'camera-cut')")
     bench.add_argument("--config", help="JSON config file whose keys mirror the flags")
+    for command in (evaluate, track, synth, bench):
+        command.set_defaults(flags={action.dest: action for action in command._actions})
     return parser
 
 
-def _load_config_file(path: Optional[str], known_keys: Sequence[str]) -> dict:
+def _check_config_value(path: str, key: str, value, flag: argparse.Action) -> None:
+    """Raise a usage error unless a config-file value could have come from ``flag``."""
+    if isinstance(flag, argparse.BooleanOptionalAction):
+        expected, ok = "true or false", isinstance(value, bool)
+    elif flag.type is int:
+        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif flag.type is float:
+        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        expected, ok = "a string", isinstance(value, str)
+    if ok and flag.choices is not None and value not in flag.choices:
+        expected, ok = f"one of {sorted(flag.choices)}", False
+    if not ok:
+        raise _UsageError(
+            f"config file {path}: key {key!r}: expected {expected}, got {json.dumps(value)}"
+        )
+
+
+def _load_config_file(path: Optional[str], flags: dict[str, argparse.Action]) -> dict:
+    """The file's non-null values, each checked against the flag its key mirrors."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as handle:
@@ -116,15 +137,20 @@ def _load_config_file(path: Optional[str], known_keys: Sequence[str]) -> dict:
             raise _UsageError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _UsageError(f"config file {path}: expected a JSON object")
-    unknown = sorted(set(data) - set(known_keys))
+    unknown = sorted(set(data) - set(flags))
     if unknown:
         raise _UsageError(f"config file {path}: unknown keys {unknown}")
-    return data
+    values = {key: value for key, value in data.items() if value is not None}
+    for key, value in values.items():
+        _check_config_value(path, key, value, flags[key])
+    return values
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     """Merge CLI flags over config-file values over built-in defaults."""
-    file_cfg = _load_config_file(getattr(args, "config", None), list(defaults))
+    file_cfg = _load_config_file(
+        getattr(args, "config", None), {key: args.flags[key] for key in defaults}
+    )
     resolved = {}
     for key, default in defaults.items():
         cli_value = getattr(args, key, None)
@@ -189,6 +215,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if n_labels is None:
         n_labels = sidecar_n_labels(resolved["gt"]) or DEFAULT_N_LABELS
         resolved["labels"] = n_labels
+    if n_labels < 1:
+        raise _UsageError(f"evaluate: --labels must be >= 1, got {n_labels}")
 
     gt_records = parse_annotations(resolved["gt"], role="gt", n_labels=n_labels)
     pred_records = parse_annotations(resolved["pred"], role="pred", n_labels=n_labels)
@@ -236,8 +264,6 @@ def _cmd_track(args: argparse.Namespace) -> int:
     }
     resolved = _resolve(args, defaults)
     _require(resolved, ["detections", "mode", "out"], "track")
-    if resolved["mode"] not in ("online", "offline"):
-        raise _UsageError(f"track: --mode must be online or offline, got {resolved['mode']!r}")
 
     stream = parse_detection_stream(resolved["detections"])
     cfg = _association_config(

@@ -440,7 +440,12 @@ def write_scenario_manifest(spec: ScenarioSpec, path: str) -> None:
 
 
 def sidecar_n_labels(annotation_path: str) -> Optional[int]:
-    """n_labels from a manifest.json beside the annotation file, if present."""
+    """n_labels from a manifest.json beside the annotation file, if present.
+
+    Only an int of at least 1 (not a bool) counts; the top-level key wins
+    over the recorded spec's, and anything else is ignored like an
+    unreadable manifest.
+    """
     manifest_path = Path(annotation_path).parent / "manifest.json"
     if not manifest_path.is_file():
         return None
@@ -449,11 +454,12 @@ def sidecar_n_labels(annotation_path: str) -> Optional[int]:
             data = json.load(handle)
     except (OSError, json.JSONDecodeError):
         return None
-    if isinstance(data.get("n_labels"), int):
-        return data["n_labels"]
+    if not isinstance(data, dict):
+        return None
     spec = data.get("spec")
-    if isinstance(spec, dict) and isinstance(spec.get("n_labels"), int):
-        return spec["n_labels"]
+    for value in (data.get("n_labels"), spec.get("n_labels") if isinstance(spec, dict) else None):
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+            return value
     return None
 
 

@@ -57,6 +57,9 @@ class ScenarioSpec:
             raise ValueError("n_keyframes must be >= 2")
         if not (0 <= self.n_cuts <= self.n_keyframes - 1):
             raise ValueError("n_cuts must lie in [0, n_keyframes - 1]")
+        for name in ("n_labels", "appearance_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         for name in ("miss_rate", "fp_rate", "label_switch_rate"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):

@@ -369,9 +369,12 @@ def test_identical_tracks_tie_exactly():
             assert out.observations[-1].actor_id == 1
 
 
-@st.composite
-def online_cases(draw):
-    """A `generate` stream with some embeddings zeroed and some detections duplicated."""
+def edited_stream(draw, max_step: int) -> DetectionStream:
+    """A `generate` stream with some embeddings zeroed, detections duplicated and keyframes emptied.
+
+    Keyframes are renumbered with gaps of 1 to ``max_step`` from a base that
+    may lie past int64's range.
+    """
     spec = ScenarioSpec(
         n_actors=draw(st.integers(1, 4)),
         n_keyframes=draw(st.integers(2, 12)),
@@ -381,28 +384,38 @@ def online_cases(draw):
         appearance_noise=draw(st.sampled_from([0.1, 0.5])),
     )
     _, stream = generate(spec)
+    keyframe = draw(st.sampled_from([0, 2**63 - 8, 10**20]))
     frames = {}
-    for keyframe in stream.keyframes:
+    for original in stream.keyframes:
+        keyframe += draw(st.integers(1, max_step))
         dets = []
-        for det in stream.frames[keyframe]:
-            if draw(st.integers(0, 4)) == 0:
-                det = Detection(det.box, det.score, np.zeros(spec.appearance_dim))
-            dets.append(det)
-            if draw(st.integers(0, 5)) == 0:
+        if draw(st.integers(0, 5)) > 0:
+            for det in stream.frames[original]:
+                if draw(st.integers(0, 4)) == 0:
+                    det = Detection(det.box, det.score, np.zeros(spec.appearance_dim))
                 dets.append(det)
+                if draw(st.integers(0, 5)) == 0:
+                    dets.append(det)
         frames[keyframe] = tuple(dets)
+    return DetectionStream(stream.video_id, stream.dim, frames)
+
+
+@st.composite
+def online_cases(draw):
+    """An `edited_stream` with gaps of 1 to 6, so tracks retire at every ``max_gap``."""
+    stream = edited_stream(draw, max_step=6)
     cfg = AssociationConfig.online(
         iou_weight=draw(st.floats(0.0, 1.0)),
         match_threshold=draw(st.floats(0.05, 0.95)),
         max_gap=draw(st.integers(1, 4)),
     )
-    return DetectionStream(stream.video_id, stream.dim, frames), cfg
+    return stream, cfg
 
 
 # Embeddings stay continuous: quantised ones (say, multiples of 0.5) can put a
 # real-valued cost exactly on match_threshold, where the two formulas' last-bit
 # rounding lands on opposite sides of it and the outputs may legitimately differ.
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(online_cases())
 def test_online_cost_matches_scalar_reference(case):
     stream, cfg = case
@@ -424,39 +437,14 @@ def test_online_cost_matches_scalar_reference(case):
 
 @st.composite
 def offline_cases(draw):
-    """A `generate` stream, edited as `online_cases` does, on irregular keyframes.
-
-    Keyframes are renumbered with gaps of 1 to 3 from a base that may lie past
-    int64's range, and some keyframes are emptied.
-    """
-    spec = ScenarioSpec(
-        n_actors=draw(st.integers(1, 4)),
-        n_keyframes=draw(st.integers(2, 12)),
-        n_cuts=draw(st.integers(0, 1)),
-        seed=draw(st.integers(0, 2**16)),
-        appearance_dim=8,
-        appearance_noise=draw(st.sampled_from([0.1, 0.5])),
-    )
-    _, stream = generate(spec)
-    keyframe = draw(st.sampled_from([0, 2**63 - 8, 10**20]))
-    frames = {}
-    for original in stream.keyframes:
-        keyframe += draw(st.integers(1, 3))
-        dets = []
-        if draw(st.integers(0, 5)) > 0:
-            for det in stream.frames[original]:
-                if draw(st.integers(0, 4)) == 0:
-                    det = Detection(det.box, det.score, np.zeros(spec.appearance_dim))
-                dets.append(det)
-                if draw(st.integers(0, 5)) == 0:
-                    dets.append(det)
-        frames[keyframe] = tuple(dets)
+    """An `edited_stream` with gaps of 1 to 3."""
+    stream = edited_stream(draw, max_step=3)
     cfg = AssociationConfig.offline(
         iou_weight=draw(st.floats(0.0, 1.0)),
         merge_threshold=draw(st.floats(0.05, 1.0)),
         max_gap=draw(st.integers(1, 4)),
     )
-    return DetectionStream(stream.video_id, stream.dim, frames), cfg
+    return stream, cfg
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

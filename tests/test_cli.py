@@ -107,6 +107,80 @@ def test_evaluate_rejects_unknown_config_keys(identity_fixture, tmp_path, capsys
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("evaluate", {"iou": "0.5"}, "iou"),
+        ("evaluate", {"labels": "80"}, "labels"),
+        ("evaluate", {"labels": True}, "labels"),
+        ("evaluate", {"gt": 5}, "gt"),
+        ("evaluate", {"per_video": "no"}, "per_video"),
+        ("evaluate", {"format": "xml"}, "format"),
+        ("track", {"gap": "3"}, "gap"),
+        ("track", {"tau": "0.5"}, "tau"),
+        ("track", {"mode": "sideways"}, "mode"),
+        ("synth", {"actors": "2"}, "actors"),
+        ("synth", {"actors": 2.5}, "actors"),
+        ("bench", {"seeds": "2"}, "seeds"),
+    ],
+)
+def test_config_value_unlike_its_flag_is_usage_error(tmp_path, capsys, command, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(path) in err and repr(key) in err
+
+
+def test_config_null_is_an_absent_key(identity_fixture, tmp_path, capsys):
+    gt_path, pred_path = identity_fixture
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"gt": str(gt_path), "pred": str(pred_path), "iou": None, "labels": None, "per_video": None}
+    ))
+    report_path = tmp_path / "report.json"
+    assert main(["evaluate", "--config", str(config), "--report", str(report_path)]) == EXIT_OK
+    data = json.loads(report_path.read_text())
+    assert data["config"]["iou_threshold"] == 0.5
+    assert data["config"]["n_labels"] == 80
+    assert "video v:" not in capsys.readouterr().out
+
+
+def test_config_int_stands_for_a_float_flag(tmp_path):
+    out = tmp_path / "scene"
+    assert main(["synth", "--scenario", "static", "--seed", "2", "--out", str(out)]) == EXIT_OK
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "online", "tau": 1, "gap": 3}))
+    code = main(["track", "--config", str(config), "--detections", str(out / "detections.csv"),
+                 "--out", str(tmp_path / "pred.csv")])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("labels", [0, -1])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_evaluate_label_universe_below_one_is_usage_error(
+    identity_fixture, tmp_path, capsys, labels, via
+):
+    gt_path, pred_path = identity_fixture
+    argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)]
+    if via == "flag":
+        argv += [f"--labels={labels}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"labels": labels}))
+        argv += ["--config", str(config)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--labels must be >= 1" in err and "gt.csv:" not in err
+
+
+@pytest.mark.parametrize("flag, field", [("--dim", "appearance_dim"), ("--labels", "n_labels")])
+def test_synth_width_or_labels_below_one_is_usage_error(tmp_path, capsys, flag, field):
+    assert main(["synth", flag, "0", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert f"{field} must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_flag_rejected(capsys):
     assert main(["evaluate", "--frobnicate"]) == EXIT_USAGE
 

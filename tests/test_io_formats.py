@@ -15,6 +15,7 @@ from asadeval.io_formats import (
     read_report,
     report_from_dict,
     report_to_dict,
+    sidecar_n_labels,
     write_annotations,
     write_bench_table,
     write_detection_stream,
@@ -424,3 +425,22 @@ def test_every_writer_output_is_pinned(tmp_path):
         name: hashlib.sha256(data).hexdigest() for name, data in pinned_writer_outputs(tmp_path).items()
     }
     assert digests == PINNED_WRITER_DIGESTS
+
+
+@pytest.mark.parametrize(
+    "manifest, expected",
+    [
+        ("[1, 2]", None),
+        ('"x"', None),
+        ('{"n_labels": true}', None),
+        ('{"n_labels": 0}', None),
+        ('{"n_labels": -3}', None),
+        ('{"n_labels": 17.0}', None),
+        ('{"n_labels": 17}', 17),
+        ('{"spec": {"n_labels": 12}}', 12),
+        ('{"n_labels": 0, "spec": {"n_labels": 12}}', 12),
+    ],
+)
+def test_sidecar_n_labels_takes_only_an_int_of_at_least_one(tmp_path, manifest, expected):
+    write_text(tmp_path / "manifest.json", manifest)
+    assert sidecar_n_labels(str(tmp_path / "gt.csv")) == expected

@@ -31,6 +31,10 @@ def test_spec_validation():
         ScenarioSpec(n_keyframes=10, n_cuts=10)
     with pytest.raises(ValueError, match="miss_rate"):
         ScenarioSpec(miss_rate=1.5)
+    with pytest.raises(ValueError, match="n_labels"):
+        ScenarioSpec(n_labels=0)
+    with pytest.raises(ValueError, match="appearance_dim"):
+        ScenarioSpec(appearance_dim=0)
 
 
 def test_presets():

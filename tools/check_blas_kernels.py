@@ -1,10 +1,11 @@
-"""Re-run the pinned tracker tests and the offline reference property per OpenBLAS kernel.
+"""Re-run the pinned tracker tests and both tracker reference properties per OpenBLAS kernel.
 
 BLAS results can differ in the last bits between kernels, which
 ``OPENBLAS_CORETYPE`` selects per process. Tracker output must not, so
-`tests/test_association.py -k "pinned or pair_reference"` must pass under
-every kernel: the pinned digests, and the offline tracker's window-wide
-affinity against the per-keyframe-pair reference. This
+`tests/test_association.py -k "pinned or pair_reference or scalar_reference"`
+must pass under every kernel: the pinned digests, the offline tracker's
+window-wide affinity against the per-keyframe-pair reference, and the online
+tracker's cost from stacked rows against the scalar per-pair reference. This
 script runs it once per kernel, one subprocess at a time, prints one line per
 kernel (with the core OpenBLAS reports it loaded, or ``?`` where that cannot
 be read) and exits 1 if any run fails.
@@ -23,7 +24,7 @@ REPO = Path(__file__).resolve().parent.parent
 KERNELS = (None, "Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX", "Zen")
 PYTEST = (
     sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-    "tests/test_association.py", "-k", "pinned or pair_reference",
+    "tests/test_association.py", "-k", "pinned or pair_reference or scalar_reference",
 )
 # Asks numpy's bundled OpenBLAS which core it picked; prints "?" where the symbol is missing.
 CORENAME = """
