@@ -169,6 +169,10 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
     costing more than ``match_threshold`` are rejected. Unmatched detections
     open new identities in first-appearance order; tracks unmatched for more
     than ``max_gap`` keyframes retire. Output actions are empty.
+
+    The output depends on the stream's rows only through each keyframe's own
+    row order: within a keyframe, row order breaks assignment ties and sets
+    the order new identities are numbered in.
     """
     if cfg.mode != "online":
         raise ValueError("track_online requires cfg.mode == 'online'")
@@ -252,6 +256,10 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
     skipping merges below ``merge_threshold`` and merges that would put two
     same-keyframe detections in one cluster. Clusters become identities
     ordered by their earliest keyframe.
+
+    The output depends on the stream's rows only through each keyframe's own
+    row order: within a keyframe, row order breaks ties between equal
+    affinities and orders clusters that start at the same keyframe.
     """
     if cfg.mode != "offline":
         raise ValueError("track_offline requires cfg.mode == 'offline'")

@@ -320,7 +320,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     try:
         spec = scenario_preset(resolved["scenario"], seed=resolved["seed"], **overrides)
     except ValueError as exc:
-        raise _UsageError(f"synth: {exc}") from exc
+        hint = ""
+        if resolved["cuts"] is None and str(exc).startswith("n_cuts"):
+            preset_cuts = SCENARIO_PRESETS[resolved["scenario"]]["n_cuts"]
+            hint = f"; the {resolved['scenario']!r} preset sets n_cuts={preset_cuts}, so pass --cuts"
+        raise _UsageError(f"synth: {exc}{hint}") from exc
 
     gt, stream = generate(spec)
     out_dir = Path(resolved["out"])

@@ -9,7 +9,7 @@ recall increment.
 AP takes two steps: `rank_predictions` ranks one video's predictions as
 ``(score, is_tp)`` pairs, flagged on its `frame_ious` table, and
 `curve_from_ranked` builds the curve. `pool_rankings` of the per-video lists,
-in input order, is exactly the pooled ranking.
+in video_id order, is exactly the pooled ranking.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .matching import DEFAULT_IOU_GATE, IouTable, boxes_to_array, check_gate, frame_ious, iou_matrix
-from .model import BoundingBox, VideoRecord, records_by_video
+from .model import BoundingBox, VideoRecord, aligned_records
 
 AP_NO_GROUND_TRUTH = "no ground truth boxes"
 
@@ -199,16 +199,12 @@ def average_precision(
 ) -> APResult:
     """Area under the interpolated precision-recall curve, pooled over videos.
 
-    The two steps composed: `rank_predictions` per video, pooled in
-    ``pred_records`` order, then `curve_from_ranked` against every
-    ground-truth box. A repeated video_id is a ValueError.
+    The two steps composed: `rank_predictions` per video, pooled in video_id
+    order whatever order the records arrive in (the order `evaluate_records`
+    pools in), then `curve_from_ranked` against every ground-truth box. A
+    repeated video_id is a ValueError.
     """
     check_gate(iou_threshold)
-    gt_by_video = records_by_video(gt_records, "ground-truth")
-    rankings = []
-    for pred in records_by_video(pred_records, "prediction").values():
-        gt = gt_by_video.get(pred.video_id, VideoRecord(pred.video_id))
-        rankings.append(rank_predictions(pred, frame_ious(gt, pred), iou_threshold))
-    n_gt = sum(len(record.observations) for record in gt_records)
-    return curve_from_ranked(pool_rankings(rankings), n_gt)
-
+    aligned = aligned_records(gt_records, pred_records)
+    rankings = [rank_predictions(pred, frame_ious(gt, pred), iou_threshold) for gt, pred in aligned]
+    return curve_from_ranked(pool_rankings(rankings), sum(len(gt.observations) for gt, _ in aligned))

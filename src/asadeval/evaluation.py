@@ -1,8 +1,8 @@
 """Ties the three metric families together into per-video and aggregate reports.
 
-Videos are evaluated independently (optionally by a bounded worker pool) and
-the aggregate is reduced from their results in video_id order, so results
-never depend on scheduling. Each video's IoUs are computed once, as the
+Videos are evaluated one at a time, in video_id order, and the aggregate is
+reduced from their results in that order, so results never depend on the
+order the records arrive in. Each video's IoUs are computed once, as the
 `frame_ious` table that AP, IDF1, switches and the gated pairs read. The
 aggregate detection curve merges the per-video ranked TP flags into one
 global ranking without matching again; identification, MT/ML, switch and
@@ -13,8 +13,6 @@ recomputed from the tallies carried next to it.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -22,25 +20,10 @@ from .actions import HammingResult, MatchedPairSet, hamming_loss, match_pairs_fr
 from .detection import APResult, curve_from_ranked, pool_rankings, rank_predictions
 from .identity import IdMatchResult, MtMlResult, id_switches_from_ious, idf1_from_ious, mt_ml_from_pairs
 from .matching import DEFAULT_IOU_GATE, check_gate, frame_ious
-from .model import DEFAULT_N_LABELS, VideoRecord, records_by_video
+from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
 from .version import __version__
 
-THREADS_ENV_VAR = "ASAD_BENCH_THREADS"
 AGGREGATE_KEY = "__all__"
-
-
-def worker_count() -> int:
-    """Worker pool size: ASAD_BENCH_THREADS if set, else available parallelism."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-        if value < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-        return value
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -187,34 +170,17 @@ def evaluate_records(
     its identification, MT/ML, switch and action-pair tallies are exact sums
     of the per-video tallies. A gate outside (0, 1) or a video_id repeated on
     either side is a ValueError.
+
+    ``max_workers`` is accepted and ignored: videos are always evaluated
+    serially, since a thread pool gained nothing here. The keyword stays only
+    because the committed benchmark still passes ``max_workers=1``.
     """
     check_gate(iou_threshold)
-    gt_by_video = records_by_video(gt_records, "ground-truth")
-    pred_by_video = records_by_video(pred_records, "prediction")
-    video_ids = sorted(set(gt_by_video) | set(pred_by_video))
-
-    aligned = [
-        (
-            gt_by_video.get(video_id, VideoRecord(video_id)),
-            pred_by_video.get(video_id, VideoRecord(video_id)),
-        )
-        for video_id in video_ids
-    ]
-
-    def evaluate(pair: tuple[VideoRecord, VideoRecord]) -> _VideoResult:
-        return _evaluate_one(*pair, iou_threshold, n_labels, id_persistence)
-
-    workers = max_workers if max_workers is not None else worker_count()
-    workers = max(1, min(workers, max(1, len(aligned))))
-    if workers > 1 and len(aligned) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(evaluate, aligned))
-    else:
-        results = [evaluate(pair) for pair in aligned]
-
+    aligned = aligned_records(gt_records, pred_records)
+    results = [_evaluate_one(gt, pred, iou_threshold, n_labels, id_persistence) for gt, pred in aligned]
     per_video = {
-        video_id: _metric_block(r.ap, r.ids, r.tracks, r.switches, r.hl)
-        for video_id, r in zip(video_ids, results)
+        gt.video_id: _metric_block(r.ap, r.ids, r.tracks, r.switches, r.hl)
+        for (gt, _), r in zip(aligned, results)
     }
     aggregate = _aggregate_block(results, n_labels)
 

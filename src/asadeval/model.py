@@ -7,14 +7,14 @@ the annotated-frame sequence.
 Action labels are integer category ids in ``[1, n_labels]`` held as plain
 ``frozenset`` instances. Ground-truth observations must carry at least one
 label; predictions may carry none. All types are immutable after
-construction and safe to share across concurrent workers.
+construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 DEFAULT_N_LABELS = 80
 
@@ -132,12 +132,24 @@ class VideoRecord:
         return len(self.observations)
 
 
-def records_by_video(records: Sequence[VideoRecord], role: str) -> dict[str, VideoRecord]:
-    """``records`` keyed by video_id, in input order; a repeated video_id is a ValueError."""
-    by_video = {record.video_id: record for record in records}
-    if len(by_video) != len(records):
-        raise ValueError(f"duplicate video_id among {role} records")
-    return by_video
+def aligned_records(
+    gt_records: Sequence[VideoRecord], pred_records: Sequence[VideoRecord]
+) -> list[tuple[VideoRecord, VideoRecord]]:
+    """One ``(gt, pred)`` pair per video_id on either side, in video_id order.
+
+    A side without a record for a video gets an empty `VideoRecord`. A
+    video_id repeated on either side is a ValueError.
+    """
+    sides = []
+    for records, role in ((gt_records, "ground-truth"), (pred_records, "prediction")):
+        by_video = {record.video_id: record for record in records}
+        if len(by_video) != len(records):
+            raise ValueError(f"duplicate video_id among {role} records")
+        sides.append(by_video)
+    return [
+        tuple(side.get(video_id, VideoRecord(video_id)) for side in sides)
+        for video_id in sorted(sides[0].keys() | sides[1].keys())
+    ]
 
 
 @dataclass(frozen=True)

@@ -65,8 +65,8 @@ class ScenarioSpec:
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("appearance_noise", "box_jitter", "max_speed"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0")
         if not (0.0 < self.min_box_size <= self.max_box_size <= 0.5):
             raise ValueError("box size range must satisfy 0 < min <= max <= 0.5")
 
@@ -282,8 +282,8 @@ class Perturbation:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
         if self.kind in ("drop_detections", "inject_fp") and not (0.0 <= self.rate <= 1.0):
             raise ValueError("rate must lie in [0, 1]")
-        if self.kind == "jitter_boxes" and self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        if self.kind == "jitter_boxes" and not (0.0 <= self.sigma < math.inf):
+            raise ValueError("sigma must be finite and >= 0")
         if self.kind == "split_track" and (self.actor_id is None or self.keyframe is None):
             raise ValueError("split_track requires actor_id and keyframe")
         if self.kind == "swap_ids" and (

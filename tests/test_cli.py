@@ -1,11 +1,12 @@
 import json
+import random
 
 import pytest
 
 from asadeval.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from asadeval.io_formats import parse_annotations, read_report, write_annotations
 from asadeval.model import validate_record
-from support import LEFT, obs, record
+from support import LEFT, RIGHT, obs, record
 
 
 @pytest.fixture()
@@ -181,6 +182,23 @@ def test_synth_width_or_labels_below_one_is_usage_error(tmp_path, capsys, flag, 
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field", [("--box-jitter", "nan", "box_jitter"), ("--app-noise", "inf", "appearance_noise")]
+)
+def test_synth_non_finite_noise_is_usage_error(tmp_path, capsys, flag, value, field):
+    assert main(["synth", flag, value, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_preset_cuts_too_many_for_keyframes_names_cuts(tmp_path, capsys):
+    argv = ["synth", "--actors", "2", "--keyframes", "5", "--out", str(tmp_path / "x")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "n_cuts=20" in err and "--cuts" in err
+    assert main(argv + ["--cuts", "1"]) == EXIT_OK
+
+
 def test_unknown_flag_rejected(capsys):
     assert main(["evaluate", "--frobnicate"]) == EXIT_USAGE
 
@@ -315,3 +333,91 @@ def test_evaluate_per_video_prints_lines(identity_fixture, capsys):
     code = main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--per-video"])
     assert code == EXIT_OK
     assert "video v:" in capsys.readouterr().out
+
+
+def shuffle_data_rows(path, rng, keep_keyframe_order=False):
+    """Rewrite a CSV with its data rows shuffled and its header first.
+
+    With ``keep_keyframe_order``, rows of different keyframes interleave at
+    random but each keyframe's rows keep their order in the file.
+    """
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    if keep_keyframe_order:
+        by_keyframe = {}
+        for row in rows:
+            by_keyframe.setdefault(row.split(b",")[1], []).append(row)
+        order = [keyframe for keyframe, kf_rows in by_keyframe.items() for _ in kf_rows]
+        rng.shuffle(order)
+        queues = {keyframe: iter(kf_rows) for keyframe, kf_rows in by_keyframe.items()}
+        rows = [next(queues[keyframe]) for keyframe in order]
+    else:
+        rng.shuffle(rows)
+    path.write_bytes(header + b"".join(rows))
+
+
+def tied_corpus():
+    """Three videos whose predictions tie on score within and across videos.
+
+    Every keyframe predicts one GT box twice (a duplicate box under a second
+    identity), the other GT box once and one false positive, and the two
+    copies swap identities halfway, so the report has switches too.
+    """
+    middle = (0.35, 0.35, 0.55, 0.55)
+    gts, preds = [], []
+    for video_id in ("c", "a", "b"):
+        gts.append(record(video_id, [
+            obs(video_id, kf, actor, box, actions=(actor + 1,))
+            for kf in range(4) for actor, box in enumerate((LEFT, RIGHT))
+        ]))
+        preds.append(record(video_id, [
+            o for kf in range(4) for o in (
+                obs(video_id, kf, 10 + (kf >= 2), LEFT, actions=(1,), score=0.5),
+                obs(video_id, kf, 11 - (kf >= 2), LEFT, actions=(2,), score=0.5),
+                obs(video_id, kf, 12, RIGHT, actions=(2,), score=0.75),
+                obs(video_id, kf, 13, middle, score=0.5),
+            )
+        ]))
+    return gts, preds
+
+
+def test_evaluate_is_independent_of_row_order(tmp_path, capsys):
+    gts, preds = tied_corpus()
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    write_annotations(gts, str(gt_path), role="gt")
+    write_annotations(preds, str(pred_path), role="pred")
+    argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--labels", "2",
+            "--per-video", "--report", str(tmp_path / "report.json"),
+            "--pr-curve", str(tmp_path / "pr.csv")]
+
+    def outputs():
+        assert main(argv) == EXIT_OK
+        return (capsys.readouterr().out, (tmp_path / "report.json").read_bytes(),
+                (tmp_path / "pr.csv").read_bytes())
+
+    expected = outputs()
+    assert json.loads(expected[1])["aggregate"]["flags"] == ["score_ties"]
+    rng = random.Random(0)
+    for _ in range(5):
+        shuffle_data_rows(gt_path, rng)
+        shuffle_data_rows(pred_path, rng)
+        assert outputs() == expected
+
+
+@pytest.mark.parametrize("mode", ["online", "offline"])
+def test_track_is_independent_of_row_order_across_keyframes(tmp_path, capsys, mode):
+    scene = tmp_path / "scene"
+    assert main(["synth", "--actors", "3", "--keyframes", "8", "--cuts", "2", "--dim", "4",
+                 "--fp-rate", "0.3", "--seed", "5", "--out", str(scene)]) == EXIT_OK
+    stream = scene / "detections.csv"
+    argv = ["track", "--detections", str(stream), "--mode", mode, "--out", str(tmp_path / "tracked.csv")]
+
+    def outputs():
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out, (tmp_path / "tracked.csv").read_bytes()
+
+    expected = outputs()
+    rng = random.Random(0)
+    for _ in range(5):
+        shuffle_data_rows(stream, rng, keep_keyframe_order=True)
+        assert outputs() == expected

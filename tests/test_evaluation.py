@@ -1,6 +1,6 @@
 import pytest
 
-from asadeval.evaluation import THREADS_ENV_VAR, evaluate_records, worker_count
+from asadeval.evaluation import evaluate_records
 from support import LEFT, RIGHT, obs, record, track_obs
 
 
@@ -25,26 +25,14 @@ def test_multi_video_aggregate_sums_tallies():
     assert agg.idf1 == 2 * agg.idtp / (2 * agg.idtp + agg.idfp + agg.idfn)
 
 
-def test_worker_pool_is_schedule_independent(monkeypatch):
+def test_max_workers_and_thread_env_var_change_nothing(monkeypatch):
     gts, preds = two_video_fixture()
-    serial = evaluate_records(gts, preds, max_workers=1)
-    threaded = evaluate_records(gts, preds, max_workers=4)
-    assert serial.aggregate == threaded.aggregate
-    assert serial.per_video == threaded.per_video
+    serial = evaluate_records(gts, preds)
+    for max_workers in (1, 4):
+        assert evaluate_records(gts, preds, max_workers=max_workers) == serial
 
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
-    assert worker_count() == 2
-    from_env = evaluate_records(gts, preds)
-    assert from_env.aggregate == serial.aggregate
-
-
-def test_bad_thread_env_var_rejected(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV_VAR, "many")
-    with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-        worker_count()
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")
-    with pytest.raises(ValueError, match=THREADS_ENV_VAR):
-        worker_count()
+    monkeypatch.setenv("ASAD_BENCH_THREADS", "many")
+    assert evaluate_records(gts, preds) == serial
 
 
 def test_video_only_in_predictions_counts_against():

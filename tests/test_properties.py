@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asadeval.actions import match_pairs
@@ -19,7 +19,7 @@ from asadeval.identity import mt_ml
 from asadeval.io_formats import FormatError, parse_annotations, parse_detection_stream
 from asadeval.model import VideoRecord, validate_record
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
-from support import obs, record
+from support import LEFT, RIGHT, obs, record
 from test_detection import sweep_ap
 from test_identity import brute_force_idtp, scalar_id_switches
 
@@ -104,18 +104,32 @@ def corpora(draw):
     return gts, preds
 
 
+@st.composite
+def shuffled_corpora(draw):
+    """A corpus from `corpora` with its GT and prediction lists each permuted."""
+    gts, preds = draw(corpora())
+    return draw(st.permutations(gts)), draw(st.permutations(preds))
+
+
+# Two videos whose only predictions tie at 0.9: a false positive in "a" and a
+# true positive in "b", handed over in reverse video_id order.
+TIED_ACROSS_VIDEOS = (
+    [record("a", [obs("a", 0, 0, LEFT)]), record("b", [obs("b", 0, 0, LEFT)])],
+    [record("b", [obs("b", 0, 0, LEFT, score=0.9)]), record("a", [obs("a", 0, 0, RIGHT, score=0.9)])],
+)
+
+
 SUMMED = ("idtp", "idfp", "idfn", "mt_count", "ml_count", "n_gt_tracklets", "id_switches",
           "n_matched_pairs", "wrong_label_bits")
 
 
-@settings(max_examples=75, deadline=None, derandomize=True, database=None)
-@given(corpora())
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(shuffled_corpora())
+@example(TIED_ACROSS_VIDEOS)
 def test_aggregate_is_a_reduce_of_the_videos(corpus):
     gts, preds = corpus
     report = evaluate_records(gts, preds, n_labels=3)
     agg = report.aggregate
-    # Both lists are in video_id order, the order evaluate_records pools in;
-    # with tied scores across videos, that order decides the ranking.
     pooled = average_precision(gts, preds)
     assert (agg.ap, agg.tp, agg.fp, agg.fn) == (
         pooled.ap, pooled.tally.tp, pooled.tally.fp, pooled.tally.fn

@@ -37,6 +37,19 @@ def test_spec_validation():
         ScenarioSpec(appearance_dim=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["appearance_noise", "box_jitter", "max_speed"])
+def test_spec_noise_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScenarioSpec(**{name: value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_perturbation_sigma_must_be_finite(value):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        Perturbation(kind="jitter_boxes", sigma=value)
+
+
 def test_presets():
     assert scenario_preset("static", seed=1).n_cuts == 0
     assert scenario_preset("camera-cut", seed=1).n_cuts == 20
