@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_cost, solve_assignment
+from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_pairs
 from .model import DEFAULT_N_LABELS, ActorObservation, VideoRecord
 
 HL_NO_PAIRS = "no pairs at IoU >= gate"
@@ -73,13 +73,11 @@ def match_pairs_from_ious(
     gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float
 ) -> MatchedPairSet:
     """`match_pairs` on the videos' `frame_ious` table."""
-    pairs: list[MatchedPair] = []
-    for keyframe, overlaps in ious.items():
-        g_frame = gt.frames[keyframe]
-        p_frame = pred.frames[keyframe]
-        for g_idx, p_idx in solve_assignment(gated_cost(overlaps, iou_threshold)).pairs:
-            pairs.append(MatchedPair(gt=g_frame[g_idx], pred=p_frame[p_idx]))
-    return MatchedPairSet(pairs=tuple(pairs))
+    return MatchedPairSet(pairs=tuple(
+        MatchedPair(gt=gt.frames[keyframe][g_idx], pred=pred.frames[keyframe][p_idx])
+        for keyframe, frame_pairs in gated_pairs(ious, iou_threshold).items()
+        for g_idx, p_idx in frame_pairs
+    ))
 
 
 def merge_pair_sets(pair_sets: Iterable[MatchedPairSet]) -> MatchedPairSet:

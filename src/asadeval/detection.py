@@ -8,14 +8,17 @@ recall increment.
 
 AP takes two steps: `rank_predictions` ranks one video's predictions as
 ``(score, is_tp)`` pairs, flagged on its `frame_ious` table, and
-`curve_from_ranked` builds the curve. `pool_rankings` of the per-video lists,
-in video_id order, is exactly the pooled ranking.
+`curve_from_ranked` computes AP, the tally and the tie flag from that
+ranking. `pool_rankings` of the per-video lists, in video_id order, is
+exactly the pooled ranking. A `PRCurve` holds the ranking and builds its
+`PRPoint`s on first read, so a curve nobody writes costs no points.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -51,11 +54,32 @@ class PRPoint:
 class PRCurve:
     """Ranked precision-recall points with interpolated precision.
 
+    Holds the ranked ``(score, is_tp)`` pairs and the number of ground-truth
+    boxes they were matched against; `points` is built on first read.
     Recall is non-decreasing down the ranking and p_interp(r) is the maximum
     precision at any recall >= r, hence non-increasing.
     """
 
-    points: tuple[PRPoint, ...]
+    ranked: tuple[tuple[float, bool], ...] = ()
+    n_gt: int = 0
+
+    @cached_property
+    def points(self) -> tuple[PRPoint, ...]:
+        """One point per ranked prediction; none without ground truth."""
+        if self.n_gt == 0:
+            return ()
+        cum_tp = 0
+        raw: list[tuple[float, bool, float, float]] = []
+        for rank, (score, is_tp) in enumerate(self.ranked, start=1):
+            cum_tp += is_tp
+            raw.append((score, is_tp, cum_tp / self.n_gt, cum_tp / rank))
+        interp = [0.0] * len(raw)
+        running_max = 0.0
+        for i in range(len(raw) - 1, -1, -1):
+            running_max = max(running_max, raw[i][3])
+            interp[i] = running_max
+        # raw holds (score, is_tp, recall, precision), PRPoint's fields after rank.
+        return tuple(PRPoint(i + 1, *raw[i], p_interp=interp[i]) for i in range(len(raw)))
 
 
 @dataclass(frozen=True)
@@ -145,49 +169,45 @@ def pool_rankings(rankings: Iterable[Sequence[tuple[float, bool]]]) -> list[tupl
 
 
 def curve_from_ranked(ranked: Sequence[tuple[float, bool]], n_gt: int) -> APResult:
-    """Step two of AP: the PR curve and AP of ranked ``(score, is_tp)`` pairs.
+    """Step two of AP: the AP, tally and PR curve of ranked ``(score, is_tp)`` pairs.
 
     ``n_gt`` is the number of ground-truth boxes the flags were matched
     against. Equal adjacent scores set ``had_score_ties``. AP sums recall
-    increments times the interpolated precision at the higher recall.
+    increments times the interpolated precision at the higher recall, with
+    the float operations of summing over the curve's points in rank order.
     """
     had_ties = any(ranked[i][0] == ranked[i + 1][0] for i in range(len(ranked) - 1))
     if n_gt == 0:
         return APResult(
             ap=None,
             reason=AP_NO_GROUND_TRUTH,
-            curve=PRCurve(points=()),
+            curve=PRCurve(),
             tally=DetectionTally(tp=0, fp=len(ranked), fn=0),
             had_score_ties=had_ties,
         )
 
-    cum_tp = 0
-    raw: list[tuple[float, bool, float, float]] = []
-    for rank, (score, is_tp) in enumerate(ranked, start=1):
-        cum_tp += is_tp
-        raw.append((score, is_tp, cum_tp / n_gt, cum_tp / rank))
-
-    interp = [0.0] * len(raw)
-    running_max = 0.0
-    for i in range(len(raw) - 1, -1, -1):
-        running_max = max(running_max, raw[i][3])
-        interp[i] = running_max
-
-    # raw holds (score, is_tp, recall, precision), PRPoint's fields after rank.
-    points = tuple(PRPoint(i + 1, *raw[i], p_interp=interp[i]) for i in range(len(raw)))
-
+    # Only a TP's point can add to AP: at a FP rank recall repeats the last
+    # TP's. And a TP's interpolated precision, the largest precision at its
+    # rank or a later one, is a TP's precision: a FP's is below that of the
+    # last TP ranked before it. So summing over the TP points alone takes the
+    # same float operations as summing over every point.
+    tp_ranks = [rank for rank, (_, is_tp) in enumerate(ranked, start=1) if is_tp]
+    precisions = [cum_tp / rank for cum_tp, rank in enumerate(tp_ranks, start=1)]
+    interp = list(itertools.accumulate(reversed(precisions), max))[::-1]
     ap = 0.0
     prev_recall = 0.0
-    for point in points:
-        if point.recall > prev_recall:
-            ap += (point.recall - prev_recall) * point.p_interp
-            prev_recall = point.recall
+    for cum_tp, p_interp in enumerate(interp, start=1):
+        recall = cum_tp / n_gt
+        if recall > prev_recall:
+            ap += (recall - prev_recall) * p_interp
+            prev_recall = recall
 
+    n_tp = len(tp_ranks)
     return APResult(
         ap=ap,
         reason=None,
-        curve=PRCurve(points=points),
-        tally=DetectionTally(tp=cum_tp, fp=len(ranked) - cum_tp, fn=n_gt - cum_tp),
+        curve=PRCurve(ranked=tuple(ranked), n_gt=n_gt),
+        tally=DetectionTally(tp=n_tp, fp=len(ranked) - n_tp, fn=n_gt - n_tp),
         had_score_ties=had_ties,
     )
 

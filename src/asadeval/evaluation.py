@@ -5,10 +5,11 @@ reduced from their results in that order, so results never depend on the
 order the records arrive in. Each video's IoUs are computed once, as the
 `frame_ious` table that AP, IDF1, switches and the gated pairs read. The
 aggregate detection curve merges the per-video ranked TP flags into one
-global ranking without matching again; identification, MT/ML, switch and
-matched action-pair tallies sum across videos. One builder makes every
-`MetricBlock`, per video and aggregate, so every reported ratio can be
-recomputed from the tallies carried next to it.
+global ranking without matching again, and the report carries that pooled
+`APResult` (outside its JSON) for whoever writes the PR curve;
+identification, MT/ML, switch and matched action-pair tallies sum across
+videos. One builder makes every `MetricBlock`, per video and aggregate, so
+every reported ratio can be recomputed from the tallies carried next to it.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class EvalReport:
     config: dict
     aggregate: MetricBlock
     per_video: dict[str, MetricBlock] = field(default_factory=dict)
+    # The aggregate's pooled AP, curve included. Not serialized: a report
+    # read back from JSON has None here.
+    pooled_ap: Optional[APResult] = field(default=None, compare=False, repr=False)
 
 
 class _VideoResult(NamedTuple):
@@ -128,8 +132,8 @@ def _metric_block(
     )
 
 
-def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> MetricBlock:
-    """Reduce per-video results, in video_id order, to the aggregate block."""
+def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> tuple[MetricBlock, APResult]:
+    """Reduce per-video results, in video_id order, to the aggregate block and its pooled AP."""
     ids = IdMatchResult(
         idtp=sum(r.ids.idtp for r in results),
         idfp=sum(r.ids.idfp for r in results),
@@ -143,14 +147,15 @@ def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> MetricBl
         n_tracklets=sum(r.tracks.n_tracklets for r in results),
         coverage=(),
     )
+    # The pooled ranking of every prediction against every GT observation.
+    pooled = curve_from_ranked(pool_rankings(r.ranked for r in results), ids.idtp + ids.idfn)
     return _metric_block(
-        # The pooled ranking of every prediction against every GT observation.
-        curve_from_ranked(pool_rankings(r.ranked for r in results), ids.idtp + ids.idfn),
+        pooled,
         ids,
         tracks,
         sum(r.switches for r in results),
         hamming_loss(merge_pair_sets(r.pairs for r in results), n_labels),
-    )
+    ), pooled
 
 
 def evaluate_records(
@@ -166,9 +171,10 @@ def evaluate_records(
 
     Videos present on only one side are evaluated against an empty
     counterpart. The aggregate is reduced from the per-video results: its AP
-    pools every prediction into one ranking of the per-video TP flags, and
-    its identification, MT/ML, switch and action-pair tallies are exact sums
-    of the per-video tallies. A gate outside (0, 1) or a video_id repeated on
+    pools every prediction into one ranking of the per-video TP flags (the
+    report's ``pooled_ap``, equal to `average_precision` of the same
+    records), and its identification, MT/ML, switch and action-pair
+    tallies are exact sums of the per-video tallies. A gate outside (0, 1) or a video_id repeated on
     either side is a ValueError.
 
     ``max_workers`` is accepted and ignored: videos are always evaluated
@@ -182,7 +188,7 @@ def evaluate_records(
         gt.video_id: _metric_block(r.ap, r.ids, r.tracks, r.switches, r.hl)
         for (gt, _), r in zip(aligned, results)
     }
-    aggregate = _aggregate_block(results, n_labels)
+    aggregate, pooled_ap = _aggregate_block(results, n_labels)
 
     resolved = {
         "tool": "asadeval",
@@ -195,4 +201,4 @@ def evaluate_records(
     }
     if config:
         resolved.update(config)
-    return EvalReport(config=resolved, aggregate=aggregate, per_video=per_video)
+    return EvalReport(config=resolved, aggregate=aggregate, per_video=per_video, pooled_ap=pooled_ap)

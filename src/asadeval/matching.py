@@ -6,7 +6,14 @@ family to read. `gated_cost` puts exactly 1.0 wherever the IoU gate fails,
 so a surviving pair can always be recognized by cost < 1. The solver returns
 the exact optimum and, among equal-cost optima, the lexicographically
 smallest (row, col) pair list so results are identical across platforms.
-One `linear_sum_assignment` finds the optimum; the reduced costs of its
+
+Three routes reach that answer. A single-row or single-column problem takes
+its first smallest entry. A problem of 2 or 3 pairs with at most
+`_ENUMERATED_SIDE` rows and columns enumerates every assignment from a
+per-shape table: numpy sums rule out all but the candidates within a
+rounding bound of the minimum, and `math.fsum` picks among those.
+`gated_pairs` solves all of a video's same-shape keyframes in one such call.
+Any other problem takes one `linear_sum_assignment`; the reduced costs of its
 optimal duals rule out every pair no optimum can hold, and the tie search
 confirms each remaining pair by comparing `math.fsum` totals with the
 optimum's. There is no fallback to the solver's own order.
@@ -15,6 +22,8 @@ optimum's. There is no fallback to the solver's own order.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,6 +38,12 @@ DEFAULT_IOU_GATE = 0.5
 _IOU_BATCH_ENTRIES = 8192
 # One video's IoU table, as `frame_ious` returns it: keyframe -> IoU matrix.
 IouTable = dict[int, np.ndarray]
+# Enumeration covers 2 or 3 pairs with at most this many rows and columns:
+# at most 6 * 5 * 4 = 120 candidates, where one LSA and the duals cost more.
+_ENUMERATED_SIDE = 6
+# Largest |cost| enumerated: a sum of three such terms, and the difference of
+# two such sums, stay below the largest float.
+_ENUMERATED_MAX_COST = 2.0**1021
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
@@ -140,7 +155,36 @@ def build_cost_matrix(
 
 def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> AssignmentProblem:
     """Gated matching distance of an IoU matrix: 1 where IoU < gate, else 1 - IoU."""
-    return AssignmentProblem(cost=np.where(overlaps >= gate, 1.0 - overlaps, 1.0))
+    return AssignmentProblem(cost=_gated(overlaps, gate))
+
+
+def _gated(overlaps: np.ndarray, gate: float) -> np.ndarray:
+    """`gated_cost`'s entries, for an IoU array of any shape."""
+    return np.where(overlaps >= gate, 1.0 - overlaps, 1.0)
+
+
+def gated_pairs(ious: IouTable, gate: float = DEFAULT_IOU_GATE) -> dict[int, tuple[tuple[int, int], ...]]:
+    """The gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs`, of every keyframe.
+
+    Keyframes keep the table's order. All keyframes of one shape that the
+    enumeration covers are solved in one call, the way `frame_ious` batches
+    its IoUs; the rest go through `solve_assignment` one by one.
+    """
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for keyframe, overlaps in ious.items():
+        by_shape.setdefault(overlaps.shape, []).append(keyframe)
+    solved: dict[int, tuple[tuple[int, int], ...]] = {}
+    for shape, keyframes in by_shape.items():
+        costs = _gated(np.stack([ious[keyframe] for keyframe in keyframes]), gate)
+        scale = float(np.abs(costs).max())
+        if _enumerable(shape) and scale <= _ENUMERATED_MAX_COST:
+            _, _, candidates = _assignment_table(*shape)
+            for keyframe, cost, index in zip(keyframes, costs, _enumerated_optima(costs, scale)):
+                solved[keyframe] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
+        else:
+            for keyframe, cost in zip(keyframes, costs):
+                solved[keyframe] = solve_assignment(AssignmentProblem(cost=cost)).pairs
+    return {keyframe: solved[keyframe] for keyframe in ious}
 
 
 def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Assignment:
@@ -149,13 +193,15 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     Minimizes total cost over all assignments of size min(rows, cols); among
     equal-cost optima the lexicographically smallest (row, col) pair list is
     chosen. A single-row or single-column problem takes its first smallest
-    entry. Otherwise one `linear_sum_assignment` finds the optimum; its optimal
-    duals rule out the pairs no optimum can hold, and `math.fsum` confirms each
-    remaining pair the tie search keeps (see `_lexicographic_optimal_pairs`).
-    There is no fallback: the search always returns a pair list. With
-    ``drop_gated`` (the default), pairs whose cost is exactly 1 are then
-    removed from the result, so every surviving pair passed the IoU gate.
-    Callers doing their own thresholding (e.g. trackers) pass False.
+    entry, and a shape the enumeration covers takes `_enumerated_optima`
+    unless a cost exceeds `_ENUMERATED_MAX_COST`. Otherwise one
+    `linear_sum_assignment` finds the optimum; its optimal duals rule out the
+    pairs no optimum can hold, and `math.fsum` confirms each remaining pair
+    the tie search keeps (see `_lexicographic_optimal_pairs`). There is no
+    fallback: every route returns a pair list. With ``drop_gated`` (the
+    default), pairs whose cost is exactly 1 are then removed from the result,
+    so every surviving pair passed the IoU gate. Callers doing their own
+    thresholding (e.g. trackers) pass False.
     """
     cost = np.asarray(problem.cost, dtype=float)
     if cost.ndim != 2:
@@ -163,7 +209,8 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     n_rows, n_cols = cost.shape
     if min(n_rows, n_cols) == 0:
         return Assignment(pairs=(), total_cost=0.0)
-    if not np.isfinite(cost).all():
+    scale = float(np.abs(cost).max())
+    if not math.isfinite(scale):
         raise ValueError("cost matrix must be finite")
 
     if min(n_rows, n_cols) == 1:
@@ -171,6 +218,11 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
         # smallest among them is the first in row-major order.
         pairs = [divmod(int(np.argmin(cost)), n_cols)]
         best = math.fsum([float(cost[pairs[0]])])
+    elif _enumerable(cost.shape) and scale <= _ENUMERATED_MAX_COST:
+        _, _, candidates = _assignment_table(n_rows, n_cols)
+        (index,) = _enumerated_optima(cost[None], scale)
+        pairs = candidates[index]
+        best = math.fsum([float(cost[pair]) for pair in pairs])
     else:
         rows, cols = linear_sum_assignment(cost)
         optimum = list(zip(rows.tolist(), cols.tolist()))
@@ -181,6 +233,63 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     else:
         kept = tuple(pairs)
     return Assignment(pairs=kept, total_cost=best)
+
+
+def _enumerable(shape: tuple[int, ...]) -> bool:
+    """Whether `_enumerated_optima` covers problems of this shape."""
+    return min(shape) in (2, 3) and max(shape) <= _ENUMERATED_SIDE
+
+
+@functools.cache
+def _assignment_table(
+    n_rows: int, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
+    """Every assignment of size k = min(n_rows, n_cols), ascending by sorted pair list.
+
+    Returns the row and the column indices, each (candidates, k), and the
+    pair lists themselves. The first of several equal totals is thus the
+    lexicographically smallest assignment.
+    """
+    if n_rows <= n_cols:
+        lists = (zip(range(n_rows), cols) for cols in itertools.permutations(range(n_cols), n_rows))
+    else:
+        lists = (zip(rows, range(n_cols)) for rows in itertools.permutations(range(n_rows), n_cols))
+    candidates = tuple(sorted(tuple(sorted(pairs)) for pairs in lists))
+    table = np.array(candidates)
+    table.setflags(write=False)
+    return table[..., 0], table[..., 1], candidates
+
+
+def _enumerated_optima(stack: np.ndarray, scale: float) -> list[int]:
+    """For each problem of a (B, rows, cols) stack, the `_assignment_table` index of its answer.
+
+    The answer is the first candidate of least `math.fsum` total: the
+    lexicographically smallest optimum. ``scale`` bounds every |cost| in the
+    stack and may be at most `_ENUMERATED_MAX_COST`, so no sum overflows.
+    """
+    _, n_rows, n_cols = stack.shape
+    k = min(n_rows, n_cols)
+    rows, cols, _ = _assignment_table(n_rows, n_cols)
+    entries = stack[:, rows, cols]
+    sums = entries.sum(axis=2)
+    # Keep every candidate whose fsum may be the least. With u = 2**-53 and
+    # M = ``scale``, a numpy sum n_t of k terms errs from the exact total s_t
+    # by at most (k - 1)·u·sum|c| <= (k - 1)·u·k·M (Jeannerod and Rump, SIAM
+    # J. Matrix Anal. Appl. 34, 2013), and fsum f_t = fl(s_t) by at most
+    # u·|s_t| <= u·k·M. So n_t <= f_t + k²uM and f_t <= n_t + k²uM. If f_t is
+    # least, then against the candidate t0 of least numpy sum m:
+    #     n_t <= f_t + k²uM <= f_t0 + k²uM <= m + 2k²uM.
+    # The test allows twice that, 4k²uM = k²·M·2**-51, so neither the rounding
+    # nor an underflow of the bound's own product can drop a candidate, and
+    # the difference n_t - m rounds monotonically.
+    kept = sums - sums.min(axis=1, keepdims=True) <= k * k * 2.0**-51 * scale
+    answers = kept.argmax(axis=1).tolist()
+    for i, count in enumerate(np.count_nonzero(kept, axis=1).tolist()):
+        if count > 1:
+            candidates = np.flatnonzero(kept[i]).tolist()
+            totals = [math.fsum(entries[i, t].tolist()) for t in candidates]
+            answers[i] = candidates[totals.index(min(totals))]
+    return answers
 
 
 def _tight_pairs(cost: np.ndarray, optimum: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -30,6 +30,8 @@ class BoundingBox:
 
     def __post_init__(self) -> None:
         # Coerce numpy scalars so equality, hashing, and serialization stay exact.
+        if type(self.x1) is type(self.y1) is type(self.x2) is type(self.y2) is float:
+            return
         for name in ("x1", "y1", "x2", "y2"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
@@ -72,6 +74,12 @@ class ActorObservation:
     score: float = 1.0
 
     def __post_init__(self) -> None:
+        if (
+            type(self.keyframe) is type(self.actor_id) is int
+            and type(self.score) is float
+            and isinstance(self.actions, frozenset)
+        ):
+            return
         object.__setattr__(self, "keyframe", int(self.keyframe))
         object.__setattr__(self, "actor_id", int(self.actor_id))
         object.__setattr__(self, "score", float(self.score))

@@ -51,6 +51,8 @@ class ScenarioSpec:
     max_speed: float = 0.015
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n_actors < 1:
             raise ValueError("n_actors must be >= 1")
         if self.n_keyframes < 2:
@@ -280,6 +282,8 @@ class Perturbation:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.kind in ("drop_detections", "inject_fp") and not (0.0 <= self.rate <= 1.0):
             raise ValueError("rate must lie in [0, 1]")
         if self.kind == "jitter_boxes" and not (0.0 <= self.sigma < math.inf):

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from asadeval.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
-from asadeval.io_formats import parse_annotations, read_report, write_annotations
+from asadeval.detection import average_precision
+from asadeval.io_formats import parse_annotations, read_report, write_annotations, write_pr_curve
 from asadeval.model import validate_record
 from support import LEFT, RIGHT, obs, record
 
@@ -79,7 +80,27 @@ def test_evaluate_bad_gate_is_usage_error_without_rows(tmp_path, capsys):
     write_annotations([], str(pred_path), role="pred")
     code = main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--iou", "1.5"])
     assert code == EXIT_USAGE
-    assert "iou_threshold" in capsys.readouterr().err
+    assert "evaluate: --iou must lie in (0, 1), got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("via, value, shown", [
+    ("flag", "2", "2.0"), ("flag", "nan", "nan"), ("config", 1.5, "1.5"), ("config", 0, "0"),
+])
+def test_evaluate_gate_is_checked_before_any_file_is_read(tmp_path, capsys, via, value, shown):
+    # Both files are malformed, and a parse would exit 2 naming a line.
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    gt_path.write_text("not,a,header\n")
+    pred_path.write_text("not,a,header\n")
+    argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path)]
+    if via == "flag":
+        argv += ["--iou", value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"iou": value}))
+        argv += ["--config", str(config)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"evaluate: --iou must lie in (0, 1), got {shown}" in err and "gt.csv" not in err
 
 
 def test_evaluate_missing_inputs_is_usage_error(capsys):
@@ -188,6 +209,12 @@ def test_synth_width_or_labels_below_one_is_usage_error(tmp_path, capsys, flag, 
 def test_synth_non_finite_noise_is_usage_error(tmp_path, capsys, flag, value, field):
     assert main(["synth", flag, value, "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert f"{field} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_synth_negative_seed_is_usage_error(tmp_path, capsys):
+    assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "synth: seed must be >= 0" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -401,6 +428,25 @@ def test_evaluate_is_independent_of_row_order(tmp_path, capsys):
         shuffle_data_rows(gt_path, rng)
         shuffle_data_rows(pred_path, rng)
         assert outputs() == expected
+
+
+def test_evaluate_pr_curve_is_the_pooled_average_precision(tmp_path, capsys):
+    # Scores tie across videos; one video has only ground truth, one only predictions.
+    gts, preds = tied_corpus()
+    gts.append(record("gt-only", [obs("gt-only", 0, 1, LEFT)]))
+    preds.append(record("pred-only", [obs("pred-only", 0, 1, RIGHT, score=0.5)]))
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    write_annotations(gts, str(gt_path), role="gt")
+    write_annotations(preds, str(pred_path), role="pred")
+    assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--labels", "2",
+                 "--pr-curve", str(tmp_path / "pr.csv")]) == EXIT_OK
+    pooled = average_precision(
+        parse_annotations(str(gt_path), role="gt", n_labels=2),
+        parse_annotations(str(pred_path), role="pred", n_labels=2),
+    )
+    write_pr_curve(pooled, str(tmp_path / "expected.csv"))
+    assert (tmp_path / "pr.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert f"AP@0.5: {pooled.ap:.6f}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mode", ["online", "offline"])

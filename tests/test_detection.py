@@ -1,11 +1,17 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asadeval.detection import (
     DetectionTally,
+    PRPoint,
     average_precision,
+    curve_from_ranked,
+    pool_rankings,
     precision_recall,
     tally_frame,
 )
@@ -282,3 +288,44 @@ def test_tied_scores_earlier_prediction_claims_the_box():
     )
     assert flags == [True, False]
     assert tally == result.tally
+
+
+def eager_curve(ranked, n_gt):
+    """Reference: every PRPoint made up front, then AP summed over all of them."""
+    cum_tp = 0
+    raw = []
+    for rank, (score, is_tp) in enumerate(ranked, start=1):
+        cum_tp += is_tp
+        raw.append((score, is_tp, cum_tp / n_gt, cum_tp / rank))
+    interp = [0.0] * len(raw)
+    running_max = 0.0
+    for i in range(len(raw) - 1, -1, -1):
+        running_max = max(running_max, raw[i][3])
+        interp[i] = running_max
+    points = [PRPoint(i + 1, *raw[i], p_interp=interp[i]) for i in range(len(raw))]
+    ap = 0.0
+    prev_recall = 0.0
+    for point in points:
+        if point.recall > prev_recall:
+            ap += (point.recall - prev_recall) * point.p_interp
+            prev_recall = point.recall
+    return points, ap
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([0.2, 0.5, 0.7, 0.9, 1.0]), st.booleans()), max_size=40),
+    st.integers(0, 7),
+)
+@example([(0.9, False), (0.5, True), (0.5, False), (0.2, True)], 3)
+def test_points_built_on_read_equal_the_eager_ones(flagged, missed):
+    ranked = pool_rankings([flagged])
+    n_tp = sum(is_tp for _, is_tp in ranked)
+    result = curve_from_ranked(ranked, n_tp + missed)
+    if n_tp + missed == 0:
+        assert result.ap is None and result.curve.points == ()
+        return
+    points, ap = eager_curve(ranked, n_tp + missed)
+    assert [repr(astuple(p)) for p in result.curve.points] == [repr(astuple(p)) for p in points]
+    assert result.ap.hex() == ap.hex()
+    assert result.tally == DetectionTally(tp=n_tp, fp=len(ranked) - n_tp, fn=missed)

@@ -6,7 +6,7 @@ import pytest
 from asadeval import actions, identity
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
-from asadeval.matching import build_cost_matrix, iou, solve_assignment
+from asadeval.matching import build_cost_matrix, gated_pairs, iou, solve_assignment
 from asadeval.model import VideoRecord
 from support import LEFT, RIGHT, obs, record, track_obs
 
@@ -283,7 +283,11 @@ def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
         calls.append(args)
         return solve_assignment(*args, **kwargs)
 
-    monkeypatch.setattr(actions, "solve_assignment", counting)
+    def counting_tables(*args, **kwargs):
+        calls.append(args)
+        return gated_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(actions, "gated_pairs", counting_tables)
     monkeypatch.setattr(identity, "solve_assignment", counting)
     rng = np.random.default_rng(6)
     corners = {1: LEFT, 2: RIGHT, 3: (0.6, 0.1, 0.8, 0.3)}

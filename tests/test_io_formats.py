@@ -311,6 +311,17 @@ def test_report_json_round_trip_exact(tmp_path):
     assert read_report(str(path)) == report
 
 
+def test_report_round_trip_leaves_the_pooled_ap_behind(tmp_path):
+    report = sample_report()
+    assert report.pooled_ap.ap == report.aggregate.ap
+    assert "pooled_ap" not in repr(report)
+    path = tmp_path / "report.json"
+    write_report(report, str(path), fmt="json")
+    assert "pooled" not in path.read_text()
+    back = read_report(str(path))
+    assert back.pooled_ap is None and back == report
+
+
 def test_report_null_hl_serialized_as_null(tmp_path):
     gt = record("v", [obs("v", 0, 1, LEFT)])
     report = evaluate_records([gt], [record("v", [])])

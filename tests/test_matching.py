@@ -17,6 +17,7 @@ from asadeval.matching import (
     solve_assignment,
 )
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
+from cost_kinds import KINDS, random_boxes, tie_heavy_cost
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -95,15 +96,6 @@ def reference_lex_pairs(cost: np.ndarray, best: float) -> list[tuple[int, int]] 
         free_cols.remove(accepted[1])
         row_start = accepted[0] + 1
     return pairs
-
-
-def random_boxes(rng: np.random.Generator, count: int) -> list[BoundingBox]:
-    boxes = []
-    for _ in range(count):
-        x1, y1 = rng.uniform(0.0, 0.7, size=2)
-        w, h = rng.uniform(0.05, 0.3, size=2)
-        boxes.append(BoundingBox(x1, y1, min(x1 + w, 1.0), min(y1 + h, 1.0)))
-    return boxes
 
 
 def test_iou_identity():
@@ -274,46 +266,41 @@ def test_gate_soundness_no_pair_below_half_iou():
             assert iou(gts[i], preds[j]) >= 0.5
 
 
-COST_GRID = np.array([0.0, 0.25, 0.5, 1.0])
-
-
 @st.composite
 def tie_heavy_costs(draw):
-    """Cost matrices of 1-12 rows and columns, built to have many equal-cost optima.
+    """Cost matrices of 1-12 rows and columns of every `cost_kinds` kind.
 
-    Kinds: grid values with some all-1.0 (fully gated) rows and columns;
-    duplicated rows and columns; `build_cost_matrix` on repeated boxes; and
-    dense continuous costs in the trackers' range [0, 1.3]. A quarter keep
-    only their first row, so the single-pair case gets ties and fully gated
-    rows of its own.
+    Half have a shape the enumeration covers: 2 or 3 rows and at most 6
+    columns (the test also solves the transpose). A quarter keep only their
+    first row, so the single-pair case gets ties and fully gated rows of its
+    own.
     """
-    n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["grid", "duplicates", "boxes", "dense"]))
-    if kind == "grid":
-        cost = rng.choice(COST_GRID, size=(n_rows, n_cols))
-        cost[rng.random(n_rows) < 0.2] = 1.0
-        cost[:, rng.random(n_cols) < 0.2] = 1.0
-    elif kind == "duplicates":
-        base = rng.random((3, 3))
-        cost = base[np.ix_(rng.integers(0, 3, n_rows), rng.integers(0, 3, n_cols))]
-    elif kind == "boxes":
-        palette = random_boxes(rng, 3)
-        cost = build_cost_matrix(
-            [palette[i] for i in rng.integers(0, 3, n_rows)],
-            [palette[i] for i in rng.integers(0, 3, n_cols)],
-        ).cost
+    if draw(st.booleans()):
+        n_rows = draw(st.integers(2, 3))
+        n_cols = draw(st.integers(n_rows, 6))
     else:
-        cost = rng.uniform(0.0, 1.3, size=(n_rows, n_cols))
+        n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cost = tie_heavy_cost(rng, draw(st.sampled_from(KINDS)), n_rows, n_cols)
     if draw(st.integers(0, 3)) == 0:
         cost = cost[:1]
     return cost
+
+
+# Numpy sums order these two assignments against their fsum totals: the
+# diagonal (1, 2**-53, 2**-53) sums to 1 and has fsum 1 + 2**-52, and
+# (0, 1), (1, 2), (2, 0) sums to 1 + 2**-52 (resp. ties at 1) with fsum 1.
+EPS = 2.0**-53
+NAIVE_ORDER_REVERSED = np.array([[1.0, 1.0, 5.0], [5.0, EPS, EPS * (1 + 2.0**-50)], [-EPS / 2, 5.0, EPS]])
+NAIVE_ORDER_TIED = np.array([[1.0, 1.0, 5.0], [5.0, EPS, 0.0], [EPS / 2, 5.0, EPS]])
 
 
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(tie_heavy_costs())
 @example(np.array([[1.0, 1.0, 1.0]]))
 @example(np.array([[0.5, 0.25, 1.0, 0.25]]))
+@example(NAIVE_ORDER_REVERSED)
+@example(NAIVE_ORDER_TIED)
 def test_tie_break_matches_oracle_and_reference(cost):
     # Both orientations; the oracle up to 6 x 6, the unpruned search up to 12 x 12.
     for matrix in (cost, cost.T):
@@ -334,6 +321,15 @@ def test_tie_break_matches_oracle_and_reference(cost):
 @pytest.mark.parametrize("shape", [(30, 30), (30, 24), (24, 30)])
 def test_reduced_costs_spare_the_sub_solves(shape, monkeypatch):
     # Without the reduced-cost prune the tie search makes hundreds of sub-solves here.
+    calls = counted_lsa(monkeypatch)
+    cost = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
+    solution = solve_assignment(AssignmentProblem(cost=cost))
+    assert len(calls) <= 30
+    assert list(solution.pairs) == reference_lex_pairs(cost, solution.total_cost)
+
+
+def counted_lsa(monkeypatch) -> list:
+    """The shapes of every `linear_sum_assignment` call `matching` makes from now on."""
     calls = []
 
     def counting(cost):
@@ -341,7 +337,68 @@ def test_reduced_costs_spare_the_sub_solves(shape, monkeypatch):
         return linear_sum_assignment(cost)
 
     monkeypatch.setattr(matching, "linear_sum_assignment", counting)
-    cost = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
-    solution = solve_assignment(AssignmentProblem(cost=cost))
-    assert len(calls) <= 30
-    assert list(solution.pairs) == reference_lex_pairs(cost, solution.total_cost)
+    return calls
+
+
+COVERED_SHAPES = [(k, n) for k in (2, 3) for n in range(k, 7)]
+
+
+@pytest.mark.parametrize("shape", COVERED_SHAPES + [(n, k) for k, n in COVERED_SHAPES if n != k])
+def test_covered_shapes_make_no_lsa_call(shape, monkeypatch):
+    calls = counted_lsa(monkeypatch)
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    for kind in KINDS:
+        cost = tie_heavy_cost(rng, kind, *shape)
+        solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
+        assert list(solution.pairs) == brute_force_lex_pairs(cost)[0]
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (3, 7), (7, 3)])
+def test_uncovered_shapes_still_use_lsa(shape, monkeypatch):
+    calls = counted_lsa(monkeypatch)
+    solve_assignment(AssignmentProblem(cost=np.random.default_rng(1).random(shape)))
+    assert calls
+
+
+def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
+    # Covered keyframes are solved in stacked calls; only the rest reach solve_assignment.
+    rng = np.random.default_rng(4)
+    gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(40)}
+    pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(40)}
+    for kf in range(0, 40, 5):  # duplicate boxes: gated ties
+        pred[kf] = gt[kf] + gt[kf][:1]
+    ious = frame_ious(boxes_record(gt), boxes_record(pred))
+    singly = []
+
+    def counting(problem, drop_gated=True):
+        singly.append(problem.cost.shape)
+        return solve_assignment(problem, drop_gated)
+
+    monkeypatch.setattr(matching, "solve_assignment", counting)
+    pairs = matching.gated_pairs(ious, 0.5)
+    monkeypatch.undo()
+    uncovered = [overlaps.shape for overlaps in ious.values() if not matching._enumerable(overlaps.shape)]
+    assert sorted(singly) == sorted(uncovered)
+    assert 0 < len(uncovered) < len(ious)
+    assert list(pairs) == list(ious)
+    for kf, overlaps in ious.items():
+        assert pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
+
+
+@pytest.mark.parametrize("cost, drop_gated, expected", [
+    ([[1e308, 1.0], [1.0, 1e308]], True, ((), 2.0)),
+    ([[1e308, 1.0], [1.0, 1e308]], False, (((0, 1), (1, 0)), 2.0)),
+    ([[1e300, 1e300], [1e300, 1e300]], True, (((0, 0), (1, 1)), 2e300)),
+])
+def test_costs_near_the_largest_float(cost, drop_gated, expected):
+    # A sum of 1e308s could overflow, so they take the LSA route, as they always
+    # did; 1e300 is enumerated. The expected outcomes are the LSA route's.
+    solution = solve_assignment(AssignmentProblem(cost=np.array(cost)), drop_gated=drop_gated)
+    assert (solution.pairs, solution.total_cost) == expected
+
+
+def test_overflowing_optimum_raises_as_before():
+    cost = np.array([[-1e308, 1e308], [1e308, -1e308]])
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        solve_assignment(AssignmentProblem(cost=cost))

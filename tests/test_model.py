@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from asadeval.model import (
@@ -104,3 +105,23 @@ def test_record_groups_frames():
     assert list(rec.frames) == [0, 2]
     assert len(rec.frames[0]) == 2
     assert rec.actor_ids == (1, 2)
+
+
+def test_value_objects_still_coerce_what_is_not_exactly_their_type():
+    exact_box = BoundingBox(0.1, 0.2, 0.3, 1.0)
+    box = BoundingBox(np.float64(0.1), 0.2, 0.3, True)
+    assert [type(v) for v in (box.x1, box.y1, box.x2, box.y2)] == [float] * 4
+    assert box == exact_box and hash(box) == hash(exact_box) and repr(box) == repr(exact_box)
+
+    exact = ActorObservation("v", 3, exact_box, 1, frozenset({1, 2}), 0.5)
+    variants = [
+        ActorObservation("v", np.int64(3), box, 1, frozenset({1, 2}), 0.5),
+        ActorObservation("v", 3, box, True, frozenset({1, 2}), 0.5),
+        ActorObservation("v", 3, box, 1, [2, 1], 0.5),
+        ActorObservation("v", 3, box, 1, frozenset({1, 2}), np.float64(0.5)),
+    ]
+    for o in variants:
+        assert (type(o.keyframe), type(o.actor_id), type(o.actions), type(o.score)) == (
+            int, int, frozenset, float)
+        assert o == exact and hash(o) == hash(exact) and repr(o) == repr(exact)
+    assert type(ActorObservation("v", 0, box, 1, score=1).score) is float

@@ -192,3 +192,11 @@ def test_miss_rate_monotonicity_in_ap():
             values.append(evaluate_records([gt], [degraded]).aggregate.ap)
         means.append(sum(values) / len(values))
     assert means[0] >= means[1] >= means[2]
+
+
+def test_negative_seeds_rejected_naming_the_field():
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        ScenarioSpec(seed=-1)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        Perturbation(kind="drop_detections", rate=0.5, seed=-1)
+    assert ScenarioSpec(seed=0).seed == Perturbation(kind="drop_detections", seed=0).seed == 0
