@@ -9,20 +9,23 @@ track's mean embedding, so it leans on motion continuity. The offline tracker
 sees the whole stream and greedily agglomerates detections by the same
 affinity with its overlap weight decayed over the keyframe gap, subject to the
 constraint that a cluster never holds two detections from the same keyframe.
-Both read the stream as one stack of rows (`_stacked`), build that affinity as
-arrays (`_affinity`), the online tracker one per keyframe against the live
-tracks and the offline tracker one per keyframe against the following
-``max_gap`` keyframes, and label the rows with one builder (`_labelled`).
+Both read the stream's row arrays, grouped by ascending keyframe
+(`DetectionStream`), build that affinity as arrays (`_affinity`), the online
+tracker one per keyframe against the live tracks and the offline tracker one
+per keyframe against the following ``max_gap`` keyframes, and label the rows
+with one builder (`_labelled`).
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .matching import AssignmentProblem, boxes_to_array, iou_matrix, solve_assignment
+from .matching import AssignmentProblem, iou_matrix, solve_assignment
 from .model import ActorObservation, BoundingBox, VideoRecord
 
 ONLINE_IOU_WEIGHT = 0.7
@@ -41,20 +44,65 @@ class Detection:
     appearance: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionStream:
-    """Per-keyframe detections for one video; no identities attached."""
+    """One video's detections as read-only row arrays; no identities attached.
+
+    Row i lies at keyframe ``row_keyframes[i]`` with corners ``boxes[i]``, score
+    ``scores[i]`` and embedding ``embeddings[i]``. Construction checks the shapes
+    and sorts the rows by keyframe, stably, as Python ints (int64 stops at 2**63).
+    """
 
     video_id: str
     dim: int
-    frames: dict[int, tuple[Detection, ...]] = field(default_factory=dict)
+    row_keyframes: tuple[int, ...]
+    boxes: np.ndarray
+    scores: np.ndarray
+    embeddings: np.ndarray
 
-    @property
+    def __post_init__(self) -> None:
+        n = len(self.row_keyframes)
+        order = sorted(range(n), key=self.row_keyframes.__getitem__)
+        for name, shape in (("boxes", (n, 4)), ("scores", (n,)), ("embeddings", (n, self.dim))):
+            column = np.asarray(getattr(self, name), dtype=float)
+            if column.shape != shape:
+                raise ValueError(
+                    f"{name} of shape {column.shape}, expected {shape} at dimensionality {self.dim}"
+                )
+            column = column[order]
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "row_keyframes", tuple(self.row_keyframes[i] for i in order))
+
+    @classmethod
+    def from_rows(cls, video_id: str, dim: int, rows: Sequence[tuple]) -> "DetectionStream":
+        """A stream of ``(keyframe, (x1, y1, x2, y2), score, embedding)`` rows, in any order."""
+        empty = ((), np.empty((0, 4)), (), np.empty((0, dim)))
+        return cls(video_id, dim, *(zip(*rows) if rows else empty))
+
+    @cached_property
     def keyframes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.frames))
+        """The distinct keyframes, ascending."""
+        return tuple(dict.fromkeys(self.row_keyframes))
+
+    @cached_property
+    def bounds(self) -> list[int]:
+        """Keyframe ``keyframes[p]`` holds rows ``bounds[p]:bounds[p + 1]``."""
+        starts = [bisect.bisect_left(self.row_keyframes, kf) for kf in self.keyframes]
+        return starts + [len(self.row_keyframes)]
+
+    @cached_property
+    def frames(self) -> dict[int, tuple[Detection, ...]]:
+        """Each keyframe's detections in row order, built from the arrays on first read."""
+        rows = zip(self.boxes.tolist(), self.scores.tolist(), self.embeddings)
+        detections = [Detection(BoundingBox(*box), score, row) for box, score, row in rows]
+        return {
+            kf: tuple(detections[start:stop])
+            for kf, start, stop in zip(self.keyframes, self.bounds, self.bounds[1:])
+        }
 
     def n_detections(self) -> int:
-        return sum(len(dets) for dets in self.frames.values())
+        return len(self.row_keyframes)
 
 
 @dataclass(frozen=True)
@@ -123,38 +171,14 @@ def _affinity(
     return (1.0 - w) * similarity + w * iou_matrix(boxes_a, boxes_b)
 
 
-def _check_dims(stream: DetectionStream) -> None:
-    for dets in stream.frames.values():
-        for det in dets:
-            if det.appearance.ndim != 1 or det.appearance.shape[0] != stream.dim:
-                raise ValueError(
-                    f"appearance dimensionality {det.appearance.shape} does not "
-                    f"match stream dim {stream.dim}"
-                )
-
-
-def _stacked(stream: DetectionStream) -> tuple[tuple[int, ...], list[int], np.ndarray, np.ndarray]:
-    """The stream as rows: (keyframes, bounds, boxes, embeddings).
-
-    Rows are grouped by ascending keyframe, in file order within a keyframe:
-    keyframe p's detections are rows bounds[p]:bounds[p + 1] of the (n, 4)
-    box array and the (n, dim) float embedding array. Keyframes stay Python
-    ints, which numpy's int64 cannot hold from 2**63 on.
-    """
-    _check_dims(stream)
-    keyframes = stream.keyframes
-    rows = [det for kf in keyframes for det in stream.frames[kf]]
-    bounds = np.cumsum([0] + [len(stream.frames[kf]) for kf in keyframes]).tolist()
-    embeddings = np.array([d.appearance for d in rows], dtype=float).reshape(len(rows), stream.dim)
-    return keyframes, bounds, boxes_to_array([d.box for d in rows]), embeddings
-
-
 def _labelled(stream: DetectionStream, identities: list[int]) -> VideoRecord:
-    """The stream's detections, in `_stacked` row order, with one identity per row."""
-    rows = ((kf, det) for kf in stream.keyframes for det in stream.frames[kf])
+    """The stream's rows, in order, with one identity per row."""
+    rows = zip(
+        stream.row_keyframes, stream.boxes.tolist(), identities, stream.scores.tolist(), strict=True
+    )
     observations = (
-        ActorObservation(stream.video_id, keyframe, det.box, actor_id, frozenset(), det.score)
-        for (keyframe, det), actor_id in zip(rows, identities, strict=True)
+        ActorObservation(stream.video_id, keyframe, BoundingBox(*box), actor_id, frozenset(), score)
+        for keyframe, box, actor_id, score in rows
     )
     return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
 
@@ -176,7 +200,7 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
     """
     if cfg.mode != "online":
         raise ValueError("track_online requires cfg.mode == 'online'")
-    keyframes, bounds, boxes, embeddings = _stacked(stream)
+    boxes, embeddings = stream.boxes, stream.embeddings
     unit = _unit_rows(embeddings)
 
     # Track t (identity t + 1) keeps its last box, embedding sum and count in
@@ -188,7 +212,7 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
     last_seen: list[int] = []
     live: list[int] = []
     identities: list[int] = []
-    for keyframe, start, stop in zip(keyframes, bounds, bounds[1:]):
+    for keyframe, start, stop in zip(stream.keyframes, stream.bounds, stream.bounds[1:]):
         live = [t for t in live if keyframe - last_seen[t] <= cfg.max_gap]
         assigned: dict[int, int] = {}
         if live and start < stop:
@@ -263,8 +287,8 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
     """
     if cfg.mode != "offline":
         raise ValueError("track_offline requires cfg.mode == 'offline'")
-    frames, bounds, boxes, embeddings = _stacked(stream)
-    unit = _unit_rows(embeddings)
+    frames, bounds, boxes = stream.keyframes, stream.bounds, stream.boxes
+    unit = _unit_rows(stream.embeddings)
     sizes = np.diff(bounds)
 
     # Every detection at most max_gap keyframes after frame p lies in the one
@@ -286,7 +310,7 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
         i, j = np.nonzero(affinity >= cfg.merge_threshold)
         edges.append((affinity[i, j], i + start, j + stop))
 
-    clusters = _UnionFind([kf for kf, size in zip(frames, sizes) for _ in range(size)])
+    clusters = _UnionFind(stream.row_keyframes)
     if edges:
         value, a, b = (np.concatenate(column) for column in zip(*edges))
         # Highest affinity first, ties by (a, b): every (a, b) pair occurs once.

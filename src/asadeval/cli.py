@@ -243,6 +243,13 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _association_config(mode: str, iou_weight, tau, gap) -> AssociationConfig:
+    """The tracker config of the resolved flags; a flag out of range is a usage error naming it."""
+    if iou_weight is not None and not (0.0 <= iou_weight <= 1.0):
+        raise _UsageError(f"track: --lambda must lie in [0, 1], got {iou_weight}")
+    if tau is not None and not (0.0 < tau <= 1.0):
+        raise _UsageError(f"track: --tau must lie in (0, 1], got {tau}")
+    if gap is not None and gap < 1:
+        raise _UsageError(f"track: --gap must be >= 1, got {gap}")
     overrides = {}
     if iou_weight is not None:
         overrides["iou_weight"] = iou_weight
@@ -269,12 +276,11 @@ def _cmd_track(args: argparse.Namespace) -> int:
     resolved = _resolve(args, defaults)
     _require(resolved, ["detections", "mode", "out"], "track")
 
-    stream = parse_detection_stream(resolved["detections"])
     cfg = _association_config(
         resolved["mode"], resolved["iou_weight"], resolved["tau"], resolved["gap"]
     )
     tracker = track_online if resolved["mode"] == "online" else track_offline
-    record = tracker(stream, cfg)
+    record = tracker(parse_detection_stream(resolved["detections"]), cfg)
     write_annotations([record], resolved["out"], role="pred")
     print(
         f"tracked {len(record.observations)} detections into "

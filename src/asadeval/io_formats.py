@@ -9,7 +9,9 @@ Four CSV schemas are defined (all UTF-8, LF or CRLF, header required):
   prediction row with no action labels and must be the observation's only
   row.
 * detection streams: ``video_id,keyframe,x1,y1,x2,y2,score,e0..e{D-1}``
-  with the embedding width D fixed by the header; one video per file.
+  with the embedding width D fixed by the header; one video per file, rows
+  in any keyframe order. Parsed, they are grouped by ascending keyframe,
+  in file order within one, and written back in that order.
 * bench tables: ``seed,mode,ap50,hl50,idf1,mt_pct,ml_pct,id_switches``.
 * PR curves: ``rank,score,tp,fp,recall,precision,p_interp``, one row per
   ranked prediction.
@@ -33,16 +35,10 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .association import Detection, DetectionStream
+from .association import DetectionStream
 from .detection import APResult
 from .evaluation import AGGREGATE_KEY, EvalReport, MetricBlock
-from .model import (
-    DEFAULT_N_LABELS,
-    ActorObservation,
-    BoundingBox,
-    VideoRecord,
-    validate_record,
-)
+from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 from .synthetic import GENERATOR_ALGORITHM, ScenarioSpec
 from .version import __version__
 
@@ -176,8 +172,9 @@ def parse_annotations(
     """Parse an annotation CSV into validated records, one per video.
 
     Rows sharing (video_id, keyframe, actor_id) merge into one multi-label
-    observation and must agree exactly on geometry (and score). Every
-    problem is reported with its line number; any problem aborts the parse.
+    observation and must agree exactly on geometry (and score). The row
+    checks enforce every rule of `validate_record`. Every problem is
+    reported with its line number; any problem aborts the parse.
     """
     expected = _columns(role)
     errors: list[str] = []
@@ -244,16 +241,10 @@ def parse_annotations(
             )
         )
 
-    records = [
+    return [
         VideoRecord(video_id=video_id, observations=tuple(observations))
         for video_id, observations in sorted(by_video.items())
     ]
-    for record in records:
-        for violation in validate_record(record, role=role, n_labels=n_labels):
-            errors.append(f"{path}: video {record.video_id!r}: {violation}")
-    if errors:
-        raise FormatError(errors)
-    return records
 
 
 def _cell(value):
@@ -277,10 +268,6 @@ def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) ->
             writer.writerow(row if _CSV_NATIVE.issuperset(map(type, row)) else map(_cell, row))
 
 
-def _box_cells(box: BoundingBox) -> tuple[float, float, float, float]:
-    return box.x1, box.y1, box.x2, box.y2
-
-
 def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> None:
     """Serialize records in canonical row order (video, keyframe, actor, action)."""
 
@@ -296,7 +283,8 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
                         f"ground-truth observation without labels at video "
                         f"{record.video_id!r} keyframe {obs.keyframe}"
                     )
-                location = (record.video_id, obs.keyframe, *_box_cells(obs.box))
+                box = obs.box
+                location = (record.video_id, obs.keyframe, box.x1, box.y1, box.x2, box.y2)
                 score = (obs.score,) if role == "pred" else ()
                 for action_id in action_ids:
                     yield (*location, action_id, obs.actor_id, *score)
@@ -324,7 +312,7 @@ def parse_detection_stream(path: str) -> DetectionStream:
             )
 
         video_id: Optional[str] = None
-        frames: dict[int, list[Detection]] = {}
+        rows: list[tuple] = []
         for line_no, row in _data_rows(reader, path, len(header), errors, " (ragged embedding width)"):
             try:
                 if not row[0]:
@@ -337,28 +325,22 @@ def parse_detection_stream(path: str) -> DetectionStream:
                     )
                 keyframe, box = _parse_located_box(row)
                 score = _parse_fraction(row[6])
-                embedding = np.array(_parse_embedding(row[7:]), dtype=float)
-                # File order is kept within a keyframe.
-                frames.setdefault(keyframe, []).append(Detection(BoundingBox(*box), score, embedding))
+                rows.append((keyframe, box, score, _parse_embedding(row[7:])))
             except ValueError as exc:
                 errors.append(f"{path}:{line_no}: {exc}")
 
     if errors:
         raise FormatError(errors)
-    return DetectionStream(
-        video_id=video_id or "",
-        dim=dim,
-        frames={kf: tuple(dets) for kf, dets in sorted(frames.items())},
-    )
+    return DetectionStream.from_rows(video_id or "", dim, rows)
 
 
 def write_detection_stream(stream: DetectionStream, path: str) -> None:
-    columns = STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(stream.dim)]
-    _write_table(path, columns, (
-        (stream.video_id, keyframe, *_box_cells(det.box), det.score,
-         *np.asarray(det.appearance, dtype=float).tolist())
-        for keyframe in stream.keyframes
-        for det in stream.frames[keyframe]
+    """The stream's rows in its order: ascending keyframe, given order within one."""
+    header = STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(stream.dim)]
+    columns = zip(stream.boxes.tolist(), stream.scores.tolist(), stream.embeddings.tolist())
+    _write_table(path, header, (
+        (stream.video_id, keyframe, *box, score, *embedding)
+        for keyframe, (box, score, embedding) in zip(stream.row_keyframes, columns)
     ))
 
 

@@ -8,7 +8,8 @@ detector model jitters boxes, drops detections, and injects false positives.
 
 All randomness flows from a single explicit seed through numpy's default
 PCG64 generator; the algorithm identifier is recorded in scenario manifests
-so fixtures stay reproducible.
+so fixtures stay reproducible. The detection stream is built from the rows
+drawn, one (keyframe, box corners, score, embedding) tuple per detection.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .association import Detection, DetectionStream
+from .association import DetectionStream
 from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 
 GENERATOR_ALGORITHM = "numpy-default-rng-pcg64"
@@ -142,15 +143,15 @@ def _spawn(
 
 def _jittered_box(
     rng: np.random.Generator, cx: float, cy: float, w: float, h: float, sigma: float
-) -> BoundingBox:
-    """Noisy copy of a box: center and extent jittered, clamped to stay valid."""
+) -> tuple[float, float, float, float]:
+    """Corners of a noisy copy of a box: center and extent jittered, clamped to stay valid."""
     jcx = float(cx + rng.normal(0.0, sigma))
     jcy = float(cy + rng.normal(0.0, sigma))
     jw = max(float(w + rng.normal(0.0, sigma)), _MIN_BOX_EXTENT)
     jh = max(float(h + rng.normal(0.0, sigma)), _MIN_BOX_EXTENT)
     jcx = min(max(jcx, jw / 2.0), 1.0 - jw / 2.0)
     jcy = min(max(jcy, jh / 2.0), 1.0 - jh / 2.0)
-    return BoundingBox(jcx - jw / 2.0, jcy - jh / 2.0, jcx + jw / 2.0, jcy + jh / 2.0)
+    return jcx - jw / 2.0, jcy - jh / 2.0, jcx + jw / 2.0, jcy + jh / 2.0
 
 
 def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
@@ -185,7 +186,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
     noise_scale = spec.appearance_noise / math.sqrt(spec.appearance_dim)
 
     gt_observations: list[ActorObservation] = []
-    frames: dict[int, list[Detection]] = {}
+    rows: list[tuple] = []
     for keyframe in range(spec.n_keyframes):
         if keyframe in cuts:
             cx, cy, vx, vy = _spawn(rng, half_w, half_h, spec.max_speed)
@@ -194,7 +195,6 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
                 cx[a], vx[a] = _reflect(cx[a], vx[a], half_w[a])
                 cy[a], vy[a] = _reflect(cy[a], vy[a], half_h[a])
 
-        detections: list[Detection] = []
         for a in range(n):
             if keyframe > 0 and rng.random() < spec.label_switch_rate:
                 labels[a] = _sample_labels(rng, spec.n_labels)
@@ -218,8 +218,7 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
                 )
                 score = float(rng.uniform(0.5, 1.0))
                 embedding = bases[a] + noise_scale * rng.standard_normal(spec.appearance_dim)
-                embedding = embedding / np.linalg.norm(embedding)
-                detections.append(Detection(box=det_box, score=score, appearance=embedding))
+                rows.append((keyframe, det_box, score, embedding / np.linalg.norm(embedding)))
 
         for _ in range(n):
             if rng.random() < spec.fp_rate:
@@ -229,20 +228,11 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
                 fcy = float(rng.uniform(h / 2.0, 1.0 - h / 2.0))
                 score = float(rng.uniform(0.5, 1.0))
                 embedding = rng.standard_normal(spec.appearance_dim)
-                embedding = embedding / np.linalg.norm(embedding)
-                detections.append(
-                    Detection(
-                        box=BoundingBox(fcx - w / 2.0, fcy - h / 2.0, fcx + w / 2.0, fcy + h / 2.0),
-                        score=score,
-                        appearance=embedding,
-                    )
-                )
-        if detections:
-            frames[keyframe] = tuple(detections)
+                box = (fcx - w / 2.0, fcy - h / 2.0, fcx + w / 2.0, fcy + h / 2.0)
+                rows.append((keyframe, box, score, embedding / np.linalg.norm(embedding)))
 
     record = VideoRecord(video_id=spec.video_id, observations=tuple(gt_observations))
-    stream = DetectionStream(video_id=spec.video_id, dim=spec.appearance_dim, frames=frames)
-    return record, stream
+    return record, DetectionStream.from_rows(spec.video_id, spec.appearance_dim, rows)
 
 
 @dataclass(frozen=True)
@@ -321,7 +311,7 @@ def perturb(gt: VideoRecord, p: Perturbation) -> VideoRecord:
                 box.height,
                 p.sigma,
             )
-            jittered.append(replace(obs, box=new_box))
+            jittered.append(replace(obs, box=BoundingBox(*new_box)))
         observations = jittered
 
     elif p.kind == "split_track":

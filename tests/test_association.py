@@ -157,7 +157,13 @@ def unit(dim, axis):
 
 
 def make_stream(frames, dim=4, video_id="v"):
-    return DetectionStream(video_id=video_id, dim=dim, frames=frames)
+    """The stream of a ``{keyframe: detections}`` dict, through `DetectionStream.from_rows`."""
+    rows = [
+        (kf, (d.box.x1, d.box.y1, d.box.x2, d.box.y2), d.score, d.appearance)
+        for kf, dets in frames.items()
+        for d in dets
+    ]
+    return DetectionStream.from_rows(video_id, dim, rows)
 
 
 def moving_actor_stream(n_keyframes=10, step=0.01, teleport_at=None):
@@ -207,9 +213,48 @@ def test_cosine_distance_basics():
 
 def test_appearance_dim_mismatch_is_hard_error():
     frames = {0: (det(0.1, 0.1, 0.3, 0.3, [1.0, 0.0]),)}
-    stream = DetectionStream(video_id="v", dim=4, frames=frames)
     with pytest.raises(ValueError, match="dimensionality"):
-        track_online(stream, AssociationConfig.online())
+        make_stream(frames, dim=4)
+
+
+@pytest.mark.parametrize(
+    "boxes, scores, embeddings, name",
+    [
+        ([[0.1, 0.1, 0.3, 0.3]], [0.9], [[1.0, 0.0]], "embeddings"),
+        ([[0.1, 0.1, 0.3, 0.3]], [0.9], [1.0, 0.0, 0.0, 0.0], "embeddings"),
+        ([[0.1, 0.1, 0.3, 0.3]], [0.9, 0.8], [[1.0, 0.0, 0.0, 0.0]], "scores"),
+        ([[0.1, 0.1, 0.3, 0.3]] * 2, [0.9], [[1.0, 0.0, 0.0, 0.0]], "boxes"),
+        ([0.1, 0.1, 0.3, 0.3], [0.9], [[1.0, 0.0, 0.0, 0.0]], "boxes"),
+    ],
+    ids=["narrow-embedding", "flat-embedding", "extra-score", "extra-box", "flat-box"],
+)
+def test_stream_shapes_are_checked_at_construction(boxes, scores, embeddings, name):
+    # One row at keyframe 0 of dim 4; the narrow embedding used to be accepted
+    # and written as a ragged row that the stream parser rejects.
+    with pytest.raises(ValueError, match=f"^{name} of shape .* dimensionality 4"):
+        DetectionStream("v", 4, (0,), boxes, scores, embeddings)
+
+
+def test_stream_rows_are_grouped_by_ascending_keyframe_in_given_order():
+    row_keyframes = [2**64 + 1, 5, 2**63, 5, 2**64 + 1, 0, 2**63 + 1, 5]
+    n = len(row_keyframes)
+    boxes = [[0.1, 0.1, 0.2 + i / 100, 0.3] for i in range(n)]
+    embeddings = np.arange(n * 3, dtype=float).reshape(n, 3)
+    stream = DetectionStream("v", 3, row_keyframes, boxes, np.linspace(0.5, 0.9, n), embeddings)
+    order = [5, 1, 3, 7, 2, 6, 0, 4]
+    assert stream.row_keyframes == tuple(row_keyframes[i] for i in order)
+    assert all(type(kf) is int for kf in stream.row_keyframes)
+    assert stream.keyframes == (0, 5, 2**63, 2**63 + 1, 2**64 + 1)
+    assert stream.bounds == [0, 1, 4, 5, 6, 8]
+    assert stream.boxes.tolist() == [boxes[i] for i in order]
+    assert stream.scores.tobytes() == np.linspace(0.5, 0.9, n)[order].tobytes()
+    assert stream.embeddings.tobytes() == embeddings[order].tobytes()
+    assert [[d.box.x2 for d in stream.frames[kf]] for kf in stream.keyframes] == [
+        [boxes[i][2] for i in order[start:stop]]
+        for start, stop in zip(stream.bounds, stream.bounds[1:])
+    ]
+    assert stream.n_detections() == n
+    assert not stream.embeddings.flags.writeable
 
 
 def test_online_smooth_motion_keeps_one_id():
@@ -363,7 +408,7 @@ def test_identical_tracks_tie_exactly():
         for dim in (3, 8, 17, 64):
             first = det(0.1, 0.1, 0.3, 0.3, rng.standard_normal(dim))
             second = det(0.12, 0.1, 0.32, 0.3, first.appearance + 0.1 * rng.standard_normal(dim))
-            stream = DetectionStream("v", dim, {0: (first,) * n, 1: (second,)})
+            stream = make_stream({0: (first,) * n, 1: (second,)}, dim)
             out = track_online(stream, AssociationConfig.online())
             assert out == reference_track_online(stream, AssociationConfig.online())
             assert out.observations[-1].actor_id == 1
@@ -397,7 +442,7 @@ def edited_stream(draw, max_step: int) -> DetectionStream:
                 if draw(st.integers(0, 5)) == 0:
                     dets.append(det)
         frames[keyframe] = tuple(dets)
-    return DetectionStream(stream.video_id, stream.dim, frames)
+    return make_stream(frames, stream.dim, stream.video_id)
 
 
 @st.composite

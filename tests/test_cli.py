@@ -275,6 +275,51 @@ def test_track_missing_mode_is_usage_error(tmp_path, capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["online", "offline"])
+@pytest.mark.parametrize("flag, key, via, value, shown", [
+    ("--lambda", "iou_weight", "flag", "2", "2.0"),
+    ("--lambda", "iou_weight", "flag", "nan", "nan"),
+    ("--lambda", "iou_weight", "config", -0.5, "-0.5"),
+    ("--tau", "tau", "flag", "0", "0.0"),
+    ("--tau", "tau", "flag", "nan", "nan"),
+    ("--tau", "tau", "config", 1.5, "1.5"),
+    ("--tau", "tau", "config", float("nan"), "nan"),
+    ("--gap", "gap", "flag", "0", "0"),
+    ("--gap", "gap", "config", -3, "-3"),
+])
+def test_track_flags_are_checked_before_the_stream_is_read(
+    tmp_path, capsys, mode, flag, key, via, value, shown
+):
+    # The stream is malformed, and a parse would exit 2 naming a line.
+    stream = tmp_path / "stream.csv"
+    stream.write_text("not,a,header\n")
+    out = tmp_path / "out.csv"
+    argv = ["track", "--detections", str(stream), "--mode", mode, "--out", str(out)]
+    if via == "flag":
+        argv += [flag, value]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        argv += ["--config", str(config)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    rule = {"--lambda": "lie in [0, 1]", "--tau": "lie in (0, 1]", "--gap": "be >= 1"}[flag]
+    assert f"track: {flag} must {rule}, got {shown}" in err
+    assert "stream.csv" not in err and not out.exists()
+    assert not any(field in err for field in ("iou_weight", "threshold", "max_gap"))
+
+
+@pytest.mark.parametrize("mode", ["online", "offline"])
+def test_track_accepts_each_flag_at_its_bound(tmp_path, mode):
+    scene = tmp_path / "scene"
+    assert main(["synth", "--actors", "2", "--keyframes", "4", "--cuts", "1", "--dim", "4",
+                 "--out", str(scene)]) == EXIT_OK
+    argv = ["track", "--detections", str(scene / "detections.csv"), "--mode", mode,
+            "--out", str(tmp_path / "out.csv")]
+    for bounds in (["--lambda", "0", "--tau", "1", "--gap", "1"], ["--lambda", "1"]):
+        assert main(argv + bounds) == EXIT_OK
+
+
 def test_synth_evaluate_with_sidecar_labels(tmp_path):
     out = tmp_path / "scene"
     assert main(["synth", "--scenario", "static", "--seed", "3", "--out", str(out),

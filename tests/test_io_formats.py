@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asadeval.association import Detection, DetectionStream
+from asadeval.association import DetectionStream
 from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.io_formats import (
@@ -210,6 +210,32 @@ def test_stream_round_trip_and_sorting(tmp_path):
     assert np.array_equal(again.frames[0][0].appearance, stream.frames[0][0].appearance)
 
 
+def test_parsed_stream_frames_view_equals_the_csv_rows(tmp_path):
+    # Rows out of keyframe order, keyframes past int64's range: the view groups
+    # them by ascending keyframe and keeps file order within each keyframe.
+    rng = np.random.default_rng(7)
+    rows = []
+    for keyframe in [2**64 + 3, 4, 2**63, 4, 0, 2**64 + 3, 4]:
+        x1, y1 = rng.uniform(0.0, 0.4, size=2)
+        x2, y2 = rng.uniform(0.5, 1.0, size=2)
+        cells = [x1, y1, x2, y2, rng.uniform(), *rng.standard_normal(3)]
+        rows.append(["v", str(keyframe)] + [repr(float(c)) for c in cells])
+    header = "video_id,keyframe,x1,y1,x2,y2,score,e0,e1,e2"
+    text = "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+    stream = parse_detection_stream(write_text(tmp_path / "stream.csv", text))
+
+    expected: dict[int, list] = {}
+    for row in rows:
+        expected.setdefault(int(row[1]), []).append(row)
+    assert list(stream.frames) == sorted(expected) == list(stream.keyframes)
+    for keyframe, dets in stream.frames.items():
+        assert len(dets) == len(expected[keyframe])
+        for det, row in zip(dets, expected[keyframe]):
+            assert det.box == BoundingBox(*map(float, row[2:6]))
+            assert type(det.score) is float and det.score.hex() == float(row[6]).hex()
+            assert det.appearance.tobytes() == np.array([float(c) for c in row[7:]]).tobytes()
+
+
 def test_stream_ragged_embedding_is_error(tmp_path):
     header = "video_id,keyframe,x1,y1,x2,y2,score,e0,e1,e2,e3"
     path = write_text(
@@ -358,9 +384,7 @@ def test_report_csv_has_aggregate_and_video_rows(tmp_path):
 
 
 def test_numpy_float_cells_are_written_as_python_floats(tmp_path):
-    stream = DetectionStream(
-        "v", dim=2, frames={0: (Detection(BoundingBox(*LEFT), np.float64(0.9), np.array([0.5, -1.0])),)}
-    )
+    stream = DetectionStream("v", 2, (0,), [LEFT], [np.float64(0.9)], [np.array([0.5, -1.0])])
     path = str(tmp_path / "stream.csv")
     write_detection_stream(stream, path)
     (det,) = parse_detection_stream(path).frames[0]
@@ -393,10 +417,7 @@ def pinned_writer_outputs(directory) -> dict[str, bytes]:
     pred = record(pred.video_id, observations)
     # Fresh embeddings: generate's are normalised through BLAS, whose last bits
     # vary with the kernel, and a byte pin must not.
-    stream = replace(stream, dim=3, frames={
-        kf: tuple(replace(d, appearance=rng.standard_normal(3)) for d in dets)
-        for kf, dets in stream.frames.items()
-    })
+    stream = replace(stream, dim=3, embeddings=rng.standard_normal((stream.n_detections(), 3)))
     report = evaluate_records([gt, other_gt], [pred], n_labels=spec.n_labels)
     bench_rows = [
         {"seed": seed, "mode": mode, "ap50": block.ap, "hl50": block.hl, "idf1": block.idf1,

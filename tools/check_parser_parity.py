@@ -10,8 +10,12 @@ under another package name. Each input is a mutated valid file or raw bytes
 `N_LABELS`, and with `parse_detection_stream`. Outcomes must match exactly:
 records compared by ``repr`` (the two imports define distinct classes), a
 stream's embeddings as exact float lists, and a `FormatError`'s list of
-messages. Any other exception is compared by type and message, and counted.
-Prints the first differences and a summary, and exits 1 on any difference.
+messages. A parsed stream is also written back with `write_detection_stream`
+and tracked by `track_online` and `track_offline` at their default configs,
+and the bytes of the stream and of both trackers' `write_annotations` output
+must match too. Any other exception is compared by type and message, and
+counted. Prints the first differences and a summary, and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -29,14 +33,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
-from asadeval import io_formats  # noqa: E402
+from asadeval import association, io_formats  # noqa: E402
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs  # noqa: E402
 
 SHOWN_DIFFERENCES = 20
 
 
 def load_other(src: Path):
-    """`io_formats` of the `asadeval` in ``src``, imported as the package ``asadeval_other``."""
+    """`io_formats` and `association` of the `asadeval` in ``src``, as ``asadeval_other``."""
     package = src / "asadeval"
     spec = importlib.util.spec_from_file_location(
         "asadeval_other", package / "__init__.py", submodule_search_locations=[str(package)]
@@ -44,7 +48,9 @@ def load_other(src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules["asadeval_other"] = module
     spec.loader.exec_module(module)
-    return importlib.import_module("asadeval_other.io_formats")
+    return tuple(
+        importlib.import_module(f"asadeval_other.{name}") for name in ("io_formats", "association")
+    )
 
 
 def canonical(result) -> str:
@@ -58,18 +64,40 @@ def canonical(result) -> str:
     return repr((result.video_id, result.dim, frames))
 
 
-def outcomes(io, path: str) -> list[tuple]:
-    """Every parser's outcome on ``path``: ("records", text), ("errors", list) or ("raised", ...)."""
+def parsed_records(io, path: str, role: str, n_labels: int) -> tuple[str]:
+    return (canonical(io.parse_annotations(path, role=role, n_labels=n_labels)),)
+
+
+def parsed_stream(io, tracking, path: str) -> tuple:
+    """A parsed stream's text, then the bytes it and both trackers' records write."""
+    stream = io.parse_detection_stream(path)
+    output = str(Path(path).with_name("output.csv"))
+    io.write_detection_stream(stream, output)
+    written = [Path(output).read_bytes()]
+    for tracker, cfg in (
+        (tracking.track_online, tracking.AssociationConfig.online()),
+        (tracking.track_offline, tracking.AssociationConfig.offline()),
+    ):
+        io.write_annotations([tracker(stream, cfg)], output, role="pred")
+        written.append(Path(output).read_bytes())
+    return (canonical(stream), *written)
+
+
+def outcomes(io, tracking, path: str) -> list[tuple]:
+    """Every parser's outcome on ``path``: ("records", ...), ("errors", list) or ("raised", ...).
+
+    Records come as their text; a stream as its text, its written bytes and both trackers'.
+    """
     parses = [
-        functools.partial(io.parse_annotations, path, role=role, n_labels=n_labels)
+        functools.partial(parsed_records, io, path, role, n_labels)
         for role in ("gt", "pred")
         for n_labels in N_LABELS
     ]
-    parses.append(functools.partial(io.parse_detection_stream, path))
+    parses.append(functools.partial(parsed_stream, io, tracking, path))
     results = []
     for parse in parses:
         try:
-            results.append(("records", canonical(parse())))
+            results.append(("records", *parse()))
         except io.FormatError as exc:
             results.append(("errors", exc.errors))
         except Exception as exc:  # a crash is an outcome to compare, not a stop
@@ -83,7 +111,7 @@ def main(argv=None) -> int:
     parser.add_argument("--inputs", type=int, default=50000, help="number of inputs (default 50000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the mutations (default 0)")
     args = parser.parse_args(argv)
-    other = load_other(args.other_src.resolve())
+    other_io, other_tracking = load_other(args.other_src.resolve())
 
     rng = random.Random(args.seed)
     valid = valid_inputs()
@@ -95,9 +123,11 @@ def main(argv=None) -> int:
             kind = rng.choice(KINDS + ("raw",))
             data = raw_input(rng, valid) if kind == "raw" else mutate(valid[kind], rng)
             Path(path).write_bytes(data)
-            here, there = outcomes(io_formats, path), outcomes(other, path)
+            here = outcomes(io_formats, association, path)
+            there = outcomes(other_io, other_tracking, path)
             tally[kind] += 1
             tally.update(result[0] for result in here)
+            tally["streams"] += here[-1][0] == "records"
             if here != there:
                 differences += 1
                 if differences <= SHOWN_DIFFERENCES:
@@ -109,7 +139,8 @@ def main(argv=None) -> int:
     print(
         f"{args.inputs} inputs ({', '.join(f'{k} {tally[k]}' for k in KINDS + ('raw',))}), "
         f"{parses} parses per side: {tally['records']} records, {tally['errors']} error lists, "
-        f"{tally['raised']} other exceptions; {differences} inputs differ"
+        f"{tally['raised']} other exceptions; {tally['streams']} streams written and tracked; "
+        f"{differences} inputs differ"
     )
     return 1 if differences else 0
 
