@@ -109,11 +109,16 @@ def idf1_from_ious(
     gt_index = {actor: i for i, actor in enumerate(gt_ids)}
     pred_index = {actor: j for j, actor in enumerate(pred_ids)}
 
-    overlap = np.zeros((len(gt_ids), len(pred_ids)), dtype=np.int64)
+    # One count per gated hit, at flat index gt_index * n_pred + pred_index;
+    # bincount adds up repeated indices.
+    n_gt, n_pred = len(gt_ids), len(pred_ids)
+    hits = [np.zeros(0, dtype=np.int64)]
     for keyframe, frame_iou in ious.items():
         rows = np.array([gt_index[o.actor_id] for o in gt.frames[keyframe]])
         cols = np.array([pred_index[o.actor_id] for o in pred.frames[keyframe]])
-        np.add.at(overlap, (rows[:, None], cols), frame_iou >= iou_threshold)
+        hit_rows, hit_cols = np.nonzero(frame_iou >= iou_threshold)
+        hits.append(rows[hit_rows] * n_pred + cols[hit_cols])
+    overlap = np.bincount(np.concatenate(hits), minlength=n_gt * n_pred).reshape(n_gt, n_pred)
 
     pairing: list[tuple[int, int]] = []
     idtp = 0

@@ -335,13 +335,58 @@ def parse_detection_stream(path: str) -> DetectionStream:
 
 
 def write_detection_stream(stream: DetectionStream, path: str) -> None:
-    """The stream's rows in its order: ascending keyframe, given order within one."""
+    """The stream's rows in its order: ascending keyframe, given order within one.
+
+    Raises ValueError, before the file is opened, on a stream that
+    `parse_detection_stream` would not read back (see `_check_parsable`).
+    """
+    _check_parsable(stream)
     header = STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(stream.dim)]
     columns = zip(stream.boxes.tolist(), stream.scores.tolist(), stream.embeddings.tolist())
     _write_table(path, header, (
         (stream.video_id, keyframe, *box, score, *embedding)
         for keyframe, (box, score, embedding) in zip(stream.row_keyframes, columns)
     ))
+
+
+def _check_parsable(stream: DetectionStream) -> None:
+    """Raise ValueError unless `parse_detection_stream` accepts every row the stream writes.
+
+    The parser's rules as array tests: a non-empty video_id and at least one
+    embedding column, keyframes >= 0, every value finite, corners in [0, 1]
+    with x1 < x2 and y1 < y2, and the score in [0, 1]. The error names the
+    first bad row's keyframe and its first bad column in file order.
+    """
+    if stream.dim < 1:
+        raise ValueError(f"a stream needs at least one embedding column, got dim {stream.dim}")
+    if not stream.row_keyframes:
+        return
+    if not stream.video_id:
+        raise ValueError("video_id: must be non-empty")
+    boxes, scores = stream.boxes, stream.scores
+    in_unit = (boxes >= 0.0) & (boxes <= 1.0)  # false for nan and inf
+    bad = np.column_stack([
+        [keyframe < 0 for keyframe in stream.row_keyframes],
+        ~in_unit[:, 0],
+        ~in_unit[:, 1],
+        ~in_unit[:, 2] | ~(boxes[:, 0] < boxes[:, 2]),
+        ~in_unit[:, 3] | ~(boxes[:, 1] < boxes[:, 3]),
+        ~((scores >= 0.0) & (scores <= 1.0)),
+        ~np.isfinite(stream.embeddings),
+    ])
+    if not bad.any():
+        return
+    row = int(bad.any(axis=1).argmax())
+    column = int(bad[row].argmax())
+    names = STREAM_FIXED_COLUMNS[1:] + [f"e{i}" for i in range(stream.dim)]
+    rules = ["must be >= 0", "must lie in [0, 1]", "must lie in [0, 1]", "must lie in [0, 1] above x1",
+             "must lie in [0, 1] above y1", "must lie in [0, 1]"] + ["must be finite"] * stream.dim
+    keyframe = stream.row_keyframes[row]
+    values = [keyframe, *boxes[row].tolist(), scores[row].item(), *stream.embeddings[row].tolist()]
+    raise ValueError(
+        f"{stream.video_id}: row at keyframe {keyframe} would not parse back: "
+        f"{names[column]} = {values[column]!r} {rules[column]}"
+    )
 
 
 def _block_to_dict(block: MetricBlock) -> dict:

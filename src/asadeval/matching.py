@@ -17,6 +17,16 @@ Any other problem takes one `linear_sum_assignment`; the reduced costs of its
 optimal duals rule out every pair no optimum can hold, and the tie search
 confirms each remaining pair by comparing `math.fsum` totals with the
 optimum's. There is no fallback to the solver's own order.
+
+The pairs the duals leave (the tight graph, zero-padded to a square) still
+include many that no optimum holds: in a crowded keyframe, a gated pair in a
+row whose surviving pair is matched is often tight. The optima are exactly
+the perfect matchings of the tight graph (Kuhn 1955), so the tie search
+sub-solves only the tight pairs that some such matching holds, the pairs on
+an alternating cycle (Tassa 2012), and skips the rest unsolved. A skipped
+candidate's completion is a full assignment holding a pair outside every
+tight perfect matching; padded, it holds a non-tight pair, so the reduced-cost
+bound puts its fsum above the optimum's.
 """
 
 from __future__ import annotations
@@ -292,17 +302,20 @@ def _enumerated_optima(stack: np.ndarray, scale: float) -> list[int]:
     return answers
 
 
-def _tight_pairs(cost: np.ndarray, optimum: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The (row, col) pairs, ascending, that some minimum-cost assignment may hold.
+def _tight_graph(cost: np.ndarray, optimum: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+    """The pairs of the zero-padded square problem that some minimum-cost assignment may hold.
 
-    Optimal duals u, v come from ``optimum``, an optimal assignment, extended
-    to a perfect matching of the zero-padded square problem: row potentials
-    are shortest distances in its residual graph (Bellman-Ford from a virtual
-    source, at most n vectorised relaxations) and column potentials make every
-    matched pair tight. Every assignment holding (i, j) then costs at least
-    the optimum plus the reduced cost ``c_ij - u_i - v_j``, so a pair whose
-    reduced cost exceeds a tolerance far above the duals' rounding error lies
-    on no optimum.
+    Returns an (n, n) mask of those pairs, n = max(rows, cols), and the
+    perfect matching ``col_of`` (row -> column) that ``optimum``, an optimal
+    assignment, extends to with the spare columns in ascending order. Optimal
+    duals u, v come from that matching: row potentials are shortest distances
+    in its residual graph (Bellman-Ford from a virtual source, at most n
+    vectorised relaxations) and column potentials make every matched pair
+    tight. Every assignment, extended by padding to a perfect matching, costs
+    the optimum plus the sum of its pairs' reduced costs ``c_ij - u_i - v_j``,
+    so a pair whose reduced cost exceeds a tolerance far above the duals'
+    rounding error lies on no optimum. The mask holds the other pairs: the
+    tight graph.
     """
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
@@ -323,9 +336,29 @@ def _tight_pairs(cost: np.ndarray, optimum: list[tuple[int, int]]) -> list[tuple
         u = relaxed
     v = np.empty(n)
     v[col_of] = matched - u
-    reduced = (square - u[:, None] - v)[:n_rows, :n_cols]
     tolerance = 1e-9 * (1.0 + float(np.abs(cost).max())) * n
-    return list(zip(*(index.tolist() for index in np.nonzero(reduced <= tolerance))))
+    return square - u[:, None] - v <= tolerance, col_of
+
+
+def _holdable_pairs(tight: np.ndarray, col_of: list[int]) -> list[list[bool]]:
+    """Which pairs of the tight graph some perfect matching of it holds, as nested lists.
+
+    ``col_of`` is one perfect matching of ``tight`` (every matched pair is
+    tight). Row a steps to row b when (a, col_of[b]) is tight, and a tight
+    pair (i, j) lies on a perfect matching iff it is matched or closes an
+    alternating cycle: iff the row matched to column j reaches row i (Kuhn
+    1955; Tassa 2012). Reachability is the transitive closure of the steps,
+    by repeated squaring of a 0/1 matrix; each entry of a product counts at
+    most n intermediate rows, so the float products are exact.
+    """
+    reach = tight[:, col_of].astype(float)
+    while True:
+        longer = (reach @ reach > 0).astype(float)
+        if (longer == reach).all():
+            break
+        reach = longer
+    row_of = np.argsort(col_of)
+    return (tight & (reach[row_of].T > 0)).tolist()
 
 
 def _lexicographic_optimal_pairs(
@@ -338,16 +371,28 @@ def _lexicographic_optimal_pairs(
     Totals are compared through math.fsum, so assignments with equal
     real-valued cost compare equal regardless of summation order.
 
-    Two facts spare almost every sub-solve. A candidate outside
-    `_tight_pairs` lies on no optimum, so it is skipped. And a known optimal
-    completion of the pairs fixed so far is carried along: ``optimum`` at
-    first, then the sub-solve of the last candidate kept. Its smallest pair
-    completes to ``best`` by that same fsum, so the scan accepts it without a
-    solve once every earlier candidate has failed; it always gets that far.
+    Three facts spare almost every sub-solve. A candidate outside the tight
+    graph (`_tight_graph`) lies on no optimum, so it is skipped. A known
+    optimal completion of the pairs fixed so far is carried along:
+    ``optimum`` at first, then the sub-solve of the last candidate kept. Its
+    smallest pair completes to ``best`` by that same fsum, so the scan accepts
+    it without a solve once every earlier candidate has failed; it always gets
+    that far. And before the first candidate is tested, `_holdable_pairs`
+    finds the tight pairs that some perfect matching of the tight graph
+    holds; every other candidate is skipped. That skip is exact: a
+    candidate's completion is a full assignment (the scan stops at the known
+    pair, whose completion needs ``need + 1`` rows at or below it), and any
+    assignment holding a pair no tight perfect matching holds extends by
+    padding to a perfect matching that also holds a non-tight pair, so by the
+    bound above its fsum cannot equal ``best``. The bound needs duals that
+    did not overflow, so costs of magnitude near the largest float skip
+    nothing this way.
     """
     n_rows, n_cols = cost.shape
     k = min(n_rows, n_cols)
-    tight = _tight_pairs(cost, optimum)
+    tight_mask, col_of = _tight_graph(cost, optimum)
+    tight = list(zip(*(index.tolist() for index in np.nonzero(tight_mask[:n_rows, :n_cols]))))
+    holdable: list[list[bool]] | None = None
     completion = sorted(optimum)
     pairs: list[tuple[int, int]] = []
     fixed: list[float] = []
@@ -361,6 +406,15 @@ def _lexicographic_optimal_pairs(
             if (i, j) >= known:
                 break
             if j not in free_cols:
+                continue
+            if holdable is None:
+                # The skip's bound needs duals that did not overflow: every
+                # potential and reduced cost lies within (4n + 2) * max |cost|.
+                if float(np.abs(cost).max()) * (4 * len(col_of) + 2) < 2.0**1023:
+                    holdable = _holdable_pairs(tight_mask, col_of)
+                else:
+                    holdable = tight_mask.tolist()
+            if not holdable[i][j]:
                 continue
             candidate = fixed + [float(cost[i, j])]
             rest: list[tuple[int, int]] = []

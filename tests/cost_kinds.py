@@ -3,8 +3,10 @@
 `tie_heavy_cost` builds one matrix of a given kind and shape from a numpy
 generator. Every kind is built to have many equal-cost optima: grid values
 with some all-1.0 (fully gated) rows and columns; duplicated rows and
-columns; `build_cost_matrix` on repeated boxes; and dense continuous costs in
-the trackers' range [0, 1.3].
+columns; `build_cost_matrix` on repeated boxes; dense continuous costs in
+the trackers' range [0, 1.3]; and `crowded_boxes_cost`, a crowded keyframe
+whose detections are jittered, missed and duplicated copies of its ground
+truth.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from asadeval.matching import build_cost_matrix
 from asadeval.model import BoundingBox
 
-KINDS = ("grid", "duplicates", "boxes", "dense")
+KINDS = ("grid", "duplicates", "boxes", "dense", "crowded")
 COST_GRID = np.array([0.0, 0.25, 0.5, 1.0])
 
 
@@ -45,4 +47,28 @@ def tie_heavy_cost(rng: np.random.Generator, kind: str, n_rows: int, n_cols: int
         ).cost
     if kind == "dense":
         return rng.uniform(0.0, 1.3, size=(n_rows, n_cols))
+    if kind == "crowded":
+        return crowded_boxes_cost(rng, n_rows, n_cols)
     raise ValueError(f"unknown cost kind {kind!r}")
+
+
+def crowded_boxes_cost(rng: np.random.Generator, n_rows: int, n_cols: int) -> np.ndarray:
+    """`build_cost_matrix` of ``n_rows`` ground-truth boxes against ``n_cols`` detections.
+
+    Each ground-truth box is missed with probability 0.15, else detected as
+    a jittered copy, which is duplicated exactly with probability 0.2.
+    Detections past ``n_cols`` are dropped, random false positives fill up
+    to it, and the columns are shuffled. Most pairs are gated (cost exactly
+    1.0), and a row's surviving pair often ties a duplicate's.
+    """
+    gt = random_boxes(rng, n_rows)
+    detections = []
+    for box in gt:
+        if rng.random() < 0.15:
+            continue
+        corners = np.clip(np.array([box.x1, box.y1, box.x2, box.y2]) + rng.normal(0.0, 0.01, 4), 0.0, 1.0)
+        copies = 2 if rng.random() < 0.2 else 1
+        detections += [BoundingBox(*corners)] * copies
+    detections = detections[:n_cols]
+    detections += random_boxes(rng, n_cols - len(detections))
+    return build_cost_matrix(gt, [detections[k] for k in rng.permutation(n_cols)]).cost

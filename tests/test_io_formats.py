@@ -1,9 +1,13 @@
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asadeval.association import DetectionStream
 from asadeval.detection import average_precision
@@ -319,6 +323,75 @@ def test_stream_embedding_bytes_equal_the_per_cell_parse(tmp_path, cells):
     stream = parse_embedding_cells(tmp_path, cells)
     (detection,) = stream.frames[0]
     assert detection.appearance.tobytes() == np.array([float(c) for c in cells]).tobytes()
+
+
+def test_writer_refuses_a_stream_its_parser_rejects(tmp_path):
+    # Once written as v,0,0.3,0.1,0.1,0.3,1.5,nan, which the parser rejected.
+    stream = DetectionStream("v", 1, (0,), [[0.3, 0.1, 0.1, 0.3]], [1.5], [[np.nan]])
+    path = tmp_path / "stream.csv"
+    with pytest.raises(ValueError, match=r"^v: row at keyframe 0 would not parse back: x2 = 0\.1 "):
+        write_detection_stream(stream, str(path))
+    assert not path.exists()
+
+
+# Edge values of every rule the parser applies to a stream row's cells.
+STREAM_CELLS = (0.0, -0.0, 1.0, 0.25, 0.5, 0.75, 1.0 + 2.0**-52, -5e-324, 1e308, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def stream_cells(draw):
+    """A stream of 0-4 rows, each valid but for at most one cell drawn from `STREAM_CELLS`.
+
+    Cells are the keyframe, the four corners, the score and the embedding.
+    A valid row takes x1 and y1 from {0, -0, 0.25} and x2 and y2 from
+    {0.75, 1}; the one drawn cell may still be valid.
+    """
+    dim = draw(st.integers(1, 3))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        low, high = st.sampled_from((0.0, -0.0, 0.25)), st.sampled_from((0.75, 1.0))
+        cells = [draw(st.integers(0, 3)), draw(low), draw(low), draw(high), draw(high)]
+        cells.append(draw(st.sampled_from((0.0, 0.5, 1.0))))
+        cells += [draw(st.sampled_from(STREAM_CELLS[:9])) for _ in range(dim)]
+        broken = draw(st.integers(-3, len(cells) - 1))
+        if broken == 0:
+            cells[0] = -1
+        elif broken > 0:
+            cells[broken] = draw(st.sampled_from(STREAM_CELLS))
+        rows.append((cells[0], cells[1:5], cells[5], cells[6:]))
+    return dim, rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(stream_cells())
+def test_written_stream_parses_back_to_equal_arrays(case):
+    # The writer raises exactly when the parser would reject the rows it writes;
+    # otherwise the file parses back to bit-equal arrays.
+    dim, rows = case
+    stream = DetectionStream.from_rows("v", dim, rows)
+    header = ",".join(["video_id,keyframe,x1,y1,x2,y2,score"] + [f"e{i}" for i in range(dim)])
+    lines = [
+        ",".join(["v", str(kf)] + [repr(float(c)) for c in (*box, score, *emb)])
+        for kf, box, score, emb in rows
+    ]
+    with tempfile.TemporaryDirectory() as directory:
+        by_hand, written = Path(directory) / "by_hand.csv", Path(directory) / "written.csv"
+        by_hand.write_text("\n".join([header, *lines]) + "\n")
+        try:
+            parse_detection_stream(str(by_hand))
+            parsable = True
+        except FormatError:
+            parsable = False
+        try:
+            write_detection_stream(stream, str(written))
+        except ValueError:
+            assert not parsable and not written.exists()
+            return
+        assert parsable
+        again = parse_detection_stream(str(written))
+    assert again.row_keyframes == stream.row_keyframes
+    for name in ("boxes", "scores", "embeddings"):
+        assert getattr(again, name).tobytes() == getattr(stream, name).tobytes()
 
 
 def sample_report():

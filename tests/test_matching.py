@@ -17,7 +17,7 @@ from asadeval.matching import (
     solve_assignment,
 )
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
-from cost_kinds import KINDS, random_boxes, tie_heavy_cost
+from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -301,6 +301,11 @@ NAIVE_ORDER_TIED = np.array([[1.0, 1.0, 5.0], [5.0, EPS, 0.0], [EPS / 2, 5.0, EP
 @example(np.array([[0.5, 0.25, 1.0, 0.25]]))
 @example(NAIVE_ORDER_REVERSED)
 @example(NAIVE_ORDER_TIED)
+# Gated box problems in which a row holding a surviving pair also has tight
+# gated pairs that no optimum holds.
+@example(crowded_boxes_cost(np.random.default_rng(0), 6, 6))
+@example(crowded_boxes_cost(np.random.default_rng(1), 5, 6))
+@example(crowded_boxes_cost(np.random.default_rng(0), 12, 12))
 def test_tie_break_matches_oracle_and_reference(cost):
     # Both orientations; the oracle up to 6 x 6, the unpruned search up to 12 x 12.
     for matrix in (cost, cost.T):
@@ -326,6 +331,22 @@ def test_reduced_costs_spare_the_sub_solves(shape, monkeypatch):
     solution = solve_assignment(AssignmentProblem(cost=cost))
     assert len(calls) <= 30
     assert list(solution.pairs) == reference_lex_pairs(cost, solution.total_cost)
+
+
+def test_holdable_filter_spares_the_gated_sub_solves(monkeypatch):
+    # Crowded gated box problems of about 40 x 40. Most tight pairs here are
+    # gated pairs in rows whose surviving pair every optimum holds; without
+    # the holdable-pair filter the tie search makes about 100 LSA calls per
+    # problem here, with it about 8.
+    calls = counted_lsa(monkeypatch)
+    rng = np.random.default_rng(40)
+    costs = [crowded_boxes_cost(rng, int(r), int(c)) for r, c in rng.integers(36, 45, size=(8, 2))]
+    solutions = [solve_assignment(AssignmentProblem(cost=cost)) for cost in costs]
+    assert len(calls) <= 20 * len(costs)
+    monkeypatch.undo()
+    for cost, solution in zip(costs, solutions):
+        expected = reference_lex_pairs(cost, solution.total_cost)
+        assert solution.pairs == tuple(pair for pair in expected if cost[pair] != 1.0)
 
 
 def counted_lsa(monkeypatch) -> list:

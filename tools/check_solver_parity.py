@@ -7,12 +7,14 @@ Both copies of `asadeval` are imported into this one process, the other one
 under another package name. Problem ``i`` has the shape ``SHAPES[i % 64]``,
 every shape from 1 x 1 to 8 x 8, so both sides of the enumeration's coverage
 (2 or 3 pairs, at most 6 rows and columns) are met equally often. Its kind is
-drawn from `tests/cost_kinds.py` or is "extreme": a grid matrix with some
-entries set to +-1e308 or +-1e300, where sums can overflow. Both copies
-solve every problem with ``drop_gated`` true and false; the pairs and the
-``total_cost`` bits must match exactly, or else the exception's type and
-message. Prints the first differences and a summary, and exits 1 on any
-difference.
+drawn from `tests/cost_kinds.py`, or is "extreme": a grid matrix with some
+entries set to +-1e308 or +-1e300, where sums can overflow, or is "large": a
+`crowded_boxes_cost` keyframe of 9-60 rows and 9-60 columns, drawn in place
+of the problem's shape, where the tie search meets gated pairs and duplicated
+boxes at the scale of a crowded video. Both copies solve every problem with
+``drop_gated`` true and false; the pairs and the ``total_cost`` bits must
+match exactly, or else the exception's type and message. Prints the first
+differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from asadeval import matching  # noqa: E402
-from cost_kinds import KINDS, tie_heavy_cost  # noqa: E402
+from cost_kinds import KINDS, crowded_boxes_cost, tie_heavy_cost  # noqa: E402
 
 SHAPES = tuple(itertools.product(range(1, 9), repeat=2))
 EXTREMES = np.array([1e308, -1e308, 1e300, -1e300])
@@ -51,6 +53,8 @@ def load_other(src: Path):
 
 
 def problem(rng: np.random.Generator, kind: str, shape: tuple[int, int]) -> np.ndarray:
+    if kind == "large":
+        return crowded_boxes_cost(rng, *(int(side) for side in rng.integers(9, 61, size=2)))
     if kind != "extreme":
         return tie_heavy_cost(rng, kind, *shape)
     cost = tie_heavy_cost(rng, "grid", *shape)
@@ -80,13 +84,13 @@ def main(argv=None) -> int:
     other = load_other(args.other_src.resolve())
 
     rng = np.random.default_rng(args.seed)
-    kinds = KINDS + ("extreme",)
+    kinds = KINDS + ("extreme", "large")
     tally: Counter = Counter()
     differences = 0
     for index in range(args.problems):
-        shape = SHAPES[index % len(SHAPES)]
         kind = kinds[rng.integers(len(kinds))]
-        cost = problem(rng, kind, shape)
+        cost = problem(rng, kind, SHAPES[index % len(SHAPES)])
+        shape = cost.shape
         here, there = outcomes(matching, cost), outcomes(other, cost)
         tally[kind] += 1
         tally["enumerated"] += matching._enumerable(shape)
