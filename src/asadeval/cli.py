@@ -3,7 +3,11 @@
 Exit codes are fixed for scripting: 0 success, 1 I/O failure, 2 input-data
 validation errors (details on stderr, one line each), 64 usage errors.
 Every run resolves its configuration as flags > config file > defaults and
-echoes the result into the artifacts it writes.
+echoes the result into the artifacts it writes. Each flag's built-in default
+is set on its argparse argument. With --config, the command line is parsed
+once, the file's values (each checked against the flag its key mirrors)
+become the subcommand's defaults, and the command line is parsed again, so a
+flag given on it still beats the file.
 """
 
 from __future__ import annotations
@@ -46,6 +50,22 @@ class _UsageError(Exception):
     pass
 
 
+# synth's scenario overrides: flag dest -> (`ScenarioSpec` field, type, help).
+_SYNTH_OVERRIDES = {
+    "video_id": ("video_id", str, "video id recorded in the outputs"),
+    "actors": ("n_actors", int, "override n_actors"),
+    "keyframes": ("n_keyframes", int, "override n_keyframes"),
+    "cuts": ("n_cuts", int, "override n_cuts"),
+    "miss_rate": ("miss_rate", float, "override detector miss probability"),
+    "box_jitter": ("box_jitter", float, "override box jitter sigma"),
+    "fp_rate": ("fp_rate", float, "override false-positive rate"),
+    "app_noise": ("appearance_noise", float, "override appearance noise magnitude"),
+    "label_switch_rate": ("label_switch_rate", float, "override per-keyframe label switch probability"),
+    "labels": ("n_labels", int, "override n_labels"),
+    "dim": ("appearance_dim", int, "override appearance dimensionality"),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser whose usage errors exit with the documented code 64."""
 
@@ -62,12 +82,15 @@ def _build_parser() -> _Parser:
     evaluate = sub.add_parser("evaluate", help="score predictions against ground truth")
     evaluate.add_argument("--gt", help="ground-truth annotation CSV")
     evaluate.add_argument("--pred", help="prediction annotation CSV")
-    evaluate.add_argument("--iou", type=float, help="IoU gate for all metric families (default 0.5)")
+    evaluate.add_argument("--iou", type=float, default=0.5,
+                          help="IoU gate for all metric families (default 0.5)")
     evaluate.add_argument("--labels", type=int, help="action-label universe size (default: sidecar manifest or 80)")
     evaluate.add_argument("--report", help="write the evaluation report here")
-    evaluate.add_argument("--format", choices=["json", "csv"], help="report format (default json)")
-    evaluate.add_argument("--per-video", action=argparse.BooleanOptionalAction, help="print per-video metric lines")
-    evaluate.add_argument("--id-persistence", action=argparse.BooleanOptionalAction,
+    evaluate.add_argument("--format", choices=["json", "csv"], default="json",
+                          help="report format (default json)")
+    evaluate.add_argument("--per-video", action=argparse.BooleanOptionalAction, default=False,
+                          help="print per-video metric lines")
+    evaluate.add_argument("--id-persistence", action=argparse.BooleanOptionalAction, default=True,
                           help="keep a track's previous identity when still matchable (default on)")
     evaluate.add_argument("--pr-curve", help="dump the pooled precision-recall curve CSV here")
     evaluate.add_argument("--config", help="JSON config file whose keys mirror the flags")
@@ -84,31 +107,28 @@ def _build_parser() -> _Parser:
     track.add_argument("--config", help="JSON config file whose keys mirror the flags")
 
     synth = sub.add_parser("synth", help="generate a synthetic scenario")
-    synth.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS), help="preset (default 'default')")
-    synth.add_argument("--seed", type=int, help="generator seed (default 0)")
+    synth.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS), default="default",
+                       help="preset (default 'default')")
+    synth.add_argument("--seed", type=int, default=0, help="generator seed (default 0)")
     synth.add_argument("--out", help="output directory for gt.csv, detections.csv, manifest.json")
-    synth.add_argument("--video-id", help="video id recorded in the outputs")
-    synth.add_argument("--actors", type=int, help="override n_actors")
-    synth.add_argument("--keyframes", type=int, help="override n_keyframes")
-    synth.add_argument("--cuts", type=int, help="override n_cuts")
-    synth.add_argument("--miss-rate", type=float, help="override detector miss probability")
-    synth.add_argument("--box-jitter", type=float, help="override box jitter sigma")
-    synth.add_argument("--fp-rate", type=float, help="override false-positive rate")
-    synth.add_argument("--app-noise", type=float, help="override appearance noise magnitude")
-    synth.add_argument("--label-switch-rate", type=float, help="override per-keyframe label switch probability")
-    synth.add_argument("--labels", type=int, help="override n_labels")
-    synth.add_argument("--dim", type=int, help="override appearance dimensionality")
+    for dest, (_, kind, text) in _SYNTH_OVERRIDES.items():
+        synth.add_argument(f"--{dest.replace('_', '-')}", type=kind, help=text)
     synth.add_argument("--config", help="JSON config file whose keys mirror the flags")
 
     bench = sub.add_parser("bench", help="run the online/offline association comparison")
-    bench.add_argument("--seeds", type=int, help="number of seeds (default 10)")
+    bench.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
     bench.add_argument("--out", help="output directory for comparison.csv")
-    bench.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS),
+    bench.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS), default="camera-cut",
                        help="scenario preset (default 'camera-cut')")
     bench.add_argument("--config", help="JSON config file whose keys mirror the flags")
     for command in (evaluate, track, synth, bench):
-        command.set_defaults(flags={action.dest: action for action in command._actions})
+        command.set_defaults(parser=command)
     return parser
+
+
+def _flags(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """A subcommand's flags by dest, without --help and --config: the keys a config file may set."""
+    return {action.dest: action for action in command._actions if action.dest not in ("help", "config")}
 
 
 def _check_config_value(path: str, key: str, value, flag: argparse.Action) -> None:
@@ -129,10 +149,8 @@ def _check_config_value(path: str, key: str, value, flag: argparse.Action) -> No
         )
 
 
-def _load_config_file(path: Optional[str], flags: dict[str, argparse.Action]) -> dict:
+def _load_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:
     """The file's non-null values, each checked against the flag its key mirrors."""
-    if path is None:
-        return {}
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
@@ -149,25 +167,8 @@ def _load_config_file(path: Optional[str], flags: dict[str, argparse.Action]) ->
     return values
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge CLI flags over config-file values over built-in defaults."""
-    file_cfg = _load_config_file(
-        getattr(args, "config", None), {key: args.flags[key] for key in defaults}
-    )
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = default
-    return resolved
-
-
-def _require(resolved: dict, keys: Sequence[str], command: str) -> None:
-    missing = [f"--{key.replace('_', '-')}" for key in keys if resolved[key] is None]
+def _require(args: argparse.Namespace, keys: Sequence[str], command: str) -> None:
+    missing = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is None]
     if missing:
         raise _UsageError(f"{command}: missing required option(s): {', '.join(missing)}")
 
@@ -200,45 +201,31 @@ def _print_summary(report: EvalReport, per_video: bool) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    defaults = {
-        "gt": None,
-        "pred": None,
-        "iou": 0.5,
-        "labels": None,
-        "report": None,
-        "format": "json",
-        "per_video": False,
-        "id_persistence": True,
-        "pr_curve": None,
-    }
-    resolved = _resolve(args, defaults)
-    _require(resolved, ["gt", "pred"], "evaluate")
-    if not (0.0 < resolved["iou"] < 1.0):
-        raise _UsageError(f"evaluate: --iou must lie in (0, 1), got {resolved['iou']}")
+    _require(args, ["gt", "pred"], "evaluate")
+    if not (0.0 < args.iou < 1.0):
+        raise _UsageError(f"evaluate: --iou must lie in (0, 1), got {args.iou}")
 
-    n_labels = resolved["labels"]
-    if n_labels is None:
-        n_labels = sidecar_n_labels(resolved["gt"]) or DEFAULT_N_LABELS
-        resolved["labels"] = n_labels
-    if n_labels < 1:
-        raise _UsageError(f"evaluate: --labels must be >= 1, got {n_labels}")
+    if args.labels is None:
+        args.labels = sidecar_n_labels(args.gt) or DEFAULT_N_LABELS
+    if args.labels < 1:
+        raise _UsageError(f"evaluate: --labels must be >= 1, got {args.labels}")
 
-    gt_records = parse_annotations(resolved["gt"], role="gt", n_labels=n_labels)
-    pred_records = parse_annotations(resolved["pred"], role="pred", n_labels=n_labels)
-    echo = {f"cli_{key}": value for key, value in resolved.items()}
+    gt_records = parse_annotations(args.gt, role="gt", n_labels=args.labels)
+    pred_records = parse_annotations(args.pred, role="pred", n_labels=args.labels)
+    echo = {f"cli_{key}": getattr(args, key) for key in _flags(args.parser)}
     report = evaluate_records(
         gt_records,
         pred_records,
-        iou_threshold=resolved["iou"],
-        n_labels=n_labels,
-        id_persistence=resolved["id_persistence"],
+        iou_threshold=args.iou,
+        n_labels=args.labels,
+        id_persistence=args.id_persistence,
         config=echo,
     )
-    _print_summary(report, per_video=resolved["per_video"])
-    if resolved["report"]:
-        write_report(report, resolved["report"], fmt=resolved["format"])
-    if resolved["pr_curve"]:
-        write_pr_curve(report.pooled_ap, resolved["pr_curve"])
+    _print_summary(report, per_video=args.per_video)
+    if args.report:
+        write_report(report, args.report, fmt=args.format)
+    if args.pr_curve:
+        write_pr_curve(report.pooled_ap, args.pr_curve)
     return EXIT_OK
 
 
@@ -265,98 +252,54 @@ def _association_config(mode: str, iou_weight, tau, gap) -> AssociationConfig:
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
-    defaults = {
-        "detections": None,
-        "mode": None,
-        "iou_weight": None,
-        "tau": None,
-        "gap": None,
-        "out": None,
-    }
-    resolved = _resolve(args, defaults)
-    _require(resolved, ["detections", "mode", "out"], "track")
+    _require(args, ["detections", "mode", "out"], "track")
 
-    cfg = _association_config(
-        resolved["mode"], resolved["iou_weight"], resolved["tau"], resolved["gap"]
-    )
-    tracker = track_online if resolved["mode"] == "online" else track_offline
-    record = tracker(parse_detection_stream(resolved["detections"]), cfg)
-    write_annotations([record], resolved["out"], role="pred")
+    cfg = _association_config(args.mode, args.iou_weight, args.tau, args.gap)
+    tracker = track_online if args.mode == "online" else track_offline
+    record = tracker(parse_detection_stream(args.detections), cfg)
+    write_annotations([record], args.out, role="pred")
     print(
         f"tracked {len(record.observations)} detections into "
-        f"{len(record.actor_ids)} identities -> {resolved['out']}"
+        f"{len(record.actor_ids)} identities -> {args.out}"
     )
     return EXIT_OK
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    defaults = {
-        "scenario": "default",
-        "seed": 0,
-        "out": None,
-        "video_id": None,
-        "actors": None,
-        "keyframes": None,
-        "cuts": None,
-        "miss_rate": None,
-        "box_jitter": None,
-        "fp_rate": None,
-        "app_noise": None,
-        "label_switch_rate": None,
-        "labels": None,
-        "dim": None,
-    }
-    resolved = _resolve(args, defaults)
-    _require(resolved, ["out"], "synth")
+    _require(args, ["out"], "synth")
 
-    override_map = {
-        "video_id": "video_id",
-        "actors": "n_actors",
-        "keyframes": "n_keyframes",
-        "cuts": "n_cuts",
-        "miss_rate": "miss_rate",
-        "box_jitter": "box_jitter",
-        "fp_rate": "fp_rate",
-        "app_noise": "appearance_noise",
-        "label_switch_rate": "label_switch_rate",
-        "labels": "n_labels",
-        "dim": "appearance_dim",
-    }
     overrides = {
-        spec_key: resolved[flag]
-        for flag, spec_key in override_map.items()
-        if resolved[flag] is not None
+        field: getattr(args, dest)
+        for dest, (field, _, _) in _SYNTH_OVERRIDES.items()
+        if getattr(args, dest) is not None
     }
     try:
-        spec = scenario_preset(resolved["scenario"], seed=resolved["seed"], **overrides)
+        spec = scenario_preset(args.scenario, seed=args.seed, **overrides)
     except ValueError as exc:
         hint = ""
-        if resolved["cuts"] is None and str(exc).startswith("n_cuts"):
-            preset_cuts = SCENARIO_PRESETS[resolved["scenario"]]["n_cuts"]
-            hint = f"; the {resolved['scenario']!r} preset sets n_cuts={preset_cuts}, so pass --cuts"
+        if args.cuts is None and str(exc).startswith("n_cuts"):
+            preset_cuts = SCENARIO_PRESETS[args.scenario]["n_cuts"]
+            hint = f"; the {args.scenario!r} preset sets n_cuts={preset_cuts}, so pass --cuts"
         raise _UsageError(f"synth: {exc}{hint}") from exc
 
     gt, stream = generate(spec)
-    out_dir = Path(resolved["out"])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_annotations([gt], str(out_dir / "gt.csv"), role="gt")
     write_detection_stream(stream, str(out_dir / "detections.csv"))
     write_scenario_manifest(spec, str(out_dir / "manifest.json"))
-    print(f"wrote scenario '{resolved['scenario']}' (seed {spec.seed}) to {out_dir}")
+    print(f"wrote scenario '{args.scenario}' (seed {spec.seed}) to {out_dir}")
     return EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    defaults = {"seeds": 10, "out": None, "scenario": "camera-cut"}
-    resolved = _resolve(args, defaults)
-    _require(resolved, ["out"], "bench")
-    n_seeds = resolved["seeds"]
-    if n_seeds < 1:
-        raise _UsageError(f"bench: --seeds must be >= 1, got {n_seeds}")
+    _require(args, ["out"], "bench")
+    if args.seeds < 1:
+        raise _UsageError(f"bench: --seeds must be >= 1, got {args.seeds}")
 
     rows = []
-    for seed in range(1, n_seeds + 1):
-        spec = scenario_preset(resolved["scenario"], seed=seed)
+    for seed in range(1, args.seeds + 1):
+        spec = scenario_preset(args.scenario, seed=seed)
         gt, stream = generate(spec)
         for mode, cfg, tracker in (
             ("online", AssociationConfig.online(), track_online),
@@ -378,7 +321,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 }
             )
 
-    out_dir = Path(resolved["out"])
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "comparison.csv"
     write_bench_table(rows, str(table_path))
@@ -404,10 +347,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # The file's values become the subcommand's defaults, so a flag still beats them.
+            args.parser.set_defaults(**_load_config_file(args.config, _flags(args.parser)))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"asadeval: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from asadeval import cli
 from asadeval.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from asadeval.detection import average_precision
 from asadeval.io_formats import parse_annotations, read_report, write_annotations, write_pr_curve
@@ -512,3 +513,72 @@ def test_track_is_independent_of_row_order_across_keyframes(tmp_path, capsys, mo
     for _ in range(5):
         shuffle_data_rows(stream, rng, keep_keyframe_order=True)
         assert outputs() == expected
+
+
+# Every flag of every subcommand, by the config key that mirrors it: a value a
+# config file gives, flag tokens that give another value, that value, and the
+# built-in default.
+FLAG_TABLE = [
+    ("evaluate", "gt", "a.csv", ["--gt", "b.csv"], "b.csv", None),
+    ("evaluate", "pred", "a.csv", ["--pred", "b.csv"], "b.csv", None),
+    ("evaluate", "iou", 0.6, ["--iou", "0.7"], 0.7, 0.5),
+    ("evaluate", "labels", 5, ["--labels", "7"], 7, None),
+    ("evaluate", "report", "a.json", ["--report", "b.json"], "b.json", None),
+    ("evaluate", "format", "csv", ["--format", "json"], "json", "json"),
+    ("evaluate", "per_video", True, ["--no-per-video"], False, False),
+    ("evaluate", "id_persistence", False, ["--id-persistence"], True, True),
+    ("evaluate", "pr_curve", "a.csv", ["--pr-curve", "b.csv"], "b.csv", None),
+    ("track", "detections", "a.csv", ["--detections", "b.csv"], "b.csv", None),
+    ("track", "mode", "online", ["--mode", "offline"], "offline", None),
+    ("track", "iou_weight", 0.2, ["--lambda", "0.4"], 0.4, None),
+    ("track", "tau", 0.3, ["--tau", "0.9"], 0.9, None),
+    ("track", "gap", 3, ["--gap", "4"], 4, None),
+    ("track", "out", "a.csv", ["--out", "b.csv"], "b.csv", None),
+    ("synth", "scenario", "static", ["--scenario", "camera-cut"], "camera-cut", "default"),
+    ("synth", "seed", 5, ["--seed", "6"], 6, 0),
+    ("synth", "out", "a", ["--out", "b"], "b", None),
+    ("synth", "video_id", "a", ["--video-id", "b"], "b", None),
+    ("synth", "actors", 2, ["--actors", "3"], 3, None),
+    ("synth", "keyframes", 20, ["--keyframes", "30"], 30, None),
+    ("synth", "cuts", 1, ["--cuts", "2"], 2, None),
+    ("synth", "miss_rate", 0.1, ["--miss-rate", "0.2"], 0.2, None),
+    ("synth", "box_jitter", 0.01, ["--box-jitter", "0.02"], 0.02, None),
+    ("synth", "fp_rate", 0.1, ["--fp-rate", "0.2"], 0.2, None),
+    ("synth", "app_noise", 0.1, ["--app-noise", "0.2"], 0.2, None),
+    ("synth", "label_switch_rate", 0.1, ["--label-switch-rate", "0.2"], 0.2, None),
+    ("synth", "labels", 4, ["--labels", "5"], 5, None),
+    ("synth", "dim", 8, ["--dim", "16"], 16, None),
+    ("bench", "seeds", 2, ["--seeds", "3"], 3, 10),
+    ("bench", "out", "a", ["--out", "b"], "b", None),
+    ("bench", "scenario", "static", ["--scenario", "default"], "default", "camera-cut"),
+]
+
+
+def test_flag_table_holds_every_flag():
+    flags = {
+        (command, key)
+        for command in cli._COMMANDS
+        for key in cli._flags(cli._build_parser().parse_args([command]).parser)
+    }
+    assert len(flags) == len(FLAG_TABLE) == 32
+    assert flags == {(command, key) for command, key, *_ in FLAG_TABLE}
+
+
+@pytest.mark.parametrize(
+    "command, key, file_value, flag, flag_value, default",
+    FLAG_TABLE,
+    ids=[f"{command}-{key}" for command, key, *_ in FLAG_TABLE],
+)
+def test_flag_beats_config_file_beats_default(
+    tmp_path, monkeypatch, command, key, file_value, flag, flag_value, default
+):
+    # The command sees the resolved value; nothing is read or written.
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(getattr(args, key)) or EXIT_OK)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: file_value}))
+    assert main([command, "--config", str(config)]) == EXIT_OK
+    assert main([command, "--config", str(config), *flag]) == EXIT_OK
+    assert main([command]) == EXIT_OK
+    assert seen == [file_value, flag_value, default]
+    assert [type(value) for value in seen] == [type(file_value), type(flag_value), type(default)]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -423,3 +424,29 @@ def test_overflowing_optimum_raises_as_before():
     cost = np.array([[-1e308, 1e308], [1e308, -1e308]])
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
         solve_assignment(AssignmentProblem(cost=cost))
+
+
+def test_extreme_costs_emit_no_warning():
+    # The duals of this LSA-route problem overflow; numpy's warnings about that
+    # must not reach the caller, where warnings-as-errors would raise them.
+    cost = np.array([[1.0, 0.25], [-1e308, 0.0], [1e308, 0.25]])
+    for matrix in (cost, cost.T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_assignment(AssignmentProblem(cost=matrix))
+        assert (solution.pairs, solution.total_cost) == (((0, 1), (1, 0)), -1e308)
+
+
+# A 4 x 4 problem, so it takes the LSA route: linear_sum_assignment compares
+# rounded sums and returns the diagonal, whose fsum is 1 + 2**-52, while
+# (0, 2), (1, 0), (2, 1), (3, 3) has fsum 1.
+LSA_MISSES_LEAST_FSUM = np.full((4, 4), 5.0)
+LSA_MISSES_LEAST_FSUM[:3, :3] = NAIVE_ORDER_REVERSED.T
+LSA_MISSES_LEAST_FSUM[3, 3] = 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="the LSA route's total is the fsum of LSA's optimum, not the least fsum")
+def test_lsa_route_total_is_the_least_fsum():
+    oracle_pairs, oracle_total = brute_force_lex_pairs(LSA_MISSES_LEAST_FSUM)
+    solution = solve_assignment(AssignmentProblem(cost=LSA_MISSES_LEAST_FSUM), drop_gated=False)
+    assert (list(solution.pairs), solution.total_cost) == (oracle_pairs, oracle_total)

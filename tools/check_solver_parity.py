@@ -13,8 +13,10 @@ entries set to +-1e308 or +-1e300, where sums can overflow, or is "large": a
 of the problem's shape, where the tie search meets gated pairs and duplicated
 boxes at the scale of a crowded video. Both copies solve every problem with
 ``drop_gated`` true and false; the pairs and the ``total_cost`` bits must
-match exactly, or else the exception's type and message. Prints the first
-differences and a summary, and exits 1 on any difference.
+match exactly, or else the exception's type and message. Each side's
+``RuntimeWarning``s (numpy overflow and invalid-value warnings) are recorded
+and counted. Prints the first differences and a summary, and exits 1 on any
+difference or on any warning from this checkout's solver.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import importlib
 import importlib.util
 import itertools
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -63,16 +66,21 @@ def problem(rng: np.random.Generator, kind: str, shape: tuple[int, int]) -> np.n
     return cost
 
 
-def outcomes(module, cost: np.ndarray) -> list[tuple]:
-    """("solved", pairs, total bits) or ("raised", type, message), with drop_gated true then false."""
+def outcomes(module, cost: np.ndarray) -> tuple[list[tuple], int]:
+    """("solved", pairs, total bits) or ("raised", type, message), with drop_gated true then false.
+
+    Also returns the number of ``RuntimeWarning``s the two solves emitted.
+    """
     results = []
-    for drop_gated in (True, False):
-        try:
-            solution = module.solve_assignment(module.AssignmentProblem(cost=cost.copy()), drop_gated)
-            results.append(("solved", solution.pairs, float(solution.total_cost).hex()))
-        except Exception as exc:  # a crash is an outcome to compare, not a stop
-            results.append(("raised", type(exc).__name__, str(exc)))
-    return results
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        for drop_gated in (True, False):
+            try:
+                solution = module.solve_assignment(module.AssignmentProblem(cost=cost.copy()), drop_gated)
+                results.append(("solved", solution.pairs, float(solution.total_cost).hex()))
+            except Exception as exc:  # a crash is an outcome to compare, not a stop
+                results.append(("raised", type(exc).__name__, str(exc)))
+    return results, sum(issubclass(warning.category, RuntimeWarning) for warning in caught)
 
 
 def main(argv=None) -> int:
@@ -91,8 +99,10 @@ def main(argv=None) -> int:
         kind = kinds[rng.integers(len(kinds))]
         cost = problem(rng, kind, SHAPES[index % len(SHAPES)])
         shape = cost.shape
-        here, there = outcomes(matching, cost), outcomes(other, cost)
+        (here, warned_here), (there, warned_there) = outcomes(matching, cost), outcomes(other, cost)
         tally[kind] += 1
+        tally["warnings here"] += warned_here
+        tally["warnings other"] += warned_there
         tally["enumerated"] += matching._enumerable(shape)
         tally.update(result[0] for result in here)
         if here != there:
@@ -105,9 +115,10 @@ def main(argv=None) -> int:
     print(
         f"{args.problems} problems ({', '.join(f'{k} {tally[k]}' for k in kinds)}; "
         f"{tally['enumerated']} of an enumerated shape), {2 * args.problems} solves per side: "
-        f"{tally['solved']} solved, {tally['raised']} raised; {differences} problems differ"
+        f"{tally['solved']} solved, {tally['raised']} raised; {differences} problems differ; "
+        f"RuntimeWarnings: {tally['warnings here']} here, {tally['warnings other']} other"
     )
-    return 1 if differences else 0
+    return 1 if differences or tally["warnings here"] else 0
 
 
 if __name__ == "__main__":
