@@ -154,7 +154,7 @@ def _load_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON or not UTF-8
             raise _UsageError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _UsageError(f"config file {path}: expected a JSON object")

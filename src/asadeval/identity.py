@@ -19,10 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .actions import MatchedPairSet, match_pairs
-from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_cost, solve_assignment
+from .matching import (
+    DEFAULT_IOU_GATE,
+    IouTable,
+    frame_ious,
+    gated_cost,
+    linear_sum_assignment,
+    solve_assignment,
+)
 from .model import VideoRecord, build_tracklets
 
 MT_THRESHOLD = 0.8

@@ -479,7 +479,7 @@ def sidecar_n_labels(annotation_path: str) -> Optional[int]:
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: malformed JSON or not UTF-8
         return None
     if not isinstance(data, dict):
         return None

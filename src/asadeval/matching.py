@@ -18,6 +18,12 @@ optimal duals rule out every pair no optimum can hold, and the tie search
 confirms each remaining pair by comparing `math.fsum` totals with the
 optimum's. There is no fallback to the solver's own order.
 
+scipy is imported by the first `linear_sum_assignment` call, not by this
+module: `import scipy.optimize` takes about 0.63 s, most of what
+`import asadeval` would cost with it. Commands that never solve a large
+assignment or pair identities (`synth`, `track --mode offline`, `--help`,
+`--version`, and every input error found before solving) never pay it.
+
 The pairs the duals leave (the tight graph, zero-padded to a square) still
 include many that no optimum holds: in a crowded keyframe, a gated pair in a
 row whose surviving pair is matched is often tight. The optima are exactly
@@ -39,7 +45,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import BoundingBox, VideoRecord
 
@@ -54,6 +59,22 @@ _ENUMERATED_SIDE = 6
 # Largest |cost| enumerated: a sum of three such terms, and the difference of
 # two such sums, stay below the largest float.
 _ENUMERATED_MAX_COST = 2.0**1021
+
+
+def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """`scipy.optimize.linear_sum_assignment`, with scipy imported on the first call.
+
+    The import takes about 0.63 s, so it waits until a problem needs the
+    solver: `evaluate` pays it at its first IDF1 pairing and `track --mode
+    online` at its first assignment too large to enumerate, while `synth`,
+    `track --mode offline`, `--help`, `--version` and input errors never
+    do. This is the package's one scipy import; `identity` solves through it
+    too. After the first call the import is a `sys.modules` lookup, well
+    under a microsecond beside a solve.
+    """
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost, maximize=maximize)
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -1,5 +1,10 @@
+import importlib.util
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,6 +340,60 @@ def test_synth_evaluate_with_sidecar_labels(tmp_path):
     assert code == EXIT_OK
     data = json.loads(report_path.read_text())
     assert data["config"]["n_labels"] == 17  # picked up from manifest.json
+
+
+def test_evaluate_ignores_a_manifest_that_is_not_utf8(identity_fixture, tmp_path, capsys):
+    gt_path, pred_path = identity_fixture
+    (gt_path.parent / "manifest.json").write_bytes(b'\xff{"n_labels": 17}')
+    report_path = tmp_path / "report.json"
+    code = main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+                 "--report", str(report_path)])
+    assert code == EXIT_OK
+    assert json.loads(report_path.read_text())["config"]["n_labels"] == 80
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["evaluate", "track", "synth", "bench"])
+def test_config_file_not_utf8_is_usage_error_naming_the_file(tmp_path, capsys, command):
+    config = tmp_path / "config.json"
+    config.write_bytes(b'\xff{"seed": 1}')
+    assert main([command, "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"asadeval: error: config file {config}: invalid JSON: ")
+    assert "utf-8" in err
+
+
+def _cold_start_tool():
+    path = Path(__file__).resolve().parents[1] / "tools" / "check_cold_start.py"
+    spec = importlib.util.spec_from_file_location("check_cold_start", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+def test_only_commands_that_solve_import_scipy(tmp_path):
+    # The cold-start tool's table, run up to its first path that solves in
+    # one interpreter (keeps the suite's time flat); "loaded" is cumulative.
+    tool = _cold_start_tool()
+    table = tool.paths(tmp_path)
+    first_solve = next(i for i, (*_, scipy_free) in enumerate(table) if not scipy_free)
+    table = table[: first_solve + 1]
+    assert [name for name, *_ in table] == [
+        "--version", "synth", "track --mode offline", "evaluate (exit 2)", "track --mode online",
+    ]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    _, results, returncode = tool.probe(
+        [*tool.setup(tmp_path), *(argv for _, argv, _, _ in table)], env, tmp_path
+    )
+    assert returncode == 0 and results is not None
+    assert results[:2] == [[EXIT_OK, []], [EXIT_OK, []]]  # set-up never solves either
+    expected = [
+        [code, [] if scipy_free else ["scipy", "scipy.optimize"]]
+        for _, _, code, scipy_free in table
+    ]
+    assert results[2:] == expected
 
 
 def test_bench_single_seed_deterministic_table(tmp_path):

@@ -544,8 +544,12 @@ def test_every_writer_output_is_pinned(tmp_path):
         ('{"n_labels": 17}', 17),
         ('{"spec": {"n_labels": 12}}', 12),
         ('{"n_labels": 0, "spec": {"n_labels": 12}}', 12),
+        (b'\xff{"n_labels": 17}', None),  # not UTF-8
     ],
 )
 def test_sidecar_n_labels_takes_only_an_int_of_at_least_one(tmp_path, manifest, expected):
-    write_text(tmp_path / "manifest.json", manifest)
+    if isinstance(manifest, bytes):
+        (tmp_path / "manifest.json").write_bytes(manifest)
+    else:
+        write_text(tmp_path / "manifest.json", manifest)
     assert sidecar_n_labels(str(tmp_path / "gt.csv")) == expected

@@ -1,0 +1,139 @@
+"""Time each asadeval CLI path in fresh interpreters and check which import scipy.
+
+    python tools/check_cold_start.py [--runs 5] [--src OTHER/src]
+
+`asadbench` times warm, in-process passes; this times what a user pays per
+command: a new interpreter, `import asadeval` and the command. One
+camera-cut `synth` scene (seed 0) and its offline tracking are made first;
+then each path below runs ``--runs`` times, each in a fresh interpreter, and
+the tool prints its median wall seconds (interpreter start included) and
+whether `scipy` was in `sys.modules` when the command returned ("?" when
+a run died before returning and no other run imported it).
+`scipy.optimize` costs about 0.63 s to import and is needed only by a solve,
+so the paths marked scipy-free must never import it. Exits 1 when one does,
+or when a path exits with an unexpected code or dies before returning.
+``--src`` times another checkout's `src` instead of this one's.
+
+`tests/test_cli.py` runs the same table, up to its first path that solves,
+in one interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Runs commands in order as `asadeval` would and writes, per command, its exit
+# code and which of scipy and scipy.optimize were loaded when it returned.
+_PROBE = """
+import contextlib, io, json, sys
+from asadeval.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, [name for name in ("scipy", "scipy.optimize") if name in sys.modules]])
+with open(sys.argv[1], "w") as handle:
+    json.dump(results, handle)
+"""
+
+
+def setup(work: Path) -> list[list[str]]:
+    """The commands that make the scene and its offline tracking as pred.csv."""
+    scene = work / "scene"
+    return [
+        ["synth", "--scenario", "camera-cut", "--seed", "0", "--out", str(scene)],
+        ["track", "--detections", str(scene / "detections.csv"), "--mode", "offline",
+         "--out", str(scene / "pred.csv")],
+    ]
+
+
+def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
+    """(name, argv, expected exit code, scipy-free) for every timed CLI path, scipy-free first."""
+    scene = work / "scene"
+    detections = str(scene / "detections.csv")
+    return [
+        ("--version", ["--version"], 0, True),
+        ("synth", ["synth", "--scenario", "camera-cut", "--seed", "0",
+                   "--out", str(work / "synth")], 0, True),
+        ("track --mode offline", ["track", "--detections", detections, "--mode", "offline",
+                                  "--out", str(work / "offline.csv")], 0, True),
+        # A detection stream is no prediction file: its header is refused.
+        ("evaluate (exit 2)", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", detections], 2, True),
+        ("track --mode online", ["track", "--detections", detections, "--mode", "online",
+                                 "--out", str(work / "online.csv")], 0, False),
+        ("evaluate", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", str(scene / "pred.csv"),
+                      "--report", str(work / "report.json")], 0, False),
+        ("bench --seeds 1", ["bench", "--seeds", "1", "--out", str(work / "bench")], 0, False),
+    ]
+
+
+def probe(argvs: list[list[str]], env: dict, work: Path) -> tuple[float, list | None, int]:
+    """Wall seconds, the per-command results (None if the interpreter died first)
+    and the exit code, for one fresh interpreter running ``argvs`` in order."""
+    out = work / "probe.json"
+    out.unlink(missing_ok=True)
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE, str(out), json.dumps(argvs)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, cwd=work, timeout=300,
+    )
+    wall = time.perf_counter() - start
+    results = json.loads(out.read_text()) if out.exists() else None
+    return wall, results, done.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--runs", type=int, default=5, help="fresh interpreters per path (default 5)")
+    parser.add_argument("--src", type=Path, default=REPO / "src",
+                        help="the src directory to time (default: this checkout's)")
+    args = parser.parse_args(argv)
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    if not (args.src / "asadeval" / "__init__.py").is_file():
+        parser.error(f"no asadeval package under {args.src}")
+
+    env = {**os.environ, "PYTHONPATH": str(args.src.resolve())}
+    failures = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _, results, returncode = probe(setup(work), env, work)
+        if results is None or any(code != 0 for code, _ in results):
+            print(f"set-up failed (exit {returncode}, results {results})", file=sys.stderr)
+            return 1
+        print(f"{'path':<22} {'median s':>9}  scipy  expected")
+        for name, path_argv, expected_code, scipy_free in paths(work):
+            walls, imported, died = [], False, False
+            for _ in range(args.runs):
+                wall, results, returncode = probe([path_argv], env, work)
+                walls.append(wall)
+                if results is None:
+                    died = True
+                    failures.append(f"{name}: died before returning (exit {returncode})")
+                    continue
+                [(code, loaded)] = results
+                if code != expected_code:
+                    failures.append(f"{name}: exited with {code}, expected {expected_code}")
+                imported |= bool(loaded)
+            if scipy_free and imported:
+                failures.append(f"{name}: imported scipy, though it never solves")
+            shown = "yes" if imported else "?" if died else "no"
+            print(f"{name:<22} {statistics.median(walls):>9.3f}  {shown:<5}  "
+                  f"{'no' if scipy_free else 'yes (solves)'}")
+    for failure in failures:
+        print(f"FAIL {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
