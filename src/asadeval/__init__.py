@@ -38,18 +38,9 @@ from .matching import (
     Assignment,
     AssignmentProblem,
     build_cost_matrix,
-    iou,
     solve_assignment,
 )
-from .model import (
-    ActorObservation,
-    BoundingBox,
-    Tracklet,
-    VideoRecord,
-    Violation,
-    build_tracklets,
-    validate_record,
-)
+from .model import ActorObservation, BoundingBox, VideoRecord, build_tracklets
 from .synthetic import Perturbation, ScenarioSpec, generate, perturb, scenario_preset
 from .version import __version__
 
@@ -76,9 +67,7 @@ __all__ = [
     "PRCurve",
     "ScenarioSpec",
     "TrackCoverage",
-    "Tracklet",
     "VideoRecord",
-    "Violation",
     "average_precision",
     "build_cost_matrix",
     "build_tracklets",
@@ -87,7 +76,6 @@ __all__ = [
     "hamming_loss",
     "id_switches",
     "idf1",
-    "iou",
     "match_pairs",
     "mt_ml",
     "parse_annotations",
@@ -100,7 +88,6 @@ __all__ = [
     "tally_frame",
     "track_offline",
     "track_online",
-    "validate_record",
     "write_annotations",
     "write_detection_stream",
     "write_report",

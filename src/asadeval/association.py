@@ -101,9 +101,6 @@ class DetectionStream:
             for kf, start, stop in zip(self.keyframes, self.bounds, self.bounds[1:])
         }
 
-    def n_detections(self) -> int:
-        return len(self.row_keyframes)
-
 
 @dataclass(frozen=True)
 class AssociationConfig:

@@ -145,11 +145,9 @@ def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
     coverage: list[TrackCoverage] = []
     mt_count = 0
     ml_count = 0
-    for tracklet in build_tracklets(gt):
-        hits = sum(
-            1 for obs in tracklet.observations if (obs.keyframe, obs.actor_id) in covered
-        )
-        entry = TrackCoverage(actor_id=tracklet.actor_id, covered=hits, total=len(tracklet))
+    for actor_id, observations in build_tracklets(gt).items():
+        hits = sum(1 for obs in observations if (obs.keyframe, actor_id) in covered)
+        entry = TrackCoverage(actor_id=actor_id, covered=hits, total=len(observations))
         coverage.append(entry)
         if entry.ratio >= MT_THRESHOLD:
             mt_count += 1

@@ -173,8 +173,11 @@ def parse_annotations(
 
     Rows sharing (video_id, keyframe, actor_id) merge into one multi-label
     observation and must agree exactly on geometry (and score). The row
-    checks enforce every rule of `validate_record`. Every problem is
-    reported with its line number; any problem aborts the parse.
+    checks enforce every rule of the domain model (see `model`): ids and
+    keyframes >= 0, boxes with x1 < x2 and y1 < y2 inside the unit square,
+    scores in [0, 1], labels in [1, n_labels], and a non-empty label set on
+    ground truth. Every problem is reported with its line number; any
+    problem aborts the parse.
     """
     expected = _columns(role)
     errors: list[str] = []
@@ -269,24 +272,28 @@ def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) ->
 
 
 def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> None:
-    """Serialize records in canonical row order (video, keyframe, actor, action)."""
+    """Serialize records in canonical row order (video, keyframe, actor, action).
 
-    def rows():
-        for record in sorted(records, key=lambda r: r.video_id):
+    Raises ValueError, before the file is opened, on a ground-truth
+    observation without labels.
+    """
+    records = sorted(records, key=lambda r: r.video_id)
+    if role == "gt":
+        for record in records:
             for obs in record.observations:
-                if obs.actions:
-                    action_ids = sorted(obs.actions)
-                elif role == "pred":
-                    action_ids = [NO_ACTION_MARKER]
-                else:
+                if not obs.actions:
                     raise ValueError(
                         f"ground-truth observation without labels at video "
                         f"{record.video_id!r} keyframe {obs.keyframe}"
                     )
+
+    def rows():
+        for record in records:
+            for obs in record.observations:
                 box = obs.box
                 location = (record.video_id, obs.keyframe, box.x1, box.y1, box.x2, box.y2)
                 score = (obs.score,) if role == "pred" else ()
-                for action_id in action_ids:
+                for action_id in sorted(obs.actions) if obs.actions else [NO_ACTION_MARKER]:
                     yield (*location, action_id, obs.actor_id, *score)
 
     _write_table(path, _columns(role), rows())
@@ -353,9 +360,9 @@ def _check_parsable(stream: DetectionStream) -> None:
     """Raise ValueError unless `parse_detection_stream` accepts every row the stream writes.
 
     The parser's rules as array tests: a non-empty video_id and at least one
-    embedding column, keyframes >= 0, every value finite, corners in [0, 1]
-    with x1 < x2 and y1 < y2, and the score in [0, 1]. The error names the
-    first bad row's keyframe and its first bad column in file order.
+    embedding column, integer keyframes >= 0, every value finite, corners in
+    [0, 1] with x1 < x2 and y1 < y2, and the score in [0, 1]. The error names
+    the first bad row's keyframe and its first bad column in file order.
     """
     if stream.dim < 1:
         raise ValueError(f"a stream needs at least one embedding column, got dim {stream.dim}")
@@ -365,8 +372,9 @@ def _check_parsable(stream: DetectionStream) -> None:
         raise ValueError("video_id: must be non-empty")
     boxes, scores = stream.boxes, stream.scores
     in_unit = (boxes >= 0.0) & (boxes <= 1.0)  # false for nan and inf
+    keyframe_rules = [_keyframe_rule(keyframe) for keyframe in stream.row_keyframes]
     bad = np.column_stack([
-        [keyframe < 0 for keyframe in stream.row_keyframes],
+        [rule is not None for rule in keyframe_rules],
         ~in_unit[:, 0],
         ~in_unit[:, 1],
         ~in_unit[:, 2] | ~(boxes[:, 0] < boxes[:, 2]),
@@ -379,14 +387,22 @@ def _check_parsable(stream: DetectionStream) -> None:
     row = int(bad.any(axis=1).argmax())
     column = int(bad[row].argmax())
     names = STREAM_FIXED_COLUMNS[1:] + [f"e{i}" for i in range(stream.dim)]
-    rules = ["must be >= 0", "must lie in [0, 1]", "must lie in [0, 1]", "must lie in [0, 1] above x1",
-             "must lie in [0, 1] above y1", "must lie in [0, 1]"] + ["must be finite"] * stream.dim
+    rules = [keyframe_rules[row], "must lie in [0, 1]", "must lie in [0, 1]",
+             "must lie in [0, 1] above x1", "must lie in [0, 1] above y1",
+             "must lie in [0, 1]"] + ["must be finite"] * stream.dim
     keyframe = stream.row_keyframes[row]
     values = [keyframe, *boxes[row].tolist(), scores[row].item(), *stream.embeddings[row].tolist()]
     raise ValueError(
         f"{stream.video_id}: row at keyframe {keyframe} would not parse back: "
         f"{names[column]} = {values[column]!r} {rules[column]}"
     )
+
+
+def _keyframe_rule(keyframe) -> Optional[str]:
+    """The rule a keyframe breaks, or None; a float or bool is written as ``3.0`` or ``True``."""
+    if isinstance(keyframe, bool) or not isinstance(keyframe, (int, np.integer)):
+        return "must be an integer"
+    return "must be >= 0" if keyframe < 0 else None
 
 
 def _block_to_dict(block: MetricBlock) -> dict:

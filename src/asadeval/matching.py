@@ -77,23 +77,6 @@ def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.
     return solve(cost, maximize=maximize)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes; 0 when disjoint, symmetric."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    union = a.area() + b.area() - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
 def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """Stack boxes into an (n, 4) float array of x1, y1, x2, y2."""
     if not boxes:
@@ -104,7 +87,9 @@ def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between (..., n, 4) and (..., m, 4) arrays of corner boxes.
 
-    Leading dimensions broadcast. Entries take `iou`'s float operations in its order.
+    Leading dimensions broadcast; an entry is 0 where the boxes are disjoint
+    or the union is not positive. The tests' scalar oracle (`iou` in
+    `tests/support.py`) takes the same float operations in the same order.
     """
     ix1 = np.maximum(a[..., :, None, 0], b[..., None, :, 0])
     iy1 = np.maximum(a[..., :, None, 1], b[..., None, :, 1])

@@ -1,4 +1,4 @@
-"""Shared domain model: boxes, observations, tracklets, and video records.
+"""Shared domain model: boxes, observations, and video records.
 
 All box coordinates are normalized fractions of the frame size, so every
 valid box lives inside the unit square. A keyframe is an integer index into
@@ -7,14 +7,16 @@ the annotated-frame sequence.
 Action labels are integer category ids in ``[1, n_labels]`` held as plain
 ``frozenset`` instances. Ground-truth observations must carry at least one
 label; predictions may carry none. All types are immutable after
-construction.
+construction. Construction does not check these rules:
+`io_formats.parse_annotations` enforces them row by row on every file it
+reads, and the tests hold a whole-record oracle (`tests/support.py`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 DEFAULT_N_LABELS = 80
 
@@ -42,20 +44,6 @@ class BoundingBox:
     @property
     def height(self) -> float:
         return self.y2 - self.y1
-
-    def area(self) -> float:
-        return max(0.0, self.x2 - self.x1) * max(0.0, self.y2 - self.y1)
-
-    def is_degenerate(self) -> bool:
-        return not (self.x1 < self.x2 and self.y1 < self.y2)
-
-    def in_unit_square(self) -> bool:
-        return (
-            0.0 <= self.x1 <= 1.0
-            and 0.0 <= self.y1 <= 1.0
-            and 0.0 <= self.x2 <= 1.0
-            and 0.0 <= self.y2 <= 1.0
-        )
 
 
 @dataclass(frozen=True)
@@ -88,21 +76,6 @@ class ActorObservation:
 
 
 @dataclass(frozen=True)
-class Tracklet:
-    """Keyframe-ordered observations of a single actor within one video."""
-
-    actor_id: int
-    observations: tuple[ActorObservation, ...]
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-    @property
-    def keyframes(self) -> tuple[int, ...]:
-        return tuple(o.keyframe for o in self.observations)
-
-
-@dataclass(frozen=True)
 class VideoRecord:
     """All observations of one video, canonically ordered.
 
@@ -132,10 +105,6 @@ class VideoRecord:
     def actor_ids(self) -> tuple[int, ...]:
         return tuple(sorted({o.actor_id for o in self.observations}))
 
-    @property
-    def keyframes(self) -> tuple[int, ...]:
-        return tuple(self.frames.keys())
-
     def __len__(self) -> int:
         return len(self.observations)
 
@@ -160,116 +129,11 @@ def aligned_records(
     ]
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A single invariant breach found by `validate_record`."""
+def build_tracklets(record: VideoRecord) -> dict[int, tuple[ActorObservation, ...]]:
+    """Each actor's keyframe-ordered observations, by ascending actor_id.
 
-    rule: str
-    message: str
-    keyframe: Optional[int] = None
-    actor_id: Optional[int] = None
-
-    def __str__(self) -> str:
-        where = []
-        if self.keyframe is not None:
-            where.append(f"keyframe={self.keyframe}")
-        if self.actor_id is not None:
-            where.append(f"actor_id={self.actor_id}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        return f"{self.rule}: {self.message}{suffix}"
-
-
-def validate_record(
-    record: VideoRecord,
-    role: str = "pred",
-    n_labels: int = DEFAULT_N_LABELS,
-) -> list[Violation]:
-    """Check every type invariant of a record; violations are data, not errors.
-
-    Args:
-        record: the record to check.
-        role: "gt" requires non-empty label sets and score 1.0 on every
-            observation; "pred" allows empty label sets and any score in [0, 1].
-        n_labels: size of the action-label universe.
-
-    Returns:
-        Empty list iff all invariants hold. Deterministic and independent of
-        the order observations were supplied in (records canonicalize their
-        observation order at construction).
-    """
-    if role not in ("gt", "pred"):
-        raise ValueError(f"role must be 'gt' or 'pred', got {role!r}")
-    violations: list[Violation] = []
-
-    seen: dict[tuple[int, int], int] = {}
-    for obs in record.observations:
-        key = (obs.keyframe, obs.actor_id)
-        seen[key] = seen.get(key, 0) + 1
-    for (kf, actor_id), count in seen.items():
-        if count > 1:
-            violations.append(
-                Violation(
-                    rule="duplicate_identity",
-                    message=f"{count} observations share one identity at a keyframe",
-                    keyframe=kf,
-                    actor_id=actor_id,
-                )
-            )
-
-    for obs in record.observations:
-        kf, actor_id = obs.keyframe, obs.actor_id
-        if obs.video_id != record.video_id:
-            violations.append(
-                Violation(
-                    rule="video_id_mismatch",
-                    message=f"observation video_id {obs.video_id!r} != record {record.video_id!r}",
-                    keyframe=kf,
-                    actor_id=actor_id,
-                )
-            )
-        if kf < 0:
-            violations.append(
-                Violation("bad_keyframe", "keyframe must be >= 0", kf, actor_id)
-            )
-        if actor_id < 0:
-            violations.append(
-                Violation("bad_actor_id", "actor_id must be >= 0", kf, actor_id)
-            )
-        if obs.box.is_degenerate():
-            violations.append(
-                Violation("degenerate_box", "box has non-positive extent", kf, actor_id)
-            )
-        if not obs.box.in_unit_square():
-            violations.append(
-                Violation("box_out_of_range", "coordinates outside [0, 1]", kf, actor_id)
-            )
-        if not (0.0 <= obs.score <= 1.0):
-            violations.append(
-                Violation("bad_score", f"score {obs.score} outside [0, 1]", kf, actor_id)
-            )
-        if role == "gt":
-            if not obs.actions:
-                violations.append(
-                    Violation("empty_actions", "ground truth requires a non-empty label set", kf, actor_id)
-                )
-            if obs.score != 1.0:
-                violations.append(
-                    Violation("gt_score", "ground-truth score must be 1.0", kf, actor_id)
-                )
-        for label in obs.actions:
-            if not (1 <= label <= n_labels):
-                violations.append(
-                    Violation("bad_label", f"action label {label} outside [1, {n_labels}]", kf, actor_id)
-                )
-    return violations
-
-
-def build_tracklets(record: VideoRecord) -> list[Tracklet]:
-    """Partition a record's observations into per-actor tracklets.
-
-    One tracklet per distinct actor_id, observations keyframe-sorted with
-    gaps permitted. Rejects records containing duplicate (keyframe, actor_id)
-    pairs, which would make tracklet order ill-defined.
+    Gaps are permitted. Rejects records containing duplicate (keyframe,
+    actor_id) pairs, which would make tracklet order ill-defined.
     """
     seen: set[tuple[int, int]] = set()
     per_actor: dict[int, list[ActorObservation]] = {}
@@ -278,11 +142,8 @@ def build_tracklets(record: VideoRecord) -> list[Tracklet]:
         if key in seen:
             raise ValueError(
                 f"duplicate (keyframe={obs.keyframe}, actor_id={obs.actor_id}) "
-                f"in video {record.video_id!r}; validate the record first"
+                f"in video {record.video_id!r}"
             )
         seen.add(key)
         per_actor.setdefault(obs.actor_id, []).append(obs)
-    return [
-        Tracklet(actor_id=actor_id, observations=tuple(per_actor[actor_id]))
-        for actor_id in sorted(per_actor)
-    ]
+    return {actor_id: tuple(per_actor[actor_id]) for actor_id in sorted(per_actor)}

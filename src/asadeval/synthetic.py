@@ -27,6 +27,8 @@ GENERATOR_ALGORITHM = "numpy-default-rng-pcg64"
 
 # Pairwise |cosine| bound enforced between base appearance vectors.
 APPEARANCE_MAX_COSINE = 0.3
+# Rejection draws per appearance vector before sampling gives up.
+_APPEARANCE_MAX_TRIES = 200
 _MIN_BOX_EXTENT = 0.02
 _MAX_LABELS_PER_ACTOR = 3
 
@@ -92,13 +94,11 @@ def scenario_preset(name: str, seed: int = 0, **overrides) -> ScenarioSpec:
     return ScenarioSpec(seed=seed, **params)
 
 
-def _sample_appearance_bases(
-    rng: np.random.Generator, n: int, dim: int, max_tries: int = 200
-) -> np.ndarray:
+def _sample_appearance_bases(rng: np.random.Generator, n: int, dim: int) -> np.ndarray:
     """Unit vectors with pairwise |cos| <= APPEARANCE_MAX_COSINE, by rejection."""
     bases: list[np.ndarray] = []
     for _ in range(n):
-        for _ in range(max_tries):
+        for _ in range(_APPEARANCE_MAX_TRIES):
             vec = rng.standard_normal(dim)
             vec /= np.linalg.norm(vec)
             if all(abs(float(vec @ other)) <= APPEARANCE_MAX_COSINE for other in bases):

@@ -20,10 +20,10 @@ from asadeval.association import (
 )
 from asadeval.identity import id_switches
 from asadeval.io_formats import write_annotations
-from asadeval.matching import AssignmentProblem, boxes_to_array, iou, solve_assignment
-from asadeval.model import ActorObservation, BoundingBox, VideoRecord, validate_record
+from asadeval.matching import AssignmentProblem, boxes_to_array, solve_assignment
+from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from asadeval.synthetic import ScenarioSpec, generate, scenario_preset
-from support import record, track_obs
+from support import iou, record, track_obs, validate_record
 
 
 def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
@@ -253,7 +253,7 @@ def test_stream_rows_are_grouped_by_ascending_keyframe_in_given_order():
         [boxes[i][2] for i in order[start:stop]]
         for start, stop in zip(stream.bounds, stream.bounds[1:])
     ]
-    assert stream.n_detections() == n
+    assert len(stream.row_keyframes) == n
     assert not stream.embeddings.flags.writeable
 
 
@@ -349,7 +349,7 @@ def test_outputs_validate_and_ids_are_unique_per_keyframe():
             key = (obs.keyframe, obs.actor_id)
             assert key not in seen
             seen.add(key)
-        assert len(out.observations) == stream.n_detections()
+        assert len(out.observations) == len(stream.row_keyframes)
 
 
 def test_trackers_deterministic(tmp_path):

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
+import asadeval
 from asadeval import cli
 from asadeval.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from asadeval.detection import average_precision
 from asadeval.io_formats import parse_annotations, read_report, write_annotations, write_pr_curve
-from asadeval.model import validate_record
-from support import LEFT, RIGHT, obs, record
+from support import LEFT, RIGHT, obs, record, validate_record
 
 
 @pytest.fixture()
@@ -394,6 +394,14 @@ def test_only_commands_that_solve_import_scipy(tmp_path):
         for _, _, code, scipy_free in table
     ]
     assert results[2:] == expected
+
+
+def test_every_public_name_resolves():
+    # The star import raises AttributeError on an `__all__` entry the package lacks.
+    namespace = {}
+    exec("from asadeval import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(asadeval.__all__)
 
 
 def test_bench_single_seed_deterministic_table(tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from asadeval import actions, identity
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
-from asadeval.matching import build_cost_matrix, gated_pairs, iou, solve_assignment
+from asadeval.matching import build_cost_matrix, gated_pairs, solve_assignment
 from asadeval.model import VideoRecord
-from support import LEFT, RIGHT, obs, record, track_obs
+from support import LEFT, RIGHT, iou, obs, record, track_obs
 
 
 def brute_force_idtp(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5) -> int:

@@ -195,6 +195,19 @@ def test_annotation_round_trip_randomized(tmp_path, role):
     assert parsed == sorted(records, key=lambda r: r.video_id)
 
 
+def test_gt_writer_refuses_an_unlabelled_observation_before_opening(tmp_path):
+    # The bad observation sorts after rows that would be written first.
+    labelled = record("a", [obs("a", 0, 1, LEFT)])
+    unlabelled = record("b", [obs("b", 0, 1, LEFT), obs("b", 3, 2, RIGHT, actions=())])
+    path = tmp_path / "gt.csv"
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises(ValueError, match=r"^ground-truth observation without labels at video 'b' keyframe 3$"):
+        write_annotations([unlabelled, labelled], str(path), role="gt")
+    assert path.read_bytes() == b"previous contents\n"
+    write_annotations([unlabelled, labelled], str(path), role="pred")
+    assert parse_annotations(str(path), role="pred") == [labelled, unlabelled]
+
+
 def test_stream_round_trip_and_sorting(tmp_path):
     header = "video_id,keyframe,x1,y1,x2,y2,score,e0,e1,e2,e3"
     path = write_text(
@@ -344,7 +357,8 @@ def stream_cells(draw):
 
     Cells are the keyframe, the four corners, the score and the embedding.
     A valid row takes x1 and y1 from {0, -0, 0.25} and x2 and y2 from
-    {0.75, 1}; the one drawn cell may still be valid.
+    {0.75, 1}; the one drawn cell may still be valid. A drawn keyframe is
+    negative, a float, a bool or a numpy integer (which is valid).
     """
     dim = draw(st.integers(1, 3))
     rows = []
@@ -355,7 +369,7 @@ def stream_cells(draw):
         cells += [draw(st.sampled_from(STREAM_CELLS[:9])) for _ in range(dim)]
         broken = draw(st.integers(-3, len(cells) - 1))
         if broken == 0:
-            cells[0] = -1
+            cells[0] = draw(st.sampled_from((-1, 0.5, 3.0, True, np.int64(2))))
         elif broken > 0:
             cells[broken] = draw(st.sampled_from(STREAM_CELLS))
         rows.append((cells[0], cells[1:5], cells[5], cells[6:]))
@@ -490,7 +504,7 @@ def pinned_writer_outputs(directory) -> dict[str, bytes]:
     pred = record(pred.video_id, observations)
     # Fresh embeddings: generate's are normalised through BLAS, whose last bits
     # vary with the kernel, and a byte pin must not.
-    stream = replace(stream, dim=3, embeddings=rng.standard_normal((stream.n_detections(), 3)))
+    stream = replace(stream, dim=3, embeddings=rng.standard_normal((len(stream.row_keyframes), 3)))
     report = evaluate_records([gt, other_gt], [pred], n_labels=spec.n_labels)
     bench_rows = [
         {"seed": seed, "mode": mode, "ap50": block.ap, "hl50": block.hl, "idf1": block.idf1,

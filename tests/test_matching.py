@@ -13,12 +13,12 @@ from asadeval.matching import (
     AssignmentProblem,
     build_cost_matrix,
     frame_ious,
-    iou,
     iou_matrix,
     solve_assignment,
 )
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
+from support import iou
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from asadeval.model import (
-    ActorObservation,
-    BoundingBox,
-    VideoRecord,
-    build_tracklets,
-    validate_record,
-)
-from support import LEFT, RIGHT, obs, record
+from asadeval.model import ActorObservation, BoundingBox, VideoRecord, build_tracklets
+from support import LEFT, RIGHT, obs, record, validate_record
 
 
 def test_duplicate_identity_is_one_violation():
@@ -69,18 +63,18 @@ def test_build_tracklets_three_actors_no_gaps():
         for kf in range(10):
             observations.append(obs("v", kf, actor, LEFT))
     tracklets = build_tracklets(record("v", observations))
-    assert [t.actor_id for t in tracklets] == [1, 2, 3]
-    assert all(len(t) == 10 for t in tracklets)
+    assert list(tracklets) == [1, 2, 3]
+    assert all(len(t) == 10 for t in tracklets.values())
 
 
 def test_build_tracklets_preserves_gap_order():
     rec = record("v", [obs("v", 5, 1, LEFT), obs("v", 0, 1, LEFT), obs("v", 2, 1, LEFT)])
-    (tracklet,) = build_tracklets(rec)
-    assert tracklet.keyframes == (0, 2, 5)
+    (tracklet,) = build_tracklets(rec).values()
+    assert tuple(o.keyframe for o in tracklet) == (0, 2, 5)
 
 
 def test_build_tracklets_empty_record():
-    assert build_tracklets(record("v", [])) == []
+    assert build_tracklets(record("v", [])) == {}
 
 
 def test_build_tracklets_rejects_duplicates():
@@ -96,7 +90,7 @@ def test_tracklet_flattening_round_trip():
         for kf in (0, 3, 7, 8)
     ]
     rec = record("v", observations)
-    flattened = [o for t in build_tracklets(rec) for o in t.observations]
+    flattened = [o for t in build_tracklets(rec).values() for o in t]
     assert sorted(flattened, key=lambda o: (o.keyframe, o.actor_id)) == list(rec.observations)
 
 

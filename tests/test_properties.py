@@ -17,9 +17,9 @@ from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import mt_ml
 from asadeval.io_formats import FormatError, parse_annotations, parse_detection_stream
-from asadeval.model import VideoRecord, validate_record
+from asadeval.model import VideoRecord
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
-from support import LEFT, RIGHT, obs, record
+from support import LEFT, RIGHT, obs, record, validate_record
 from test_detection import sweep_ap
 from test_identity import brute_force_idtp, scalar_id_switches
 

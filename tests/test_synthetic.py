@@ -3,9 +3,8 @@ import pytest
 
 from asadeval.evaluation import evaluate_records
 from asadeval.io_formats import write_detection_stream
-from asadeval.model import validate_record
 from asadeval.synthetic import Perturbation, ScenarioSpec, generate, perturb, scenario_preset
-from support import LEFT, RIGHT, obs, record, track_obs
+from support import LEFT, RIGHT, obs, record, track_obs, validate_record
 
 
 def quiet_spec(**overrides):
@@ -78,7 +77,7 @@ def test_generate_is_deterministic(tmp_path):
 
 def test_generate_full_miss_rate_gives_empty_stream():
     gt, stream = generate(quiet_spec(miss_rate=1.0))
-    assert stream.n_detections() == 0
+    assert len(stream.row_keyframes) == 0
     assert len(gt.observations) == 10
 
 

@@ -9,11 +9,11 @@ under another package name. Each input is a mutated valid file or raw bytes
 `parse_annotations` as gt and as pred for every label universe in
 `N_LABELS`, and with `parse_detection_stream`. Outcomes must match exactly:
 records compared by ``repr`` (the two imports define distinct classes), a
-stream's embeddings as exact float lists, and a `FormatError`'s list of
-messages. A parsed stream is also written back with `write_detection_stream`
-and tracked by `track_online` and `track_offline` at their default configs,
-and the bytes of the stream and of both trackers' `write_annotations` output
-must match too. Any other exception is compared by type and message, and
+stream's keyframes, boxes, scores and embeddings as exact lists, and a
+`FormatError`'s list of messages. A parsed stream is also written back with
+`write_detection_stream` and tracked by `track_online` and `track_offline` at
+their default configs, and the bytes of the stream and of both trackers'
+`write_annotations` output must match too. Any other exception is compared by type and message, and
 counted. Prints the first differences and a summary, and exits 1 on any
 difference.
 """
@@ -57,11 +57,8 @@ def canonical(result) -> str:
     """An exact text form of parsed records or of a parsed stream."""
     if isinstance(result, list):
         return repr(result)
-    frames = {
-        kf: [(repr(d.box), repr(d.score), d.appearance.tolist()) for d in dets]
-        for kf, dets in result.frames.items()
-    }
-    return repr((result.video_id, result.dim, frames))
+    arrays = (result.boxes.tolist(), result.scores.tolist(), result.embeddings.tolist())
+    return repr((result.video_id, result.dim, result.row_keyframes, *arrays))
 
 
 def parsed_records(io, path: str, role: str, n_labels: int) -> tuple[str]:
