@@ -34,12 +34,7 @@ from .io_formats import (
     write_detection_stream,
     write_report,
 )
-from .matching import (
-    Assignment,
-    AssignmentProblem,
-    build_cost_matrix,
-    solve_assignment,
-)
+from .matching import Assignment, build_cost_matrix, solve_assignment
 from .model import ActorObservation, BoundingBox, VideoRecord, build_tracklets
 from .synthetic import Perturbation, ScenarioSpec, generate, perturb, scenario_preset
 from .version import __version__
@@ -49,7 +44,6 @@ __all__ = [
     "ActorObservation",
     "APResult",
     "Assignment",
-    "AssignmentProblem",
     "AssociationConfig",
     "BoundingBox",
     "Detection",

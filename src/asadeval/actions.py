@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import DEFAULT_IOU_GATE, IouTable, frame_ious, gated_pairs
+from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_pairs
 from .model import DEFAULT_N_LABELS, ActorObservation, VideoRecord
 
 HL_NO_PAIRS = "no pairs at IoU >= gate"
@@ -66,6 +66,7 @@ def match_pairs(
     play no role in the pairing; only geometry does. This is the one gated
     matching per keyframe: HL scores its pairs and MT/ML counts their GT side.
     """
+    check_gate(iou_threshold)
     return match_pairs_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold)
 
 

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matching import AssignmentProblem, iou_matrix, solve_assignment
+from .matching import iou_matrix, solve_assignment
 from .model import ActorObservation, BoundingBox, VideoRecord
 
 ONLINE_IOU_WEIGHT = 0.7
@@ -217,7 +217,7 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
                 last_box[live], _unit_rows(sums[live] / counts[live, None]),
                 boxes[start:stop], unit[start:stop], cfg.iou_weight,
             )
-            solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
+            solution = solve_assignment(cost, drop_gated=False)
             assigned = {
                 start + j: live[i] for i, j in solution.pairs if cost[i, j] <= cfg.match_threshold
             }

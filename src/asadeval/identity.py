@@ -20,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import MatchedPairSet, match_pairs
-from .matching import (
-    DEFAULT_IOU_GATE,
-    IouTable,
-    frame_ious,
-    gated_cost,
-    linear_sum_assignment,
-    solve_assignment,
-)
+from .actions import MatchedPairSet, match_pairs, match_pairs_from_ious
+from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_cost, solve_assignment
 from .model import VideoRecord, build_tracklets
 
 MT_THRESHOLD = 0.8
@@ -100,6 +93,7 @@ def idf1(
     Empty vs empty is vacuously perfect (flagged); empty ground truth with
     predictions present scores 0.
     """
+    check_gate(iou_threshold)
     result = idf1_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold)
     return result.idf1, result
 
@@ -107,7 +101,13 @@ def idf1(
 def idf1_from_ious(
     gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float
 ) -> IdMatchResult:
-    """`idf1`'s counts on the videos' `frame_ious` table."""
+    """`idf1`'s counts on the videos' `frame_ious` table.
+
+    `solve_assignment` pairs the identities with a gated hit (the rest add
+    nothing to IDTP, and dropping them keeps most problems enumerable) on
+    their negated integer counts, so IDTP is exact and ties take the
+    lexicographically smallest assignment in ascending actor ids.
+    """
     total_gt = len(gt.observations)
     total_pred = len(pred.observations)
     gt_ids = gt.actor_ids
@@ -125,18 +125,15 @@ def idf1_from_ious(
         hit_rows, hit_cols = np.nonzero(frame_iou >= iou_threshold)
         hits.append(rows[hit_rows] * n_pred + cols[hit_cols])
     overlap = np.bincount(np.concatenate(hits), minlength=n_gt * n_pred).reshape(n_gt, n_pred)
+    hit_gt = np.flatnonzero(overlap.any(axis=1))
+    hit_pred = np.flatnonzero(overlap.any(axis=0))
+    counts = overlap[np.ix_(hit_gt, hit_pred)]
 
-    pairing: list[tuple[int, int]] = []
-    idtp = 0
-    if overlap.size:
-        rows, cols = linear_sum_assignment(overlap, maximize=True)
-        for r, c in zip(rows, cols):
-            count = int(overlap[r, c])
-            if count > 0:
-                idtp += count
-                pairing.append((gt_ids[r], pred_ids[c]))
+    paired = [(r, c) for r, c in solve_assignment(-counts, drop_gated=False).pairs if counts[r, c] > 0]
+    idtp = sum(int(counts[r, c]) for r, c in paired)
+    pairing = tuple((gt_ids[hit_gt[r]], pred_ids[hit_pred[c]]) for r, c in paired)
     vacuous = total_gt + total_pred == 0
-    return IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, tuple(sorted(pairing)), vacuous)
+    return IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, pairing, vacuous)
 
 
 def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
@@ -171,7 +168,7 @@ def mt_ml(
     Coverage comes from `match_pairs`' gated pairs and is identity-agnostic:
     a keyframe counts as covered when the per-keyframe gated assignment pairs
     the tracklet's box with any predicted box. Thresholds are inclusive:
-    ratio >= 0.8 is MT, ratio <= 0.2 is ML.
+    ratio >= 0.8 is MT, ratio <= 0.2 is ML. `match_pairs` checks the gate.
     """
     return mt_ml_from_pairs(gt, match_pairs(gt, pred, iou_threshold))
 
@@ -191,27 +188,30 @@ def id_switches(
     where a tracklet's matched predicted identity differs from the identity
     at its previous matched keyframe.
     """
-    return id_switches_from_ious(gt, pred, frame_ious(gt, pred), None, iou_threshold, persistence)
+    check_gate(iou_threshold)
+    ious = frame_ious(gt, pred)
+    pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
+    return id_switches_from_ious(gt, pred, ious, pairs, iou_threshold, persistence)
 
 
 def id_switches_from_ious(
     gt: VideoRecord,
     pred: VideoRecord,
     ious: IouTable,
-    pairs: MatchedPairSet | None,
+    pairs: MatchedPairSet,
     iou_threshold: float,
     persistence: bool,
 ) -> int:
     """`id_switches` on the videos' `frame_ious` table: only its keyframes can match.
 
-    ``pairs``, if given, is `match_pairs_from_ious` on the same table and
-    gate. Where nothing persisted at a keyframe the residual problem is that
-    keyframe's full problem, so its pairs are read from ``pairs`` instead of
-    solved again; without ``pairs`` only residuals are solved, so a keyframe
-    where every ground-truth actor persisted costs no assignment.
+    ``pairs`` is `match_pairs_from_ious` on the same table and gate. Where
+    nothing persisted at a keyframe the residual problem is that keyframe's
+    full problem, so its pairs are read from ``pairs`` instead of solved
+    again. A residual is solved only where some actors persisted and others
+    did not.
     """
     full_matches: dict[int, list[tuple[int, int]]] = {}
-    for pair in pairs.pairs if pairs is not None else ():
+    for pair in pairs.pairs:
         full_matches.setdefault(pair.gt.keyframe, []).append((pair.gt.actor_id, pair.pred.actor_id))
     last_match: dict[int, int] = {}
     switches = 0
@@ -231,7 +231,7 @@ def id_switches_from_ious(
 
         rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
         cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
-        if not matches and pairs is not None:
+        if not matches:
             matches.update(full_matches.get(keyframe, ()))
         elif rows and cols:
             residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)

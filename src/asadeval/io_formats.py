@@ -411,10 +411,20 @@ def _block_to_dict(block: MetricBlock) -> dict:
     return data
 
 
-def _block_from_dict(data: dict) -> MetricBlock:
-    kwargs = {f.name: data[f.name] for f in fields(MetricBlock)}
+def _block_from_dict(data: dict, where: str) -> MetricBlock:
+    kwargs = _required(data, [f.name for f in fields(MetricBlock)], where)
     kwargs["flags"] = tuple(kwargs["flags"])
     return MetricBlock(**kwargs)
+
+
+def _required(data, keys: Sequence[str], where: str) -> dict:
+    """``data``'s values of ``keys``; FormatError unless it is a dict that holds them all."""
+    if not isinstance(data, dict):
+        raise FormatError([f"{where}: expected a dict, got {type(data).__name__}"])
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise FormatError([f"{where}: missing key {', '.join(map(repr, missing))}"])
+    return {key: data[key] for key in keys}
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -430,14 +440,20 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_from_dict(data: dict) -> EvalReport:
+    _required(data, [], "report")
     if data.get("schema") != REPORT_SCHEMA:
         raise FormatError([f"unexpected report schema {data.get('schema')!r}"])
+    config, aggregate, videos = _required(data, ["config", "aggregate", "videos"], "report").values()
+    _required(config, [], "config")
+    if not isinstance(videos, list):
+        raise FormatError([f"videos: expected a list, got {type(videos).__name__}"])
     per_video = {
-        entry["video_id"]: _block_from_dict(entry) for entry in data["videos"]
+        _required(entry, ["video_id"], f"videos[{i}]")["video_id"]: _block_from_dict(entry, f"videos[{i}]")
+        for i, entry in enumerate(videos)
     }
     return EvalReport(
-        config=dict(data["config"]),
-        aggregate=_block_from_dict(data["aggregate"]),
+        config=dict(config),
+        aggregate=_block_from_dict(aggregate, "aggregate"),
         per_video=per_video,
     )
 

@@ -3,9 +3,10 @@
 The shared matching substrate: `frame_ious` computes a video's overlaps once,
 as one read-only GT x prediction IoU matrix per keyframe, for every metric
 family to read. `gated_cost` puts exactly 1.0 wherever the IoU gate fails,
-so a surviving pair can always be recognized by cost < 1. The solver returns
-the exact optimum and, among equal-cost optima, the lexicographically
-smallest (row, col) pair list so results are identical across platforms.
+so a surviving pair can always be recognized by cost < 1. `solve_assignment`,
+the package's one solver (IDF1's identity pairing included), returns the
+exact optimum and, among equal-cost optima, the lexicographically smallest
+(row, col) pair list so results are identical across platforms.
 
 Three routes reach that answer. A single-row or single-column problem takes
 its first smallest entry. A problem of 2 or 3 pairs with at most
@@ -20,9 +21,9 @@ optimum's. There is no fallback to the solver's own order.
 
 scipy is imported by the first `linear_sum_assignment` call, not by this
 module: `import scipy.optimize` takes about 0.63 s, most of what
-`import asadeval` would cost with it. Commands that never solve a large
-assignment or pair identities (`synth`, `track --mode offline`, `--help`,
-`--version`, and every input error found before solving) never pay it.
+`import asadeval` would cost with it. Commands that never solve an
+assignment too large to enumerate (`synth`, `track --mode offline`, `--help`,
+`--version`, input errors, a one-actor `evaluate`) never pay it.
 
 The pairs the duals leave (the tight graph, zero-padded to a square) still
 include many that no optimum holds: in a crowded keyframe, a gated pair in a
@@ -61,20 +62,20 @@ _ENUMERATED_SIDE = 6
 _ENUMERATED_MAX_COST = 2.0**1021
 
 
-def linear_sum_assignment(cost, maximize: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     """`scipy.optimize.linear_sum_assignment`, with scipy imported on the first call.
 
     The import takes about 0.63 s, so it waits until a problem needs the
-    solver: `evaluate` pays it at its first IDF1 pairing and `track --mode
-    online` at its first assignment too large to enumerate, while `synth`,
-    `track --mode offline`, `--help`, `--version` and input errors never
-    do. This is the package's one scipy import; `identity` solves through it
-    too. After the first call the import is a `sys.modules` lookup, well
-    under a microsecond beside a solve.
+    solver: `evaluate` and `track --mode online` pay it at their first
+    assignment too large to enumerate, while `synth`, `track --mode
+    offline`, `--help`, `--version` and input errors never do. This is the
+    package's one scipy import, and `solve_assignment` its only caller.
+    After the first call the import is a `sys.modules` lookup, well under a
+    microsecond beside a solve.
     """
     from scipy.optimize import linear_sum_assignment as solve
 
-    return solve(cost, maximize=maximize)
+    return solve(cost)
 
 
 def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
@@ -136,17 +137,6 @@ def frame_ious(gt: VideoRecord, pred: VideoRecord) -> IouTable:
 
 
 @dataclass(frozen=True)
-class AssignmentProblem:
-    """Dense matching-distance matrix: rows = ground truth, cols = predictions.
-
-    Every entry lies in [0, 1]; gated entries (IoU below the gate) are
-    exactly 1.0, surviving entries equal 1 - IoU.
-    """
-
-    cost: np.ndarray
-
-
-@dataclass(frozen=True)
 class Assignment:
     """A one-to-one assignment after the gate filter.
 
@@ -164,18 +154,13 @@ def build_cost_matrix(
     gt: Sequence[BoundingBox],
     pred: Sequence[BoundingBox],
     gate: float = DEFAULT_IOU_GATE,
-) -> AssignmentProblem:
+) -> np.ndarray:
     """Gated matching distance of two box lists (see `gated_cost`)."""
     return gated_cost(iou_matrix(boxes_to_array(gt), boxes_to_array(pred)), gate)
 
 
-def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> AssignmentProblem:
-    """Gated matching distance of an IoU matrix: 1 where IoU < gate, else 1 - IoU."""
-    return AssignmentProblem(cost=_gated(overlaps, gate))
-
-
-def _gated(overlaps: np.ndarray, gate: float) -> np.ndarray:
-    """`gated_cost`'s entries, for an IoU array of any shape."""
+def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> np.ndarray:
+    """Gated matching distance of an IoU array of any shape: 1 where IoU < gate, else 1 - IoU."""
     return np.where(overlaps >= gate, 1.0 - overlaps, 1.0)
 
 
@@ -191,7 +176,7 @@ def gated_pairs(ious: IouTable, gate: float = DEFAULT_IOU_GATE) -> dict[int, tup
         by_shape.setdefault(overlaps.shape, []).append(keyframe)
     solved: dict[int, tuple[tuple[int, int], ...]] = {}
     for shape, keyframes in by_shape.items():
-        costs = _gated(np.stack([ious[keyframe] for keyframe in keyframes]), gate)
+        costs = gated_cost(np.stack([ious[keyframe] for keyframe in keyframes]), gate)
         scale = float(np.abs(costs).max())
         if _enumerable(shape) and scale <= _ENUMERATED_MAX_COST:
             _, _, candidates = _assignment_table(*shape)
@@ -199,12 +184,12 @@ def gated_pairs(ious: IouTable, gate: float = DEFAULT_IOU_GATE) -> dict[int, tup
                 solved[keyframe] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
         else:
             for keyframe, cost in zip(keyframes, costs):
-                solved[keyframe] = solve_assignment(AssignmentProblem(cost=cost)).pairs
+                solved[keyframe] = solve_assignment(cost).pairs
     return {keyframe: solved[keyframe] for keyframe in ious}
 
 
-def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Assignment:
-    """Exact minimum-cost one-to-one assignment with deterministic ties.
+def solve_assignment(cost, drop_gated: bool = True) -> Assignment:
+    """Exact minimum-cost one-to-one assignment of a 2-D cost array, with deterministic ties.
 
     Minimizes total cost over all assignments of size min(rows, cols); among
     equal-cost optima the lexicographically smallest (row, col) pair list is
@@ -216,8 +201,8 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     the tie search keeps (see `_lexicographic_optimal_pairs`). There is no
     fallback: every route returns a pair list. With ``drop_gated`` (the
     default), pairs whose cost is exactly 1 are then removed from the result,
-    so every surviving pair passed the IoU gate. Callers doing their own
-    thresholding (e.g. trackers) pass False.
+    so every surviving pair of a `gated_cost` array passed the IoU gate.
+    Callers with other costs (trackers, IDF1's pairing) pass False.
 
     One limit: the LSA route takes the fsum of `linear_sum_assignment`'s
     optimum as the least total, but LSA compares rounded sums. Where
@@ -226,7 +211,7 @@ def solve_assignment(problem: AssignmentProblem, drop_gated: bool = True) -> Ass
     smallest list of that total. `test_lsa_route_total_is_the_least_fsum`,
     an expected failure, holds a 4 x 4 case.
     """
-    cost = np.asarray(problem.cost, dtype=float)
+    cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be two-dimensional")
     n_rows, n_cols = cost.shape

@@ -44,7 +44,7 @@ def tie_heavy_cost(rng: np.random.Generator, kind: str, n_rows: int, n_cols: int
         return build_cost_matrix(
             [palette[i] for i in rng.integers(0, 3, n_rows)],
             [palette[i] for i in rng.integers(0, 3, n_cols)],
-        ).cost
+        )
     if kind == "dense":
         return rng.uniform(0.0, 1.3, size=(n_rows, n_cols))
     if kind == "crowded":
@@ -71,4 +71,4 @@ def crowded_boxes_cost(rng: np.random.Generator, n_rows: int, n_cols: int) -> np
         detections += [BoundingBox(*corners)] * copies
     detections = detections[:n_cols]
     detections += random_boxes(rng, n_cols - len(detections))
-    return build_cost_matrix(gt, [detections[k] for k in rng.permutation(n_cols)]).cost
+    return build_cost_matrix(gt, [detections[k] for k in rng.permutation(n_cols)])

@@ -66,9 +66,9 @@ def test_criterion_2_assignment_oracle():
     for _ in range(200):
         n_gt = int(rng.integers(1, 8))
         n_pred = int(rng.integers(1, 8))
-        problem = build_cost_matrix(random_boxes(rng, n_gt), random_boxes(rng, n_pred))
-        solution = solve_assignment(problem)
-        assert solution.total_cost == brute_force_min_cost(problem.cost)
+        cost = build_cost_matrix(random_boxes(rng, n_gt), random_boxes(rng, n_pred))
+        solution = solve_assignment(cost)
+        assert solution.total_cost == brute_force_min_cost(cost)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

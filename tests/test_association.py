@@ -20,7 +20,7 @@ from asadeval.association import (
 )
 from asadeval.identity import id_switches
 from asadeval.io_formats import write_annotations
-from asadeval.matching import AssignmentProblem, boxes_to_array, solve_assignment
+from asadeval.matching import boxes_to_array, solve_assignment
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from asadeval.synthetic import ScenarioSpec, generate, scenario_preset
 from support import iou, record, track_obs, validate_record
@@ -67,7 +67,7 @@ def reference_track_online(
                     cost[i, j] = cfg.iou_weight * box_term + (1.0 - cfg.iou_weight) * app_term
             if costs is not None:
                 costs.append(cost)
-            solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
+            solution = solve_assignment(cost, drop_gated=False)
             for i, j in solution.pairs:
                 if cost[i, j] <= cfg.match_threshold:
                     assigned[j] = i
@@ -468,9 +468,9 @@ def test_online_cost_matches_scalar_reference(case):
     expected = reference_track_online(stream, cfg, expected_costs)
     costs: list[np.ndarray] = []
 
-    def recording(problem, **kwargs):
-        costs.append(problem.cost)
-        return solve_assignment(problem, **kwargs)
+    def recording(cost, **kwargs):
+        costs.append(cost)
+        return solve_assignment(cost, **kwargs)
 
     with mock.patch.object(association, "solve_assignment", recording):
         out = track_online(stream, cfg)

@@ -2,11 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from asadeval import actions, identity
+from asadeval.actions import match_pairs
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
-from asadeval.matching import build_cost_matrix, gated_pairs, solve_assignment
+from asadeval.matching import build_cost_matrix, gated_cost, gated_pairs, solve_assignment
 from asadeval.model import VideoRecord
 from support import LEFT, RIGHT, iou, obs, record, track_obs
 
@@ -169,6 +173,65 @@ def test_idf1_oracle_equivalence():
         assert counts.idtp == brute_force_idtp(gt, pred)
 
 
+def records_with_overlap(overlap: np.ndarray) -> tuple[VideoRecord, VideoRecord]:
+    """Records whose identity-overlap matrix is ``overlap`` (actor ids from 1).
+
+    Entry (g, p) = c becomes c keyframes where GT actor g + 1 and predicted
+    actor p + 1 share a box. Each actor also appears alone once, so an
+    all-zero row or column is an identity without a gated hit.
+    """
+    n_gt, n_pred = overlap.shape
+    gt_obs = [obs("v", g, g + 1, LEFT) for g in range(n_gt)]
+    pred_obs = [obs("v", n_gt + p, p + 1, LEFT) for p in range(n_pred)]
+    keyframes = itertools.count(n_gt + n_pred)
+    for (g, p), count in np.ndenumerate(overlap):
+        for kf in itertools.islice(keyframes, int(count)):
+            gt_obs.append(obs("v", kf, g + 1, LEFT))
+            pred_obs.append(obs("v", kf, p + 1, LEFT))
+    return record("v", gt_obs), record("v", pred_obs)
+
+
+def smallest_optimal_pairing(overlap: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """By enumeration: of the identities with a hit, the lexicographically smallest
+    assignment of maximum total overlap, its positive pairs in actor ids."""
+    rows = [g for g in range(overlap.shape[0]) if overlap[g].any()]
+    cols = [p for p in range(overlap.shape[1]) if overlap[:, p].any()]
+    k = min(len(rows), len(cols))
+    best = min(
+        (-sum(int(overlap[pair]) for pair in pairs), pairs)
+        for chosen_rows in itertools.combinations(rows, k)
+        for chosen_cols in itertools.permutations(cols, k)
+        for pairs in [sorted(zip(chosen_rows, chosen_cols))]
+    )[1]
+    return tuple((g + 1, p + 1) for g, p in best if overlap[g, p] > 0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(arrays(np.int64, st.tuples(st.integers(1, 6), st.integers(1, 6)),
+              elements=st.sampled_from([0, 0, 1, 2, 3])))
+@example(np.zeros((3, 2), dtype=np.int64))
+@example(np.array([[0, 1], [1, 2]]))  # both diagonals total 2
+@example(np.array([[1, 0, 1], [0, 0, 0], [1, 0, 1]]))
+@example(np.array([[2, 1, 1, 0, 1], [1, 2, 1, 1, 0], [1, 1, 2, 0, 1], [0, 1, 1, 2, 1], [1, 0, 1, 1, 2]]))
+def test_idf1_pairing_is_the_smallest_optimum(overlap):
+    # Tied counts and identities without hits; 4 or more identities with hits
+    # a side take the LSA route, fewer are enumerated.
+    gt, pred = records_with_overlap(overlap)
+    _, counts = idf1(gt, pred)
+    assert counts.idtp == brute_force_idtp(gt, pred) == sum(overlap[g - 1, p - 1] for g, p in counts.pairing)
+    assert counts.pairing == smallest_optimal_pairing(overlap)
+
+
+@pytest.mark.parametrize("gate", [0.0, 1.0, 1.5, -0.5, float("nan")])
+@pytest.mark.parametrize("metric", [idf1, mt_ml, id_switches, match_pairs])
+def test_per_family_functions_check_the_gate(metric, gate):
+    # With gate 0.0 these disjoint boxes used to count as a hit (IDF1 1.0).
+    gt = record("v", [obs("v", 0, 1, LEFT)])
+    pred = record("v", [obs("v", 0, 7, RIGHT)])
+    with pytest.raises(ValueError, match=r"iou_threshold must lie in \(0, 1\)"):
+        metric(gt, pred, gate)
+
+
 def test_mt_ml_boundaries_inclusive():
     total = 100
     gt = record("v", track_obs("v", 1, range(total), LEFT))
@@ -258,13 +321,14 @@ def test_id_switches_persistence_flag():
 
 def test_switches_without_persistence_reuse_the_gated_pairs(monkeypatch):
     # Every keyframe's residual is then its full problem, which match_pairs solved.
+    # IDF1's pairing solves too, so only residuals (built by gated_cost) are counted.
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return solve_assignment(*args, **kwargs)
+        return gated_cost(*args, **kwargs)
 
-    monkeypatch.setattr(identity, "solve_assignment", counting)
+    monkeypatch.setattr(identity, "gated_cost", counting)
     rng = np.random.default_rng(21)
     for _ in range(20):
         gt, pred = random_instance(rng)

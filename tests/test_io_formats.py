@@ -187,7 +187,7 @@ def random_record(rng: np.random.Generator, video_id: str, role: str) -> VideoRe
 
 @pytest.mark.parametrize("role", ["gt", "pred"])
 def test_annotation_round_trip_randomized(tmp_path, role):
-    rng = np.random.default_rng(hash(role) % (2**32))
+    rng = np.random.default_rng({"gt": 0, "pred": 1}[role])
     records = [random_record(rng, f"video_{i:02d}", role) for i in range(10)]
     path = tmp_path / "out.csv"
     write_annotations(records, str(path), role=role)
@@ -489,6 +489,31 @@ def test_numpy_float_cells_are_written_as_python_floats(tmp_path):
 def test_report_dict_schema_checked():
     with pytest.raises(FormatError, match="schema"):
         report_from_dict({"schema": "something-else"})
+
+
+def test_report_that_is_no_object_is_a_format_error(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("[]")
+    with pytest.raises(FormatError, match="report: expected a dict, got list"):
+        read_report(str(path))
+
+
+def test_report_without_videos_is_a_format_error(tmp_path):
+    data = report_to_dict(sample_report())
+    del data["videos"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="report: missing key 'videos'"):
+        read_report(str(path))
+
+
+def test_report_block_without_ap_is_a_format_error(tmp_path):
+    data = report_to_dict(sample_report())
+    del data["videos"][0]["ap"]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=r"videos\[0\]: missing key 'ap'"):
+        read_report(str(path))
 
 
 def pinned_writer_outputs(directory) -> dict[str, bytes]:

@@ -9,13 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from asadeval import matching
-from asadeval.matching import (
-    AssignmentProblem,
-    build_cost_matrix,
-    frame_ious,
-    iou_matrix,
-    solve_assignment,
-)
+from asadeval.matching import build_cost_matrix, frame_ious, iou_matrix, solve_assignment
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
 from support import iou
@@ -177,63 +171,63 @@ def test_cost_matrix_keeps_above_gate():
     g = BoundingBox(0.0, 0.0, 0.2, 0.2)
     p = BoundingBox(0.05, 0.0, 0.25, 0.2)
     assert iou(g, p) == pytest.approx(0.6, abs=1e-12)
-    problem = build_cost_matrix([g], [p])
-    assert problem.cost[0, 0] == pytest.approx(0.4, abs=1e-12)
+    cost = build_cost_matrix([g], [p])
+    assert cost[0, 0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_cost_matrix_gates_below_threshold():
     # IoU 0.4: shared width 2/7 of 0.2-wide boxes -> (2/7)/(12/7)... use 0.4 via overlap 0.1 of 0.25
     g = BoundingBox(0.0, 0.0, 0.2, 0.2)
     p = BoundingBox(0.1, 0.0, 0.3, 0.2)  # IoU 1/3 < 0.5
-    problem = build_cost_matrix([g], [p])
-    assert problem.cost[0, 0] == 1.0
+    cost = build_cost_matrix([g], [p])
+    assert cost[0, 0] == 1.0
 
 
 def test_cost_matrix_empty_predictions():
     g = BoundingBox(0.0, 0.0, 0.2, 0.2)
-    problem = build_cost_matrix([g], [])
-    assert problem.cost.shape == (1, 0)
+    cost = build_cost_matrix([g], [])
+    assert cost.shape == (1, 0)
 
 
 def test_solve_single_cell():
-    solution = solve_assignment(AssignmentProblem(cost=np.array([[0.2]])))
+    solution = solve_assignment(np.array([[0.2]]))
     assert solution.pairs == ((0, 0),)
     assert solution.total_cost == 0.2
 
 
 def test_solve_two_by_two():
     cost = np.array([[0.1, 1.0], [1.0, 0.3]])
-    solution = solve_assignment(AssignmentProblem(cost=cost))
+    solution = solve_assignment(cost)
     assert solution.pairs == ((0, 0), (1, 1))
     assert solution.total_cost == pytest.approx(0.4, abs=1e-15)
 
 
 def test_solve_all_gated_filters_everything():
-    solution = solve_assignment(AssignmentProblem(cost=np.ones((2, 2))))
+    solution = solve_assignment(np.ones((2, 2)))
     assert solution.pairs == ()
     assert solution.total_cost == 2.0
 
 
 def test_solve_keeps_gated_pairs_when_asked():
-    solution = solve_assignment(AssignmentProblem(cost=np.ones((2, 2))), drop_gated=False)
+    solution = solve_assignment(np.ones((2, 2)), drop_gated=False)
     assert solution.pairs == ((0, 0), (1, 1))
 
 
 def test_solve_empty_matrix():
-    solution = solve_assignment(AssignmentProblem(cost=np.zeros((0, 3))))
+    solution = solve_assignment(np.zeros((0, 3)))
     assert solution.pairs == ()
     assert solution.total_cost == 0.0
 
 
 def test_solve_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
-        solve_assignment(AssignmentProblem(cost=np.array([[np.inf]])))
+        solve_assignment(np.array([[np.inf]]))
 
 
 def test_lexicographic_tie_break():
     # Both diagonals cost 0.6; the smaller pair list wins.
     cost = np.array([[0.1, 0.2], [0.4, 0.5]])
-    solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
+    solution = solve_assignment(cost, drop_gated=False)
     assert solution.pairs == ((0, 0), (1, 1))
 
 
@@ -242,17 +236,17 @@ def test_oracle_equivalence_on_gated_random_matrices():
     for _ in range(120):
         n_gt = int(rng.integers(1, 8))
         n_pred = int(rng.integers(1, 8))
-        problem = build_cost_matrix(random_boxes(rng, n_gt), random_boxes(rng, n_pred))
-        solution = solve_assignment(problem)
-        assert solution.total_cost == brute_force_min_cost(problem.cost)
+        cost = build_cost_matrix(random_boxes(rng, n_gt), random_boxes(rng, n_pred))
+        solution = solve_assignment(cost)
+        assert solution.total_cost == brute_force_min_cost(cost)
 
 
 def test_transpose_symmetry():
     rng = np.random.default_rng(9)
     for _ in range(50):
-        problem = build_cost_matrix(random_boxes(rng, 5), random_boxes(rng, 4))
-        forward = solve_assignment(problem)
-        backward = solve_assignment(AssignmentProblem(cost=problem.cost.T))
+        cost = build_cost_matrix(random_boxes(rng, 5), random_boxes(rng, 4))
+        forward = solve_assignment(cost)
+        backward = solve_assignment(cost.T)
         assert backward.total_cost == forward.total_cost
         assert sorted((j, i) for i, j in backward.pairs) == sorted(forward.pairs)
 
@@ -262,8 +256,8 @@ def test_gate_soundness_no_pair_below_half_iou():
     for _ in range(50):
         gts = random_boxes(rng, 5)
         preds = random_boxes(rng, 5)
-        problem = build_cost_matrix(gts, preds)
-        for i, j in solve_assignment(problem).pairs:
+        cost = build_cost_matrix(gts, preds)
+        for i, j in solve_assignment(cost).pairs:
             assert iou(gts[i], preds[j]) >= 0.5
 
 
@@ -310,15 +304,14 @@ NAIVE_ORDER_TIED = np.array([[1.0, 1.0, 5.0], [5.0, EPS, 0.0], [EPS / 2, 5.0, EP
 def test_tie_break_matches_oracle_and_reference(cost):
     # Both orientations; the oracle up to 6 x 6, the unpruned search up to 12 x 12.
     for matrix in (cost, cost.T):
-        problem = AssignmentProblem(cost=matrix)
-        total = solve_assignment(problem).total_cost
+        total = solve_assignment(matrix).total_cost
         expected = [reference_lex_pairs(matrix, total)]
         if max(matrix.shape) <= 6:
             oracle_pairs, oracle_total = brute_force_lex_pairs(matrix)
             assert total == oracle_total
             expected.append(oracle_pairs)
         for drop_gated in (True, False):
-            solution = solve_assignment(problem, drop_gated=drop_gated)
+            solution = solve_assignment(matrix, drop_gated=drop_gated)
             for pairs in expected:
                 assert pairs is not None
                 assert solution.pairs == tuple(p for p in pairs if not drop_gated or matrix[p] != 1.0)
@@ -329,7 +322,7 @@ def test_reduced_costs_spare_the_sub_solves(shape, monkeypatch):
     # Without the reduced-cost prune the tie search makes hundreds of sub-solves here.
     calls = counted_lsa(monkeypatch)
     cost = np.random.default_rng(shape[0] * 100 + shape[1]).random(shape)
-    solution = solve_assignment(AssignmentProblem(cost=cost))
+    solution = solve_assignment(cost)
     assert len(calls) <= 30
     assert list(solution.pairs) == reference_lex_pairs(cost, solution.total_cost)
 
@@ -342,7 +335,7 @@ def test_holdable_filter_spares_the_gated_sub_solves(monkeypatch):
     calls = counted_lsa(monkeypatch)
     rng = np.random.default_rng(40)
     costs = [crowded_boxes_cost(rng, int(r), int(c)) for r, c in rng.integers(36, 45, size=(8, 2))]
-    solutions = [solve_assignment(AssignmentProblem(cost=cost)) for cost in costs]
+    solutions = [solve_assignment(cost) for cost in costs]
     assert len(calls) <= 20 * len(costs)
     monkeypatch.undo()
     for cost, solution in zip(costs, solutions):
@@ -371,7 +364,7 @@ def test_covered_shapes_make_no_lsa_call(shape, monkeypatch):
     rng = np.random.default_rng(shape[0] * 10 + shape[1])
     for kind in KINDS:
         cost = tie_heavy_cost(rng, kind, *shape)
-        solution = solve_assignment(AssignmentProblem(cost=cost), drop_gated=False)
+        solution = solve_assignment(cost, drop_gated=False)
         assert list(solution.pairs) == brute_force_lex_pairs(cost)[0]
     assert calls == []
 
@@ -379,7 +372,7 @@ def test_covered_shapes_make_no_lsa_call(shape, monkeypatch):
 @pytest.mark.parametrize("shape", [(4, 4), (3, 7), (7, 3)])
 def test_uncovered_shapes_still_use_lsa(shape, monkeypatch):
     calls = counted_lsa(monkeypatch)
-    solve_assignment(AssignmentProblem(cost=np.random.default_rng(1).random(shape)))
+    solve_assignment(np.random.default_rng(1).random(shape))
     assert calls
 
 
@@ -393,9 +386,9 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
     ious = frame_ious(boxes_record(gt), boxes_record(pred))
     singly = []
 
-    def counting(problem, drop_gated=True):
-        singly.append(problem.cost.shape)
-        return solve_assignment(problem, drop_gated)
+    def counting(cost, drop_gated=True):
+        singly.append(cost.shape)
+        return solve_assignment(cost, drop_gated)
 
     monkeypatch.setattr(matching, "solve_assignment", counting)
     pairs = matching.gated_pairs(ious, 0.5)
@@ -416,14 +409,14 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
 def test_costs_near_the_largest_float(cost, drop_gated, expected):
     # A sum of 1e308s could overflow, so they take the LSA route, as they always
     # did; 1e300 is enumerated. The expected outcomes are the LSA route's.
-    solution = solve_assignment(AssignmentProblem(cost=np.array(cost)), drop_gated=drop_gated)
+    solution = solve_assignment(np.array(cost), drop_gated=drop_gated)
     assert (solution.pairs, solution.total_cost) == expected
 
 
 def test_overflowing_optimum_raises_as_before():
     cost = np.array([[-1e308, 1e308], [1e308, -1e308]])
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
-        solve_assignment(AssignmentProblem(cost=cost))
+        solve_assignment(cost)
 
 
 def test_extreme_costs_emit_no_warning():
@@ -433,7 +426,7 @@ def test_extreme_costs_emit_no_warning():
     for matrix in (cost, cost.T):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solution = solve_assignment(AssignmentProblem(cost=matrix))
+            solution = solve_assignment(matrix)
         assert (solution.pairs, solution.total_cost) == (((0, 1), (1, 0)), -1e308)
 
 
@@ -448,5 +441,5 @@ LSA_MISSES_LEAST_FSUM[3, 3] = 0.0
 @pytest.mark.xfail(strict=True, reason="the LSA route's total is the fsum of LSA's optimum, not the least fsum")
 def test_lsa_route_total_is_the_least_fsum():
     oracle_pairs, oracle_total = brute_force_lex_pairs(LSA_MISSES_LEAST_FSUM)
-    solution = solve_assignment(AssignmentProblem(cost=LSA_MISSES_LEAST_FSUM), drop_gated=False)
+    solution = solve_assignment(LSA_MISSES_LEAST_FSUM, drop_gated=False)
     assert (list(solution.pairs), solution.total_cost) == (oracle_pairs, oracle_total)

@@ -3,15 +3,18 @@
     python tools/check_cold_start.py [--runs 5] [--src OTHER/src]
 
 `asadbench` times warm, in-process passes; this times what a user pays per
-command: a new interpreter, `import asadeval` and the command. One
-camera-cut `synth` scene (seed 0) and its offline tracking are made first;
+command: a new interpreter, `import asadeval` and the command. Two
+camera-cut `synth` scenes (seed 0; the default cast and a single actor) and
+their offline tracking are made first;
 then each path below runs ``--runs`` times, each in a fresh interpreter, and
 the tool prints its median wall seconds (interpreter start included) and
 whether `scipy` was in `sys.modules` when the command returned ("?" when
 a run died before returning and no other run imported it).
-`scipy.optimize` costs about 0.63 s to import and is needed only by a solve,
-so the paths marked scipy-free must never import it. Exits 1 when one does,
-or when a path exits with an unexpected code or dies before returning.
+`scipy.optimize` costs about 0.63 s to import and is needed only by an
+assignment too large to enumerate, so the paths marked scipy-free must never
+import it (a one-actor `evaluate` solves only one-row problems). Exits 1 when
+one does, or when a path exits with an unexpected code or dies before
+returning.
 ``--src`` times another checkout's `src` instead of this one's.
 
 `tests/test_cli.py` runs the same table, up to its first path that solves,
@@ -48,18 +51,20 @@ with open(sys.argv[1], "w") as handle:
 
 
 def setup(work: Path) -> list[list[str]]:
-    """The commands that make the scene and its offline tracking as pred.csv."""
-    scene = work / "scene"
-    return [
-        ["synth", "--scenario", "camera-cut", "--seed", "0", "--out", str(scene)],
-        ["track", "--detections", str(scene / "detections.csv"), "--mode", "offline",
-         "--out", str(scene / "pred.csv")],
-    ]
+    """The commands that make each scene and its offline tracking as pred.csv."""
+    commands = []
+    for scene, cast in ((work / "scene", []), (work / "one", ["--actors", "1"])):
+        commands += [
+            ["synth", "--scenario", "camera-cut", "--seed", "0", *cast, "--out", str(scene)],
+            ["track", "--detections", str(scene / "detections.csv"), "--mode", "offline",
+             "--out", str(scene / "pred.csv")],
+        ]
+    return commands
 
 
 def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
     """(name, argv, expected exit code, scipy-free) for every timed CLI path, scipy-free first."""
-    scene = work / "scene"
+    scene, one = work / "scene", work / "one"
     detections = str(scene / "detections.csv")
     return [
         ("--version", ["--version"], 0, True),
@@ -69,6 +74,8 @@ def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
                                   "--out", str(work / "offline.csv")], 0, True),
         # A detection stream is no prediction file: its header is refused.
         ("evaluate (exit 2)", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", detections], 2, True),
+        ("evaluate (1 actor)", ["evaluate", "--gt", str(one / "gt.csv"), "--pred", str(one / "pred.csv"),
+                                "--report", str(work / "one.json")], 0, True),
         ("track --mode online", ["track", "--detections", detections, "--mode", "online",
                                  "--out", str(work / "online.csv")], 0, False),
         ("evaluate", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", str(scene / "pred.csv"),
@@ -126,7 +133,7 @@ def main(argv=None) -> int:
                     failures.append(f"{name}: exited with {code}, expected {expected_code}")
                 imported |= bool(loaded)
             if scipy_free and imported:
-                failures.append(f"{name}: imported scipy, though it never solves")
+                failures.append(f"{name}: imported scipy, though it never solves a large assignment")
             shown = "yes" if imported else "?" if died else "no"
             print(f"{name:<22} {statistics.median(walls):>9.3f}  {shown:<5}  "
                   f"{'no' if scipy_free else 'yes (solves)'}")
