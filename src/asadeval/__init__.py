@@ -8,13 +8,7 @@ baseline trackers plus a seeded synthetic benchmark comparing them.
 """
 
 from .actions import HammingResult, MatchedPair, MatchedPairSet, hamming_loss, match_pairs
-from .association import (
-    AssociationConfig,
-    Detection,
-    DetectionStream,
-    track_offline,
-    track_online,
-)
+from .association import Detection, DetectionStream, track_offline, track_online
 from .detection import (
     APResult,
     DetectionTally,
@@ -44,7 +38,6 @@ __all__ = [
     "ActorObservation",
     "APResult",
     "Assignment",
-    "AssociationConfig",
     "BoundingBox",
     "Detection",
     "DetectionStream",

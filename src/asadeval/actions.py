@@ -82,7 +82,7 @@ def match_pairs_from_ious(
 
 
 def merge_pair_sets(pair_sets: Iterable[MatchedPairSet]) -> MatchedPairSet:
-    """Concatenate per-video pair sets into one evaluation-wide set."""
+    """Concatenate per-video pair sets into one set; the committed benchmark imports it."""
     merged: list[MatchedPair] = []
     for pair_set in pair_sets:
         merged.extend(pair_set.pairs)
@@ -97,20 +97,25 @@ def hamming_loss(
     Each label present in exactly one of the two sets contributes one wrong
     bit; the loss is wrong_bits / (n_pairs * n_labels), in [0, 1].
     """
-    if n_labels < 1:
-        raise ValueError("n_labels must be positive")
-    if pairs.n_pairs == 0:
-        return HammingResult(
-            value=None, reason=HL_NO_PAIRS, wrong_bits=0, n_pairs=0, n_labels=n_labels
-        )
     wrong = sum(
         len(pair.gt.actions.symmetric_difference(pair.pred.actions))
         for pair in pairs.pairs
     )
+    return _hamming_result(wrong, pairs.n_pairs, n_labels)
+
+
+def _hamming_result(wrong: int, n_pairs: int, n_labels: int) -> HammingResult:
+    """The HL of ``wrong`` bits over ``n_pairs`` pairs of ``n_labels`` labels; null with no pairs."""
+    if n_labels < 1:
+        raise ValueError("n_labels must be positive")
+    if n_pairs == 0:
+        return HammingResult(
+            value=None, reason=HL_NO_PAIRS, wrong_bits=0, n_pairs=0, n_labels=n_labels
+        )
     return HammingResult(
-        value=wrong / (pairs.n_pairs * n_labels),
+        value=wrong / (n_pairs * n_labels),
         reason=None,
         wrong_bits=wrong,
-        n_pairs=pairs.n_pairs,
+        n_pairs=n_pairs,
         n_labels=n_labels,
     )

@@ -14,6 +14,13 @@ Both read the stream's row arrays, grouped by ascending keyframe
 tracker one per keyframe against the live tracks and the offline tracker one
 per keyframe against the following ``max_gap`` keyframes, and label the rows
 with one builder (`_labelled`).
+
+Each tracker takes its own keywords, and a value out of range is a ValueError.
+``iou_weight`` in [0, 1] blends box overlap against appearance: 1 is
+motion-only, 0 appearance-only. ``max_gap`` >= 1 bounds online track
+retirement and the offline linking horizon, in keyframes. Online
+``match_threshold`` in (0, 1] is a cost ceiling, offline ``merge_threshold``
+in (0, 1] an affinity floor.
 """
 
 from __future__ import annotations
@@ -102,46 +109,14 @@ class DetectionStream:
         }
 
 
-@dataclass(frozen=True)
-class AssociationConfig:
-    """Knobs shared by both association strategies.
-
-    ``iou_weight`` blends box overlap against cosine appearance similarity:
-    1 is motion-only, 0 is appearance-only. ``match_threshold`` rejects
-    online track/detection pairs costing more; ``merge_threshold`` is the
-    minimum affinity for an offline cluster merge; ``max_gap`` bounds both
-    online track retirement and the offline linking horizon, in keyframes.
-    """
-
-    mode: str
-    iou_weight: float
-    match_threshold: float = DEFAULT_MATCH_THRESHOLD
-    merge_threshold: float = DEFAULT_MERGE_THRESHOLD
-    max_gap: int = DEFAULT_MAX_GAP
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("online", "offline"):
-            raise ValueError(f"mode must be 'online' or 'offline', got {self.mode!r}")
-        if not (0.0 <= self.iou_weight <= 1.0):
-            raise ValueError("iou_weight must lie in [0, 1]")
-        for name in ("match_threshold", "merge_threshold"):
-            value = getattr(self, name)
-            if not (0.0 < value <= 1.0):
-                raise ValueError(f"{name} must lie in (0, 1]")
-        if self.max_gap < 1:
-            raise ValueError("max_gap must be >= 1")
-
-    @classmethod
-    def online(cls, **overrides) -> "AssociationConfig":
-        params = {"mode": "online", "iou_weight": ONLINE_IOU_WEIGHT}
-        params.update(overrides)
-        return cls(**params)
-
-    @classmethod
-    def offline(cls, **overrides) -> "AssociationConfig":
-        params = {"mode": "offline", "iou_weight": OFFLINE_IOU_WEIGHT}
-        params.update(overrides)
-        return cls(**params)
+def _check_parameters(iou_weight: float, name: str, threshold: float, max_gap: int) -> None:
+    """Raise ValueError naming the first tracker parameter out of its range."""
+    if not (0.0 <= iou_weight <= 1.0):
+        raise ValueError("iou_weight must lie in [0, 1]")
+    if not (0.0 < threshold <= 1.0):
+        raise ValueError(f"{name} must lie in (0, 1]")
+    if max_gap < 1:
+        raise ValueError("max_gap must be >= 1")
 
 
 def _unit_rows(vectors: np.ndarray) -> np.ndarray:
@@ -180,23 +155,25 @@ def _labelled(stream: DetectionStream, identities: list[int]) -> VideoRecord:
     return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
 
 
-def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord:
+def track_online(
+    stream: DetectionStream, iou_weight: float = ONLINE_IOU_WEIGHT,
+    match_threshold: float = DEFAULT_MATCH_THRESHOLD, max_gap: int = DEFAULT_MAX_GAP,
+) -> VideoRecord:
     """Sequential association: each keyframe matched only against live tracks.
 
     Cost between a track and a detection is 1 - the offline affinity without
-    decay (`_affinity` at w = iou_weight) of the track's last box and mean
-    embedding with the detection's; a zero embedding costs 1 on the
-    appearance term. Per keyframe the optimal assignment is taken and pairs
-    costing more than ``match_threshold`` are rejected. Unmatched detections
-    open new identities in first-appearance order; tracks unmatched for more
-    than ``max_gap`` keyframes retire. Output actions are empty.
+    decay (`_affinity` at w = ``iou_weight``, 1 being motion-only) of the
+    track's last box and mean embedding with the detection's; a zero embedding
+    costs 1 on the appearance term. Per keyframe the optimal assignment is
+    taken and pairs costing more than ``match_threshold`` are rejected.
+    Unmatched detections open new identities in first-appearance order; tracks
+    unmatched for more than ``max_gap`` keyframes retire. Output actions are empty.
 
     The output depends on the stream's rows only through each keyframe's own
     row order: within a keyframe, row order breaks assignment ties and sets
     the order new identities are numbered in.
     """
-    if cfg.mode != "online":
-        raise ValueError("track_online requires cfg.mode == 'online'")
+    _check_parameters(iou_weight, "match_threshold", match_threshold, max_gap)
     boxes, embeddings = stream.boxes, stream.embeddings
     unit = _unit_rows(embeddings)
 
@@ -210,16 +187,16 @@ def track_online(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord
     live: list[int] = []
     identities: list[int] = []
     for keyframe, start, stop in zip(stream.keyframes, stream.bounds, stream.bounds[1:]):
-        live = [t for t in live if keyframe - last_seen[t] <= cfg.max_gap]
+        live = [t for t in live if keyframe - last_seen[t] <= max_gap]
         assigned: dict[int, int] = {}
         if live and start < stop:
             cost = 1.0 - _affinity(
                 last_box[live], _unit_rows(sums[live] / counts[live, None]),
-                boxes[start:stop], unit[start:stop], cfg.iou_weight,
+                boxes[start:stop], unit[start:stop], iou_weight,
             )
             solution = solve_assignment(cost, drop_gated=False)
             assigned = {
-                start + j: live[i] for i, j in solution.pairs if cost[i, j] <= cfg.match_threshold
+                start + j: live[i] for i, j in solution.pairs if cost[i, j] <= match_threshold
             }
 
         for row in range(start, stop):
@@ -266,24 +243,26 @@ class _UnionFind:
         self.keyframe_sets[ra] |= self.keyframe_sets[rb]
 
 
-def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord:
+def track_offline(
+    stream: DetectionStream, iou_weight: float = OFFLINE_IOU_WEIGHT,
+    merge_threshold: float = DEFAULT_MERGE_THRESHOLD, max_gap: int = DEFAULT_MAX_GAP,
+) -> VideoRecord:
     """Global association: agglomerate detections by decayed overlap + appearance.
 
     The affinity between detections at keyframes t1 < t2 with t2 - t1 <= max_gap is
     (1 - w) * appearance similarity + w * IoU, where w = iou_weight * decay
-    and decay falls linearly from 1 at gap 1 to 0 at gap max_gap, so motion
-    evidence vanishes across long gaps while appearance keeps its say.
-    Detection pairs are merged greedily from the highest affinity down,
-    skipping merges below ``merge_threshold`` and merges that would put two
-    same-keyframe detections in one cluster. Clusters become identities
-    ordered by their earliest keyframe.
+    (``iou_weight`` 1 being motion-only) and decay falls linearly from 1 at gap 1
+    to 0 at gap max_gap, so motion evidence vanishes across long gaps while
+    appearance keeps its say. Detection pairs are merged greedily from the
+    highest affinity down, skipping merges below ``merge_threshold`` and merges
+    that would put two same-keyframe detections in one cluster. Clusters
+    become identities ordered by their earliest keyframe.
 
     The output depends on the stream's rows only through each keyframe's own
     row order: within a keyframe, row order breaks ties between equal
     affinities and orders clusters that start at the same keyframe.
     """
-    if cfg.mode != "offline":
-        raise ValueError("track_offline requires cfg.mode == 'offline'")
+    _check_parameters(iou_weight, "merge_threshold", merge_threshold, max_gap)
     frames, bounds, boxes = stream.keyframes, stream.bounds, stream.boxes
     unit = _unit_rows(stream.embeddings)
     sizes = np.diff(bounds)
@@ -292,19 +271,19 @@ def track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecor
     # slice of rows bounds[p + 1]:bounds[q].
     edges: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     for p, kf_a in enumerate(frames):
-        q = bisect.bisect_right(frames, kf_a + cfg.max_gap, p + 1)
+        q = bisect.bisect_right(frames, kf_a + max_gap, p + 1)
         start, stop, end = bounds[p], bounds[p + 1], bounds[q]
         if start == stop or stop == end:
             continue
         decay = [
-            1.0 if cfg.max_gap == 1 else (cfg.max_gap - (kf_b - kf_a)) / (cfg.max_gap - 1)
+            1.0 if max_gap == 1 else (max_gap - (kf_b - kf_a)) / (max_gap - 1)
             for kf_b in frames[p + 1 : q]
         ]
         affinity = _affinity(
             boxes[start:stop], unit[start:stop], boxes[stop:end], unit[stop:end],
-            cfg.iou_weight * np.repeat(decay, sizes[p + 1 : q]),
+            iou_weight * np.repeat(decay, sizes[p + 1 : q]),
         )
-        i, j = np.nonzero(affinity >= cfg.merge_threshold)
+        i, j = np.nonzero(affinity >= merge_threshold)
         edges.append((affinity[i, j], i + start, j + stop))
 
     clusters = _UnionFind(stream.row_keyframes)

@@ -18,7 +18,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .association import AssociationConfig, track_offline, track_online
+from .association import (
+    DEFAULT_MATCH_THRESHOLD, DEFAULT_MAX_GAP, DEFAULT_MERGE_THRESHOLD, OFFLINE_IOU_WEIGHT,
+    ONLINE_IOU_WEIGHT, track_offline, track_online,
+)
 # Unused here since the report carries its pooled AP, but kept under this
 # name: the committed benchmark (asadbench/run.py) wraps
 # `cli.average_precision` by name in its traced run, which asadbench/selftest.py runs.
@@ -99,10 +102,13 @@ def _build_parser() -> _Parser:
     track.add_argument("--detections", help="detection-stream CSV")
     track.add_argument("--mode", choices=["online", "offline"])
     track.add_argument("--lambda", dest="iou_weight", type=float,
-                       help="weight of box overlap vs appearance (default 0.7 online / 0.3 offline)")
+                       help="weight of box overlap vs appearance "
+                            f"(default {ONLINE_IOU_WEIGHT} online / {OFFLINE_IOU_WEIGHT} offline)")
     track.add_argument("--tau", type=float,
-                       help="match-cost ceiling (online) or merge-affinity floor (offline)")
-    track.add_argument("--gap", type=int, help="max keyframe gap for linking/retirement (default 10)")
+                       help=f"match-cost ceiling (online, default {DEFAULT_MATCH_THRESHOLD}) or "
+                            f"merge-affinity floor (offline, default {DEFAULT_MERGE_THRESHOLD})")
+    track.add_argument("--gap", type=int,
+                       help=f"max keyframe gap for linking/retirement (default {DEFAULT_MAX_GAP})")
     track.add_argument("--out", help="output prediction CSV")
     track.add_argument("--config", help="JSON config file whose keys mirror the flags")
 
@@ -229,34 +235,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _association_config(mode: str, iou_weight, tau, gap) -> AssociationConfig:
-    """The tracker config of the resolved flags; a flag out of range is a usage error naming it."""
+def _tracker_parameters(mode: str, iou_weight, tau, gap) -> dict:
+    """The given flags as the mode's tracker keywords; a flag out of range is a usage error naming it."""
     if iou_weight is not None and not (0.0 <= iou_weight <= 1.0):
         raise _UsageError(f"track: --lambda must lie in [0, 1], got {iou_weight}")
     if tau is not None and not (0.0 < tau <= 1.0):
         raise _UsageError(f"track: --tau must lie in (0, 1], got {tau}")
     if gap is not None and gap < 1:
         raise _UsageError(f"track: --gap must be >= 1, got {gap}")
-    overrides = {}
-    if iou_weight is not None:
-        overrides["iou_weight"] = iou_weight
-    if gap is not None:
-        overrides["max_gap"] = gap
-    if mode == "online":
-        if tau is not None:
-            overrides["match_threshold"] = tau
-        return AssociationConfig.online(**overrides)
-    if tau is not None:
-        overrides["merge_threshold"] = tau
-    return AssociationConfig.offline(**overrides)
+    threshold = "match_threshold" if mode == "online" else "merge_threshold"
+    given = {"iou_weight": iou_weight, threshold: tau, "max_gap": gap}
+    return {name: value for name, value in given.items() if value is not None}
 
 
 def _cmd_track(args: argparse.Namespace) -> int:
     _require(args, ["detections", "mode", "out"], "track")
 
-    cfg = _association_config(args.mode, args.iou_weight, args.tau, args.gap)
+    parameters = _tracker_parameters(args.mode, args.iou_weight, args.tau, args.gap)
     tracker = track_online if args.mode == "online" else track_offline
-    record = tracker(parse_detection_stream(args.detections), cfg)
+    record = tracker(parse_detection_stream(args.detections), **parameters)
     write_annotations([record], args.out, role="pred")
     print(
         f"tracked {len(record.observations)} detections into "
@@ -301,11 +298,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for seed in range(1, args.seeds + 1):
         spec = scenario_preset(args.scenario, seed=seed)
         gt, stream = generate(spec)
-        for mode, cfg, tracker in (
-            ("online", AssociationConfig.online(), track_online),
-            ("offline", AssociationConfig.offline(), track_offline),
-        ):
-            record = tracker(stream, cfg)
+        for mode, tracker in (("online", track_online), ("offline", track_offline)):
+            record = tracker(stream)
             report = evaluate_records([gt], [record], n_labels=spec.n_labels)
             agg = report.aggregate
             rows.append(

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .actions import HammingResult, MatchedPairSet, hamming_loss, match_pairs_from_ious, merge_pair_sets
+from .actions import HammingResult, _hamming_result, hamming_loss, match_pairs_from_ious
 from .detection import APResult, curve_from_ranked, pool_rankings, rank_predictions
 from .identity import IdMatchResult, MtMlResult, id_switches_from_ious, idf1_from_ious, mt_ml_from_pairs
 from .matching import DEFAULT_IOU_GATE, check_gate, frame_ious
@@ -69,7 +69,6 @@ class _VideoResult(NamedTuple):
     """One video's metric results, plus what the aggregate reduces from them."""
 
     ranked: list[tuple[float, bool]]
-    pairs: MatchedPairSet
     ap: APResult
     ids: IdMatchResult
     tracks: MtMlResult
@@ -89,7 +88,6 @@ def _evaluate_one(
     pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
     return _VideoResult(
         ranked=ranked,
-        pairs=pairs,
         ap=curve_from_ranked(ranked, len(gt.observations)),
         ids=idf1_from_ious(gt, pred, ious, iou_threshold),
         tracks=mt_ml_from_pairs(gt, pairs),
@@ -154,7 +152,9 @@ def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> tuple[Me
         ids,
         tracks,
         sum(r.switches for r in results),
-        hamming_loss(merge_pair_sets(r.pairs for r in results), n_labels),
+        _hamming_result(
+            sum(r.hl.wrong_bits for r in results), sum(r.hl.n_pairs for r in results), n_labels
+        ),
     ), pooled
 
 

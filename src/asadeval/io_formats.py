@@ -411,8 +411,31 @@ def _block_to_dict(block: MetricBlock) -> dict:
     return data
 
 
+# A report value's JSON type, by the annotation of the field it fills: its name
+# and the Python types `json.load` gives for it. No field takes a bool.
+_JSON_TYPES = {
+    "str": ("a string", str),
+    "int": ("an integer", int),
+    "float": ("a number", (int, float)),
+    "Optional[float]": ("a number or null", (int, float, type(None))),
+    "Optional[str]": ("a string or null", (str, type(None))),
+    "tuple[str, ...]": ("a list of strings", list),
+}
+
+
+def _check_type(value, annotation: str, where: str) -> None:
+    """FormatError at ``where`` unless ``value`` has the JSON type of ``annotation``."""
+    expected, types = _JSON_TYPES[annotation]
+    items = value if isinstance(value, list) else []
+    if isinstance(value, bool) or not isinstance(value, types) or not all(isinstance(x, str) for x in items):
+        raise FormatError([f"{where}: expected {expected}, got {json.dumps(value)}"])
+
+
 def _block_from_dict(data: dict, where: str) -> MetricBlock:
+    """The block of a report's JSON; FormatError naming the key of a missing or mistyped value."""
     kwargs = _required(data, [f.name for f in fields(MetricBlock)], where)
+    for f in fields(MetricBlock):
+        _check_type(kwargs[f.name], f.type, f"{where}: key {f.name!r}")
     kwargs["flags"] = tuple(kwargs["flags"])
     return MetricBlock(**kwargs)
 
@@ -447,10 +470,11 @@ def report_from_dict(data: dict) -> EvalReport:
     _required(config, [], "config")
     if not isinstance(videos, list):
         raise FormatError([f"videos: expected a list, got {type(videos).__name__}"])
-    per_video = {
-        _required(entry, ["video_id"], f"videos[{i}]")["video_id"]: _block_from_dict(entry, f"videos[{i}]")
-        for i, entry in enumerate(videos)
-    }
+    per_video = {}
+    for i, entry in enumerate(videos):
+        video_id = _required(entry, ["video_id"], f"videos[{i}]")["video_id"]
+        _check_type(video_id, "str", f"videos[{i}]: key 'video_id'")
+        per_video[video_id] = _block_from_dict(entry, f"videos[{i}]")
     return EvalReport(
         config=dict(config),
         aggregate=_block_from_dict(aggregate, "aggregate"),
@@ -482,7 +506,11 @@ def write_report(report: EvalReport, path: str, fmt: str = "json") -> None:
 
 def read_report(path: str) -> EvalReport:
     with open(path, encoding="utf-8") as handle:
-        return report_from_dict(json.load(handle))
+        try:
+            data = json.load(handle)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise FormatError([f"{path}: invalid JSON: {exc}"]) from exc
+    return report_from_dict(data)
 
 
 def write_scenario_manifest(spec: ScenarioSpec, path: str) -> None:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 from dataclasses import dataclass
 from unittest import mock
 
@@ -9,7 +10,11 @@ from hypothesis import strategies as st
 
 from asadeval import association
 from asadeval.association import (
-    AssociationConfig,
+    DEFAULT_MATCH_THRESHOLD,
+    DEFAULT_MAX_GAP,
+    DEFAULT_MERGE_THRESHOLD,
+    OFFLINE_IOU_WEIGHT,
+    ONLINE_IOU_WEIGHT,
     Detection,
     DetectionStream,
     _UnionFind,
@@ -46,7 +51,11 @@ class _RefTrack:
 
 
 def reference_track_online(
-    stream: DetectionStream, cfg: AssociationConfig, costs=None
+    stream: DetectionStream,
+    iou_weight: float = ONLINE_IOU_WEIGHT,
+    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
+    max_gap: int = DEFAULT_MAX_GAP,
+    costs=None,
 ) -> VideoRecord:
     """The per-pair scalar online tracker; appends each keyframe's cost matrix to ``costs``."""
     tracks: list[_RefTrack] = []
@@ -54,7 +63,7 @@ def reference_track_online(
     observations: list[ActorObservation] = []
     for keyframe in stream.keyframes:
         detections = stream.frames[keyframe]
-        active = [t for t in tracks if keyframe - t.last_seen <= cfg.max_gap]
+        active = [t for t in tracks if keyframe - t.last_seen <= max_gap]
 
         assigned: dict[int, int] = {}
         if active and detections:
@@ -64,12 +73,12 @@ def reference_track_online(
                 for j, det in enumerate(detections):
                     box_term = 1.0 - iou(track.last_box, det.box)
                     app_term = cosine_distance(mean_app, det.appearance)
-                    cost[i, j] = cfg.iou_weight * box_term + (1.0 - cfg.iou_weight) * app_term
+                    cost[i, j] = iou_weight * box_term + (1.0 - iou_weight) * app_term
             if costs is not None:
                 costs.append(cost)
             solution = solve_assignment(cost, drop_gated=False)
             for i, j in solution.pairs:
-                if cost[i, j] <= cfg.match_threshold:
+                if cost[i, j] <= match_threshold:
                     assigned[j] = i
 
         for j, det in enumerate(detections):
@@ -94,7 +103,12 @@ def reference_track_online(
     return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
 
 
-def reference_track_offline(stream: DetectionStream, cfg: AssociationConfig) -> VideoRecord:
+def reference_track_offline(
+    stream: DetectionStream,
+    iou_weight: float = OFFLINE_IOU_WEIGHT,
+    merge_threshold: float = DEFAULT_MERGE_THRESHOLD,
+    max_gap: int = DEFAULT_MAX_GAP,
+) -> VideoRecord:
     """The offline tracker with one `_affinity` call per (keyframe, later keyframe) pair."""
     flat = [(kf, det) for kf in stream.keyframes for det in stream.frames[kf]]
     if not flat:
@@ -111,16 +125,16 @@ def reference_track_offline(stream: DetectionStream, cfg: AssociationConfig) -> 
     for a_pos, (kf_a, rows) in enumerate(frames):
         for kf_b, cols in frames[a_pos + 1 :]:
             gap = kf_b - kf_a
-            if gap > cfg.max_gap:
+            if gap > max_gap:
                 break
-            if cfg.max_gap == 1:
+            if max_gap == 1:
                 decay = 1.0
             else:
-                decay = (cfg.max_gap - gap) / (cfg.max_gap - 1)
+                decay = (max_gap - gap) / (max_gap - 1)
             affinity = _affinity(
-                boxes[rows], unit[rows], boxes[cols], unit[cols], cfg.iou_weight * decay
+                boxes[rows], unit[rows], boxes[cols], unit[cols], iou_weight * decay
             )
-            i, j = np.nonzero(affinity >= cfg.merge_threshold)
+            i, j = np.nonzero(affinity >= merge_threshold)
             edges.extend(
                 zip(affinity[i, j].tolist(), (i + rows.start).tolist(), (j + cols.start).tolist())
             )
@@ -178,25 +192,32 @@ def moving_actor_stream(n_keyframes=10, step=0.01, teleport_at=None):
     return make_stream(frames)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError, match="mode"):
-        AssociationConfig(mode="sideways", iou_weight=0.5)
-    with pytest.raises(ValueError, match="iou_weight"):
-        AssociationConfig(mode="online", iou_weight=1.5)
-    with pytest.raises(ValueError, match="match_threshold"):
-        AssociationConfig(mode="online", iou_weight=0.5, match_threshold=0.0)
-    with pytest.raises(ValueError, match="max_gap"):
-        AssociationConfig(mode="online", iou_weight=0.5, max_gap=0)
-    assert AssociationConfig.online().iou_weight == 0.7
-    assert AssociationConfig.offline().iou_weight == 0.3
+def test_parameter_validation():
+    iou_weight = r"iou_weight must lie in \[0, 1\]"
+    cases = [
+        (track_online, {"iou_weight": 1.5}, iou_weight),
+        (track_online, {"iou_weight": -0.1}, iou_weight),
+        (track_online, {"match_threshold": 0.0}, r"match_threshold must lie in \(0, 1\]"),
+        (track_online, {"match_threshold": 1.5}, r"match_threshold must lie in \(0, 1\]"),
+        (track_online, {"max_gap": 0}, "max_gap must be >= 1"),
+        (track_offline, {"iou_weight": 1.5}, iou_weight),
+        (track_offline, {"merge_threshold": 0.0}, r"merge_threshold must lie in \(0, 1\]"),
+        (track_offline, {"merge_threshold": 1.5}, r"merge_threshold must lie in \(0, 1\]"),
+        (track_offline, {"max_gap": 0}, "max_gap must be >= 1"),
+    ]
+    for tracker, parameters, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tracker(moving_actor_stream(), **parameters)
 
 
-def test_mode_mismatch_rejected():
+def test_trackers_take_only_their_own_keywords():
+    assert inspect.signature(track_online).parameters["iou_weight"].default == 0.7
+    assert inspect.signature(track_offline).parameters["iou_weight"].default == 0.3
     stream = moving_actor_stream()
-    with pytest.raises(ValueError, match="mode"):
-        track_online(stream, AssociationConfig.offline())
-    with pytest.raises(ValueError, match="mode"):
-        track_offline(stream, AssociationConfig.online())
+    with pytest.raises(TypeError, match="merge_threshold"):
+        track_online(stream, merge_threshold=0.5)
+    with pytest.raises(TypeError, match="match_threshold"):
+        track_offline(stream, match_threshold=0.5)
 
 
 def test_cosine_distance_basics():
@@ -259,15 +280,14 @@ def test_stream_rows_are_grouped_by_ascending_keyframe_in_given_order():
 
 def test_online_smooth_motion_keeps_one_id():
     stream = moving_actor_stream()
-    out = track_online(stream, AssociationConfig.online())
+    out = track_online(stream)
     assert out.actor_ids == (1,)
     assert len(out.observations) == 10
 
 
 def test_online_motion_only_breaks_at_shot_cut():
     stream = moving_actor_stream(teleport_at=5)
-    cfg = AssociationConfig.online(iou_weight=1.0)
-    out = track_online(stream, cfg)
+    out = track_online(stream, iou_weight=1.0)
     assert out.actor_ids == (1, 2)
     gt = record("v", track_obs("v", 1, range(10), (0.1, 0.4, 0.3, 0.6)))
     # against any single-actor gt with matching boxes the handover is >= 1 switch
@@ -292,7 +312,7 @@ def test_online_appearance_only_survives_crossing():
             det(xb, 0.4, xb + 0.2, 0.6, unit(4, 1)),
         )
     stream = make_stream(frames)
-    out = track_online(stream, AssociationConfig.online(iou_weight=0.0))
+    out = track_online(stream, iou_weight=0.0)
     by_id = {}
     for obs in out.observations:
         by_id.setdefault(obs.actor_id, []).append(obs)
@@ -308,13 +328,13 @@ def test_online_track_retires_after_gap():
     frames = {0: (det(0.1, 0.4, 0.3, 0.6, unit(4, 0)),)}
     # reappears 4 keyframes later at the same spot; max_gap 2 forces a new id
     frames[5] = (det(0.1, 0.4, 0.3, 0.6, unit(4, 0)),)
-    out = track_online(make_stream(frames), AssociationConfig.online(max_gap=2))
+    out = track_online(make_stream(frames), max_gap=2)
     assert out.actor_ids == (1, 2)
 
 
 def test_offline_bridges_shot_cut():
     stream = moving_actor_stream(teleport_at=5)
-    out = track_offline(stream, AssociationConfig.offline())
+    out = track_offline(stream)
     assert out.actor_ids == (1,)
 
 
@@ -326,23 +346,20 @@ def test_offline_cannot_link_same_keyframe():
             det(0.1, 0.4, 0.3, 0.6, unit(4, 0)),
         )
     }
-    out = track_offline(make_stream(frames), AssociationConfig.offline())
+    out = track_offline(make_stream(frames))
     assert out.actor_ids == (1, 2)
 
 
 def test_offline_empty_stream():
-    out = track_offline(make_stream({}), AssociationConfig.offline())
+    out = track_offline(make_stream({}))
     assert len(out.observations) == 0
 
 
 def test_outputs_validate_and_ids_are_unique_per_keyframe():
     spec = scenario_preset("camera-cut", seed=3)
     _, stream = generate(spec)
-    for cfg, tracker in (
-        (AssociationConfig.online(), track_online),
-        (AssociationConfig.offline(), track_offline),
-    ):
-        out = tracker(stream, cfg)
+    for tracker in (track_online, track_offline):
+        out = tracker(stream)
         assert validate_record(out, role="pred") == []
         seen = set()
         for obs in out.observations:
@@ -355,12 +372,9 @@ def test_outputs_validate_and_ids_are_unique_per_keyframe():
 def test_trackers_deterministic(tmp_path):
     spec = scenario_preset("camera-cut", seed=5)
     _, stream = generate(spec)
-    for cfg, tracker in (
-        (AssociationConfig.online(), track_online),
-        (AssociationConfig.offline(), track_offline),
-    ):
-        first = tracker(stream, cfg)
-        second = tracker(stream, cfg)
+    for tracker in (track_online, track_offline):
+        first = tracker(stream)
+        second = tracker(stream)
         assert first == second
         path_a = tmp_path / "a.csv"
         path_b = tmp_path / "b.csv"
@@ -374,28 +388,28 @@ def test_offline_ids_ordered_by_first_appearance():
         2: (det(0.6, 0.6, 0.8, 0.8, unit(4, 1)),),
         0: (det(0.1, 0.1, 0.3, 0.3, unit(4, 0)),),
     }
-    out = track_offline(make_stream(frames), AssociationConfig.offline(max_gap=1))
+    out = track_offline(make_stream(frames), max_gap=1)
     first = [o for o in out.observations if o.keyframe == 0][0]
     assert first.actor_id == 1
 
 
 @pytest.mark.parametrize(
-    "tracker, cfg, digest",
+    "tracker, digest",
     [
-        (track_online, AssociationConfig.online(),
+        (track_online,
          "eeaf5992bd61d3f0a479c6006e02c7b32615b07aed802bb1498303488647405d"),
-        (track_offline, AssociationConfig.offline(),
+        (track_offline,
          "2df2b3fc1f5546f31d36dfc2a984eb9a41704e9a16c617db4075538e7712ec48"),
     ],
     ids=["online", "offline"],
 )
-def test_tracker_output_is_pinned(tracker, cfg, digest, tmp_path):
+def test_tracker_output_is_pinned(tracker, digest, tmp_path):
     # Pins the solver's tie order inside the trackers: the written predictions
     # must stay byte-identical.
     spec = scenario_preset("camera-cut", seed=3, n_actors=12, n_keyframes=40, n_cuts=6, appearance_dim=16)
     _, stream = generate(spec)
     path = tmp_path / "pred.csv"
-    write_annotations([tracker(stream, cfg)], str(path), role="pred")
+    write_annotations([tracker(stream)], str(path), role="pred")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -409,8 +423,8 @@ def test_identical_tracks_tie_exactly():
             first = det(0.1, 0.1, 0.3, 0.3, rng.standard_normal(dim))
             second = det(0.12, 0.1, 0.32, 0.3, first.appearance + 0.1 * rng.standard_normal(dim))
             stream = make_stream({0: (first,) * n, 1: (second,)}, dim)
-            out = track_online(stream, AssociationConfig.online())
-            assert out == reference_track_online(stream, AssociationConfig.online())
+            out = track_online(stream)
+            assert out == reference_track_online(stream)
             assert out.observations[-1].actor_id == 1
 
 
@@ -449,12 +463,12 @@ def edited_stream(draw, max_step: int) -> DetectionStream:
 def online_cases(draw):
     """An `edited_stream` with gaps of 1 to 6, so tracks retire at every ``max_gap``."""
     stream = edited_stream(draw, max_step=6)
-    cfg = AssociationConfig.online(
-        iou_weight=draw(st.floats(0.0, 1.0)),
-        match_threshold=draw(st.floats(0.05, 0.95)),
-        max_gap=draw(st.integers(1, 4)),
-    )
-    return stream, cfg
+    parameters = {
+        "iou_weight": draw(st.floats(0.0, 1.0)),
+        "match_threshold": draw(st.floats(0.05, 0.95)),
+        "max_gap": draw(st.integers(1, 4)),
+    }
+    return stream, parameters
 
 
 # Embeddings stay continuous: quantised ones (say, multiples of 0.5) can put a
@@ -463,9 +477,9 @@ def online_cases(draw):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(online_cases())
 def test_online_cost_matches_scalar_reference(case):
-    stream, cfg = case
+    stream, parameters = case
     expected_costs: list[np.ndarray] = []
-    expected = reference_track_online(stream, cfg, expected_costs)
+    expected = reference_track_online(stream, **parameters, costs=expected_costs)
     costs: list[np.ndarray] = []
 
     def recording(cost, **kwargs):
@@ -473,7 +487,7 @@ def test_online_cost_matches_scalar_reference(case):
         return solve_assignment(cost, **kwargs)
 
     with mock.patch.object(association, "solve_assignment", recording):
-        out = track_online(stream, cfg)
+        out = track_online(stream, **parameters)
     assert out == expected
     assert len(costs) == len(expected_costs)
     for cost, reference in zip(costs, expected_costs):
@@ -484,19 +498,19 @@ def test_online_cost_matches_scalar_reference(case):
 def offline_cases(draw):
     """An `edited_stream` with gaps of 1 to 3."""
     stream = edited_stream(draw, max_step=3)
-    cfg = AssociationConfig.offline(
-        iou_weight=draw(st.floats(0.0, 1.0)),
-        merge_threshold=draw(st.floats(0.05, 1.0)),
-        max_gap=draw(st.integers(1, 4)),
-    )
-    return stream, cfg
+    parameters = {
+        "iou_weight": draw(st.floats(0.0, 1.0)),
+        "merge_threshold": draw(st.floats(0.05, 1.0)),
+        "max_gap": draw(st.integers(1, 4)),
+    }
+    return stream, parameters
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(offline_cases())
 def test_offline_matches_pair_reference(case):
-    stream, cfg = case
-    assert track_offline(stream, cfg) == reference_track_offline(stream, cfg)
+    stream, parameters = case
+    assert track_offline(stream, **parameters) == reference_track_offline(stream, **parameters)
 
 
 def test_offline_equal_affinities_merge_in_pair_order():
@@ -510,9 +524,44 @@ def test_offline_equal_affinities_merge_in_pair_order():
         3: (det(0.1, 0.1, 0.3, 0.3, both), det(0.15, 0.1, 0.35, 0.3, unit(4, 1))),
     }
     stream = make_stream(frames)
-    cfg = AssociationConfig.offline(iou_weight=1.0, merge_threshold=0.1, max_gap=2)
-    out = track_offline(stream, cfg)
-    assert out == reference_track_offline(stream, cfg)
+    parameters = {"iou_weight": 1.0, "merge_threshold": 0.1, "max_gap": 2}
+    out = track_offline(stream, **parameters)
+    assert out == reference_track_offline(stream, **parameters)
     assert [(o.keyframe, o.box.x1, o.actor_id) for o in out.observations] == [
         (1, 0.1, 1), (2, 0.1, 1), (3, 0.15, 1), (3, 0.1, 2)
     ]
+
+
+@st.composite
+def reordered_streams(draw):
+    """A `generate` stream, its rows rebuilt in a shuffled order, and each tracker's parameters.
+
+    The shuffle interleaves the keyframes at random but keeps each
+    keyframe's rows in their order.
+    """
+    spec = ScenarioSpec(
+        n_actors=draw(st.integers(1, 4)),
+        n_keyframes=draw(st.integers(2, 10)),
+        n_cuts=draw(st.integers(0, 1)),
+        seed=draw(st.integers(0, 2**16)),
+        appearance_dim=8,
+    )
+    _, stream = generate(spec)
+    columns = (stream.row_keyframes, stream.boxes.tolist(), stream.scores.tolist(), stream.embeddings)
+    rows = list(zip(*columns))
+    bounds = stream.bounds
+    by_keyframe = {kf: iter(rows[a:b]) for kf, a, b in zip(stream.keyframes, bounds, bounds[1:])}
+    slots = [rows[i][0] for i in draw(st.permutations(range(len(rows))))]
+    shuffled = [next(by_keyframe[kf]) for kf in slots]
+    weight, threshold, max_gap = st.floats(0.0, 1.0), st.floats(0.05, 1.0), st.integers(1, 4)
+    online = {"iou_weight": draw(weight), "match_threshold": draw(threshold), "max_gap": draw(max_gap)}
+    offline = {"iou_weight": draw(weight), "merge_threshold": draw(threshold), "max_gap": draw(max_gap)}
+    return stream, DetectionStream.from_rows(stream.video_id, stream.dim, shuffled), online, offline
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(reordered_streams())
+def test_trackers_see_row_order_only_within_a_keyframe(case):
+    stream, shuffled, online, offline = case
+    assert track_online(shuffled, **online) == track_online(stream, **online)
+    assert track_offline(shuffled, **offline) == track_offline(stream, **offline)

@@ -10,9 +10,16 @@ import pytest
 
 import asadeval
 from asadeval import cli
+from asadeval.association import track_offline, track_online
 from asadeval.cli import EXIT_DATA, EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from asadeval.detection import average_precision
-from asadeval.io_formats import parse_annotations, read_report, write_annotations, write_pr_curve
+from asadeval.io_formats import (
+    parse_annotations,
+    parse_detection_stream,
+    read_report,
+    write_annotations,
+    write_pr_curve,
+)
 from support import LEFT, RIGHT, obs, record, validate_record
 
 
@@ -324,6 +331,31 @@ def test_track_accepts_each_flag_at_its_bound(tmp_path, mode):
             "--out", str(tmp_path / "out.csv")]
     for bounds in (["--lambda", "0", "--tau", "1", "--gap", "1"], ["--lambda", "1"]):
         assert main(argv + bounds) == EXIT_OK
+
+
+@pytest.mark.parametrize("mode, threshold", [("online", "match_threshold"), ("offline", "merge_threshold")])
+@pytest.mark.parametrize("flags, parameters", [
+    (["--lambda", "0.4", "--tau", "0.3", "--gap", "3"], {"iou_weight": 0.4, "tau": 0.3, "max_gap": 3}),
+    (["--tau", "0.3"], {"tau": 0.3}),
+], ids=["all-flags", "tau"])
+def test_track_passes_its_flags_to_the_tracker(tmp_path, mode, threshold, flags, parameters):
+    scene = tmp_path / "scene"
+    assert main(["synth", "--actors", "4", "--keyframes", "12", "--cuts", "2", "--fp-rate", "0.3",
+                 "--seed", "5", "--out", str(scene)]) == EXIT_OK
+    stream = parse_detection_stream(str(scene / "detections.csv"))
+    tracker = {"online": track_online, "offline": track_offline}[mode]
+    keywords = {threshold if name == "tau" else name: value for name, value in parameters.items()}
+
+    def written(name, record):
+        write_annotations([record], str(tmp_path / name), role="pred")
+        return (tmp_path / name).read_bytes()
+
+    argv = ["track", "--detections", str(scene / "detections.csv"), "--mode", mode,
+            "--out", str(tmp_path / "tracked.csv")]
+    assert main(argv + flags) == EXIT_OK
+    tracked = (tmp_path / "tracked.csv").read_bytes()
+    assert tracked == written("expected.csv", tracker(stream, **keywords))
+    assert tracked != written("default.csv", tracker(stream))
 
 
 def test_synth_evaluate_with_sidecar_labels(tmp_path):

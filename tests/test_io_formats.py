@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -514,6 +515,48 @@ def test_report_block_without_ap_is_a_format_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FormatError, match=r"videos\[0\]: missing key 'ap'"):
         read_report(str(path))
+
+
+@pytest.mark.parametrize("block, key, value, expected", [
+    ("aggregate", "flags", 5, "a list of strings"),
+    ("aggregate", "flags", ["score_ties", 1], "a list of strings"),
+    ("videos", "idtp", "x", "an integer"),
+    ("videos", "tp", True, "an integer"),
+    ("aggregate", "n_matched_pairs", 1.0, "an integer"),
+    ("aggregate", "ap", "0.5", "a number or null"),
+    ("videos", "hl", False, "a number or null"),
+    ("aggregate", "idf1", None, "a number"),
+    ("videos", "mt_pct", [50.0], "a number"),
+    ("aggregate", "hl_reason", 3, "a string or null"),
+    ("videos", "video_id", 7, "a string"),
+    ("videos", "video_id", ["v"], "a string"),
+])
+def test_report_value_of_the_wrong_type_is_a_format_error(tmp_path, block, key, value, expected):
+    data = report_to_dict(sample_report())
+    (data["videos"][0] if block == "videos" else data[block])[key] = value
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    where = "videos[0]" if block == "videos" else block
+    message = f"{where}: key '{key}': expected {expected}, got {json.dumps(value)}"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_report(str(path))
+
+
+@pytest.mark.parametrize("data", [b"{", b"not json", b'{"schema": }', b'\xff{"schema": 1}'])
+def test_report_that_is_not_json_is_a_format_error_naming_the_file(tmp_path, data):
+    path = tmp_path / "report.json"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: invalid JSON: "):
+        read_report(str(path))
+
+
+def test_report_accepts_an_integer_ratio_and_null_optionals(tmp_path):
+    data = report_to_dict(sample_report())
+    data["aggregate"].update(idf1=1, ap=None, ap_reason="no predictions")
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    aggregate = read_report(str(path)).aggregate
+    assert (aggregate.idf1, aggregate.ap, aggregate.ap_reason) == (1, None, "no predictions")
 
 
 def pinned_writer_outputs(directory) -> dict[str, bytes]:

@@ -12,10 +12,11 @@ records compared by ``repr`` (the two imports define distinct classes), a
 stream's keyframes, boxes, scores and embeddings as exact lists, and a
 `FormatError`'s list of messages. A parsed stream is also written back with
 `write_detection_stream` and tracked by `track_online` and `track_offline` at
-their default configs, and the bytes of the stream and of both trackers'
-`write_annotations` output must match too. Any other exception is compared by type and message, and
-counted. Prints the first differences and a summary, and exits 1 on any
-difference.
+their default parameters (through `AssociationConfig.online()` and
+`.offline()` for a checkout that still has that class), and the bytes of the
+stream and of both trackers' `write_annotations` output must match too. Any
+other exception is compared by type and message, and counted. Prints the
+first differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -71,11 +72,10 @@ def parsed_stream(io, tracking, path: str) -> tuple:
     output = str(Path(path).with_name("output.csv"))
     io.write_detection_stream(stream, output)
     written = [Path(output).read_bytes()]
-    for tracker, cfg in (
-        (tracking.track_online, tracking.AssociationConfig.online()),
-        (tracking.track_offline, tracking.AssociationConfig.offline()),
-    ):
-        io.write_annotations([tracker(stream, cfg)], output, role="pred")
+    config = getattr(tracking, "AssociationConfig", None)
+    for mode, tracker in (("online", tracking.track_online), ("offline", tracking.track_offline)):
+        args = () if config is None else (getattr(config, mode)(),)
+        io.write_annotations([tracker(stream, *args)], output, role="pred")
         written.append(Path(output).read_bytes())
     return (canonical(stream), *written)
 
