@@ -106,7 +106,10 @@ def idf1_from_ious(
     `solve_assignment` pairs the identities with a gated hit (the rest add
     nothing to IDTP, and dropping them keeps most problems enumerable) on
     their negated integer counts, so IDTP is exact and ties take the
-    lexicographically smallest assignment in ascending actor ids.
+    lexicographically smallest assignment in ascending actor ids. A pairing
+    of at most 3 identities with hits on one side and at most 10 on the
+    other, such as a three-actor scene's, is thus enumerated without
+    importing scipy; one of 4 or more on both sides takes the LSA route.
     """
     total_gt = len(gt.observations)
     total_pred = len(pred.observations)

@@ -471,9 +471,13 @@ def report_from_dict(data: dict) -> EvalReport:
     if not isinstance(videos, list):
         raise FormatError([f"videos: expected a list, got {type(videos).__name__}"])
     per_video = {}
+    index_of: dict[str, int] = {}
     for i, entry in enumerate(videos):
         video_id = _required(entry, ["video_id"], f"videos[{i}]")["video_id"]
         _check_type(video_id, "str", f"videos[{i}]: key 'video_id'")
+        if video_id in index_of:
+            raise FormatError([f"videos[{i}]: video_id {video_id!r} repeats videos[{index_of[video_id]}]"])
+        index_of[video_id] = i
         per_video[video_id] = _block_from_dict(entry, f"videos[{i}]")
     return EvalReport(
         config=dict(config),

@@ -20,10 +20,12 @@ confirms each remaining pair by comparing `math.fsum` totals with the
 optimum's. There is no fallback to the solver's own order.
 
 scipy is imported by the first `linear_sum_assignment` call, not by this
-module: `import scipy.optimize` takes about 0.63 s, most of what
-`import asadeval` would cost with it. Commands that never solve an
-assignment too large to enumerate (`synth`, `track --mode offline`, `--help`,
-`--version`, input errors, a one-actor `evaluate`) never pay it.
+module: `import scipy.optimize` takes about 0.63 s and about 47 MB, most of
+what `import asadeval` would cost with it. Commands that never solve an
+assignment too large to enumerate never pay it: `synth`, `track --mode
+offline`, `--help`, `--version`, input errors, and an `evaluate` whose
+every keyframe and identity pairing fits in 3 x 10 or 10 x 3, such as a
+corpus of three-actor scenes.
 
 The pairs the duals leave (the tight graph, zero-padded to a square) still
 include many that no optimum holds: in a crowded keyframe, a gated pair in a
@@ -55,8 +57,14 @@ _IOU_BATCH_ENTRIES = 8192
 # One video's IoU table, as `frame_ious` returns it: keyframe -> IoU matrix.
 IouTable = dict[int, np.ndarray]
 # Enumeration covers 2 or 3 pairs with at most this many rows and columns:
-# at most 6 * 5 * 4 = 120 candidates, where one LSA and the duals cost more.
-_ENUMERATED_SIDE = 6
+# at most 10 * 9 * 8 = 720 candidates. Up to that side one enumeration takes
+# a half to a quarter of the time of one LSA with its duals (2 x 6 to 3 x 10,
+# on gated box costs and IDF1-style counts). Past it the gain shrinks (3 x 12:
+# about 0.8 of the LSA route) while the table grows to 1320 candidates.
+_ENUMERATED_SIDE = 10
+# Candidate entries per batched enumeration (problems x candidates x pairs):
+# bounds its temporaries at 256 KiB each, whatever one video's length.
+_ENUMERATED_BATCH_ENTRIES = 2**15
 # Largest |cost| enumerated: a sum of three such terms, and the difference of
 # two such sums, stay below the largest float.
 _ENUMERATED_MAX_COST = 2.0**1021
@@ -67,9 +75,13 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
 
     The import takes about 0.63 s, so it waits until a problem needs the
     solver: `evaluate` and `track --mode online` pay it at their first
-    assignment too large to enumerate, while `synth`, `track --mode
-    offline`, `--help`, `--version` and input errors never do. This is the
-    package's one scipy import, and `solve_assignment` its only caller.
+    assignment too large to enumerate (one with 4 or more pairs, or with
+    more than `_ENUMERATED_SIDE` rows or columns). `synth`, `track --mode
+    offline`, `--help`, `--version` and input errors never do, nor does an
+    `evaluate` of scenes with at most 3 actors, at most 10 predictions a
+    keyframe and at most 10 predicted identities overlapping the actors.
+    This is the package's one scipy import, and `solve_assignment` its only
+    caller.
     After the first call the import is a `sys.modules` lookup, well under a
     microsecond beside a solve.
     """
@@ -167,24 +179,31 @@ def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> np.ndarr
 def gated_pairs(ious: IouTable, gate: float = DEFAULT_IOU_GATE) -> dict[int, tuple[tuple[int, int], ...]]:
     """The gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs`, of every keyframe.
 
-    Keyframes keep the table's order. All keyframes of one shape that the
-    enumeration covers are solved in one call, the way `frame_ious` batches
-    its IoUs; the rest go through `solve_assignment` one by one.
+    Keyframes keep the table's order. The keyframes of one shape that the
+    enumeration covers are solved together, the way `frame_ious` batches its
+    IoUs: in calls of at most `_ENUMERATED_BATCH_ENTRIES` candidate entries,
+    so a long video cannot raise peak memory. The rest go through
+    `solve_assignment` one by one.
     """
     by_shape: dict[tuple[int, int], list[int]] = {}
     for keyframe, overlaps in ious.items():
         by_shape.setdefault(overlaps.shape, []).append(keyframe)
     solved: dict[int, tuple[tuple[int, int], ...]] = {}
     for shape, keyframes in by_shape.items():
-        costs = gated_cost(np.stack([ious[keyframe] for keyframe in keyframes]), gate)
-        scale = float(np.abs(costs).max())
-        if _enumerable(shape) and scale <= _ENUMERATED_MAX_COST:
-            _, _, candidates = _assignment_table(*shape)
-            for keyframe, cost, index in zip(keyframes, costs, _enumerated_optima(costs, scale)):
-                solved[keyframe] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
-        else:
-            for keyframe, cost in zip(keyframes, costs):
-                solved[keyframe] = solve_assignment(cost).pairs
+        step = 1
+        if _enumerable(shape):
+            rows, _, candidates = _assignment_table(*shape)
+            step = max(1, _ENUMERATED_BATCH_ENTRIES // rows.size)
+        for start in range(0, len(keyframes), step):
+            chunk = keyframes[start : start + step]
+            costs = gated_cost(np.stack([ious[keyframe] for keyframe in chunk]), gate)
+            scale = float(np.abs(costs).max())
+            if _enumerable(shape) and scale <= _ENUMERATED_MAX_COST:
+                for keyframe, cost, index in zip(chunk, costs, _enumerated_optima(costs, scale)):
+                    solved[keyframe] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
+            else:
+                for keyframe, cost in zip(chunk, costs):
+                    solved[keyframe] = solve_assignment(cost).pairs
     return {keyframe: solved[keyframe] for keyframe in ious}
 
 

@@ -4,9 +4,9 @@
 generator. Every kind is built to have many equal-cost optima: grid values
 with some all-1.0 (fully gated) rows and columns; duplicated rows and
 columns; `build_cost_matrix` on repeated boxes; dense continuous costs in
-the trackers' range [0, 1.3]; and `crowded_boxes_cost`, a crowded keyframe
+the trackers' range [0, 1.3]; `crowded_boxes_cost`, a crowded keyframe
 whose detections are jittered, missed and duplicated copies of its ground
-truth.
+truth; and negated integer hit counts shaped like IDF1's identity pairing.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from asadeval.matching import build_cost_matrix
 from asadeval.model import BoundingBox
 
-KINDS = ("grid", "duplicates", "boxes", "dense", "crowded")
+KINDS = ("grid", "duplicates", "boxes", "dense", "crowded", "counts")
 COST_GRID = np.array([0.0, 0.25, 0.5, 1.0])
 
 
@@ -49,6 +49,13 @@ def tie_heavy_cost(rng: np.random.Generator, kind: str, n_rows: int, n_cols: int
         return rng.uniform(0.0, 1.3, size=(n_rows, n_cols))
     if kind == "crowded":
         return crowded_boxes_cost(rng, n_rows, n_cols)
+    if kind == "counts":
+        # `idf1_from_ious` pairs GT (rows) and predicted identities on their
+        # negated gated-hit counts: each actor's many hits fall on one
+        # identity, two actors may share one, and stray hits are few.
+        counts = rng.choice([0, 0, 0, 1, 2, 3], size=(n_rows, n_cols))
+        counts[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] += rng.choice([10, 20, 30], n_rows)
+        return -counts.astype(float)
     raise ValueError(f"unknown cost kind {kind!r}")
 
 

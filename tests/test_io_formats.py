@@ -517,6 +517,17 @@ def test_report_block_without_ap_is_a_format_error(tmp_path):
         read_report(str(path))
 
 
+def test_report_with_a_repeated_video_is_a_format_error(tmp_path):
+    # Read back, the later entry used to replace the earlier one silently.
+    data = report_to_dict(sample_report())
+    data["videos"] += [{**data["videos"][0], "video_id": "w"}, {**data["videos"][0], "idtp": 99}]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    message = "videos[2]: video_id 'v' repeats videos[0]"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        read_report(str(path))
+
+
 @pytest.mark.parametrize("block, key, value, expected", [
     ("aggregate", "flags", 5, "a list of strings"),
     ("aggregate", "flags", ["score_ties", 1], "a list of strings"),

@@ -265,14 +265,14 @@ def test_gate_soundness_no_pair_below_half_iou():
 def tie_heavy_costs(draw):
     """Cost matrices of 1-12 rows and columns of every `cost_kinds` kind.
 
-    Half have a shape the enumeration covers: 2 or 3 rows and at most 6
+    Half have a shape the enumeration covers: 2 or 3 rows and at most 10
     columns (the test also solves the transpose). A quarter keep only their
     first row, so the single-pair case gets ties and fully gated rows of its
     own.
     """
     if draw(st.booleans()):
         n_rows = draw(st.integers(2, 3))
-        n_cols = draw(st.integers(n_rows, 6))
+        n_cols = draw(st.integers(n_rows, 10))
     else:
         n_rows, n_cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -302,11 +302,12 @@ NAIVE_ORDER_TIED = np.array([[1.0, 1.0, 5.0], [5.0, EPS, 0.0], [EPS / 2, 5.0, EP
 @example(crowded_boxes_cost(np.random.default_rng(1), 5, 6))
 @example(crowded_boxes_cost(np.random.default_rng(0), 12, 12))
 def test_tie_break_matches_oracle_and_reference(cost):
-    # Both orientations; the oracle up to 6 x 6, the unpruned search up to 12 x 12.
+    # Both orientations; the oracle up to 6 x 6 and at 1-3 pairs up to 3 x 12,
+    # the unpruned search up to 12 x 12.
     for matrix in (cost, cost.T):
         total = solve_assignment(matrix).total_cost
         expected = [reference_lex_pairs(matrix, total)]
-        if max(matrix.shape) <= 6:
+        if max(matrix.shape) <= 6 or min(matrix.shape) <= 3:
             oracle_pairs, oracle_total = brute_force_lex_pairs(matrix)
             assert total == oracle_total
             expected.append(oracle_pairs)
@@ -355,7 +356,7 @@ def counted_lsa(monkeypatch) -> list:
     return calls
 
 
-COVERED_SHAPES = [(k, n) for k in (2, 3) for n in range(k, 7)]
+COVERED_SHAPES = [(k, n) for k in (2, 3) for n in range(k, 11)]
 
 
 @pytest.mark.parametrize("shape", COVERED_SHAPES + [(n, k) for k, n in COVERED_SHAPES if n != k])
@@ -369,7 +370,7 @@ def test_covered_shapes_make_no_lsa_call(shape, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("shape", [(4, 4), (3, 7), (7, 3)])
+@pytest.mark.parametrize("shape", [(4, 4), (2, 11), (3, 11), (11, 3)])
 def test_uncovered_shapes_still_use_lsa(shape, monkeypatch):
     calls = counted_lsa(monkeypatch)
     solve_assignment(np.random.default_rng(1).random(shape))
@@ -397,6 +398,30 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
     assert sorted(singly) == sorted(uncovered)
     assert 0 < len(uncovered) < len(ious)
     assert list(pairs) == list(ious)
+    for kf, overlaps in ious.items():
+        assert pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
+
+
+def test_gated_pairs_bound_each_enumerated_batch(monkeypatch):
+    # A long video of one wide shape is solved in several stacked calls, each
+    # within the entry bound, so its length cannot raise peak memory.
+    rng = np.random.default_rng(12)
+    ious = {kf: rng.random((3, 10)) * (rng.random((3, 10)) < 0.4) for kf in range(100)}
+    ious.update({kf: rng.random((2, 2)) for kf in range(100, 110)})
+    batches = []
+    enumerated_optima = matching._enumerated_optima
+
+    def recording(stack, scale):
+        batches.append(stack.shape)
+        return enumerated_optima(stack, scale)
+
+    monkeypatch.setattr(matching, "_enumerated_optima", recording)
+    pairs = matching.gated_pairs(ious, 0.5)
+    monkeypatch.undo()
+    for count, *shape in batches:
+        assert count * matching._assignment_table(*shape)[0].size <= matching._ENUMERATED_BATCH_ENTRIES
+    wide = [count for count, *shape in batches if shape == [3, 10]]
+    assert sum(wide) == 100 and len(wide) > 1
     for kf, overlaps in ious.items():
         assert pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
 

@@ -5,20 +5,23 @@
 `asadbench` times warm, in-process passes; this times what a user pays per
 command: a new interpreter, `import asadeval` and the command. Two
 camera-cut `synth` scenes (seed 0; the default cast and a single actor) and
-their offline tracking are made first;
+their offline tracking are made first, and a three-video corpus of
+three-actor scenes (30 keyframes, seeds 0-2) whose offline tracking, at
+``--gap 1``, splits each actor into several identities;
 then each path below runs ``--runs`` times, each in a fresh interpreter, and
 the tool prints its median wall seconds (interpreter start included) and
 whether `scipy` was in `sys.modules` when the command returned ("?" when
 a run died before returning and no other run imported it).
-`scipy.optimize` costs about 0.63 s to import and is needed only by an
-assignment too large to enumerate, so the paths marked scipy-free must never
-import it (a one-actor `evaluate` solves only one-row problems). Exits 1 when
-one does, or when a path exits with an unexpected code or dies before
-returning.
+`scipy.optimize` costs about 0.63 s and about 47 MB to import and is needed
+only by an assignment too large to enumerate, so the paths marked scipy-free
+must never import it. A one-actor `evaluate` solves only one-row problems;
+the corpus's identity pairings are 3 x 8 and 3 x 9 and its keyframes 3 x 5
+at most, all within the enumeration's 3 x 10. Exits 1 when one does import
+it, or when a path exits with an unexpected code or dies before returning.
 ``--src`` times another checkout's `src` instead of this one's.
 
-`tests/test_cli.py` runs the same table, up to its first path that solves,
-in one interpreter.
+`tests/test_cli.py` runs the same set-up in one interpreter, then the same
+table, up to its first path that solves, in another.
 """
 
 from __future__ import annotations
@@ -50,21 +53,41 @@ with open(sys.argv[1], "w") as handle:
 """
 
 
+CORPUS_SEEDS = (0, 1, 2)
+
+
 def setup(work: Path) -> list[list[str]]:
-    """The commands that make each scene and its offline tracking as pred.csv."""
+    """The commands that make each scene and its offline tracking as pred.csv.
+
+    `write_corpus` then joins the corpus scenes into one corpus.
+    """
+    scenes = [(work / "scene", ["--seed", "0"], []), (work / "one", ["--seed", "0", "--actors", "1"], [])]
+    scenes += [
+        (work / f"c{seed}", ["--seed", str(seed), "--actors", "3", "--keyframes", "30",
+                             "--video-id", f"c{seed}"], ["--gap", "1"])
+        for seed in CORPUS_SEEDS
+    ]
     commands = []
-    for scene, cast in ((work / "scene", []), (work / "one", ["--actors", "1"])):
+    for scene, cast, tracking in scenes:
         commands += [
-            ["synth", "--scenario", "camera-cut", "--seed", "0", *cast, "--out", str(scene)],
-            ["track", "--detections", str(scene / "detections.csv"), "--mode", "offline",
+            ["synth", "--scenario", "camera-cut", *cast, "--out", str(scene)],
+            ["track", "--detections", str(scene / "detections.csv"), "--mode", "offline", *tracking,
              "--out", str(scene / "pred.csv")],
         ]
     return commands
 
 
+def write_corpus(work: Path) -> None:
+    """Join the corpus scenes' gt.csv and pred.csv, one header each, into ``work/corpus``."""
+    (work / "corpus").mkdir()
+    for name in ("gt.csv", "pred.csv"):
+        parts = [(work / f"c{seed}" / name).read_text().splitlines(keepends=True) for seed in CORPUS_SEEDS]
+        (work / "corpus" / name).write_text("".join(parts[0] + [line for part in parts[1:] for line in part[1:]]))
+
+
 def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
     """(name, argv, expected exit code, scipy-free) for every timed CLI path, scipy-free first."""
-    scene, one = work / "scene", work / "one"
+    scene, one, corpus = work / "scene", work / "one", work / "corpus"
     detections = str(scene / "detections.csv")
     return [
         ("--version", ["--version"], 0, True),
@@ -76,6 +99,8 @@ def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
         ("evaluate (exit 2)", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", detections], 2, True),
         ("evaluate (1 actor)", ["evaluate", "--gt", str(one / "gt.csv"), "--pred", str(one / "pred.csv"),
                                 "--report", str(work / "one.json")], 0, True),
+        ("evaluate (3 actors)", ["evaluate", "--gt", str(corpus / "gt.csv"), "--pred", str(corpus / "pred.csv"),
+                                 "--report", str(work / "corpus.json")], 0, True),
         ("track --mode online", ["track", "--detections", detections, "--mode", "online",
                                  "--out", str(work / "online.csv")], 0, False),
         ("evaluate", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", str(scene / "pred.csv"),
@@ -118,6 +143,7 @@ def main(argv=None) -> int:
         if results is None or any(code != 0 for code, _ in results):
             print(f"set-up failed (exit {returncode}, results {results})", file=sys.stderr)
             return 1
+        write_corpus(work)
         print(f"{'path':<22} {'median s':>9}  scipy  expected")
         for name, path_argv, expected_code, scipy_free in paths(work):
             walls, imported, died = [], False, False

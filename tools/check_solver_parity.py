@@ -4,9 +4,10 @@
     python tools/check_solver_parity.py /tmp/parent/src [--problems 100000] [--seed 0]
 
 Both copies of `asadeval` are imported into this one process, the other one
-under another package name. Problem ``i`` has the shape ``SHAPES[i % 64]``,
-every shape from 1 x 1 to 8 x 8, so both sides of the enumeration's coverage
-(2 or 3 pairs, at most 6 rows and columns) are met equally often. Its kind is
+under another package name. Problem ``i`` has the shape ``SHAPES[i % 144]``,
+every shape from 1 x 1 to 12 x 12 equally often, so both sides of the
+enumeration's boundary (2 or 3 pairs, at most 10 rows and columns) are met:
+2 x 9 to 3 x 10 inside it and 2 x 11 to 3 x 12 just past it. Its kind is
 drawn from `tests/cost_kinds.py`, or is "extreme": a grid matrix with some
 entries set to +-1e308 or +-1e300, where sums can overflow, or is "large": a
 `crowded_boxes_cost` keyframe of 9-60 rows and 9-60 columns, drawn in place
@@ -39,7 +40,7 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 from asadeval import matching  # noqa: E402
 from cost_kinds import KINDS, crowded_boxes_cost, tie_heavy_cost  # noqa: E402
 
-SHAPES = tuple(itertools.product(range(1, 9), repeat=2))
+SHAPES = tuple(itertools.product(range(1, 13), repeat=2))
 EXTREMES = np.array([1e308, -1e308, 1e300, -1e300])
 SHOWN_DIFFERENCES = 20
 
