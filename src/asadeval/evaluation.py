@@ -14,7 +14,7 @@ every reported ratio can be recomputed from the tallies carried next to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
 from .actions import HammingResult, _hamming_result, hamming_loss, match_pairs_from_ious
@@ -51,6 +51,11 @@ class MetricBlock:
     n_matched_pairs: int
     wrong_label_bits: int
     flags: tuple[str, ...] = ()
+
+
+# Every int field of a block is a tally, and `_aggregate_block` makes the
+# aggregate's the sum of the videos'.
+SUMMED_TALLIES = tuple(f.name for f in fields(MetricBlock) if f.type == "int")
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,9 @@ def idf1_from_ious(
     lexicographically smallest assignment in ascending actor ids. A pairing
     of at most 3 identities with hits on one side and at most 10 on the
     other, such as a three-actor scene's, is thus enumerated without
-    importing scipy; one of 4 or more on both sides takes the LSA route.
+    importing scipy; one of 4 or more on both sides takes the LSA route,
+    unless each identity hits exactly one on the other side, as in a clean
+    tracking, whose pairing is those hits (`solve_assignment`'s sole optimum).
     """
     total_gt = len(gt.observations)
     total_pred = len(pred.observations)

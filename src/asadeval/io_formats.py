@@ -21,6 +21,20 @@ included) is written as the ``repr`` of the Python float, so parsing
 reproduces it bit-exactly; None is an empty cell. Reports serialize to JSON
 (exact round trip) or a flattened CSV table. Parsing is locale independent
 (decimal point only).
+
+The two input parsers read a well-formed file in one array pass
+(`_read_arrays`): numpy's text reader converts every cell after the video
+id, in chunks of lines, and every parser rule is an array test. numpy
+converts floats with the routine ``float`` uses, so the values are the
+same bits. Any other file goes to the row parser (``csv.reader`` and one
+``int`` or ``float`` call per cell), which writes the line-numbered errors.
+A file takes the row parser when any row breaks a rule; when numpy
+refuses a cell (an integer beyond int64, ``1_0``, a float in an integer
+column) or warns while reading it; when it holds a quote,
+a non-ASCII byte, a control byte other than tab, CR and LF, or a CR that
+does not end a line; when a line has another comma count than the header
+or is longer than ``csv.field_size_limit()``; and when it is no regular
+file (a pipe cannot be read twice).
 """
 
 from __future__ import annotations
@@ -28,16 +42,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import re
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .association import DetectionStream
 from .detection import APResult
-from .evaluation import AGGREGATE_KEY, EvalReport, MetricBlock
+from .evaluation import AGGREGATE_KEY, SUMMED_TALLIES, EvalReport, MetricBlock
 from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 from .synthetic import GENERATOR_ALGORITHM, ScenarioSpec
 from .version import __version__
@@ -51,6 +68,21 @@ BENCH_COLUMNS = ["seed", "mode", "ap50", "hl50", "idf1", "mt_pct", "ml_pct", "id
 PR_CURVE_COLUMNS = ["rank", "score", "tp", "fp", "recall", "precision", "p_interp"]
 NO_ACTION_MARKER = 0
 _MAX_REPORTED_ERRORS = 50
+# The array pass reads this many bytes of whole lines at a time.
+_CHUNK_BYTES = 1 << 16
+# The bytes a file may hold and still take the array pass. Any other sends it
+# to the row parser: a quote (csv syntax), a non-ASCII byte (Unicode digits
+# and spaces, which ``int`` and ``float`` read but numpy does not, or bad
+# UTF-8), or a control byte other than tab, CR and LF (numpy skips \x1c-\x1f
+# as space, ``int`` and ``float`` refuse them, csv refuses NUL).
+_PLAIN_BYTES = b"\t\n\r" + bytes(byte for byte in range(0x20, 0x7F) if byte != ord('"'))
+_LONE_CR = re.compile(rb"\r(?!\n)")  # csv ends a row there, numpy may not
+_LOCATED_BOX_FIELDS = [("video_id", "S0"), ("keyframe", "i8"), ("box", "f8", (4,))]
+_ANNOTATION_FIELDS = _LOCATED_BOX_FIELDS + [("action_id", "i8"), ("actor_id", "i8")]
+_ANNOTATION_DTYPES = {
+    "gt": np.dtype(_ANNOTATION_FIELDS),
+    "pred": np.dtype(_ANNOTATION_FIELDS + [("score", "f8")]),
+}
 
 
 class FormatError(ValueError):
@@ -92,23 +124,6 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
-
-
-def _parse_embedding(cells: Sequence[str]) -> list[float]:
-    """The floats of ``cells``, all finite, in one pass over a valid row.
-
-    A non-finite value (or an overflowing sum) makes the sum's ``total - total``
-    nan. Only then, or when a cell does not parse, are the cells re-read one by
-    one, so the error names the first bad cell as `_parse_float` does.
-    """
-    try:
-        values = list(map(float, cells))
-        total = sum(values)
-        if total - total == 0.0:
-            return values
-    except ValueError:
-        pass
-    return [_parse_float(cell) for cell in cells]
 
 
 def _parse_fraction(text: str) -> float:
@@ -164,6 +179,187 @@ def _data_rows(reader, path: str, width: int, errors: list[str], note: str = "")
         first = last + 1
 
 
+def _read_arrays(
+    path: str, dtype_of: Callable[[list[str]], Optional[np.dtype]]
+) -> Optional[tuple[list[bytes], np.ndarray]]:
+    """The video ids and the other cells of a well-formed CSV file, or None for the row parser.
+
+    ``dtype_of`` maps the header's cells to the structured dtype of a row,
+    one field per column, or to None when the header is not the one
+    expected. The dtype holds the video id as ``S0``, which keeps nothing:
+    the ids come apart, as ASCII bytes, one per row. The file is read in
+    chunks of whole lines, and each chunk is checked and converted before
+    the next is read. Returns None on an empty file and on every input the
+    module docstring sends to the row parser, before the rules are applied.
+    """
+    if not os.path.isfile(path):  # a pipe, say, which the row parser could not read again
+        return None
+    limit = csv.field_size_limit()
+    with open(path, "rb") as handle:
+        header = handle.readline()
+        if not header or len(header) > limit or not _plain(header):
+            return None
+        dtype = dtype_of(header.decode("ascii").rstrip("\r\n").split(","))
+        if dtype is None:
+            return None
+        video_ids: list[bytes] = []
+        chunks = []
+        while lines := handle.readlines(_CHUNK_BYTES):
+            block = b"".join(lines)
+            if max(map(len, lines)) > limit or not _plain(block):
+                return None
+            if not block.strip(b"\r\n"):
+                continue  # only blank lines, which csv skips and numpy warns of
+            try:
+                # numpy refuses a line whose column count is not the dtype's. numpy
+                # before 2.0 reads a float such as 0.5 in an integer column, truncated,
+                # with only a DeprecationWarning: as an error, it declines the file.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    chunk = np.loadtxt(lines, dtype, comments=None, delimiter=",", ndmin=1, encoding="ascii")
+            except (ValueError, Warning):
+                return None
+            if len(chunk) != len(lines):  # numpy skips a blank line, and so does csv
+                lines = [line for line in lines if line.rstrip(b"\r\n")]
+                if len(chunk) != len(lines):
+                    return None
+            chunks.append(chunk)
+            video_ids += [line.partition(b",")[0] for line in lines]
+    return video_ids, np.concatenate(chunks) if chunks else np.empty(0, dtype)
+
+
+def _plain(block: bytes) -> bool:
+    """True when ``block`` holds only `_PLAIN_BYTES` and every CR in it ends a line (as csv reads one)."""
+    return not block.translate(None, _PLAIN_BYTES) and not (b"\r" in block and _LONE_CR.search(block))
+
+
+def _located_box_violations(bad_keyframes: np.ndarray, boxes: np.ndarray) -> list[np.ndarray]:
+    """`_parse_located_box`'s rules as arrays: per row, is the keyframe, x1, y1, x2 or y2 bad."""
+    in_unit = (boxes >= 0.0) & (boxes <= 1.0)  # false for nan and inf
+    return [
+        bad_keyframes,
+        ~in_unit[:, 0],
+        ~in_unit[:, 1],
+        ~in_unit[:, 2] | ~(boxes[:, 0] < boxes[:, 2]),
+        ~in_unit[:, 3] | ~(boxes[:, 1] < boxes[:, 3]),
+    ]
+
+
+def _outside_unit(values: np.ndarray) -> np.ndarray:
+    return ~((values >= 0.0) & (values <= 1.0))
+
+
+def _stream_violations(
+    bad_keyframes: np.ndarray, boxes: np.ndarray, scores: np.ndarray, embeddings: np.ndarray
+) -> np.ndarray:
+    """The stream parser's rules as one array: True where a row's cell breaks one.
+
+    A row per stream row and a column per cell after the video id, in file
+    order: the keyframe (``bad_keyframes`` is the caller's test of it), x1,
+    y1, x2, y2, the score, then e0..e{D-1}.
+    """
+    return np.column_stack([
+        *_located_box_violations(bad_keyframes, boxes),
+        _outside_unit(scores),
+        ~np.isfinite(embeddings),
+    ])
+
+
+def _annotations_from_arrays(path: str, role: str, n_labels: int) -> Optional[list[VideoRecord]]:
+    """`parse_annotations`' records by the array pass, or None when the row parser must read the file."""
+    expected = _columns(role)
+    dtype = _ANNOTATION_DTYPES[role]
+    read = _read_arrays(path, lambda header: dtype if [c.strip() for c in header] == expected else None)
+    if read is None:
+        return None
+    video_ids, rows = read
+    if not len(rows):
+        return []
+    distinct = sorted(set(video_ids))  # bytes sort as their ASCII text does
+    if not distinct[0]:  # an empty video_id
+        return None
+    keyframes, boxes, actions, actors = (rows[name] for name in ("keyframe", "box", "action_id", "actor_id"))
+    scores = rows["score"] if role == "pred" else np.ones(len(rows))
+    lowest_action = NO_ACTION_MARKER if role == "pred" else 1
+    bad = np.logical_or.reduce([
+        *_located_box_violations(keyframes < 0, boxes),
+        (actions < lowest_action) | (actions > n_labels),
+        actors < 0,
+        _outside_unit(scores),
+    ])
+    if bad.any():
+        return None
+
+    # Group the rows of one (video, keyframe, actor), in file order within one:
+    # the sort is stable. The action checks read each group sorted by action id.
+    code_of = {video_id: code for code, video_id in enumerate(distinct)}
+    videos = np.fromiter(map(code_of.__getitem__, video_ids), np.int64, len(video_ids))
+    names = [video_id.decode("ascii") for video_id in distinct]
+    order = np.lexsort((actors, keyframes, videos))
+    key = np.column_stack((videos, keyframes, actors))[order]
+    grouped = (key[1:] == key[:-1]).all(axis=1)  # row i + 1 joins row i's observation
+    group = np.concatenate(([0], np.cumsum(~grouped)))
+    actions = actions[order]
+    by_action = actions[np.lexsort((actions, group))]
+    if (grouped & (
+        (boxes[order][1:] != boxes[order][:-1]).any(axis=1)
+        | (scores[order][1:] != scores[order][:-1])
+        | (by_action[:-1] == NO_ACTION_MARKER)  # the least action id, so first in its group
+        | (by_action[1:] == by_action[:-1])
+    )).any():
+        return None
+
+    starts = np.flatnonzero(np.concatenate(([True], ~grouped)))
+    first = order[starts]  # each observation's first row in the file
+    first_videos = videos[first]
+    bounds = starts.tolist() + [len(order)]
+    action_ids = actions.tolist()
+    labels = [tuple(action_ids[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    # Each set is built as the row parser builds it, so that it iterates in the same order.
+    label_sets = {ids: frozenset(set(ids) - {NO_ACTION_MARKER}) for ids in set(labels)}
+    observations = list(map(
+        ActorObservation,
+        map(names.__getitem__, first_videos.tolist()),
+        keyframes[first].tolist(),
+        map(BoundingBox, *boxes[first].T.tolist()),
+        actors[first].tolist(),
+        map(label_sets.__getitem__, labels),
+        scores[first].tolist(),
+    ))
+    # The observations run in (video, keyframe, actor) order: cut them at each new video.
+    cuts = np.flatnonzero(np.diff(first_videos)) + 1
+    return [
+        VideoRecord(video_id=name, observations=tuple(observations[start:stop]))
+        for name, start, stop in zip(names, [0, *cuts.tolist()], [*cuts.tolist(), len(observations)])
+    ]
+
+
+def _stream_from_arrays(path: str) -> Optional[DetectionStream]:
+    """`parse_detection_stream`'s stream by the array pass, or None when the row parser must read it."""
+
+    def dtype_of(header: list[str]) -> Optional[np.dtype]:
+        names = [cell.strip() for cell in header]
+        dim = len(names) - len(STREAM_FIXED_COLUMNS)
+        if dim < 1 or names != STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(dim)]:
+            return None
+        return np.dtype(_LOCATED_BOX_FIELDS + [("score", "f8"), ("embedding", "f8", (dim,))])
+
+    read = _read_arrays(path, dtype_of)
+    if read is None:
+        return None
+    video_ids, rows = read
+    distinct = set(video_ids)
+    if len(distinct) > 1 or b"" in distinct:
+        return None
+    if _stream_violations(rows["keyframe"] < 0, rows["box"], rows["score"], rows["embedding"]).any():
+        return None
+    dim = rows.dtype["embedding"].shape[0]
+    return DetectionStream(
+        distinct.pop().decode("ascii") if distinct else "", dim, tuple(rows["keyframe"].tolist()),
+        rows["box"], rows["score"], rows["embedding"],
+    )
+
+
 def parse_annotations(
     path: str,
     role: str,
@@ -177,8 +373,15 @@ def parse_annotations(
     keyframes >= 0, boxes with x1 < x2 and y1 < y2 inside the unit square,
     scores in [0, 1], labels in [1, n_labels], and a non-empty label set on
     ground truth. Every problem is reported with its line number; any
-    problem aborts the parse.
+    problem aborts the parse. A well-formed file is read by the array pass,
+    any other by the row parser (see the module docstring).
     """
+    records = _annotations_from_arrays(path, role, n_labels)
+    return _annotations_from_rows(path, role, n_labels) if records is None else records
+
+
+def _annotations_from_rows(path: str, role: str, n_labels: int) -> list[VideoRecord]:
+    """`parse_annotations` by the row parser: one csv row and one check at a time."""
     expected = _columns(role)
     errors: list[str] = []
     groups: dict[tuple[str, int, int], dict] = {}
@@ -300,7 +503,18 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
 
 
 def parse_detection_stream(path: str) -> DetectionStream:
-    """Parse a detection-stream CSV; one video per file, fixed embedding width."""
+    """Parse a detection-stream CSV; one video per file, fixed embedding width.
+
+    A well-formed file is read by the array pass, any other by the row
+    parser, which reports every problem with its line number (see the
+    module docstring).
+    """
+    stream = _stream_from_arrays(path)
+    return _stream_from_rows(path) if stream is None else stream
+
+
+def _stream_from_rows(path: str) -> DetectionStream:
+    """`parse_detection_stream` by the row parser: one csv row and one check at a time."""
     errors: list[str] = []
     with _csv_reader(path) as reader:
         header = [cell.strip() for cell in _header(reader, path, "a stream header")]
@@ -332,7 +546,7 @@ def parse_detection_stream(path: str) -> DetectionStream:
                     )
                 keyframe, box = _parse_located_box(row)
                 score = _parse_fraction(row[6])
-                rows.append((keyframe, box, score, _parse_embedding(row[7:])))
+                rows.append((keyframe, box, score, [_parse_float(cell) for cell in row[7:]]))
             except ValueError as exc:
                 errors.append(f"{path}:{line_no}: {exc}")
 
@@ -359,9 +573,10 @@ def write_detection_stream(stream: DetectionStream, path: str) -> None:
 def _check_parsable(stream: DetectionStream) -> None:
     """Raise ValueError unless `parse_detection_stream` accepts every row the stream writes.
 
-    The parser's rules as array tests: a non-empty video_id and at least one
-    embedding column, integer keyframes >= 0, every value finite, corners in
-    [0, 1] with x1 < x2 and y1 < y2, and the score in [0, 1]. The error names
+    The parser's rules: a non-empty video_id and at least one embedding
+    column, then integer keyframes >= 0 and the cell rules the array pass
+    applies (`_stream_violations`): every value finite, corners in [0, 1]
+    with x1 < x2 and y1 < y2, and the score in [0, 1]. The error names
     the first bad row's keyframe and its first bad column in file order.
     """
     if stream.dim < 1:
@@ -371,17 +586,9 @@ def _check_parsable(stream: DetectionStream) -> None:
     if not stream.video_id:
         raise ValueError("video_id: must be non-empty")
     boxes, scores = stream.boxes, stream.scores
-    in_unit = (boxes >= 0.0) & (boxes <= 1.0)  # false for nan and inf
     keyframe_rules = [_keyframe_rule(keyframe) for keyframe in stream.row_keyframes]
-    bad = np.column_stack([
-        [rule is not None for rule in keyframe_rules],
-        ~in_unit[:, 0],
-        ~in_unit[:, 1],
-        ~in_unit[:, 2] | ~(boxes[:, 0] < boxes[:, 2]),
-        ~in_unit[:, 3] | ~(boxes[:, 1] < boxes[:, 3]),
-        ~((scores >= 0.0) & (scores <= 1.0)),
-        ~np.isfinite(stream.embeddings),
-    ])
+    bad_keyframes = np.array([rule is not None for rule in keyframe_rules])
+    bad = _stream_violations(bad_keyframes, boxes, scores, stream.embeddings)
     if not bad.any():
         return
     row = int(bad.any(axis=1).argmax())
@@ -463,6 +670,12 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_from_dict(data: dict) -> EvalReport:
+    """The report of a `report_to_dict` dict.
+
+    FormatError on another schema, a missing key, a value of the wrong
+    JSON type, a repeated video_id, or an aggregate tally (`SUMMED_TALLIES`)
+    that is not the sum of the videos'.
+    """
     _required(data, [], "report")
     if data.get("schema") != REPORT_SCHEMA:
         raise FormatError([f"unexpected report schema {data.get('schema')!r}"])
@@ -479,11 +692,14 @@ def report_from_dict(data: dict) -> EvalReport:
             raise FormatError([f"videos[{i}]: video_id {video_id!r} repeats videos[{index_of[video_id]}]"])
         index_of[video_id] = i
         per_video[video_id] = _block_from_dict(entry, f"videos[{i}]")
-    return EvalReport(
-        config=dict(config),
-        aggregate=_block_from_dict(aggregate, "aggregate"),
-        per_video=per_video,
-    )
+    aggregate = _block_from_dict(aggregate, "aggregate")
+    for key in SUMMED_TALLIES:
+        total = sum(getattr(block, key) for block in per_video.values())
+        if getattr(aggregate, key) != total:
+            raise FormatError(
+                [f"aggregate: key {key!r} is {getattr(aggregate, key)}, but the videos' sum to {total}"]
+            )
+    return EvalReport(config=dict(config), aggregate=aggregate, per_video=per_video)
 
 
 def write_report(report: EvalReport, path: str, fmt: str = "json") -> None:

@@ -26,6 +26,10 @@ TOKENS = (
     b",", b"\n", b"\r\n", b'"', b"", b" ", b"nan", b"inf", b"1e400", b"\x00", b"\xff",
     b"-1", b"0", b"1", b"81", b"0.5", b"1.5", b"e0", b"v",
     b"9" * 131073,  # one byte past csv's default field size limit
+    # Number syntax that `int` or `float` and numpy's reader may take differently:
+    b"1_0", b"+.5", b"5.", b" 0.5 ", b"-0.0", b"1e-400", b"infinity", b"007",
+    str(2**63).encode(), "\u0663".encode(),  # past int64; an Arabic-Indic 3
+    b"\r", b"\x1c", "\ufeff".encode(),  # a lone CR, a separator byte, a BOM
 )
 
 

@@ -413,7 +413,7 @@ def test_only_commands_that_solve_import_scipy(tmp_path):
     table = table[: first_solve + 1]
     assert [name for name, *_ in table] == [
         "--version", "synth", "track --mode offline", "evaluate (exit 2)", "evaluate (1 actor)",
-        "evaluate (3 actors)", "track --mode online",
+        "evaluate (3 actors)", "evaluate (5 clean)", "track --mode online",
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -423,6 +423,7 @@ def test_only_commands_that_solve_import_scipy(tmp_path):
     assert returncode == 0
     assert results == [[EXIT_OK, []]] * len(setup)  # set-up never solves either
     tool.write_corpus(tmp_path)
+    tool.write_clean_scene(tmp_path)
     _, results, returncode = tool.probe([argv for _, argv, _, _ in table], env, tmp_path)
     assert returncode == 0
     assert results == [

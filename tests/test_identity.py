@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from asadeval import actions, identity
+from asadeval import actions, identity, matching
 from asadeval.actions import match_pairs
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
@@ -368,3 +368,24 @@ def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
     )
     assert id_switches(gt, pred) == scalar_id_switches(gt, pred) == 2
     assert len(calls) == 2
+
+
+
+def test_clean_five_actor_tracking_pairs_identities_without_scipy(monkeypatch):
+    # Five actors on every keyframe, apart from each other; predicted ids are the
+    # actor ids plus 10, so the 5 x 5 counts hold one hit per row and column,
+    # a pairing too large to enumerate that has a sole optimum.
+    calls = []
+
+    def counting(cost):
+        calls.append(cost.shape)
+        raise AssertionError("a clean pairing reached linear_sum_assignment")
+
+    monkeypatch.setattr(matching, "linear_sum_assignment", counting)
+    boxes = [(0.02 + 0.19 * a, 0.2, 0.17 + 0.19 * a, 0.6) for a in range(5)]
+    gt = record("v", [obs("v", kf, a, boxes[a]) for kf in range(6) for a in range(5)])
+    pred = record("v", [obs("v", kf, a + 10, boxes[a], score=0.9) for kf in range(6) for a in range(5)])
+    score, result = idf1(gt, pred)
+    assert score == 1.0 and result.idtp == brute_force_idtp(gt, pred) == 30
+    assert result.pairing == tuple((a, a + 10) for a in range(5))
+    assert calls == []

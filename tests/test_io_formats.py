@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import re
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asadeval import io_formats
 from asadeval.association import DetectionStream
 from asadeval.detection import average_precision
-from asadeval.evaluation import evaluate_records
+from asadeval.evaluation import SUMMED_TALLIES, evaluate_records
 from asadeval.io_formats import (
     FormatError,
     parse_annotations,
@@ -339,6 +342,135 @@ def test_stream_embedding_bytes_equal_the_per_cell_parse(tmp_path, cells):
     assert detection.appearance.tobytes() == np.array([float(c) for c in cells]).tobytes()
 
 
+PATH_ROWS = {
+    "pred": [PRED_HEADER, "v,0,0.1,0.1,0.3,0.3,1,1,0.5", "v,0,0.1,0.1,0.3,0.3,2,1,0.5",
+             "v,1,0.2,0.2,0.4,0.4,1,1,0.75"],
+    "stream": [STREAM_HEADER, "v,1,0.1,0.1,0.3,0.3,0.5,0.25,-1.5", "v,0,0.2,0.2,0.4,0.4,0.75,1.0,2.0"],
+}
+PATH_PARSERS = {
+    "pred": (
+        lambda path: io_formats._annotations_from_arrays(path, "pred", 80),
+        lambda path: io_formats._annotations_from_rows(path, "pred", 80),
+        lambda path: parse_annotations(path, role="pred"),
+    ),
+    "stream": (io_formats._stream_from_arrays, io_formats._stream_from_rows, parse_detection_stream),
+}
+
+
+def with_cell(kind, line, column, token):
+    lines = list(PATH_ROWS[kind])
+    cells = lines[line].split(",")
+    cells[column] = token
+    lines[line] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+def plain(kind):
+    return "\n".join(PATH_ROWS[kind]) + "\n"
+
+
+# Inputs on either side of the line between the two paths: (kind, file text,
+# whether the array pass reads it). A declined file is the row parser's,
+# whether that parser reads it (1_0 is 10.0 to `float`) or refuses it.
+PATH_CASES = {
+    "underscore": ("stream", with_cell("stream", 1, 7, "1_0"), False),
+    "plus-point": ("pred", with_cell("pred", 3, 8, "+.5"), True),
+    "trailing-point": ("stream", with_cell("stream", 2, 8, "5."), True),
+    "spaces": ("pred", with_cell("pred", 3, 8, " 0.5 "), True),
+    "negative-zero": ("pred", with_cell("pred", 3, 2, "-0.0"), True),
+    "underflow": ("stream", with_cell("stream", 1, 2, "1e-400"), True),
+    "infinity": ("stream", with_cell("stream", 1, 7, "infinity"), False),
+    "arabic-indic-digit": ("pred", with_cell("pred", 3, 1, "\u0663"), False),
+    "keyframe-2**63": ("stream", with_cell("stream", 1, 1, str(2**63)), False),
+    "leading-zeros": ("pred", with_cell("pred", 3, 1, "007"), True),
+    "extra-column": ("stream", plain("stream").replace("-1.5\n", "-1.5,9\n"), False),
+    "whitespace-line": ("pred", plain("pred").replace("0.5\nv,1", "0.5\n \nv,1"), False),
+    "lone-cr": ("stream", plain("stream").replace("-1.5\n", "-1.5\r"), False),
+    "bom": ("pred", "\ufeff" + plain("pred"), False),
+    "long-field": ("stream", with_cell("stream", 1, 7, "0." + "0" * 131072 + "1"), False),
+    "crlf": ("pred", plain("pred").replace("\n", "\r\n"), True),
+    "blank-lines-only": ("pred", PRED_HEADER + "\n\n\r\n\n", True),
+    "blank-lines": ("stream", plain("stream").replace("\n", "\n\n").replace("-1.5\n", "-1.5\r\n"), True),
+}
+# A float in an integer column: numpy 2 refuses it, numpy 1.23-1.26 truncates it with a warning.
+PATH_CASES.update({
+    f"{token}-{name}": ("pred", with_cell("pred", 3, column, token), False)
+    for name, column in (("keyframe", 1), ("action_id", 6), ("actor_id", 7))
+    for token in ("0.5", "1.0", "nan")
+})
+
+
+def parse_outcome(parse, path):
+    """What ``parse`` makes of ``path``, in a form two parses compare by: exact text or errors."""
+    try:
+        result = parse(path)
+    except FormatError as exc:
+        return ("errors", exc.errors)
+    if isinstance(result, list):
+        return ("records", repr(result))
+    arrays = (result.boxes, result.scores, result.embeddings)
+    return ("stream", result.video_id, result.dim, result.row_keyframes, *(a.tobytes() for a in arrays))
+
+
+@pytest.mark.parametrize("case", list(PATH_CASES.values()), ids=list(PATH_CASES))
+def test_array_pass_reads_a_file_as_the_row_parser_does_or_declines(tmp_path, case):
+    kind, text, taken = case
+    path = write_text(tmp_path / "in.csv", text)
+    by_arrays, by_rows, public = PATH_PARSERS[kind]
+    rows = parse_outcome(by_rows, path)
+    assert parse_outcome(public, path) == rows
+    if taken:
+        assert parse_outcome(by_arrays, path) == rows
+    else:
+        assert by_arrays(path) is None
+
+
+def test_a_numpy_warning_declines_the_file_whatever_the_warning_filters(tmp_path, monkeypatch):
+    # As numpy 1.23-1.26 reads keyframe 5.5: a DeprecationWarning, then the
+    # truncated value, 5, which would make a valid file. The caller's filters
+    # ignore warnings here.
+    loadtxt = np.loadtxt
+
+    def truncating(lines, dtype, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+        return loadtxt([line.replace(b",5.5,", b",5,", 1) for line in lines], dtype, **kwargs)
+
+    monkeypatch.setattr(io_formats.np, "loadtxt", truncating)
+    path = write_text(tmp_path / "in.csv", with_cell("pred", 3, 1, "5.5"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert io_formats._annotations_from_arrays(path, "pred", 80) is None
+        with pytest.raises(FormatError, match=r":4: invalid literal for int\(\) with base 10: '5.5'$"):
+            parse_annotations(path, role="pred")
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd to name a pipe")
+def test_a_pipe_is_left_to_the_row_parser_whole():
+    # As a shell's <(cat gt.csv) names it: each open of /dev/fd/N reads on
+    # from where the last one stopped, so only one parser may open it.
+    read_end, write_end = os.pipe()
+    os.write(write_end, f"{GT_HEADER}\nv,0,0.1,0.1,0.3,0.3,1,1\nv,1,0.5,0.1,0.4,0.3,1,1\n".encode())
+    os.close(write_end)
+    path = f"/dev/fd/{read_end}"
+    try:
+        with pytest.raises(FormatError) as excinfo:
+            parse_annotations(path, role="gt")
+    finally:
+        os.close(read_end)
+    assert excinfo.value.errors == [f"{path}:3: degenerate box: requires x1 < x2 and y1 < y2"]
+
+
+def test_array_pass_reads_a_file_of_many_chunks_as_the_row_parser_does(tmp_path, monkeypatch):
+    rng = np.random.default_rng(7)
+    records = [random_record(rng, f"video_{i:02d}", "pred") for i in (3, 1, 2)]
+    path = str(tmp_path / "pred.csv")
+    write_annotations(records, path, role="pred")
+    monkeypatch.setattr(io_formats, "_CHUNK_BYTES", 200)
+    by_arrays = io_formats._annotations_from_arrays(path, "pred", 80)
+    assert repr(by_arrays) == repr(io_formats._annotations_from_rows(path, "pred", 80))
+    assert by_arrays == sorted(records, key=lambda r: r.video_id)
+
+
 def test_writer_refuses_a_stream_its_parser_rejects(tmp_path):
     # Once written as v,0,0.3,0.1,0.1,0.3,1.5,nan, which the parser rejected.
     stream = DetectionStream("v", 1, (0,), [[0.3, 0.1, 0.1, 0.3]], [1.5], [[np.nan]])
@@ -455,10 +587,28 @@ def test_report_aggregate_equals_video_sums():
     pred_b = record("b", [obs("b", 0, 5, LEFT, score=0.8)])  # misses its gt
     report = evaluate_records([gt_a, gt_b], [pred_a, pred_b])
     data = report_to_dict(report)
-    for key in ("tp", "fp", "fn", "idtp", "idfp", "idfn", "id_switches",
-                "n_matched_pairs", "wrong_label_bits", "mt_count", "ml_count",
-                "n_gt_tracklets"):
+    keys = ("tp", "fp", "fn", "idtp", "idfp", "idfn", "id_switches",
+            "n_matched_pairs", "wrong_label_bits", "mt_count", "ml_count",
+            "n_gt_tracklets")
+    for key in keys:
         assert data["aggregate"][key] == sum(video[key] for video in data["videos"])
+    assert sorted(SUMMED_TALLIES) == sorted(keys)  # the tallies `report_from_dict` checks
+
+
+def test_report_whose_aggregate_is_not_the_videos_sum_is_a_format_error():
+    data = report_to_dict(sample_report())
+    data["videos"][0]["idtp"] = 99
+    with pytest.raises(FormatError, match=r"^aggregate: key 'idtp' is 2, but the videos' sum to 99$"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("key", SUMMED_TALLIES)
+def test_report_reads_back_only_with_every_tally_summed(key):
+    data = report_to_dict(sample_report())
+    assert report_from_dict(data) == sample_report()
+    data["videos"][0][key] += 1
+    with pytest.raises(FormatError, match=rf"^aggregate: key '{key}' is "):
+        report_from_dict(data)
 
 
 def test_report_csv_has_aggregate_and_video_rows(tmp_path):

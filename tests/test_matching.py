@@ -370,6 +370,67 @@ def test_covered_shapes_make_no_lsa_call(shape, monkeypatch):
     assert calls == []
 
 
+@st.composite
+def sole_optimum_costs(draw):
+    """A 4-8 x 4-8 cost whose entries below the largest form one full assignment.
+
+    Each lies at least 0.01 below the largest, far beyond rounding of the
+    totals, so the assignment's fsum is the least.
+    """
+    n_rows, n_cols = draw(st.integers(4, 8)), draw(st.integers(4, 8))
+    k = min(n_rows, n_cols)
+    rows = draw(st.permutations(range(n_rows)))[:k]
+    cols = draw(st.permutations(range(n_cols)))[:k]
+    top = draw(st.sampled_from([0.0, 1.0, 5.0]))
+    below = st.floats(-4.0, top - 0.01)
+    cost = np.full((n_rows, n_cols), top)
+    for r, c in zip(rows, cols):
+        cost[r, c] = draw(below | st.integers(-50, int(top) - 1).map(float))
+    return cost
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sole_optimum_costs())
+def test_sole_optimum_is_the_oracles_answer_without_lsa(cost):
+    for matrix in (cost, cost.T):
+        assert matching._sole_optimum(matrix) is not None
+        expected = [reference_lex_pairs(matrix, solve_assignment(matrix).total_cost)]
+        if max(matrix.shape) <= 6:
+            oracle_pairs, oracle_total = brute_force_lex_pairs(matrix)
+            assert solve_assignment(matrix).total_cost == oracle_total
+            expected.append(oracle_pairs)
+        for drop_gated in (True, False):
+            solution = solve_assignment(matrix, drop_gated=drop_gated)
+            for pairs in expected:
+                assert solution.pairs == tuple(p for p in pairs if not drop_gated or matrix[p] != 1.0)
+
+
+def test_sole_optimum_route_makes_no_lsa_call(monkeypatch):
+    # A crowded keyframe where each actor passes the gate with its own
+    # prediction only, and the negated identity counts of a clean tracking.
+    calls = counted_lsa(monkeypatch)
+    overlaps = np.zeros((12, 14))
+    overlaps[np.arange(12), np.arange(2, 14)] = np.linspace(0.55, 0.95, 12)
+    counts = np.diag([3.0, 7.0, 1.0, 4.0, 2.0])[[2, 0, 4, 1, 3]]
+    for cost in (matching.gated_cost(overlaps), -counts):
+        solution = solve_assignment(cost, drop_gated=False)
+        assert list(solution.pairs) == sorted(zip(*np.nonzero(cost < cost.max())))
+    assert calls == []
+
+
+def test_sole_optimum_declines_where_rounding_ties_another_assignment():
+    # Below-largest entries on (0, 0), (1, 3), (2, 2), (3, 1): in exact arithmetic
+    # the sole optimum, but its fsum rounds to -1e20, as does the diagonal's, and
+    # the diagonal is the lexicographically smaller.
+    cost = np.zeros((4, 4))
+    cost[0, 0] = -1e20
+    cost[1, 3] = cost[2, 2] = cost[3, 1] = -1e-20
+    assert matching._sole_optimum(cost) is None
+    oracle_pairs, oracle_total = brute_force_lex_pairs(cost)
+    solution = solve_assignment(cost, drop_gated=False)
+    assert (list(solution.pairs), solution.total_cost) == (oracle_pairs, oracle_total)
+
+
 @pytest.mark.parametrize("shape", [(4, 4), (2, 11), (3, 11), (11, 3)])
 def test_uncovered_shapes_still_use_lsa(shape, monkeypatch):
     calls = counted_lsa(monkeypatch)

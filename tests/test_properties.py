@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -16,7 +17,9 @@ from asadeval.cli import main
 from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import mt_ml
-from asadeval.io_formats import FormatError, parse_annotations, parse_detection_stream
+from asadeval.io_formats import (
+    FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
+)
 from asadeval.model import VideoRecord
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
 from support import LEFT, RIGHT, obs, record, validate_record
@@ -139,6 +142,14 @@ def test_aggregate_is_a_reduce_of_the_videos(corpus):
         assert getattr(agg, name) == sum(getattr(b, name) for b in report.per_video.values())
     if len(report.per_video) == 1:
         assert [agg] == list(report.per_video.values())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(corpora())
+def test_every_report_reads_back(corpus):
+    gts, preds = corpus
+    report = evaluate_records(gts, preds, n_labels=3)
+    assert report_from_dict(json.loads(json.dumps(report_to_dict(report)))) == report
 
 
 @settings(max_examples=75, deadline=None, derandomize=True, database=None)

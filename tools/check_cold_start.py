@@ -7,17 +7,21 @@ command: a new interpreter, `import asadeval` and the command. Two
 camera-cut `synth` scenes (seed 0; the default cast and a single actor) and
 their offline tracking are made first, and a three-video corpus of
 three-actor scenes (30 keyframes, seeds 0-2) whose offline tracking, at
-``--gap 1``, splits each actor into several identities;
-then each path below runs ``--runs`` times, each in a fresh interpreter, and
-the tool prints its median wall seconds (interpreter start included) and
-whether `scipy` was in `sys.modules` when the command returned ("?" when
-a run died before returning and no other run imported it).
+``--gap 1``, splits each actor into several identities, and a perfect
+prediction of five actors, all five on every keyframe, written by hand
+(`write_clean_scene`); then each path below runs ``--runs`` times,
+each in a fresh interpreter, and the tool prints its median wall seconds
+(interpreter start included) and whether `scipy` was in `sys.modules` when
+the command returned ("?" when a run died before returning and no other
+run imported it).
 `scipy.optimize` costs about 0.63 s and about 47 MB to import and is needed
 only by an assignment too large to enumerate, so the paths marked scipy-free
 must never import it. A one-actor `evaluate` solves only one-row problems;
 the corpus's identity pairings are 3 x 8 and 3 x 9 and its keyframes 3 x 5
-at most, all within the enumeration's 3 x 10. Exits 1 when one does import
-it, or when a path exits with an unexpected code or dies before returning.
+at most, all within the enumeration's 3 x 10. The clean scene's keyframes
+and its identity pairing are 5 x 5, each with one gated hit per row and
+column, a sole optimum that needs no solve. Exits 1 when one does import it, or when a path
+exits with an unexpected code or dies before returning.
 ``--src`` times another checkout's `src` instead of this one's.
 
 `tests/test_cli.py` runs the same set-up in one interpreter, then the same
@@ -85,9 +89,31 @@ def write_corpus(work: Path) -> None:
         (work / "corpus" / name).write_text("".join(parts[0] + [line for part in parts[1:] for line in part[1:]]))
 
 
+CLEAN_ACTORS = 5
+
+
+def write_clean_scene(work: Path) -> None:
+    """A perfect prediction of five actors in ``work/clean``: actor a in column a, none overlapping.
+
+    Every keyframe shows all five; every prediction copies its ground truth
+    at score 0.9.
+    """
+    (work / "clean").mkdir()
+    rows = [
+        f"clean,{keyframe},{0.02 + 0.19 * actor!r},0.2,{0.17 + 0.19 * actor!r},0.6,1,{actor}"
+        for keyframe in range(10)
+        for actor in range(CLEAN_ACTORS)
+    ]
+    header = "video_id,keyframe,x1,y1,x2,y2,action_id,actor_id"
+    (work / "clean" / "gt.csv").write_text("\n".join([header, *rows]) + "\n")
+    (work / "clean" / "pred.csv").write_text(
+        "\n".join([header + ",score", *(row + ",0.9" for row in rows)]) + "\n"
+    )
+
+
 def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
     """(name, argv, expected exit code, scipy-free) for every timed CLI path, scipy-free first."""
-    scene, one, corpus = work / "scene", work / "one", work / "corpus"
+    scene, one, corpus, clean = work / "scene", work / "one", work / "corpus", work / "clean"
     detections = str(scene / "detections.csv")
     return [
         ("--version", ["--version"], 0, True),
@@ -101,6 +127,8 @@ def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
                                 "--report", str(work / "one.json")], 0, True),
         ("evaluate (3 actors)", ["evaluate", "--gt", str(corpus / "gt.csv"), "--pred", str(corpus / "pred.csv"),
                                  "--report", str(work / "corpus.json")], 0, True),
+        ("evaluate (5 clean)", ["evaluate", "--gt", str(clean / "gt.csv"), "--pred", str(clean / "pred.csv"),
+                                "--report", str(work / "clean.json")], 0, True),
         ("track --mode online", ["track", "--detections", detections, "--mode", "online",
                                  "--out", str(work / "online.csv")], 0, False),
         ("evaluate", ["evaluate", "--gt", str(scene / "gt.csv"), "--pred", str(scene / "pred.csv"),
@@ -144,6 +172,7 @@ def main(argv=None) -> int:
             print(f"set-up failed (exit {returncode}, results {results})", file=sys.stderr)
             return 1
         write_corpus(work)
+        write_clean_scene(work)
         print(f"{'path':<22} {'median s':>9}  scipy  expected")
         for name, path_argv, expected_code, scipy_free in paths(work):
             walls, imported, died = [], False, False

@@ -15,8 +15,10 @@ stream's keyframes, boxes, scores and embeddings as exact lists, and a
 their default parameters (through `AssociationConfig.online()` and
 `.offline()` for a checkout that still has that class), and the bytes of the
 stream and of both trackers' `write_annotations` output must match too. Any
-other exception is compared by type and message, and counted. Prints the
-first differences and a summary, and exits 1 on any difference.
+other exception is compared by type and message, and counted. The summary
+also counts the parses this checkout's array pass read without its row
+parser, so that agreement shows which path it covered. Prints the first
+differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -102,6 +104,17 @@ def outcomes(io, tracking, path: str) -> list[tuple]:
     return results
 
 
+def array_pass_reads(path: str) -> int:
+    """How many of this checkout's parses of ``path`` its array pass reads, of those `outcomes` makes."""
+    parses = [
+        functools.partial(io_formats._annotations_from_arrays, path, role, n_labels)
+        for role in ("gt", "pred")
+        for n_labels in N_LABELS
+    ]
+    parses.append(functools.partial(io_formats._stream_from_arrays, path))
+    return sum(parse() is not None for parse in parses)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other_src", type=Path, help="the src directory of the other checkout")
@@ -125,6 +138,7 @@ def main(argv=None) -> int:
             tally[kind] += 1
             tally.update(result[0] for result in here)
             tally["streams"] += here[-1][0] == "records"
+            tally["by arrays"] += array_pass_reads(path)
             if here != there:
                 differences += 1
                 if differences <= SHOWN_DIFFERENCES:
@@ -135,7 +149,8 @@ def main(argv=None) -> int:
     parses = sum(tally[k] for k in ("records", "errors", "raised"))
     print(
         f"{args.inputs} inputs ({', '.join(f'{k} {tally[k]}' for k in KINDS + ('raw',))}), "
-        f"{parses} parses per side: {tally['records']} records, {tally['errors']} error lists, "
+        f"{parses} parses per side: {tally['records']} records "
+        f"({tally['by arrays']} read by this checkout's array pass), {tally['errors']} error lists, "
         f"{tally['raised']} other exceptions; {tally['streams']} streams written and tracked; "
         f"{differences} inputs differ"
     )
