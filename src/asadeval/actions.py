@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_pairs
+from .matching import DEFAULT_IOU_GATE, check_gate, frame_ious, gated_pairs
 from .model import DEFAULT_N_LABELS, ActorObservation, VideoRecord
 
 HL_NO_PAIRS = "no pairs at IoU >= gate"
@@ -67,17 +67,18 @@ def match_pairs(
     matching per keyframe: HL scores its pairs and MT/ML counts their GT side.
     """
     check_gate(iou_threshold)
-    return match_pairs_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold)
+    (frame_pairs,) = gated_pairs(frame_ious([(gt, pred)]), iou_threshold)
+    return _pair_set(gt, pred, frame_pairs)
 
 
-def match_pairs_from_ious(
-    gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float
+def _pair_set(
+    gt: VideoRecord, pred: VideoRecord, frame_pairs: dict[int, tuple[tuple[int, int], ...]]
 ) -> MatchedPairSet:
-    """`match_pairs` on the videos' `frame_ious` table."""
+    """The observations of one video's `gated_pairs`, ``frame_pairs``, as a `MatchedPairSet`."""
     return MatchedPairSet(pairs=tuple(
         MatchedPair(gt=gt.frames[keyframe][g_idx], pred=pred.frames[keyframe][p_idx])
-        for keyframe, frame_pairs in gated_pairs(ious, iou_threshold).items()
-        for g_idx, p_idx in frame_pairs
+        for keyframe, pairs in frame_pairs.items()
+        for g_idx, p_idx in pairs
     ))
 
 

@@ -7,11 +7,13 @@ all-point interpolated precision-recall curve is integrated over every
 recall increment.
 
 AP takes two steps: `rank_predictions` ranks one video's predictions as
-``(score, is_tp)`` pairs, flagged on its `frame_ious` table, and
-`curve_from_ranked` computes AP, the tally and the tie flag from that
-ranking. `pool_rankings` of the per-video lists, in video_id order, is
-exactly the pooled ranking. A `PRCurve` holds the ranking and builds its
-`PRPoint`s on first read, so a curve nobody writes costs no points.
+``(score, is_tp)`` pairs, and `curve_from_ranked` computes AP, the tally and
+the tie flag from that ranking. The TP flags come from `_tp_flags`, which
+runs the greedy matching of every keyframe of a corpus on the chunks of its
+`frame_ious` result, one vectorized pass per chunk. `pool_rankings` of the
+per-video lists, in video_id order, is exactly the pooled ranking. A
+`PRCurve` holds the ranking and builds its `PRPoint`s on first read, so a
+curve nobody writes costs no points.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .matching import DEFAULT_IOU_GATE, IouTable, boxes_to_array, check_gate, frame_ious, iou_matrix
+from .matching import DEFAULT_IOU_GATE, _CorpusIous, boxes_to_array, check_gate, frame_ious, iou_matrix
 from .model import BoundingBox, VideoRecord, aligned_records
 
 AP_NO_GROUND_TRUTH = "no ground truth boxes"
@@ -110,27 +112,56 @@ def tally_frame(
     each claims the unmatched ground-truth box of highest IoU if that IoU
     reaches the threshold; otherwise it is a false positive. Unclaimed ground
     truth counts as false negatives. Returns the tally and a per-prediction
-    TP flag aligned with the input order.
+    TP flag aligned with the input order. This is AP's matching, run on a
+    stack of one keyframe (`_greedy_flags`).
     """
     check_gate(iou_threshold)
     overlaps = iou_matrix(boxes_to_array(gt), boxes_to_array([box for box, _ in pred]))
-    flags = _greedy_flags(overlaps, [score for _, score in pred], iou_threshold)
+    scores = np.array([[score for _, score in pred]], dtype=float)
+    flags = _greedy_flags(overlaps[None], scores, iou_threshold)[0].tolist()
     tp = sum(flags)
     return DetectionTally(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp), flags
 
 
-def _greedy_flags(overlaps: np.ndarray, scores: Sequence[float], iou_threshold: float) -> list[bool]:
-    """`tally_frame`'s TP flags from its GT x prediction IoU matrix."""
+def _greedy_flags(overlaps: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """`tally_frame`'s TP flags, (B, n_pred), of a (B, n_gt, n_pred) IoU stack and its (B, n_pred) scores.
+
+    Each keyframe's predictions are visited in descending score, equal
+    scores in column order (a stable sort), one numpy step per rank position
+    for the whole stack.
+    """
+    count, n_gt, n_pred = overlaps.shape
+    flags = np.zeros((count, n_pred), dtype=bool)
+    if n_gt == 0:
+        return flags
     # A claimed row is set to -1 in a copy so it never wins again; argmax keeps
     # the first of equal overlaps, as a strict ">" scan over the rows would.
-    flags = [False] * len(scores)
-    if overlaps.shape[0]:
-        overlaps = overlaps.copy()
-        for idx in sorted(range(len(scores)), key=lambda i: -scores[i]):
-            best_gt = int(overlaps[:, idx].argmax())
-            if overlaps[best_gt, idx] >= iou_threshold:
-                overlaps[best_gt, :] = -1.0
-                flags[idx] = True
+    overlaps = overlaps.copy()
+    batch = np.arange(count)
+    for column in np.argsort(-scores, axis=1, kind="stable").T:
+        column_ious = overlaps[batch, :, column]
+        best = column_ious.argmax(axis=1)
+        hit = column_ious[batch, best] >= iou_threshold
+        overlaps[batch[hit], best[hit], :] = -1.0
+        flags[batch, column] = hit
+    return flags
+
+
+def _tp_flags(ious: _CorpusIous, preds: Sequence[VideoRecord], iou_threshold: float) -> list[np.ndarray]:
+    """Each video's TP flags, in ``pred.observations`` order, on its `frame_ious` result ``ious``.
+
+    One `_greedy_flags` call per chunk of ``ious``; a prediction at a
+    keyframe without ground truth is a false positive.
+    """
+    flags = [np.zeros(len(pred), dtype=bool) for pred in preds]
+    # starts[v][keyframe]: the index of the keyframe's first prediction in video v.
+    starts = [
+        dict(zip(pred.frames, itertools.accumulate(map(len, pred.frames.values()), initial=0))) for pred in preds
+    ]
+    for chunk in ious.chunks:
+        scores = np.array([[o.score for o in preds[v].frames[keyframe]] for v, keyframe in chunk.keys])
+        for (v, keyframe), row in zip(chunk.keys, _greedy_flags(chunk.ious, scores, iou_threshold)):
+            flags[v][starts[v][keyframe] : starts[v][keyframe] + len(row)] = row
     return flags
 
 
@@ -145,22 +176,14 @@ def precision_recall(tally: DetectionTally) -> tuple[float, float]:
     return precision, recall
 
 
-def rank_predictions(
-    pred: VideoRecord,
-    ious: IouTable,
-    iou_threshold: float = DEFAULT_IOU_GATE,
-) -> list[tuple[float, bool]]:
+def rank_predictions(pred: VideoRecord, flags: np.ndarray) -> list[tuple[float, bool]]:
     """Step one of AP: one video's predictions as ``(score, is_tp)``, ranked.
 
-    Each keyframe's TP flags come from `tally_frame`'s greedy matching on its
-    matrix in ``ious``, the video's `frame_ious` table.
+    ``flags`` holds each prediction's TP flag in ``pred.observations``
+    order: `tally_frame`'s greedy matching of every keyframe, which
+    `_tp_flags` computes for a whole corpus at once.
     """
-    flagged: list[tuple[float, bool]] = []
-    for keyframe, frame in pred.frames.items():
-        scores = [o.score for o in frame]
-        flags = _greedy_flags(ious[keyframe], scores, iou_threshold) if keyframe in ious else [False] * len(frame)
-        flagged.extend(zip(scores, flags))
-    return pool_rankings([flagged])
+    return pool_rankings([list(zip([o.score for o in pred.observations], flags.tolist()))])
 
 
 def pool_rankings(rankings: Iterable[Sequence[tuple[float, bool]]]) -> list[tuple[float, bool]]:
@@ -226,5 +249,7 @@ def average_precision(
     """
     check_gate(iou_threshold)
     aligned = aligned_records(gt_records, pred_records)
-    rankings = [rank_predictions(pred, frame_ious(gt, pred), iou_threshold) for gt, pred in aligned]
+    preds = [pred for _, pred in aligned]
+    flags = _tp_flags(frame_ious(aligned), preds, iou_threshold)
+    rankings = [rank_predictions(pred, video_flags) for pred, video_flags in zip(preds, flags)]
     return curve_from_ranked(pool_rankings(rankings), sum(len(gt.observations) for gt, _ in aligned))

@@ -1,15 +1,19 @@
 """Ties the three metric families together into per-video and aggregate reports.
 
-Videos are evaluated one at a time, in video_id order, and the aggregate is
-reduced from their results in that order, so results never depend on the
-order the records arrive in. Each video's IoUs are computed once, as the
-`frame_ious` table that AP, IDF1, switches and the gated pairs read. The
-aggregate detection curve merges the per-video ranked TP flags into one
-global ranking without matching again, and the report carries that pooled
-`APResult` (outside its JSON) for whoever writes the PR curve;
-identification, MT/ML, switch and matched action-pair tallies sum across
-videos. One builder makes every `MetricBlock`, per video and aggregate, so
-every reported ratio can be recomputed from the tallies carried next to it.
+The videos are aligned in video_id order, and the aggregate is reduced from
+their results in that order, so results never depend on the order the
+records arrive in. Every keyframe's overlaps are computed once for the
+whole corpus by `frame_ious`, which batches the keyframes of all videos by
+shape; the gated pairs (`gated_pairs`) and AP's TP flags (`_tp_flags`) are
+then solved on the same chunks, across videos. Each video's metric readers
+(AP's ranking, IDF1, MT/ML, switches and HL) read only that video's slice
+of these tables. The aggregate detection curve merges the per-video ranked
+TP flags into one global ranking without matching again, and the report
+carries that pooled `APResult` (outside its JSON) for whoever writes the PR
+curve; identification, MT/ML, switch and matched action-pair tallies sum
+across videos. One builder makes every `MetricBlock`, per video and
+aggregate, so every reported ratio can be recomputed from the tallies
+carried next to it.
 """
 
 from __future__ import annotations
@@ -17,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional, Sequence
 
-from .actions import HammingResult, _hamming_result, hamming_loss, match_pairs_from_ious
-from .detection import APResult, curve_from_ranked, pool_rankings, rank_predictions
+import numpy as np
+
+from .actions import HammingResult, _hamming_result, _pair_set, hamming_loss
+from .detection import APResult, _tp_flags, curve_from_ranked, pool_rankings, rank_predictions
 from .identity import IdMatchResult, MtMlResult, id_switches_from_ious, idf1_from_ious, mt_ml_from_pairs
-from .matching import DEFAULT_IOU_GATE, check_gate, frame_ious
+from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_pairs
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
 from .version import __version__
 
@@ -84,19 +90,22 @@ class _VideoResult(NamedTuple):
 def _evaluate_one(
     gt: VideoRecord,
     pred: VideoRecord,
+    ious: IouTable,
+    solved: dict[int, tuple[tuple[int, int], ...]],
+    flags: np.ndarray,
     iou_threshold: float,
     n_labels: int,
     persistence: bool,
 ) -> _VideoResult:
-    ious = frame_ious(gt, pred)
-    ranked = rank_predictions(pred, ious, iou_threshold)
-    pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
+    """One video's results from its slice of the corpus's tables: IoUs, gated pairs and TP flags."""
+    ranked = rank_predictions(pred, flags)
+    pairs = _pair_set(gt, pred, solved)
     return _VideoResult(
         ranked=ranked,
         ap=curve_from_ranked(ranked, len(gt.observations)),
         ids=idf1_from_ious(gt, pred, ious, iou_threshold),
         tracks=mt_ml_from_pairs(gt, pairs),
-        switches=id_switches_from_ious(gt, pred, ious, pairs, iou_threshold, persistence),
+        switches=id_switches_from_ious(gt, pred, ious, solved, iou_threshold, persistence),
         hl=hamming_loss(pairs, n_labels),
     )
 
@@ -179,8 +188,9 @@ def evaluate_records(
     pools every prediction into one ranking of the per-video TP flags (the
     report's ``pooled_ap``, equal to `average_precision` of the same
     records), and its identification, MT/ML, switch and action-pair
-    tallies are exact sums of the per-video tallies. A gate outside (0, 1) or a video_id repeated on
-    either side is a ValueError.
+    tallies are exact sums of the per-video tallies. A gate outside (0, 1)
+    or a video_id repeated on either side is a ValueError. Each video's
+    block equals the aggregate block of that video evaluated alone.
 
     ``max_workers`` is accepted and ignored: videos are always evaluated
     serially, since a thread pool gained nothing here. The keyword stays only
@@ -188,7 +198,17 @@ def evaluate_records(
     """
     check_gate(iou_threshold)
     aligned = aligned_records(gt_records, pred_records)
-    results = [_evaluate_one(gt, pred, iou_threshold, n_labels, id_persistence) for gt, pred in aligned]
+    ious = frame_ious(aligned)
+    slices = zip(
+        aligned,
+        ious.tables,
+        gated_pairs(ious, iou_threshold),
+        _tp_flags(ious, [pred for _, pred in aligned], iou_threshold),
+    )
+    results = [
+        _evaluate_one(gt, pred, table, solved, flags, iou_threshold, n_labels, id_persistence)
+        for (gt, pred), table, solved, flags in slices
+    ]
     per_video = {
         gt.video_id: _metric_block(r.ap, r.ids, r.tracks, r.switches, r.hl)
         for (gt, _), r in zip(aligned, results)

@@ -10,18 +10,20 @@ scores), with inclusive thresholds at 0.8 and 0.2. ID switches count changes
 of the matched predicted identity between a ground-truth tracklet's
 consecutive matched keyframes, with optional match persistence.
 
-`idf1` and `id_switches` are `frame_ious` composed with their ``*_from_ious``
-readers, which `evaluate_records` calls on the one table all families share.
+`idf1` and `id_switches` are `frame_ious` of a corpus of one composed with
+their ``*_from_ious`` readers, which `evaluate_records` calls on each video's
+slice of the tables all families share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
-from .actions import MatchedPairSet, match_pairs, match_pairs_from_ious
-from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_cost, solve_assignment
+from .actions import MatchedPairSet, match_pairs
+from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_cost, gated_pairs, solve_assignment
 from .model import VideoRecord, build_tracklets
 
 MT_THRESHOLD = 0.8
@@ -94,7 +96,7 @@ def idf1(
     predictions present scores 0.
     """
     check_gate(iou_threshold)
-    result = idf1_from_ious(gt, pred, frame_ious(gt, pred), iou_threshold)
+    result = idf1_from_ious(gt, pred, frame_ious([(gt, pred)]).tables[0], iou_threshold)
     return result.idf1, result
 
 
@@ -194,30 +196,31 @@ def id_switches(
     at its previous matched keyframe.
     """
     check_gate(iou_threshold)
-    ious = frame_ious(gt, pred)
-    pairs = match_pairs_from_ious(gt, pred, ious, iou_threshold)
-    return id_switches_from_ious(gt, pred, ious, pairs, iou_threshold, persistence)
+    ious = frame_ious([(gt, pred)])
+    # With persistence, a keyframe's full problem is read only where nothing
+    # persisted, so it is solved there, as that keyframe's residual.
+    solved = {} if persistence else gated_pairs(ious, iou_threshold)[0]
+    return id_switches_from_ious(gt, pred, ious.tables[0], solved, iou_threshold, persistence)
 
 
 def id_switches_from_ious(
     gt: VideoRecord,
     pred: VideoRecord,
     ious: IouTable,
-    pairs: MatchedPairSet,
+    solved: Mapping[int, tuple[tuple[int, int], ...]],
     iou_threshold: float,
     persistence: bool,
 ) -> int:
     """`id_switches` on the videos' `frame_ious` table: only its keyframes can match.
 
-    ``pairs`` is `match_pairs_from_ious` on the same table and gate. Where
-    nothing persisted at a keyframe the residual problem is that keyframe's
-    full problem, so its pairs are read from ``pairs`` instead of solved
-    again. A residual is solved only where some actors persisted and others
-    did not.
+    ``solved`` maps keyframes to their `gated_pairs` on the same table and
+    gate, such as every keyframe's in `evaluate_records`. Where nothing
+    persisted at such a keyframe, the residual problem is that keyframe's
+    full problem, so its pairs are read from ``solved`` instead of solved
+    again. Every other residual is solved here: where some actors persisted
+    and others did not, or where nothing persisted at a keyframe missing
+    from ``solved``.
     """
-    full_matches: dict[int, list[tuple[int, int]]] = {}
-    for pair in pairs.pairs:
-        full_matches.setdefault(pair.gt.keyframe, []).append((pair.gt.actor_id, pair.pred.actor_id))
     last_match: dict[int, int] = {}
     switches = 0
     for keyframe, overlaps in ious.items():
@@ -234,14 +237,17 @@ def id_switches_from_ious(
                     matches[g_obs.actor_id] = prev
                     claimed.add(prev)
 
-        rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
-        cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
-        if not matches:
-            matches.update(full_matches.get(keyframe, ()))
-        elif rows and cols:
-            residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)
-            for r, c in solve_assignment(residual).pairs:
-                matches[g_frame[rows[r]].actor_id] = p_frame[cols[c]].actor_id
+        if not matches and keyframe in solved:
+            residual_pairs = solved[keyframe]
+        else:
+            rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
+            cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
+            residual_pairs = ()
+            if rows and cols:
+                residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)
+                residual_pairs = [(rows[r], cols[c]) for r, c in solve_assignment(residual).pairs]
+        for i, j in residual_pairs:
+            matches[g_frame[i].actor_id] = p_frame[j].actor_id
 
         for gt_actor, pred_actor in matches.items():
             prev = last_match.get(gt_actor)

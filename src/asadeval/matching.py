@@ -1,19 +1,24 @@
 """IoU, gated cost matrices, and exact one-to-one assignment.
 
-The shared matching substrate: `frame_ious` computes a video's overlaps once,
-as one read-only GT x prediction IoU matrix per keyframe, for every metric
-family to read. `gated_cost` puts exactly 1.0 wherever the IoU gate fails,
-so a surviving pair can always be recognized by cost < 1. `solve_assignment`,
-the package's one solver (IDF1's identity pairing included), returns the
-exact optimum and, among equal-cost optima, the lexicographically smallest
-(row, col) pair list so results are identical across platforms.
+The shared matching substrate: `frame_ious` computes a corpus's overlaps
+once, as one read-only GT x prediction IoU matrix per keyframe of each
+video, for every metric family to read. It batches the keyframes of all
+videos by shape, so a corpus of many short videos of a few shapes takes a
+few numpy calls, not a few per video; `gated_pairs` and AP's greedy flags
+then take one call per chunk of that batching too. `gated_cost` puts
+exactly 1.0 wherever the IoU gate fails, so a surviving pair can always be
+recognized by cost < 1. `solve_assignment`, the package's one solver
+(IDF1's identity pairing included), returns the exact optimum and, among
+equal-cost optima, the lexicographically smallest (row, col) pair list so
+results are identical across platforms.
 
 Four routes reach that answer. A single-row or single-column problem takes
 its first smallest entry. A problem of 2 or 3 pairs with at most
 `_ENUMERATED_SIDE` rows and columns enumerates every assignment from a
 per-shape table: numpy sums rule out all but the candidates within a
 rounding bound of the minimum, and `math.fsum` picks among those.
-`gated_pairs` solves all of a video's same-shape keyframes in one such call.
+`gated_pairs` solves each chunk of same-shape keyframes, across videos, in
+one such call.
 A larger problem whose entries below its largest form a full assignment,
 one to a row and one to a column, has that assignment as its sole optimum
 (`_sole_optimum`): a keyframe where each actor passes the gate with its own
@@ -59,7 +64,7 @@ from .model import BoundingBox, VideoRecord
 DEFAULT_IOU_GATE = 0.5
 # Entries per batched IoU call: bounds the temporaries at 64 KiB each.
 _IOU_BATCH_ENTRIES = 8192
-# One video's IoU table, as `frame_ious` returns it: keyframe -> IoU matrix.
+# One video's IoU table, as `frame_ious` returns it for each video: keyframe -> IoU matrix.
 IouTable = dict[int, np.ndarray]
 # Enumeration covers 2 or 3 pairs with at most this many rows and columns:
 # at most 10 * 9 * 8 = 720 candidates. Up to that side one enumeration takes
@@ -68,7 +73,7 @@ IouTable = dict[int, np.ndarray]
 # about 0.8 of the LSA route) while the table grows to 1320 candidates.
 _ENUMERATED_SIDE = 10
 # Candidate entries per batched enumeration (problems x candidates x pairs):
-# bounds its temporaries at 256 KiB each, whatever one video's length.
+# bounds its temporaries at 256 KiB each, whatever the corpus's size.
 _ENUMERATED_BATCH_ENTRIES = 2**15
 # Largest |cost| enumerated: a sum of three such terms, and the difference of
 # two such sums, stay below the largest float.
@@ -131,27 +136,55 @@ def check_gate(iou_threshold: float) -> None:
         raise ValueError("iou_threshold must lie in (0, 1)")
 
 
-def frame_ious(gt: VideoRecord, pred: VideoRecord) -> IouTable:
-    """The read-only IoU matrix of every keyframe with boxes on both sides, ascending.
+@dataclass(frozen=True)
+class _Chunk:
+    """Same-shape keyframes of a corpus and their stacked IoU matrices."""
 
-    Rows and columns are the keyframe's GT and predictions in frame order.
-    Same-shape frames share `iou_matrix` calls of bounded size: the entries
-    of one call per frame, at far less cost when frames are small.
+    keys: list[tuple[int, int]]  # (video position, keyframe), in corpus order
+    ious: np.ndarray  # (len(keys), n_gt, n_pred), read-only
+
+
+@dataclass(frozen=True)
+class _CorpusIous:
+    """What `frame_ious` returns: each video's table, and the chunks it was computed in."""
+
+    tables: list[IouTable]
+    chunks: list[_Chunk]
+
+
+def frame_ious(videos: Sequence[tuple[VideoRecord, VideoRecord]]) -> _CorpusIous:
+    """The read-only IoU matrix of every keyframe with boxes on both sides, for each ``(gt, pred)`` video.
+
+    ``tables[v]`` maps video ``v``'s keyframes, ascending, to their GT x
+    prediction matrices, rows and columns in frame order. The keyframes of
+    every video, taken in order, are grouped by shape, and each group is cut
+    into chunks of at most `_IOU_BATCH_ENTRIES` IoU entries and, for a shape
+    the enumeration covers, `_ENUMERATED_BATCH_ENTRIES` candidate entries: one
+    `iou_matrix` call a chunk, whose stack `gated_pairs` and the AP flags read
+    in turn. A corpus of short videos of a few shapes thus takes a few calls,
+    not a few per video.
     """
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for keyframe in sorted(gt.frames.keys() & pred.frames.keys()):
-        by_shape.setdefault((len(gt.frames[keyframe]), len(pred.frames[keyframe])), []).append(keyframe)
-    ious: IouTable = {}
-    for (n_gt, n_pred), keyframes in by_shape.items():
+    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for position, (gt, pred) in enumerate(videos):
+        for keyframe in sorted(gt.frames.keys() & pred.frames.keys()):
+            shape = (len(gt.frames[keyframe]), len(pred.frames[keyframe]))
+            by_shape.setdefault(shape, []).append((position, keyframe))
+    tables: list[IouTable] = [{} for _ in videos]
+    chunks: list[_Chunk] = []
+    for (n_gt, n_pred), keys in by_shape.items():
         step = max(1, _IOU_BATCH_ENTRIES // (n_gt * n_pred))
-        for start in range(0, len(keyframes), step):
-            chunk = keyframes[start : start + step]
-            a = boxes_to_array([o.box for kf in chunk for o in gt.frames[kf]])
-            b = boxes_to_array([o.box for kf in chunk for o in pred.frames[kf]])
+        if _enumerable((n_gt, n_pred)):
+            step = min(step, max(1, _ENUMERATED_BATCH_ENTRIES // _assignment_table(n_gt, n_pred)[0].size))
+        for start in range(0, len(keys), step):
+            chunk = keys[start : start + step]
+            a = boxes_to_array([o.box for v, kf in chunk for o in videos[v][0].frames[kf]])
+            b = boxes_to_array([o.box for v, kf in chunk for o in videos[v][1].frames[kf]])
             stack = iou_matrix(a.reshape(-1, n_gt, 4), b.reshape(-1, n_pred, 4))
             stack.setflags(write=False)
-            ious.update(zip(chunk, stack))
-    return {keyframe: ious[keyframe] for keyframe in sorted(ious)}
+            chunks.append(_Chunk(chunk, stack))
+            for (v, keyframe), overlaps in zip(chunk, stack):
+                tables[v][keyframe] = overlaps
+    return _CorpusIous([dict(sorted(table.items())) for table in tables], chunks)
 
 
 @dataclass(frozen=True)
@@ -182,35 +215,33 @@ def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> np.ndarr
     return np.where(overlaps >= gate, 1.0 - overlaps, 1.0)
 
 
-def gated_pairs(ious: IouTable, gate: float = DEFAULT_IOU_GATE) -> dict[int, tuple[tuple[int, int], ...]]:
-    """The gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs`, of every keyframe.
+def gated_pairs(
+    ious: _CorpusIous, gate: float = DEFAULT_IOU_GATE
+) -> list[dict[int, tuple[tuple[int, int], ...]]]:
+    """Each video's gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs` by keyframe.
 
-    Keyframes keep the table's order. The keyframes of one shape that the
-    enumeration covers are solved together, the way `frame_ious` batches its
-    IoUs: in calls of at most `_ENUMERATED_BATCH_ENTRIES` candidate entries,
-    so a long video cannot raise peak memory. The rest go through
-    `solve_assignment` one by one.
+    ``ious`` is a `frame_ious` result, and each video's keyframes keep its
+    table's order. A chunk of a shape the enumeration covers is solved in one
+    `_enumerated_optima` call, whatever videos it mixes: the chunk's largest
+    cost only widens the candidates that `math.fsum` decides among, so a
+    keyframe's pairs do not depend on its chunk. The chunks' bound keeps
+    peak memory level however long the corpus. The other keyframes go
+    through `solve_assignment` one by one.
     """
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for keyframe, overlaps in ious.items():
-        by_shape.setdefault(overlaps.shape, []).append(keyframe)
-    solved: dict[int, tuple[tuple[int, int], ...]] = {}
-    for shape, keyframes in by_shape.items():
-        step = 1
+    solved: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    for chunk in ious.chunks:
+        costs = gated_cost(chunk.ious, gate)
+        shape = costs.shape[1:]
         if _enumerable(shape):
-            rows, _, candidates = _assignment_table(*shape)
-            step = max(1, _ENUMERATED_BATCH_ENTRIES // rows.size)
-        for start in range(0, len(keyframes), step):
-            chunk = keyframes[start : start + step]
-            costs = gated_cost(np.stack([ious[keyframe] for keyframe in chunk]), gate)
-            scale = float(np.abs(costs).max())
-            if _enumerable(shape) and scale <= _ENUMERATED_MAX_COST:
-                for keyframe, cost, index in zip(chunk, costs, _enumerated_optima(costs, scale)):
-                    solved[keyframe] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
-            else:
-                for keyframe, cost in zip(chunk, costs):
-                    solved[keyframe] = solve_assignment(cost).pairs
-    return {keyframe: solved[keyframe] for keyframe in ious}
+            # Gated costs lie in [0, 1], far below `_ENUMERATED_MAX_COST`.
+            _, _, candidates = _assignment_table(*shape)
+            optima = _enumerated_optima(costs, float(costs.max()))
+            for key, cost, index in zip(chunk.keys, costs, optima):
+                solved[key] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
+        else:
+            for key, cost in zip(chunk.keys, costs):
+                solved[key] = solve_assignment(cost).pairs
+    return [{keyframe: solved[v, keyframe] for keyframe in table} for v, table in enumerate(ious.tables)]
 
 
 def solve_assignment(cost, drop_gated: bool = True) -> Assignment:

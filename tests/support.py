@@ -1,4 +1,4 @@
-"""Shared builders for test fixtures, and the reference checks of the parser and of `iou_matrix`."""
+"""Shared builders for test fixtures, and the reference checks of the parser, of `iou_matrix` and of AP's greedy flags."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -51,6 +51,27 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def greedy_flags(overlaps, scores, iou_threshold: float) -> list[bool]:
+    """One keyframe's TP flags, by the scalar loop: the oracle of `detection._greedy_flags`.
+
+    Predictions (columns of the GT x prediction IoU matrix ``overlaps``) are
+    visited in descending score, ties in column order; each claims the
+    unclaimed row of highest IoU, the first of equal ones, if that IoU
+    reaches the threshold.
+    """
+    # A claimed row is set to -1 in a copy so it never wins again; argmax keeps
+    # the first of equal overlaps, as a strict ">" scan over the rows would.
+    flags = [False] * len(scores)
+    if overlaps.shape[0]:
+        overlaps = overlaps.copy()
+        for idx in sorted(range(len(scores)), key=lambda i: -scores[i]):
+            best_gt = int(overlaps[:, idx].argmax())
+            if overlaps[best_gt, idx] >= iou_threshold:
+                overlaps[best_gt, :] = -1.0
+                flags[idx] = True
+    return flags
 
 
 @dataclass(frozen=True)

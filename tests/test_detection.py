@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asadeval import detection, matching
 from asadeval.detection import (
     DetectionTally,
     PRPoint,
@@ -16,7 +17,7 @@ from asadeval.detection import (
     tally_frame,
 )
 from asadeval.model import BoundingBox, VideoRecord
-from support import LEFT, RIGHT, obs, record
+from support import LEFT, RIGHT, greedy_flags, obs, record
 
 FAR = (0.05, 0.7, 0.25, 0.9)  # disjoint from LEFT and RIGHT
 
@@ -329,3 +330,54 @@ def test_points_built_on_read_equal_the_eager_ones(flagged, missed):
     assert [repr(astuple(p)) for p in result.curve.points] == [repr(astuple(p)) for p in points]
     assert result.ap.hex() == ap.hex()
     assert result.tally == DetectionTally(tp=n_tp, fp=len(ranked) - n_tp, fn=missed)
+
+
+# IoUs of a small palette, the gates among them, so overlaps tie and can sit on the gate.
+IOU_PALETTE = (0.0, 0.3, 0.5, 0.7, 1.0)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(1, 12), st.integers(0, 4), st.integers(0, 5),
+    st.sampled_from((0.3, 0.5, 0.7)), st.randoms(use_true_random=False),
+)
+def test_batched_flags_equal_the_scalar_loop(count, n_gt, n_pred, gate, rnd):
+    overlaps = np.array([rnd.choice(IOU_PALETTE) for _ in range(count * n_gt * n_pred)])
+    overlaps = overlaps.reshape(count, n_gt, n_pred)
+    scores = np.array([rnd.choice((0.2, 0.5, 0.9)) for _ in range(count * n_pred)]).reshape(count, n_pred)
+    flags = detection._greedy_flags(overlaps, scores, gate)
+    assert flags.shape == (count, n_pred)
+    for stack, row_scores, row in zip(overlaps, scores, flags):
+        assert row.tolist() == greedy_flags(stack, row_scores.tolist(), gate)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(1, 4), st.sampled_from((0.3, 0.5, 0.7)),
+       st.randoms(use_true_random=False))
+def test_corpus_flags_equal_the_scalar_loop_across_chunks(n_keyframes, n_gt, n_pred, gate, rnd):
+    # Keyframes of one shape spread over three videos, their boxes drawn from a
+    # palette of three (duplicated boxes, equal overlaps) and their scores tied.
+    # The IoU chunk bound is lowered to 4 keyframes, so batches run from one
+    # keyframe to many chunks.
+    palette = [(0.1, 0.1, 0.3, 0.3), (0.12, 0.1, 0.32, 0.3), (0.1, 0.15, 0.3, 0.35)]
+    gts, preds = [], []
+    for video in range(3):
+        vid = f"v{video}"
+        frames = range(video, n_keyframes, 3)
+        gts.append(record(vid, [obs(vid, kf, a, rnd.choice(palette)) for kf in frames for a in range(n_gt)]))
+        preds.append(record(vid, [
+            obs(vid, kf, a, rnd.choice(palette), score=rnd.choice((0.5, 0.9)))
+            for kf in frames for a in range(n_pred)
+        ] + [obs(vid, n_keyframes + 1, 0, LEFT, score=0.9)]))
+    aligned = list(zip(gts, preds))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matching, "_IOU_BATCH_ENTRIES", 4 * n_gt * n_pred)
+        ious = matching.frame_ious(aligned)
+        flags = detection._tp_flags(ious, preds, gate)
+    assert max(len(chunk.keys) for chunk in ious.chunks) <= 4
+    for (gt, pred), table, video_flags in zip(aligned, ious.tables, flags):
+        expected = []
+        for kf, frame in pred.frames.items():
+            scores = [o.score for o in frame]
+            expected += greedy_flags(table[kf], scores, gate) if kf in table else [False] * len(frame)
+        assert video_flags.tolist() == expected

@@ -12,7 +12,7 @@ from asadeval import matching
 from asadeval.matching import build_cost_matrix, frame_ious, iou_matrix, solve_assignment
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
-from support import iou
+from support import LEFT, iou
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -143,19 +143,26 @@ def test_iou_matrix_matches_scalar():
 
 
 def test_frame_ious_match_scalar_per_frame():
-    # Frames of different sizes share one padded stack; padding must not leak.
+    # Frames of different sizes and videos share padded stacks; padding must not leak.
     rng = np.random.default_rng(8)
-    gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(12)}
-    pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(4, 16)}
-    ious = frame_ious(boxes_record(gt), boxes_record(pred))
-    assert list(ious) == sorted(kf for kf in range(4, 12) if gt[kf] and pred[kf])
-    for kf, matrix in ious.items():
-        assert matrix.shape == (len(gt[kf]), len(pred[kf]))
-        assert not matrix.flags.writeable
-        for i, g in enumerate(gt[kf]):
-            for j, p in enumerate(pred[kf]):
-                assert matrix[i, j] == iou(g, p)
-    assert frame_ious(boxes_record({0: gt[4]}), boxes_record({1: pred[4]})) == {}
+    videos = []
+    for _ in range(3):
+        gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(12)}
+        pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(4, 16)}
+        videos.append((gt, pred))
+    ious = frame_ious([(boxes_record(gt), boxes_record(pred)) for gt, pred in videos])
+    assert len(ious.tables) == len(videos)
+    for (gt, pred), table in zip(videos, ious.tables):
+        assert list(table) == sorted(kf for kf in range(4, 12) if gt[kf] and pred[kf])
+        for kf, matrix in table.items():
+            assert matrix.shape == (len(gt[kf]), len(pred[kf]))
+            assert not matrix.flags.writeable
+            for i, g in enumerate(gt[kf]):
+                for j, p in enumerate(pred[kf]):
+                    assert matrix[i, j] == iou(g, p)
+    gt, pred = videos[0]
+    assert frame_ious([(boxes_record({0: gt[4]}), boxes_record({1: pred[4]}))]).tables == [{}]
+    assert frame_ious([]).tables == []
 
 
 def boxes_record(frames):
@@ -441,11 +448,14 @@ def test_uncovered_shapes_still_use_lsa(shape, monkeypatch):
 def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
     # Covered keyframes are solved in stacked calls; only the rest reach solve_assignment.
     rng = np.random.default_rng(4)
-    gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(40)}
-    pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(40)}
-    for kf in range(0, 40, 5):  # duplicate boxes: gated ties
-        pred[kf] = gt[kf] + gt[kf][:1]
-    ious = frame_ious(boxes_record(gt), boxes_record(pred))
+    videos = []
+    for _ in range(3):
+        gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(40)}
+        pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(40)}
+        for kf in range(0, 40, 5):  # duplicate boxes: gated ties
+            pred[kf] = gt[kf] + gt[kf][:1]
+        videos.append((boxes_record(gt), boxes_record(pred)))
+    ious = frame_ious(videos)
     singly = []
 
     def counting(cost, drop_gated=True):
@@ -455,20 +465,26 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
     monkeypatch.setattr(matching, "solve_assignment", counting)
     pairs = matching.gated_pairs(ious, 0.5)
     monkeypatch.undo()
-    uncovered = [overlaps.shape for overlaps in ious.values() if not matching._enumerable(overlaps.shape)]
+    every = [overlaps for table in ious.tables for overlaps in table.values()]
+    uncovered = [overlaps.shape for overlaps in every if not matching._enumerable(overlaps.shape)]
     assert sorted(singly) == sorted(uncovered)
-    assert 0 < len(uncovered) < len(ious)
-    assert list(pairs) == list(ious)
-    for kf, overlaps in ious.items():
-        assert pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
+    assert 0 < len(uncovered) < len(every)
+    assert [list(video_pairs) for video_pairs in pairs] == [list(table) for table in ious.tables]
+    for video_pairs, table in zip(pairs, ious.tables):
+        for kf, overlaps in table.items():
+            assert video_pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
 
 
 def test_gated_pairs_bound_each_enumerated_batch(monkeypatch):
-    # A long video of one wide shape is solved in several stacked calls, each
-    # within the entry bound, so its length cannot raise peak memory.
+    # Many short videos of one wide shape are solved in a few stacked calls that
+    # mix videos, each within both entry bounds, so no length raises peak memory.
     rng = np.random.default_rng(12)
-    ious = {kf: rng.random((3, 10)) * (rng.random((3, 10)) < 0.4) for kf in range(100)}
-    ious.update({kf: rng.random((2, 2)) for kf in range(100, 110)})
+    videos = []
+    for _ in range(10):
+        gt = {kf: random_boxes(rng, 3) for kf in range(10)}
+        pred = {kf: gt[kf][:2] + random_boxes(rng, 8) for kf in range(10)}
+        gt[10], pred[10] = random_boxes(rng, 2), random_boxes(rng, 2)
+        videos.append((boxes_record(gt), boxes_record(pred)))
     batches = []
     enumerated_optima = matching._enumerated_optima
 
@@ -477,14 +493,52 @@ def test_gated_pairs_bound_each_enumerated_batch(monkeypatch):
         return enumerated_optima(stack, scale)
 
     monkeypatch.setattr(matching, "_enumerated_optima", recording)
+    ious = frame_ious(videos)
     pairs = matching.gated_pairs(ious, 0.5)
     monkeypatch.undo()
-    for count, *shape in batches:
+    assert len(batches) == len(ious.chunks)
+    for chunk in ious.chunks:
+        count, *shape = chunk.ious.shape
+        assert count == len(chunk.keys) and chunk.ious.size <= matching._IOU_BATCH_ENTRIES
         assert count * matching._assignment_table(*shape)[0].size <= matching._ENUMERATED_BATCH_ENTRIES
-    wide = [count for count, *shape in batches if shape == [3, 10]]
-    assert sum(wide) == 100 and len(wide) > 1
-    for kf, overlaps in ious.items():
-        assert pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
+    wide = [chunk for chunk in ious.chunks if chunk.ious.shape[1:] == (3, 10)]
+    assert sum(len(chunk.keys) for chunk in wide) == 100 and 1 < len(wide) < 10
+    assert len({v for v, _ in wide[0].keys}) > 1
+    assert [shape[0] for shape in batches if shape[1:] == (2, 2)] == [10]
+    for video_pairs, table in zip(pairs, ious.tables):
+        for kf, overlaps in table.items():
+            assert video_pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.integers(2, 10), st.integers(1, 6), st.randoms(use_true_random=False))
+def test_gated_pairs_do_not_depend_on_the_chunk(n_gt, n_pred, n_others, rnd):
+    # A keyframe whose every pair passes the gate, so its largest cost is below
+    # 1, solved alone and in one chunk with keyframes that hold gated pairs
+    # (cost 1). The chunk's largest cost sets how many candidates the
+    # enumeration keeps for fsum to decide among, not which one wins.
+    # Shifts of a few ulps make candidate totals differ by about 1e-15: kept
+    # at the mixed chunk's bound, ruled out at the lone keyframe's.
+    def near(box):
+        x1, y1, x2, y2 = box
+        dx, dy = rnd.choice((0.0, 0.01, 0.01 + 3e-16, 0.01 + 1e-15)), rnd.choice((0.0, 5e-16))
+        return BoundingBox(x1 + dx, y1 + dy, x2 + dx, y2 + dy)
+
+    base = (0.2, 0.2, 0.5, 0.5)
+    alone = (boxes_record({0: [near(base) for _ in range(n_gt)]}),
+             boxes_record({0: [near(base) for _ in range(n_pred)]}))
+    others = []
+    for _ in range(n_others):
+        gt = [BoundingBox(*LEFT)] + [near(base) for _ in range(n_gt - 1)]
+        others.append((boxes_record({0: gt}), boxes_record({0: [near(base) for _ in range(n_pred)]})))
+    single = frame_ious([alone])
+    mixed = frame_ious(others[: n_others // 2] + [alone] + others[n_others // 2 :])
+    (chunk,) = mixed.chunks
+    costs = matching.gated_cost(chunk.ious, 0.3)
+    assert costs.max() == 1.0 > matching.gated_cost(single.chunks[0].ious, 0.3).max()
+    expected = solve_assignment(matching.gated_cost(single.tables[0][0], 0.3)).pairs
+    assert matching.gated_pairs(single, 0.3)[0][0] == expected
+    assert matching.gated_pairs(mixed, 0.3)[n_others // 2][0] == expected
 
 
 @pytest.mark.parametrize("cost, drop_gated, expected", [

@@ -6,6 +6,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from asadeval.io_formats import (
     FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
 )
 from asadeval.model import VideoRecord
+from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
 from support import LEFT, RIGHT, obs, record, validate_record
 from test_detection import sweep_ap
@@ -165,6 +167,64 @@ def test_switches_and_idtp_match_scalar_references(corpus):
             pred = pred_by_video.get(video_id, VideoRecord(video_id))
             assert block.id_switches == scalar_id_switches(gt, pred, persistence=persistence)
             assert block.idtp == brute_force_idtp(gt, pred)
+
+
+@st.composite
+def generated_corpora(draw):
+    """2-5 `synthetic.generate` videos of 1-3 actors over 2-5 keyframes.
+
+    Predictions are jittered, thinned copies of the ground truth plus false
+    positives, scored 0.5 or 0.9 so that they tie. Videos of one actor count
+    share keyframe shapes, which the evaluation batches across videos. A
+    video may keep one side only, or have its predictions on keyframes its
+    ground truth does not have.
+    """
+    gts, preds = [], []
+    for index in range(draw(st.integers(2, 5))):
+        video_id = f"v{index}"
+        spec = scenario_preset(
+            "static", seed=draw(st.integers(0, 999)), video_id=video_id,
+            n_actors=draw(st.integers(1, 3)), n_keyframes=draw(st.integers(2, 5)), appearance_dim=4,
+        )
+        gt, _ = generate(spec)
+        seed = draw(st.integers(0, 999))
+        pred = perturb(gt, Perturbation("jitter_boxes", sigma=0.02, seed=seed))
+        pred = perturb(pred, Perturbation("drop_detections", rate=0.1, seed=seed))
+        pred = perturb(pred, Perturbation("inject_fp", rate=0.2, seed=seed))
+        shift = draw(st.sampled_from((0, 0, 0, 100)))  # 100: no keyframe in common
+        pred = record(video_id, [
+            replace(o, keyframe=o.keyframe + shift, score=draw(st.sampled_from((0.5, 0.9))))
+            for o in pred.observations
+        ])
+        side = draw(st.sampled_from(("both", "both", "gt", "pred")))
+        if side != "pred":
+            gts.append(gt)
+        if side != "gt":
+            preds.append(pred)
+    return gts, preds
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(corpora(), generated_corpora()), st.sampled_from((0.3, 0.5, 0.7)), st.booleans())
+@example(([], []), 0.5, True)
+@example(TIED_ACROSS_VIDEOS, 0.5, False)
+def test_each_video_block_is_that_video_evaluated_alone(corpus, gate, persistence):
+    # Keyframes are batched across the corpus; no video's results may depend on the others.
+    gts, preds = corpus
+    report = evaluate_records(gts, preds, iou_threshold=gate, id_persistence=persistence)
+    gt_by_video = {r.video_id: r for r in gts}
+    pred_by_video = {r.video_id: r for r in preds}
+    assert set(report.per_video) == gt_by_video.keys() | pred_by_video.keys()
+    for video_id, block in report.per_video.items():
+        alone = evaluate_records(
+            [gt_by_video[video_id]] if video_id in gt_by_video else [],
+            [pred_by_video[video_id]] if video_id in pred_by_video else [],
+            iou_threshold=gate, id_persistence=persistence,
+        )
+        assert alone.aggregate == block
+    pooled = average_precision(gts, preds, gate)
+    assert report.pooled_ap.curve == pooled.curve
+    assert report.pooled_ap == pooled
 
 
 valid_files = functools.cache(valid_inputs)

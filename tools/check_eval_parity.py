@@ -1,0 +1,178 @@
+"""Check that this checkout's `evaluate_records` agrees with another checkout's on generated corpora.
+
+    git archive HEAD~1 | tar -x -C /tmp/parent
+    python tools/check_eval_parity.py /tmp/parent/src [--corpora 300] [--seed 0]
+
+Both copies of `asadeval` are imported into this one process, the other one
+under another package name. Corpus ``i`` holds 1 to 8 videos, each a
+`synthetic.generate` scene of 1 to 6 actors over 2 to 16 keyframes, with 0
+to 15 camera cuts. Its prediction is the ground truth perturbed with
+`synthetic.perturb` (jittered and dropped boxes, injected false positives,
+swapped and split identities, flipped labels), plus duplicated boxes under
+fresh identities, and rescored from a few values so that scores tie within
+and across videos. Some videos keep only one side. Many videos thus share
+keyframe shapes, which the evaluation batches across the corpus. Both copies
+evaluate every corpus at gates 0.3, 0.5 and 0.7, with ID persistence on and
+off; the `report_to_dict` JSON and the `write_pr_curve` bytes must match
+exactly, or else the exception's type and message. Prints the first
+differences and a summary, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import sys
+import tempfile
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
+
+import asadeval  # noqa: E402
+from asadeval import io_formats, synthetic  # noqa: E402
+
+GATES = (0.3, 0.5, 0.7)
+SCORES = (0.25, 0.5, 0.75, 0.9, 1.0)
+N_LABELS = 8
+SHOWN_DIFFERENCES = 20
+
+
+def load_other(src: Path):
+    """The `asadeval` in ``src``, imported as the package ``asadeval_other``."""
+    package = src / "asadeval"
+    spec = importlib.util.spec_from_file_location(
+        "asadeval_other", package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["asadeval_other"] = module
+    spec.loader.exec_module(module)
+    return module, importlib.import_module("asadeval_other.io_formats")
+
+
+def prediction(rng: np.random.Generator, gt):
+    """``gt`` perturbed, with some boxes duplicated and every score drawn from `SCORES`."""
+    seed = int(rng.integers(2**31))
+
+    def perturbed(record, kind, **parameters):
+        return synthetic.perturb(record, asadeval.Perturbation(kind, seed=seed, **parameters))
+
+    pred = perturbed(gt, "jitter_boxes", sigma=float(rng.uniform(0, 0.03)))
+    pred = perturbed(pred, "drop_detections", rate=float(rng.uniform(0, 0.3)))
+    pred = perturbed(pred, "inject_fp", rate=float(rng.uniform(0, 0.5)))
+    if len(pred.actor_ids) >= 2:
+        a, b = (int(x) for x in rng.choice(pred.actor_ids, size=2, replace=False))
+        pred = perturbed(pred, "swap_ids", actor_id=a, other_actor_id=b, keyframe=int(rng.choice(list(pred.frames))))
+    if pred.observations:
+        split = pred.observations[int(rng.integers(len(pred.observations)))]
+        pred = perturbed(pred, "split_track", actor_id=split.actor_id, keyframe=split.keyframe)
+    observations = list(pred.observations)
+    fresh = max((o.actor_id for o in observations), default=0) + 1
+    for index in np.flatnonzero(rng.random(len(observations)) < 0.1).tolist():
+        observations.append(replace(observations[index], actor_id=fresh))
+        fresh += 1
+    scores = rng.choice(SCORES, size=len(observations)).tolist()
+    pred = asadeval.VideoRecord(gt.video_id, tuple(replace(o, score=s) for o, s in zip(observations, scores)))
+    return perturbed(pred, "flip_labels", bits=int(rng.integers(0, len(observations) + 1)), n_labels=N_LABELS)
+
+
+def corpus(rng: np.random.Generator):
+    """The GT and prediction records of 1 to 8 generated videos; a video may keep one side only."""
+    gts, preds = [], []
+    for index in range(int(rng.integers(1, 9))):
+        n_keyframes = int(rng.integers(2, 17))
+        spec = synthetic.scenario_preset(
+            "camera-cut",
+            seed=int(rng.integers(2**31)),
+            video_id=f"v{index}",
+            n_actors=int(rng.integers(1, 7)),
+            n_keyframes=n_keyframes,
+            n_cuts=int(rng.integers(0, n_keyframes)),
+        )
+        gt, _ = synthetic.generate(spec)
+        gt = asadeval.VideoRecord(gt.video_id, tuple(
+            replace(o, actions=frozenset(a % N_LABELS + 1 for a in o.actions)) for o in gt.observations
+        ))
+        side = rng.choice(("both", "both", "both", "gt", "pred"))
+        if side != "pred":
+            gts.append(gt)
+        if side != "gt":
+            preds.append(prediction(rng, gt))
+    return gts, preds
+
+
+def converted(package, records):
+    """``records`` rebuilt from ``package``'s own classes."""
+    return [
+        package.VideoRecord(record.video_id, tuple(
+            package.ActorObservation(
+                o.video_id, o.keyframe, package.BoundingBox(o.box.x1, o.box.y1, o.box.x2, o.box.y2),
+                o.actor_id, o.actions, o.score,
+            )
+            for o in record.observations
+        ))
+        for record in records
+    ]
+
+
+def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
+    """("report", JSON, PR-curve bytes) or ("raised", type, message) at every gate and persistence."""
+    gts, preds = converted(package, gts), converted(package, preds)
+    results = []
+    for gate in GATES:
+        for persistence in (True, False):
+            try:
+                report = package.evaluate_records(
+                    gts, preds, iou_threshold=gate, n_labels=N_LABELS, id_persistence=persistence
+                )
+                io.write_pr_curve(report.pooled_ap, path)
+                text = json.dumps(io.report_to_dict(report), sort_keys=True)
+                results.append(("report", text, Path(path).read_bytes()))
+            except Exception as exc:  # a crash is an outcome to compare, not a stop
+                results.append(("raised", type(exc).__name__, str(exc)))
+    return results
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("other_src", type=Path, help="the src directory of the other checkout")
+    parser.add_argument("--corpora", type=int, default=300, help="number of corpora (default 300)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the corpora (default 0)")
+    args = parser.parse_args(argv)
+    other, other_io = load_other(args.other_src.resolve())
+
+    rng = np.random.default_rng(args.seed)
+    tally: Counter = Counter()
+    differences = 0
+    with tempfile.TemporaryDirectory() as directory:
+        path = str(Path(directory) / "pr.csv")
+        for index in range(args.corpora):
+            gts, preds = corpus(rng)
+            here = outcomes(asadeval, io_formats, gts, preds, path)
+            there = outcomes(other, other_io, gts, preds, path)
+            tally["videos"] += len({r.video_id for r in gts + preds})
+            tally["predictions"] += sum(len(r) for r in preds)
+            tally.update(result[0] for result in here)
+            if here != there:
+                differences += 1
+                if differences <= SHOWN_DIFFERENCES:
+                    print(f"corpus {index} differs")
+                    for mine, theirs in zip(here, there):
+                        if mine != theirs:
+                            print(f"  here:  {mine!r:.300}\n  other: {theirs!r:.300}")
+    print(
+        f"{args.corpora} corpora ({tally['videos']} videos, {tally['predictions']} predictions), "
+        f"{len(GATES) * 2} evaluations each per side: {tally['report']} reports, "
+        f"{tally['raised']} raised; {differences} corpora differ"
+    )
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
