@@ -4,7 +4,9 @@ Occluding actors can overlap each other above the gate, so predicted and
 ground-truth boxes are first paired one-to-one per keyframe by the optimal
 gated assignment; pairs failing the gate are excluded. The Hamming loss then
 averages per-label disagreement (XOR of the two boolean label vectors) over
-all surviving pairs, so the reported quantity is HL@gate.
+all surviving pairs, so the reported quantity is HL@gate. The pairs are a
+`match_corpus` result's gated pairs, which `pair_sets` reads as
+observations; MT/ML counts their GT side.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .matching import DEFAULT_IOU_GATE, check_gate, frame_ious, gated_pairs
+from .matching import DEFAULT_IOU_GATE, _CorpusMatch, match_corpus
 from .model import DEFAULT_N_LABELS, ActorObservation, VideoRecord
 
 HL_NO_PAIRS = "no pairs at IoU >= gate"
@@ -66,20 +68,20 @@ def match_pairs(
     play no role in the pairing; only geometry does. This is the one gated
     matching per keyframe: HL scores its pairs and MT/ML counts their GT side.
     """
-    check_gate(iou_threshold)
-    (frame_pairs,) = gated_pairs(frame_ious([(gt, pred)]), iou_threshold)
-    return _pair_set(gt, pred, frame_pairs)
+    (pairs,) = pair_sets(match_corpus([(gt, pred)], iou_threshold))
+    return pairs
 
 
-def _pair_set(
-    gt: VideoRecord, pred: VideoRecord, frame_pairs: dict[int, tuple[tuple[int, int], ...]]
-) -> MatchedPairSet:
-    """The observations of one video's `gated_pairs`, ``frame_pairs``, as a `MatchedPairSet`."""
-    return MatchedPairSet(pairs=tuple(
-        MatchedPair(gt=gt.frames[keyframe][g_idx], pred=pred.frames[keyframe][p_idx])
-        for keyframe, pairs in frame_pairs.items()
-        for g_idx, p_idx in pairs
-    ))
+def pair_sets(corpus: _CorpusMatch) -> list[MatchedPairSet]:
+    """Each video's gated pairs, the corpus's ``pairs``, as a `MatchedPairSet` of its observations."""
+    return [
+        MatchedPairSet(pairs=tuple(
+            MatchedPair(gt=gt.frames[keyframe][g_idx], pred=pred.frames[keyframe][p_idx])
+            for keyframe, pairs in frame_pairs.items()
+            for g_idx, p_idx in pairs
+        ))
+        for (gt, pred), frame_pairs in zip(corpus.videos, corpus.pairs)
+    ]
 
 
 def merge_pair_sets(pair_sets: Iterable[MatchedPairSet]) -> MatchedPairSet:

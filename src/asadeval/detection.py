@@ -6,14 +6,13 @@ videos are pooled into one global confidence ranking and the area under the
 all-point interpolated precision-recall curve is integrated over every
 recall increment.
 
-AP takes two steps: `rank_predictions` ranks one video's predictions as
+AP takes two steps: `rank_predictions` ranks each video's predictions as
 ``(score, is_tp)`` pairs, and `curve_from_ranked` computes AP, the tally and
-the tie flag from that ranking. The TP flags come from `_tp_flags`, which
-runs the greedy matching of every keyframe of a corpus on the chunks of its
-`frame_ious` result, one vectorized pass per chunk. `pool_rankings` of the
-per-video lists, in video_id order, is exactly the pooled ranking. A
-`PRCurve` holds the ranking and builds its `PRPoint`s on first read, so a
-curve nobody writes costs no points.
+the tie flag from a ranking. The TP flags are the `match_corpus` result's
+``flags``: the greedy matching of every keyframe of a corpus, one vectorized
+pass per chunk. `pool_rankings` of the per-video lists, in video_id order,
+is exactly the pooled ranking. A `PRCurve` holds the ranking and builds its
+`PRPoint`s on first read, so a curve nobody writes costs no points.
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .matching import DEFAULT_IOU_GATE, _CorpusIous, boxes_to_array, check_gate, frame_ious, iou_matrix
+from .matching import (
+    DEFAULT_IOU_GATE, _CorpusMatch, _greedy_flags, boxes_to_array, check_gate, iou_matrix, match_corpus,
+)
 from .model import BoundingBox, VideoRecord, aligned_records
 
 AP_NO_GROUND_TRUTH = "no ground truth boxes"
@@ -123,48 +124,6 @@ def tally_frame(
     return DetectionTally(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp), flags
 
 
-def _greedy_flags(overlaps: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """`tally_frame`'s TP flags, (B, n_pred), of a (B, n_gt, n_pred) IoU stack and its (B, n_pred) scores.
-
-    Each keyframe's predictions are visited in descending score, equal
-    scores in column order (a stable sort), one numpy step per rank position
-    for the whole stack.
-    """
-    count, n_gt, n_pred = overlaps.shape
-    flags = np.zeros((count, n_pred), dtype=bool)
-    if n_gt == 0:
-        return flags
-    # A claimed row is set to -1 in a copy so it never wins again; argmax keeps
-    # the first of equal overlaps, as a strict ">" scan over the rows would.
-    overlaps = overlaps.copy()
-    batch = np.arange(count)
-    for column in np.argsort(-scores, axis=1, kind="stable").T:
-        column_ious = overlaps[batch, :, column]
-        best = column_ious.argmax(axis=1)
-        hit = column_ious[batch, best] >= iou_threshold
-        overlaps[batch[hit], best[hit], :] = -1.0
-        flags[batch, column] = hit
-    return flags
-
-
-def _tp_flags(ious: _CorpusIous, preds: Sequence[VideoRecord], iou_threshold: float) -> list[np.ndarray]:
-    """Each video's TP flags, in ``pred.observations`` order, on its `frame_ious` result ``ious``.
-
-    One `_greedy_flags` call per chunk of ``ious``; a prediction at a
-    keyframe without ground truth is a false positive.
-    """
-    flags = [np.zeros(len(pred), dtype=bool) for pred in preds]
-    # starts[v][keyframe]: the index of the keyframe's first prediction in video v.
-    starts = [
-        dict(zip(pred.frames, itertools.accumulate(map(len, pred.frames.values()), initial=0))) for pred in preds
-    ]
-    for chunk in ious.chunks:
-        scores = np.array([[o.score for o in preds[v].frames[keyframe]] for v, keyframe in chunk.keys])
-        for (v, keyframe), row in zip(chunk.keys, _greedy_flags(chunk.ious, scores, iou_threshold)):
-            flags[v][starts[v][keyframe] : starts[v][keyframe] + len(row)] = row
-    return flags
-
-
 def precision_recall(tally: DetectionTally) -> tuple[float, float]:
     """Precision and recall with the zero-denominator convention.
 
@@ -176,14 +135,16 @@ def precision_recall(tally: DetectionTally) -> tuple[float, float]:
     return precision, recall
 
 
-def rank_predictions(pred: VideoRecord, flags: np.ndarray) -> list[tuple[float, bool]]:
-    """Step one of AP: one video's predictions as ``(score, is_tp)``, ranked.
+def rank_predictions(corpus: _CorpusMatch) -> list[list[tuple[float, bool]]]:
+    """Step one of AP: each video's predictions as ``(score, is_tp)``, ranked.
 
-    ``flags`` holds each prediction's TP flag in ``pred.observations``
-    order: `tally_frame`'s greedy matching of every keyframe, which
-    `_tp_flags` computes for a whole corpus at once.
+    The TP flags are the corpus's ``flags``: `tally_frame`'s greedy matching
+    of every keyframe.
     """
-    return pool_rankings([list(zip([o.score for o in pred.observations], flags.tolist()))])
+    return [
+        pool_rankings([list(zip([o.score for o in pred.observations], flags.tolist()))])
+        for (_, pred), flags in zip(corpus.videos, corpus.flags)
+    ]
 
 
 def pool_rankings(rankings: Iterable[Sequence[tuple[float, bool]]]) -> list[tuple[float, bool]]:
@@ -245,11 +206,8 @@ def average_precision(
     The two steps composed: `rank_predictions` per video, pooled in video_id
     order whatever order the records arrive in (the order `evaluate_records`
     pools in), then `curve_from_ranked` against every ground-truth box. A
-    repeated video_id is a ValueError.
+    repeated video_id, or a gate outside (0, 1), is a ValueError.
     """
-    check_gate(iou_threshold)
-    aligned = aligned_records(gt_records, pred_records)
-    preds = [pred for _, pred in aligned]
-    flags = _tp_flags(frame_ious(aligned), preds, iou_threshold)
-    rankings = [rank_predictions(pred, video_flags) for pred, video_flags in zip(preds, flags)]
-    return curve_from_ranked(pool_rankings(rankings), sum(len(gt.observations) for gt, _ in aligned))
+    corpus = match_corpus(aligned_records(gt_records, pred_records), iou_threshold)
+    n_gt = sum(len(gt.observations) for gt, _ in corpus.videos)
+    return curve_from_ranked(pool_rankings(rank_predictions(corpus)), n_gt)

@@ -2,31 +2,28 @@
 
 The videos are aligned in video_id order, and the aggregate is reduced from
 their results in that order, so results never depend on the order the
-records arrive in. Every keyframe's overlaps are computed once for the
-whole corpus by `frame_ious`, which batches the keyframes of all videos by
-shape; the gated pairs (`gated_pairs`) and AP's TP flags (`_tp_flags`) are
-then solved on the same chunks, across videos. Each video's metric readers
-(AP's ranking, IDF1, MT/ML, switches and HL) read only that video's slice
-of these tables. The aggregate detection curve merges the per-video ranked
-TP flags into one global ranking without matching again, and the report
-carries that pooled `APResult` (outside its JSON) for whoever writes the PR
-curve; identification, MT/ML, switch and matched action-pair tallies sum
-across videos. One builder makes every `MetricBlock`, per video and
-aggregate, so every reported ratio can be recomputed from the tallies
-carried next to it.
+records arrive in. `match_corpus` matches every keyframe once for the whole
+corpus, batching the keyframes of all videos by shape, and each metric
+reader (AP's ranking, IDF1, the pair sets that MT/ML and HL read, and the
+switch counter) takes that one object and returns one result per video.
+The gated pairs and AP's TP flags are computed on first read, across
+videos. The aggregate detection curve merges the per-video ranked TP flags
+into one global ranking without matching again, and the report carries
+that pooled `APResult` (outside its JSON) for whoever writes the PR curve;
+identification, MT/ML, switch and matched action-pair tallies sum across
+videos. One builder makes every `MetricBlock`, per video and aggregate, so
+every reported ratio can be recomputed from the tallies carried next to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
-import numpy as np
-
-from .actions import HammingResult, _hamming_result, _pair_set, hamming_loss
-from .detection import APResult, _tp_flags, curve_from_ranked, pool_rankings, rank_predictions
-from .identity import IdMatchResult, MtMlResult, id_switches_from_ious, idf1_from_ious, mt_ml_from_pairs
-from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_pairs
+from .actions import HammingResult, _hamming_result, hamming_loss, pair_sets
+from .detection import APResult, curve_from_ranked, pool_rankings, rank_predictions
+from .identity import IdMatchResult, MtMlResult, id_counts, mt_ml_from_pairs, switch_counts
+from .matching import DEFAULT_IOU_GATE, match_corpus
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
 from .version import __version__
 
@@ -76,40 +73,6 @@ class EvalReport:
     pooled_ap: Optional[APResult] = field(default=None, compare=False, repr=False)
 
 
-class _VideoResult(NamedTuple):
-    """One video's metric results, plus what the aggregate reduces from them."""
-
-    ranked: list[tuple[float, bool]]
-    ap: APResult
-    ids: IdMatchResult
-    tracks: MtMlResult
-    switches: int
-    hl: HammingResult
-
-
-def _evaluate_one(
-    gt: VideoRecord,
-    pred: VideoRecord,
-    ious: IouTable,
-    solved: dict[int, tuple[tuple[int, int], ...]],
-    flags: np.ndarray,
-    iou_threshold: float,
-    n_labels: int,
-    persistence: bool,
-) -> _VideoResult:
-    """One video's results from its slice of the corpus's tables: IoUs, gated pairs and TP flags."""
-    ranked = rank_predictions(pred, flags)
-    pairs = _pair_set(gt, pred, solved)
-    return _VideoResult(
-        ranked=ranked,
-        ap=curve_from_ranked(ranked, len(gt.observations)),
-        ids=idf1_from_ious(gt, pred, ious, iou_threshold),
-        tracks=mt_ml_from_pairs(gt, pairs),
-        switches=id_switches_from_ious(gt, pred, ious, solved, iou_threshold, persistence),
-        hl=hamming_loss(pairs, n_labels),
-    )
-
-
 def _metric_block(
     ap: APResult, ids: IdMatchResult, tracks: MtMlResult, switches: int, hl: HammingResult
 ) -> MetricBlock:
@@ -144,32 +107,23 @@ def _metric_block(
     )
 
 
-def _aggregate_block(results: Sequence[_VideoResult], n_labels: int) -> tuple[MetricBlock, APResult]:
-    """Reduce per-video results, in video_id order, to the aggregate block and its pooled AP."""
-    ids = IdMatchResult(
-        idtp=sum(r.ids.idtp for r in results),
-        idfp=sum(r.ids.idfp for r in results),
-        idfn=sum(r.ids.idfn for r in results),
-        pairing=(),
-        vacuous=all(r.ids.vacuous for r in results),
-    )
-    tracks = MtMlResult(
-        mt_count=sum(r.tracks.mt_count for r in results),
-        ml_count=sum(r.tracks.ml_count for r in results),
-        n_tracklets=sum(r.tracks.n_tracklets for r in results),
-        coverage=(),
-    )
+def _aggregate_block(
+    blocks: Sequence[MetricBlock], rankings: Sequence[Sequence[tuple[float, bool]]], n_labels: int
+) -> tuple[MetricBlock, APResult]:
+    """Reduce per-video blocks and rankings, in video_id order, to the aggregate block and its pooled AP."""
+
+    def total(name: str) -> int:
+        return sum(getattr(block, name) for block in blocks)
+
+    # Every video is vacuous (no observation on either side) iff every count
+    # is 0: idtp + idfn and idtp + idfp count the two sides' observations.
+    idtp, idfp, idfn = total("idtp"), total("idfp"), total("idfn")
+    ids = IdMatchResult(idtp, idfp, idfn, pairing=(), vacuous=idtp + idfp + idfn == 0)
+    tracks = MtMlResult(total("mt_count"), total("ml_count"), total("n_gt_tracklets"), coverage=())
     # The pooled ranking of every prediction against every GT observation.
-    pooled = curve_from_ranked(pool_rankings(r.ranked for r in results), ids.idtp + ids.idfn)
-    return _metric_block(
-        pooled,
-        ids,
-        tracks,
-        sum(r.switches for r in results),
-        _hamming_result(
-            sum(r.hl.wrong_bits for r in results), sum(r.hl.n_pairs for r in results), n_labels
-        ),
-    ), pooled
+    pooled = curve_from_ranked(pool_rankings(rankings), idtp + idfn)
+    hl = _hamming_result(total("wrong_label_bits"), total("n_matched_pairs"), n_labels)
+    return _metric_block(pooled, ids, tracks, total("id_switches"), hl), pooled
 
 
 def evaluate_records(
@@ -196,24 +150,27 @@ def evaluate_records(
     serially, since a thread pool gained nothing here. The keyword stays only
     because the committed benchmark still passes ``max_workers=1``.
     """
-    check_gate(iou_threshold)
     aligned = aligned_records(gt_records, pred_records)
-    ious = frame_ious(aligned)
-    slices = zip(
+    corpus = match_corpus(aligned, iou_threshold)
+    rankings = rank_predictions(corpus)
+    results = zip(
         aligned,
-        ious.tables,
-        gated_pairs(ious, iou_threshold),
-        _tp_flags(ious, [pred for _, pred in aligned], iou_threshold),
+        rankings,
+        id_counts(corpus),
+        pair_sets(corpus),
+        switch_counts(corpus, corpus.pairs, id_persistence),
     )
-    results = [
-        _evaluate_one(gt, pred, table, solved, flags, iou_threshold, n_labels, id_persistence)
-        for (gt, pred), table, solved, flags in slices
-    ]
     per_video = {
-        gt.video_id: _metric_block(r.ap, r.ids, r.tracks, r.switches, r.hl)
-        for (gt, _), r in zip(aligned, results)
+        gt.video_id: _metric_block(
+            curve_from_ranked(ranked, len(gt.observations)),
+            ids,
+            mt_ml_from_pairs(gt, pairs),
+            switches,
+            hamming_loss(pairs, n_labels),
+        )
+        for (gt, _), ranked, ids, pairs, switches in results
     }
-    aggregate, pooled_ap = _aggregate_block(results, n_labels)
+    aggregate, pooled_ap = _aggregate_block(list(per_video.values()), rankings, n_labels)
 
     resolved = {
         "tool": "asadeval",

@@ -10,20 +10,20 @@ scores), with inclusive thresholds at 0.8 and 0.2. ID switches count changes
 of the matched predicted identity between a ground-truth tracklet's
 consecutive matched keyframes, with optional match persistence.
 
-`idf1` and `id_switches` are `frame_ious` of a corpus of one composed with
-their ``*_from_ious`` readers, which `evaluate_records` calls on each video's
-slice of the tables all families share.
+`id_counts` and `switch_counts` read a `match_corpus` result, one result
+per video: `evaluate_records` calls them on the corpus's matching that all
+families share, and `idf1` and `id_switches` on a corpus of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .actions import MatchedPairSet, match_pairs
-from .matching import DEFAULT_IOU_GATE, IouTable, check_gate, frame_ious, gated_cost, gated_pairs, solve_assignment
+from .matching import DEFAULT_IOU_GATE, _CorpusMatch, gated_cost, match_corpus, solve_assignment
 from .model import VideoRecord, build_tracklets
 
 MT_THRESHOLD = 0.8
@@ -95,15 +95,12 @@ def idf1(
     Empty vs empty is vacuously perfect (flagged); empty ground truth with
     predictions present scores 0.
     """
-    check_gate(iou_threshold)
-    result = idf1_from_ious(gt, pred, frame_ious([(gt, pred)]).tables[0], iou_threshold)
+    (result,) = id_counts(match_corpus([(gt, pred)], iou_threshold))
     return result.idf1, result
 
 
-def idf1_from_ious(
-    gt: VideoRecord, pred: VideoRecord, ious: IouTable, iou_threshold: float
-) -> IdMatchResult:
-    """`idf1`'s counts on the videos' `frame_ious` table.
+def id_counts(corpus: _CorpusMatch) -> list[IdMatchResult]:
+    """Each video's `idf1` counts, from the corpus's IoU tables.
 
     `solve_assignment` pairs the identities with a gated hit (the rest add
     nothing to IDTP, and dropping them keeps most problems enumerable) on
@@ -115,32 +112,34 @@ def idf1_from_ious(
     unless each identity hits exactly one on the other side, as in a clean
     tracking, whose pairing is those hits (`solve_assignment`'s sole optimum).
     """
-    total_gt = len(gt.observations)
-    total_pred = len(pred.observations)
-    gt_ids = gt.actor_ids
-    pred_ids = pred.actor_ids
-    gt_index = {actor: i for i, actor in enumerate(gt_ids)}
-    pred_index = {actor: j for j, actor in enumerate(pred_ids)}
+    results = []
+    for (gt, pred), ious in zip(corpus.videos, corpus.tables):
+        gt_ids = gt.actor_ids
+        pred_ids = pred.actor_ids
+        gt_index = {actor: i for i, actor in enumerate(gt_ids)}
+        pred_index = {actor: j for j, actor in enumerate(pred_ids)}
 
-    # One count per gated hit, at flat index gt_index * n_pred + pred_index;
-    # bincount adds up repeated indices.
-    n_gt, n_pred = len(gt_ids), len(pred_ids)
-    hits = [np.zeros(0, dtype=np.int64)]
-    for keyframe, frame_iou in ious.items():
-        rows = np.array([gt_index[o.actor_id] for o in gt.frames[keyframe]])
-        cols = np.array([pred_index[o.actor_id] for o in pred.frames[keyframe]])
-        hit_rows, hit_cols = np.nonzero(frame_iou >= iou_threshold)
-        hits.append(rows[hit_rows] * n_pred + cols[hit_cols])
-    overlap = np.bincount(np.concatenate(hits), minlength=n_gt * n_pred).reshape(n_gt, n_pred)
-    hit_gt = np.flatnonzero(overlap.any(axis=1))
-    hit_pred = np.flatnonzero(overlap.any(axis=0))
-    counts = overlap[np.ix_(hit_gt, hit_pred)]
+        # One count per gated hit, at flat index gt_index * n_pred + pred_index;
+        # bincount adds up repeated indices.
+        n_gt, n_pred = len(gt_ids), len(pred_ids)
+        hits = [np.zeros(0, dtype=np.int64)]
+        for keyframe, frame_iou in ious.items():
+            rows = np.array([gt_index[o.actor_id] for o in gt.frames[keyframe]])
+            cols = np.array([pred_index[o.actor_id] for o in pred.frames[keyframe]])
+            hit_rows, hit_cols = np.nonzero(frame_iou >= corpus.gate)
+            hits.append(rows[hit_rows] * n_pred + cols[hit_cols])
+        overlap = np.bincount(np.concatenate(hits), minlength=n_gt * n_pred).reshape(n_gt, n_pred)
+        hit_gt = np.flatnonzero(overlap.any(axis=1))
+        hit_pred = np.flatnonzero(overlap.any(axis=0))
+        counts = overlap[np.ix_(hit_gt, hit_pred)]
 
-    paired = [(r, c) for r, c in solve_assignment(-counts, drop_gated=False).pairs if counts[r, c] > 0]
-    idtp = sum(int(counts[r, c]) for r, c in paired)
-    pairing = tuple((gt_ids[hit_gt[r]], pred_ids[hit_pred[c]]) for r, c in paired)
-    vacuous = total_gt + total_pred == 0
-    return IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, pairing, vacuous)
+        paired = [(r, c) for r, c in solve_assignment(-counts, drop_gated=False).pairs if counts[r, c] > 0]
+        idtp = sum(int(counts[r, c]) for r, c in paired)
+        pairing = tuple((gt_ids[hit_gt[r]], pred_ids[hit_pred[c]]) for r, c in paired)
+        total_gt, total_pred = len(gt.observations), len(pred.observations)
+        vacuous = total_gt + total_pred == 0
+        results.append(IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, pairing, vacuous))
+    return results
 
 
 def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
@@ -195,63 +194,62 @@ def id_switches(
     where a tracklet's matched predicted identity differs from the identity
     at its previous matched keyframe.
     """
-    check_gate(iou_threshold)
-    ious = frame_ious([(gt, pred)])
+    corpus = match_corpus([(gt, pred)], iou_threshold)
     # With persistence, a keyframe's full problem is read only where nothing
     # persisted, so it is solved there, as that keyframe's residual.
-    solved = {} if persistence else gated_pairs(ious, iou_threshold)[0]
-    return id_switches_from_ious(gt, pred, ious.tables[0], solved, iou_threshold, persistence)
+    (count,) = switch_counts(corpus, [{}] if persistence else corpus.pairs, persistence)
+    return count
 
 
-def id_switches_from_ious(
-    gt: VideoRecord,
-    pred: VideoRecord,
-    ious: IouTable,
-    solved: Mapping[int, tuple[tuple[int, int], ...]],
-    iou_threshold: float,
+def switch_counts(
+    corpus: _CorpusMatch,
+    solved: Sequence[Mapping[int, tuple[tuple[int, int], ...]]],
     persistence: bool,
-) -> int:
-    """`id_switches` on the videos' `frame_ious` table: only its keyframes can match.
+) -> list[int]:
+    """Each video's `id_switches`, from the corpus's IoU tables: only their keyframes can match.
 
-    ``solved`` maps keyframes to their `gated_pairs` on the same table and
-    gate, such as every keyframe's in `evaluate_records`. Where nothing
-    persisted at such a keyframe, the residual problem is that keyframe's
-    full problem, so its pairs are read from ``solved`` instead of solved
-    again. Every other residual is solved here: where some actors persisted
-    and others did not, or where nothing persisted at a keyframe missing
-    from ``solved``.
+    ``solved[v]`` maps keyframes of video ``v`` to their gated pairs, such as
+    every keyframe's (the corpus's ``pairs``) in `evaluate_records`. Where
+    nothing persisted at such a keyframe, the residual problem is that
+    keyframe's full problem, so its pairs are read from ``solved`` instead
+    of solved again. Every other residual is solved here: where some actors
+    persisted and others did not, or where nothing persisted at a keyframe
+    missing from ``solved``.
     """
-    last_match: dict[int, int] = {}
-    switches = 0
-    for keyframe, overlaps in ious.items():
-        g_frame = gt.frames[keyframe]
-        p_frame = pred.frames[keyframe]
-        matches: dict[int, int] = {}  # persisted pairs first, then the residual's
-        claimed: set[int] = set()
-        if persistence:
-            column_of = {o.actor_id: j for j, o in enumerate(p_frame)}
-            for i, g_obs in enumerate(g_frame):
-                prev = last_match.get(g_obs.actor_id)
-                j = column_of.get(prev)
-                if j is not None and prev not in claimed and overlaps[i, j] >= iou_threshold:
-                    matches[g_obs.actor_id] = prev
-                    claimed.add(prev)
+    counts = []
+    for (gt, pred), ious, known in zip(corpus.videos, corpus.tables, solved):
+        last_match: dict[int, int] = {}
+        switches = 0
+        for keyframe, overlaps in ious.items():
+            g_frame = gt.frames[keyframe]
+            p_frame = pred.frames[keyframe]
+            matches: dict[int, int] = {}  # persisted pairs first, then the residual's
+            claimed: set[int] = set()
+            if persistence:
+                column_of = {o.actor_id: j for j, o in enumerate(p_frame)}
+                for i, g_obs in enumerate(g_frame):
+                    prev = last_match.get(g_obs.actor_id)
+                    j = column_of.get(prev)
+                    if j is not None and prev not in claimed and overlaps[i, j] >= corpus.gate:
+                        matches[g_obs.actor_id] = prev
+                        claimed.add(prev)
 
-        if not matches and keyframe in solved:
-            residual_pairs = solved[keyframe]
-        else:
-            rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
-            cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
-            residual_pairs = ()
-            if rows and cols:
-                residual = gated_cost(overlaps[np.ix_(rows, cols)], iou_threshold)
-                residual_pairs = [(rows[r], cols[c]) for r, c in solve_assignment(residual).pairs]
-        for i, j in residual_pairs:
-            matches[g_frame[i].actor_id] = p_frame[j].actor_id
+            if not matches and keyframe in known:
+                residual_pairs = known[keyframe]
+            else:
+                rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
+                cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
+                residual_pairs = ()
+                if rows and cols:
+                    residual = gated_cost(overlaps[np.ix_(rows, cols)], corpus.gate)
+                    residual_pairs = [(rows[r], cols[c]) for r, c in solve_assignment(residual).pairs]
+            for i, j in residual_pairs:
+                matches[g_frame[i].actor_id] = p_frame[j].actor_id
 
-        for gt_actor, pred_actor in matches.items():
-            prev = last_match.get(gt_actor)
-            if prev is not None and prev != pred_actor:
-                switches += 1
-            last_match[gt_actor] = pred_actor
-    return switches
+            for gt_actor, pred_actor in matches.items():
+                prev = last_match.get(gt_actor)
+                if prev is not None and prev != pred_actor:
+                    switches += 1
+                last_match[gt_actor] = pred_actor
+        counts.append(switches)
+    return counts

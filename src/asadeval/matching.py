@@ -1,24 +1,25 @@
 """IoU, gated cost matrices, and exact one-to-one assignment.
 
-The shared matching substrate: `frame_ious` computes a corpus's overlaps
-once, as one read-only GT x prediction IoU matrix per keyframe of each
-video, for every metric family to read. It batches the keyframes of all
-videos by shape, so a corpus of many short videos of a few shapes takes a
-few numpy calls, not a few per video; `gated_pairs` and AP's greedy flags
-then take one call per chunk of that batching too. `gated_cost` puts
-exactly 1.0 wherever the IoU gate fails, so a surviving pair can always be
-recognized by cost < 1. `solve_assignment`, the package's one solver
-(IDF1's identity pairing included), returns the exact optimum and, among
-equal-cost optima, the lexicographically smallest (row, col) pair list so
-results are identical across platforms.
+The shared matching substrate: `match_corpus` matches a corpus once, for
+every metric reader to take. It holds one read-only GT x prediction IoU
+matrix per keyframe of each video, and on first read each video's gated
+pairs and AP's greedy TP flags. It batches the keyframes of all videos by
+shape, so a corpus of many short videos of a few shapes takes a few numpy
+calls, not a few per video, and the pairs and flags take one call per chunk
+of that batching too. `gated_cost` puts exactly 1.0 wherever the IoU gate
+fails, so a surviving pair can always be recognized by cost < 1.
+`solve_assignment`, the package's one solver (IDF1's identity pairing
+included), returns the exact optimum and, among equal-cost optima, the
+lexicographically smallest (row, col) pair list so results are identical
+across platforms.
 
 Four routes reach that answer. A single-row or single-column problem takes
 its first smallest entry. A problem of 2 or 3 pairs with at most
 `_ENUMERATED_SIDE` rows and columns enumerates every assignment from a
 per-shape table: numpy sums rule out all but the candidates within a
 rounding bound of the minimum, and `math.fsum` picks among those.
-`gated_pairs` solves each chunk of same-shape keyframes, across videos, in
-one such call.
+A corpus's gated pairs take one such call per chunk of same-shape
+keyframes, across videos.
 A larger problem whose entries below its largest form a full assignment,
 one to a row and one to a column, has that assignment as its sole optimum
 (`_sole_optimum`): a keyframe where each actor passes the gate with its own
@@ -64,7 +65,7 @@ from .model import BoundingBox, VideoRecord
 DEFAULT_IOU_GATE = 0.5
 # Entries per batched IoU call: bounds the temporaries at 64 KiB each.
 _IOU_BATCH_ENTRIES = 8192
-# One video's IoU table, as `frame_ious` returns it for each video: keyframe -> IoU matrix.
+# One video's IoU table in a `match_corpus` result: keyframe -> IoU matrix.
 IouTable = dict[int, np.ndarray]
 # Enumeration covers 2 or 3 pairs with at most this many rows and columns:
 # at most 10 * 9 * 8 = 720 candidates. Up to that side one enumeration takes
@@ -145,25 +146,85 @@ class _Chunk:
 
 
 @dataclass(frozen=True)
-class _CorpusIous:
-    """What `frame_ious` returns: each video's table, and the chunks it was computed in."""
+class _CorpusMatch:
+    """A corpus's per-keyframe matching at one gate, which every metric reader takes.
 
+    ``videos`` holds the ``(gt, pred)`` records. ``tables[v]`` maps video
+    ``v``'s keyframes with boxes on both sides, ascending, to their read-only
+    GT x prediction IoU matrices, rows and columns in frame order; ``chunks``
+    are the same-shape batches they were computed in. `pairs` and `flags`
+    are computed for the whole corpus on first read, one batched call per
+    chunk, so a reader that needs neither costs neither. The object spans
+    the corpus rather than one video so that both stay lazy and still take
+    one call per chunk across videos: a per-video object would have to
+    compute them eagerly or refer back to its corpus.
+    """
+
+    videos: Sequence[tuple[VideoRecord, VideoRecord]]
+    gate: float
     tables: list[IouTable]
     chunks: list[_Chunk]
 
+    @functools.cached_property
+    def pairs(self) -> list[dict[int, tuple[tuple[int, int], ...]]]:
+        """Each video's gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs` by keyframe.
 
-def frame_ious(videos: Sequence[tuple[VideoRecord, VideoRecord]]) -> _CorpusIous:
-    """The read-only IoU matrix of every keyframe with boxes on both sides, for each ``(gt, pred)`` video.
+        Each video's keyframes keep its table's order. A chunk of a shape
+        the enumeration covers is solved in one `_enumerated_optima` call,
+        whatever videos it mixes: the chunk's largest cost only widens the
+        candidates that `math.fsum` decides among, so a keyframe's pairs do
+        not depend on its chunk. The chunks' bound keeps peak memory level
+        however long the corpus. The other keyframes go through
+        `solve_assignment` one by one.
+        """
+        solved: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        for chunk in self.chunks:
+            costs = gated_cost(chunk.ious, self.gate)
+            shape = costs.shape[1:]
+            if _enumerable(shape):
+                # Gated costs lie in [0, 1], far below `_ENUMERATED_MAX_COST`.
+                _, _, candidates = _assignment_table(*shape)
+                optima = _enumerated_optima(costs, float(costs.max()))
+                for key, cost, index in zip(chunk.keys, costs, optima):
+                    solved[key] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
+            else:
+                for key, cost in zip(chunk.keys, costs):
+                    solved[key] = solve_assignment(cost).pairs
+        return [{keyframe: solved[v, keyframe] for keyframe in table} for v, table in enumerate(self.tables)]
 
-    ``tables[v]`` maps video ``v``'s keyframes, ascending, to their GT x
-    prediction matrices, rows and columns in frame order. The keyframes of
-    every video, taken in order, are grouped by shape, and each group is cut
-    into chunks of at most `_IOU_BATCH_ENTRIES` IoU entries and, for a shape
-    the enumeration covers, `_ENUMERATED_BATCH_ENTRIES` candidate entries: one
-    `iou_matrix` call a chunk, whose stack `gated_pairs` and the AP flags read
-    in turn. A corpus of short videos of a few shapes thus takes a few calls,
-    not a few per video.
+    @functools.cached_property
+    def flags(self) -> list[np.ndarray]:
+        """Each video's TP flags under AP's greedy matching, in ``pred.observations`` order.
+
+        One `_greedy_flags` call per chunk; a prediction at a keyframe
+        without ground truth is a false positive.
+        """
+        preds = [pred for _, pred in self.videos]
+        flags = [np.zeros(len(pred), dtype=bool) for pred in preds]
+        # starts[v][keyframe]: the index of the keyframe's first prediction in video v.
+        starts = [
+            dict(zip(pred.frames, itertools.accumulate(map(len, pred.frames.values()), initial=0)))
+            for pred in preds
+        ]
+        for chunk in self.chunks:
+            scores = np.array([[o.score for o in preds[v].frames[keyframe]] for v, keyframe in chunk.keys])
+            for (v, keyframe), row in zip(chunk.keys, _greedy_flags(chunk.ious, scores, self.gate)):
+                flags[v][starts[v][keyframe] : starts[v][keyframe] + len(row)] = row
+        return flags
+
+
+def match_corpus(videos: Sequence[tuple[VideoRecord, VideoRecord]], gate: float) -> _CorpusMatch:
+    """The matching of every keyframe with boxes on both sides, for each ``(gt, pred)`` video, at ``gate``.
+
+    A gate outside (0, 1) is a ValueError. The keyframes of every video,
+    taken in order, are grouped by shape, and each group is cut into chunks
+    of at most `_IOU_BATCH_ENTRIES` IoU entries and, for a shape the
+    enumeration covers, `_ENUMERATED_BATCH_ENTRIES` candidate entries: one
+    `iou_matrix` call a chunk, whose stack the gated pairs and the AP flags
+    read in turn. A corpus of short videos of a few shapes thus takes a few
+    calls, not a few per video.
     """
+    check_gate(gate)
     by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for position, (gt, pred) in enumerate(videos):
         for keyframe in sorted(gt.frames.keys() & pred.frames.keys()):
@@ -184,7 +245,31 @@ def frame_ious(videos: Sequence[tuple[VideoRecord, VideoRecord]]) -> _CorpusIous
             chunks.append(_Chunk(chunk, stack))
             for (v, keyframe), overlaps in zip(chunk, stack):
                 tables[v][keyframe] = overlaps
-    return _CorpusIous([dict(sorted(table.items())) for table in tables], chunks)
+    return _CorpusMatch(videos, gate, [dict(sorted(table.items())) for table in tables], chunks)
+
+
+def _greedy_flags(overlaps: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
+    """`detection.tally_frame`'s TP flags, (B, n_pred), of a (B, n_gt, n_pred) IoU stack and its (B, n_pred) scores.
+
+    Each keyframe's predictions are visited in descending score, equal
+    scores in column order (a stable sort), one numpy step per rank position
+    for the whole stack.
+    """
+    count, n_gt, n_pred = overlaps.shape
+    flags = np.zeros((count, n_pred), dtype=bool)
+    if n_gt == 0:
+        return flags
+    # A claimed row is set to -1 in a copy so it never wins again; argmax keeps
+    # the first of equal overlaps, as a strict ">" scan over the rows would.
+    overlaps = overlaps.copy()
+    batch = np.arange(count)
+    for column in np.argsort(-scores, axis=1, kind="stable").T:
+        column_ious = overlaps[batch, :, column]
+        best = column_ious.argmax(axis=1)
+        hit = column_ious[batch, best] >= iou_threshold
+        overlaps[batch[hit], best[hit], :] = -1.0
+        flags[batch, column] = hit
+    return flags
 
 
 @dataclass(frozen=True)
@@ -213,35 +298,6 @@ def build_cost_matrix(
 def gated_cost(overlaps: np.ndarray, gate: float = DEFAULT_IOU_GATE) -> np.ndarray:
     """Gated matching distance of an IoU array of any shape: 1 where IoU < gate, else 1 - IoU."""
     return np.where(overlaps >= gate, 1.0 - overlaps, 1.0)
-
-
-def gated_pairs(
-    ious: _CorpusIous, gate: float = DEFAULT_IOU_GATE
-) -> list[dict[int, tuple[tuple[int, int], ...]]]:
-    """Each video's gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs` by keyframe.
-
-    ``ious`` is a `frame_ious` result, and each video's keyframes keep its
-    table's order. A chunk of a shape the enumeration covers is solved in one
-    `_enumerated_optima` call, whatever videos it mixes: the chunk's largest
-    cost only widens the candidates that `math.fsum` decides among, so a
-    keyframe's pairs do not depend on its chunk. The chunks' bound keeps
-    peak memory level however long the corpus. The other keyframes go
-    through `solve_assignment` one by one.
-    """
-    solved: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-    for chunk in ious.chunks:
-        costs = gated_cost(chunk.ious, gate)
-        shape = costs.shape[1:]
-        if _enumerable(shape):
-            # Gated costs lie in [0, 1], far below `_ENUMERATED_MAX_COST`.
-            _, _, candidates = _assignment_table(*shape)
-            optima = _enumerated_optima(costs, float(costs.max()))
-            for key, cost, index in zip(chunk.keys, costs, optima):
-                solved[key] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
-        else:
-            for key, cost in zip(chunk.keys, costs):
-                solved[key] = solve_assignment(cost).pairs
-    return [{keyframe: solved[v, keyframe] for keyframe in table} for v, table in enumerate(ious.tables)]
 
 
 def solve_assignment(cost, drop_gated: bool = True) -> Assignment:

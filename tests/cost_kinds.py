@@ -50,7 +50,7 @@ def tie_heavy_cost(rng: np.random.Generator, kind: str, n_rows: int, n_cols: int
     if kind == "crowded":
         return crowded_boxes_cost(rng, n_rows, n_cols)
     if kind == "counts":
-        # `idf1_from_ious` pairs GT (rows) and predicted identities on their
+        # `identity.id_counts` pairs GT (rows) and predicted identities on their
         # negated gated-hit counts: each actor's many hits fall on one
         # identity, two actors may share one, and stray hits are few.
         counts = rng.choice([0, 0, 0, 1, 2, 3], size=(n_rows, n_cols))

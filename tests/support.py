@@ -1,8 +1,20 @@
-"""Shared builders for test fixtures, and the reference checks of the parser, of `iou_matrix` and of AP's greedy flags."""
+"""Shared builders for test fixtures, and the test oracles.
 
+The oracles are the reference checks of the parser, of `iou_matrix`, of AP
+(its greedy flags and the cutoff sweep), of the assignment solver (brute
+force), of IDTP (brute force) and of the switch count (scalar). Random
+instance and record builders that several test modules draw from live here
+too.
+"""
+
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from asadeval.matching import build_cost_matrix, solve_assignment
 from asadeval.model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 
 # Two comfortably disjoint boxes used all over the fixtures.
@@ -54,7 +66,7 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
 
 def greedy_flags(overlaps, scores, iou_threshold: float) -> list[bool]:
-    """One keyframe's TP flags, by the scalar loop: the oracle of `detection._greedy_flags`.
+    """One keyframe's TP flags, by the scalar loop: the oracle of `matching._greedy_flags`.
 
     Predictions (columns of the GT x prediction IoU matrix ``overlaps``) are
     visited in descending score, ties in column order; each claims the
@@ -72,6 +84,212 @@ def greedy_flags(overlaps, scores, iou_threshold: float) -> list[bool]:
                 overlaps[best_gt, :] = -1.0
                 flags[idx] = True
     return flags
+
+
+def brute_force_min_cost(cost: np.ndarray) -> float:
+    """Exhaustive permutation enumeration of all size-min(r,c) assignments."""
+    return brute_force_lex_pairs(cost)[1]
+
+
+def brute_force_lex_pairs(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """The smallest sorted pair list among the minimum-fsum assignments, and that minimum.
+
+    Enumerates every assignment of size min(rows, cols).
+    """
+    n_rows, n_cols = cost.shape
+    if n_rows <= n_cols:
+        assignments = [list(enumerate(cols)) for cols in itertools.permutations(range(n_cols), n_rows)]
+    else:
+        assignments = [
+            sorted(zip(rows, range(n_cols))) for rows in itertools.permutations(range(n_rows), n_cols)
+        ]
+    totals = [math.fsum(float(cost[pair]) for pair in pairs) for pairs in assignments]
+    best = min(totals)
+    return min(pairs for pairs, total in zip(assignments, totals) if total == best), best
+
+
+def sweep_ap(gt_records, pred_records, iou_threshold=0.5):
+    """Brute-force oracle: evaluate a PR point at every score cutoff, then
+    integrate the interpolated curve. Matching at each cutoff is its own
+    greedy-by-score pass, independent of the ranked-accumulation code path.
+    """
+
+    def frame_iou(a, b):
+        ix = max(0.0, min(a.box.x2, b.box.x2) - max(a.box.x1, b.box.x1))
+        iy = max(0.0, min(a.box.y2, b.box.y2) - max(a.box.y1, b.box.y1))
+        inter = ix * iy
+        area = lambda o: (o.box.x2 - o.box.x1) * (o.box.y2 - o.box.y1)
+        union = area(a) + area(b) - inter
+        return inter / union if union > 0 else 0.0
+
+    gt_frames = {}
+    total_gt = 0
+    for rec in gt_records:
+        for o in rec.observations:
+            gt_frames.setdefault((rec.video_id, o.keyframe), []).append(o)
+            total_gt += 1
+    preds = [
+        (rec.video_id, o)
+        for rec in pred_records
+        for o in rec.observations
+    ]
+    cutoffs = sorted({o.score for _, o in preds}, reverse=True)
+
+    points = []
+    for cutoff in cutoffs:
+        tp = 0
+        n_kept = 0
+        for key, gts in gt_frames.items():
+            frame_preds = [
+                o for vid, o in preds if (vid, o.keyframe) == key and o.score >= cutoff
+            ]
+            frame_preds.sort(key=lambda o: -o.score)
+            taken = [False] * len(gts)
+            for p in frame_preds:
+                best, best_idx = 0.0, -1
+                for idx, g in enumerate(gts):
+                    if taken[idx]:
+                        continue
+                    overlap = frame_iou(g, p)
+                    if overlap > best:
+                        best, best_idx = overlap, idx
+                if best_idx >= 0 and best >= iou_threshold:
+                    taken[best_idx] = True
+                    tp += 1
+        n_kept = sum(1 for _, o in preds if o.score >= cutoff)
+        recall = tp / total_gt
+        precision = tp / n_kept if n_kept else 0.0
+        points.append((recall, precision))
+
+    ap = 0.0
+    prev_recall = 0.0
+    for recall, _ in sorted(points):
+        if recall <= prev_recall:
+            continue
+        p_interp = max(p for r, p in points if r >= recall)
+        ap += (recall - prev_recall) * p_interp
+        prev_recall = recall
+    return ap
+
+
+def brute_force_idtp(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5) -> int:
+    """Exhaustive enumeration over all injective identity pairings."""
+    gt_ids = gt.actor_ids
+    pred_ids = pred.actor_ids
+    if not gt_ids or not pred_ids:
+        return 0
+    overlap = {}
+    for g in gt_ids:
+        for p in pred_ids:
+            count = 0
+            for kf, g_frame in gt.frames.items():
+                p_frame = pred.frames.get(kf, ())
+                g_obs = [o for o in g_frame if o.actor_id == g]
+                p_obs = [o for o in p_frame if o.actor_id == p]
+                if g_obs and p_obs and iou(g_obs[0].box, p_obs[0].box) >= iou_threshold:
+                    count += 1
+            overlap[(g, p)] = count
+    best = 0
+    if len(gt_ids) <= len(pred_ids):
+        for chosen in itertools.permutations(pred_ids, len(gt_ids)):
+            best = max(best, sum(overlap[(g, p)] for g, p in zip(gt_ids, chosen)))
+    else:
+        for chosen in itertools.permutations(gt_ids, len(pred_ids)):
+            best = max(best, sum(overlap[(g, p)] for g, p in zip(chosen, pred_ids)))
+    return best
+
+
+def scalar_id_switches(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5, persistence=True) -> int:
+    """Reference switch count: scalar IoUs and a fresh cost matrix per keyframe."""
+    last_match: dict[int, int] = {}
+    switches = 0
+    for keyframe in sorted(set(gt.frames) | set(pred.frames)):
+        g_frame = list(gt.frames.get(keyframe, ()))
+        p_frame = list(pred.frames.get(keyframe, ()))
+        matches: dict[int, int] = {}
+        if persistence and g_frame and p_frame:
+            by_pred_id = {o.actor_id: o for o in p_frame}
+            claimed: set[int] = set()
+            persisted: set[int] = set()
+            for g_obs in g_frame:
+                prev = last_match.get(g_obs.actor_id)
+                if prev is None or prev in claimed:
+                    continue
+                p_obs = by_pred_id.get(prev)
+                if p_obs is not None and iou(g_obs.box, p_obs.box) >= iou_threshold:
+                    matches[g_obs.actor_id] = prev
+                    claimed.add(prev)
+                    persisted.add(g_obs.actor_id)
+            g_frame = [o for o in g_frame if o.actor_id not in persisted]
+            p_frame = [o for o in p_frame if o.actor_id not in claimed]
+        if g_frame and p_frame:
+            problem = build_cost_matrix(
+                [o.box for o in g_frame], [o.box for o in p_frame], gate=iou_threshold
+            )
+            for g_idx, p_idx in solve_assignment(problem).pairs:
+                matches[g_frame[g_idx].actor_id] = p_frame[p_idx].actor_id
+        for gt_actor, pred_actor in matches.items():
+            prev = last_match.get(gt_actor)
+            if prev is not None and prev != pred_actor:
+                switches += 1
+            last_match[gt_actor] = pred_actor
+    return switches
+
+
+def random_instance(rng: np.random.Generator) -> tuple[VideoRecord, VideoRecord]:
+    n_gt = int(rng.integers(1, 7))
+    n_pred = int(rng.integers(1, 7))
+    n_kf = int(rng.integers(1, 13))
+    cells = [(0.05 + 0.3 * c, 0.05 + 0.3 * r) for r in range(3) for c in range(3)]
+
+    def random_obs(video, kf, actor):
+        # boxes snap near a 3x3 grid of cells so overlaps happen often
+        cx, cy = cells[int(rng.integers(0, len(cells)))]
+        dx, dy = rng.uniform(-0.05, 0.05, size=2)
+        x1, y1 = max(cx + dx, 0.0), max(cy + dy, 0.0)
+        return obs(video, kf, actor, (x1, y1, min(x1 + 0.2, 1.0), min(y1 + 0.2, 1.0)))
+
+    gt_obs = [
+        random_obs("v", kf, actor)
+        for actor in range(1, n_gt + 1)
+        for kf in range(n_kf)
+        if rng.random() < 0.8
+    ]
+    pred_obs = [
+        random_obs("v", kf, actor)
+        for actor in range(1, n_pred + 1)
+        for kf in range(n_kf)
+        if rng.random() < 0.8
+    ]
+    return record("v", gt_obs), record("v", pred_obs)
+
+
+def random_record(rng: np.random.Generator, video_id: str, role: str) -> VideoRecord:
+    observations = []
+    for actor in range(1, int(rng.integers(1, 5)) + 1):
+        for kf in sorted(rng.choice(20, size=int(rng.integers(1, 6)), replace=False)):
+            x1 = float(rng.uniform(0, 0.6))
+            y1 = float(rng.uniform(0, 0.6))
+            w = float(rng.uniform(0.05, 0.35))
+            h = float(rng.uniform(0.05, 0.35))
+            if role == "pred" and rng.random() < 0.2:
+                actions = frozenset()
+            else:
+                actions = frozenset(
+                    int(l) + 1 for l in rng.choice(80, size=int(rng.integers(1, 4)), replace=False)
+                )
+            score = 1.0 if role == "gt" else float(rng.random())
+            observations.append(
+                obs(
+                    video_id,
+                    int(kf),
+                    actor,
+                    (x1, y1, min(x1 + w, 1.0), min(y1 + h, 1.0)),
+                    actions=tuple(actions),
+                    score=score,
+                )
+            )
+    return record(video_id, observations)
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ from asadeval.io_formats import (
 )
 from asadeval.matching import build_cost_matrix, solve_assignment
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
-from support import LEFT, RIGHT, obs, record, track_obs
-from test_detection import sweep_ap
-from test_identity import brute_force_idtp, random_instance
-from test_io_formats import random_record
-from test_matching import brute_force_min_cost, random_boxes
+from cost_kinds import random_boxes
+from support import (
+    LEFT, RIGHT, brute_force_idtp, brute_force_min_cost, obs, random_instance, random_record, record, sweep_ap,
+    track_obs,
+)
 
 
 def criterion(number, title):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from asadeval import detection, matching
+from asadeval import matching
 from asadeval.detection import (
     DetectionTally,
     PRPoint,
@@ -17,73 +17,9 @@ from asadeval.detection import (
     tally_frame,
 )
 from asadeval.model import BoundingBox, VideoRecord
-from support import LEFT, RIGHT, greedy_flags, obs, record
+from support import LEFT, RIGHT, greedy_flags, obs, record, sweep_ap
 
 FAR = (0.05, 0.7, 0.25, 0.9)  # disjoint from LEFT and RIGHT
-
-
-def sweep_ap(gt_records, pred_records, iou_threshold=0.5):
-    """Brute-force oracle: evaluate a PR point at every score cutoff, then
-    integrate the interpolated curve. Matching at each cutoff is its own
-    greedy-by-score pass, independent of the ranked-accumulation code path.
-    """
-
-    def frame_iou(a, b):
-        ix = max(0.0, min(a.box.x2, b.box.x2) - max(a.box.x1, b.box.x1))
-        iy = max(0.0, min(a.box.y2, b.box.y2) - max(a.box.y1, b.box.y1))
-        inter = ix * iy
-        area = lambda o: (o.box.x2 - o.box.x1) * (o.box.y2 - o.box.y1)
-        union = area(a) + area(b) - inter
-        return inter / union if union > 0 else 0.0
-
-    gt_frames = {}
-    total_gt = 0
-    for rec in gt_records:
-        for o in rec.observations:
-            gt_frames.setdefault((rec.video_id, o.keyframe), []).append(o)
-            total_gt += 1
-    preds = [
-        (rec.video_id, o)
-        for rec in pred_records
-        for o in rec.observations
-    ]
-    cutoffs = sorted({o.score for _, o in preds}, reverse=True)
-
-    points = []
-    for cutoff in cutoffs:
-        tp = 0
-        n_kept = 0
-        for key, gts in gt_frames.items():
-            frame_preds = [
-                o for vid, o in preds if (vid, o.keyframe) == key and o.score >= cutoff
-            ]
-            frame_preds.sort(key=lambda o: -o.score)
-            taken = [False] * len(gts)
-            for p in frame_preds:
-                best, best_idx = 0.0, -1
-                for idx, g in enumerate(gts):
-                    if taken[idx]:
-                        continue
-                    overlap = frame_iou(g, p)
-                    if overlap > best:
-                        best, best_idx = overlap, idx
-                if best_idx >= 0 and best >= iou_threshold:
-                    taken[best_idx] = True
-                    tp += 1
-        n_kept = sum(1 for _, o in preds if o.score >= cutoff)
-        recall = tp / total_gt
-        precision = tp / n_kept if n_kept else 0.0
-        points.append((recall, precision))
-
-    ap = 0.0
-    prev_recall = 0.0
-    for recall, _ in sorted(points):
-        if recall <= prev_recall:
-            continue
-        p_interp = max(p for r, p in points if r >= recall)
-        ap += (recall - prev_recall) * p_interp
-        prev_recall = recall
-    return ap
 
 
 def test_tally_frame_single_match():
@@ -345,7 +281,7 @@ def test_batched_flags_equal_the_scalar_loop(count, n_gt, n_pred, gate, rnd):
     overlaps = np.array([rnd.choice(IOU_PALETTE) for _ in range(count * n_gt * n_pred)])
     overlaps = overlaps.reshape(count, n_gt, n_pred)
     scores = np.array([rnd.choice((0.2, 0.5, 0.9)) for _ in range(count * n_pred)]).reshape(count, n_pred)
-    flags = detection._greedy_flags(overlaps, scores, gate)
+    flags = matching._greedy_flags(overlaps, scores, gate)
     assert flags.shape == (count, n_pred)
     for stack, row_scores, row in zip(overlaps, scores, flags):
         assert row.tolist() == greedy_flags(stack, row_scores.tolist(), gate)
@@ -372,10 +308,10 @@ def test_corpus_flags_equal_the_scalar_loop_across_chunks(n_keyframes, n_gt, n_p
     aligned = list(zip(gts, preds))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matching, "_IOU_BATCH_ENTRIES", 4 * n_gt * n_pred)
-        ious = matching.frame_ious(aligned)
-        flags = detection._tp_flags(ious, preds, gate)
-    assert max(len(chunk.keys) for chunk in ious.chunks) <= 4
-    for (gt, pred), table, video_flags in zip(aligned, ious.tables, flags):
+        corpus = matching.match_corpus(aligned, gate)
+        flags = corpus.flags
+    assert max(len(chunk.keys) for chunk in corpus.chunks) <= 4
+    for (gt, pred), table, video_flags in zip(aligned, corpus.tables, flags):
         expected = []
         for kf, frame in pred.frames.items():
             scores = [o.score for o in frame]

@@ -6,105 +6,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from asadeval import actions, identity, matching
+from asadeval import identity, matching
 from asadeval.actions import match_pairs
+from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import id_switches, idf1, mt_ml
-from asadeval.matching import build_cost_matrix, gated_cost, gated_pairs, solve_assignment
+from asadeval.matching import gated_cost, solve_assignment
 from asadeval.model import VideoRecord
-from support import LEFT, RIGHT, iou, obs, record, track_obs
-
-
-def brute_force_idtp(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5) -> int:
-    """Exhaustive enumeration over all injective identity pairings."""
-    gt_ids = gt.actor_ids
-    pred_ids = pred.actor_ids
-    if not gt_ids or not pred_ids:
-        return 0
-    overlap = {}
-    for g in gt_ids:
-        for p in pred_ids:
-            count = 0
-            for kf, g_frame in gt.frames.items():
-                p_frame = pred.frames.get(kf, ())
-                g_obs = [o for o in g_frame if o.actor_id == g]
-                p_obs = [o for o in p_frame if o.actor_id == p]
-                if g_obs and p_obs and iou(g_obs[0].box, p_obs[0].box) >= iou_threshold:
-                    count += 1
-            overlap[(g, p)] = count
-    best = 0
-    if len(gt_ids) <= len(pred_ids):
-        for chosen in itertools.permutations(pred_ids, len(gt_ids)):
-            best = max(best, sum(overlap[(g, p)] for g, p in zip(gt_ids, chosen)))
-    else:
-        for chosen in itertools.permutations(gt_ids, len(pred_ids)):
-            best = max(best, sum(overlap[(g, p)] for g, p in zip(chosen, pred_ids)))
-    return best
-
-
-def scalar_id_switches(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5, persistence=True) -> int:
-    """Reference switch count: scalar IoUs and a fresh cost matrix per keyframe."""
-    last_match: dict[int, int] = {}
-    switches = 0
-    for keyframe in sorted(set(gt.frames) | set(pred.frames)):
-        g_frame = list(gt.frames.get(keyframe, ()))
-        p_frame = list(pred.frames.get(keyframe, ()))
-        matches: dict[int, int] = {}
-        if persistence and g_frame and p_frame:
-            by_pred_id = {o.actor_id: o for o in p_frame}
-            claimed: set[int] = set()
-            persisted: set[int] = set()
-            for g_obs in g_frame:
-                prev = last_match.get(g_obs.actor_id)
-                if prev is None or prev in claimed:
-                    continue
-                p_obs = by_pred_id.get(prev)
-                if p_obs is not None and iou(g_obs.box, p_obs.box) >= iou_threshold:
-                    matches[g_obs.actor_id] = prev
-                    claimed.add(prev)
-                    persisted.add(g_obs.actor_id)
-            g_frame = [o for o in g_frame if o.actor_id not in persisted]
-            p_frame = [o for o in p_frame if o.actor_id not in claimed]
-        if g_frame and p_frame:
-            problem = build_cost_matrix(
-                [o.box for o in g_frame], [o.box for o in p_frame], gate=iou_threshold
-            )
-            for g_idx, p_idx in solve_assignment(problem).pairs:
-                matches[g_frame[g_idx].actor_id] = p_frame[p_idx].actor_id
-        for gt_actor, pred_actor in matches.items():
-            prev = last_match.get(gt_actor)
-            if prev is not None and prev != pred_actor:
-                switches += 1
-            last_match[gt_actor] = pred_actor
-    return switches
-
-
-def random_instance(rng: np.random.Generator) -> tuple[VideoRecord, VideoRecord]:
-    n_gt = int(rng.integers(1, 7))
-    n_pred = int(rng.integers(1, 7))
-    n_kf = int(rng.integers(1, 13))
-    cells = [(0.05 + 0.3 * c, 0.05 + 0.3 * r) for r in range(3) for c in range(3)]
-
-    def random_obs(video, kf, actor):
-        # boxes snap near a 3x3 grid of cells so overlaps happen often
-        cx, cy = cells[int(rng.integers(0, len(cells)))]
-        dx, dy = rng.uniform(-0.05, 0.05, size=2)
-        x1, y1 = max(cx + dx, 0.0), max(cy + dy, 0.0)
-        return obs(video, kf, actor, (x1, y1, min(x1 + 0.2, 1.0), min(y1 + 0.2, 1.0)))
-
-    gt_obs = [
-        random_obs("v", kf, actor)
-        for actor in range(1, n_gt + 1)
-        for kf in range(n_kf)
-        if rng.random() < 0.8
-    ]
-    pred_obs = [
-        random_obs("v", kf, actor)
-        for actor in range(1, n_pred + 1)
-        for kf in range(n_kf)
-        if rng.random() < 0.8
-    ]
-    return record("v", gt_obs), record("v", pred_obs)
+from support import (
+    LEFT, RIGHT, brute_force_idtp, obs, random_instance, record, scalar_id_switches, track_obs,
+)
 
 
 def test_idf1_perfect_up_to_relabeling():
@@ -223,13 +134,39 @@ def test_idf1_pairing_is_the_smallest_optimum(overlap):
 
 
 @pytest.mark.parametrize("gate", [0.0, 1.0, 1.5, -0.5, float("nan")])
-@pytest.mark.parametrize("metric", [idf1, mt_ml, id_switches, match_pairs])
+@pytest.mark.parametrize("metric", [
+    idf1, mt_ml, id_switches, match_pairs,
+    pytest.param(lambda gt, pred, gate: average_precision([gt], [pred], gate), id="average_precision"),
+    pytest.param(lambda gt, pred, gate: evaluate_records([gt], [pred], gate), id="evaluate_records"),
+])
 def test_per_family_functions_check_the_gate(metric, gate):
     # With gate 0.0 these disjoint boxes used to count as a hit (IDF1 1.0).
     gt = record("v", [obs("v", 0, 1, LEFT)])
     pred = record("v", [obs("v", 0, 7, RIGHT)])
     with pytest.raises(ValueError, match=r"iou_threshold must lie in \(0, 1\)"):
         metric(gt, pred, gate)
+
+
+@pytest.mark.parametrize("metric, unread", [
+    pytest.param(idf1, ("pairs", "flags"), id="idf1"),
+    pytest.param(lambda gt, pred: average_precision([gt], [pred]), ("pairs",), id="average_precision"),
+    pytest.param(match_pairs, ("flags",), id="match_pairs"),
+    pytest.param(mt_ml, ("flags",), id="mt_ml"),
+    pytest.param(lambda gt, pred: id_switches(gt, pred, persistence=True), ("pairs", "flags"), id="id_switches"),
+])
+def test_per_family_functions_read_only_the_members_they_need(metric, unread, monkeypatch):
+    # A corpus's gated pairs and AP flags are computed on first read, so a
+    # function that reads neither solves no keyframe and runs no greedy matching.
+    def raising(name):
+        def read(corpus):
+            raise AssertionError(f"_CorpusMatch.{name} was read")
+        return property(read)
+
+    for name in unread:
+        monkeypatch.setattr(matching._CorpusMatch, name, raising(name))
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        metric(*random_instance(rng))
 
 
 def test_mt_ml_boundaries_inclusive():
@@ -347,11 +284,13 @@ def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
         calls.append(args)
         return solve_assignment(*args, **kwargs)
 
-    def counting_tables(*args, **kwargs):
-        calls.append(args)
-        return gated_pairs(*args, **kwargs)
+    solve_corpus = matching._CorpusMatch.pairs.func
 
-    monkeypatch.setattr(actions, "gated_pairs", counting_tables)
+    def counting_corpus(corpus):
+        calls.append(corpus)
+        return solve_corpus(corpus)
+
+    monkeypatch.setattr(matching._CorpusMatch, "pairs", property(counting_corpus))
     monkeypatch.setattr(identity, "solve_assignment", counting)
     rng = np.random.default_rng(6)
     corners = {1: LEFT, 2: RIGHT, 3: (0.6, 0.1, 0.8, 0.3)}

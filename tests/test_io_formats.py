@@ -30,9 +30,9 @@ from asadeval.io_formats import (
     write_pr_curve,
     write_report,
 )
-from asadeval.model import BoundingBox, VideoRecord
+from asadeval.model import BoundingBox
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
-from support import LEFT, RIGHT, obs, record
+from support import LEFT, RIGHT, obs, random_record, record
 
 
 def write_text(path, text):
@@ -159,34 +159,6 @@ def test_crlf_lines_accepted(tmp_path):
     )
     (rec,) = parse_annotations(path, role="gt")
     assert len(rec.observations) == 1
-
-
-def random_record(rng: np.random.Generator, video_id: str, role: str) -> VideoRecord:
-    observations = []
-    for actor in range(1, int(rng.integers(1, 5)) + 1):
-        for kf in sorted(rng.choice(20, size=int(rng.integers(1, 6)), replace=False)):
-            x1 = float(rng.uniform(0, 0.6))
-            y1 = float(rng.uniform(0, 0.6))
-            w = float(rng.uniform(0.05, 0.35))
-            h = float(rng.uniform(0.05, 0.35))
-            if role == "pred" and rng.random() < 0.2:
-                actions = frozenset()
-            else:
-                actions = frozenset(
-                    int(l) + 1 for l in rng.choice(80, size=int(rng.integers(1, 4)), replace=False)
-                )
-            score = 1.0 if role == "gt" else float(rng.random())
-            observations.append(
-                obs(
-                    video_id,
-                    int(kf),
-                    actor,
-                    (x1, y1, min(x1 + w, 1.0), min(y1 + h, 1.0)),
-                    actions=tuple(actions),
-                    score=score,
-                )
-            )
-    return record(video_id, observations)
 
 
 @pytest.mark.parametrize("role", ["gt", "pred"])

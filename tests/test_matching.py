@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -9,10 +8,10 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from asadeval import matching
-from asadeval.matching import build_cost_matrix, frame_ious, iou_matrix, solve_assignment
+from asadeval.matching import build_cost_matrix, iou_matrix, match_corpus, solve_assignment
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
-from support import LEFT, iou
+from support import LEFT, brute_force_lex_pairs, brute_force_min_cost, iou
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -26,28 +25,6 @@ def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
     if union == 0:
         return 0.0
     return np.count_nonzero(in_a & in_b) / union
-
-
-def brute_force_min_cost(cost: np.ndarray) -> float:
-    """Exhaustive permutation enumeration of all size-min(r,c) assignments."""
-    return brute_force_lex_pairs(cost)[1]
-
-
-def brute_force_lex_pairs(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
-    """The smallest sorted pair list among the minimum-fsum assignments, and that minimum.
-
-    Enumerates every assignment of size min(rows, cols).
-    """
-    n_rows, n_cols = cost.shape
-    if n_rows <= n_cols:
-        assignments = [list(enumerate(cols)) for cols in itertools.permutations(range(n_cols), n_rows)]
-    else:
-        assignments = [
-            sorted(zip(rows, range(n_cols))) for rows in itertools.permutations(range(n_rows), n_cols)
-        ]
-    totals = [math.fsum(float(cost[pair]) for pair in pairs) for pairs in assignments]
-    best = min(totals)
-    return min(pairs for pairs, total in zip(assignments, totals) if total == best), best
 
 
 def reference_lex_pairs(cost: np.ndarray, best: float) -> list[tuple[int, int]] | None:
@@ -150,9 +127,9 @@ def test_frame_ious_match_scalar_per_frame():
         gt = {kf: random_boxes(rng, int(rng.integers(0, 5))) for kf in range(12)}
         pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(4, 16)}
         videos.append((gt, pred))
-    ious = frame_ious([(boxes_record(gt), boxes_record(pred)) for gt, pred in videos])
-    assert len(ious.tables) == len(videos)
-    for (gt, pred), table in zip(videos, ious.tables):
+    corpus = match_corpus([(boxes_record(gt), boxes_record(pred)) for gt, pred in videos], 0.5)
+    assert len(corpus.tables) == len(videos)
+    for (gt, pred), table in zip(videos, corpus.tables):
         assert list(table) == sorted(kf for kf in range(4, 12) if gt[kf] and pred[kf])
         for kf, matrix in table.items():
             assert matrix.shape == (len(gt[kf]), len(pred[kf]))
@@ -161,8 +138,8 @@ def test_frame_ious_match_scalar_per_frame():
                 for j, p in enumerate(pred[kf]):
                     assert matrix[i, j] == iou(g, p)
     gt, pred = videos[0]
-    assert frame_ious([(boxes_record({0: gt[4]}), boxes_record({1: pred[4]}))]).tables == [{}]
-    assert frame_ious([]).tables == []
+    assert match_corpus([(boxes_record({0: gt[4]}), boxes_record({1: pred[4]}))], 0.5).tables == [{}]
+    assert match_corpus([], 0.5).tables == []
 
 
 def boxes_record(frames):
@@ -455,7 +432,7 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
         for kf in range(0, 40, 5):  # duplicate boxes: gated ties
             pred[kf] = gt[kf] + gt[kf][:1]
         videos.append((boxes_record(gt), boxes_record(pred)))
-    ious = frame_ious(videos)
+    corpus = match_corpus(videos, 0.5)
     singly = []
 
     def counting(cost, drop_gated=True):
@@ -463,14 +440,14 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
         return solve_assignment(cost, drop_gated)
 
     monkeypatch.setattr(matching, "solve_assignment", counting)
-    pairs = matching.gated_pairs(ious, 0.5)
+    pairs = corpus.pairs
     monkeypatch.undo()
-    every = [overlaps for table in ious.tables for overlaps in table.values()]
+    every = [overlaps for table in corpus.tables for overlaps in table.values()]
     uncovered = [overlaps.shape for overlaps in every if not matching._enumerable(overlaps.shape)]
     assert sorted(singly) == sorted(uncovered)
     assert 0 < len(uncovered) < len(every)
-    assert [list(video_pairs) for video_pairs in pairs] == [list(table) for table in ious.tables]
-    for video_pairs, table in zip(pairs, ious.tables):
+    assert [list(video_pairs) for video_pairs in pairs] == [list(table) for table in corpus.tables]
+    for video_pairs, table in zip(pairs, corpus.tables):
         for kf, overlaps in table.items():
             assert video_pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
 
@@ -493,19 +470,19 @@ def test_gated_pairs_bound_each_enumerated_batch(monkeypatch):
         return enumerated_optima(stack, scale)
 
     monkeypatch.setattr(matching, "_enumerated_optima", recording)
-    ious = frame_ious(videos)
-    pairs = matching.gated_pairs(ious, 0.5)
+    corpus = match_corpus(videos, 0.5)
+    pairs = corpus.pairs
     monkeypatch.undo()
-    assert len(batches) == len(ious.chunks)
-    for chunk in ious.chunks:
+    assert len(batches) == len(corpus.chunks)
+    for chunk in corpus.chunks:
         count, *shape = chunk.ious.shape
         assert count == len(chunk.keys) and chunk.ious.size <= matching._IOU_BATCH_ENTRIES
         assert count * matching._assignment_table(*shape)[0].size <= matching._ENUMERATED_BATCH_ENTRIES
-    wide = [chunk for chunk in ious.chunks if chunk.ious.shape[1:] == (3, 10)]
+    wide = [chunk for chunk in corpus.chunks if chunk.ious.shape[1:] == (3, 10)]
     assert sum(len(chunk.keys) for chunk in wide) == 100 and 1 < len(wide) < 10
     assert len({v for v, _ in wide[0].keys}) > 1
     assert [shape[0] for shape in batches if shape[1:] == (2, 2)] == [10]
-    for video_pairs, table in zip(pairs, ious.tables):
+    for video_pairs, table in zip(pairs, corpus.tables):
         for kf, overlaps in table.items():
             assert video_pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
 
@@ -531,14 +508,14 @@ def test_gated_pairs_do_not_depend_on_the_chunk(n_gt, n_pred, n_others, rnd):
     for _ in range(n_others):
         gt = [BoundingBox(*LEFT)] + [near(base) for _ in range(n_gt - 1)]
         others.append((boxes_record({0: gt}), boxes_record({0: [near(base) for _ in range(n_pred)]})))
-    single = frame_ious([alone])
-    mixed = frame_ious(others[: n_others // 2] + [alone] + others[n_others // 2 :])
+    single = match_corpus([alone], 0.3)
+    mixed = match_corpus(others[: n_others // 2] + [alone] + others[n_others // 2 :], 0.3)
     (chunk,) = mixed.chunks
     costs = matching.gated_cost(chunk.ious, 0.3)
     assert costs.max() == 1.0 > matching.gated_cost(single.chunks[0].ious, 0.3).max()
     expected = solve_assignment(matching.gated_cost(single.tables[0][0], 0.3)).pairs
-    assert matching.gated_pairs(single, 0.3)[0][0] == expected
-    assert matching.gated_pairs(mixed, 0.3)[n_others // 2][0] == expected
+    assert single.pairs[0][0] == expected
+    assert mixed.pairs[n_others // 2][0] == expected
 
 
 @pytest.mark.parametrize("cost, drop_gated, expected", [

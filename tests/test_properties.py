@@ -24,9 +24,7 @@ from asadeval.io_formats import (
 from asadeval.model import VideoRecord
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
-from support import LEFT, RIGHT, obs, record, validate_record
-from test_detection import sweep_ap
-from test_identity import brute_force_idtp, scalar_id_switches
+from support import LEFT, RIGHT, brute_force_idtp, obs, record, scalar_id_switches, sweep_ap, validate_record
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Check that this checkout's `evaluate_records` agrees with another checkout's on generated corpora.
+"""Check that this checkout's evaluation agrees with another checkout's on generated corpora.
 
     git archive HEAD~1 | tar -x -C /tmp/parent
     python tools/check_eval_parity.py /tmp/parent/src [--corpora 300] [--seed 0]
@@ -14,13 +14,18 @@ and across videos. Some videos keep only one side. Many videos thus share
 keyframe shapes, which the evaluation batches across the corpus. Both copies
 evaluate every corpus at gates 0.3, 0.5 and 0.7, with ID persistence on and
 off; the `report_to_dict` JSON and the `write_pr_curve` bytes must match
-exactly, or else the exception's type and message. Prints the first
+exactly, or else the exception's type and message. At each gate, both copies
+also run the public per-family functions on every video of the corpus:
+`idf1`, `mt_ml`, `id_switches` with persistence on and off, `match_pairs`
+with `hamming_loss` of its pairs, and `average_precision` of the video
+alone; their results must match as plain values. Prints the first
 differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -121,9 +126,32 @@ def converted(package, records):
     ]
 
 
+def family_values(package, gt, pred, gate: float) -> tuple:
+    """The public per-family functions on one ``(gt, pred)`` video at ``gate``, as plain values."""
+    score, ids = package.idf1(gt, pred, gate)
+    pairs = package.match_pairs(gt, pred, gate)
+    return (
+        score,
+        dataclasses.astuple(ids),
+        dataclasses.astuple(package.mt_ml(gt, pred, gate)),
+        [package.id_switches(gt, pred, gate, persistence) for persistence in (True, False)],
+        [(pair.gt.keyframe, pair.gt.actor_id, pair.pred.actor_id) for pair in pairs.pairs],
+        dataclasses.astuple(package.hamming_loss(pairs, N_LABELS)),
+        dataclasses.astuple(package.average_precision([gt], [pred], gate)),
+    )
+
+
 def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
-    """("report", JSON, PR-curve bytes) or ("raised", type, message) at every gate and persistence."""
+    """Each gate's ("report", JSON, PR-curve bytes) per persistence, then ("video", id, values) per video.
+
+    An evaluation or a video that raises gives ("raised", type, message) instead.
+    """
     gts, preds = converted(package, gts), converted(package, preds)
+    sides = [{record.video_id: record for record in records} for records in (gts, preds)]
+    videos = [
+        tuple(side.get(video_id, package.VideoRecord(video_id)) for side in sides)
+        for video_id in sorted(sides[0].keys() | sides[1].keys())
+    ]
     results = []
     for gate in GATES:
         for persistence in (True, False):
@@ -135,6 +163,11 @@ def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
                 text = json.dumps(io.report_to_dict(report), sort_keys=True)
                 results.append(("report", text, Path(path).read_bytes()))
             except Exception as exc:  # a crash is an outcome to compare, not a stop
+                results.append(("raised", type(exc).__name__, str(exc)))
+        for gt, pred in videos:
+            try:
+                results.append(("video", gt.video_id, family_values(package, gt, pred, gate)))
+            except Exception as exc:
                 results.append(("raised", type(exc).__name__, str(exc)))
     return results
 
@@ -168,8 +201,8 @@ def main(argv=None) -> int:
                             print(f"  here:  {mine!r:.300}\n  other: {theirs!r:.300}")
     print(
         f"{args.corpora} corpora ({tally['videos']} videos, {tally['predictions']} predictions), "
-        f"{len(GATES) * 2} evaluations each per side: {tally['report']} reports, "
-        f"{tally['raised']} raised; {differences} corpora differ"
+        f"{len(GATES) * 2} evaluations each per side: {tally['report']} reports and "
+        f"{tally['video']} per-video family checks, {tally['raised']} raised; {differences} corpora differ"
     )
     return 1 if differences else 0
 
