@@ -160,7 +160,7 @@ def _load_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:  # malformed JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not UTF-8
             raise _UsageError(f"config file {path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise _UsageError(f"config file {path}: expected a JSON object")
@@ -355,7 +355,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for line in exc.errors:
             print(line, file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a number past what numpy takes
         print(f"asadeval: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -1,26 +1,23 @@
 """Spatial detection scoring: TP/FP/FN tallies, precision/recall, and AP.
 
 There is a single "actor" class, so the summary metric is plain Average
-Precision at a given IoU threshold (AP@0.5 by default). Predictions from all
-videos are pooled into one global confidence ranking and the area under the
-all-point interpolated precision-recall curve is integrated over every
-recall increment.
+Precision at a given IoU threshold (AP@0.5 by default): the all-point
+interpolated AP of PASCAL VOC, with the predictions of all videos pooled
+into one confidence ranking.
 
-AP takes two steps: `rank_predictions` ranks each video's predictions as
-``(score, is_tp)`` pairs, and `curve_from_ranked` computes AP, the tally and
-the tie flag from a ranking. The TP flags are the `match_corpus` result's
-``flags``: the greedy matching of every keyframe of a corpus, one vectorized
-pass per chunk. `pool_rankings` of the per-video lists, in video_id order,
-is exactly the pooled ranking. A `PRCurve` holds the ranking and builds its
-`PRPoint`s on first read, so a curve nobody writes costs no points.
+AP takes two steps. `rank_predictions` gives each video's scores and TP
+flags as arrays in observation order; the flags are the `match_corpus`
+result's ``flags``, the greedy matching of every keyframe. `curve_from_ranked`
+ranks the predictions of the videos it is given with one stable sort and
+sums AP from the `PRCurve`'s ``columns``, the same recall, precision and
+p_interp columns that `write_pr_curve` writes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -42,47 +39,22 @@ class DetectionTally:
 
 
 @dataclass(frozen=True)
-class PRPoint:
-    """One ranked prediction on the precision-recall curve."""
-
-    rank: int
-    score: float
-    is_tp: bool
-    recall: float
-    precision: float
-    p_interp: float
-
-
-@dataclass(frozen=True)
 class PRCurve:
-    """Ranked precision-recall points with interpolated precision.
-
-    Holds the ranked ``(score, is_tp)`` pairs and the number of ground-truth
-    boxes they were matched against; `points` is built on first read.
-    Recall is non-decreasing down the ranking and p_interp(r) is the maximum
-    precision at any recall >= r, hence non-increasing.
-    """
+    """Ranked ``(score, is_tp)`` pairs and the number of ground-truth boxes they were matched against."""
 
     ranked: tuple[tuple[float, bool], ...] = ()
     n_gt: int = 0
 
     @cached_property
-    def points(self) -> tuple[PRPoint, ...]:
-        """One point per ranked prediction; none without ground truth."""
-        if self.n_gt == 0:
-            return ()
-        cum_tp = 0
-        raw: list[tuple[float, bool, float, float]] = []
-        for rank, (score, is_tp) in enumerate(self.ranked, start=1):
-            cum_tp += is_tp
-            raw.append((score, is_tp, cum_tp / self.n_gt, cum_tp / rank))
-        interp = [0.0] * len(raw)
-        running_max = 0.0
-        for i in range(len(raw) - 1, -1, -1):
-            running_max = max(running_max, raw[i][3])
-            interp[i] = running_max
-        # raw holds (score, is_tp, recall, precision), PRPoint's fields after rank.
-        return tuple(PRPoint(i + 1, *raw[i], p_interp=interp[i]) for i in range(len(raw)))
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Recall, precision and p_interp at each rank; empty without ground truth.
+
+        Recall is non-decreasing down the ranking, and p_interp, the largest
+        precision at this rank or a later one, is non-increasing.
+        """
+        cum_tp = np.cumsum([is_tp for _, is_tp in self.ranked] if self.n_gt else [], dtype=np.int64)
+        precision = cum_tp / np.arange(1, len(cum_tp) + 1)
+        return cum_tp / self.n_gt, precision, np.maximum.accumulate(precision[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -135,63 +107,52 @@ def precision_recall(tally: DetectionTally) -> tuple[float, float]:
     return precision, recall
 
 
-def rank_predictions(corpus: _CorpusMatch) -> list[list[tuple[float, bool]]]:
-    """Step one of AP: each video's predictions as ``(score, is_tp)``, ranked.
+def rank_predictions(corpus: _CorpusMatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Step one of AP: each video's prediction scores and TP flags, in observation order.
 
     The TP flags are the corpus's ``flags``: `tally_frame`'s greedy matching
     of every keyframe.
     """
     return [
-        pool_rankings([list(zip([o.score for o in pred.observations], flags.tolist()))])
+        (np.array([o.score for o in pred.observations], dtype=float), flags)
         for (_, pred), flags in zip(corpus.videos, corpus.flags)
     ]
 
 
-def pool_rankings(rankings: Iterable[Sequence[tuple[float, bool]]]) -> list[tuple[float, bool]]:
-    """``(score, is_tp)`` lists concatenated, then stably sorted by descending score."""
-    return sorted(itertools.chain.from_iterable(rankings), key=lambda item: -item[0])
+def curve_from_ranked(rankings: Sequence[tuple[np.ndarray, np.ndarray]], n_gt: int) -> APResult:
+    """Step two of AP: the AP, tally and PR curve of the given videos' predictions, ranked together.
 
-
-def curve_from_ranked(ranked: Sequence[tuple[float, bool]], n_gt: int) -> APResult:
-    """Step two of AP: the AP, tally and PR curve of ranked ``(score, is_tp)`` pairs.
-
-    ``n_gt`` is the number of ground-truth boxes the flags were matched
-    against. Equal adjacent scores set ``had_score_ties``. AP sums recall
-    increments times the interpolated precision at the higher recall, with
-    the float operations of summing over the curve's points in rank order.
+    ``rankings`` holds `rank_predictions` entries, and ``n_gt`` is the number
+    of ground-truth boxes their flags were matched against. One stable sort
+    by descending score ranks every prediction, so equal scores keep video
+    order, then observation order; equal adjacent scores set
+    ``had_score_ties``. AP sums each TP rank's recall step times its
+    p_interp, in rank order and one addition at a time (`np.cumsum`, not
+    the pairwise `np.sum`).
     """
-    had_ties = any(ranked[i][0] == ranked[i + 1][0] for i in range(len(ranked) - 1))
+    scores = np.concatenate([np.zeros(0)] + [scores for scores, _ in rankings])
+    flags = np.concatenate([np.zeros(0, dtype=bool)] + [flags for _, flags in rankings])
+    order = np.argsort(-scores, kind="stable")
+    scores, flags = scores[order], flags[order]
+    had_ties = bool((scores[1:] == scores[:-1]).any())
     if n_gt == 0:
         return APResult(
             ap=None,
             reason=AP_NO_GROUND_TRUTH,
             curve=PRCurve(),
-            tally=DetectionTally(tp=0, fp=len(ranked), fn=0),
+            tally=DetectionTally(tp=0, fp=len(scores), fn=0),
             had_score_ties=had_ties,
         )
 
-    # Only a TP's point can add to AP: at a FP rank recall repeats the last
-    # TP's. And a TP's interpolated precision, the largest precision at its
-    # rank or a later one, is a TP's precision: a FP's is below that of the
-    # last TP ranked before it. So summing over the TP points alone takes the
-    # same float operations as summing over every point.
-    tp_ranks = [rank for rank, (_, is_tp) in enumerate(ranked, start=1) if is_tp]
-    precisions = [cum_tp / rank for cum_tp, rank in enumerate(tp_ranks, start=1)]
-    interp = list(itertools.accumulate(reversed(precisions), max))[::-1]
-    ap = 0.0
-    prev_recall = 0.0
-    for cum_tp, p_interp in enumerate(interp, start=1):
-        recall = cum_tp / n_gt
-        if recall > prev_recall:
-            ap += (recall - prev_recall) * p_interp
-            prev_recall = recall
-
-    n_tp = len(tp_ranks)
+    curve = PRCurve(ranked=tuple(zip(scores.tolist(), flags.tolist())), n_gt=n_gt)
+    recall, _, p_interp = curve.columns
+    steps = np.diff(recall[flags], prepend=0.0) * p_interp[flags]
+    n_tp = len(steps)
     return APResult(
-        ap=ap,
+        ap=float(np.cumsum(np.append(0.0, steps))[-1]),
         reason=None,
-        curve=PRCurve(ranked=tuple(ranked), n_gt=n_gt),
-        tally=DetectionTally(tp=n_tp, fp=len(ranked) - n_tp, fn=n_gt - n_tp),
+        curve=curve,
+        tally=DetectionTally(tp=n_tp, fp=len(scores) - n_tp, fn=n_gt - n_tp),
         had_score_ties=had_ties,
     )
 
@@ -203,11 +164,12 @@ def average_precision(
 ) -> APResult:
     """Area under the interpolated precision-recall curve, pooled over videos.
 
-    The two steps composed: `rank_predictions` per video, pooled in video_id
+    The two steps composed: `rank_predictions` of the videos in video_id
     order whatever order the records arrive in (the order `evaluate_records`
-    pools in), then `curve_from_ranked` against every ground-truth box. A
-    repeated video_id, or a gate outside (0, 1), is a ValueError.
+    pools in), then `curve_from_ranked` of them all against every
+    ground-truth box. A repeated video_id, or a gate outside (0, 1), is a
+    ValueError.
     """
     corpus = match_corpus(aligned_records(gt_records, pred_records), iou_threshold)
     n_gt = sum(len(gt.observations) for gt, _ in corpus.videos)
-    return curve_from_ranked(pool_rankings(rank_predictions(corpus)), n_gt)
+    return curve_from_ranked(rank_predictions(corpus), n_gt)

@@ -7,8 +7,8 @@ corpus, batching the keyframes of all videos by shape, and each metric
 reader (AP's ranking, IDF1, the pair sets that MT/ML and HL read, and the
 switch counter) takes that one object and returns one result per video.
 The gated pairs and AP's TP flags are computed on first read, across
-videos. The aggregate detection curve merges the per-video ranked TP flags
-into one global ranking without matching again, and the report carries
+videos. The aggregate detection curve ranks every video's scores and TP
+flags together, without matching again, and the report carries
 that pooled `APResult` (outside its JSON) for whoever writes the PR curve;
 identification, MT/ML, switch and matched action-pair tallies sum across
 videos. One builder makes every `MetricBlock`, per video and aggregate, so
@@ -20,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .actions import HammingResult, _hamming_result, hamming_loss, pair_sets
-from .detection import APResult, curve_from_ranked, pool_rankings, rank_predictions
+from .detection import APResult, curve_from_ranked, rank_predictions
 from .identity import IdMatchResult, MtMlResult, id_counts, mt_ml_from_pairs, switch_counts
 from .matching import DEFAULT_IOU_GATE, match_corpus
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
@@ -108,7 +110,7 @@ def _metric_block(
 
 
 def _aggregate_block(
-    blocks: Sequence[MetricBlock], rankings: Sequence[Sequence[tuple[float, bool]]], n_labels: int
+    blocks: Sequence[MetricBlock], rankings: Sequence[tuple[np.ndarray, np.ndarray]], n_labels: int
 ) -> tuple[MetricBlock, APResult]:
     """Reduce per-video blocks and rankings, in video_id order, to the aggregate block and its pooled AP."""
 
@@ -121,7 +123,7 @@ def _aggregate_block(
     ids = IdMatchResult(idtp, idfp, idfn, pairing=(), vacuous=idtp + idfp + idfn == 0)
     tracks = MtMlResult(total("mt_count"), total("ml_count"), total("n_gt_tracklets"), coverage=())
     # The pooled ranking of every prediction against every GT observation.
-    pooled = curve_from_ranked(pool_rankings(rankings), idtp + idfn)
+    pooled = curve_from_ranked(rankings, idtp + idfn)
     hl = _hamming_result(total("wrong_label_bits"), total("n_matched_pairs"), n_labels)
     return _metric_block(pooled, ids, tracks, total("id_switches"), hl), pooled
 
@@ -162,13 +164,13 @@ def evaluate_records(
     )
     per_video = {
         gt.video_id: _metric_block(
-            curve_from_ranked(ranked, len(gt.observations)),
+            curve_from_ranked([ranking], len(gt.observations)),
             ids,
             mt_ml_from_pairs(gt, pairs),
             switches,
             hamming_loss(pairs, n_labels),
         )
-        for (gt, _), ranked, ids, pairs, switches in results
+        for (gt, _), ranking, ids, pairs, switches in results
     }
     aggregate, pooled_ap = _aggregate_block(list(per_video.values()), rankings, n_labels)
 

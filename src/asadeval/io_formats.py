@@ -728,7 +728,7 @@ def read_report(path: str) -> EvalReport:
     with open(path, encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except ValueError as exc:  # malformed JSON or not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed, too deeply nested or not UTF-8
             raise FormatError([f"{path}: invalid JSON: {exc}"]) from exc
     return report_from_dict(data)
 
@@ -759,7 +759,7 @@ def sidecar_n_labels(annotation_path: str) -> Optional[int]:
     try:
         with open(manifest_path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, ValueError):  # ValueError: malformed JSON or not UTF-8
+    except (OSError, ValueError, RecursionError):  # malformed, too deeply nested or not UTF-8
         return None
     if not isinstance(data, dict):
         return None
@@ -776,8 +776,13 @@ def write_bench_table(rows: Sequence[dict], path: str) -> None:
 
 
 def write_pr_curve(result: APResult, path: str) -> None:
-    """The ranked PR curve, one row per prediction, for offline inspection."""
+    """The ranked PR curve, one row per prediction, for offline inspection.
+
+    The recall, precision and p_interp columns are the curve's ``columns``,
+    the ones its AP was summed from; a curve without ground truth has no rows.
+    """
+    columns = [column.tolist() for column in result.curve.columns]
     _write_table(path, PR_CURVE_COLUMNS, (
-        (p.rank, p.score, int(p.is_tp), int(not p.is_tp), p.recall, p.precision, p.p_interp)
-        for p in result.curve.points
+        (rank, score, int(is_tp), int(not is_tp), *values)
+        for rank, ((score, is_tp), *values) in enumerate(zip(result.curve.ranked, *columns), start=1)
     ))

@@ -225,6 +225,22 @@ def test_synth_non_finite_noise_is_usage_error(tmp_path, capsys, flag, value, fi
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_synth_number_too_large_for_numpy_is_usage_error(tmp_path, capsys, via):
+    # Each value passes its own check but is past what numpy's generator takes.
+    argv = ["synth", "--out", str(tmp_path / "x")]
+    if via == "flag":
+        argv += ["--labels", "1" + "0" * 30]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text('{"box_jitter": 1' + "0" * 400 + "}")
+        argv += ["--config", str(config)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("asadeval: error: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_synth_negative_seed_is_usage_error(tmp_path, capsys):
     assert main(["synth", "--seed", "-1", "--out", str(tmp_path / "x")]) == EXIT_USAGE
     assert "synth: seed must be >= 0" in capsys.readouterr().err
@@ -383,6 +399,26 @@ def test_evaluate_ignores_a_manifest_that_is_not_utf8(identity_fixture, tmp_path
     assert code == EXIT_OK
     assert json.loads(report_path.read_text())["config"]["n_labels"] == 80
     assert capsys.readouterr().err == ""
+
+
+def test_evaluate_ignores_a_manifest_nested_too_deeply(identity_fixture, tmp_path, capsys):
+    gt_path, pred_path = identity_fixture
+    (gt_path.parent / "manifest.json").write_text("[" * 200000)
+    report_path = tmp_path / "report.json"
+    code = main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path),
+                 "--report", str(report_path)])
+    assert code == EXIT_OK
+    assert json.loads(report_path.read_text())["config"]["n_labels"] == 80
+    assert capsys.readouterr().err == ""
+
+
+def test_config_file_nested_too_deeply_is_usage_error_naming_the_file(identity_fixture, tmp_path, capsys):
+    gt_path, pred_path = identity_fixture
+    config = tmp_path / "config.json"
+    config.write_text("[" * 200000)
+    assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--config", str(config)]) == EXIT_USAGE
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"asadeval: error: config file {config}: invalid JSON: ")
 
 
 @pytest.mark.parametrize("command", ["evaluate", "track", "synth", "bench"])

@@ -1,5 +1,6 @@
-import math
-from dataclasses import astuple
+import csv
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 from asadeval import matching
 from asadeval.detection import (
     DetectionTally,
-    PRPoint,
     average_precision,
     curve_from_ranked,
-    pool_rankings,
     precision_recall,
     tally_frame,
 )
+from asadeval.cli import EXIT_OK, main
+from asadeval.io_formats import write_annotations
 from asadeval.model import BoundingBox, VideoRecord
 from support import LEFT, RIGHT, greedy_flags, obs, record, sweep_ap
 
@@ -71,7 +72,8 @@ def test_ap_single_gt_high_scored_fp():
     result = average_precision([gt], [pred])
     assert result.ap == pytest.approx(0.5, abs=1e-12)
     assert result.ap == pytest.approx(sweep_ap([gt], [pred]), abs=1e-12)
-    assert [(p.recall, p.precision) for p in result.curve.points] == [(0.0, 0.0), (1.0, 0.5)]
+    recall, precision, _ = result.curve.columns
+    assert list(zip(recall.tolist(), precision.tolist())) == [(0.0, 0.0), (1.0, 0.5)]
 
 
 def test_ap_two_gt_interleaved_fp():
@@ -89,7 +91,7 @@ def test_ap_two_gt_interleaved_fp():
     assert result.ap == pytest.approx(expected, abs=1e-12)
     assert result.ap == pytest.approx(sweep_ap([gt], [pred]), abs=1e-12)
     # interpolated precision at full recall is 2/3
-    assert result.curve.points[-1].p_interp == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert result.curve.columns[2][-1] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_ap_no_ground_truth_reports_null():
@@ -109,38 +111,44 @@ def test_ap_rejects_repeated_videos():
         average_precision([gt, gt], [pred])
 
 
+def random_scene(rng, vid, scores=None):
+    """GT boxes on 4 keyframes, noisy copies of most of them and pure noise, scored at random or from ``scores``."""
+
+    def score():
+        return float(rng.random()) if scores is None else float(rng.choice(scores))
+
+    gt_obs, pred_obs = [], []
+    actor = 1
+    for kf in range(4):
+        for _ in range(int(rng.integers(0, 4))):
+            x1, y1 = rng.uniform(0, 0.7, size=2)
+            w, h = rng.uniform(0.1, 0.3, size=2)
+            coords = (x1, y1, min(x1 + w, 1.0), min(y1 + h, 1.0))
+            gt_obs.append(obs(vid, kf, actor, coords))
+            actor += 1
+            if rng.random() < 0.8:  # noisy copy of the gt box
+                dx = rng.uniform(-0.05, 0.05)
+                shifted = (
+                    min(max(coords[0] + dx, 0.0), 0.99),
+                    coords[1],
+                    min(coords[2] + dx, 1.0),
+                    coords[3],
+                )
+                pred_obs.append(obs(vid, kf, actor, shifted, score=score()))
+                actor += 1
+        for _ in range(int(rng.integers(0, 3))):  # pure noise
+            x1, y1 = rng.uniform(0, 0.7, size=2)
+            pred_obs.append(obs(vid, kf, actor, (x1, y1, x1 + 0.1, y1 + 0.1), score=score()))
+            actor += 1
+    return record(vid, gt_obs), record(vid, pred_obs)
+
+
 def test_ap_matches_sweep_oracle_on_random_scenes():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        gt_obs, pred_obs = [], []
-        actor = 1
-        for kf in range(4):
-            for _ in range(int(rng.integers(0, 4))):
-                x1, y1 = rng.uniform(0, 0.7, size=2)
-                w, h = rng.uniform(0.1, 0.3, size=2)
-                coords = (x1, y1, min(x1 + w, 1.0), min(y1 + h, 1.0))
-                gt_obs.append(obs("v", kf, actor, coords))
-                actor += 1
-                if rng.random() < 0.8:  # noisy copy of the gt box
-                    dx = rng.uniform(-0.05, 0.05)
-                    shifted = (
-                        min(max(coords[0] + dx, 0.0), 0.99),
-                        coords[1],
-                        min(coords[2] + dx, 1.0),
-                        coords[3],
-                    )
-                    pred_obs.append(obs("v", kf, actor, shifted, score=float(rng.random())))
-                    actor += 1
-            for _ in range(int(rng.integers(0, 3))):  # pure noise
-                x1, y1 = rng.uniform(0, 0.7, size=2)
-                pred_obs.append(
-                    obs("v", kf, actor, (x1, y1, x1 + 0.1, y1 + 0.1), score=float(rng.random()))
-                )
-                actor += 1
-        if not gt_obs:
+        gt, pred = random_scene(rng, "v")
+        if not gt.observations:
             continue
-        gt = record("v", gt_obs)
-        pred = record("v", pred_obs)
         result = average_precision([gt], [pred])
         assert result.ap == pytest.approx(sweep_ap([gt], [pred]), abs=1e-12)
 
@@ -187,7 +195,7 @@ def test_interpolated_precision_non_increasing():
         coords = LEFT if rng.random() < 0.6 else FAR
         preds.append(obs("v", kf, 2, coords, score=float(rng.random())))
     result = average_precision([gt], [record("v", preds)])
-    interp = [p.p_interp for p in result.curve.points]
+    interp = result.curve.columns[2].tolist()
     assert all(interp[i] >= interp[i + 1] for i in range(len(interp) - 1))
 
 
@@ -205,7 +213,7 @@ def test_pooled_ap_matches_within_video_and_keyframe():
         record("b", [obs("b", 0, 1, LEFT, score=0.9)]),
     ]
     result = average_precision(gts, preds)
-    assert [p.is_tp for p in result.curve.points] == [False, True]
+    assert [is_tp for _, is_tp in result.curve.ranked] == [False, True]
     assert result.tally == DetectionTally(tp=1, fp=1, fn=1)
     assert result.ap == pytest.approx(sweep_ap(gts, preds), abs=1e-12)
 
@@ -218,7 +226,7 @@ def test_tied_scores_earlier_prediction_claims_the_box():
     pred = record("v", [obs("v", 0, 5, LEFT, score=0.7), obs("v", 0, 3, near, score=0.7)])
     result = average_precision([gt], [pred])
     assert result.had_score_ties
-    assert [p.is_tp for p in result.curve.points] == [True, False]
+    assert [is_tp for _, is_tp in result.curve.ranked] == [True, False]
     assert result.tally == DetectionTally(tp=1, fp=1, fn=0)
     tally, flags = tally_frame(
         [BoundingBox(*LEFT)], [(BoundingBox(*near), 0.7), (BoundingBox(*LEFT), 0.7)]
@@ -228,44 +236,82 @@ def test_tied_scores_earlier_prediction_claims_the_box():
 
 
 def eager_curve(ranked, n_gt):
-    """Reference: every PRPoint made up front, then AP summed over all of them."""
+    """Reference: every point's (rank, score, is_tp, recall, precision, p_interp), then AP summed over all of them."""
     cum_tp = 0
     raw = []
     for rank, (score, is_tp) in enumerate(ranked, start=1):
         cum_tp += is_tp
-        raw.append((score, is_tp, cum_tp / n_gt, cum_tp / rank))
+        raw.append((rank, score, is_tp, cum_tp / n_gt, cum_tp / rank))
     interp = [0.0] * len(raw)
     running_max = 0.0
     for i in range(len(raw) - 1, -1, -1):
-        running_max = max(running_max, raw[i][3])
+        running_max = max(running_max, raw[i][4])
         interp[i] = running_max
-    points = [PRPoint(i + 1, *raw[i], p_interp=interp[i]) for i in range(len(raw))]
+    points = [(*raw[i], interp[i]) for i in range(len(raw))]
     ap = 0.0
     prev_recall = 0.0
-    for point in points:
-        if point.recall > prev_recall:
-            ap += (point.recall - prev_recall) * point.p_interp
-            prev_recall = point.recall
+    for _, _, _, recall, _, p_interp in points:
+        if recall > prev_recall:
+            ap += (recall - prev_recall) * p_interp
+            prev_recall = recall
     return points, ap
+
+
+def ranked_together(videos):
+    """The videos' ``(score, is_tp)`` pairs concatenated, then stably sorted by descending score."""
+    return sorted(itertools.chain.from_iterable(videos), key=lambda item: -item[0])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
-    st.lists(st.tuples(st.sampled_from([0.2, 0.5, 0.7, 0.9, 1.0]), st.booleans()), max_size=40),
+    st.lists(
+        st.lists(st.tuples(st.sampled_from([0.2, 0.5, 0.7, 0.9, 1.0]), st.booleans()), max_size=20),
+        max_size=3,
+    ),
     st.integers(0, 7),
 )
-@example([(0.9, False), (0.5, True), (0.5, False), (0.2, True)], 3)
-def test_points_built_on_read_equal_the_eager_ones(flagged, missed):
-    ranked = pool_rankings([flagged])
+@example([[(0.9, False), (0.5, True)], [(0.5, False), (0.2, True)]], 3)
+def test_columns_and_ap_equal_the_eager_oracle(videos, missed):
+    rankings = [
+        (np.array([score for score, _ in video], dtype=float), np.array([is_tp for _, is_tp in video], dtype=bool))
+        for video in videos
+    ]
+    ranked = ranked_together(videos)
     n_tp = sum(is_tp for _, is_tp in ranked)
-    result = curve_from_ranked(ranked, n_tp + missed)
+    result = curve_from_ranked(rankings, n_tp + missed)
     if n_tp + missed == 0:
-        assert result.ap is None and result.curve.points == ()
+        assert result.ap is None and all(len(column) == 0 for column in result.curve.columns)
         return
     points, ap = eager_curve(ranked, n_tp + missed)
-    assert [repr(astuple(p)) for p in result.curve.points] == [repr(astuple(p)) for p in points]
+    assert result.curve.ranked == tuple(ranked)
+    columns = [column.tolist() for column in result.curve.columns]
+    assert [repr(point[3:]) for point in points] == [repr(values) for values in zip(*columns)]
     assert result.ap.hex() == ap.hex()
     assert result.tally == DetectionTally(tp=n_tp, fp=len(ranked) - n_tp, fn=missed)
+
+
+def test_written_pr_curve_recomputes_the_reported_ap(tmp_path):
+    # Five videos whose scores tie within and across videos.
+    rng = np.random.default_rng(5)
+    gts, preds = [], []
+    for video in range(5):
+        gt, pred = random_scene(rng, f"v{video}", scores=(0.3, 0.6, 0.9))
+        gts.append(gt)
+        preds.append(pred)
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "pred.csv"
+    write_annotations(gts, str(gt_path), role="gt")
+    write_annotations(preds, str(pred_path), role="pred")
+    assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--labels", "1",
+                 "--report", str(tmp_path / "report.json"), "--pr-curve", str(tmp_path / "pr.csv")]) == EXIT_OK
+    aggregate = json.loads((tmp_path / "report.json").read_text())["aggregate"]
+    assert "score_ties" in aggregate["flags"]
+    with open(tmp_path / "pr.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    points, ap = eager_curve([(float(row["score"]), row["tp"] == "1") for row in rows],
+                             aggregate["tp"] + aggregate["fn"])
+    assert ap.hex() == aggregate["ap"].hex()
+    assert [(int(row["rank"]), float(row["recall"]), float(row["precision"]), float(row["p_interp"]))
+            for row in rows] == [(rank, recall, precision, p_interp) for rank, _, _, recall, precision, p_interp in points]
 
 
 # IoUs of a small palette, the gates among them, so overlaps tie and can sit on the gate.

@@ -683,6 +683,13 @@ def test_report_that_is_not_json_is_a_format_error_naming_the_file(tmp_path, dat
         read_report(str(path))
 
 
+def test_report_nested_too_deeply_is_a_format_error_naming_the_file(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text("[" * 200000)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: invalid JSON: "):
+        read_report(str(path))
+
+
 def test_report_accepts_an_integer_ratio_and_null_optionals(tmp_path):
     data = report_to_dict(sample_report())
     data["aggregate"].update(idf1=1, ap=None, ap_reason="no predictions")

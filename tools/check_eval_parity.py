@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
-import importlib.util
 import json
 import sys
 import tempfile
@@ -42,23 +40,12 @@ sys.path.insert(0, str(REPO / "src"))
 
 import asadeval  # noqa: E402
 from asadeval import io_formats, synthetic  # noqa: E402
+from other_checkout import load_other  # noqa: E402
 
 GATES = (0.3, 0.5, 0.7)
 SCORES = (0.25, 0.5, 0.75, 0.9, 1.0)
 N_LABELS = 8
 SHOWN_DIFFERENCES = 20
-
-
-def load_other(src: Path):
-    """The `asadeval` in ``src``, imported as the package ``asadeval_other``."""
-    package = src / "asadeval"
-    spec = importlib.util.spec_from_file_location(
-        "asadeval_other", package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["asadeval_other"] = module
-    spec.loader.exec_module(module)
-    return module, importlib.import_module("asadeval_other.io_formats")
 
 
 def prediction(rng: np.random.Generator, gt):
@@ -178,7 +165,7 @@ def main(argv=None) -> int:
     parser.add_argument("--corpora", type=int, default=300, help="number of corpora (default 300)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the corpora (default 0)")
     args = parser.parse_args(argv)
-    other, other_io = load_other(args.other_src.resolve())
+    other, other_io = load_other(args.other_src.resolve(), "io_formats")
 
     rng = np.random.default_rng(args.seed)
     tally: Counter = Counter()

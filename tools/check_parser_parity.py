@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib
-import importlib.util
 import random
 import sys
 import tempfile
@@ -38,22 +36,9 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from asadeval import association, io_formats  # noqa: E402
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs  # noqa: E402
+from other_checkout import load_other  # noqa: E402
 
 SHOWN_DIFFERENCES = 20
-
-
-def load_other(src: Path):
-    """`io_formats` and `association` of the `asadeval` in ``src``, as ``asadeval_other``."""
-    package = src / "asadeval"
-    spec = importlib.util.spec_from_file_location(
-        "asadeval_other", package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["asadeval_other"] = module
-    spec.loader.exec_module(module)
-    return tuple(
-        importlib.import_module(f"asadeval_other.{name}") for name in ("io_formats", "association")
-    )
 
 
 def canonical(result) -> str:
@@ -121,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--inputs", type=int, default=50000, help="number of inputs (default 50000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the mutations (default 0)")
     args = parser.parse_args(argv)
-    other_io, other_tracking = load_other(args.other_src.resolve())
+    _, other_io, other_tracking = load_other(args.other_src.resolve(), "io_formats", "association")
 
     rng = random.Random(args.seed)
     valid = valid_inputs()

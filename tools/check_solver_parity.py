@@ -24,8 +24,6 @@ difference or on any warning from this checkout's solver.
 from __future__ import annotations
 
 import argparse
-import importlib
-import importlib.util
 import itertools
 import sys
 import warnings
@@ -39,22 +37,11 @@ sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from asadeval import matching  # noqa: E402
 from cost_kinds import KINDS, crowded_boxes_cost, tie_heavy_cost  # noqa: E402
+from other_checkout import load_other  # noqa: E402
 
 SHAPES = tuple(itertools.product(range(1, 13), repeat=2))
 EXTREMES = np.array([1e308, -1e308, 1e300, -1e300])
 SHOWN_DIFFERENCES = 20
-
-
-def load_other(src: Path):
-    """`matching` of the `asadeval` in ``src``, imported as the package ``asadeval_other``."""
-    package = src / "asadeval"
-    spec = importlib.util.spec_from_file_location(
-        "asadeval_other", package / "__init__.py", submodule_search_locations=[str(package)]
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules["asadeval_other"] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module("asadeval_other.matching")
 
 
 def problem(rng: np.random.Generator, kind: str, shape: tuple[int, int]) -> np.ndarray:
@@ -98,7 +85,7 @@ def main(argv=None) -> int:
     parser.add_argument("--problems", type=int, default=100000, help="number of problems (default 100000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the problems (default 0)")
     args = parser.parse_args(argv)
-    other = load_other(args.other_src.resolve())
+    _, other = load_other(args.other_src.resolve(), "matching")
 
     rng = np.random.default_rng(args.seed)
     kinds = KINDS + ("extreme", "large")
