@@ -22,19 +22,21 @@ reproduces it bit-exactly; None is an empty cell. Reports serialize to JSON
 (exact round trip) or a flattened CSV table. Parsing is locale independent
 (decimal point only).
 
-The two input parsers read a well-formed file in one array pass
-(`_read_arrays`): numpy's text reader converts every cell after the video
-id, in chunks of lines, and every parser rule is an array test. numpy
-converts floats with the routine ``float`` uses, so the values are the
-same bits. Any other file goes to the row parser (``csv.reader`` and one
-``int`` or ``float`` call per cell), which writes the line-numbered errors.
-A file takes the row parser when any row breaks a rule; when numpy
-refuses a cell (an integer beyond int64, ``1_0``, a float in an integer
-column) or warns while reading it; when it holds a quote,
-a non-ASCII byte, a control byte other than tab, CR and LF, or a CR that
-does not end a line; when a line has another comma count than the header
-or is longer than ``csv.field_size_limit()``; and when it is no regular
-file (a pipe cannot be read twice).
+An input file is read by one of two readers, which return the same
+`_Cells`: each row's video id, its other cells as typed columns, and its
+line number. Then one checker per schema (`_records`, `_stream_errors`)
+applies every rule as an array test and raises the line-numbered
+`FormatError`, or builds the records or the stream. numpy's reader
+(`_read_arrays`) converts the cells in chunks of lines, with the routine
+``float`` uses, so the values are the same bits. It declines a file it cannot
+read as the csv reader (`_read_csv`: ``csv.reader`` and one ``int`` or
+``float`` call per cell) would: when numpy refuses a cell (an integer beyond
+int64, ``1_0``, a float in an integer column) or warns while reading it;
+when the file holds a quote, a non-ASCII byte, a control byte other than
+tab, CR and LF, or a CR that does not end a line; when a line has another
+comma count than the header or is longer than ``csv.field_size_limit()``;
+when the header is not the schema's; and when the path is no regular file (a
+pipe cannot be read twice). The csv reader reads every declined file.
 """
 
 from __future__ import annotations
@@ -47,8 +49,11 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, fields
+from functools import partial
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -68,13 +73,13 @@ BENCH_COLUMNS = ["seed", "mode", "ap50", "hl50", "idf1", "mt_pct", "ml_pct", "id
 PR_CURVE_COLUMNS = ["rank", "score", "tp", "fp", "recall", "precision", "p_interp"]
 NO_ACTION_MARKER = 0
 _MAX_REPORTED_ERRORS = 50
-# The array pass reads this many bytes of whole lines at a time.
+# numpy's reader reads this many bytes of whole lines at a time.
 _CHUNK_BYTES = 1 << 16
-# The bytes a file may hold and still take the array pass. Any other sends it
-# to the row parser: a quote (csv syntax), a non-ASCII byte (Unicode digits
-# and spaces, which ``int`` and ``float`` read but numpy does not, or bad
-# UTF-8), or a control byte other than tab, CR and LF (numpy skips \x1c-\x1f
-# as space, ``int`` and ``float`` refuse them, csv refuses NUL).
+# The bytes a file may hold and still be read by numpy. Any other leaves it to
+# the csv reader: a quote (csv syntax), a non-ASCII byte (Unicode digits and
+# spaces, which ``int`` and ``float`` read but numpy does not, or bad UTF-8),
+# or a control byte other than tab, CR and LF (numpy skips \x1c-\x1f as
+# space, ``int`` and ``float`` refuse them, csv refuses NUL).
 _PLAIN_BYTES = b"\t\n\r" + bytes(byte for byte in range(0x20, 0x7F) if byte != ord('"'))
 _LONE_CR = re.compile(rb"\r(?!\n)")  # csv ends a row there, numpy may not
 _LOCATED_BOX_FIELDS = [("video_id", "S0"), ("keyframe", "i8"), ("box", "f8", (4,))]
@@ -91,6 +96,28 @@ class FormatError(ValueError):
     def __init__(self, errors: Sequence[str]):
         self.errors = list(errors)[:_MAX_REPORTED_ERRORS]
         super().__init__("\n".join(self.errors))
+
+
+class _Cells(NamedTuple):
+    """A CSV file's data rows as a reader returns them, in file order.
+
+    ``names`` holds the distinct video ids, sorted, and ``videos`` each row's
+    index among them. ``columns`` holds the other cells, one array per field
+    of the schema's dtype. ``failed`` maps a row to the column and message of
+    its first cell that did not convert, whose value is then 0; a record of
+    the wrong width fails at column 0. numpy's reader fails no cell.
+    """
+
+    names: list[str]
+    videos: np.ndarray
+    columns: dict[str, np.ndarray]
+    lines: Sequence[int]
+    failed: dict[int, tuple[int, str]]
+
+    @property
+    def no_id(self) -> np.ndarray:
+        """The rows whose video id is empty."""
+        return self.videos == (0 if self.names[:1] == [""] else -1)
 
 
 @contextmanager
@@ -112,99 +139,122 @@ def _csv_reader(path: str) -> Iterator:
             raise
 
 
-def _parse_int(text: str, minimum: Optional[int] = None) -> int:
-    value = int(text)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"must be >= {minimum}")
-    return value
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
-    return value
-
-
-def _parse_fraction(text: str) -> float:
-    value = _parse_float(text)
-    if not (0.0 <= value <= 1.0):
-        raise ValueError("must lie in [0, 1]")
-    return value
-
-
-def _parse_located_box(row: Sequence[str]) -> tuple[int, tuple[float, float, float, float]]:
-    """Cells 1-5, shared by both schemas: the keyframe and the box corners."""
-    keyframe = _parse_int(row[1], minimum=0)
-    x1, y1 = _parse_fraction(row[2]), _parse_fraction(row[3])
-    x2, y2 = _parse_fraction(row[4]), _parse_fraction(row[5])
-    if not (x1 < x2 and y1 < y2):
-        raise ValueError("degenerate box: requires x1 < x2 and y1 < y2")
-    return keyframe, (x1, y1, x2, y2)
-
-
 def _columns(role: str) -> list[str]:
     if role not in ("gt", "pred"):
         raise ValueError(f"role must be 'gt' or 'pred', got {role!r}")
     return PRED_COLUMNS if role == "pred" else GT_COLUMNS
 
 
-def _header(reader, path: str, expected: str) -> list[str]:
-    """The first row; an empty file is an error naming the ``expected`` header."""
-    header = next(reader, None)
-    if header is None:
-        raise FormatError([f"{path}:1: empty file, expected {expected}"])
-    return header
+def _annotation_dtype(path: str, role: str, header: list[str]) -> np.dtype:
+    """The row dtype of an annotation header for ``role``; FormatError on another header."""
+    expected = _columns(role)
+    if [cell.strip() for cell in header] != expected:
+        got = ','.join(header)
+        raise FormatError([f"{path}:1: bad header for role={role}: expected {','.join(expected)}, got {got}"])
+    return _ANNOTATION_DTYPES[role]
 
 
-def _data_rows(reader, path: str, width: int, errors: list[str], note: str = "") -> Iterator:
-    """``(line number, row)`` for each data row; blank rows are skipped, other widths are errors.
+def _stream_dtype(path: str, header: list[str]) -> np.dtype:
+    """The row dtype of a stream header, whose e0..e{D-1} fix D; FormatError on another header."""
+    names = [cell.strip() for cell in header]
+    if names[: len(STREAM_FIXED_COLUMNS)] != STREAM_FIXED_COLUMNS:
+        raise FormatError([f"{path}:1: bad header: expected it to start with {','.join(STREAM_FIXED_COLUMNS)}"])
+    embedding_names = names[len(STREAM_FIXED_COLUMNS) :]
+    dim = len(embedding_names)
+    if dim == 0 or embedding_names != [f"e{i}" for i in range(dim)]:
+        raise FormatError([f"{path}:1: embedding columns must be e0..e{{D-1}}, got {embedding_names}"])
+    return np.dtype(_LOCATED_BOX_FIELDS + [("score", "f8"), ("embedding", "f8", (dim,))])
 
-    A row is numbered by the line it ends on. A wrong-width record that spans
-    lines is reported at the line it starts on, with its span: a stray ``"``
-    opens a quoted field that swallows the lines after it.
+
+def _converted(convert: Callable, text: str, row: int, column: int, failed: dict) -> object:
+    """``convert(text)``, or 0 with the row's first failure recorded in ``failed``."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        failed.setdefault(row, (column, str(exc)))
+        return 0
+
+
+def _read_csv(path: str, dtype_of: Callable[[list[str]], np.dtype], expected: str, note: str = "") -> _Cells:
+    """The `_Cells` of any CSV file, by csv.reader and one ``int`` or ``float`` call per cell.
+
+    ``dtype_of`` maps the header to the schema's row dtype (see
+    `_read_arrays`), which fixes each column's type; an integer column holds
+    Python ints, which may pass int64. ``expected`` names the header in the
+    error on an empty file, and ``note`` ends the message on a one-line row of
+    the wrong width. Blank rows are skipped. A row is numbered by the line it
+    ends on, a wrong-width record by the line it starts on, with its span: a
+    stray ``"`` opens a quoted field that swallows the lines after it.
     """
-    first = reader.line_num + 1
-    for row in reader:
-        last = reader.line_num
-        if len(row) == width:
-            yield last, row
-        elif row and first == last:
-            errors.append(f"{path}:{last}: expected {width} columns, got {len(row)}{note}")
-        elif row:
-            errors.append(
-                f"{path}:{first}: expected {width} columns, got {len(row)} "
-                f"(record runs from line {first} to line {last}; unbalanced quote?)"
-            )
-        first = last + 1
+    video_ids, lines, values, failed = [], [], [], {}
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise FormatError([f"{path}:1: empty file, expected {expected}"])
+        dtype = dtype_of(header)
+        schema = [(name, dtype[name]) for name in dtype.names[1:]]
+        converters = [
+            int if kind.base.kind == "i" else float for _, kind in schema for _ in range(math.prod(kind.shape))
+        ]
+        first = reader.line_num + 1
+        for row in reader:
+            last = reader.line_num
+            if len(row) == len(header):
+                values.append([
+                    _converted(convert, cell, len(lines), column, failed)
+                    for column, (convert, cell) in enumerate(zip(converters, row[1:]), start=1)
+                ])
+                video_ids.append(row[0])
+                lines.append(last)
+            elif row:
+                span = f" (record runs from line {first} to line {last}; unbalanced quote?)"
+                span = note if first == last else span
+                failed[len(lines)] = (0, f"expected {len(header)} columns, got {len(row)}{span}")
+                values.append([0] * len(converters))
+                video_ids.append("")
+                lines.append(first)
+            first = last + 1
+    by_cell = list(zip(*values)) or [()] * len(converters)
+    columns, start = {}, 0
+    for name, kind in schema:
+        width = math.prod(kind.shape)
+        cells = by_cell[start : start + width]
+        if kind.base.kind == "i":
+            columns[name] = np.array(cells[0], object)
+        else:
+            columns[name] = np.array(cells, float).T.reshape(-1, *kind.shape)
+        start += width
+    return _Cells(*_factorized(video_ids), columns, lines, failed)
 
 
-def _read_arrays(
-    path: str, dtype_of: Callable[[list[str]], Optional[np.dtype]]
-) -> Optional[tuple[list[bytes], np.ndarray]]:
-    """The video ids and the other cells of a well-formed CSV file, or None for the row parser.
+def _read_arrays(path: str, dtype_of: Callable[[list[str]], np.dtype]) -> Optional[_Cells]:
+    """The `_Cells` of a file numpy's reader can read as the csv reader would, or None.
 
     ``dtype_of`` maps the header's cells to the structured dtype of a row,
-    one field per column, or to None when the header is not the one
-    expected. The dtype holds the video id as ``S0``, which keeps nothing:
-    the ids come apart, as ASCII bytes, one per row. The file is read in
-    chunks of whole lines, and each chunk is checked and converted before
-    the next is read. Returns None on an empty file and on every input the
-    module docstring sends to the row parser, before the rules are applied.
+    one field per column, or raises FormatError on another header. The dtype
+    holds the video id as ``S0``, which keeps nothing: the ids come apart,
+    one per row. The file is read in chunks of whole lines, and each chunk is
+    checked and converted before the next is read. Returns None on an empty
+    file and on every input the module docstring leaves to the csv reader.
     """
-    if not os.path.isfile(path):  # a pipe, say, which the row parser could not read again
+    if not os.path.isfile(path):  # a pipe, say, which the csv reader could not read again
         return None
     limit = csv.field_size_limit()
     with open(path, "rb") as handle:
         header = handle.readline()
         if not header or len(header) > limit or not _plain(header):
             return None
-        dtype = dtype_of(header.decode("ascii").rstrip("\r\n").split(","))
-        if dtype is None:
+        try:
+            dtype = dtype_of(header.decode("ascii").rstrip("\r\n").split(","))
+        except FormatError:
             return None
-        video_ids: list[bytes] = []
-        chunks = []
+        ids: list[bytes] = []
+        chunks = [np.empty(0, dtype)]
+        numbers = [np.empty(0, np.int64)]
+        last = 1  # the header's line
         while lines := handle.readlines(_CHUNK_BYTES):
+            line_numbers = np.arange(last + 1, last + 1 + len(lines))
+            last += len(lines)
             block = b"".join(lines)
             if max(map(len, lines)) > limit or not _plain(block):
                 return None
@@ -220,12 +270,17 @@ def _read_arrays(
             except (ValueError, Warning):
                 return None
             if len(chunk) != len(lines):  # numpy skips a blank line, and so does csv
-                lines = [line for line in lines if line.rstrip(b"\r\n")]
+                kept = [bool(line.rstrip(b"\r\n")) for line in lines]
+                lines, line_numbers = list(compress(lines, kept)), line_numbers[kept]
                 if len(chunk) != len(lines):
                     return None
             chunks.append(chunk)
-            video_ids += [line.partition(b",")[0] for line in lines]
-    return video_ids, np.concatenate(chunks) if chunks else np.empty(0, dtype)
+            numbers.append(line_numbers)
+            ids += [line.partition(b",")[0] for line in lines]
+    rows = np.concatenate(chunks)
+    columns = {name: rows[name] for name in dtype.names[1:]}
+    names, videos = _factorized(ids)  # bytes sort as their ASCII text does
+    return _Cells([name.decode("ascii") for name in names], videos, columns, np.concatenate(numbers), {})
 
 
 def _plain(block: bytes) -> bool:
@@ -233,89 +288,136 @@ def _plain(block: bytes) -> bool:
     return not block.translate(None, _PLAIN_BYTES) and not (b"\r" in block and _LONE_CR.search(block))
 
 
-def _located_box_violations(bad_keyframes: np.ndarray, boxes: np.ndarray) -> list[np.ndarray]:
-    """`_parse_located_box`'s rules as arrays: per row, is the keyframe, x1, y1, x2 or y2 bad."""
-    in_unit = (boxes >= 0.0) & (boxes <= 1.0)  # false for nan and inf
+def _factorized(values: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct values, sorted, and each value's index among them."""
+    distinct = sorted(set(values))
+    code_of = {value: code for code, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(code_of.__getitem__, values), np.int64, len(values))
+
+
+def _fraction_checks(column: int, values: np.ndarray) -> list[tuple]:
     return [
-        bad_keyframes,
-        ~in_unit[:, 0],
-        ~in_unit[:, 1],
-        ~in_unit[:, 2] | ~(boxes[:, 0] < boxes[:, 2]),
-        ~in_unit[:, 3] | ~(boxes[:, 1] < boxes[:, 3]),
+        (column, ~np.isfinite(values), "must be finite"),
+        (column, ~((values >= 0.0) & (values <= 1.0)), "must lie in [0, 1]"),
     ]
 
 
-def _outside_unit(values: np.ndarray) -> np.ndarray:
-    return ~((values >= 0.0) & (values <= 1.0))
+def _located_box_checks(keyframes: np.ndarray, boxes: np.ndarray) -> list[tuple]:
+    """The checks of cells 1-5, which both schemas share; the degenerate box is y2's last."""
+    corners = [check for corner in range(4) for check in _fraction_checks(2 + corner, boxes[:, corner])]
+    degenerate = ~((boxes[:, 0] < boxes[:, 2]) & (boxes[:, 1] < boxes[:, 3]))
+    return [
+        (1, keyframes < 0, "must be >= 0"),
+        *corners,
+        (5, degenerate, "degenerate box: requires x1 < x2 and y1 < y2"),
+    ]
 
 
-def _stream_violations(
-    bad_keyframes: np.ndarray, boxes: np.ndarray, scores: np.ndarray, embeddings: np.ndarray
-) -> np.ndarray:
-    """The stream parser's rules as one array: True where a row's cell breaks one.
+def _row_errors(lines: Sequence[int], checks: list, failed: dict) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """Each row's first broken check as ``(line, message)``, and the mask of rows that broke none.
 
-    A row per stream row and a column per cell after the video id, in file
-    order: the keyframe (``bad_keyframes`` is the caller's test of it), x1,
-    y1, x2, y2, the score, then e0..e{D-1}.
+    A check is ``(column, mask, message)``, in the order a row is checked,
+    which is column order. ``mask`` is True where a row breaks it: an (n,)
+    array for one cell, or an (n, w) block for the w cells from ``column``
+    on. ``message`` is a string or a function of the row. A cell in
+    ``failed`` (see `_Cells`) breaks at its column before that column's checks.
     """
-    return np.column_stack([
-        *_located_box_violations(bad_keyframes, boxes),
-        _outside_unit(scores),
-        ~np.isfinite(embeddings),
-    ])
+    broken = np.logical_or.reduce([mask if mask.ndim == 1 else mask.any(axis=1) for _, mask, _ in checks])
+    slots = [
+        (column + offset, message)
+        for column, mask, message in checks
+        for offset in range(mask.shape[1] if mask.ndim == 2 else 1)
+    ]
+    rows = sorted({*np.flatnonzero(broken).tolist(), *failed})
+    errors = []
+    for row, bad in zip(rows, np.column_stack([mask[rows] for _, mask, _ in checks])):
+        found = [failed[row]] if row in failed else []
+        if broken[row]:
+            found.append(slots[bad.argmax()])
+        _, message = min(found, key=itemgetter(0))  # the failed cell first at its own column
+        errors.append((lines[row], message if isinstance(message, str) else message(row)))
+    clean = ~broken
+    clean[list(failed)] = False
+    return clean, errors
 
 
-def _annotations_from_arrays(path: str, role: str, n_labels: int) -> Optional[list[VideoRecord]]:
-    """`parse_annotations`' records by the array pass, or None when the row parser must read the file."""
-    expected = _columns(role)
-    dtype = _ANNOTATION_DTYPES[role]
-    read = _read_arrays(path, lambda header: dtype if [c.strip() for c in header] == expected else None)
-    if read is None:
-        return None
-    video_ids, rows = read
-    if not len(rows):
-        return []
-    distinct = sorted(set(video_ids))  # bytes sort as their ASCII text does
-    if not distinct[0]:  # an empty video_id
-        return None
-    keyframes, boxes, actions, actors = (rows[name] for name in ("keyframe", "box", "action_id", "actor_id"))
-    scores = rows["score"] if role == "pred" else np.ones(len(rows))
-    lowest_action = NO_ACTION_MARKER if role == "pred" else 1
-    bad = np.logical_or.reduce([
-        *_located_box_violations(keyframes < 0, boxes),
-        (actions < lowest_action) | (actions > n_labels),
-        actors < 0,
-        _outside_unit(scores),
-    ])
-    if bad.any():
-        return None
+def _raise_errors(path: str, errors: list[tuple[int, str]]) -> None:
+    """FormatError with the ``(line, message)`` errors in line order, if there are any."""
+    if errors:
+        raise FormatError([f"{path}:{line}: {message}" for line, message in sorted(errors, key=itemgetter(0))])
 
-    # Group the rows of one (video, keyframe, actor), in file order within one:
-    # the sort is stable. The action checks read each group sorted by action id.
-    code_of = {video_id: code for code, video_id in enumerate(distinct)}
-    videos = np.fromiter(map(code_of.__getitem__, video_ids), np.int64, len(video_ids))
-    names = [video_id.decode("ascii") for video_id in distinct]
-    order = np.lexsort((actors, keyframes, videos))
-    key = np.column_stack((videos, keyframes, actors))[order]
-    grouped = (key[1:] == key[:-1]).all(axis=1)  # row i + 1 joins row i's observation
-    group = np.concatenate(([0], np.cumsum(~grouped)))
-    actions = actions[order]
-    by_action = actions[np.lexsort((actions, group))]
-    if (grouped & (
-        (boxes[order][1:] != boxes[order][:-1]).any(axis=1)
-        | (scores[order][1:] != scores[order][:-1])
-        | (by_action[:-1] == NO_ACTION_MARKER)  # the least action id, so first in its group
-        | (by_action[1:] == by_action[:-1])
-    )).any():
-        return None
 
-    starts = np.flatnonzero(np.concatenate(([True], ~grouped)))
-    first = order[starts]  # each observation's first row in the file
+def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRecord]:
+    """The records of an annotation file's cells; FormatError naming each row's first broken rule.
+
+    Each row's cells are checked in column order (`_row_errors`). The rows
+    whose cells all pass are then grouped into observations by (video,
+    keyframe, actor), in file order within one. The first row of an
+    observation fixes its geometry and score. Each later row must agree with
+    them, must not hold action 0 nor join a first row that does, and must not
+    repeat the action id of a row the observation took before it.
+    """
+    columns = cells.columns
+    keyframes, boxes, actions, actors = (columns[name] for name in ("keyframe", "box", "action_id", "actor_id"))
+    scores = columns["score"] if role == "pred" else np.ones(len(boxes))
+    names, videos = cells.names, cells.videos
+    checks = [
+        (0, cells.no_id, "video_id: must be non-empty"),
+        *_located_box_checks(keyframes, boxes),
+        (6, actions < 0, "must be >= 0"),
+        (6, (actions == NO_ACTION_MARKER) & (role == "gt"),
+         "action_id 0 (no labels) is not allowed in ground truth"),
+        (6, (actions > n_labels) & (actions != NO_ACTION_MARKER),
+         lambda row: f"action_id {actions[row]} outside [1, {n_labels}]"),
+        (7, actors < 0, "must be >= 0"),
+        *_fraction_checks(8, scores),  # a ground-truth score is 1.0, which passes
+    ]
+    clean, errors = _row_errors(cells.lines, checks, cells.failed)
+
+    # Sort the clean rows by observation, stably: `head` is the first row of
+    # each one's observation, and a later row is one that is not its head.
+    rows = np.flatnonzero(clean)
+    keys = [column[rows] for column in (videos, keyframes, actors)]
+    sort = np.lexsort(keys[::-1])
+    order = rows[sort]
+    key = np.column_stack(keys)[sort]
+    new = np.ones(len(order), bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    group = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    head = order[starts][group]
+    later = ~new
+    sorted_actions = actions[order]
+    geometry = later & (boxes[order] != boxes[head]).any(axis=1)
+    score = later & (scores[order] != scores[head])
+    no_action = later & ((sorted_actions == NO_ACTION_MARKER) | (actions[head] == NO_ACTION_MARKER))
+    taken = np.flatnonzero(~(geometry | score | no_action))
+    by_action = taken[np.lexsort((sorted_actions[taken], group[taken]))]
+    duplicate = np.zeros(len(order), bool)
+    duplicate[by_action[1:]] = (group[by_action[1:]] == group[by_action[:-1]]) & (
+        sorted_actions[by_action[1:]] == sorted_actions[by_action[:-1]]
+    )
+    # The observation rules, by position in `order`, at a column past every cell's.
+    lines = np.asarray(cells.lines)
+    _, group_errors = _row_errors(lines[order], [
+        (9, geometry, lambda p: (
+            f"geometry conflicts with line {lines[head[p]]} for (video_id={names[videos[order[p]]]}, "
+            f"keyframe={keyframes[order[p]]}, actor_id={actors[order[p]]})"
+        )),
+        (9, score, lambda p: f"score conflicts with line {lines[head[p]]}"),
+        (9, no_action, "action_id 0 must be the observation's only row"),
+        (9, duplicate, lambda p: f"duplicate action_id {sorted_actions[p]}"),
+    ], {})
+    _raise_errors(path, errors + group_errors)
+
+    # Every row is clean and taken: each observation is its rows from its head.
+    first = order[starts]
     first_videos = videos[first]
     bounds = starts.tolist() + [len(order)]
-    action_ids = actions.tolist()
+    action_ids = sorted_actions.tolist()
     labels = [tuple(action_ids[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-    # Each set is built as the row parser builds it, so that it iterates in the same order.
+    # Each set is built from its rows' action ids in file order, so that its
+    # iteration order, and so its repr, is that of the file's rows.
     label_sets = {ids: frozenset(set(ids) - {NO_ACTION_MARKER}) for ids in set(labels)}
     observations = list(map(
         ActorObservation,
@@ -334,123 +436,60 @@ def _annotations_from_arrays(path: str, role: str, n_labels: int) -> Optional[li
     ]
 
 
-def _stream_from_arrays(path: str) -> Optional[DetectionStream]:
-    """`parse_detection_stream`'s stream by the array pass, or None when the row parser must read it."""
-
-    def dtype_of(header: list[str]) -> Optional[np.dtype]:
-        names = [cell.strip() for cell in header]
-        dim = len(names) - len(STREAM_FIXED_COLUMNS)
-        if dim < 1 or names != STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(dim)]:
-            return None
-        return np.dtype(_LOCATED_BOX_FIELDS + [("score", "f8"), ("embedding", "f8", (dim,))])
-
-    read = _read_arrays(path, dtype_of)
-    if read is None:
-        return None
-    video_ids, rows = read
-    distinct = set(video_ids)
-    if len(distinct) > 1 or b"" in distinct:
-        return None
-    if _stream_violations(rows["keyframe"] < 0, rows["box"], rows["score"], rows["embedding"]).any():
-        return None
-    dim = rows.dtype["embedding"].shape[0]
-    return DetectionStream(
-        distinct.pop().decode("ascii") if distinct else "", dim, tuple(rows["keyframe"].tolist()),
-        rows["box"], rows["score"], rows["embedding"],
-    )
+def _stream_errors(cells: _Cells) -> tuple[str, list[tuple[int, str]]]:
+    """A stream file's video id, its first non-empty one, and each row's first broken rule (`_row_errors`)."""
+    columns = cells.columns
+    names, videos, no_id = cells.names, cells.videos, cells.no_id
+    present = videos[~no_id]
+    first = present[0] if len(present) else -1
+    checks = [
+        (0, no_id, "video_id: must be non-empty"),
+        (0, ~no_id & (videos != first),
+         lambda row: f"multiple videos in one stream file ({names[first]!r} and {names[videos[row]]!r})"),
+        *_located_box_checks(columns["keyframe"], columns["box"]),
+        *_fraction_checks(6, columns["score"]),
+        (7, ~np.isfinite(columns["embedding"]), "must be finite"),
+    ]
+    _, errors = _row_errors(cells.lines, checks, cells.failed)
+    return (names[first] if first >= 0 else ""), errors
 
 
-def parse_annotations(
-    path: str,
-    role: str,
-    n_labels: int = DEFAULT_N_LABELS,
-) -> list[VideoRecord]:
+def _stream(path: str, cells: _Cells) -> DetectionStream:
+    """The stream of a stream file's cells; FormatError naming each row's first broken rule."""
+    video_id, errors = _stream_errors(cells)
+    _raise_errors(path, errors)
+    keyframes, boxes, scores, embeddings = map(cells.columns.get, ("keyframe", "box", "score", "embedding"))
+    return DetectionStream(video_id, embeddings.shape[1], tuple(keyframes.tolist()), boxes, scores, embeddings)
+
+
+def parse_annotations(path: str, role: str, n_labels: int = DEFAULT_N_LABELS) -> list[VideoRecord]:
     """Parse an annotation CSV into validated records, one per video.
 
     Rows sharing (video_id, keyframe, actor_id) merge into one multi-label
-    observation and must agree exactly on geometry (and score). The row
-    checks enforce every rule of the domain model (see `model`): ids and
-    keyframes >= 0, boxes with x1 < x2 and y1 < y2 inside the unit square,
-    scores in [0, 1], labels in [1, n_labels], and a non-empty label set on
-    ground truth. Every problem is reported with its line number; any
-    problem aborts the parse. A well-formed file is read by the array pass,
-    any other by the row parser (see the module docstring).
+    observation and must agree exactly on geometry (and score). The checks
+    enforce every rule of the domain model (see `model`): ids and keyframes
+    >= 0, boxes with x1 < x2 and y1 < y2 inside the unit square, scores in
+    [0, 1], labels in [1, n_labels], and a non-empty label set on ground
+    truth. Each row that breaks a rule is reported with its line number and
+    its first broken rule, and any problem aborts the parse. numpy's reader
+    reads the file, or the csv reader one it declines (see the module
+    docstring); `_records` checks either's cells.
     """
     records = _annotations_from_arrays(path, role, n_labels)
     return _annotations_from_rows(path, role, n_labels) if records is None else records
 
 
+def _annotations_from_arrays(path: str, role: str, n_labels: int) -> Optional[list[VideoRecord]]:
+    """`parse_annotations` by numpy's reader, or None when it declines the file."""
+    cells = _read_arrays(path, partial(_annotation_dtype, path, role))
+    return None if cells is None else _records(path, role, n_labels, cells)
+
+
 def _annotations_from_rows(path: str, role: str, n_labels: int) -> list[VideoRecord]:
-    """`parse_annotations` by the row parser: one csv row and one check at a time."""
-    expected = _columns(role)
-    errors: list[str] = []
-    groups: dict[tuple[str, int, int], dict] = {}
-
-    with _csv_reader(path) as reader:
-        header = _header(reader, path, f"header {','.join(expected)}")
-        if [cell.strip() for cell in header] != expected:
-            raise FormatError(
-                [
-                    f"{path}:1: bad header for role={role}: expected "
-                    f"{','.join(expected)}, got {','.join(header)}"
-                ]
-            )
-        for line_no, row in _data_rows(reader, path, len(expected), errors):
-            try:
-                video_id = row[0]
-                if not video_id:
-                    raise ValueError("video_id: must be non-empty")
-                keyframe, box = _parse_located_box(row)
-                action_id = _parse_int(row[6], minimum=0)
-                if action_id == NO_ACTION_MARKER:
-                    if role == "gt":
-                        raise ValueError(
-                            "action_id 0 (no labels) is not allowed in ground truth"
-                        )
-                elif not (1 <= action_id <= n_labels):
-                    raise ValueError(f"action_id {action_id} outside [1, {n_labels}]")
-                actor_id = _parse_int(row[7], minimum=0)
-                score = _parse_fraction(row[8]) if role == "pred" else 1.0
-                key = (video_id, keyframe, actor_id)
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = {"box": box, "score": score, "actions": {action_id}, "line": line_no}
-                elif group["box"] != box:
-                    raise ValueError(
-                        f"geometry conflicts with line {group['line']} "
-                        f"for (video_id={video_id}, keyframe={keyframe}, actor_id={actor_id})"
-                    )
-                elif group["score"] != score:
-                    raise ValueError(f"score conflicts with line {group['line']}")
-                elif action_id == NO_ACTION_MARKER or NO_ACTION_MARKER in group["actions"]:
-                    raise ValueError("action_id 0 must be the observation's only row")
-                elif action_id in group["actions"]:
-                    raise ValueError(f"duplicate action_id {action_id}")
-                else:
-                    group["actions"].add(action_id)
-            except ValueError as exc:
-                errors.append(f"{path}:{line_no}: {exc}")
-
-    if errors:
-        raise FormatError(errors)
-
-    by_video: dict[str, list[ActorObservation]] = {}
-    for (video_id, keyframe, actor_id), group in groups.items():
-        by_video.setdefault(video_id, []).append(
-            ActorObservation(
-                video_id=video_id,
-                keyframe=keyframe,
-                box=BoundingBox(*group["box"]),
-                actor_id=actor_id,
-                actions=frozenset(group["actions"] - {NO_ACTION_MARKER}),
-                score=group["score"],
-            )
-        )
-
-    return [
-        VideoRecord(video_id=video_id, observations=tuple(observations))
-        for video_id, observations in sorted(by_video.items())
-    ]
+    """`parse_annotations` by the csv reader, which reads any file."""
+    expected = f"header {','.join(_columns(role))}"  # a ValueError on another role comes before any read
+    cells = _read_csv(path, partial(_annotation_dtype, path, role), expected)
+    return _records(path, role, n_labels, cells)
 
 
 def _cell(value):
@@ -477,18 +516,20 @@ def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) ->
 def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> None:
     """Serialize records in canonical row order (video, keyframe, actor, action).
 
-    Raises ValueError, before the file is opened, on a ground-truth
-    observation without labels.
+    Raises ValueError, before the file is opened, on a record with
+    observations and an empty video_id, and on a ground-truth observation
+    without labels: `parse_annotations` would refuse the rows of either.
     """
     records = sorted(records, key=lambda r: r.video_id)
-    if role == "gt":
-        for record in records:
-            for obs in record.observations:
-                if not obs.actions:
-                    raise ValueError(
-                        f"ground-truth observation without labels at video "
-                        f"{record.video_id!r} keyframe {obs.keyframe}"
-                    )
+    for record in records:
+        if record.observations and not record.video_id:
+            raise ValueError("video_id: must be non-empty on a record with observations")
+        for obs in record.observations if role == "gt" else ():
+            if not obs.actions:
+                raise ValueError(
+                    f"ground-truth observation without labels at video "
+                    f"{record.video_id!r} keyframe {obs.keyframe}"
+                )
 
     def rows():
         for record in records:
@@ -505,54 +546,26 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
 def parse_detection_stream(path: str) -> DetectionStream:
     """Parse a detection-stream CSV; one video per file, fixed embedding width.
 
-    A well-formed file is read by the array pass, any other by the row
-    parser, which reports every problem with its line number (see the
-    module docstring).
+    Each row that breaks a rule is reported with its line number and its
+    first broken rule: a non-empty video_id, the same as the first row's that
+    has one; an integer keyframe >= 0; corners in [0, 1] with x1 < x2 and
+    y1 < y2; a score in [0, 1]; finite embedding values. numpy's reader reads
+    the file, or the csv reader one it declines (see the module docstring).
     """
     stream = _stream_from_arrays(path)
     return _stream_from_rows(path) if stream is None else stream
 
 
+def _stream_from_arrays(path: str) -> Optional[DetectionStream]:
+    """`parse_detection_stream` by numpy's reader, or None when it declines the file."""
+    cells = _read_arrays(path, partial(_stream_dtype, path))
+    return None if cells is None else _stream(path, cells)
+
+
 def _stream_from_rows(path: str) -> DetectionStream:
-    """`parse_detection_stream` by the row parser: one csv row and one check at a time."""
-    errors: list[str] = []
-    with _csv_reader(path) as reader:
-        header = [cell.strip() for cell in _header(reader, path, "a stream header")]
-        if header[: len(STREAM_FIXED_COLUMNS)] != STREAM_FIXED_COLUMNS:
-            raise FormatError(
-                [
-                    f"{path}:1: bad header: expected it to start with "
-                    f"{','.join(STREAM_FIXED_COLUMNS)}"
-                ]
-            )
-        embedding_names = header[len(STREAM_FIXED_COLUMNS) :]
-        dim = len(embedding_names)
-        if dim == 0 or embedding_names != [f"e{i}" for i in range(dim)]:
-            raise FormatError(
-                [f"{path}:1: embedding columns must be e0..e{{D-1}}, got {embedding_names}"]
-            )
-
-        video_id: Optional[str] = None
-        rows: list[tuple] = []
-        for line_no, row in _data_rows(reader, path, len(header), errors, " (ragged embedding width)"):
-            try:
-                if not row[0]:
-                    raise ValueError("video_id: must be non-empty")
-                if video_id is None:
-                    video_id = row[0]
-                elif row[0] != video_id:
-                    raise ValueError(
-                        f"multiple videos in one stream file ({video_id!r} and {row[0]!r})"
-                    )
-                keyframe, box = _parse_located_box(row)
-                score = _parse_fraction(row[6])
-                rows.append((keyframe, box, score, [_parse_float(cell) for cell in row[7:]]))
-            except ValueError as exc:
-                errors.append(f"{path}:{line_no}: {exc}")
-
-    if errors:
-        raise FormatError(errors)
-    return DetectionStream.from_rows(video_id or "", dim, rows)
+    """`parse_detection_stream` by the csv reader, which reads any file."""
+    cells = _read_csv(path, partial(_stream_dtype, path), "a stream header", " (ragged embedding width)")
+    return _stream(path, cells)
 
 
 def write_detection_stream(stream: DetectionStream, path: str) -> None:
@@ -573,43 +586,25 @@ def write_detection_stream(stream: DetectionStream, path: str) -> None:
 def _check_parsable(stream: DetectionStream) -> None:
     """Raise ValueError unless `parse_detection_stream` accepts every row the stream writes.
 
-    The parser's rules: a non-empty video_id and at least one embedding
-    column, then integer keyframes >= 0 and the cell rules the array pass
-    applies (`_stream_violations`): every value finite, corners in [0, 1]
-    with x1 < x2 and y1 < y2, and the score in [0, 1]. The error names
-    the first bad row's keyframe and its first bad column in file order.
+    A stream needs an embedding column. Its columns then take the parser's
+    checks (`_stream_errors`), each keyframe as the parser reads its written
+    cell; the error names the first bad row's keyframe and its message.
     """
     if stream.dim < 1:
         raise ValueError(f"a stream needs at least one embedding column, got dim {stream.dim}")
-    if not stream.row_keyframes:
-        return
-    if not stream.video_id:
-        raise ValueError("video_id: must be non-empty")
-    boxes, scores = stream.boxes, stream.scores
-    keyframe_rules = [_keyframe_rule(keyframe) for keyframe in stream.row_keyframes]
-    bad_keyframes = np.array([rule is not None for rule in keyframe_rules])
-    bad = _stream_violations(bad_keyframes, boxes, scores, stream.embeddings)
-    if not bad.any():
-        return
-    row = int(bad.any(axis=1).argmax())
-    column = int(bad[row].argmax())
-    names = STREAM_FIXED_COLUMNS[1:] + [f"e{i}" for i in range(stream.dim)]
-    rules = [keyframe_rules[row], "must lie in [0, 1]", "must lie in [0, 1]",
-             "must lie in [0, 1] above x1", "must lie in [0, 1] above y1",
-             "must lie in [0, 1]"] + ["must be finite"] * stream.dim
-    keyframe = stream.row_keyframes[row]
-    values = [keyframe, *boxes[row].tolist(), scores[row].item(), *stream.embeddings[row].tolist()]
-    raise ValueError(
-        f"{stream.video_id}: row at keyframe {keyframe} would not parse back: "
-        f"{names[column]} = {values[column]!r} {rules[column]}"
-    )
-
-
-def _keyframe_rule(keyframe) -> Optional[str]:
-    """The rule a keyframe breaks, or None; a float or bool is written as ``3.0`` or ``True``."""
-    if isinstance(keyframe, bool) or not isinstance(keyframe, (int, np.integer)):
-        return "must be an integer"
-    return "must be >= 0" if keyframe < 0 else None
+    failed: dict[int, tuple[int, str]] = {}
+    keyframes = [
+        _converted(int, str(_cell(keyframe)), row, 1, failed) for row, keyframe in enumerate(stream.row_keyframes)
+    ]
+    columns = dict(keyframe=np.array(keyframes, object), box=stream.boxes, score=stream.scores,
+                   embedding=stream.embeddings)
+    n = len(keyframes)  # each row's index stands for its line, so an error names its row
+    _, errors = _stream_errors(_Cells([stream.video_id], np.zeros(n, np.int64), columns, range(n), failed))
+    if errors:
+        row, message = errors[0]
+        raise ValueError(
+            f"{stream.video_id}: row at keyframe {stream.row_keyframes[row]} would not parse back: {message}"
+        )
 
 
 def _block_to_dict(block: MetricBlock) -> dict:

@@ -8,8 +8,9 @@ Action labels are integer category ids in ``[1, n_labels]`` held as plain
 ``frozenset`` instances. Ground-truth observations must carry at least one
 label; predictions may carry none. All types are immutable after
 construction. Construction does not check these rules:
-`io_formats.parse_annotations` enforces them row by row on every file it
-reads, and the tests hold a whole-record oracle (`tests/support.py`).
+`io_formats.parse_annotations` enforces them on every file it reads, as
+array checks on the cells of all rows and then on the rows of each
+observation, and the tests hold a whole-record oracle (`tests/support.py`).
 """
 
 from __future__ import annotations

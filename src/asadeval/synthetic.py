@@ -54,6 +54,8 @@ class ScenarioSpec:
     max_speed: float = 0.015
 
     def __post_init__(self) -> None:
+        if not self.video_id:
+            raise ValueError("video_id must be non-empty")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.n_actors < 1:

@@ -247,6 +247,13 @@ def test_synth_negative_seed_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_synth_empty_video_id_is_usage_error_and_writes_nothing(tmp_path, capsys):
+    # It used to exit 64 only after writing a gt.csv that its own parser refuses.
+    assert main(["synth", "--video-id", "", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    assert "synth: video_id must be non-empty" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "gt.csv").exists()
+
+
 def test_synth_preset_cuts_too_many_for_keyframes_names_cuts(tmp_path, capsys):
     argv = ["synth", "--actors", "2", "--keyframes", "5", "--out", str(tmp_path / "x")]
     assert main(argv) == EXIT_USAGE

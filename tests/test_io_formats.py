@@ -184,6 +184,19 @@ def test_gt_writer_refuses_an_unlabelled_observation_before_opening(tmp_path):
     assert parse_annotations(str(path), role="pred") == [labelled, unlabelled]
 
 
+def test_annotation_writer_refuses_an_empty_video_id_before_opening(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"previous contents\n")
+    records = [record("a", [obs("a", 0, 1, LEFT)]), record("", [obs("", 0, 1, LEFT)])]
+    for role in ("gt", "pred"):
+        with pytest.raises(ValueError, match="^video_id: must be non-empty on a record with observations$"):
+            write_annotations(records, str(path), role=role)
+        assert path.read_bytes() == b"previous contents\n"
+    # A record without observations writes no row, so its id is never read.
+    write_annotations([record("", []), records[0]], str(path), role="gt")
+    assert parse_annotations(str(path), role="gt") == records[:1]
+
+
 def test_stream_round_trip_and_sorting(tmp_path):
     header = "video_id,keyframe,x1,y1,x2,y2,score,e0,e1,e2,e3"
     path = write_text(
@@ -341,9 +354,10 @@ def plain(kind):
     return "\n".join(PATH_ROWS[kind]) + "\n"
 
 
-# Inputs on either side of the line between the two paths: (kind, file text,
-# whether the array pass reads it). A declined file is the row parser's,
-# whether that parser reads it (1_0 is 10.0 to `float`) or refuses it.
+# Inputs on either side of the line between the two readers: (kind, file text,
+# whether numpy's reader reads it). A declined file is the csv reader's,
+# whether the parse then succeeds (1_0 is 10.0 to `float`) or fails. A file
+# numpy reads may still break a rule: infinity is read, then refused.
 PATH_CASES = {
     "underscore": ("stream", with_cell("stream", 1, 7, "1_0"), False),
     "plus-point": ("pred", with_cell("pred", 3, 8, "+.5"), True),
@@ -351,7 +365,7 @@ PATH_CASES = {
     "spaces": ("pred", with_cell("pred", 3, 8, " 0.5 "), True),
     "negative-zero": ("pred", with_cell("pred", 3, 2, "-0.0"), True),
     "underflow": ("stream", with_cell("stream", 1, 2, "1e-400"), True),
-    "infinity": ("stream", with_cell("stream", 1, 7, "infinity"), False),
+    "infinity": ("stream", with_cell("stream", 1, 7, "infinity"), True),
     "arabic-indic-digit": ("pred", with_cell("pred", 3, 1, "\u0663"), False),
     "keyframe-2**63": ("stream", with_cell("stream", 1, 1, str(2**63)), False),
     "leading-zeros": ("pred", with_cell("pred", 3, 1, "007"), True),
@@ -443,11 +457,101 @@ def test_array_pass_reads_a_file_of_many_chunks_as_the_row_parser_does(tmp_path,
     assert by_arrays == sorted(records, key=lambda r: r.video_id)
 
 
+def quoted(text):
+    """``text`` with every video id quoted: the same rows, which numpy's reader declines."""
+    return "\n".join(
+        line if i == 0 or not line.strip("\r") else '"' + line.replace(",", '",', 1)
+        for i, line in enumerate(text.split("\n"))
+    )
+
+
+# Rows that break rules after blank and CRLF lines, with their errors.
+RULE_BREAKING_FILES = {
+    "pred": (
+        lambda path: parse_annotations(path, role="pred"),
+        f"{PRED_HEADER}\nv,0,0.1,0.1,0.3,0.3,1,1,0.5\n\nv,0,0.1,0.1,0.3,0.3,2,1,0.5\r\n\r\n"
+        "v,1,0.2,0.2,0.4,0.4,1,1,0.75\nv,2,0.5,0.1,0.4,0.3,1,1,0.5\nv,0,0.1,0.1,0.35,0.3,3,1,0.5\n"
+        "v,3,0.1,0.1,0.3,0.3,81,1,0.5\nv,0,0.1,0.1,0.3,0.3,2,1,0.5\nv,-1,0.1,0.1,0.3,0.3,1,1,0.5\n"
+        ",4,0.1,0.1,0.3,0.3,1,1,0.5\nv,1,0.2,0.2,0.4,0.4,2,1,0.5\n",
+        [
+            "7: degenerate box: requires x1 < x2 and y1 < y2",
+            "8: geometry conflicts with line 2 for (video_id=v, keyframe=0, actor_id=1)",
+            "9: action_id 81 outside [1, 80]",
+            "10: duplicate action_id 2",
+            "11: must be >= 0",
+            "12: video_id: must be non-empty",
+            "13: score conflicts with line 6",
+        ],
+    ),
+    "stream": (
+        parse_detection_stream,
+        f"{STREAM_HEADER}\nv,0,0.1,0.1,0.3,0.3,0.9,1.0,0.0\n\nv,1,0.1,0.1,0.3,0.3,0.9,1.0,0.0\r\n"
+        "v,2,0.1,0.1,0.3,0.3,1.5,1.0,0.0\nw,3,0.1,0.1,0.3,0.3,0.9,1.0,0.0\n\r\n"
+        "v,4,0.1,0.1,0.3,0.3,0.9,nan,0.0\nv,5,0.3,0.1,0.1,0.3,0.9,1.0,0.0\n",
+        [
+            "5: must lie in [0, 1]",
+            "6: multiple videos in one stream file ('v' and 'w')",
+            "8: must be finite",
+            "9: degenerate box: requires x1 < x2 and y1 < y2",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(RULE_BREAKING_FILES))
+def test_numpy_reader_reports_a_plain_files_rule_errors_without_a_second_read(tmp_path, monkeypatch, kind):
+    parse, text, expected = RULE_BREAKING_FILES[kind]
+    path = tmp_path / "in.csv"
+    with pytest.raises(FormatError) as by_csv:
+        parse(write_text(path, quoted(text)))
+    assert by_csv.value.errors == [f"{path}:{error}" for error in expected]
+
+    def second_read(*args):
+        raise AssertionError("the csv reader read a file numpy's reader had read")
+
+    monkeypatch.setattr(io_formats, f"_{'annotations' if kind == 'pred' else 'stream'}_from_rows", second_read)
+    monkeypatch.setattr(io_formats, "_CHUNK_BYTES", 64)  # two or three lines a chunk
+    with pytest.raises(FormatError) as by_numpy:
+        parse(write_text(path, text))
+    assert by_numpy.value.errors == by_csv.value.errors
+
+
+# An annotation file whose rows break several rules, and the one error each row reports.
+SEVERAL_BAD_CELLS = {
+    "keyframe-before-x1": ("v,-1,abc,0.1,0.3,0.3,1,1\n", ["2: must be >= 0"]),
+    "x2-before-y2": ("v,0,0.1,0.1,abc,1.5,1,1\n", ["2: could not convert string to float: 'abc'"]),
+    "y2-before-degenerate": ("v,0,0.5,0.1,0.4,1.5,1,1\n", ["2: must lie in [0, 1]"]),
+    "gt-action-0-before-actor": (
+        "v,0,0.1,0.1,0.3,0.3,0,-1\n", ["2: action_id 0 (no labels) is not allowed in ground truth"]
+    ),
+    # Line 2 breaks a cell rule, so line 3 is the first row of the observation;
+    # line 4 breaks its geometry, so action 2 on line 5 is no duplicate.
+    "geometry-among-passing-rows": (
+        "v,0,0.5,0.1,0.4,0.3,1,1\nv,0,0.1,0.1,0.3,0.3,1,1\nv,0,0.1,0.1,0.35,0.3,2,1\nv,0,0.1,0.1,0.3,0.3,2,1\n",
+        [
+            "2: degenerate box: requires x1 < x2 and y1 < y2",
+            "4: geometry conflicts with line 3 for (video_id=v, keyframe=0, actor_id=1)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("copy", ["plain", "quoted"])
+@pytest.mark.parametrize("rows, expected", list(SEVERAL_BAD_CELLS.values()), ids=list(SEVERAL_BAD_CELLS))
+def test_an_annotation_row_reports_its_first_broken_rule(tmp_path, rows, expected, copy):
+    text = f"{GT_HEADER}\n{rows}"
+    path = write_text(tmp_path / "gt.csv", quoted(text) if copy == "quoted" else text)
+    with pytest.raises(FormatError) as excinfo:
+        parse_annotations(path, role="gt")
+    assert excinfo.value.errors == [f"{path}:{error}" for error in expected]
+
+
 def test_writer_refuses_a_stream_its_parser_rejects(tmp_path):
     # Once written as v,0,0.3,0.1,0.1,0.3,1.5,nan, which the parser rejected.
     stream = DetectionStream("v", 1, (0,), [[0.3, 0.1, 0.1, 0.3]], [1.5], [[np.nan]])
     path = tmp_path / "stream.csv"
-    with pytest.raises(ValueError, match=r"^v: row at keyframe 0 would not parse back: x2 = 0\.1 "):
+    message = "v: row at keyframe 0 would not parse back: degenerate box: requires x1 < x2 and y1 < y2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_detection_stream(stream, str(path))
     assert not path.exists()
 

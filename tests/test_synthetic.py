@@ -199,3 +199,8 @@ def test_negative_seeds_rejected_naming_the_field():
     with pytest.raises(ValueError, match="^seed must be >= 0$"):
         Perturbation(kind="drop_detections", rate=0.5, seed=-1)
     assert ScenarioSpec(seed=0).seed == Perturbation(kind="drop_detections", seed=0).seed == 0
+
+
+def test_spec_rejects_an_empty_video_id():
+    with pytest.raises(ValueError, match="^video_id must be non-empty$"):
+        ScenarioSpec(video_id="")

@@ -12,13 +12,12 @@ records compared by ``repr`` (the two imports define distinct classes), a
 stream's keyframes, boxes, scores and embeddings as exact lists, and a
 `FormatError`'s list of messages. A parsed stream is also written back with
 `write_detection_stream` and tracked by `track_online` and `track_offline` at
-their default parameters (through `AssociationConfig.online()` and
-`.offline()` for a checkout that still has that class), and the bytes of the
-stream and of both trackers' `write_annotations` output must match too. Any
-other exception is compared by type and message, and counted. The summary
-also counts the parses this checkout's array pass read without its row
-parser, so that agreement shows which path it covered. Prints the first
-differences and a summary, and exits 1 on any difference.
+their default parameters, and the bytes of the stream and of both trackers'
+`write_annotations` output must match too. Any other exception is compared by
+type and message, and counted. The summary also counts the parses this
+checkout's numpy reader read without its csv reader, records or a
+`FormatError` alike, so that agreement shows which reader it covered. Prints
+the first differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -59,10 +58,8 @@ def parsed_stream(io, tracking, path: str) -> tuple:
     output = str(Path(path).with_name("output.csv"))
     io.write_detection_stream(stream, output)
     written = [Path(output).read_bytes()]
-    config = getattr(tracking, "AssociationConfig", None)
-    for mode, tracker in (("online", tracking.track_online), ("offline", tracking.track_offline)):
-        args = () if config is None else (getattr(config, mode)(),)
-        io.write_annotations([tracker(stream, *args)], output, role="pred")
+    for tracker in (tracking.track_online, tracking.track_offline):
+        io.write_annotations([tracker(stream)], output, role="pred")
         written.append(Path(output).read_bytes())
     return (canonical(stream), *written)
 
@@ -90,14 +87,25 @@ def outcomes(io, tracking, path: str) -> list[tuple]:
 
 
 def array_pass_reads(path: str) -> int:
-    """How many of this checkout's parses of ``path`` its array pass reads, of those `outcomes` makes."""
+    """How many of this checkout's parses of ``path`` its numpy reader reads, of those `outcomes` makes.
+
+    A parse counts when the numpy reader does not decline the file, whether
+    its cells then make records or a `FormatError`.
+    """
     parses = [
         functools.partial(io_formats._annotations_from_arrays, path, role, n_labels)
         for role in ("gt", "pred")
         for n_labels in N_LABELS
     ]
     parses.append(functools.partial(io_formats._stream_from_arrays, path))
-    return sum(parse() is not None for parse in parses)
+    return sum(map(read_by_arrays, parses))
+
+
+def read_by_arrays(parse) -> bool:
+    try:
+        return parse() is not None
+    except io_formats.FormatError:
+        return True
 
 
 def main(argv=None) -> int:
@@ -134,9 +142,9 @@ def main(argv=None) -> int:
     parses = sum(tally[k] for k in ("records", "errors", "raised"))
     print(
         f"{args.inputs} inputs ({', '.join(f'{k} {tally[k]}' for k in KINDS + ('raw',))}), "
-        f"{parses} parses per side: {tally['records']} records "
-        f"({tally['by arrays']} read by this checkout's array pass), {tally['errors']} error lists, "
-        f"{tally['raised']} other exceptions; {tally['streams']} streams written and tracked; "
+        f"{parses} parses per side: {tally['records']} records, {tally['errors']} error lists, "
+        f"{tally['raised']} other exceptions ({tally['by arrays']} read by this checkout's numpy reader); "
+        f"{tally['streams']} streams written and tracked; "
         f"{differences} inputs differ"
     )
     return 1 if differences else 0

@@ -14,8 +14,7 @@ entries set to +-1e308 or +-1e300, where sums can overflow, or is "large": a
 of the problem's shape, where the tie search meets gated pairs and duplicated
 boxes at the scale of a crowded video. Both copies solve every problem with
 ``drop_gated`` true and false; the pairs and the ``total_cost`` bits must
-match exactly, or else the exception's type and message. A checkout whose
-`solve_assignment` still takes an `AssignmentProblem` gets the array wrapped. Each side's
+match exactly, or else the exception's type and message. Each side's
 ``RuntimeWarning``s (numpy overflow and invalid-value warnings) are recorded
 and counted. Prints the first differences and a summary, and exits 1 on any
 difference or on any warning from this checkout's solver.
@@ -55,13 +54,6 @@ def problem(rng: np.random.Generator, kind: str, shape: tuple[int, int]) -> np.n
     return cost
 
 
-def as_argument(module, cost: np.ndarray):
-    """``cost`` as ``module.solve_assignment`` takes it: the bare array, or wrapped
-    in an `AssignmentProblem` for an older checkout that still has that class."""
-    wrapper = getattr(module, "AssignmentProblem", None)
-    return cost if wrapper is None else wrapper(cost=cost)
-
-
 def outcomes(module, cost: np.ndarray) -> tuple[list[tuple], int]:
     """("solved", pairs, total bits) or ("raised", type, message), with drop_gated true then false.
 
@@ -72,7 +64,7 @@ def outcomes(module, cost: np.ndarray) -> tuple[list[tuple], int]:
         warnings.simplefilter("always", RuntimeWarning)
         for drop_gated in (True, False):
             try:
-                solution = module.solve_assignment(as_argument(module, cost.copy()), drop_gated)
+                solution = module.solve_assignment(cost.copy(), drop_gated)
                 results.append(("solved", solution.pairs, float(solution.total_cost).hex()))
             except Exception as exc:  # a crash is an outcome to compare, not a stop
                 results.append(("raised", type(exc).__name__, str(exc)))
