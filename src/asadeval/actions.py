@@ -6,7 +6,10 @@ gated assignment; pairs failing the gate are excluded. The Hamming loss then
 averages per-label disagreement (XOR of the two boolean label vectors) over
 all surviving pairs, so the reported quantity is HL@gate. The pairs are a
 `match_corpus` result's gated pairs, which `pair_sets` reads as
-observations; MT/ML counts their GT side.
+observations for `match_pairs`; MT/ML counts their GT side. A report counts
+each pair's wrong bits from its two rows' observations (`wrong_bits`),
+without building the pair objects; `hamming_loss` counts a
+`MatchedPairSet`'s pairs by the same rule.
 """
 
 from __future__ import annotations
@@ -73,14 +76,33 @@ def match_pairs(
 
 
 def pair_sets(corpus: _CorpusMatch) -> list[MatchedPairSet]:
-    """Each video's gated pairs, the corpus's ``pairs``, as a `MatchedPairSet` of its observations."""
+    """Each video's gated pairs, the corpus's `pair_rows`, as a `MatchedPairSet` of its observations."""
+    found = corpus.pair_rows
+    bounds = corpus.video_pairs
     return [
         MatchedPairSet(pairs=tuple(
-            MatchedPair(gt=gt.frames[keyframe][g_idx], pred=pred.frames[keyframe][p_idx])
-            for keyframe, pairs in frame_pairs.items()
-            for g_idx, p_idx in pairs
+            MatchedPair(gt=gt.observations[i], pred=pred.observations[j])
+            for i, j in zip(
+                (found.gt[start:stop] - corpus.gt.offsets[v]).tolist(),
+                (found.pred[start:stop] - corpus.pred.offsets[v]).tolist(),
+            )
         ))
-        for (gt, pred), frame_pairs in zip(corpus.videos, corpus.pairs)
+        for v, ((gt, pred), start, stop) in enumerate(zip(corpus.videos, bounds, bounds[1:]))
+    ]
+
+
+def wrong_bits(corpus: _CorpusMatch) -> list[int]:
+    """The wrong label bits of each of the corpus's pairs (`pair_rows`), in its order.
+
+    A pair's wrong bits are the size of its two label sets' symmetric
+    difference, as in `hamming_loss`.
+    """
+    gt_labels = [obs.actions for gt, _ in corpus.videos for obs in gt.observations]
+    pred_labels = [obs.actions for _, pred in corpus.videos for obs in pred.observations]
+    found = corpus.pair_rows
+    return [
+        len(gt_labels[i].symmetric_difference(pred_labels[j]))
+        for i, j in zip(found.gt.tolist(), found.pred.tolist())
     ]
 
 

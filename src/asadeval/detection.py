@@ -5,19 +5,21 @@ Precision at a given IoU threshold (AP@0.5 by default): the all-point
 interpolated AP of PASCAL VOC, with the predictions of all videos pooled
 into one confidence ranking.
 
-AP takes two steps. `rank_predictions` gives each video's scores and TP
-flags as arrays in observation order; the flags are the `match_corpus`
-result's ``flags``, the greedy matching of every keyframe. `curve_from_ranked`
-ranks the predictions of the videos it is given with one stable sort and
-sums AP from the `PRCurve`'s ``columns``, the same recall, precision and
-p_interp columns that `write_pr_curve` writes.
+AP takes two steps. `rank_predictions` gives each video's scores (its
+column table's) and TP flags as arrays in observation order; the flags are
+the `match_corpus` result's ``flags``, the greedy matching of every
+keyframe. `_ranked_ap` ranks predictions with one stable sort and sums AP
+from the recall, precision and p_interp columns (`_pr_columns`) that a
+`PRCurve` holds and `write_pr_curve` writes. A report's per-video blocks
+take it directly; `curve_from_ranked` ranks the videos it is given together
+and keeps the curve as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,9 +54,14 @@ class PRCurve:
         Recall is non-decreasing down the ranking, and p_interp, the largest
         precision at this rank or a later one, is non-increasing.
         """
-        cum_tp = np.cumsum([is_tp for _, is_tp in self.ranked] if self.n_gt else [], dtype=np.int64)
-        precision = cum_tp / np.arange(1, len(cum_tp) + 1)
-        return cum_tp / self.n_gt, precision, np.maximum.accumulate(precision[::-1])[::-1]
+        return _pr_columns(np.array([is_tp for _, is_tp in self.ranked], bool), self.n_gt)
+
+
+def _pr_columns(flags: np.ndarray, n_gt: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recall, precision and p_interp down ranked TP ``flags`` matched against ``n_gt`` boxes (see `PRCurve`)."""
+    cum_tp = np.cumsum(flags if n_gt else flags[:0], dtype=np.int64)
+    precision = cum_tp / np.arange(1, len(cum_tp) + 1)
+    return cum_tp / n_gt, precision, np.maximum.accumulate(precision[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -113,48 +120,52 @@ def rank_predictions(corpus: _CorpusMatch) -> list[tuple[np.ndarray, np.ndarray]
     The TP flags are the corpus's ``flags``: `tally_frame`'s greedy matching
     of every keyframe.
     """
-    return [
-        (np.array([o.score for o in pred.observations], dtype=float), flags)
-        for (_, pred), flags in zip(corpus.videos, corpus.flags)
-    ]
+    return [(pred._table.scores, flags) for (_, pred), flags in zip(corpus.videos, corpus.flags)]
 
 
 def curve_from_ranked(rankings: Sequence[tuple[np.ndarray, np.ndarray]], n_gt: int) -> APResult:
     """Step two of AP: the AP, tally and PR curve of the given videos' predictions, ranked together.
 
     ``rankings`` holds `rank_predictions` entries, and ``n_gt`` is the number
-    of ground-truth boxes their flags were matched against. One stable sort
-    by descending score ranks every prediction, so equal scores keep video
-    order, then observation order; equal adjacent scores set
-    ``had_score_ties``. AP sums each TP rank's recall step times its
-    p_interp, in rank order and one addition at a time (`np.cumsum`, not
-    the pairwise `np.sum`).
+    of ground-truth boxes their flags were matched against. The AP, tally
+    and ties are `_ranked_ap`'s of the videos' predictions in video order.
     """
     scores = np.concatenate([np.zeros(0)] + [scores for scores, _ in rankings])
     flags = np.concatenate([np.zeros(0, dtype=bool)] + [flags for _, flags in rankings])
+    summary, scores, flags = _ranked_ap(scores, flags, n_gt)
+    curve = PRCurve(ranked=tuple(zip(scores.tolist(), flags.tolist())), n_gt=n_gt) if n_gt else PRCurve()
+    return APResult(summary.ap, summary.reason, curve, summary.tally, summary.had_score_ties)
+
+
+class _APSummary(NamedTuple):
+    """An `APResult` without its curve: all a report block reads."""
+
+    ap: Optional[float]
+    reason: Optional[str]
+    tally: DetectionTally
+    had_score_ties: bool
+
+
+def _ranked_ap(scores: np.ndarray, flags: np.ndarray, n_gt: int) -> tuple[_APSummary, np.ndarray, np.ndarray]:
+    """The AP, tally and ties of predictions with these scores and TP flags, then the ranked scores and flags.
+
+    One stable sort by descending score ranks the predictions, so equal
+    scores keep their given order; equal adjacent scores set
+    ``had_score_ties``. AP sums each TP rank's recall step times its
+    p_interp (`_pr_columns`), in rank order and one addition at a time
+    (`np.cumsum`, not the pairwise `np.sum`). It builds no `PRCurve`, so a
+    report's per-video blocks take it directly.
+    """
     order = np.argsort(-scores, kind="stable")
     scores, flags = scores[order], flags[order]
     had_ties = bool((scores[1:] == scores[:-1]).any())
     if n_gt == 0:
-        return APResult(
-            ap=None,
-            reason=AP_NO_GROUND_TRUTH,
-            curve=PRCurve(),
-            tally=DetectionTally(tp=0, fp=len(scores), fn=0),
-            had_score_ties=had_ties,
-        )
-
-    curve = PRCurve(ranked=tuple(zip(scores.tolist(), flags.tolist())), n_gt=n_gt)
-    recall, _, p_interp = curve.columns
+        return _APSummary(None, AP_NO_GROUND_TRUTH, DetectionTally(tp=0, fp=len(scores), fn=0), had_ties), scores, flags
+    recall, _, p_interp = _pr_columns(flags, n_gt)
     steps = np.diff(recall[flags], prepend=0.0) * p_interp[flags]
     n_tp = len(steps)
-    return APResult(
-        ap=float(np.cumsum(np.append(0.0, steps))[-1]),
-        reason=None,
-        curve=curve,
-        tally=DetectionTally(tp=n_tp, fp=len(scores) - n_tp, fn=n_gt - n_tp),
-        had_score_ties=had_ties,
-    )
+    tally = DetectionTally(tp=n_tp, fp=len(scores) - n_tp, fn=n_gt - n_tp)
+    return _APSummary(float(np.cumsum(np.append(0.0, steps))[-1]), None, tally, had_ties), scores, flags
 
 
 def average_precision(

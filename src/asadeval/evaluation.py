@@ -3,28 +3,34 @@
 The videos are aligned in video_id order, and the aggregate is reduced from
 their results in that order, so results never depend on the order the
 records arrive in. `match_corpus` matches every keyframe once for the whole
-corpus, batching the keyframes of all videos by shape, and each metric
-reader (AP's ranking, IDF1, the pair sets that MT/ML and HL read, and the
-switch counter) takes that one object and returns one result per video.
-The gated pairs and AP's TP flags are computed on first read, across
-videos. The aggregate detection curve ranks every video's scores and TP
-flags together, without matching again, and the report carries
-that pooled `APResult` (outside its JSON) for whoever writes the PR curve;
-identification, MT/ML, switch and matched action-pair tallies sum across
-videos. One builder makes every `MetricBlock`, per video and aggregate, so
-every reported ratio can be recomputed from the tallies carried next to it.
+corpus, batching the keyframes of all videos by shape, from the records'
+column tables (`model._Table`), and each metric reader takes that one
+object and returns one result per video: AP's ranking, IDF1's counts and the
+switch counter. The gated pairs and AP's TP flags are computed on first
+read, across videos. The report reads the pairs as table rows, with no pair
+objects: MT/ML counts each GT actor's covered rows (`track_coverage`, which
+`mt_ml` calls too), and HL counts the paired rows' label-set differences
+(`wrong_bits`). Each video's AP comes from its scores and flags
+directly (`_ranked_ap`), with no curve; the aggregate detection curve ranks
+every video's scores and TP flags together, without matching again, and the
+report carries that pooled `APResult` (outside its JSON) for whoever writes
+the PR curve. Identification, MT/ML, switch and matched action-pair tallies
+sum across videos. One builder makes every `MetricBlock`, per video and
+aggregate, so every reported ratio can be recomputed from the tallies
+carried next to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .actions import HammingResult, _hamming_result, hamming_loss, pair_sets
-from .detection import APResult, curve_from_ranked, rank_predictions
-from .identity import IdMatchResult, MtMlResult, id_counts, mt_ml_from_pairs, switch_counts
+from .actions import HammingResult, _hamming_result, wrong_bits
+from .detection import APResult, _APSummary, _ranked_ap, curve_from_ranked, rank_predictions
+from .identity import IdMatchResult, MtMlResult, id_counts, switch_counts, track_coverage
 from .matching import DEFAULT_IOU_GATE, match_corpus
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
 from .version import __version__
@@ -76,7 +82,7 @@ class EvalReport:
 
 
 def _metric_block(
-    ap: APResult, ids: IdMatchResult, tracks: MtMlResult, switches: int, hl: HammingResult
+    ap: APResult | _APSummary, ids: IdMatchResult, tracks: MtMlResult, switches: int, hl: HammingResult
 ) -> MetricBlock:
     """The one place a `MetricBlock` is made, for a video or the aggregate."""
     flag_conditions = (
@@ -155,23 +161,22 @@ def evaluate_records(
     aligned = aligned_records(gt_records, pred_records)
     corpus = match_corpus(aligned, iou_threshold)
     rankings = rank_predictions(corpus)
-    results = zip(
-        aligned,
-        rankings,
-        id_counts(corpus),
-        pair_sets(corpus),
-        switch_counts(corpus, corpus.pairs, id_persistence),
-    )
-    per_video = {
-        gt.video_id: _metric_block(
-            curve_from_ranked([ranking], len(gt.observations)),
+    found = corpus.pair_rows
+    covered = np.zeros(len(corpus.gt.actors), bool)
+    covered[found.gt] = True
+    wrong = list(accumulate(wrong_bits(corpus), initial=0))
+    gt_rows, pair_bounds = corpus.gt.offsets.tolist(), corpus.video_pairs
+    results = zip(aligned, rankings, id_counts(corpus), switch_counts(corpus, found, id_persistence))
+    per_video = {}
+    for v, ((gt, _), (scores, flags), ids, switches) in enumerate(results):
+        start, stop = pair_bounds[v], pair_bounds[v + 1]
+        per_video[gt.video_id] = _metric_block(
+            _ranked_ap(scores, flags, len(gt.observations))[0],
             ids,
-            mt_ml_from_pairs(gt, pairs),
+            track_coverage(gt, covered[gt_rows[v] : gt_rows[v + 1]]),
             switches,
-            hamming_loss(pairs, n_labels),
+            _hamming_result(wrong[stop] - wrong[start], stop - start, n_labels),
         )
-        for (gt, _), ranking, ids, pairs, switches in results
-    }
     aggregate, pooled_ap = _aggregate_block(list(per_video.values()), rankings, n_labels)
 
     resolved = {

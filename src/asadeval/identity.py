@@ -12,19 +12,23 @@ consecutive matched keyframes, with optional match persistence.
 
 `id_counts` and `switch_counts` read a `match_corpus` result, one result
 per video: `evaluate_records` calls them on the corpus's matching that all
-families share, and `idf1` and `id_switches` on a corpus of one.
+families share, and `idf1` and `id_switches` on a corpus of one. Both read
+the records' column tables (`model._Table`): IDF1's gated hits take one
+`np.nonzero` per shape chunk, mapped to actor codes by row, and the switch
+counter reads actor codes and gate hits as lists. `track_coverage` counts
+each GT actor's rows that the gated pairs cover, for `mt_ml` and the report
+alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .actions import MatchedPairSet, match_pairs
-from .matching import DEFAULT_IOU_GATE, _CorpusMatch, gated_cost, match_corpus, solve_assignment
-from .model import VideoRecord, build_tracklets
+from .matching import DEFAULT_IOU_GATE, _CorpusMatch, _Pairs, gated_cost, match_corpus, solve_assignment
+from .model import VideoRecord, _duplicate_error
 
 MT_THRESHOLD = 0.8
 ML_THRESHOLD = 0.2
@@ -100,67 +104,74 @@ def idf1(
 
 
 def id_counts(corpus: _CorpusMatch) -> list[IdMatchResult]:
-    """Each video's `idf1` counts, from the corpus's IoU tables.
+    """Each video's `idf1` counts, from the corpus's IoU chunks.
 
-    `solve_assignment` pairs the identities with a gated hit (the rest add
-    nothing to IDTP, and dropping them keeps most problems enumerable) on
-    their negated integer counts, so IDTP is exact and ties take the
-    lexicographically smallest assignment in ascending actor ids. A pairing
-    of at most 3 identities with hits on one side and at most 10 on the
-    other, such as a three-actor scene's, is thus enumerated without
-    importing scipy; one of 4 or more on both sides takes the LSA route,
-    unless each identity hits exactly one on the other side, as in a clean
-    tracking, whose pairing is those hits (`solve_assignment`'s sole optimum).
+    Each chunk's gated hits take one `np.nonzero`; their rows map to actor
+    codes through the corpus's columns, and one `np.unique` counts them per
+    video and identity pair. `solve_assignment` pairs the identities
+    with a gated hit (the rest add nothing to IDTP, and dropping them keeps
+    most problems enumerable) on their negated integer counts, so IDTP is
+    exact and ties take the lexicographically smallest assignment in
+    ascending actor ids. A pairing of at most 3 identities with hits on one
+    side and at most 10 on the other, such as a three-actor scene's, is thus
+    enumerated without importing scipy; one of 4 or more on both sides takes
+    the LSA route, unless each identity hits exactly one on the other side,
+    as in a clean tracking, whose pairing is those hits (`solve_assignment`'s
+    sole optimum).
     """
-    results = []
-    for (gt, pred), ious in zip(corpus.videos, corpus.tables):
-        gt_ids = gt.actor_ids
-        pred_ids = pred.actor_ids
-        gt_index = {actor: i for i, actor in enumerate(gt_ids)}
-        pred_index = {actor: j for j, actor in enumerate(pred_ids)}
+    n_gt_ids = np.array([len(gt.actor_ids) for gt, _ in corpus.videos], np.int64)
+    n_pred_ids = np.array([len(pred.actor_ids) for _, pred in corpus.videos], np.int64)
+    # Video v's identity pairs are coded from starts[v], gt * n_pred_ids[v] + pred.
+    starts = np.cumsum(np.append(0, n_gt_ids * n_pred_ids))
+    hits = [np.zeros(0, dtype=np.int64)]
+    for chunk in corpus.chunks:
+        member, i, j = np.nonzero(chunk.ious >= corpus.gate)
+        video = corpus.keys.video[chunk.index[member]]
+        gt_actor = corpus.gt.actors[chunk.rows[member, i]]
+        pred_actor = corpus.pred.actors[chunk.cols[member, j]]
+        hits.append(starts[video] + gt_actor * n_pred_ids[video] + pred_actor)
+    # Only the pairs that occur are counted, so memory follows the hit count.
+    codes, overlaps = np.unique(np.concatenate(hits), return_counts=True)
+    bounds = np.searchsorted(codes, starts).tolist()
 
-        # One count per gated hit, at flat index gt_index * n_pred + pred_index;
-        # bincount adds up repeated indices.
-        n_gt, n_pred = len(gt_ids), len(pred_ids)
-        hits = [np.zeros(0, dtype=np.int64)]
-        for keyframe, frame_iou in ious.items():
-            rows = np.array([gt_index[o.actor_id] for o in gt.frames[keyframe]])
-            cols = np.array([pred_index[o.actor_id] for o in pred.frames[keyframe]])
-            hit_rows, hit_cols = np.nonzero(frame_iou >= corpus.gate)
-            hits.append(rows[hit_rows] * n_pred + cols[hit_cols])
-        overlap = np.bincount(np.concatenate(hits), minlength=n_gt * n_pred).reshape(n_gt, n_pred)
-        hit_gt = np.flatnonzero(overlap.any(axis=1))
-        hit_pred = np.flatnonzero(overlap.any(axis=0))
-        counts = overlap[np.ix_(hit_gt, hit_pred)]
+    results = []
+    blocks = zip(corpus.videos, starts.tolist(), n_pred_ids.tolist(), bounds, bounds[1:])
+    for (gt, pred), start, n_pred, lo, hi in blocks:
+        gt_code, pred_code = np.divmod(codes[lo:hi] - start, n_pred)
+        hit_gt, rows = np.unique(gt_code, return_inverse=True)
+        hit_pred, cols = np.unique(pred_code, return_inverse=True)
+        counts = np.zeros((len(hit_gt), len(hit_pred)), np.int64)
+        counts[rows, cols] = overlaps[lo:hi]
 
         paired = [(r, c) for r, c in solve_assignment(-counts, drop_gated=False).pairs if counts[r, c] > 0]
         idtp = sum(int(counts[r, c]) for r, c in paired)
-        pairing = tuple((gt_ids[hit_gt[r]], pred_ids[hit_pred[c]]) for r, c in paired)
+        pairing = tuple((gt.actor_ids[hit_gt[r]], pred.actor_ids[hit_pred[c]]) for r, c in paired)
         total_gt, total_pred = len(gt.observations), len(pred.observations)
         vacuous = total_gt + total_pred == 0
         results.append(IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, pairing, vacuous))
     return results
 
 
-def mt_ml_from_pairs(gt: VideoRecord, pairs: MatchedPairSet) -> MtMlResult:
-    """MT/ML of ``gt``'s tracklets, covered where they appear on the pairs' GT side."""
-    covered = {(pair.gt.keyframe, pair.gt.actor_id) for pair in pairs.pairs}
-    coverage: list[TrackCoverage] = []
-    mt_count = 0
-    ml_count = 0
-    for actor_id, observations in build_tracklets(gt).items():
-        hits = sum(1 for obs in observations if (obs.keyframe, actor_id) in covered)
-        entry = TrackCoverage(actor_id=actor_id, covered=hits, total=len(observations))
-        coverage.append(entry)
-        if entry.ratio >= MT_THRESHOLD:
-            mt_count += 1
-        if entry.ratio <= ML_THRESHOLD:
-            ml_count += 1
+def track_coverage(gt: VideoRecord, covered: np.ndarray) -> MtMlResult:
+    """MT/ML of ``gt``'s tracklets, a keyframe covered where ``covered`` (one bool per table row) holds.
+
+    A duplicate (keyframe, actor_id) is a ValueError, as in `build_tracklets`.
+    """
+    table = gt._table
+    repeated = (table.frame_codes[1:] == table.frame_codes[:-1]) & (table.actors[1:] == table.actors[:-1])
+    if repeated.any():
+        row = int(repeated.argmax()) + 1
+        keyframe, actor_id = table.keyframes[table.frame_codes[row]], gt.actor_ids[table.actors[row]]
+        raise _duplicate_error(gt.video_id, keyframe, actor_id)
+    n_tracklets = len(gt.actor_ids)
+    totals = np.bincount(table.actors, minlength=n_tracklets)
+    hits = np.bincount(table.actors[covered], minlength=n_tracklets)
+    ratios = hits / totals
     return MtMlResult(
-        mt_count=mt_count,
-        ml_count=ml_count,
-        n_tracklets=len(coverage),
-        coverage=tuple(coverage),
+        mt_count=int(np.count_nonzero(ratios >= MT_THRESHOLD)),
+        ml_count=int(np.count_nonzero(ratios <= ML_THRESHOLD)),
+        n_tracklets=n_tracklets,
+        coverage=tuple(map(TrackCoverage, gt.actor_ids, hits.tolist(), totals.tolist())),
     )
 
 
@@ -174,9 +185,12 @@ def mt_ml(
     Coverage comes from `match_pairs`' gated pairs and is identity-agnostic:
     a keyframe counts as covered when the per-keyframe gated assignment pairs
     the tracklet's box with any predicted box. Thresholds are inclusive:
-    ratio >= 0.8 is MT, ratio <= 0.2 is ML. `match_pairs` checks the gate.
+    ratio >= 0.8 is MT, ratio <= 0.2 is ML. `match_corpus` checks the gate.
     """
-    return mt_ml_from_pairs(gt, match_pairs(gt, pred, iou_threshold))
+    corpus = match_corpus([(gt, pred)], iou_threshold)
+    covered = np.zeros(len(gt), bool)
+    covered[corpus.pair_rows.gt] = True
+    return track_coverage(gt, covered)
 
 
 def id_switches(
@@ -197,59 +211,62 @@ def id_switches(
     corpus = match_corpus([(gt, pred)], iou_threshold)
     # With persistence, a keyframe's full problem is read only where nothing
     # persisted, so it is solved there, as that keyframe's residual.
-    (count,) = switch_counts(corpus, [{}] if persistence else corpus.pairs, persistence)
+    (count,) = switch_counts(corpus, None if persistence else corpus.pair_rows, persistence)
     return count
 
 
-def switch_counts(
-    corpus: _CorpusMatch,
-    solved: Sequence[Mapping[int, tuple[tuple[int, int], ...]]],
-    persistence: bool,
-) -> list[int]:
-    """Each video's `id_switches`, from the corpus's IoU tables: only their keyframes can match.
+def switch_counts(corpus: _CorpusMatch, solved: Optional[_Pairs], persistence: bool) -> list[int]:
+    """Each video's `id_switches`, from the corpus's IoU chunks: only their keyframes can match.
 
-    ``solved[v]`` maps keyframes of video ``v`` to their gated pairs, such as
-    every keyframe's (the corpus's ``pairs``) in `evaluate_records`. Where
-    nothing persisted at such a keyframe, the residual problem is that
-    keyframe's full problem, so its pairs are read from ``solved`` instead
-    of solved again. Every other residual is solved here: where some actors
-    persisted and others did not, or where nothing persisted at a keyframe
-    missing from ``solved``.
+    ``solved`` holds every keyframe's gated pairs (the corpus's `pair_rows`),
+    or is None. Where nothing persisted at a keyframe, the residual problem
+    is that keyframe's full problem, so its pairs are read from ``solved``
+    instead of solved again. Every other residual is solved here: where some
+    actors persisted and others did not, or everywhere nothing persisted
+    when ``solved`` is None. Actors are read as their codes in their record
+    (`_Table`), equal where the ids are, and gate hits as lists.
     """
-    counts = []
-    for (gt, pred), ious, known in zip(corpus.videos, corpus.tables, solved):
-        last_match: dict[int, int] = {}
-        switches = 0
-        for keyframe, overlaps in ious.items():
-            g_frame = gt.frames[keyframe]
-            p_frame = pred.frames[keyframe]
-            matches: dict[int, int] = {}  # persisted pairs first, then the residual's
-            claimed: set[int] = set()
-            if persistence:
-                column_of = {o.actor_id: j for j, o in enumerate(p_frame)}
-                for i, g_obs in enumerate(g_frame):
-                    prev = last_match.get(g_obs.actor_id)
-                    j = column_of.get(prev)
-                    if j is not None and prev not in claimed and overlaps[i, j] >= corpus.gate:
-                        matches[g_obs.actor_id] = prev
-                        claimed.add(prev)
-
-            if not matches and keyframe in known:
-                residual_pairs = known[keyframe]
-            else:
-                rows = [i for i, o in enumerate(g_frame) if o.actor_id not in matches]
-                cols = [j for j, o in enumerate(p_frame) if o.actor_id not in claimed]
-                residual_pairs = ()
-                if rows and cols:
-                    residual = gated_cost(overlaps[np.ix_(rows, cols)], corpus.gate)
-                    residual_pairs = [(rows[r], cols[c]) for r, c in solve_assignment(residual).pairs]
-            for i, j in residual_pairs:
-                matches[g_frame[i].actor_id] = p_frame[j].actor_id
-
-            for gt_actor, pred_actor in matches.items():
+    keys = corpus.keys
+    gt_actors, pred_actors = corpus.gt.actors.tolist(), corpus.pred.actors.tolist()
+    hits = [(chunk.ious >= corpus.gate).tolist() for chunk in corpus.chunks]
+    if solved is not None:  # each solved pair as its (GT actor, predicted actor)
+        known = list(zip(corpus.gt.actors[solved.gt].tolist(), corpus.pred.actors[solved.pred].tolist()))
+        bounds = solved.bounds.tolist()
+    counts = [0] * len(corpus.videos)
+    last_match: dict[int, int] = {}
+    video = -1
+    frames = zip(*(column.tolist() for column in (keys.video, keys.gt_first, keys.n_gt, keys.pred_first,
+                                                  keys.n_pred, keys.chunk, keys.slot)))
+    for key, (v, g_first, n_gt, p_first, n_pred, chunk, slot) in enumerate(frames):
+        if v != video:
+            last_match, video = {}, v
+        g_frame = gt_actors[g_first : g_first + n_gt]
+        p_frame = pred_actors[p_first : p_first + n_pred]
+        matches: dict[int, int] = {}  # persisted pairs first, then the residual's
+        claimed: set[int] = set()
+        if persistence and last_match:
+            hit = hits[chunk][slot]
+            column_of = dict(zip(p_frame, range(n_pred)))  # a repeated id's last column
+            for i, gt_actor in enumerate(g_frame):
                 prev = last_match.get(gt_actor)
-                if prev is not None and prev != pred_actor:
-                    switches += 1
-                last_match[gt_actor] = pred_actor
-        counts.append(switches)
+                j = column_of.get(prev)
+                if j is not None and prev not in claimed and hit[i][j]:
+                    matches[gt_actor] = prev
+                    claimed.add(prev)
+
+        if not matches and solved is not None:
+            matches = dict(known[bounds[key] : bounds[key + 1]])
+        elif len(matches) < n_gt and len(claimed) < n_pred:  # else every row or every column is taken
+            rows = [i for i, actor in enumerate(g_frame) if actor not in matches]
+            cols = [j for j, actor in enumerate(p_frame) if actor not in claimed]
+            if rows and cols:
+                residual = gated_cost(corpus.chunks[chunk].ious[slot][rows][:, cols], corpus.gate)
+                for r, c in solve_assignment(residual).pairs:
+                    matches[g_frame[rows[r]]] = p_frame[cols[c]]
+
+        for gt_actor, pred_actor in matches.items():
+            prev = last_match.get(gt_actor)
+            if prev is not None and prev != pred_actor:
+                counts[v] += 1
+            last_match[gt_actor] = pred_actor
     return counts

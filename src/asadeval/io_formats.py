@@ -18,15 +18,19 @@ Four CSV schemas are defined (all UTF-8, LF or CRLF, header required):
 
 Every CSV is written through one cell rule: a float (a numpy float
 included) is written as the ``repr`` of the Python float, so parsing
-reproduces it bit-exactly; None is an empty cell. Reports serialize to JSON
-(exact round trip) or a flattened CSV table. Parsing is locale independent
-(decimal point only).
+reproduces it bit-exactly; None is an empty cell. The PR-curve and
+annotation writers format each row with one string instead of
+``csv.writer``, to the same bytes, wherever ``csv.writer`` would quote no
+cell (`_write_rows`). Reports serialize to JSON (exact round trip) or a
+flattened CSV table. Parsing is locale independent (decimal point only).
 
 An input file is read by one of two readers, which return the same
 `_Cells`: each row's video id, its other cells as typed columns, and its
 line number. Then one checker per schema (`_records`, `_stream_errors`)
 applies every rule as an array test and raises the line-numbered
-`FormatError`, or builds the records or the stream. numpy's reader
+`FormatError`, or builds the records or the stream. Each record it builds
+carries its column table (`model._Table`), cut from the checked columns.
+The writers run the same checks before they open a file. numpy's reader
 (`_read_arrays`) converts the cells in chunks of lines, with the routine
 ``float`` uses, so the values are the same bits. It declines a file it cannot
 read as the csv reader (`_read_csv`: ``csv.reader`` and one ``int`` or
@@ -60,7 +64,7 @@ import numpy as np
 from .association import DetectionStream
 from .detection import APResult
 from .evaluation import AGGREGATE_KEY, SUMMED_TALLIES, EvalReport, MetricBlock
-from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
+from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord, _read_only, _Table
 from .synthetic import GENERATOR_ALGORITHM, ScenarioSpec
 from .version import __version__
 
@@ -347,15 +351,24 @@ def _raise_errors(path: str, errors: list[tuple[int, str]]) -> None:
         raise FormatError([f"{path}:{line}: {message}" for line, message in sorted(errors, key=itemgetter(0))])
 
 
-def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRecord]:
-    """The records of an annotation file's cells; FormatError naming each row's first broken rule.
+def _annotation_errors(
+    cells: _Cells, role: str, n_labels: Optional[int], labelled: Optional[np.ndarray] = None
+) -> tuple[list[tuple[int, str]], tuple[np.ndarray, np.ndarray]]:
+    """Each row's first broken rule as ``(line, message)``, and the rows sorted into observations.
 
-    Each row's cells are checked in column order (`_row_errors`). The rows
-    whose cells all pass are then grouped into observations by (video,
-    keyframe, actor), in file order within one. The first row of an
-    observation fixes its geometry and score. Each later row must agree with
-    them, must not hold action 0 nor join a first row that does, and must not
-    repeat the action id of a row the observation took before it.
+    The observations are ``(order, starts)``: the clean rows by (video,
+    keyframe, actor), file order within one, and the position in ``order``
+    of each observation's first row.
+
+    Each row's cells are checked in column order (`_row_errors`); without
+    ``n_labels``, no action id is too large. The rows whose cells all pass
+    are then grouped into observations by (video, keyframe, actor), in file
+    order within one. The first row of an observation fixes its geometry
+    and score. Each later row must agree with them, must not hold action 0
+    nor join a first row that does, and must not repeat the action id of a
+    row the observation took before it. ``labelled`` marks the rows a
+    writer writes for a label, where action 0, which reads back as no
+    label, is refused too.
     """
     columns = cells.columns
     keyframes, boxes, actions, actors = (columns[name] for name in ("keyframe", "box", "action_id", "actor_id"))
@@ -367,8 +380,13 @@ def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRe
         (6, actions < 0, "must be >= 0"),
         (6, (actions == NO_ACTION_MARKER) & (role == "gt"),
          "action_id 0 (no labels) is not allowed in ground truth"),
-        (6, (actions > n_labels) & (actions != NO_ACTION_MARKER),
-         lambda row: f"action_id {actions[row]} outside [1, {n_labels}]"),
+    ]
+    if n_labels is not None:
+        checks.append((6, (actions > n_labels) & (actions != NO_ACTION_MARKER),
+                       lambda row: f"action_id {actions[row]} outside [1, {n_labels}]"))
+    if labelled is not None:
+        checks.append((6, labelled & (actions == NO_ACTION_MARKER), "action_id 0 reads back as no label"))
+    checks += [
         (7, actors < 0, "must be >= 0"),
         *_fraction_checks(8, scores),  # a ground-truth score is 1.0, which passes
     ]
@@ -408,32 +426,71 @@ def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRe
         (9, no_action, "action_id 0 must be the observation's only row"),
         (9, duplicate, lambda p: f"duplicate action_id {sorted_actions[p]}"),
     ], {})
-    _raise_errors(path, errors + group_errors)
+    return errors + group_errors, (order, starts)
+
+
+def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRecord]:
+    """The records of an annotation file's cells; FormatError naming each row's first broken rule.
+
+    The rules are `_annotation_errors`'. Each record comes with its column
+    table (`model._Table`) and its actor ids, cut from the same sorted
+    columns as its observations.
+    """
+    errors, (order, starts) = _annotation_errors(cells, role, n_labels)
+    _raise_errors(path, errors)
 
     # Every row is clean and taken: each observation is its rows from its head.
-    first = order[starts]
-    first_videos = videos[first]
+    columns = cells.columns
+    keyframes, boxes, actors = (columns[name][order[starts]] for name in ("keyframe", "box", "actor_id"))
+    scores = columns["score"][order[starts]] if role == "pred" else np.ones(len(boxes))
+    names, videos = cells.names, cells.videos[order[starts]]
     bounds = starts.tolist() + [len(order)]
-    action_ids = sorted_actions.tolist()
+    action_ids = columns["action_id"][order].tolist()
     labels = [tuple(action_ids[start:stop]) for start, stop in zip(bounds, bounds[1:])]
     # Each set is built from its rows' action ids in file order, so that its
     # iteration order, and so its repr, is that of the file's rows.
     label_sets = {ids: frozenset(set(ids) - {NO_ACTION_MARKER}) for ids in set(labels)}
     observations = list(map(
         ActorObservation,
-        map(names.__getitem__, first_videos.tolist()),
-        keyframes[first].tolist(),
-        map(BoundingBox, *boxes[first].T.tolist()),
-        actors[first].tolist(),
+        map(names.__getitem__, videos.tolist()),
+        keyframes.tolist(),
+        map(BoundingBox, *boxes.T.tolist()),
+        actors.tolist(),
         map(label_sets.__getitem__, labels),
-        scores[first].tolist(),
+        scores.tolist(),
     ))
-    # The observations run in (video, keyframe, actor) order: cut them at each new video.
-    cuts = np.flatnonzero(np.diff(first_videos)) + 1
-    return [
-        VideoRecord(video_id=name, observations=tuple(observations[start:stop]))
-        for name, start, stop in zip(names, [0, *cuts.tolist()], [*cuts.tolist(), len(observations)])
-    ]
+
+    # The observations run in (video, keyframe, actor) order. Each video's
+    # keyframe and actor codes count its distinct values from 0.
+    n = len(observations)
+    video_start = np.ones(n, bool)
+    video_start[1:] = videos[1:] != videos[:-1]
+    record_starts = np.flatnonzero(video_start)
+    record_sizes = np.diff(np.append(record_starts, n))
+    frame_start = video_start.copy()
+    frame_start[1:] |= keyframes[1:] != keyframes[:-1]
+    frame_rank = np.cumsum(frame_start) - 1
+    frame_codes = frame_rank - np.repeat(frame_rank[record_starts], record_sizes)
+    by_actor = np.lexsort((actors, videos))  # by video first, so each video keeps its positions
+    actor_start = video_start.copy()
+    actor_start[1:] |= actors[by_actor][1:] != actors[by_actor][:-1]
+    actor_rank = np.cumsum(actor_start) - 1
+    actor_codes = np.empty(n, np.int64)
+    actor_codes[by_actor] = actor_rank - np.repeat(actor_rank[record_starts], record_sizes)
+    rows = (frame_codes, actor_codes, boxes, scores)
+    _read_only(*rows)
+
+    frame_rows, distinct_frames = np.flatnonzero(frame_start), keyframes[frame_start].tolist()
+    distinct_actors = actors[by_actor][actor_start].tolist()
+    records = []
+    for name, start, stop in zip(names, record_starts.tolist(), (record_starts + record_sizes).tolist()):
+        frames = slice(frame_rank[start], frame_rank[stop - 1] + 1)
+        frame_bounds = np.append(frame_rows[frames] - start, stop - start)
+        _read_only(frame_bounds)
+        table = _Table(tuple(distinct_frames[frames]), frame_bounds, *(column[start:stop] for column in rows))
+        actor_ids = tuple(distinct_actors[actor_rank[start] : actor_rank[stop - 1] + 1])
+        records.append(VideoRecord._with_table(name, tuple(observations[start:stop]), table, actor_ids))
+    return records
 
 
 def _stream_errors(cells: _Cells) -> tuple[str, list[tuple[int, str]]]:
@@ -502,6 +559,8 @@ def _cell(value):
 # csv.writer itself writes these types by `_cell`'s rule (a float as its repr,
 # None empty), so a row holding nothing else skips the per-cell call.
 _CSV_NATIVE = frozenset((str, int, float, type(None)))
+# csv.writer quotes a cell holding one of these, and writes any other as it is.
+_QUOTED = frozenset(',"\r\n')
 
 
 def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -513,34 +572,98 @@ def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) ->
             writer.writerow(row if _CSV_NATIVE.issuperset(map(type, row)) else map(_cell, row))
 
 
+def _write_rows(path: str, columns: Sequence[str], row_format: str, rows: Iterable[Sequence]) -> None:
+    """`_write_table`'s bytes, one ``row_format`` join per row.
+
+    Each ``%r`` of the format must take a float (its repr is `_cell`'s), each
+    ``%d`` an int and each ``%s`` a str cell as ``csv.writer`` writes it
+    (`_quoted`).
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(",".join(columns) + "\r\n")
+        handle.write("".join(map(row_format.__mod__, rows)))
+
+
+def _quoted(text: str) -> str:
+    """A str cell as ``csv.writer`` writes it: in quotes, each quote doubled, if it holds a `_QUOTED` character."""
+    return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
+
+
 def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> None:
     """Serialize records in canonical row order (video, keyframe, actor, action).
 
-    Raises ValueError, before the file is opened, on a record with
-    observations and an empty video_id, and on a ground-truth observation
-    without labels: `parse_annotations` would refuse the rows of either.
+    The rows are written from the records' column tables (`_written_cells`).
+    Raises ValueError, before the file is opened, on a row that
+    `parse_annotations` would refuse under any label count (its checks,
+    `_annotation_errors`, but the label range), or would read back as
+    another label set: action 0 as a label. The message names the first
+    such row's video and keyframe, and gives the parser's message, whose
+    lines are the rows' lines in the file.
     """
-    records = sorted(records, key=lambda r: r.video_id)
-    for record in records:
-        if record.observations and not record.video_id:
-            raise ValueError("video_id: must be non-empty on a record with observations")
-        for obs in record.observations if role == "gt" else ():
-            if not obs.actions:
-                raise ValueError(
-                    f"ground-truth observation without labels at video "
-                    f"{record.video_id!r} keyframe {obs.keyframe}"
-                )
+    header = _columns(role)
+    cells, labelled = _written_cells(sorted(records, key=lambda r: r.video_id))
+    columns = cells.columns
+    errors, _ = _annotation_errors(cells, role, None, labelled)
+    if errors:
+        line, message = min(errors, key=itemgetter(0))
+        raise ValueError(
+            f"{cells.names[cells.videos[line - 2]]!r}: row at keyframe {columns['keyframe'][line - 2]} "
+            f"would not parse back: {message}"
+        )
+    names = list(map(_quoted, cells.names))
+    rows = zip(
+        map(names.__getitem__, cells.videos.tolist()),
+        columns["keyframe"].tolist(),
+        *columns["box"].T.tolist(),
+        columns["action_id"].tolist(),
+        columns["actor_id"].tolist(),
+        *([columns["score"].tolist()] if role == "pred" else []),
+    )
+    _write_rows(path, header, "%s,%d,%r,%r,%r,%r,%d,%d" + (",%r" if role == "pred" else "") + "\r\n", rows)
 
-    def rows():
-        for record in records:
-            for obs in record.observations:
-                box = obs.box
-                location = (record.video_id, obs.keyframe, box.x1, box.y1, box.x2, box.y2)
-                score = (obs.score,) if role == "pred" else ()
-                for action_id in sorted(obs.actions) if obs.actions else [NO_ACTION_MARKER]:
-                    yield (*location, action_id, obs.actor_id, *score)
 
-    _write_table(path, _columns(role), rows())
+def _written_cells(records: Sequence[VideoRecord]) -> tuple[_Cells, np.ndarray]:
+    """The cells of the rows written for ``records``, and a mask of the rows written for a label.
+
+    One row is written per sorted label of each observation, or one of
+    action 0 for none; its other cells repeat the observation's row of its
+    record's column table (`model._Table`). A row's line is its index + 2.
+    The action column holds each label as the parser reads its text, which
+    is what the row writes.
+    """
+    names = sorted({record.video_id for record in records})
+    code_of = {name: code for code, name in enumerate(names)}
+    records = [VideoRecord(""), *records]  # so that every column has a part
+    tables = [record._table for record in records]
+    labels = [sorted(obs.actions) for record in records for obs in record.observations]
+    counts = [len(action_ids) or 1 for action_ids in labels]
+
+    def per_row(parts: Iterable[np.ndarray]) -> np.ndarray:
+        return np.repeat(np.concatenate(list(parts)), counts, axis=0)
+
+    videos = per_row(np.full(len(record), code_of.get(record.video_id, 0)) for record in records)
+    columns = dict(
+        keyframe=per_row(_int_column(table.keyframes)[table.frame_codes] for table in tables),
+        box=per_row(table.boxes for table in tables),
+        actor_id=per_row(_int_column(record.actor_ids)[table.actors] for record, table in zip(records, tables)),
+        score=per_row(table.scores for table in tables),
+    )
+    actions = [action for action_ids in labels for action in action_ids or [NO_ACTION_MARKER]]
+    failed: dict[int, tuple[int, str]] = {}
+    columns["action_id"] = _int_column([
+        action if type(action) is int else _converted(int, str(_cell(action)), row, 6, failed)
+        for row, action in enumerate(actions)
+    ])
+    labelled = np.repeat(np.array(list(map(bool, labels)), bool), counts)
+    return _Cells(names, videos, columns, range(2, len(actions) + 2), failed), labelled
+
+
+def _int_column(values: Sequence[int]) -> np.ndarray:
+    """Python ints as an int64 array, or as an object array if one passes int64 (as the csv reader reads them)."""
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array(values, object)
 
 
 def parse_detection_stream(path: str) -> DetectionStream:
@@ -775,9 +898,11 @@ def write_pr_curve(result: APResult, path: str) -> None:
 
     The recall, precision and p_interp columns are the curve's ``columns``,
     the ones its AP was summed from; a curve without ground truth has no rows.
+    Every cell is a number, which ``csv.writer`` never quotes, so each row is
+    one format join (`_write_rows`).
     """
     columns = [column.tolist() for column in result.curve.columns]
-    _write_table(path, PR_CURVE_COLUMNS, (
-        (rank, score, int(is_tp), int(not is_tp), *values)
+    _write_rows(path, PR_CURVE_COLUMNS, "%d,%r,%d,%d,%r,%r,%r\r\n", (
+        (rank, float(score), is_tp, not is_tp, *values)
         for rank, ((score, is_tp), *values) in enumerate(zip(result.curve.ranked, *columns), start=1)
     ))

@@ -4,10 +4,12 @@ The shared matching substrate: `match_corpus` matches a corpus once, for
 every metric reader to take. It holds one read-only GT x prediction IoU
 matrix per keyframe of each video, and on first read each video's gated
 pairs and AP's greedy TP flags. It batches the keyframes of all videos by
-shape, so a corpus of many short videos of a few shapes takes a few numpy
-calls, not a few per video, and the pairs and flags take one call per chunk
-of that batching too. `gated_cost` puts exactly 1.0 wherever the IoU gate
-fails, so a surviving pair can always be recognized by cost < 1.
+shape, gathering their boxes from the records' column tables
+(`model._Table`) by row index, so a corpus of many short videos of a few
+shapes takes a few numpy calls, not a few per video, and the pairs and
+flags take one call per chunk of that batching too. `gated_cost` puts
+exactly 1.0 wherever the IoU gate fails, so a surviving pair can always be
+recognized by cost < 1.
 `solve_assignment`, the package's one solver (IDF1's identity pairing
 included), returns the exact optimum and, among equal-cost optima, the
 lexicographically smallest (row, col) pair list so results are identical
@@ -56,7 +58,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -65,8 +67,6 @@ from .model import BoundingBox, VideoRecord
 DEFAULT_IOU_GATE = 0.5
 # Entries per batched IoU call: bounds the temporaries at 64 KiB each.
 _IOU_BATCH_ENTRIES = 8192
-# One video's IoU table in a `match_corpus` result: keyframe -> IoU matrix.
-IouTable = dict[int, np.ndarray]
 # Enumeration covers 2 or 3 pairs with at most this many rows and columns:
 # at most 10 * 9 * 8 = 720 candidates. Up to that side one enumeration takes
 # a half to a quarter of the time of one LSA with its duals (2 x 6 to 3 x 10,
@@ -137,60 +137,121 @@ def check_gate(iou_threshold: float) -> None:
         raise ValueError("iou_threshold must lie in (0, 1)")
 
 
+class _Columns(NamedTuple):
+    """One side of a corpus: its videos' `_Table` rows, concatenated in video order.
+
+    Video ``v``'s rows are ``offsets[v]:offsets[v + 1]``; ``actors`` keeps each
+    row's code within its own record.
+    """
+
+    offsets: np.ndarray  # (videos + 1,)
+    boxes: np.ndarray  # (rows, 4)
+    scores: np.ndarray
+    actors: np.ndarray
+
+    @classmethod
+    def of(cls, records: Sequence[VideoRecord]) -> _Columns:
+        tables = [VideoRecord("")._table] + [record._table for record in records]  # one even with no record
+        offsets = np.cumsum([len(table.actors) for table in tables])
+        return cls(offsets, *(np.concatenate([getattr(table, name) for table in tables]) for name in cls._fields[1:]))
+
+
+class _Keys(NamedTuple):
+    """The keyframes of a corpus with boxes on both sides, in corpus order: by video, then keyframe.
+
+    Key ``k``'s GT rows (of the corpus's `_Columns`) are ``gt_first[k]`` and the
+    ``n_gt[k] - 1`` rows after it, its prediction rows likewise, and its IoU
+    matrix is ``chunks[chunk[k]].ious[slot[k]]``.
+    """
+
+    video: np.ndarray
+    gt_first: np.ndarray
+    n_gt: np.ndarray
+    pred_first: np.ndarray
+    n_pred: np.ndarray
+    chunk: np.ndarray
+    slot: np.ndarray
+
+
+class _Pairs(NamedTuple):
+    """A corpus's gated pairs as rows of its GT and prediction `_Columns`, in key order.
+
+    Key ``k``'s pairs are ``bounds[k]:bounds[k + 1]``, sorted as
+    `solve_assignment` sorts them.
+    """
+
+    gt: np.ndarray
+    pred: np.ndarray
+    bounds: np.ndarray  # (keys + 1,)
+
+
 @dataclass(frozen=True)
 class _Chunk:
     """Same-shape keyframes of a corpus and their stacked IoU matrices."""
 
-    keys: list[tuple[int, int]]  # (video position, keyframe), in corpus order
-    ious: np.ndarray  # (len(keys), n_gt, n_pred), read-only
+    index: np.ndarray  # the keyframes' positions in the corpus's `_Keys`, ascending
+    ious: np.ndarray  # (len(index), n_gt, n_pred), read-only
+    rows: np.ndarray  # (len(index), n_gt): each keyframe's GT rows
+    cols: np.ndarray  # (len(index), n_pred): each keyframe's prediction rows
 
 
 @dataclass(frozen=True)
 class _CorpusMatch:
     """A corpus's per-keyframe matching at one gate, which every metric reader takes.
 
-    ``videos`` holds the ``(gt, pred)`` records. ``tables[v]`` maps video
-    ``v``'s keyframes with boxes on both sides, ascending, to their read-only
-    GT x prediction IoU matrices, rows and columns in frame order; ``chunks``
-    are the same-shape batches they were computed in. `pairs` and `flags`
-    are computed for the whole corpus on first read, one batched call per
-    chunk, so a reader that needs neither costs neither. The object spans
-    the corpus rather than one video so that both stay lazy and still take
-    one call per chunk across videos: a per-video object would have to
-    compute them eagerly or refer back to its corpus.
+    ``videos`` holds the ``(gt, pred)`` records, and ``gt`` and ``pred`` their
+    column tables, concatenated (`_Columns`). ``keys`` lists the keyframes
+    with boxes on both sides (`_Keys`), and ``chunks`` the same-shape batches
+    their IoU matrices were computed in, GT x prediction, rows and columns in
+    frame order. `pair_rows` and `flags` are computed for the whole corpus
+    on first read, one batched call per chunk, so a reader that needs
+    neither costs neither. The object spans the corpus rather than one
+    video so that both stay lazy and still take one call per chunk across
+    videos: a per-video object would have to compute them eagerly or refer
+    back to its corpus.
     """
 
     videos: Sequence[tuple[VideoRecord, VideoRecord]]
     gate: float
-    tables: list[IouTable]
+    gt: _Columns
+    pred: _Columns
+    keys: _Keys
     chunks: list[_Chunk]
 
     @functools.cached_property
-    def pairs(self) -> list[dict[int, tuple[tuple[int, int], ...]]]:
-        """Each video's gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs` by keyframe.
+    def pair_rows(self) -> _Pairs:
+        """Every keyframe's gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs`, as `_Pairs`.
 
-        Each video's keyframes keep its table's order. A chunk of a shape
-        the enumeration covers is solved in one `_enumerated_optima` call,
-        whatever videos it mixes: the chunk's largest cost only widens the
-        candidates that `math.fsum` decides among, so a keyframe's pairs do
-        not depend on its chunk. The chunks' bound keeps peak memory level
-        however long the corpus. The other keyframes go through
-        `solve_assignment` one by one.
+        A chunk of a shape the enumeration covers is solved in one
+        `_enumerated_optima` call, whatever videos it mixes: the chunk's
+        largest cost only widens the candidates that `math.fsum` decides
+        among, so a keyframe's pairs do not depend on its chunk. The chunks'
+        bound keeps peak memory level however long the corpus. The other
+        keyframes go through `solve_assignment` one by one.
         """
-        solved: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        members, gts, preds = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for chunk in self.chunks:
             costs = gated_cost(chunk.ious, self.gate)
             shape = costs.shape[1:]
             if _enumerable(shape):
                 # Gated costs lie in [0, 1], far below `_ENUMERATED_MAX_COST`.
-                _, _, candidates = _assignment_table(*shape)
+                rows, cols, _ = _assignment_table(*shape)
                 optima = _enumerated_optima(costs, float(costs.max()))
-                for key, cost, index in zip(chunk.keys, costs, optima):
-                    solved[key] = tuple(pair for pair in candidates[index] if cost[pair] != 1.0)
+                rows, cols = rows[optima], cols[optima]
+                kept = costs[np.arange(len(costs))[:, None], rows, cols] != 1.0
+                member = np.nonzero(kept)[0]
+                rows, cols = rows[kept], cols[kept]
             else:
-                for key, cost in zip(chunk.keys, costs):
-                    solved[key] = solve_assignment(cost).pairs
-        return [{keyframe: solved[v, keyframe] for keyframe in table} for v, table in enumerate(self.tables)]
+                solved = [solve_assignment(cost).pairs for cost in costs]
+                member = np.repeat(np.arange(len(solved)), list(map(len, solved)))
+                rows, cols = np.array([pair for pairs in solved for pair in pairs], np.int64).reshape(-1, 2).T
+            members.append(chunk.index[member])
+            gts.append(chunk.rows[member, rows])
+            preds.append(chunk.cols[member, cols])
+        keys = np.concatenate(members)
+        order = np.argsort(keys, kind="stable")
+        bounds = np.searchsorted(keys[order], np.arange(len(self.keys.video) + 1))
+        return _Pairs(np.concatenate(gts)[order], np.concatenate(preds)[order], bounds)
 
     @functools.cached_property
     def flags(self) -> list[np.ndarray]:
@@ -199,18 +260,16 @@ class _CorpusMatch:
         One `_greedy_flags` call per chunk; a prediction at a keyframe
         without ground truth is a false positive.
         """
-        preds = [pred for _, pred in self.videos]
-        flags = [np.zeros(len(pred), dtype=bool) for pred in preds]
-        # starts[v][keyframe]: the index of the keyframe's first prediction in video v.
-        starts = [
-            dict(zip(pred.frames, itertools.accumulate(map(len, pred.frames.values()), initial=0)))
-            for pred in preds
-        ]
+        flags = np.zeros(len(self.pred.scores), dtype=bool)
         for chunk in self.chunks:
-            scores = np.array([[o.score for o in preds[v].frames[keyframe]] for v, keyframe in chunk.keys])
-            for (v, keyframe), row in zip(chunk.keys, _greedy_flags(chunk.ious, scores, self.gate)):
-                flags[v][starts[v][keyframe] : starts[v][keyframe] + len(row)] = row
-        return flags
+            flags[chunk.cols] = _greedy_flags(chunk.ious, self.pred.scores[chunk.cols], self.gate)
+        offsets = self.pred.offsets.tolist()
+        return [flags[start:stop] for start, stop in zip(offsets, offsets[1:])]
+
+    @functools.cached_property
+    def video_pairs(self) -> list[int]:
+        """Where each video's pairs start in `pair_rows`, then the pair count."""
+        return self.pair_rows.bounds[np.searchsorted(self.keys.video, np.arange(len(self.videos) + 1))].tolist()
 
 
 def match_corpus(videos: Sequence[tuple[VideoRecord, VideoRecord]], gate: float) -> _CorpusMatch:
@@ -220,32 +279,49 @@ def match_corpus(videos: Sequence[tuple[VideoRecord, VideoRecord]], gate: float)
     taken in order, are grouped by shape, and each group is cut into chunks
     of at most `_IOU_BATCH_ENTRIES` IoU entries and, for a shape the
     enumeration covers, `_ENUMERATED_BATCH_ENTRIES` candidate entries: one
-    `iou_matrix` call a chunk, whose stack the gated pairs and the AP flags
-    read in turn. A corpus of short videos of a few shapes thus takes a few
+    `iou_matrix` call a chunk, on boxes gathered from the records' column
+    tables by row index, whose stack the gated pairs and the AP flags read
+    in turn. A corpus of short videos of a few shapes thus takes a few
     calls, not a few per video.
     """
     check_gate(gate)
-    by_shape: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for position, (gt, pred) in enumerate(videos):
-        for keyframe in sorted(gt.frames.keys() & pred.frames.keys()):
-            shape = (len(gt.frames[keyframe]), len(pred.frames[keyframe]))
-            by_shape.setdefault(shape, []).append((position, keyframe))
-    tables: list[IouTable] = [{} for _ in videos]
+    gt, pred = _Columns.of([g for g, _ in videos]), _Columns.of([p for _, p in videos])
+    key_video, gt_first, n_gt, pred_first, n_pred = [], [], [], [], []
+    for v, (g, p) in enumerate(videos):
+        g, p = g._table, p._table
+        # Python ints compare exactly, whatever their size.
+        pred_code = {keyframe: code for code, keyframe in enumerate(p.keyframes)}
+        common = [(code, pred_code[keyframe]) for code, keyframe in enumerate(g.keyframes) if keyframe in pred_code]
+        gi, pi = np.array(common, np.int64).reshape(-1, 2).T
+        key_video.append(np.full(len(gi), v))
+        gt_first.append(gt.offsets[v] + g.bounds[gi])
+        n_gt.append(g.bounds[gi + 1] - g.bounds[gi])
+        pred_first.append(pred.offsets[v] + p.bounds[pi])
+        n_pred.append(p.bounds[pi + 1] - p.bounds[pi])
+    key_video, gt_first, n_gt, pred_first, n_pred = (
+        np.concatenate([np.zeros(0, np.int64), *parts]) for parts in (key_video, gt_first, n_gt, pred_first, n_pred)
+    )
+
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for key, shape in enumerate(zip(n_gt.tolist(), n_pred.tolist())):
+        by_shape.setdefault(shape, []).append(key)
+    key_chunk, key_slot = np.zeros(len(key_video), np.int64), np.zeros(len(key_video), np.int64)
     chunks: list[_Chunk] = []
-    for (n_gt, n_pred), keys in by_shape.items():
-        step = max(1, _IOU_BATCH_ENTRIES // (n_gt * n_pred))
-        if _enumerable((n_gt, n_pred)):
-            step = min(step, max(1, _ENUMERATED_BATCH_ENTRIES // _assignment_table(n_gt, n_pred)[0].size))
-        for start in range(0, len(keys), step):
-            chunk = keys[start : start + step]
-            a = boxes_to_array([o.box for v, kf in chunk for o in videos[v][0].frames[kf]])
-            b = boxes_to_array([o.box for v, kf in chunk for o in videos[v][1].frames[kf]])
-            stack = iou_matrix(a.reshape(-1, n_gt, 4), b.reshape(-1, n_pred, 4))
+    for shape, members in by_shape.items():
+        step = max(1, _IOU_BATCH_ENTRIES // (shape[0] * shape[1]))
+        if _enumerable(shape):
+            step = min(step, max(1, _ENUMERATED_BATCH_ENTRIES // _assignment_table(*shape)[0].size))
+        for start in range(0, len(members), step):
+            index = np.array(members[start : start + step])
+            rows = gt_first[index, None] + np.arange(shape[0])
+            cols = pred_first[index, None] + np.arange(shape[1])
+            stack = iou_matrix(gt.boxes[rows], pred.boxes[cols])
             stack.setflags(write=False)
-            chunks.append(_Chunk(chunk, stack))
-            for (v, keyframe), overlaps in zip(chunk, stack):
-                tables[v][keyframe] = overlaps
-    return _CorpusMatch(videos, gate, [dict(sorted(table.items())) for table in tables], chunks)
+            key_chunk[index] = len(chunks)
+            key_slot[index] = np.arange(len(index))
+            chunks.append(_Chunk(index, stack, rows, cols))
+    keys = _Keys(key_video, gt_first, n_gt, pred_first, n_pred, key_chunk, key_slot)
+    return _CorpusMatch(videos, gate, gt, pred, keys, chunks)
 
 
 def _greedy_flags(overlaps: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:

@@ -11,13 +11,21 @@ construction. Construction does not check these rules:
 `io_formats.parse_annotations` enforces them on every file it reads, as
 array checks on the cells of all rows and then on the rows of each
 observation, and the tests hold a whole-record oracle (`tests/support.py`).
+
+Each record also holds its observations as a private column table
+(`_Table`, the record's ``_table``), which the metric readers read instead
+of the observation objects. The parser fills it from the sorted columns it
+checked, as it builds the record; a record built through the API builds it
+from its observations on first read. Both give equal tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 DEFAULT_N_LABELS = 80
 
@@ -76,6 +84,30 @@ class ActorObservation:
             object.__setattr__(self, "actions", frozenset(self.actions))
 
 
+class _Table(NamedTuple):
+    """A record's observations as read-only columns, one row per observation in its order.
+
+    ``keyframes`` holds the distinct keyframes, ascending, and ``bounds`` the
+    row where each one starts, then the row count. Each row's keyframe is
+    its position in ``keyframes`` (``frame_codes``) and its actor its
+    position in the record's ``actor_ids`` (``actors``): order-preserving
+    codes, so a keyframe or actor id past int64 needs no int64 column.
+    The label sets stay on the observations.
+    """
+
+    keyframes: tuple[int, ...]
+    bounds: np.ndarray  # (len(keyframes) + 1,) int64
+    frame_codes: np.ndarray  # (n,) int64
+    actors: np.ndarray  # (n,) int64
+    boxes: np.ndarray  # (n, 4) float: x1, y1, x2, y2
+    scores: np.ndarray  # (n,) float
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class VideoRecord:
     """All observations of one video, canonically ordered.
@@ -105,6 +137,35 @@ class VideoRecord:
     @cached_property
     def actor_ids(self) -> tuple[int, ...]:
         return tuple(sorted({o.actor_id for o in self.observations}))
+
+    @cached_property
+    def _table(self) -> _Table:
+        """The observations' column table, built from them on first read unless a parser seeded it."""
+        observations = self.observations
+        keyframes = tuple(dict.fromkeys(o.keyframe for o in observations))
+        code_of = {keyframe: code for code, keyframe in enumerate(keyframes)}
+        frame_codes = np.fromiter((code_of[o.keyframe] for o in observations), np.int64, len(observations))
+        actor_of = {actor: code for code, actor in enumerate(self.actor_ids)}
+        boxes = np.array([(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in observations], float)
+        table = _Table(
+            keyframes,
+            np.searchsorted(frame_codes, np.arange(len(keyframes) + 1)),
+            frame_codes,
+            np.fromiter((actor_of[o.actor_id] for o in observations), np.int64, len(observations)),
+            boxes.reshape(-1, 4),
+            np.fromiter((o.score for o in observations), float, len(observations)),
+        )
+        _read_only(*table[1:])
+        return table
+
+    @classmethod
+    def _with_table(
+        cls, video_id: str, observations: tuple[ActorObservation, ...], table: _Table, actor_ids: tuple[int, ...]
+    ) -> VideoRecord:
+        """A record of observations in canonical order, with the table and actor ids its parser read."""
+        record = cls(video_id, observations)
+        record.__dict__.update(_table=table, actor_ids=actor_ids)
+        return record
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -141,10 +202,12 @@ def build_tracklets(record: VideoRecord) -> dict[int, tuple[ActorObservation, ..
     for obs in record.observations:
         key = (obs.keyframe, obs.actor_id)
         if key in seen:
-            raise ValueError(
-                f"duplicate (keyframe={obs.keyframe}, actor_id={obs.actor_id}) "
-                f"in video {record.video_id!r}"
-            )
+            raise _duplicate_error(record.video_id, *key)
         seen.add(key)
         per_actor.setdefault(obs.actor_id, []).append(obs)
     return {actor_id: tuple(per_actor[actor_id]) for actor_id in sorted(per_actor)}
+
+
+def _duplicate_error(video_id: str, keyframe: int, actor_id: int) -> ValueError:
+    """The error of a record that holds (keyframe, actor_id) twice where each must be one tracklet's."""
+    return ValueError(f"duplicate (keyframe={keyframe}, actor_id={actor_id}) in video {video_id!r}")

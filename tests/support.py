@@ -397,3 +397,45 @@ def validate_record(
                     Violation("bad_label", f"action label {label} outside [1, {n_labels}]", kf, actor_id)
                 )
     return violations
+
+
+def assert_same_table(table, other) -> None:
+    """Two records' column tables (`model._Table`) hold equal, read-only columns of one dtype and shape."""
+    assert table.keyframes == other.keyframes
+    for name in table._fields[1:]:
+        mine, theirs = getattr(table, name), getattr(other, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+        assert np.array_equal(mine, theirs), name
+        assert not mine.flags.writeable and not theirs.flags.writeable, name
+
+
+def corpus_frames(corpus) -> list[tuple[int, int]]:
+    """Each key of a `match_corpus` result as ``(video position, keyframe)``, in corpus order."""
+    frames = []
+    for v, first in zip(corpus.keys.video.tolist(), corpus.keys.gt_first.tolist()):
+        table = corpus.videos[v][0]._table
+        frames.append((v, table.keyframes[table.frame_codes[first - corpus.gt.offsets[v]]]))
+    return frames
+
+
+def iou_tables(corpus) -> list[dict[int, np.ndarray]]:
+    """Each video's keyframes with boxes on both sides, ascending, mapped to their IoU matrices."""
+    frames = corpus_frames(corpus)
+    tables = [{} for _ in corpus.videos]
+    for chunk in corpus.chunks:
+        for key, overlaps in zip(chunk.index.tolist(), chunk.ious):
+            v, keyframe = frames[key]
+            tables[v][keyframe] = overlaps
+    return [dict(sorted(table.items())) for table in tables]
+
+
+def frame_pairs(corpus) -> list[dict[int, tuple[tuple[int, int], ...]]]:
+    """Each video's gated pairs (the corpus's `pair_rows`) by keyframe, as (row, col) pairs of its IoU matrix."""
+    found, keys = corpus.pair_rows, corpus.keys
+    pairs = [{} for _ in corpus.videos]
+    for key, (v, keyframe) in enumerate(corpus_frames(corpus)):
+        rows = range(found.bounds[key], found.bounds[key + 1])
+        pairs[v][keyframe] = tuple(
+            (int(found.gt[x] - keys.gt_first[key]), int(found.pred[x] - keys.pred_first[key])) for x in rows
+        )
+    return pairs

@@ -18,7 +18,7 @@ from asadeval.detection import (
 from asadeval.cli import EXIT_OK, main
 from asadeval.io_formats import write_annotations
 from asadeval.model import BoundingBox, VideoRecord
-from support import LEFT, RIGHT, greedy_flags, obs, record, sweep_ap
+from support import LEFT, RIGHT, greedy_flags, iou_tables, obs, record, sweep_ap
 
 FAR = (0.05, 0.7, 0.25, 0.9)  # disjoint from LEFT and RIGHT
 
@@ -356,8 +356,8 @@ def test_corpus_flags_equal_the_scalar_loop_across_chunks(n_keyframes, n_gt, n_p
         patch.setattr(matching, "_IOU_BATCH_ENTRIES", 4 * n_gt * n_pred)
         corpus = matching.match_corpus(aligned, gate)
         flags = corpus.flags
-    assert max(len(chunk.keys) for chunk in corpus.chunks) <= 4
-    for (gt, pred), table, video_flags in zip(aligned, corpus.tables, flags):
+    assert max(len(chunk.index) for chunk in corpus.chunks) <= 4
+    for (gt, pred), table, video_flags in zip(aligned, iou_tables(corpus), flags):
         expected = []
         for kf, frame in pred.frames.items():
             scores = [o.score for o in frame]

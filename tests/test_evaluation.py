@@ -1,7 +1,10 @@
 import pytest
 
+from asadeval.actions import hamming_loss, match_pairs
 from asadeval.evaluation import evaluate_records
-from support import LEFT, RIGHT, obs, record, track_obs
+from asadeval.identity import id_switches, idf1, mt_ml
+from asadeval.io_formats import parse_annotations, report_to_dict, write_annotations
+from support import LEFT, RIGHT, obs, record, scalar_id_switches, track_obs
 
 
 def two_video_fixture():
@@ -90,3 +93,94 @@ def test_persistence_flag_is_plumbed():
     loose = evaluate_records([gt], [pred], id_persistence=False)
     assert sticky.aggregate.id_switches == 0
     assert loose.aggregate.id_switches == 2
+
+
+# Degenerate inputs the metric readers must keep treating as they always did.
+
+
+def test_a_repeated_gt_observation_is_refused_by_the_report_and_by_mt_ml():
+    gt = record("v", [obs("v", 0, 1, LEFT), obs("v", 0, 1, RIGHT)])
+    pred = record("v", [obs("v", 0, 5, LEFT, score=0.9)])
+    message = "^duplicate \\(keyframe=0, actor_id=1\\) in video 'v'$"
+    with pytest.raises(ValueError, match=message):
+        evaluate_records([gt], [pred])
+    with pytest.raises(ValueError, match=message):
+        mt_ml(gt, pred)
+
+
+def test_a_repeated_prediction_is_scored_as_two_boxes():
+    gt = record("v", [obs("v", 0, 1, LEFT)])
+    pred = record("v", [obs("v", 0, 1, LEFT, score=0.9), obs("v", 0, 1, RIGHT, score=0.8)])
+    block = evaluate_records([gt], [pred]).per_video["v"]
+    assert (block.idtp, block.idfp, block.idfn, round(block.idf1, 4)) == (1, 1, 0, 0.6667)
+    assert block.id_switches == id_switches(gt, pred) == 0
+    assert idf1(gt, pred)[0] == block.idf1
+
+
+def test_a_repeated_predicted_id_persists_through_its_last_column():
+    # Predicted id 7 appears twice at keyframe 1: its first box still covers
+    # the actor, its last one does not. Persistence reads the last, so the
+    # actor is matched afresh, to id 9's exact box: one switch. Reading the
+    # first would keep id 7 and count none.
+    near = (0.1, 0.1, 0.3, 0.34)  # IoU 0.04 / 0.048, about 0.83, with LEFT
+    gt = record("v", [obs("v", 0, 1, LEFT), obs("v", 1, 1, LEFT)])
+    pred = record("v", [
+        obs("v", 0, 7, LEFT, score=0.9),
+        obs("v", 1, 7, near, score=0.9),
+        obs("v", 1, 7, RIGHT, score=0.9),
+        obs("v", 1, 9, LEFT, score=0.9),
+    ])
+    assert id_switches(gt, pred) == scalar_id_switches(gt, pred) == 1
+    assert evaluate_records([gt], [pred]).per_video["v"].id_switches == 1
+
+
+def test_keyframes_and_actor_ids_past_int64_evaluate_as_small_ones(tmp_path):
+    # The csv reader reads such a file, into Python-int columns.
+    rows = {
+        "gt": ["{v},{k},0.1,0.1,0.3,0.3,1,{a}", "{v},{k1},0.1,0.1,0.3,0.3,2,{a}"],
+        "pred": ["{v},{k},0.1,0.1,0.3,0.3,1,{a},0.9", "{v},{k1},0.6,0.6,0.8,0.8,2,{a1},0.8"],
+    }
+    reports = []
+    for keyframe, actor in ((0, 1), (2**70, 2**70)):
+        parsed = {}
+        for role, lines in rows.items():
+            path = tmp_path / f"{role}.csv"
+            header = "video_id,keyframe,x1,y1,x2,y2,action_id,actor_id" + (",score" if role == "pred" else "")
+            cells = dict(v="v", k=keyframe, k1=keyframe + 1, a=actor, a1=actor + 1)
+            path.write_text("\n".join([header] + [line.format(**cells) for line in lines]) + "\n")
+            parsed[role] = parse_annotations(str(path), role=role, n_labels=4)
+        assert parsed["gt"][0].observations[0].keyframe == keyframe
+        reports.append(report_to_dict(evaluate_records(parsed["gt"], parsed["pred"], n_labels=4)))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("gt_keyframes, pred_keyframes", [
+    ((2**63 - 1,), (2**63,)),
+    ((2**53 + 1,), (2**53, 2**63)),
+])
+def test_keyframes_that_int64_or_float64_would_merge_stay_distinct(tmp_path, gt_keyframes, pred_keyframes):
+    # Int64 and uint64 arrays meet as float64, where these keyframes compare
+    # equal; as ints they share no keyframe, so nothing matches.
+    gt = record("v", [obs("v", kf, 1, LEFT) for kf in gt_keyframes])
+    pred = record("v", [obs("v", kf, 1, LEFT, score=0.9) for kf in pred_keyframes])
+    paths = {role: str(tmp_path / f"{role}.csv") for role in ("gt", "pred")}
+    write_annotations([gt], paths["gt"], role="gt")
+    write_annotations([pred], paths["pred"], role="pred")
+    parsed = [parse_annotations(paths[role], role=role, n_labels=4) for role in ("gt", "pred")]
+    for gts, preds in (([gt], [pred]), parsed):
+        block = evaluate_records(gts, preds, n_labels=4).aggregate
+        assert (block.tp, block.idtp, block.n_matched_pairs, block.mt_count) == (0, 0, 0, 0)
+        assert block.fp == len(pred_keyframes) and block.fn == len(gt_keyframes)
+
+
+def test_labels_outside_the_label_range_count_as_symmetric_differences():
+    # Negative, past 64, past 128 and past n_labels: each label counts once
+    # per side it is on.
+    gt_labels = [(-3, 1), (70, 200), (5,), (0, 64, 65), (True, 2)]
+    pred_labels = [(1,), (70, 129), (5, 9), (64, 128), (1, 3)]
+    gt = record("v", [obs("v", kf, 1, LEFT, actions=labels) for kf, labels in enumerate(gt_labels)])
+    pred = record("v", [obs("v", kf, 2, LEFT, actions=labels) for kf, labels in enumerate(pred_labels)])
+    expected = sum(len(set(g) ^ set(p)) for g, p in zip(gt_labels, pred_labels))
+    block = evaluate_records([gt], [pred], n_labels=8).per_video["v"]
+    assert block.wrong_label_bits == hamming_loss(match_pairs(gt, pred), 8).wrong_bits == expected
+    assert block.n_matched_pairs == len(gt_labels)

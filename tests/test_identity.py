@@ -148,11 +148,11 @@ def test_per_family_functions_check_the_gate(metric, gate):
 
 
 @pytest.mark.parametrize("metric, unread", [
-    pytest.param(idf1, ("pairs", "flags"), id="idf1"),
-    pytest.param(lambda gt, pred: average_precision([gt], [pred]), ("pairs",), id="average_precision"),
+    pytest.param(idf1, ("pair_rows", "flags"), id="idf1"),
+    pytest.param(lambda gt, pred: average_precision([gt], [pred]), ("pair_rows",), id="average_precision"),
     pytest.param(match_pairs, ("flags",), id="match_pairs"),
     pytest.param(mt_ml, ("flags",), id="mt_ml"),
-    pytest.param(lambda gt, pred: id_switches(gt, pred, persistence=True), ("pairs", "flags"), id="id_switches"),
+    pytest.param(lambda gt, pred: id_switches(gt, pred, persistence=True), ("pair_rows", "flags"), id="id_switches"),
 ])
 def test_per_family_functions_read_only_the_members_they_need(metric, unread, monkeypatch):
     # A corpus's gated pairs and AP flags are computed on first read, so a
@@ -284,13 +284,13 @@ def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
         residual_solves.append(args)
         return solve_assignment(*args, **kwargs)
 
-    solve_corpus = matching._CorpusMatch.pairs.func
+    solve_corpus = matching._CorpusMatch.pair_rows.func
 
     def counting_corpus(corpus):
         batched_reads.append(corpus)
         return solve_corpus(corpus)
 
-    monkeypatch.setattr(matching._CorpusMatch, "pairs", property(counting_corpus))
+    monkeypatch.setattr(matching._CorpusMatch, "pair_rows", property(counting_corpus))
     monkeypatch.setattr(identity, "solve_assignment", counting)
     rng = np.random.default_rng(6)
     corners = {1: LEFT, 2: RIGHT, 3: (0.6, 0.1, 0.8, 0.3)}

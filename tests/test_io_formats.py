@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from asadeval import io_formats
 from asadeval.association import DetectionStream
-from asadeval.detection import average_precision
+from asadeval.detection import APResult, DetectionTally, PRCurve, average_precision
 from asadeval.evaluation import SUMMED_TALLIES, evaluate_records
 from asadeval.io_formats import (
     FormatError,
@@ -177,7 +177,8 @@ def test_gt_writer_refuses_an_unlabelled_observation_before_opening(tmp_path):
     unlabelled = record("b", [obs("b", 0, 1, LEFT), obs("b", 3, 2, RIGHT, actions=())])
     path = tmp_path / "gt.csv"
     path.write_bytes(b"previous contents\n")
-    with pytest.raises(ValueError, match=r"^ground-truth observation without labels at video 'b' keyframe 3$"):
+    message = "'b': row at keyframe 3 would not parse back: action_id 0 (no labels) is not allowed in ground truth"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_annotations([unlabelled, labelled], str(path), role="gt")
     assert path.read_bytes() == b"previous contents\n"
     write_annotations([unlabelled, labelled], str(path), role="pred")
@@ -189,7 +190,8 @@ def test_annotation_writer_refuses_an_empty_video_id_before_opening(tmp_path):
     path.write_bytes(b"previous contents\n")
     records = [record("a", [obs("a", 0, 1, LEFT)]), record("", [obs("", 0, 1, LEFT)])]
     for role in ("gt", "pred"):
-        with pytest.raises(ValueError, match="^video_id: must be non-empty on a record with observations$"):
+        message = "^'': row at keyframe 0 would not parse back: video_id: must be non-empty$"
+        with pytest.raises(ValueError, match=message):
             write_annotations(records, str(path), role=role)
         assert path.read_bytes() == b"previous contents\n"
     # A record without observations writes no row, so its id is never read.
@@ -879,3 +881,123 @@ def test_sidecar_n_labels_takes_only_an_int_of_at_least_one(tmp_path, manifest, 
     else:
         write_text(tmp_path / "manifest.json", manifest)
     assert sidecar_n_labels(str(tmp_path / "gt.csv")) == expected
+
+
+# Scores whose repr is hard: the least subnormal, a small power of ten, a sum
+# that rounds, the ends of [0, 1] and 17 significant digits.
+REPR_SCORES = (5e-324, 1e-05, 0.1 + 0.2, 1.0, 0.0, 0.12345678901234568, 0.9999999999999999)
+
+
+@pytest.mark.parametrize("n_gt", [7, 1, 0])
+def test_pr_curve_rows_are_the_bytes_csv_writer_writes(tmp_path, n_gt):
+    # write_pr_curve joins each row with one format string; _write_table is the
+    # csv.writer path it replaced. A curve without ground truth has no rows.
+    flags = (True, False, True, True, False, False, True)[: max(n_gt, 1)] if n_gt else ()
+    ranked = tuple(zip(REPR_SCORES, flags))
+    tally = DetectionTally(tp=sum(flags), fp=len(flags) - sum(flags), fn=max(n_gt - sum(flags), 0))
+    result = APResult(None, None, PRCurve(ranked=ranked, n_gt=n_gt), tally, had_score_ties=False)
+    columns = [column.tolist() for column in result.curve.columns]
+    expected = tmp_path / "expected.csv"
+    io_formats._write_table(str(expected), io_formats.PR_CURVE_COLUMNS, (
+        (rank, score, int(is_tp), int(not is_tp), *values)
+        for rank, ((score, is_tp), *values) in enumerate(zip(ranked, *columns), start=1)
+    ))
+    written = tmp_path / "pr.csv"
+    write_pr_curve(result, str(written))
+    assert written.read_bytes() == expected.read_bytes()
+    assert len(written.read_bytes().splitlines()) == 1 + (len(ranked) if n_gt else 0)
+
+
+WRITER_REFUSALS = {
+    # role, observation, the parser's message
+    "negative keyframe": ("pred", dict(keyframe=-2, actions=(99,)), "keyframe -2 would not parse back: must be >= 0"),
+    "degenerate box": ("pred", dict(box=(0.5, 0.1, 0.4, 0.3)),
+                       "keyframe 0 would not parse back: degenerate box: requires x1 < x2 and y1 < y2"),
+    "corner outside": ("gt", dict(box=(0.1, 0.1, 1.5, 0.3)), "keyframe 0 would not parse back: must lie in [0, 1]"),
+    "nan corner": ("gt", dict(box=(0.1, np.nan, 0.3, 0.3)), "keyframe 0 would not parse back: must be finite"),
+    "score above 1": ("pred", dict(score=1.5), "keyframe 0 would not parse back: must lie in [0, 1]"),
+    "negative actor": ("pred", dict(actor_id=-1), "keyframe 0 would not parse back: must be >= 0"),
+    "negative label": ("gt", dict(actions=(-3, 2)), "keyframe 0 would not parse back: must be >= 0"),
+    "label 0 alone": ("pred", dict(actions=(0,)),
+                      "keyframe 0 would not parse back: action_id 0 reads back as no label"),
+    "label 0 and 4": ("pred", dict(actions=(0, 4)),
+                      "keyframe 0 would not parse back: action_id 0 reads back as no label"),
+    "gt label 0": ("gt", dict(actions=(0,)),
+                   "keyframe 0 would not parse back: action_id 0 (no labels) is not allowed in ground truth"),
+    "float label": ("gt", dict(actions=(2.5,)),
+                    "keyframe 0 would not parse back: invalid literal for int() with base 10: '2.5'"),
+    "bool label": ("pred", dict(actions=(True,)),
+                   "keyframe 0 would not parse back: invalid literal for int() with base 10: 'True'"),
+}
+
+
+@pytest.mark.parametrize("role, fields, message", list(WRITER_REFUSALS.values()), ids=list(WRITER_REFUSALS))
+def test_annotation_writer_refuses_a_row_its_parser_rejects(tmp_path, role, fields, message):
+    # The bad observation sorts after a good one in the same file, and the
+    # file is left as it was.
+    values = dict(keyframe=0, actor_id=1, box=LEFT, actions=(1,), score=0.5) | fields
+    bad = obs("v", values["keyframe"], values["actor_id"], values["box"], values["actions"], values["score"])
+    good = obs("a", 0, 1, LEFT, score=0.5)
+    path = tmp_path / f"{role}.csv"
+    path.write_bytes(b"previous contents\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(repr('v') + ': row at ' + message)}$"):
+        write_annotations([record("v", [bad]), record("a", [good])], str(path), role=role)
+    assert path.read_bytes() == b"previous contents\n"
+    missing = tmp_path / "new.csv"
+    with pytest.raises(ValueError):
+        write_annotations([record("v", [bad])], str(missing), role=role)
+    assert not missing.exists()
+
+
+def test_annotation_writer_refuses_what_the_parser_would_merge_into_a_conflict(tmp_path):
+    # Two records of one video whose observations share (keyframe, actor): the
+    # parser reads the second row as a conflicting row of the first observation.
+    first = record("v", [obs("v", 0, 1, LEFT, score=0.5)])
+    second = record("v", [obs("v", 0, 1, RIGHT, score=0.5)])
+    message = "'v': row at keyframe 0 would not parse back: geometry conflicts with line 2 for " \
+              "(video_id=v, keyframe=0, actor_id=1)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_annotations([first, second], str(tmp_path / "pred.csv"), role="pred")
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_annotation_writer_writes_ids_past_int64(tmp_path):
+    # The parser reads them with the csv reader, as Python ints.
+    original = record("v", [obs("v", 2**70, 2**64, LEFT, actions=(3, 80), score=0.5)])
+    path = tmp_path / "pred.csv"
+    write_annotations([original], str(path), role="pred")
+    assert parse_annotations(str(path), role="pred") == [original]
+
+
+@pytest.mark.parametrize("role", ["gt", "pred"])
+@pytest.mark.parametrize("video_id", ["v", "a b", "é\t", "a,b", 'a"b', "a\rb", "a\nb"])
+def test_annotation_rows_are_the_bytes_csv_writer_writes(tmp_path, role, video_id):
+    # write_annotations joins each row with one format string, quoting an id
+    # as csv.writer quotes it, so the bytes are _write_table's. A numpy label
+    # is written by its str, as csv.writer writes it.
+    rng = np.random.default_rng(3)
+    records = [random_record(rng, video_id, role), random_record(rng, "w", role)]
+    labelled = replace(records[1].observations[0], actions=frozenset({np.int64(7), 2**40}))
+    records[1] = record("w", [labelled, *records[1].observations[1:]])
+    expected = tmp_path / "expected.csv"
+    io_formats._write_table(str(expected), GT_HEADER.split(",") + (["score"] if role == "pred" else []), (
+        (r.video_id, o.keyframe, o.box.x1, o.box.y1, o.box.x2, o.box.y2, action, o.actor_id)
+        + ((o.score,) if role == "pred" else ())
+        for r in sorted(records, key=lambda r: r.video_id)
+        for o in r.observations
+        for action in sorted(o.actions) or [0]
+    ))
+    written = tmp_path / "out.csv"
+    write_annotations(records, str(written), role=role)
+    assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("label", ["3\n", " 3", np.int16(3)])
+def test_annotation_writer_writes_a_label_as_the_int_its_parser_reads(tmp_path, label):
+    # A label that int() reads as 3 is written as 3, never as its own text,
+    # whose newline would split the row.
+    written = tmp_path / "out.csv"
+    write_annotations([record("v", [obs("v", 0, 1, LEFT, actions=[label])])], str(written), role="gt")
+    assert written.read_text().splitlines()[1] == "v,0,0.1,0.1,0.3,0.3,3,1"
+    (parsed,) = parse_annotations(str(written), role="gt", n_labels=4)
+    assert parsed.observations[0].actions == {3}

@@ -11,7 +11,7 @@ from asadeval import matching
 from asadeval.matching import build_cost_matrix, iou_matrix, match_corpus, solve_assignment
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
-from support import LEFT, brute_force_lex_pairs, brute_force_min_cost, iou
+from support import LEFT, brute_force_lex_pairs, brute_force_min_cost, frame_pairs, iou, iou_tables
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -128,8 +128,9 @@ def test_frame_ious_match_scalar_per_frame():
         pred = {kf: random_boxes(rng, int(rng.integers(0, 6))) for kf in range(4, 16)}
         videos.append((gt, pred))
     corpus = match_corpus([(boxes_record(gt), boxes_record(pred)) for gt, pred in videos], 0.5)
-    assert len(corpus.tables) == len(videos)
-    for (gt, pred), table in zip(videos, corpus.tables):
+    tables = iou_tables(corpus)
+    assert len(tables) == len(videos)
+    for (gt, pred), table in zip(videos, tables):
         assert list(table) == sorted(kf for kf in range(4, 12) if gt[kf] and pred[kf])
         for kf, matrix in table.items():
             assert matrix.shape == (len(gt[kf]), len(pred[kf]))
@@ -138,8 +139,8 @@ def test_frame_ious_match_scalar_per_frame():
                 for j, p in enumerate(pred[kf]):
                     assert matrix[i, j] == iou(g, p)
     gt, pred = videos[0]
-    assert match_corpus([(boxes_record({0: gt[4]}), boxes_record({1: pred[4]}))], 0.5).tables == [{}]
-    assert match_corpus([], 0.5).tables == []
+    assert iou_tables(match_corpus([(boxes_record({0: gt[4]}), boxes_record({1: pred[4]}))], 0.5)) == [{}]
+    assert iou_tables(match_corpus([], 0.5)) == []
 
 
 def boxes_record(frames):
@@ -440,14 +441,15 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
         return solve_assignment(cost, drop_gated)
 
     monkeypatch.setattr(matching, "solve_assignment", counting)
-    pairs = corpus.pairs
+    corpus.pair_rows
     monkeypatch.undo()
-    every = [overlaps for table in corpus.tables for overlaps in table.values()]
+    pairs, tables = frame_pairs(corpus), iou_tables(corpus)
+    every = [overlaps for table in tables for overlaps in table.values()]
     uncovered = [overlaps.shape for overlaps in every if not matching._enumerable(overlaps.shape)]
     assert sorted(singly) == sorted(uncovered)
     assert 0 < len(uncovered) < len(every)
-    assert [list(video_pairs) for video_pairs in pairs] == [list(table) for table in corpus.tables]
-    for video_pairs, table in zip(pairs, corpus.tables):
+    assert [list(video_pairs) for video_pairs in pairs] == [list(table) for table in tables]
+    for video_pairs, table in zip(pairs, tables):
         for kf, overlaps in table.items():
             assert video_pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
 
@@ -471,18 +473,18 @@ def test_gated_pairs_bound_each_enumerated_batch(monkeypatch):
 
     monkeypatch.setattr(matching, "_enumerated_optima", recording)
     corpus = match_corpus(videos, 0.5)
-    pairs = corpus.pairs
+    corpus.pair_rows
     monkeypatch.undo()
     assert len(batches) == len(corpus.chunks)
     for chunk in corpus.chunks:
         count, *shape = chunk.ious.shape
-        assert count == len(chunk.keys) and chunk.ious.size <= matching._IOU_BATCH_ENTRIES
+        assert count == len(chunk.index) and chunk.ious.size <= matching._IOU_BATCH_ENTRIES
         assert count * matching._assignment_table(*shape)[0].size <= matching._ENUMERATED_BATCH_ENTRIES
     wide = [chunk for chunk in corpus.chunks if chunk.ious.shape[1:] == (3, 10)]
-    assert sum(len(chunk.keys) for chunk in wide) == 100 and 1 < len(wide) < 10
-    assert len({v for v, _ in wide[0].keys}) > 1
+    assert sum(len(chunk.index) for chunk in wide) == 100 and 1 < len(wide) < 10
+    assert len(set(corpus.keys.video[wide[0].index].tolist())) > 1
     assert [shape[0] for shape in batches if shape[1:] == (2, 2)] == [10]
-    for video_pairs, table in zip(pairs, corpus.tables):
+    for video_pairs, table in zip(frame_pairs(corpus), iou_tables(corpus)):
         for kf, overlaps in table.items():
             assert video_pairs[kf] == solve_assignment(matching.gated_cost(overlaps, 0.5)).pairs
 
@@ -513,9 +515,9 @@ def test_gated_pairs_do_not_depend_on_the_chunk(n_gt, n_pred, n_others, rnd):
     (chunk,) = mixed.chunks
     costs = matching.gated_cost(chunk.ious, 0.3)
     assert costs.max() == 1.0 > matching.gated_cost(single.chunks[0].ious, 0.3).max()
-    expected = solve_assignment(matching.gated_cost(single.tables[0][0], 0.3)).pairs
-    assert single.pairs[0][0] == expected
-    assert mixed.pairs[n_others // 2][0] == expected
+    expected = solve_assignment(matching.gated_cost(iou_tables(single)[0][0], 0.3)).pairs
+    assert frame_pairs(single)[0][0] == expected
+    assert frame_pairs(mixed)[n_others // 2][0] == expected
 
 
 @pytest.mark.parametrize("cost, drop_gated, expected", [

@@ -19,12 +19,14 @@ from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
 from asadeval.identity import mt_ml
 from asadeval.io_formats import (
-    FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
+    GT_COLUMNS, PRED_COLUMNS, FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
 )
 from asadeval.model import VideoRecord
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
-from support import LEFT, RIGHT, brute_force_idtp, obs, record, scalar_id_switches, sweep_ap, validate_record
+from support import (
+    LEFT, RIGHT, assert_same_table, brute_force_idtp, obs, record, scalar_id_switches, sweep_ap, validate_record,
+)
 
 
 @st.composite
@@ -223,6 +225,57 @@ def test_each_video_block_is_that_video_evaluated_alone(corpus, gate, persistenc
     pooled = average_precision(gts, preds, gate)
     assert report.pooled_ap.curve == pooled.curve
     assert report.pooled_ap == pooled
+
+
+@st.composite
+def annotation_files(draw):
+    """``(n_labels, {role: CSV text})``: a corpus's GT and prediction files, rows shuffled.
+
+    GT observations hold 1-3 labels, predictions 0-2 (written as action 0
+    for none); with 80 or 200 labels, labels run past 64 and past 128. Keyframes and actor ids are small or, in some files,
+    past int64, which the csv reader reads into Python-int columns. Videos
+    may be on one side only, and a side may hold no row at all.
+    """
+    n_labels = draw(st.sampled_from((8, 80, 200)))
+    offset = draw(st.sampled_from((0, 0, 2**70)))
+    texts = {}
+    for role, columns in (("gt", GT_COLUMNS), ("pred", PRED_COLUMNS)):
+        rows = []
+        for video_id in draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3)):
+            for keyframe in draw(st.sets(st.integers(0, 5), max_size=4)):
+                for actor in draw(st.sets(st.integers(0, 4), max_size=3)):
+                    location = [video_id, offset + keyframe, *draw(boxes())]
+                    score = [draw(st.sampled_from((0.25, 0.5, 0.9)))] if role == "pred" else []
+                    labels = draw(st.sets(st.integers(1, n_labels), min_size=role == "gt", max_size=3))
+                    for label in draw(st.permutations(sorted(labels) or [0])):
+                        rows.append(",".join(map(str, location + [label, offset + actor] + score)))
+        texts[role] = "\n".join([",".join(columns), *draw(st.permutations(rows))]) + "\n"
+    return n_labels, texts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(annotation_files())
+def test_a_parsed_records_table_is_the_one_its_observations_build(case):
+    # The parser seeds each record's column table; a record built from the same
+    # observations builds its own. The two must agree, and so must their reports.
+    n_labels, texts = case
+    parsed = {}
+    with tempfile.TemporaryDirectory() as directory:
+        for role, text in texts.items():
+            path = Path(directory) / f"{role}.csv"
+            path.write_text(text)
+            parsed[role] = parse_annotations(str(path), role=role, n_labels=n_labels)
+    rebuilt = {role: [VideoRecord(r.video_id, r.observations) for r in records] for role, records in parsed.items()}
+    for role, records in parsed.items():
+        for seeded, built in zip(records, rebuilt[role]):
+            assert "_table" in vars(seeded) and "_table" not in vars(built)
+            assert_same_table(seeded._table, built._table)
+            assert seeded.actor_ids == built.actor_ids
+    reports = [
+        report_to_dict(evaluate_records(side["gt"], side["pred"], n_labels=n_labels, id_persistence=persistence))
+        for persistence in (True, False) for side in (parsed, rebuilt)
+    ]
+    assert reports[0] == reports[1] and reports[2] == reports[3]
 
 
 valid_files = functools.cache(valid_inputs)

@@ -18,8 +18,12 @@ exactly, or else the exception's type and message. At each gate, both copies
 also run the public per-family functions on every video of the corpus:
 `idf1`, `mt_ml`, `id_switches` with persistence on and off, `match_pairs`
 with `hamming_loss` of its pairs, and `average_precision` of the video
-alone; their results must match as plain values. Prints the first
-differences and a summary, and exits 1 on any difference.
+alone; their results must match as plain values. Each corpus is checked
+twice: as generated, so that this checkout builds each record's column table
+from its observations, and after this checkout's `write_annotations` and
+each checkout's `parse_annotations`, so that the parser seeds the tables.
+A corpus the writer refuses is counted and checked as generated only.
+Prints the first differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -128,12 +132,21 @@ def family_values(package, gt, pred, gate: float) -> tuple:
     )
 
 
+def round_trip(io, directory: str) -> list:
+    """``io``'s `parse_annotations` of the files `write_annotations` wrote in ``directory``.
+
+    Injected false positives draw labels past `N_LABELS`, so the files are
+    read with room for any label.
+    """
+    return [io.parse_annotations(str(Path(directory) / f"{role}.csv"), role, 2**31) for role in ("gt", "pred")]
+
+
 def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
     """Each gate's ("report", JSON, PR-curve bytes) per persistence, then ("video", id, values) per video.
 
-    An evaluation or a video that raises gives ("raised", type, message) instead.
+    ``gts`` and ``preds`` are records of ``package``'s own classes. An
+    evaluation or a video that raises gives ("raised", type, message) instead.
     """
-    gts, preds = converted(package, gts), converted(package, preds)
     sides = [{record.video_id: record for record in records} for records in (gts, preds)]
     videos = [
         tuple(side.get(video_id, package.VideoRecord(video_id)) for side in sides)
@@ -174,10 +187,19 @@ def main(argv=None) -> int:
         path = str(Path(directory) / "pr.csv")
         for index in range(args.corpora):
             gts, preds = corpus(rng)
-            here = outcomes(asadeval, io_formats, gts, preds, path)
-            there = outcomes(other, other_io, gts, preds, path)
+            here = outcomes(asadeval, io_formats, converted(asadeval, gts), converted(asadeval, preds), path)
+            there = outcomes(other, other_io, converted(other, gts), converted(other, preds), path)
             tally["videos"] += len({r.video_id for r in gts + preds})
             tally["predictions"] += sum(len(r) for r in preds)
+            try:
+                io_formats.write_annotations(gts, str(Path(directory) / "gt.csv"), "gt")
+                io_formats.write_annotations(preds, str(Path(directory) / "pred.csv"), "pred")
+            except ValueError:
+                tally["refused"] += 1
+            else:
+                tally["round trips"] += 1
+                here += outcomes(asadeval, io_formats, *round_trip(io_formats, directory), path)
+                there += outcomes(other, other_io, *round_trip(other_io, directory), path)
             tally.update(result[0] for result in here)
             if here != there:
                 differences += 1
@@ -188,8 +210,9 @@ def main(argv=None) -> int:
                             print(f"  here:  {mine!r:.300}\n  other: {theirs!r:.300}")
     print(
         f"{args.corpora} corpora ({tally['videos']} videos, {tally['predictions']} predictions), "
-        f"{len(GATES) * 2} evaluations each per side: {tally['report']} reports and "
-        f"{tally['video']} per-video family checks, {tally['raised']} raised; {differences} corpora differ"
+        f"{len(GATES) * 2} evaluations per corpus, side and source: {tally['report']} reports and "
+        f"{tally['video']} per-video family checks, {tally['raised']} raised; {tally['round trips']} corpora "
+        f"also read back from written files, {tally['refused']} refused by the writer; {differences} corpora differ"
     )
     return 1 if differences else 0
 
