@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .matching import DEFAULT_IOU_GATE, _CorpusMatch, _Pairs, gated_cost, match_corpus, solve_assignment
-from .model import VideoRecord, _duplicate_error
+from .model import VideoRecord, _check_no_repeat
 
 MT_THRESHOLD = 0.8
 ML_THRESHOLD = 0.2
@@ -157,12 +157,8 @@ def track_coverage(gt: VideoRecord, covered: np.ndarray) -> MtMlResult:
 
     A duplicate (keyframe, actor_id) is a ValueError, as in `build_tracklets`.
     """
+    _check_no_repeat(gt)
     table = gt._table
-    repeated = (table.frame_codes[1:] == table.frame_codes[:-1]) & (table.actors[1:] == table.actors[:-1])
-    if repeated.any():
-        row = int(repeated.argmax()) + 1
-        keyframe, actor_id = table.keyframes[table.frame_codes[row]], gt.actor_ids[table.actors[row]]
-        raise _duplicate_error(gt.video_id, keyframe, actor_id)
     n_tracklets = len(gt.actor_ids)
     totals = np.bincount(table.actors, minlength=n_tracklets)
     hits = np.bincount(table.actors[covered], minlength=n_tracklets)

@@ -16,20 +16,21 @@ Four CSV schemas are defined (all UTF-8, LF or CRLF, header required):
 * PR curves: ``rank,score,tp,fp,recall,precision,p_interp``, one row per
   ranked prediction.
 
-Every CSV is written through one cell rule: a float (a numpy float
-included) is written as the ``repr`` of the Python float, so parsing
-reproduces it bit-exactly; None is an empty cell. The PR-curve and
-annotation writers format each row with one string instead of
-``csv.writer``, to the same bytes, wherever ``csv.writer`` would quote no
-cell (`_write_rows`). Reports serialize to JSON (exact round trip) or a
-flattened CSV table. Parsing is locale independent (decimal point only).
+Every CSV is written by one writer, `_write_rows`, which formats each
+row with one string, under one cell rule: a float (a numpy float included)
+is written as the ``repr`` of the Python float, so parsing reproduces it
+bit-exactly; None is an empty cell; a str is quoted as the csv module
+quotes it (`_quoted`), so the bytes are the ones its writer would write.
+Reports serialize to JSON (exact round trip) or a flattened CSV table.
+Parsing is locale independent (decimal point only).
 
 An input file is read by one of two readers, which return the same
 `_Cells`: each row's video id, its other cells as typed columns, and its
 line number. Then one checker per schema (`_records`, `_stream_errors`)
 applies every rule as an array test and raises the line-numbered
 `FormatError`, or builds the records or the stream. Each record it builds
-carries its column table (`model._Table`), cut from the checked columns.
+carries its column table, which `model._table_of` builds from the checked
+columns.
 The writers run the same checks before they open a file. numpy's reader
 (`_read_arrays`) converts the cells in chunks of lines, with the routine
 ``float`` uses, so the values are the same bits. It declines a file it cannot
@@ -64,7 +65,7 @@ import numpy as np
 from .association import DetectionStream
 from .detection import APResult
 from .evaluation import AGGREGATE_KEY, SUMMED_TALLIES, EvalReport, MetricBlock
-from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord, _read_only, _Table
+from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord, _check_no_repeat, _table_of
 from .synthetic import GENERATOR_ALGORITHM, ScenarioSpec
 from .version import __version__
 
@@ -432,9 +433,9 @@ def _annotation_errors(
 def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRecord]:
     """The records of an annotation file's cells; FormatError naming each row's first broken rule.
 
-    The rules are `_annotation_errors`'. Each record comes with its column
-    table (`model._Table`) and its actor ids, cut from the same sorted
-    columns as its observations.
+    The rules are `_annotation_errors`'. Each record comes with its actor
+    ids and its column table, which `model._table_of` builds from the
+    record's slice of the sorted columns its observations are built from.
     """
     errors, (order, starts) = _annotation_errors(cells, role, n_labels)
     _raise_errors(path, errors)
@@ -442,6 +443,7 @@ def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRe
     # Every row is clean and taken: each observation is its rows from its head.
     columns = cells.columns
     keyframes, boxes, actors = (columns[name][order[starts]] for name in ("keyframe", "box", "actor_id"))
+    keyframes, actors = keyframes.tolist(), actors.tolist()
     scores = columns["score"][order[starts]] if role == "pred" else np.ones(len(boxes))
     names, videos = cells.names, cells.videos[order[starts]]
     bounds = starts.tolist() + [len(order)]
@@ -453,42 +455,19 @@ def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRe
     observations = list(map(
         ActorObservation,
         map(names.__getitem__, videos.tolist()),
-        keyframes.tolist(),
+        keyframes,
         map(BoundingBox, *boxes.T.tolist()),
-        actors.tolist(),
+        actors,
         map(label_sets.__getitem__, labels),
         scores.tolist(),
     ))
 
-    # The observations run in (video, keyframe, actor) order. Each video's
-    # keyframe and actor codes count its distinct values from 0.
-    n = len(observations)
-    video_start = np.ones(n, bool)
-    video_start[1:] = videos[1:] != videos[:-1]
-    record_starts = np.flatnonzero(video_start)
-    record_sizes = np.diff(np.append(record_starts, n))
-    frame_start = video_start.copy()
-    frame_start[1:] |= keyframes[1:] != keyframes[:-1]
-    frame_rank = np.cumsum(frame_start) - 1
-    frame_codes = frame_rank - np.repeat(frame_rank[record_starts], record_sizes)
-    by_actor = np.lexsort((actors, videos))  # by video first, so each video keeps its positions
-    actor_start = video_start.copy()
-    actor_start[1:] |= actors[by_actor][1:] != actors[by_actor][:-1]
-    actor_rank = np.cumsum(actor_start) - 1
-    actor_codes = np.empty(n, np.int64)
-    actor_codes[by_actor] = actor_rank - np.repeat(actor_rank[record_starts], record_sizes)
-    rows = (frame_codes, actor_codes, boxes, scores)
-    _read_only(*rows)
-
-    frame_rows, distinct_frames = np.flatnonzero(frame_start), keyframes[frame_start].tolist()
-    distinct_actors = actors[by_actor][actor_start].tolist()
+    # The observations run in (video, keyframe, actor) order, one record per video.
     records = []
-    for name, start, stop in zip(names, record_starts.tolist(), (record_starts + record_sizes).tolist()):
-        frames = slice(frame_rank[start], frame_rank[stop - 1] + 1)
-        frame_bounds = np.append(frame_rows[frames] - start, stop - start)
-        _read_only(frame_bounds)
-        table = _Table(tuple(distinct_frames[frames]), frame_bounds, *(column[start:stop] for column in rows))
-        actor_ids = tuple(distinct_actors[actor_rank[start] : actor_rank[stop - 1] + 1])
+    cuts = np.searchsorted(videos, np.arange(len(names) + 1)).tolist()
+    for name, start, stop in zip(names, cuts, cuts[1:]):
+        actor_ids = tuple(sorted(set(actors[start:stop])))
+        table = _table_of(keyframes[start:stop], actors[start:stop], actor_ids, boxes[start:stop], scores[start:stop])
         records.append(VideoRecord._with_table(name, tuple(observations[start:stop]), table, actor_ids))
     return records
 
@@ -549,34 +528,23 @@ def _annotations_from_rows(path: str, role: str, n_labels: int) -> list[VideoRec
     return _records(path, role, n_labels, cells)
 
 
-def _cell(value):
-    """The one cell rule: a float, numpy's included, is its repr; None is empty."""
+def _cell(value) -> str:
+    """The one cell rule, unquoted: a float, numpy's included, is its repr; None is empty; any other its str."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return "" if value is None else value
+    return "" if value is None else str(value)
 
 
-# csv.writer itself writes these types by `_cell`'s rule (a float as its repr,
-# None empty), so a row holding nothing else skips the per-cell call.
-_CSV_NATIVE = frozenset((str, int, float, type(None)))
-# csv.writer quotes a cell holding one of these, and writes any other as it is.
+# The csv module's writer (QUOTE_MINIMAL) quotes a cell holding one of these,
+# and writes any other as it is; `_quoted` writes the same bytes.
 _QUOTED = frozenset(',"\r\n')
 
 
-def _write_table(path: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """The one CSV writer: the header, then every row's cells under `_cell`."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row if _CSV_NATIVE.issuperset(map(type, row)) else map(_cell, row))
-
-
 def _write_rows(path: str, columns: Sequence[str], row_format: str, rows: Iterable[Sequence]) -> None:
-    """`_write_table`'s bytes, one ``row_format`` join per row.
+    """The one CSV writer: the header, then one ``row_format`` join per row.
 
     Each ``%r`` of the format must take a float (its repr is `_cell`'s), each
-    ``%d`` an int and each ``%s`` a str cell as ``csv.writer`` writes it
+    ``%d`` an int and each ``%s`` a str cell as the csv module writes it
     (`_quoted`).
     """
     with open(path, "w", newline="", encoding="utf-8") as handle:
@@ -584,8 +552,9 @@ def _write_rows(path: str, columns: Sequence[str], row_format: str, rows: Iterab
         handle.write("".join(map(row_format.__mod__, rows)))
 
 
-def _quoted(text: str) -> str:
-    """A str cell as ``csv.writer`` writes it: in quotes, each quote doubled, if it holds a `_QUOTED` character."""
+def _quoted(value) -> str:
+    """Any cell as the csv module writes it: its `_cell` text, in quotes (each one doubled) if `_QUOTED` meets it."""
+    text = _cell(value)
     return text if _QUOTED.isdisjoint(text) else '"' + text.replace('"', '""') + '"'
 
 
@@ -598,10 +567,13 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
     `_annotation_errors`, but the label range), or would read back as
     another label set: action 0 as a label. The message names the first
     such row's video and keyframe, and gives the parser's message, whose
-    lines are the rows' lines in the file.
+    lines are the rows' lines in the file. A record holding one (keyframe,
+    actor_id) twice, which the parser would merge into one observation, is
+    then refused too (`model._check_no_repeat`).
     """
     header = _columns(role)
-    cells, labelled = _written_cells(sorted(records, key=lambda r: r.video_id))
+    records = sorted(records, key=lambda r: r.video_id)
+    cells, labelled = _written_cells(records)
     columns = cells.columns
     errors, _ = _annotation_errors(cells, role, None, labelled)
     if errors:
@@ -610,6 +582,8 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
             f"{cells.names[cells.videos[line - 2]]!r}: row at keyframe {columns['keyframe'][line - 2]} "
             f"would not parse back: {message}"
         )
+    for record in records:
+        _check_no_repeat(record)
     names = list(map(_quoted, cells.names))
     rows = zip(
         map(names.__getitem__, cells.videos.tolist()),
@@ -651,7 +625,7 @@ def _written_cells(records: Sequence[VideoRecord]) -> tuple[_Cells, np.ndarray]:
     actions = [action for action_ids in labels for action in action_ids or [NO_ACTION_MARKER]]
     failed: dict[int, tuple[int, str]] = {}
     columns["action_id"] = _int_column([
-        action if type(action) is int else _converted(int, str(_cell(action)), row, 6, failed)
+        action if type(action) is int else _converted(int, _cell(action), row, 6, failed)
         for row, action in enumerate(actions)
     ])
     labelled = np.repeat(np.array(list(map(bool, labels)), bool), counts)
@@ -697,27 +671,28 @@ def write_detection_stream(stream: DetectionStream, path: str) -> None:
     Raises ValueError, before the file is opened, on a stream that
     `parse_detection_stream` would not read back (see `_check_parsable`).
     """
-    _check_parsable(stream)
+    keyframes = _check_parsable(stream)
     header = STREAM_FIXED_COLUMNS + [f"e{i}" for i in range(stream.dim)]
-    columns = zip(stream.boxes.tolist(), stream.scores.tolist(), stream.embeddings.tolist())
-    _write_table(path, header, (
-        (stream.video_id, keyframe, *box, score, *embedding)
-        for keyframe, (box, score, embedding) in zip(stream.row_keyframes, columns)
+    video_id = _quoted(stream.video_id)
+    columns = zip(keyframes, stream.boxes.tolist(), stream.scores.tolist(), stream.embeddings.tolist())
+    _write_rows(path, header, "%s,%d" + ",%r" * (5 + stream.dim) + "\r\n", (
+        (video_id, keyframe, *box, score, *embedding) for keyframe, box, score, embedding in columns
     ))
 
 
-def _check_parsable(stream: DetectionStream) -> None:
-    """Raise ValueError unless `parse_detection_stream` accepts every row the stream writes.
+def _check_parsable(stream: DetectionStream) -> list[int]:
+    """Each row's keyframe as the int the parser reads from its cell, which is what the row writes.
 
-    A stream needs an embedding column. Its columns then take the parser's
-    checks (`_stream_errors`), each keyframe as the parser reads its written
-    cell; the error names the first bad row's keyframe and its message.
+    Raises ValueError unless `parse_detection_stream` accepts every row the
+    stream writes. A stream needs an embedding column. Its columns then take
+    the parser's checks (`_stream_errors`), each keyframe as that int; the
+    error names the first bad row's keyframe and its message.
     """
     if stream.dim < 1:
         raise ValueError(f"a stream needs at least one embedding column, got dim {stream.dim}")
     failed: dict[int, tuple[int, str]] = {}
     keyframes = [
-        _converted(int, str(_cell(keyframe)), row, 1, failed) for row, keyframe in enumerate(stream.row_keyframes)
+        _converted(int, _cell(keyframe), row, 1, failed) for row, keyframe in enumerate(stream.row_keyframes)
     ]
     columns = dict(keyframe=np.array(keyframes, object), box=stream.boxes, score=stream.scores,
                    embedding=stream.embeddings)
@@ -728,6 +703,7 @@ def _check_parsable(stream: DetectionStream) -> None:
         raise ValueError(
             f"{stream.video_id}: row at keyframe {stream.row_keyframes[row]} would not parse back: {message}"
         )
+    return keyframes
 
 
 def _block_to_dict(block: MetricBlock) -> dict:
@@ -836,8 +812,8 @@ def write_report(report: EvalReport, path: str, fmt: str = "json") -> None:
         rows = []
         for video_id, block in [(AGGREGATE_KEY, report.aggregate)] + sorted(report.per_video.items()):
             data = {**asdict(block), "flags": ";".join(block.flags)}
-            rows.append([video_id] + [data[name] for name in names])
-        _write_table(path, ["video_id"] + names, rows)
+            rows.append(tuple(map(_quoted, [video_id] + [data[name] for name in names])))
+        _write_rows(path, ["video_id"] + names, ",".join(["%s"] * (1 + len(names))) + "\r\n", rows)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -890,7 +866,8 @@ def sidecar_n_labels(annotation_path: str) -> Optional[int]:
 
 def write_bench_table(rows: Sequence[dict], path: str) -> None:
     """Two-row-per-seed online/offline comparison table."""
-    _write_table(path, BENCH_COLUMNS, ([row[name] for name in BENCH_COLUMNS] for row in rows))
+    row_format = ",".join(["%s"] * len(BENCH_COLUMNS)) + "\r\n"
+    _write_rows(path, BENCH_COLUMNS, row_format, (tuple(_quoted(row[name]) for name in BENCH_COLUMNS) for row in rows))
 
 
 def write_pr_curve(result: APResult, path: str) -> None:
@@ -898,8 +875,7 @@ def write_pr_curve(result: APResult, path: str) -> None:
 
     The recall, precision and p_interp columns are the curve's ``columns``,
     the ones its AP was summed from; a curve without ground truth has no rows.
-    Every cell is a number, which ``csv.writer`` never quotes, so each row is
-    one format join (`_write_rows`).
+    Every cell is a number, so no cell needs quoting (`_write_rows`).
     """
     columns = [column.tolist() for column in result.curve.columns]
     _write_rows(path, PR_CURVE_COLUMNS, "%d,%r,%d,%d,%r,%r,%r\r\n", (

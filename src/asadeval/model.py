@@ -14,9 +14,13 @@ observation, and the tests hold a whole-record oracle (`tests/support.py`).
 
 Each record also holds its observations as a private column table
 (`_Table`, the record's ``_table``), which the metric readers read instead
-of the observation objects. The parser fills it from the sorted columns it
-checked, as it builds the record; a record built through the API builds it
-from its observations on first read. Both give equal tables.
+of the observation objects. One function, `_table_of`, builds every table
+from a record's rows in canonical order: an API record's from its
+observations on first read, a parsed record's from the parser's sorted
+columns. ``actor_ids`` stays a property of its own, which the parser seeds
+too, so that reading it never builds a table. `_check_no_repeat` is the one
+duplicate rule, which `build_tracklets`, `identity.track_coverage` and
+`io_formats.write_annotations` apply.
 """
 
 from __future__ import annotations
@@ -103,9 +107,28 @@ class _Table(NamedTuple):
     scores: np.ndarray  # (n,) float
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
+def _table_of(keyframes: Sequence[int], actors: Sequence[int], actor_ids: tuple[int, ...], boxes, scores) -> _Table:
+    """The one builder of a record's table, from its rows sorted by (keyframe, actor_id).
+
+    ``keyframes`` and ``actors`` hold each row's keyframe and actor id as
+    Python ints, ``actor_ids`` the record's, and ``boxes`` and ``scores``
+    each row's corners and score.
+    """
+    distinct = tuple(dict.fromkeys(keyframes))
+    frame_of = {keyframe: code for code, keyframe in enumerate(distinct)}
+    frame_codes = np.fromiter(map(frame_of.__getitem__, keyframes), np.int64, len(keyframes))
+    actor_of = {actor: code for code, actor in enumerate(actor_ids)}
+    table = _Table(
+        distinct,
+        np.searchsorted(frame_codes, np.arange(len(distinct) + 1)),
+        frame_codes,
+        np.fromiter(map(actor_of.__getitem__, actors), np.int64, len(actors)),
+        np.asarray(boxes, float).reshape(-1, 4),
+        np.asarray(scores, float),
+    )
+    for column in table[1:]:
+        column.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -142,21 +165,13 @@ class VideoRecord:
     def _table(self) -> _Table:
         """The observations' column table, built from them on first read unless a parser seeded it."""
         observations = self.observations
-        keyframes = tuple(dict.fromkeys(o.keyframe for o in observations))
-        code_of = {keyframe: code for code, keyframe in enumerate(keyframes)}
-        frame_codes = np.fromiter((code_of[o.keyframe] for o in observations), np.int64, len(observations))
-        actor_of = {actor: code for code, actor in enumerate(self.actor_ids)}
-        boxes = np.array([(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in observations], float)
-        table = _Table(
-            keyframes,
-            np.searchsorted(frame_codes, np.arange(len(keyframes) + 1)),
-            frame_codes,
-            np.fromiter((actor_of[o.actor_id] for o in observations), np.int64, len(observations)),
-            boxes.reshape(-1, 4),
-            np.fromiter((o.score for o in observations), float, len(observations)),
+        return _table_of(
+            [o.keyframe for o in observations],
+            [o.actor_id for o in observations],
+            self.actor_ids,
+            [(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in observations],
+            [o.score for o in observations],
         )
-        _read_only(*table[1:])
-        return table
 
     @classmethod
     def _with_table(
@@ -197,17 +212,22 @@ def build_tracklets(record: VideoRecord) -> dict[int, tuple[ActorObservation, ..
     Gaps are permitted. Rejects records containing duplicate (keyframe,
     actor_id) pairs, which would make tracklet order ill-defined.
     """
-    seen: set[tuple[int, int]] = set()
+    _check_no_repeat(record)
     per_actor: dict[int, list[ActorObservation]] = {}
     for obs in record.observations:
-        key = (obs.keyframe, obs.actor_id)
-        if key in seen:
-            raise _duplicate_error(record.video_id, *key)
-        seen.add(key)
         per_actor.setdefault(obs.actor_id, []).append(obs)
     return {actor_id: tuple(per_actor[actor_id]) for actor_id in sorted(per_actor)}
 
 
-def _duplicate_error(video_id: str, keyframe: int, actor_id: int) -> ValueError:
-    """The error of a record that holds (keyframe, actor_id) twice where each must be one tracklet's."""
-    return ValueError(f"duplicate (keyframe={keyframe}, actor_id={actor_id}) in video {video_id!r}")
+def _check_no_repeat(record: VideoRecord) -> None:
+    """ValueError naming the first (keyframe, actor_id) the record holds twice.
+
+    Each must be one observation: one tracklet's at one keyframe, and one
+    observation of the annotation file the record is written to.
+    """
+    table = record._table
+    repeated = (table.frame_codes[1:] == table.frame_codes[:-1]) & (table.actors[1:] == table.actors[:-1])
+    if repeated.any():
+        row = int(repeated.argmax()) + 1
+        keyframe, actor_id = table.keyframes[table.frame_codes[row]], record.actor_ids[table.actors[row]]
+        raise ValueError(f"duplicate (keyframe={keyframe}, actor_id={actor_id}) in video {record.video_id!r}")

@@ -1,12 +1,14 @@
 """Shared builders for test fixtures, and the test oracles.
 
-The oracles are the reference checks of the parser, of `iou_matrix`, of AP
-(its greedy flags and the cutoff sweep), of the assignment solver (brute
-force), of IDTP (brute force) and of the switch count (scalar). Random
+The oracles are the reference checks of the parser, of the CSV writer
+(``csv.writer``), of `iou_matrix`, of AP (its greedy flags and the cutoff
+sweep), of the assignment solver (brute force), of IDTP (brute force) and
+of the switch count (scalar). Random
 instance and record builders that several test modules draw from live here
 too.
 """
 
+import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +42,23 @@ def record(video_id, observations):
 def track_obs(video_id, actor_id, keyframes, box_coords, actions=(1,), score=1.0):
     """The same box repeated across a range of keyframes."""
     return [obs(video_id, kf, actor_id, box_coords, actions, score) for kf in keyframes]
+
+
+def write_csv_reference(path, columns, rows) -> None:
+    """The oracle of `io_formats._write_rows`: ``csv.writer``'s header and rows, under the one cell rule.
+
+    A float, a numpy float included, is written as the repr of the Python
+    float and None as an empty cell; ``csv.writer`` writes any other cell by
+    its str and quotes it where it must.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([
+                repr(float(cell)) if isinstance(cell, (float, np.floating)) else "" if cell is None else cell
+                for cell in row
+            ])
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:

@@ -4,7 +4,7 @@ import os
 import re
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from asadeval import io_formats
 from asadeval.association import DetectionStream
 from asadeval.detection import APResult, DetectionTally, PRCurve, average_precision
-from asadeval.evaluation import SUMMED_TALLIES, evaluate_records
+from asadeval.evaluation import AGGREGATE_KEY, SUMMED_TALLIES, MetricBlock, evaluate_records
 from asadeval.io_formats import (
     FormatError,
     parse_annotations,
@@ -32,7 +32,7 @@ from asadeval.io_formats import (
 )
 from asadeval.model import BoundingBox
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
-from support import LEFT, RIGHT, obs, random_record, record
+from support import LEFT, RIGHT, obs, random_record, record, write_csv_reference
 
 
 def write_text(path, text):
@@ -890,15 +890,15 @@ REPR_SCORES = (5e-324, 1e-05, 0.1 + 0.2, 1.0, 0.0, 0.12345678901234568, 0.999999
 
 @pytest.mark.parametrize("n_gt", [7, 1, 0])
 def test_pr_curve_rows_are_the_bytes_csv_writer_writes(tmp_path, n_gt):
-    # write_pr_curve joins each row with one format string; _write_table is the
-    # csv.writer path it replaced. A curve without ground truth has no rows.
+    # write_pr_curve joins each row with one format string, to the bytes
+    # csv.writer writes. A curve without ground truth has no rows.
     flags = (True, False, True, True, False, False, True)[: max(n_gt, 1)] if n_gt else ()
     ranked = tuple(zip(REPR_SCORES, flags))
     tally = DetectionTally(tp=sum(flags), fp=len(flags) - sum(flags), fn=max(n_gt - sum(flags), 0))
     result = APResult(None, None, PRCurve(ranked=ranked, n_gt=n_gt), tally, had_score_ties=False)
     columns = [column.tolist() for column in result.curve.columns]
     expected = tmp_path / "expected.csv"
-    io_formats._write_table(str(expected), io_formats.PR_CURVE_COLUMNS, (
+    write_csv_reference(str(expected), io_formats.PR_CURVE_COLUMNS, (
         (rank, score, int(is_tp), int(not is_tp), *values)
         for rank, ((score, is_tp), *values) in enumerate(zip(ranked, *columns), start=1)
     ))
@@ -973,14 +973,14 @@ def test_annotation_writer_writes_ids_past_int64(tmp_path):
 @pytest.mark.parametrize("video_id", ["v", "a b", "é\t", "a,b", 'a"b', "a\rb", "a\nb"])
 def test_annotation_rows_are_the_bytes_csv_writer_writes(tmp_path, role, video_id):
     # write_annotations joins each row with one format string, quoting an id
-    # as csv.writer quotes it, so the bytes are _write_table's. A numpy label
+    # as csv.writer quotes it, so the bytes are csv.writer's. A numpy label
     # is written by its str, as csv.writer writes it.
     rng = np.random.default_rng(3)
     records = [random_record(rng, video_id, role), random_record(rng, "w", role)]
     labelled = replace(records[1].observations[0], actions=frozenset({np.int64(7), 2**40}))
     records[1] = record("w", [labelled, *records[1].observations[1:]])
     expected = tmp_path / "expected.csv"
-    io_formats._write_table(str(expected), GT_HEADER.split(",") + (["score"] if role == "pred" else []), (
+    write_csv_reference(str(expected), GT_HEADER.split(",") + (["score"] if role == "pred" else []), (
         (r.video_id, o.keyframe, o.box.x1, o.box.y1, o.box.x2, o.box.y2, action, o.actor_id)
         + ((o.score,) if role == "pred" else ())
         for r in sorted(records, key=lambda r: r.video_id)
@@ -990,6 +990,76 @@ def test_annotation_rows_are_the_bytes_csv_writer_writes(tmp_path, role, video_i
     written = tmp_path / "out.csv"
     write_annotations(records, str(written), role=role)
     assert written.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("role", ["gt", "pred"])
+def test_annotation_writer_refuses_a_repeated_keyframe_and_actor(tmp_path, role):
+    # Two observations of one (keyframe, actor) with equal geometry and score
+    # pass the parser's row checks, but would read back as one observation
+    # holding both label sets.
+    repeated = record("v", [obs("v", 0, 1, LEFT, (1,), 0.5), obs("v", 0, 1, LEFT, (2,), 0.5)])
+    path = tmp_path / f"{role}.csv"
+    with pytest.raises(ValueError, match=r"^duplicate \(keyframe=0, actor_id=1\) in video 'v'$"):
+        write_annotations([repeated, record("a", [obs("a", 0, 1, LEFT, score=0.5)])], str(path), role=role)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("video_id", ["v", "a,b", 'a"b', "a\rb", "é\t"])
+def test_stream_rows_are_the_bytes_csv_writer_writes(tmp_path, video_id):
+    # write_detection_stream joins each row with one format string: the id
+    # quoted as csv.writer quotes it, a numpy keyframe as the int its parser
+    # reads, and each float as its repr.
+    keyframes = [np.int64(3), 0, np.int64(2**40), 3]
+    boxes = [LEFT, RIGHT, (0.0, 0.25, 1.0, 0.5), (0.1, 0.2, 0.30000000000000004, 0.9)]
+    embeddings = [(5e-324, -0.12345678901234568), (1e300, 0.0), (-5e-324, 0.9999999999999999), (0.1 + 0.2, -1e-05)]
+    stream = DetectionStream(video_id, 2, keyframes, boxes, REPR_SCORES[:4], embeddings)
+    expected = tmp_path / "expected.csv"
+    write_csv_reference(str(expected), STREAM_HEADER.split(","), (
+        (video_id, keyframe, *box, score, *embedding)
+        for keyframe, box, score, embedding in zip(stream.row_keyframes, stream.boxes, stream.scores, stream.embeddings)
+    ))
+    written = tmp_path / "stream.csv"
+    write_detection_stream(stream, str(written))
+    assert written.read_bytes() == expected.read_bytes()
+    back = parse_detection_stream(str(written))
+    assert back.video_id == video_id and back.row_keyframes == (0, 3, 3, 2**40)
+
+
+def test_report_csv_rows_are_the_bytes_csv_writer_writes(tmp_path):
+    # A null HL is an empty cell beside its reason, flags join with ';', and
+    # ids are quoted as csv.writer quotes them.
+    gts = [record(v, [obs(v, 0, 1, LEFT), obs(v, 1, 1, LEFT)]) for v in ("a,b", 'a"b', "é\t")]
+    tied = [obs("a,b", 0, 7, LEFT, score=0.5), obs("a,b", 1, 7, RIGHT, score=0.5)]
+    report = evaluate_records(gts, [record("a,b", tied), record('a"b', []), record("p\nq", tied)])
+    blocks = [(AGGREGATE_KEY, report.aggregate), *sorted(report.per_video.items())]
+    assert report.per_video['a"b'].hl is None and report.per_video['a"b'].hl_reason
+    assert {flag for _, block in blocks for flag in block.flags} >= {"no_predictions", "no_ground_truth"}
+    names = [f.name for f in fields(MetricBlock)]
+    expected = tmp_path / "expected.csv"
+    write_csv_reference(str(expected), ["video_id"] + names, (
+        [video_id] + [";".join(block.flags) if name == "flags" else getattr(block, name) for name in names]
+        for video_id, block in blocks
+    ))
+    written = tmp_path / "report.csv"
+    write_report(report, str(written), fmt="csv")
+    assert written.read_bytes() == expected.read_bytes()
+
+
+def test_bench_rows_are_the_bytes_csv_writer_writes(tmp_path):
+    # A null AP or HL is an empty cell; numpy numbers are written as csv.writer writes them.
+    rows = [
+        dict(seed=0, mode="online", ap50=None, hl50=None, idf1=0.0, mt_pct=0.0, ml_pct=100.0, id_switches=0),
+        dict(seed=np.int64(1), mode="offline", ap50=np.float64(0.1 + 0.2), hl50=5e-324,
+             idf1=0.12345678901234568, mt_pct=2 / 3, ml_pct=np.float32(0.1), id_switches=12),
+    ]
+    expected = tmp_path / "expected.csv"
+    write_csv_reference(str(expected), io_formats.BENCH_COLUMNS, (
+        [row[name] for name in io_formats.BENCH_COLUMNS] for row in rows
+    ))
+    written = tmp_path / "bench.csv"
+    write_bench_table(rows, str(written))
+    assert written.read_bytes() == expected.read_bytes()
+    assert written.read_text().splitlines()[1] == "0,online,,,0.0,0.0,100.0,0"
 
 
 @pytest.mark.parametrize("label", ["3\n", " 3", np.int16(3)])

@@ -233,11 +233,12 @@ def annotation_files(draw):
 
     GT observations hold 1-3 labels, predictions 0-2 (written as action 0
     for none); with 80 or 200 labels, labels run past 64 and past 128. Keyframes and actor ids are small or, in some files,
-    past int64, which the csv reader reads into Python-int columns. Videos
-    may be on one side only, and a side may hold no row at all.
+    past int64 or on both sides of its end, which the csv reader reads into
+    Python-int columns. Videos may be on one side only, and a side may hold
+    no row at all.
     """
     n_labels = draw(st.sampled_from((8, 80, 200)))
-    offset = draw(st.sampled_from((0, 0, 2**70)))
+    offset = draw(st.sampled_from((0, 0, 2**63 - 3, 2**70)))
     texts = {}
     for role, columns in (("gt", GT_COLUMNS), ("pred", PRED_COLUMNS)):
         rows = []

@@ -6,15 +6,20 @@
 Both copies of `asadeval` are imported into this one process, the other one
 under another package name. Corpus ``i`` holds 1 to 8 videos, each a
 `synthetic.generate` scene of 1 to 6 actors over 2 to 16 keyframes, with 0
-to 15 camera cuts. Its prediction is the ground truth perturbed with
+to 15 camera cuts, and with the scene's detection stream. Some video ids
+hold a comma, a quote, a line break or a non-ASCII character, which a CSV
+cell must quote or keep as it is. Its prediction is the ground truth perturbed with
 `synthetic.perturb` (jittered and dropped boxes, injected false positives,
 swapped and split identities, flipped labels), plus duplicated boxes under
 fresh identities, and rescored from a few values so that scores tie within
 and across videos. Some videos keep only one side. Many videos thus share
 keyframe shapes, which the evaluation batches across the corpus. Both copies
 evaluate every corpus at gates 0.3, 0.5 and 0.7, with ID persistence on and
-off; the `report_to_dict` JSON and the `write_pr_curve` bytes must match
-exactly, or else the exception's type and message. At each gate, both copies
+off; the `report_to_dict` JSON, the `write_pr_curve` bytes and the
+`write_report` CSV bytes must match exactly, or else the exception's type
+and message. So must the bytes each copy's `write_annotations` writes for
+the corpus's GT and predictions, and its `write_detection_stream` for each
+stream. At each gate, both copies
 also run the public per-family functions on every video of the corpus:
 `idf1`, `mt_ml`, `id_switches` with persistence on and off, `match_pairs`
 with `hamming_loss` of its pairs, and `average_precision` of the video
@@ -22,7 +27,8 @@ alone; their results must match as plain values. Each corpus is checked
 twice: as generated, so that this checkout builds each record's column table
 from its observations, and after this checkout's `write_annotations` and
 each checkout's `parse_annotations`, so that the parser seeds the tables.
-A corpus the writer refuses is counted and checked as generated only.
+A corpus this checkout's writer refuses is counted and checked as generated
+only.
 Prints the first differences and a summary, and exits 1 on any difference.
 """
 
@@ -35,6 +41,7 @@ import sys
 import tempfile
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +57,7 @@ GATES = (0.3, 0.5, 0.7)
 SCORES = (0.25, 0.5, 0.75, 0.9, 1.0)
 N_LABELS = 8
 SHOWN_DIFFERENCES = 20
+VIDEO_IDS = ("v{}", "v,{}", 'v"{}', "v\r\n{}", "é\t{}")
 
 
 def prediction(rng: np.random.Generator, gt):
@@ -79,19 +87,20 @@ def prediction(rng: np.random.Generator, gt):
 
 
 def corpus(rng: np.random.Generator):
-    """The GT and prediction records of 1 to 8 generated videos; a video may keep one side only."""
-    gts, preds = [], []
+    """The GT and prediction records of 1 to 8 generated videos, and their streams; a video may keep one side only."""
+    gts, preds, streams = [], [], []
     for index in range(int(rng.integers(1, 9))):
         n_keyframes = int(rng.integers(2, 17))
         spec = synthetic.scenario_preset(
             "camera-cut",
             seed=int(rng.integers(2**31)),
-            video_id=f"v{index}",
+            video_id=VIDEO_IDS[index % len(VIDEO_IDS)].format(index),
             n_actors=int(rng.integers(1, 7)),
             n_keyframes=n_keyframes,
             n_cuts=int(rng.integers(0, n_keyframes)),
         )
-        gt, _ = synthetic.generate(spec)
+        gt, stream = synthetic.generate(spec)
+        streams.append(stream)
         gt = asadeval.VideoRecord(gt.video_id, tuple(
             replace(o, actions=frozenset(a % N_LABELS + 1 for a in o.actions)) for o in gt.observations
         ))
@@ -100,7 +109,7 @@ def corpus(rng: np.random.Generator):
             gts.append(gt)
         if side != "gt":
             preds.append(prediction(rng, gt))
-    return gts, preds
+    return gts, preds, streams
 
 
 def converted(package, records):
@@ -115,6 +124,36 @@ def converted(package, records):
         ))
         for record in records
     ]
+
+
+def converted_streams(package, streams):
+    """``streams`` rebuilt from ``package``'s own class."""
+    return [
+        package.DetectionStream(s.video_id, s.dim, s.row_keyframes, s.boxes, s.scores, s.embeddings)
+        for s in streams
+    ]
+
+
+def written(io, gts, preds, streams, directory: str) -> list[tuple]:
+    """("written", file name, bytes) of each of ``io``'s writes in ``directory``, or ("raised", type, message).
+
+    The writes are `write_annotations` of ``gts`` to gt.csv and of
+    ``preds`` to pred.csv, then `write_detection_stream` of each stream.
+    """
+    writes = [
+        (f"{role}.csv", partial(io.write_annotations, records, role=role))
+        for role, records in (("gt", gts), ("pred", preds))
+    ]
+    writes += [(f"stream{i}.csv", partial(io.write_detection_stream, stream)) for i, stream in enumerate(streams)]
+    results = []
+    for name, write in writes:
+        path = Path(directory) / name
+        try:
+            write(str(path))
+            results.append(("written", name, path.read_bytes()))
+        except ValueError as exc:
+            results.append(("raised", type(exc).__name__, str(exc)))
+    return results
 
 
 def family_values(package, gt, pred, gate: float) -> tuple:
@@ -142,7 +181,7 @@ def round_trip(io, directory: str) -> list:
 
 
 def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
-    """Each gate's ("report", JSON, PR-curve bytes) per persistence, then ("video", id, values) per video.
+    """Each gate's ("report", JSON, PR-curve bytes, CSV bytes) per persistence, then ("video", id, values) per video.
 
     ``gts`` and ``preds`` are records of ``package``'s own classes. An
     evaluation or a video that raises gives ("raised", type, message) instead.
@@ -152,6 +191,7 @@ def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
         tuple(side.get(video_id, package.VideoRecord(video_id)) for side in sides)
         for video_id in sorted(sides[0].keys() | sides[1].keys())
     ]
+    table = Path(path).with_name("report.csv")
     results = []
     for gate in GATES:
         for persistence in (True, False):
@@ -160,8 +200,9 @@ def outcomes(package, io, gts, preds, path: str) -> list[tuple]:
                     gts, preds, iou_threshold=gate, n_labels=N_LABELS, id_persistence=persistence
                 )
                 io.write_pr_curve(report.pooled_ap, path)
+                io.write_report(report, str(table), fmt="csv")
                 text = json.dumps(io.report_to_dict(report), sort_keys=True)
-                results.append(("report", text, Path(path).read_bytes()))
+                results.append(("report", text, Path(path).read_bytes(), table.read_bytes()))
             except Exception as exc:  # a crash is an outcome to compare, not a stop
                 results.append(("raised", type(exc).__name__, str(exc)))
         for gt, pred in videos:
@@ -186,15 +227,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as directory:
         path = str(Path(directory) / "pr.csv")
         for index in range(args.corpora):
-            gts, preds = corpus(rng)
-            here = outcomes(asadeval, io_formats, converted(asadeval, gts), converted(asadeval, preds), path)
-            there = outcomes(other, other_io, converted(other, gts), converted(other, preds), path)
+            gts, preds, streams = corpus(rng)
+            sides = []
+            for package, io in ((other, other_io), (asadeval, io_formats)):  # this checkout's files last
+                records = converted(package, gts), converted(package, preds)
+                files = written(io, *records, converted_streams(package, streams), directory)
+                sides.append(outcomes(package, io, *records, path) + files)
+            there, here = sides
             tally["videos"] += len({r.video_id for r in gts + preds})
             tally["predictions"] += sum(len(r) for r in preds)
-            try:
-                io_formats.write_annotations(gts, str(Path(directory) / "gt.csv"), "gt")
-                io_formats.write_annotations(preds, str(Path(directory) / "pred.csv"), "pred")
-            except ValueError:
+            if any(result[0] == "raised" for result in files[:2]):  # this checkout's gt.csv and pred.csv
                 tally["refused"] += 1
             else:
                 tally["round trips"] += 1
@@ -211,7 +253,8 @@ def main(argv=None) -> int:
     print(
         f"{args.corpora} corpora ({tally['videos']} videos, {tally['predictions']} predictions), "
         f"{len(GATES) * 2} evaluations per corpus, side and source: {tally['report']} reports and "
-        f"{tally['video']} per-video family checks, {tally['raised']} raised; {tally['round trips']} corpora "
+        f"{tally['video']} per-video family checks, {tally['raised']} raised; {tally['written']} CSV files "
+        f"written (annotations and streams); {tally['round trips']} corpora "
         f"also read back from written files, {tally['refused']} refused by the writer; {differences} corpora differ"
     )
     return 1 if differences else 0
