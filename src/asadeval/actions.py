@@ -7,9 +7,10 @@ averages per-label disagreement (XOR of the two boolean label vectors) over
 all surviving pairs, so the reported quantity is HL@gate. The pairs are a
 `match_corpus` result's gated pairs, which `pair_sets` reads as
 observations for `match_pairs`; MT/ML counts their GT side. A report counts
-each pair's wrong bits from its two rows' observations (`wrong_bits`),
-without building the pair objects; `hamming_loss` counts a
-`MatchedPairSet`'s pairs by the same rule.
+each pair's wrong bits from the label sets of its two rows, which the
+records' column tables hold (`wrong_bits`), without building the pair or
+observation objects; `hamming_loss` counts a `MatchedPairSet`'s pairs by
+the same rule.
 """
 
 from __future__ import annotations
@@ -95,10 +96,11 @@ def wrong_bits(corpus: _CorpusMatch) -> list[int]:
     """The wrong label bits of each of the corpus's pairs (`pair_rows`), in its order.
 
     A pair's wrong bits are the size of its two label sets' symmetric
-    difference, as in `hamming_loss`.
+    difference, as in `hamming_loss`; the sets are the records' column
+    tables' (`model._Table.labels`).
     """
-    gt_labels = [obs.actions for gt, _ in corpus.videos for obs in gt.observations]
-    pred_labels = [obs.actions for _, pred in corpus.videos for obs in pred.observations]
+    gt_labels = [labels for gt, _ in corpus.videos for labels in gt._table.labels]
+    pred_labels = [labels for _, pred in corpus.videos for labels in pred._table.labels]
     found = corpus.pair_rows
     return [
         len(gt_labels[i].symmetric_difference(pred_labels[j]))

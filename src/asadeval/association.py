@@ -12,8 +12,9 @@ constraint that a cluster never holds two detections from the same keyframe.
 Both read the stream's row arrays, grouped by ascending keyframe
 (`DetectionStream`), build that affinity as arrays (`_affinity`), the online
 tracker one per keyframe against the live tracks and the offline tracker one
-per keyframe against the following ``max_gap`` keyframes, and label the rows
-with one builder (`_labelled`).
+per keyframe against the following ``max_gap`` keyframes, and return the
+stream's rows with one identity each as a record (`_tracked`), whose
+observations are built only when read.
 
 Each tracker takes its own keywords, and a value out of range is a ValueError.
 ``iou_weight`` in [0, 1] blends box overlap against appearance: 1 is
@@ -33,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .matching import iou_matrix, solve_assignment
-from .model import ActorObservation, BoundingBox, VideoRecord
+from .model import BoundingBox, VideoRecord, _table_of
 
 ONLINE_IOU_WEIGHT = 0.7
 OFFLINE_IOU_WEIGHT = 0.3
@@ -143,16 +144,23 @@ def _affinity(
     return (1.0 - w) * similarity + w * iou_matrix(boxes_a, boxes_b)
 
 
-def _labelled(stream: DetectionStream, identities: list[int]) -> VideoRecord:
-    """The stream's rows, in order, with one identity per row."""
-    rows = zip(
-        stream.row_keyframes, stream.boxes.tolist(), identities, stream.scores.tolist(), strict=True
+def _tracked(stream: DetectionStream, identities: list[int]) -> VideoRecord:
+    """The stream's rows with one identity each, as a record: rows sorted stably by (keyframe, identity).
+
+    The record is made from its column table (`VideoRecord._from_table`):
+    the stream's columns in that order, the identities and empty label sets.
+    """
+    frame_codes = np.repeat(np.arange(len(stream.keyframes)), np.diff(stream.bounds))
+    ids = np.array(identities, np.int64)
+    order = np.lexsort((ids, frame_codes))
+    actors = ids[order].tolist()
+    actor_ids = tuple(sorted(set(actors)))
+    # The order moves rows only within a keyframe, so the keyframes stay the stream's.
+    table = _table_of(
+        stream.row_keyframes, actors, actor_ids, stream.boxes[order], stream.scores[order],
+        [frozenset()] * len(actors),
     )
-    observations = (
-        ActorObservation(stream.video_id, keyframe, BoundingBox(*box), actor_id, frozenset(), score)
-        for keyframe, box, actor_id, score in rows
-    )
-    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
+    return VideoRecord._from_table(stream.video_id, table, actor_ids)
 
 
 def track_online(
@@ -168,6 +176,8 @@ def track_online(
     taken and pairs costing more than ``match_threshold`` are rejected.
     Unmatched detections open new identities in first-appearance order; tracks
     unmatched for more than ``max_gap`` keyframes retire. Output actions are empty.
+    The record holds the rows' column table and ``actor_ids`` (`_tracked`);
+    its ``observations`` and ``frames`` are built from the table on first read.
 
     The output depends on the stream's rows only through each keyframe's own
     row order: within a keyframe, row order breaks assignment ties and sets
@@ -213,7 +223,7 @@ def track_online(
                 counts[t] += 1
             last_box[t] = boxes[row]
             identities.append(t + 1)
-    return _labelled(stream, identities)
+    return _tracked(stream, identities)
 
 
 class _UnionFind:
@@ -256,7 +266,9 @@ def track_offline(
     appearance keeps its say. Detection pairs are merged greedily from the
     highest affinity down, skipping merges below ``merge_threshold`` and merges
     that would put two same-keyframe detections in one cluster. Clusters
-    become identities ordered by their earliest keyframe.
+    become identities ordered by their earliest keyframe. The record holds the
+    rows' column table and ``actor_ids`` (`_tracked`); its ``observations`` and
+    ``frames`` are built from the table on first read.
 
     The output depends on the stream's rows only through each keyframe's own
     row order: within a keyframe, row order breaks ties between equal
@@ -300,4 +312,4 @@ def track_offline(
     identities = [
         first_row.setdefault(clusters.find(row), len(first_row) + 1) for row in range(bounds[-1])
     ]
-    return _labelled(stream, identities)
+    return _tracked(stream, identities)

@@ -256,7 +256,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
     record = tracker(parse_detection_stream(args.detections), **parameters)
     write_annotations([record], args.out, role="pred")
     print(
-        f"tracked {len(record.observations)} detections into "
+        f"tracked {len(record)} detections into "
         f"{len(record.actor_ids)} identities -> {args.out}"
     )
     return EXIT_OK

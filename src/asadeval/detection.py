@@ -182,5 +182,5 @@ def average_precision(
     ValueError.
     """
     corpus = match_corpus(aligned_records(gt_records, pred_records), iou_threshold)
-    n_gt = sum(len(gt.observations) for gt, _ in corpus.videos)
+    n_gt = sum(len(gt) for gt, _ in corpus.videos)
     return curve_from_ranked(rank_predictions(corpus), n_gt)

@@ -171,7 +171,7 @@ def evaluate_records(
     for v, ((gt, _), (scores, flags), ids, switches) in enumerate(results):
         start, stop = pair_bounds[v], pair_bounds[v + 1]
         per_video[gt.video_id] = _metric_block(
-            _ranked_ap(scores, flags, len(gt.observations))[0],
+            _ranked_ap(scores, flags, len(gt))[0],
             ids,
             track_coverage(gt, covered[gt_rows[v] : gt_rows[v + 1]]),
             switches,

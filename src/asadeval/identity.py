@@ -146,7 +146,7 @@ def id_counts(corpus: _CorpusMatch) -> list[IdMatchResult]:
         paired = [(r, c) for r, c in solve_assignment(-counts, drop_gated=False).pairs if counts[r, c] > 0]
         idtp = sum(int(counts[r, c]) for r, c in paired)
         pairing = tuple((gt.actor_ids[hit_gt[r]], pred.actor_ids[hit_pred[c]]) for r, c in paired)
-        total_gt, total_pred = len(gt.observations), len(pred.observations)
+        total_gt, total_pred = len(gt), len(pred)
         vacuous = total_gt + total_pred == 0
         results.append(IdMatchResult(idtp, total_pred - idtp, total_gt - idtp, pairing, vacuous))
     return results

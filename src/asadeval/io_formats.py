@@ -29,8 +29,8 @@ An input file is read by one of two readers, which return the same
 line number. Then one checker per schema (`_records`, `_stream_errors`)
 applies every rule as an array test and raises the line-numbered
 `FormatError`, or builds the records or the stream. Each record it builds
-carries its column table, which `model._table_of` builds from the checked
-columns.
+is made from its column table, which `model._table_of` builds from the
+checked columns, and builds its observation objects only when they are read.
 The writers run the same checks before they open a file. numpy's reader
 (`_read_arrays`) converts the cells in chunks of lines, with the routine
 ``float`` uses, so the values are the same bits. It declines a file it cannot
@@ -65,7 +65,7 @@ import numpy as np
 from .association import DetectionStream
 from .detection import APResult
 from .evaluation import AGGREGATE_KEY, SUMMED_TALLIES, EvalReport, MetricBlock
-from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord, _check_no_repeat, _table_of
+from .model import DEFAULT_N_LABELS, VideoRecord, _check_no_repeat, _table_of
 from .synthetic import GENERATOR_ALGORITHM, ScenarioSpec
 from .version import __version__
 
@@ -433,9 +433,10 @@ def _annotation_errors(
 def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRecord]:
     """The records of an annotation file's cells; FormatError naming each row's first broken rule.
 
-    The rules are `_annotation_errors`'. Each record comes with its actor
-    ids and its column table, which `model._table_of` builds from the
-    record's slice of the sorted columns its observations are built from.
+    The rules are `_annotation_errors`'. Each record is made from its
+    column table, which `model._table_of` builds from the record's slice of
+    the sorted columns, and its actor ids; it builds its observations from
+    the table on first read (`VideoRecord._from_table`).
     """
     errors, (order, starts) = _annotation_errors(cells, role, n_labels)
     _raise_errors(path, errors)
@@ -452,23 +453,18 @@ def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRe
     # Each set is built from its rows' action ids in file order, so that its
     # iteration order, and so its repr, is that of the file's rows.
     label_sets = {ids: frozenset(set(ids) - {NO_ACTION_MARKER}) for ids in set(labels)}
-    observations = list(map(
-        ActorObservation,
-        map(names.__getitem__, videos.tolist()),
-        keyframes,
-        map(BoundingBox, *boxes.T.tolist()),
-        actors,
-        map(label_sets.__getitem__, labels),
-        scores.tolist(),
-    ))
+    labels = list(map(label_sets.__getitem__, labels))
 
     # The observations run in (video, keyframe, actor) order, one record per video.
     records = []
     cuts = np.searchsorted(videos, np.arange(len(names) + 1)).tolist()
     for name, start, stop in zip(names, cuts, cuts[1:]):
         actor_ids = tuple(sorted(set(actors[start:stop])))
-        table = _table_of(keyframes[start:stop], actors[start:stop], actor_ids, boxes[start:stop], scores[start:stop])
-        records.append(VideoRecord._with_table(name, tuple(observations[start:stop]), table, actor_ids))
+        table = _table_of(
+            keyframes[start:stop], actors[start:stop], actor_ids, boxes[start:stop], scores[start:stop],
+            labels[start:stop],
+        )
+        records.append(VideoRecord._from_table(name, table, actor_ids))
     return records
 
 
@@ -562,17 +558,21 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
     """Serialize records in canonical row order (video, keyframe, actor, action).
 
     The rows are written from the records' column tables (`_written_cells`).
-    Raises ValueError, before the file is opened, on a row that
-    `parse_annotations` would refuse under any label count (its checks,
-    `_annotation_errors`, but the label range), or would read back as
-    another label set: action 0 as a label. The message names the first
-    such row's video and keyframe, and gives the parser's message, whose
-    lines are the rows' lines in the file. A record holding one (keyframe,
-    actor_id) twice, which the parser would merge into one observation, is
-    then refused too (`model._check_no_repeat`).
+    Raises ValueError, before the file is opened, on two records of one
+    video_id, as `model.aligned_records` does: the parser would read their
+    rows as one video's. Then on a row that `parse_annotations` would refuse
+    under any label count (its checks, `_annotation_errors`, but the label
+    range), or would read back as another label set: action 0 as a label.
+    The message names the first such row's video and keyframe, and gives the
+    parser's message, whose lines are the rows' lines in the file. A record
+    holding one (keyframe, actor_id) twice, which the parser would merge
+    into one observation, is then refused too (`model._check_no_repeat`).
     """
     header = _columns(role)
     records = sorted(records, key=lambda r: r.video_id)
+    for record, following in zip(records, records[1:]):
+        if record.video_id == following.video_id:
+            raise ValueError(f"duplicate video_id {record.video_id!r} among the records")
     cells, labelled = _written_cells(records)
     columns = cells.columns
     errors, _ = _annotation_errors(cells, role, None, labelled)
@@ -599,23 +599,22 @@ def write_annotations(records: Sequence[VideoRecord], path: str, role: str) -> N
 def _written_cells(records: Sequence[VideoRecord]) -> tuple[_Cells, np.ndarray]:
     """The cells of the rows written for ``records``, and a mask of the rows written for a label.
 
-    One row is written per sorted label of each observation, or one of
-    action 0 for none; its other cells repeat the observation's row of its
-    record's column table (`model._Table`). A row's line is its index + 2.
-    The action column holds each label as the parser reads its text, which
-    is what the row writes.
+    ``records`` are sorted by video_id, one per video_id. One row is written
+    per sorted label of each row of a record's column table
+    (`model._Table`), or one of action 0 for none; its other cells repeat
+    that row. A row's line is its index + 2. The action column holds each
+    label as the parser reads its text, which is what the row writes.
     """
-    names = sorted({record.video_id for record in records})
-    code_of = {name: code for code, name in enumerate(names)}
+    names = [record.video_id for record in records]
     records = [VideoRecord(""), *records]  # so that every column has a part
     tables = [record._table for record in records]
-    labels = [sorted(obs.actions) for record in records for obs in record.observations]
+    labels = [sorted(actions) for table in tables for actions in table.labels]
     counts = [len(action_ids) or 1 for action_ids in labels]
 
     def per_row(parts: Iterable[np.ndarray]) -> np.ndarray:
         return np.repeat(np.concatenate(list(parts)), counts, axis=0)
 
-    videos = per_row(np.full(len(record), code_of.get(record.video_id, 0)) for record in records)
+    videos = per_row(np.full(len(table.scores), code) for code, table in enumerate(tables, start=-1))
     columns = dict(
         keyframe=per_row(_int_column(table.keyframes)[table.frame_codes] for table in tables),
         box=per_row(table.boxes for table in tables),

@@ -16,17 +16,22 @@ Each record also holds its observations as a private column table
 (`_Table`, the record's ``_table``), which the metric readers read instead
 of the observation objects. One function, `_table_of`, builds every table
 from a record's rows in canonical order: an API record's from its
-observations on first read, a parsed record's from the parser's sorted
-columns. ``actor_ids`` stays a property of its own, which the parser seeds
-too, so that reading it never builds a table. `_check_no_repeat` is the one
-duplicate rule, which `build_tracklets`, `identity.track_coverage` and
-`io_formats.write_annotations` apply.
+observations on first read, a parsed or tracked record's from the parser's
+sorted columns or the tracker's rows (`VideoRecord._from_table`). Such a
+record holds no observation objects until ``observations`` or ``frames`` is
+read: then `_observations_of` builds them from the table, one
+`ActorObservation` and one `BoundingBox` per row, holding the table's own
+label sets. ``actor_ids`` stays a property of its own, which the parser and
+the trackers seed too, so that reading it never builds a table.
+`_check_no_repeat` is the one duplicate rule, which `build_tracklets`,
+`identity.track_coverage` and `io_formats.write_annotations` apply.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -96,7 +101,8 @@ class _Table(NamedTuple):
     its position in ``keyframes`` (``frame_codes``) and its actor its
     position in the record's ``actor_ids`` (``actors``): order-preserving
     codes, so a keyframe or actor id past int64 needs no int64 column.
-    The label sets stay on the observations.
+    ``labels`` holds each row's label set, the frozenset its observation
+    holds, so that its iteration order, and so its repr, is the same.
     """
 
     keyframes: tuple[int, ...]
@@ -105,14 +111,18 @@ class _Table(NamedTuple):
     actors: np.ndarray  # (n,) int64
     boxes: np.ndarray  # (n, 4) float: x1, y1, x2, y2
     scores: np.ndarray  # (n,) float
+    labels: tuple[frozenset[int], ...]
 
 
-def _table_of(keyframes: Sequence[int], actors: Sequence[int], actor_ids: tuple[int, ...], boxes, scores) -> _Table:
+def _table_of(
+    keyframes: Sequence[int], actors: Sequence[int], actor_ids: tuple[int, ...], boxes, scores,
+    labels: Sequence[frozenset[int]],
+) -> _Table:
     """The one builder of a record's table, from its rows sorted by (keyframe, actor_id).
 
     ``keyframes`` and ``actors`` hold each row's keyframe and actor id as
-    Python ints, ``actor_ids`` the record's, and ``boxes`` and ``scores``
-    each row's corners and score.
+    Python ints, ``actor_ids`` the record's, and ``boxes``, ``scores`` and
+    ``labels`` each row's corners, score and label set.
     """
     distinct = tuple(dict.fromkeys(keyframes))
     frame_of = {keyframe: code for code, keyframe in enumerate(distinct)}
@@ -125,10 +135,24 @@ def _table_of(keyframes: Sequence[int], actors: Sequence[int], actor_ids: tuple[
         np.fromiter(map(actor_of.__getitem__, actors), np.int64, len(actors)),
         np.asarray(boxes, float).reshape(-1, 4),
         np.asarray(scores, float),
+        tuple(labels),
     )
-    for column in table[1:]:
+    for column in table[1:-1]:
         column.setflags(write=False)
     return table
+
+
+def _observations_of(video_id: str, table: _Table, actor_ids: tuple[int, ...]) -> tuple[ActorObservation, ...]:
+    """A table's rows as observations of ``video_id``, in its order."""
+    return tuple(map(
+        ActorObservation,
+        repeat(video_id),
+        map(table.keyframes.__getitem__, table.frame_codes.tolist()),
+        map(BoundingBox, *table.boxes.T.tolist()),
+        map(actor_ids.__getitem__, table.actors.tolist()),
+        table.labels,
+        table.scores.tolist(),
+    ))
 
 
 @dataclass(frozen=True)
@@ -138,16 +162,33 @@ class VideoRecord:
     Observations are sorted by (keyframe, actor_id) at construction time so
     that two records holding the same observations always compare equal and
     serialize identically.
+
+    A record the parser or a tracker makes (`_from_table`) holds its column
+    table and ``actor_ids`` only. Its ``observations`` are built from the
+    table on first read (`_observations_of`), and so are its ``frames``,
+    from them; equality, hashing and repr read them, so such a record
+    compares, hashes and repr's as the record built from the same
+    observations does.
     """
 
     video_id: str
-    observations: tuple[ActorObservation, ...] = ()
+    observations: tuple[ActorObservation, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         ordered = tuple(
             sorted(self.observations, key=lambda o: (o.keyframe, o.actor_id))
         )
         object.__setattr__(self, "observations", ordered)
+
+    def __getattr__(self, name: str):
+        # Reached only for a name the instance does not hold (``observations``
+        # has a default factory, so no class attribute): a record made by
+        # `_from_table` builds its observations here, on first read.
+        if name != "observations" or "_table" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        observations = _observations_of(self.video_id, self._table, self.actor_ids)
+        self.__dict__["observations"] = observations
+        return observations
 
     @cached_property
     def frames(self) -> dict[int, tuple[ActorObservation, ...]]:
@@ -171,19 +212,18 @@ class VideoRecord:
             self.actor_ids,
             [(o.box.x1, o.box.y1, o.box.x2, o.box.y2) for o in observations],
             [o.score for o in observations],
+            [o.actions for o in observations],
         )
 
     @classmethod
-    def _with_table(
-        cls, video_id: str, observations: tuple[ActorObservation, ...], table: _Table, actor_ids: tuple[int, ...]
-    ) -> VideoRecord:
-        """A record of observations in canonical order, with the table and actor ids its parser read."""
-        record = cls(video_id, observations)
-        record.__dict__.update(_table=table, actor_ids=actor_ids)
+    def _from_table(cls, video_id: str, table: _Table, actor_ids: tuple[int, ...]) -> VideoRecord:
+        """A record of a table's rows, in canonical order, and its actor ids; observations are built on first read."""
+        record = cls.__new__(cls)
+        record.__dict__.update(video_id=video_id, _table=table, actor_ids=actor_ids)
         return record
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self._table.scores)
 
 
 def aligned_records(

@@ -20,6 +20,8 @@ from asadeval.io_formats import (
     write_annotations,
     write_pr_curve,
 )
+from asadeval.model import ActorObservation, BoundingBox
+from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from support import LEFT, RIGHT, obs, record, validate_record
 
 
@@ -728,3 +730,38 @@ def test_flag_beats_config_file_beats_default(
     assert main([command]) == EXIT_OK
     assert seen == [file_value, flag_value, default]
     assert [type(value) for value in seen] == [type(file_value), type(flag_value), type(default)]
+
+
+def test_evaluate_and_track_build_no_observation_objects(tmp_path, monkeypatch, capsys):
+    # Parsed and tracked records hold column tables and build their
+    # observations only when read; scoring and writing them reads none.
+    gts, preds = [], []
+    for seed in range(3):
+        spec = scenario_preset("camera-cut", seed=seed, video_id=f"v{seed}", n_actors=3, n_keyframes=12, n_cuts=1)
+        gt, _ = generate(spec)
+        pred = perturb(gt, Perturbation("jitter_boxes", sigma=0.02, seed=seed))
+        pred = perturb(pred, Perturbation("swap_ids", actor_id=1, other_actor_id=2, keyframe=5))
+        pred = perturb(pred, Perturbation("inject_fp", rate=0.5, seed=seed, n_labels=spec.n_labels))
+        gts.append(gt)
+        preds.append(perturb(pred, Perturbation("flip_labels", bits=6, seed=seed, n_labels=spec.n_labels)))
+    write_annotations(gts, str(tmp_path / "gt.csv"), role="gt")
+    write_annotations(preds, str(tmp_path / "pred.csv"), role="pred")
+    assert main(["synth", "--scenario", "camera-cut", "--seed", "0", "--out", str(tmp_path / "scene")]) == EXIT_OK
+
+    built = []
+    for cls in (ActorObservation, BoundingBox):
+        def counting(self, constructor=cls.__post_init__):
+            built.append(type(self).__name__)
+            constructor(self)
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    commands = [
+        ["evaluate", "--gt", str(tmp_path / "gt.csv"), "--pred", str(tmp_path / "pred.csv"), "--per-video",
+         "--report", str(tmp_path / "report.json"), "--pr-curve", str(tmp_path / "pr.csv")],
+        *(["track", "--detections", str(tmp_path / "scene" / "detections.csv"), "--mode", mode,
+           "--out", str(tmp_path / f"{mode}.csv")] for mode in ("online", "offline")),
+    ]
+    for command in commands:
+        assert main(command) == EXIT_OK
+    assert built == []
+    # Reading a parsed record's observations builds them, and the patch counts them.
+    assert parse_annotations(str(tmp_path / "online.csv"), role="pred")[0].observations and built

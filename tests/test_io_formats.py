@@ -951,14 +951,27 @@ def test_annotation_writer_refuses_a_row_its_parser_rejects(tmp_path, role, fiel
 
 def test_annotation_writer_refuses_what_the_parser_would_merge_into_a_conflict(tmp_path):
     # Two records of one video whose observations share (keyframe, actor): the
-    # parser reads the second row as a conflicting row of the first observation.
+    # parser would read the second row as a conflicting row of the first
+    # observation. Two records of one video are refused first.
     first = record("v", [obs("v", 0, 1, LEFT, score=0.5)])
     second = record("v", [obs("v", 0, 1, RIGHT, score=0.5)])
-    message = "'v': row at keyframe 0 would not parse back: geometry conflicts with line 2 for " \
-              "(video_id=v, keyframe=0, actor_id=1)"
+    message = "duplicate video_id 'v' among the records"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_annotations([first, second], str(tmp_path / "pred.csv"), role="pred")
     assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("role", ["gt", "pred"])
+def test_annotation_writer_refuses_two_records_of_one_video_before_opening(tmp_path, role):
+    # Labels {1} and {2} at equal geometry and score would read back as one
+    # observation holding {1, 2}: the parser refuses no row there.
+    first = record("v", [obs("v", 0, 1, LEFT, actions=(1,), score=0.5 if role == "pred" else 1.0)])
+    second = record("v", [obs("v", 0, 1, LEFT, actions=(2,), score=0.5 if role == "pred" else 1.0)])
+    other = record("w", [obs("w", 0, 1, RIGHT)])
+    path = tmp_path / f"{role}.csv"
+    with pytest.raises(ValueError, match=r"^duplicate video_id 'v' among the records$"):
+        write_annotations([first, other, second], str(path), role=role)
+    assert not path.exists()
 
 
 def test_annotation_writer_writes_ids_past_int64(tmp_path):

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from asadeval import association
 from asadeval.actions import match_pairs
+from asadeval.association import DetectionStream
 from asadeval.cli import main
 from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
@@ -21,7 +23,7 @@ from asadeval.identity import mt_ml
 from asadeval.io_formats import (
     GT_COLUMNS, PRED_COLUMNS, FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
 )
-from asadeval.model import VideoRecord
+from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
 from support import (
@@ -277,6 +279,83 @@ def test_a_parsed_records_table_is_the_one_its_observations_build(case):
         for persistence in (True, False) for side in (parsed, rebuilt)
     ]
     assert reports[0] == reports[1] and reports[2] == reports[3]
+
+
+def assert_lazy_record_equals(lazy, eager):
+    """A record holding only its table (``lazy``) equals ``eager``, built from observations, in every reading."""
+    assert "observations" not in vars(lazy) and "observations" in vars(eager)
+    assert (len(lazy), lazy.actor_ids) == (len(eager), eager.actor_ids)
+    assert "observations" not in vars(lazy)  # len and actor_ids read the table
+    assert repr(lazy.frames) == repr(eager.frames)
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+
+
+def eager_records(text: str, role: str) -> list[VideoRecord]:
+    """The records of an annotation text built through the API, each label set from its action ids in file order."""
+    rows: dict[tuple, list[list[str]]] = {}
+    for line in text.splitlines()[1:]:
+        cells = line.split(",")
+        rows.setdefault((cells[0], int(cells[1]), int(cells[7])), []).append(cells)
+    videos: dict[str, list[ActorObservation]] = {}
+    for (video_id, keyframe, actor), cells in rows.items():
+        action_ids = tuple(int(row[6]) for row in cells)
+        score = float(cells[0][8]) if role == "pred" else 1.0
+        box = BoundingBox(*map(float, cells[0][2:6]))
+        labels = frozenset(set(action_ids) - {0})  # the parser's set, from its rows in file order
+        videos.setdefault(video_id, []).append(ActorObservation(video_id, keyframe, box, actor, labels, score))
+    # Reversed, so that VideoRecord's own sort puts them in order.
+    return [VideoRecord(video_id, tuple(observations[::-1])) for video_id, observations in sorted(videos.items())]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(annotation_files())
+def test_a_parsed_record_equals_the_record_built_from_its_observations(case):
+    # Multi-label rows come in any order, a prediction may carry action 0, and
+    # ids may pass int64. The quoted copy is read by the csv reader.
+    n_labels, texts = case
+    with tempfile.TemporaryDirectory() as directory:
+        for role, text in texts.items():
+            expected = eager_records(text, role)
+            for copy in (text, re.sub(r"^(\w),", r'"\1",', text, flags=re.MULTILINE)):
+                path = Path(directory) / f"{role}.csv"
+                path.write_text(copy)
+                parsed = parse_annotations(str(path), role=role, n_labels=n_labels)
+                assert len(parsed) == len(expected)
+                for lazy, eager in zip(parsed, expected):
+                    assert_lazy_record_equals(lazy, eager)
+
+
+@st.composite
+def detection_streams(draw):
+    """A stream of 0-4 keyframes of 0-3 detections each, rows in any order, keyframes maybe past int64."""
+    offset = draw(st.sampled_from((0, 0, 2**63 - 3, 2**70)))
+    rows = [
+        (offset + keyframe, draw(boxes()), draw(st.sampled_from((0.25, 0.5, 0.9))),
+         draw(st.lists(st.sampled_from((0.0, 0.5, 1.0)), min_size=2, max_size=2)))
+        for keyframe in draw(st.sets(st.integers(0, 6), max_size=4))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return DetectionStream.from_rows("s", 2, draw(st.permutations(rows)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(detection_streams())
+@example(DetectionStream.from_rows("s", 2, []))  # an empty record
+def test_a_tracked_record_equals_the_record_built_from_its_rows(stream):
+    # The eager record is each stream row, in the stream's order, with the
+    # identity the tracker gave it and no labels, sorted by VideoRecord.
+    for tracker in (association.track_online, association.track_offline):
+        identities = []
+        with pytest.MonkeyPatch.context() as patch:
+            tracked = association._tracked
+            patch.setattr(association, "_tracked", lambda s, ids: identities.append(ids) or tracked(s, ids))
+            lazy = tracker(stream, max_gap=2)
+        rows = zip(stream.row_keyframes, stream.boxes.tolist(), identities[0], stream.scores.tolist())
+        eager = VideoRecord("s", tuple(
+            ActorObservation("s", keyframe, BoundingBox(*box), actor, frozenset(), score)
+            for keyframe, box, actor, score in rows
+        ))
+        assert_lazy_record_equals(lazy, eager)
 
 
 valid_files = functools.cache(valid_inputs)

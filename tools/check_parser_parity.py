@@ -8,16 +8,20 @@ under another package name. Each input is a mutated valid file or raw bytes
 (see `tests/csv_mutations.py`), written once and parsed by both copies with
 `parse_annotations` as gt and as pred for every label universe in
 `N_LABELS`, and with `parse_detection_stream`. Outcomes must match exactly:
-records compared by ``repr`` (the two imports define distinct classes), a
-stream's keyframes, boxes, scores and embeddings as exact lists, and a
-`FormatError`'s list of messages. A parsed stream is also written back with
-`write_detection_stream` and tracked by `track_online` and `track_offline` at
-their default parameters, and the bytes of the stream and of both trackers'
-`write_annotations` output must match too. Any other exception is compared by
-type and message, and counted. The summary also counts the parses this
-checkout's numpy reader read without its csv reader, records or a
-`FormatError` alike, so that agreement shows which reader it covered. Prints
-the first differences and a summary, and exits 1 on any difference.
+records compared first by their length, actor ids and the columns of their
+tables (`model._Table`) that both checkouts' tables hold, then by ``repr``
+(the two imports define distinct classes), which builds the observations of
+a record that builds them on first read; a stream's keyframes, boxes, scores
+and embeddings as exact lists; and a `FormatError`'s list of messages. A
+parsed stream is also written back with `write_detection_stream` and tracked
+by `track_online` and `track_offline` at their default parameters: the bytes
+of the stream and of both trackers' `write_annotations` output must match
+too, and so must the tracked records, compared as parsed records are. Any
+other exception is compared by type and message, and counted. The summary
+also counts the parses this checkout's numpy reader read without its csv
+reader, records or a `FormatError` alike, so that agreement shows which
+reader it covered. Prints the first differences and a summary, and exits 1
+on any difference.
 """
 
 from __future__ import annotations
@@ -33,17 +37,32 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
-from asadeval import association, io_formats  # noqa: E402
+from asadeval import association, io_formats, model  # noqa: E402
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs  # noqa: E402
 from other_checkout import load_other  # noqa: E402
 
 SHOWN_DIFFERENCES = 20
 
 
+# The `model._Table` columns both checkouts' tables hold; set once the other is loaded.
+SHARED_COLUMNS: list[str] = []
+
+
 def canonical(result) -> str:
-    """An exact text form of parsed records or of a parsed stream."""
+    """An exact text form of parsed records or of a parsed stream.
+
+    Records are read through their length, actor ids and `SHARED_COLUMNS`
+    before ``repr`` reads their observations.
+    """
     if isinstance(result, list):
-        return repr(result)
+        tables = [
+            (len(record), record.actor_ids, [
+                column.tolist() if hasattr(column, "tolist") else column
+                for column in map(record._table.__getattribute__, SHARED_COLUMNS)
+            ])
+            for record in result
+        ]
+        return repr((tables, result))
     arrays = (result.boxes.tolist(), result.scores.tolist(), result.embeddings.tolist())
     return repr((result.video_id, result.dim, result.row_keyframes, *arrays))
 
@@ -53,14 +72,15 @@ def parsed_records(io, path: str, role: str, n_labels: int) -> tuple[str]:
 
 
 def parsed_stream(io, tracking, path: str) -> tuple:
-    """A parsed stream's text, then the bytes it and both trackers' records write."""
+    """A parsed stream's text, then the bytes it and both trackers' records write, and those records' text."""
     stream = io.parse_detection_stream(path)
     output = str(Path(path).with_name("output.csv"))
     io.write_detection_stream(stream, output)
     written = [Path(output).read_bytes()]
     for tracker in (tracking.track_online, tracking.track_offline):
-        io.write_annotations([tracker(stream)], output, role="pred")
-        written.append(Path(output).read_bytes())
+        record = tracker(stream)
+        io.write_annotations([record], output, role="pred")
+        written += [Path(output).read_bytes(), canonical([record])]
     return (canonical(stream), *written)
 
 
@@ -114,7 +134,10 @@ def main(argv=None) -> int:
     parser.add_argument("--inputs", type=int, default=50000, help="number of inputs (default 50000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the mutations (default 0)")
     args = parser.parse_args(argv)
-    _, other_io, other_tracking = load_other(args.other_src.resolve(), "io_formats", "association")
+    _, other_io, other_tracking, other_model = load_other(
+        args.other_src.resolve(), "io_formats", "association", "model"
+    )
+    SHARED_COLUMNS[:] = [name for name in model._Table._fields if name in other_model._Table._fields]
 
     rng = random.Random(args.seed)
     valid = valid_inputs()
