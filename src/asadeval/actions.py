@@ -10,13 +10,14 @@ observations for `match_pairs`; MT/ML counts their GT side. A report counts
 each pair's wrong bits from the label sets of its two rows, which the
 records' column tables hold (`wrong_bits`), without building the pair or
 observation objects; `hamming_loss` counts a `MatchedPairSet`'s pairs by
-the same rule.
+the same rule. Both refuse labels outside [1, n_labels] (`check_labels`).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .matching import DEFAULT_IOU_GATE, _CorpusMatch, match_corpus
 from .model import DEFAULT_N_LABELS, ActorObservation, VideoRecord
@@ -116,14 +117,15 @@ def merge_pair_sets(pair_sets: Iterable[MatchedPairSet]) -> MatchedPairSet:
     return MatchedPairSet(pairs=tuple(merged))
 
 
-def hamming_loss(
-    pairs: MatchedPairSet, n_labels: int = DEFAULT_N_LABELS
-) -> HammingResult:
+def hamming_loss(pairs: MatchedPairSet, n_labels: int = DEFAULT_N_LABELS) -> HammingResult:
     """Mean per-label XOR disagreement over all matched pairs.
 
     Each label present in exactly one of the two sets contributes one wrong
-    bit; the loss is wrong_bits / (n_pairs * n_labels), in [0, 1].
+    bit; the loss is wrong_bits / (n_pairs * n_labels), in [0, 1], once
+    `check_labels` has passed every label.
     """
+    rows = [obs for pair in pairs.pairs for obs in (pair.gt, pair.pred)]
+    check_labels([obs.actions for obs in rows], n_labels, rows.__getitem__)
     wrong = sum(
         len(pair.gt.actions.symmetric_difference(pair.pred.actions))
         for pair in pairs.pairs
@@ -131,10 +133,31 @@ def hamming_loss(
     return _hamming_result(wrong, pairs.n_pairs, n_labels)
 
 
-def _hamming_result(wrong: int, n_pairs: int, n_labels: int) -> HammingResult:
-    """The HL of ``wrong`` bits over ``n_pairs`` pairs of ``n_labels`` labels; null with no pairs."""
+def check_labels(
+    label_sets: Sequence[frozenset[int]], n_labels: int, observation: Callable[[int], ActorObservation]
+) -> None:
+    """ValueError unless ``n_labels`` >= 1 and each label is a `numbers.Integral`, not a bool, in [1, n_labels].
+
+    The error names the first refused label and its row's video, keyframe
+    and actor (``observation(row)``). Each distinct set object is checked
+    once, and each distinct label of each type: {1} equals {True}.
+    """
     if n_labels < 1:
         raise ValueError("n_labels must be positive")
+
+    def refused(label) -> bool:
+        return isinstance(label, bool) or not isinstance(label, numbers.Integral) or not 1 <= label <= n_labels
+
+    distinct = {id(labels): labels for labels in label_sets}.values()
+    if any(refused(label) for _, label in {(type(label), label) for labels in distinct for label in labels}):
+        row, label = next((row, label) for row, labels in enumerate(label_sets) for label in labels if refused(label))
+        obs = observation(row)
+        raise ValueError(f"video {obs.video_id!r}, keyframe {obs.keyframe}, actor {obs.actor_id}: "
+                         f"action label {label!r} is not an integer in [1, {n_labels}]")
+
+
+def _hamming_result(wrong: int, n_pairs: int, n_labels: int) -> HammingResult:
+    """The HL of ``wrong`` bits over ``n_pairs`` pairs of ``n_labels`` labels (`check_labels`); null with no pairs."""
     if n_pairs == 0:
         return HammingResult(
             value=None, reason=HL_NO_PAIRS, wrong_bits=0, n_pairs=0, n_labels=n_labels

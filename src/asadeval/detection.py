@@ -5,14 +5,13 @@ Precision at a given IoU threshold (AP@0.5 by default): the all-point
 interpolated AP of PASCAL VOC, with the predictions of all videos pooled
 into one confidence ranking.
 
-AP takes two steps. `rank_predictions` gives each video's scores (its
-column table's) and TP flags as arrays in observation order; the flags are
-the `match_corpus` result's ``flags``, the greedy matching of every
-keyframe. `_ranked_ap` ranks predictions with one stable sort and sums AP
-from the recall, precision and p_interp columns (`_pr_columns`) that a
-`PRCurve` holds and `write_pr_curve` writes. A report's per-video blocks
-take it directly; `curve_from_ranked` ranks the videos it is given together
-and keeps the curve as well.
+AP reads two flat arrays of a `match_corpus` result: its prediction
+columns' ``scores`` and its ``flags``, the greedy matching of every
+keyframe, one entry per prediction row. `_ranked_ap` ranks predictions with
+one stable sort and sums AP from the recall, precision and p_interp columns
+(`_pr_columns`) that a `PRCurve` holds and `write_pr_curve` writes. A
+report's per-video blocks take it on their video's slice of both arrays;
+`curve_from_ranked` ranks whole arrays and keeps the curve as well.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .matching import (
-    DEFAULT_IOU_GATE, _CorpusMatch, _greedy_flags, boxes_to_array, check_gate, iou_matrix, match_corpus,
-)
+from .matching import DEFAULT_IOU_GATE, _greedy_flags, boxes_to_array, check_gate, iou_matrix, match_corpus
 from .model import BoundingBox, VideoRecord, aligned_records
 
 AP_NO_GROUND_TRUTH = "no ground truth boxes"
@@ -114,24 +111,12 @@ def precision_recall(tally: DetectionTally) -> tuple[float, float]:
     return precision, recall
 
 
-def rank_predictions(corpus: _CorpusMatch) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Step one of AP: each video's prediction scores and TP flags, in observation order.
+def curve_from_ranked(scores: np.ndarray, flags: np.ndarray, n_gt: int) -> APResult:
+    """The AP, tally and PR curve of predictions with these scores and TP flags, ranked together.
 
-    The TP flags are the corpus's ``flags``: `tally_frame`'s greedy matching
-    of every keyframe.
+    ``n_gt`` is the number of ground-truth boxes the flags were matched
+    against. The AP, tally and ties are `_ranked_ap`'s.
     """
-    return [(pred._table.scores, flags) for (_, pred), flags in zip(corpus.videos, corpus.flags)]
-
-
-def curve_from_ranked(rankings: Sequence[tuple[np.ndarray, np.ndarray]], n_gt: int) -> APResult:
-    """Step two of AP: the AP, tally and PR curve of the given videos' predictions, ranked together.
-
-    ``rankings`` holds `rank_predictions` entries, and ``n_gt`` is the number
-    of ground-truth boxes their flags were matched against. The AP, tally
-    and ties are `_ranked_ap`'s of the videos' predictions in video order.
-    """
-    scores = np.concatenate([np.zeros(0)] + [scores for scores, _ in rankings])
-    flags = np.concatenate([np.zeros(0, dtype=bool)] + [flags for _, flags in rankings])
     summary, scores, flags = _ranked_ap(scores, flags, n_gt)
     curve = PRCurve(ranked=tuple(zip(scores.tolist(), flags.tolist())), n_gt=n_gt) if n_gt else PRCurve()
     return APResult(summary.ap, summary.reason, curve, summary.tally, summary.had_score_ties)
@@ -175,12 +160,10 @@ def average_precision(
 ) -> APResult:
     """Area under the interpolated precision-recall curve, pooled over videos.
 
-    The two steps composed: `rank_predictions` of the videos in video_id
-    order whatever order the records arrive in (the order `evaluate_records`
-    pools in), then `curve_from_ranked` of them all against every
-    ground-truth box. A repeated video_id, or a gate outside (0, 1), is a
-    ValueError.
+    `curve_from_ranked` of the corpus's prediction scores and TP flags,
+    its videos in video_id order whatever order the records arrive in (the
+    order `evaluate_records` pools in), against every ground-truth box. A
+    repeated video_id, or a gate outside (0, 1), is a ValueError.
     """
     corpus = match_corpus(aligned_records(gt_records, pred_records), iou_threshold)
-    n_gt = sum(len(gt) for gt, _ in corpus.videos)
-    return curve_from_ranked(rank_predictions(corpus), n_gt)
+    return curve_from_ranked(corpus.pred.scores, corpus.flags, len(corpus.gt.scores))

@@ -5,19 +5,18 @@ their results in that order, so results never depend on the order the
 records arrive in. `match_corpus` matches every keyframe once for the whole
 corpus, batching the keyframes of all videos by shape, from the records'
 column tables (`model._Table`), and each metric reader takes that one
-object and returns one result per video: AP's ranking, IDF1's counts and the
-switch counter. The gated pairs and AP's TP flags are computed on first
-read, across videos. The report reads the pairs as table rows, with no pair
-objects: MT/ML counts each GT actor's covered rows (`track_coverage`, which
-`mt_ml` calls too), and HL counts the paired rows' label-set differences
-(`wrong_bits`). Each video's AP comes from its scores and flags
-directly (`_ranked_ap`), with no curve; the aggregate detection curve ranks
-every video's scores and TP flags together, without matching again, and the
-report carries that pooled `APResult` (outside its JSON) for whoever writes
-the PR curve. Identification, MT/ML, switch and matched action-pair tallies
-sum across videos. One builder makes every `MetricBlock`, per video and
-aggregate, so every reported ratio can be recomputed from the tallies
-carried next to it.
+object. The gated pairs and AP's TP flags are computed on first read,
+across videos, as rows of the corpus's columns. The report reads the pairs as
+table rows, with no pair objects: MT/ML counts each GT actor's covered rows
+(`track_coverage`, which `mt_ml` calls too), and HL counts the paired rows'
+label-set differences (`wrong_bits`), once `check_labels` has passed them.
+Each video's AP comes from its slice of the corpus's prediction scores and
+flags (`_ranked_ap`), with no curve; the aggregate detection curve ranks
+both arrays whole, and the report carries that pooled `APResult` (outside
+its JSON) for whoever writes the PR curve. Identification, MT/ML, switch
+and matched action-pair tallies sum across videos. One builder makes every
+`MetricBlock`, per video and aggregate, so every reported ratio can be
+recomputed from the tallies carried next to it.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .actions import HammingResult, _hamming_result, wrong_bits
-from .detection import APResult, _APSummary, _ranked_ap, curve_from_ranked, rank_predictions
+from .actions import HammingResult, _hamming_result, check_labels, wrong_bits
+from .detection import APResult, _APSummary, _ranked_ap, curve_from_ranked
 from .identity import IdMatchResult, MtMlResult, id_counts, switch_counts, track_coverage
 from .matching import DEFAULT_IOU_GATE, match_corpus
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
@@ -116,9 +115,9 @@ def _metric_block(
 
 
 def _aggregate_block(
-    blocks: Sequence[MetricBlock], rankings: Sequence[tuple[np.ndarray, np.ndarray]], n_labels: int
+    blocks: Sequence[MetricBlock], scores: np.ndarray, flags: np.ndarray, n_labels: int
 ) -> tuple[MetricBlock, APResult]:
-    """Reduce per-video blocks and rankings, in video_id order, to the aggregate block and its pooled AP."""
+    """Reduce per-video blocks, in video_id order, and every prediction's score and flag to the aggregate and its AP."""
 
     def total(name: str) -> int:
         return sum(getattr(block, name) for block in blocks)
@@ -129,7 +128,7 @@ def _aggregate_block(
     ids = IdMatchResult(idtp, idfp, idfn, pairing=(), vacuous=idtp + idfp + idfn == 0)
     tracks = MtMlResult(total("mt_count"), total("ml_count"), total("n_gt_tracklets"), coverage=())
     # The pooled ranking of every prediction against every GT observation.
-    pooled = curve_from_ranked(rankings, idtp + idfn)
+    pooled = curve_from_ranked(scores, flags, idtp + idfn)
     hl = _hamming_result(total("wrong_label_bits"), total("n_matched_pairs"), n_labels)
     return _metric_block(pooled, ids, tracks, total("id_switches"), hl), pooled
 
@@ -147,12 +146,12 @@ def evaluate_records(
 
     Videos present on only one side are evaluated against an empty
     counterpart. The aggregate is reduced from the per-video results: its AP
-    pools every prediction into one ranking of the per-video TP flags (the
+    pools every prediction into one ranking of the corpus's TP flags (the
     report's ``pooled_ap``, equal to `average_precision` of the same
     records), and its identification, MT/ML, switch and action-pair
-    tallies are exact sums of the per-video tallies. A gate outside (0, 1)
-    or a video_id repeated on either side is a ValueError. Each video's
-    block equals the aggregate block of that video evaluated alone.
+    tallies are exact sums of the per-video tallies. A gate outside (0, 1),
+    a video_id repeated on either side, or a label `check_labels` refuses is
+    a ValueError. Each video's block equals that video's evaluated alone.
 
     ``max_workers`` is accepted and ignored: videos are always evaluated
     serially, since a thread pool gained nothing here. The keyword stays only
@@ -160,24 +159,27 @@ def evaluate_records(
     """
     aligned = aligned_records(gt_records, pred_records)
     corpus = match_corpus(aligned, iou_threshold)
-    rankings = rank_predictions(corpus)
+    records = [record for pair in aligned for record in pair]
+    check_labels([labels for record in records for labels in record._table.labels], n_labels,
+                 lambda row: [obs for record in records for obs in record.observations][row])
     found = corpus.pair_rows
     covered = np.zeros(len(corpus.gt.actors), bool)
     covered[found.gt] = True
     wrong = list(accumulate(wrong_bits(corpus), initial=0))
-    gt_rows, pair_bounds = corpus.gt.offsets.tolist(), corpus.video_pairs
-    results = zip(aligned, rankings, id_counts(corpus), switch_counts(corpus, found, id_persistence))
+    gt_rows, pred_rows, pair_bounds = corpus.gt.offsets.tolist(), corpus.pred.offsets.tolist(), corpus.video_pairs
+    results = zip(aligned, id_counts(corpus), switch_counts(corpus, found, id_persistence))
     per_video = {}
-    for v, ((gt, _), (scores, flags), ids, switches) in enumerate(results):
+    for v, ((gt, _), ids, switches) in enumerate(results):
         start, stop = pair_bounds[v], pair_bounds[v + 1]
+        preds = slice(pred_rows[v], pred_rows[v + 1])
         per_video[gt.video_id] = _metric_block(
-            _ranked_ap(scores, flags, len(gt))[0],
+            _ranked_ap(corpus.pred.scores[preds], corpus.flags[preds], len(gt))[0],
             ids,
             track_coverage(gt, covered[gt_rows[v] : gt_rows[v + 1]]),
             switches,
             _hamming_result(wrong[stop] - wrong[start], stop - start, n_labels),
         )
-    aggregate, pooled_ap = _aggregate_block(list(per_video.values()), rankings, n_labels)
+    aggregate, pooled_ap = _aggregate_block(list(per_video.values()), corpus.pred.scores, corpus.flags, n_labels)
 
     resolved = {
         "tool": "asadeval",

@@ -13,11 +13,11 @@ consecutive matched keyframes, with optional match persistence.
 `id_counts` and `switch_counts` read a `match_corpus` result, one result
 per video: `evaluate_records` calls them on the corpus's matching that all
 families share, and `idf1` and `id_switches` on a corpus of one. Both read
-the records' column tables (`model._Table`): IDF1's gated hits take one
-`np.nonzero` per shape chunk, mapped to actor codes by row, and the switch
-counter reads actor codes and gate hits as lists. `track_coverage` counts
-each GT actor's rows that the gated pairs cover, for `mt_ml` and the report
-alike.
+the records' column tables (`model._Table`) at each shape chunk's rows:
+IDF1's gated hits take one `np.nonzero` per chunk, mapped to actor codes,
+and the switch counter reads each chunk's actor codes and gate hits as
+lists. `track_coverage` counts each GT actor's rows that the gated pairs
+cover, for `mt_ml` and the report alike.
 """
 
 from __future__ import annotations
@@ -220,10 +220,10 @@ def switch_counts(corpus: _CorpusMatch, solved: Optional[_Pairs], persistence: b
     instead of solved again. Every other residual is solved here: where some
     actors persisted and others did not, or everywhere nothing persisted
     when ``solved`` is None. Actors are read as their codes in their record
-    (`_Table`), equal where the ids are, and gate hits as lists.
+    (`_Table`), equal where the ids are, once per chunk, as are gate hits.
     """
-    keys = corpus.keys
-    gt_actors, pred_actors = corpus.gt.actors.tolist(), corpus.pred.actors.tolist()
+    gt_actors = [corpus.gt.actors[chunk.rows].tolist() for chunk in corpus.chunks]
+    pred_actors = [corpus.pred.actors[chunk.cols].tolist() for chunk in corpus.chunks]
     hits = [(chunk.ious >= corpus.gate).tolist() for chunk in corpus.chunks]
     if solved is not None:  # each solved pair as its (GT actor, predicted actor)
         known = list(zip(corpus.gt.actors[solved.gt].tolist(), corpus.pred.actors[solved.pred].tolist()))
@@ -231,18 +231,15 @@ def switch_counts(corpus: _CorpusMatch, solved: Optional[_Pairs], persistence: b
     counts = [0] * len(corpus.videos)
     last_match: dict[int, int] = {}
     video = -1
-    frames = zip(*(column.tolist() for column in (keys.video, keys.gt_first, keys.n_gt, keys.pred_first,
-                                                  keys.n_pred, keys.chunk, keys.slot)))
-    for key, (v, g_first, n_gt, p_first, n_pred, chunk, slot) in enumerate(frames):
+    for key, (v, chunk, slot) in enumerate(zip(*(column.tolist() for column in corpus.keys))):
         if v != video:
             last_match, video = {}, v
-        g_frame = gt_actors[g_first : g_first + n_gt]
-        p_frame = pred_actors[p_first : p_first + n_pred]
+        g_frame, p_frame = gt_actors[chunk][slot], pred_actors[chunk][slot]
         matches: dict[int, int] = {}  # persisted pairs first, then the residual's
         claimed: set[int] = set()
         if persistence and last_match:
             hit = hits[chunk][slot]
-            column_of = dict(zip(p_frame, range(n_pred)))  # a repeated id's last column
+            column_of = dict(zip(p_frame, range(len(p_frame))))  # a repeated id's last column
             for i, gt_actor in enumerate(g_frame):
                 prev = last_match.get(gt_actor)
                 j = column_of.get(prev)
@@ -252,7 +249,7 @@ def switch_counts(corpus: _CorpusMatch, solved: Optional[_Pairs], persistence: b
 
         if not matches and solved is not None:
             matches = dict(known[bounds[key] : bounds[key + 1]])
-        elif len(matches) < n_gt and len(claimed) < n_pred:  # else every row or every column is taken
+        elif len(matches) < len(g_frame) and len(claimed) < len(p_frame):  # else every row or every column is taken
             rows = [i for i, actor in enumerate(g_frame) if actor not in matches]
             cols = [j for j, actor in enumerate(p_frame) if actor not in claimed]
             if rows and cols:

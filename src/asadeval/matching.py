@@ -2,12 +2,12 @@
 
 The shared matching substrate: `match_corpus` matches a corpus once, for
 every metric reader to take. It holds one read-only GT x prediction IoU
-matrix per keyframe of each video, and on first read each video's gated
-pairs and AP's greedy TP flags. It batches the keyframes of all videos by
-shape, gathering their boxes from the records' column tables
-(`model._Table`) by row index, so a corpus of many short videos of a few
-shapes takes a few numpy calls, not a few per video, and the pairs and
-flags take one call per chunk of that batching too. `gated_cost` puts
+matrix per keyframe of each video, and on first read the corpus's gated
+pairs and AP's greedy TP flags, as rows of its columns. It batches the
+keyframes of all videos by shape, gathering their boxes from the records'
+column tables (`model._Table`) by row index into chunks that keep those rows,
+so a corpus of short videos of a few shapes takes a few numpy calls, not a
+few per video, and the pairs and flags one call per chunk. `gated_cost` puts
 exactly 1.0 wherever the IoU gate fails, so a surviving pair can always be
 recognized by cost < 1.
 `solve_assignment`, the package's one solver (IDF1's identity pairing
@@ -159,16 +159,12 @@ class _Columns(NamedTuple):
 class _Keys(NamedTuple):
     """The keyframes of a corpus with boxes on both sides, in corpus order: by video, then keyframe.
 
-    Key ``k``'s GT rows (of the corpus's `_Columns`) are ``gt_first[k]`` and the
-    ``n_gt[k] - 1`` rows after it, its prediction rows likewise, and its IoU
-    matrix is ``chunks[chunk[k]].ious[slot[k]]``.
+    Key ``k`` lies in chunk ``chunks[chunk[k]]`` at ``slot[k]``: its IoU matrix
+    is that chunk's ``ious[slot[k]]``, and its GT and prediction rows (of the
+    corpus's `_Columns`) are its ``rows[slot[k]]`` and ``cols[slot[k]]``.
     """
 
     video: np.ndarray
-    gt_first: np.ndarray
-    n_gt: np.ndarray
-    pred_first: np.ndarray
-    n_pred: np.ndarray
     chunk: np.ndarray
     slot: np.ndarray
 
@@ -254,8 +250,8 @@ class _CorpusMatch:
         return _Pairs(np.concatenate(gts)[order], np.concatenate(preds)[order], bounds)
 
     @functools.cached_property
-    def flags(self) -> list[np.ndarray]:
-        """Each video's TP flags under AP's greedy matching, in ``pred.observations`` order.
+    def flags(self) -> np.ndarray:
+        """Every prediction's TP flag under AP's greedy matching, one per row of ``pred``, beside its ``scores``.
 
         One `_greedy_flags` call per chunk; a prediction at a keyframe
         without ground truth is a false positive.
@@ -263,8 +259,7 @@ class _CorpusMatch:
         flags = np.zeros(len(self.pred.scores), dtype=bool)
         for chunk in self.chunks:
             flags[chunk.cols] = _greedy_flags(chunk.ious, self.pred.scores[chunk.cols], self.gate)
-        offsets = self.pred.offsets.tolist()
-        return [flags[start:stop] for start, stop in zip(offsets, offsets[1:])]
+        return flags
 
     @functools.cached_property
     def video_pairs(self) -> list[int]:
@@ -320,7 +315,7 @@ def match_corpus(videos: Sequence[tuple[VideoRecord, VideoRecord]], gate: float)
             key_chunk[index] = len(chunks)
             key_slot[index] = np.arange(len(index))
             chunks.append(_Chunk(index, stack, rows, cols))
-    keys = _Keys(key_video, gt_first, n_gt, pred_first, n_pred, key_chunk, key_slot)
+    keys = _Keys(key_video, key_chunk, key_slot)
     return _CorpusMatch(videos, gate, gt, pred, keys, chunks)
 
 

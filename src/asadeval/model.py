@@ -165,10 +165,10 @@ class VideoRecord:
 
     A record the parser or a tracker makes (`_from_table`) holds its column
     table and ``actor_ids`` only. Its ``observations`` are built from the
-    table on first read (`_observations_of`), and so are its ``frames``,
-    from them; equality, hashing and repr read them, so such a record
-    compares, hashes and repr's as the record built from the same
-    observations does.
+    table on first read (`_observations_of`), and its ``frames`` slice them
+    at the table's keyframe bounds, as any record's do; equality, hashing
+    and repr read the observations, so such a record compares, hashes and
+    repr's as the record built from the same observations does.
     """
 
     video_id: str
@@ -192,11 +192,9 @@ class VideoRecord:
 
     @cached_property
     def frames(self) -> dict[int, tuple[ActorObservation, ...]]:
-        """Observations grouped by keyframe, keyframes ascending."""
-        grouped: dict[int, list[ActorObservation]] = {}
-        for obs in self.observations:
-            grouped.setdefault(obs.keyframe, []).append(obs)
-        return {kf: tuple(obs_list) for kf, obs_list in grouped.items()}
+        """Observations grouped by keyframe, keyframes ascending: ``observations`` cut at the table's ``bounds``."""
+        observations, bounds = self.observations, self._table.bounds.tolist()
+        return {kf: observations[start:stop] for kf, start, stop in zip(self._table.keyframes, bounds, bounds[1:])}
 
     @cached_property
     def actor_ids(self) -> tuple[int, ...]:

@@ -432,11 +432,20 @@ def assert_same_table(table, other) -> None:
         assert not mine.flags.writeable and not theirs.flags.writeable, name
 
 
+def frames_reference(record: VideoRecord) -> dict[int, tuple[ActorObservation, ...]]:
+    """``record.frames`` without the column table: its observations grouped one by one, in order, by keyframe."""
+    grouped: dict[int, list[ActorObservation]] = {}
+    for observation in record.observations:
+        grouped.setdefault(observation.keyframe, []).append(observation)
+    return {keyframe: tuple(observations) for keyframe, observations in grouped.items()}
+
+
 def corpus_frames(corpus) -> list[tuple[int, int]]:
     """Each key of a `match_corpus` result as ``(video position, keyframe)``, in corpus order."""
     frames = []
-    for v, first in zip(corpus.keys.video.tolist(), corpus.keys.gt_first.tolist()):
+    for v, chunk, slot in zip(*(column.tolist() for column in corpus.keys)):
         table = corpus.videos[v][0]._table
+        first = corpus.chunks[chunk].rows[slot, 0]
         frames.append((v, table.keyframes[table.frame_codes[first - corpus.gt.offsets[v]]]))
     return frames
 
@@ -457,8 +466,8 @@ def frame_pairs(corpus) -> list[dict[int, tuple[tuple[int, int], ...]]]:
     found, keys = corpus.pair_rows, corpus.keys
     pairs = [{} for _ in corpus.videos]
     for key, (v, keyframe) in enumerate(corpus_frames(corpus)):
+        chunk = corpus.chunks[keys.chunk[key]]
+        gt_first, pred_first = chunk.rows[keys.slot[key], 0], chunk.cols[keys.slot[key], 0]
         rows = range(found.bounds[key], found.bounds[key + 1])
-        pairs[v][keyframe] = tuple(
-            (int(found.gt[x] - keys.gt_first[key]), int(found.pred[x] - keys.pred_first[key])) for x in rows
-        )
+        pairs[v][keyframe] = tuple((int(found.gt[x] - gt_first), int(found.pred[x] - pred_first)) for x in rows)
     return pairs

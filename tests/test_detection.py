@@ -272,13 +272,12 @@ def ranked_together(videos):
 )
 @example([[(0.9, False), (0.5, True)], [(0.5, False), (0.2, True)]], 3)
 def test_columns_and_ap_equal_the_eager_oracle(videos, missed):
-    rankings = [
-        (np.array([score for score, _ in video], dtype=float), np.array([is_tp for _, is_tp in video], dtype=bool))
-        for video in videos
-    ]
+    pooled = list(itertools.chain.from_iterable(videos))
+    scores = np.array([score for score, _ in pooled], dtype=float)
+    flags = np.array([is_tp for _, is_tp in pooled], dtype=bool)
     ranked = ranked_together(videos)
     n_tp = sum(is_tp for _, is_tp in ranked)
-    result = curve_from_ranked(rankings, n_tp + missed)
+    result = curve_from_ranked(scores, flags, n_tp + missed)
     if n_tp + missed == 0:
         assert result.ap is None and all(len(column) == 0 for column in result.curve.columns)
         return
@@ -357,7 +356,9 @@ def test_corpus_flags_equal_the_scalar_loop_across_chunks(n_keyframes, n_gt, n_p
         corpus = matching.match_corpus(aligned, gate)
         flags = corpus.flags
     assert max(len(chunk.index) for chunk in corpus.chunks) <= 4
-    for (gt, pred), table, video_flags in zip(aligned, iou_tables(corpus), flags):
+    offsets = corpus.pred.offsets.tolist()
+    for v, ((gt, pred), table) in enumerate(zip(aligned, iou_tables(corpus))):
+        video_flags = flags[offsets[v] : offsets[v + 1]]
         expected = []
         for kf, frame in pred.frames.items():
             scores = [o.score for o in frame]

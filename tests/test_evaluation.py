@@ -1,3 +1,6 @@
+import re
+
+import numpy as np
 import pytest
 
 from asadeval.actions import hamming_loss, match_pairs
@@ -173,14 +176,71 @@ def test_keyframes_that_int64_or_float64_would_merge_stay_distinct(tmp_path, gt_
         assert block.fp == len(pred_keyframes) and block.fn == len(gt_keyframes)
 
 
-def test_labels_outside_the_label_range_count_as_symmetric_differences():
-    # Negative, past 64, past 128 and past n_labels: each label counts once
-    # per side it is on.
-    gt_labels = [(-3, 1), (70, 200), (5,), (0, 64, 65), (True, 2)]
+def test_labels_outside_the_label_range_are_refused():
+    # Labels past 64 and past 128 count once per side they are on where
+    # n_labels covers them; negative, 0, bool and too-large labels are refused.
+    gt_labels = [(3, 1), (70, 200), (5,), (6, 64, 65), (7, 2)]
     pred_labels = [(1,), (70, 129), (5, 9), (64, 128), (1, 3)]
     gt = record("v", [obs("v", kf, 1, LEFT, actions=labels) for kf, labels in enumerate(gt_labels)])
     pred = record("v", [obs("v", kf, 2, LEFT, actions=labels) for kf, labels in enumerate(pred_labels)])
     expected = sum(len(set(g) ^ set(p)) for g, p in zip(gt_labels, pred_labels))
-    block = evaluate_records([gt], [pred], n_labels=8).per_video["v"]
-    assert block.wrong_label_bits == hamming_loss(match_pairs(gt, pred), 8).wrong_bits == expected
+    block = evaluate_records([gt], [pred], n_labels=200).per_video["v"]
+    assert block.wrong_label_bits == hamming_loss(match_pairs(gt, pred), 200).wrong_bits == expected
     assert block.n_matched_pairs == len(gt_labels)
+    with pytest.raises(ValueError, match=r"keyframe 1, actor 1: action label (70|200) is not an integer in \[1, 8\]"):
+        evaluate_records([gt], [pred], n_labels=8)
+    for bad in (-3, 0, True, 201):
+        wrong = record("v", [obs("v", 0, 2, LEFT, actions=(2, bad))])
+        message = re.escape(f"video 'v', keyframe 0, actor 2: action label {bad!r} is not an integer in [1, 200]")
+        with pytest.raises(ValueError, match=message):
+            evaluate_records([gt], [wrong], n_labels=200)
+        with pytest.raises(ValueError, match=message):
+            hamming_loss(match_pairs(gt, wrong), 200)
+
+
+@pytest.mark.parametrize(
+    "gt_labels, pred_labels, actor, refused",
+    [
+        (range(10, 20), (), 1, "1[0-9]"),  # counted, these 10 wrong bits would make hl 1.25
+        ((1,), (0,), 2, "0"),  # counted, hl 0.25
+        ((1,), (-3,), 2, "-3"),
+        ((9,), (1,), 1, "9"),
+        ((1,), (1.0,), 2, r"1\.0"),
+        ((2,), (True,), 2, "True"),
+    ],
+    ids=["past_n_labels_unpaired", "zero", "negative", "past_n_labels", "float", "bool"],
+)
+def test_a_report_and_hamming_loss_refuse_a_label_outside_one_to_n_labels(gt_labels, pred_labels, actor, refused):
+    gt = record("v", [obs("v", 4, 1, LEFT, actions=gt_labels)])
+    pred = record("v", [obs("v", 4, 2, LEFT, actions=pred_labels, score=0.9)])
+    message = rf"video 'v', keyframe 4, actor {actor}: action label {refused} is not an integer in \[1, 8\]"
+    with pytest.raises(ValueError, match=message):
+        evaluate_records([gt], [pred], n_labels=8)
+    pairs = match_pairs(gt, pred)
+    assert pairs.n_pairs == 1
+    with pytest.raises(ValueError, match=message):
+        hamming_loss(pairs, 8)
+    # A non-positive label count is the first error.
+    with pytest.raises(ValueError, match="n_labels must be positive"):
+        evaluate_records([gt], [pred], n_labels=0)
+    with pytest.raises(ValueError, match="n_labels must be positive"):
+        hamming_loss(pairs, 0)
+
+
+@pytest.mark.parametrize("label", [8, np.int64(8)])
+def test_labels_up_to_n_labels_are_counted(label):
+    gt = record("v", [obs("v", 4, 1, LEFT, actions=(label,))])
+    pred = record("v", [obs("v", 4, 2, LEFT, actions=(1,), score=0.9)])
+    block = evaluate_records([gt], [pred], n_labels=8).aggregate
+    assert (block.wrong_label_bits, block.hl) == (2, 2 / 8)
+    assert hamming_loss(match_pairs(gt, pred), 8).value == 2 / 8
+
+
+def test_a_bool_label_beside_an_equal_integer_set_is_refused():
+    # {True} == {1}: a check of distinct sets by equality would let it through.
+    gt = record("v", [obs("v", kf, 1, LEFT, actions=(1,)) for kf in range(3)])
+    pred = record("v", [obs("v", kf, 2, LEFT, actions=labels) for kf, labels in enumerate([(1,), (True,), (1,)])])
+    with pytest.raises(ValueError, match="keyframe 1, actor 2: action label True is not"):
+        evaluate_records([gt], [pred], n_labels=8)
+    with pytest.raises(ValueError, match="keyframe 1, actor 2: action label True is not"):
+        hamming_loss(match_pairs(gt, pred), 8)

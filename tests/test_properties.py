@@ -27,7 +27,8 @@ from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
 from support import (
-    LEFT, RIGHT, assert_same_table, brute_force_idtp, obs, record, scalar_id_switches, sweep_ap, validate_record,
+    LEFT, RIGHT, assert_same_table, brute_force_idtp, frames_reference, obs, record, scalar_id_switches, sweep_ap,
+    validate_record,
 )
 
 
@@ -288,6 +289,11 @@ def assert_lazy_record_equals(lazy, eager):
     assert "observations" not in vars(lazy)  # len and actor_ids read the table
     assert repr(lazy.frames) == repr(eager.frames)
     assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    # Both records cut their frames from their tables alike, so each is also
+    # checked against the grouping of its observations.
+    for built in (lazy, eager):
+        assert list(built.frames) == sorted(built.frames)
+        assert repr(built.frames) == repr(frames_reference(built))
 
 
 def eager_records(text: str, role: str) -> list[VideoRecord]:

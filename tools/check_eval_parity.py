@@ -10,7 +10,8 @@ to 15 camera cuts, and with the scene's detection stream. Some video ids
 hold a comma, a quote, a line break or a non-ASCII character, which a CSV
 cell must quote or keep as it is. Its prediction is the ground truth perturbed with
 `synthetic.perturb` (jittered and dropped boxes, injected false positives,
-swapped and split identities, flipped labels), plus duplicated boxes under
+swapped and split identities, flipped labels, every label in [1,
+`N_LABELS`]), plus duplicated boxes under
 fresh identities, and rescored from a few values so that scores tie within
 and across videos. Some videos keep only one side. Many videos thus share
 keyframe shapes, which the evaluation batches across the corpus. Both copies
@@ -69,7 +70,7 @@ def prediction(rng: np.random.Generator, gt):
 
     pred = perturbed(gt, "jitter_boxes", sigma=float(rng.uniform(0, 0.03)))
     pred = perturbed(pred, "drop_detections", rate=float(rng.uniform(0, 0.3)))
-    pred = perturbed(pred, "inject_fp", rate=float(rng.uniform(0, 0.5)))
+    pred = perturbed(pred, "inject_fp", rate=float(rng.uniform(0, 0.5)), n_labels=N_LABELS)
     if len(pred.actor_ids) >= 2:
         a, b = (int(x) for x in rng.choice(pred.actor_ids, size=2, replace=False))
         pred = perturbed(pred, "swap_ids", actor_id=a, other_actor_id=b, keyframe=int(rng.choice(list(pred.frames))))
@@ -172,12 +173,8 @@ def family_values(package, gt, pred, gate: float) -> tuple:
 
 
 def round_trip(io, directory: str) -> list:
-    """``io``'s `parse_annotations` of the files `write_annotations` wrote in ``directory``.
-
-    Injected false positives draw labels past `N_LABELS`, so the files are
-    read with room for any label.
-    """
-    return [io.parse_annotations(str(Path(directory) / f"{role}.csv"), role, 2**31) for role in ("gt", "pred")]
+    """``io``'s `parse_annotations` of the files `write_annotations` wrote in ``directory``, at `N_LABELS`."""
+    return [io.parse_annotations(str(Path(directory) / f"{role}.csv"), role, N_LABELS) for role in ("gt", "pred")]
 
 
 def outcomes(package, io, gts, preds, path: str) -> list[tuple]:

@@ -11,7 +11,8 @@ under another package name. Each input is a mutated valid file or raw bytes
 records compared first by their length, actor ids and the columns of their
 tables (`model._Table`) that both checkouts' tables hold, then by ``repr``
 (the two imports define distinct classes), which builds the observations of
-a record that builds them on first read; a stream's keyframes, boxes, scores
+a record that builds them on first read, then by the ``repr`` of their
+``frames``; a stream's keyframes, boxes, scores
 and embeddings as exact lists; and a `FormatError`'s list of messages. A
 parsed stream is also written back with `write_detection_stream` and tracked
 by `track_online` and `track_offline` at their default parameters: the bytes
@@ -52,7 +53,7 @@ def canonical(result) -> str:
     """An exact text form of parsed records or of a parsed stream.
 
     Records are read through their length, actor ids and `SHARED_COLUMNS`
-    before ``repr`` reads their observations.
+    before ``repr`` reads their observations, and then their ``frames``.
     """
     if isinstance(result, list):
         tables = [
@@ -62,7 +63,7 @@ def canonical(result) -> str:
             ])
             for record in result
         ]
-        return repr((tables, result))
+        return repr((tables, result)) + repr([record.frames for record in result])
     arrays = (result.boxes.tolist(), result.scores.tolist(), result.embeddings.tolist())
     return repr((result.video_id, result.dim, result.row_keyframes, *arrays))
 
