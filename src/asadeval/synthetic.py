@@ -8,8 +8,13 @@ detector model jitters boxes, drops detections, and injects false positives.
 
 All randomness flows from a single explicit seed through numpy's default
 PCG64 generator; the algorithm identifier is recorded in scenario manifests
-so fixtures stay reproducible. The detection stream is built from the rows
-drawn, one (keyframe, box corners, score, embedding) tuple per detection.
+so fixtures stay reproducible. The ground truth is built as the parser
+builds a record, from its rows in (keyframe, actor_id) order: one column
+table (`model._table_of`) of each row's box corners and label set, and no
+observation objects until they are read. The detection stream is built from
+the rows drawn, one (keyframe, box corners, score, embedding) tuple per
+detection. `_random_box` draws every box not tied to an actor, the
+generator's false positives and `perturb`'s injected ones alike.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .association import DetectionStream
-from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
+from .model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord, _table_of
 
 GENERATOR_ALGORITHM = "numpy-default-rng-pcg64"
 
@@ -146,14 +151,23 @@ def _spawn(
 def _jittered_box(
     rng: np.random.Generator, cx: float, cy: float, w: float, h: float, sigma: float
 ) -> tuple[float, float, float, float]:
-    """Corners of a noisy copy of a box: center and extent jittered, clamped to stay valid."""
+    """Corners of a noisy copy of a box: center and extent jittered, clamped inside the unit square."""
     jcx = float(cx + rng.normal(0.0, sigma))
     jcy = float(cy + rng.normal(0.0, sigma))
-    jw = max(float(w + rng.normal(0.0, sigma)), _MIN_BOX_EXTENT)
-    jh = max(float(h + rng.normal(0.0, sigma)), _MIN_BOX_EXTENT)
+    jw = min(max(float(w + rng.normal(0.0, sigma)), _MIN_BOX_EXTENT), 1.0)
+    jh = min(max(float(h + rng.normal(0.0, sigma)), _MIN_BOX_EXTENT), 1.0)
     jcx = min(max(jcx, jw / 2.0), 1.0 - jw / 2.0)
     jcy = min(max(jcy, jh / 2.0), 1.0 - jh / 2.0)
     return jcx - jw / 2.0, jcy - jh / 2.0, jcx + jw / 2.0, jcy + jh / 2.0
+
+
+def _random_box(rng: np.random.Generator, lo: float, hi: float) -> tuple[float, float, float, float]:
+    """Corners of a box whose width, then height, is drawn from [lo, hi), then placed uniformly in the unit square."""
+    w = float(rng.uniform(lo, hi))
+    h = float(rng.uniform(lo, hi))
+    cx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
+    cy = float(rng.uniform(h / 2.0, 1.0 - h / 2.0))
+    return cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0
 
 
 def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
@@ -187,7 +201,8 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
     cx, cy, vx, vy = _spawn(rng, half_w, half_h, spec.max_speed)
     noise_scale = spec.appearance_noise / math.sqrt(spec.appearance_dim)
 
-    gt_observations: list[ActorObservation] = []
+    boxes: list[np.ndarray] = []
+    gt_labels: list[frozenset[int]] = []
     rows: list[tuple] = []
     for keyframe in range(spec.n_keyframes):
         if keyframe in cuts:
@@ -197,22 +212,11 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
                 cx[a], vx[a] = _reflect(cx[a], vx[a], half_w[a])
                 cy[a], vy[a] = _reflect(cy[a], vy[a], half_h[a])
 
+        boxes.append(np.stack((cx - half_w, cy - half_h, cx + half_w, cy + half_h), axis=1))
         for a in range(n):
             if keyframe > 0 and rng.random() < spec.label_switch_rate:
                 labels[a] = _sample_labels(rng, spec.n_labels)
-            box = BoundingBox(
-                cx[a] - half_w[a], cy[a] - half_h[a], cx[a] + half_w[a], cy[a] + half_h[a]
-            )
-            gt_observations.append(
-                ActorObservation(
-                    video_id=spec.video_id,
-                    keyframe=keyframe,
-                    box=box,
-                    actor_id=a + 1,
-                    actions=labels[a],
-                    score=1.0,
-                )
-            )
+            gt_labels.append(labels[a])
             missed = rng.random() < spec.miss_rate
             if not missed:
                 det_box = _jittered_box(
@@ -224,16 +228,17 @@ def generate(spec: ScenarioSpec) -> tuple[VideoRecord, DetectionStream]:
 
         for _ in range(n):
             if rng.random() < spec.fp_rate:
-                w = float(rng.uniform(spec.min_box_size, spec.max_box_size))
-                h = float(rng.uniform(spec.min_box_size, spec.max_box_size))
-                fcx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
-                fcy = float(rng.uniform(h / 2.0, 1.0 - h / 2.0))
+                box = _random_box(rng, spec.min_box_size, spec.max_box_size)
                 score = float(rng.uniform(0.5, 1.0))
                 embedding = rng.standard_normal(spec.appearance_dim)
-                box = (fcx - w / 2.0, fcy - h / 2.0, fcx + w / 2.0, fcy + h / 2.0)
                 rows.append((keyframe, box, score, embedding / np.linalg.norm(embedding)))
 
-    record = VideoRecord(video_id=spec.video_id, observations=tuple(gt_observations))
+    actor_ids = tuple(range(1, n + 1))
+    keyframes = [keyframe for keyframe in range(spec.n_keyframes) for _ in actor_ids]
+    table = _table_of(
+        keyframes, actor_ids * spec.n_keyframes, actor_ids, np.concatenate(boxes), np.ones(len(keyframes)), gt_labels
+    )
+    record = VideoRecord._from_table(spec.video_id, table, actor_ids)
     return record, DetectionStream.from_rows(spec.video_id, spec.appearance_dim, rows)
 
 
@@ -291,56 +296,45 @@ class Perturbation:
 
 
 def perturb(gt: VideoRecord, p: Perturbation) -> VideoRecord:
-    """Apply exactly one corruption; everything untouched stays bit-identical."""
+    """Apply exactly one corruption; everything untouched stays bit-identical.
+
+    ``split_track`` and ``swap_ids`` share one relabel rule: after the
+    presence check, each observation at or after ``p.keyframe`` whose
+    identity the kind's map holds takes the mapped identity, where a split
+    maps its actor to one past the largest identity present and a swap maps
+    each of its two actors to the other. ``inject_fp`` draws its boxes with
+    `_random_box`, as `generate` draws its false positives.
+    """
     rng = np.random.default_rng(p.seed)
     observations = list(gt.observations)
 
     if p.kind == "drop_detections":
         observations = [obs for obs in observations if not (rng.random() < p.rate)]
 
-    elif p.kind == "jitter_boxes":
-        jittered = []
-        for obs in observations:
-            if p.sigma == 0.0:
-                jittered.append(obs)
-                continue
+    elif p.kind == "jitter_boxes" and p.sigma != 0.0:
+        for index, obs in enumerate(observations):
             box = obs.box
-            new_box = _jittered_box(
-                rng,
-                (box.x1 + box.x2) / 2.0,
-                (box.y1 + box.y2) / 2.0,
-                box.width,
-                box.height,
-                p.sigma,
+            corners = _jittered_box(
+                rng, (box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0, box.width, box.height, p.sigma
             )
-            jittered.append(replace(obs, box=BoundingBox(*new_box)))
-        observations = jittered
+            observations[index] = replace(obs, box=BoundingBox(*corners))
 
-    elif p.kind == "split_track":
-        if p.actor_id not in {obs.actor_id for obs in observations}:
-            raise ValueError(f"split_track: actor_id {p.actor_id} not present")
-        new_id = max(obs.actor_id for obs in observations) + 1
+    elif p.kind in ("split_track", "swap_ids"):
+        present = {obs.actor_id for obs in observations}
+        actors = (p.actor_id,) if p.kind == "split_track" else (p.actor_id, p.other_actor_id)
+        for actor in actors:
+            if actor not in present:
+                raise ValueError(f"{p.kind}: actor_id {actor} not present")
+        if p.kind == "split_track":
+            renamed = {p.actor_id: max(present) + 1}
+        else:
+            renamed = {p.actor_id: p.other_actor_id, p.other_actor_id: p.actor_id}
         observations = [
-            replace(obs, actor_id=new_id)
-            if obs.actor_id == p.actor_id and obs.keyframe >= p.keyframe
+            replace(obs, actor_id=renamed[obs.actor_id])
+            if obs.keyframe >= p.keyframe and obs.actor_id in renamed
             else obs
             for obs in observations
         ]
-
-    elif p.kind == "swap_ids":
-        present = {obs.actor_id for obs in observations}
-        for actor in (p.actor_id, p.other_actor_id):
-            if actor not in present:
-                raise ValueError(f"swap_ids: actor_id {actor} not present")
-        swapped = []
-        for obs in observations:
-            if obs.keyframe >= p.keyframe and obs.actor_id == p.actor_id:
-                swapped.append(replace(obs, actor_id=p.other_actor_id))
-            elif obs.keyframe >= p.keyframe and obs.actor_id == p.other_actor_id:
-                swapped.append(replace(obs, actor_id=p.actor_id))
-            else:
-                swapped.append(obs)
-        observations = swapped
 
     elif p.kind == "flip_labels":
         universe = len(observations) * p.n_labels
@@ -362,27 +356,13 @@ def perturb(gt: VideoRecord, p: Perturbation) -> VideoRecord:
 
     elif p.kind == "inject_fp":
         next_id = max((obs.actor_id for obs in observations), default=0) + 1
-        extra: list[ActorObservation] = []
         for keyframe in sorted({obs.keyframe for obs in observations}):
             if rng.random() < p.rate:
-                w = float(rng.uniform(0.05, 0.15))
-                h = float(rng.uniform(0.05, 0.15))
-                fcx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
-                fcy = float(rng.uniform(h / 2.0, 1.0 - h / 2.0))
+                box = BoundingBox(*_random_box(rng, 0.05, 0.15))
                 label = int(rng.integers(1, p.n_labels + 1))
-                extra.append(
-                    ActorObservation(
-                        video_id=gt.video_id,
-                        keyframe=keyframe,
-                        box=BoundingBox(
-                            fcx - w / 2.0, fcy - h / 2.0, fcx + w / 2.0, fcy + h / 2.0
-                        ),
-                        actor_id=next_id,
-                        actions=frozenset({label}),
-                        score=float(rng.uniform(0.5, 1.0)),
-                    )
-                )
+                observations.append(ActorObservation(
+                    gt.video_id, keyframe, box, next_id, frozenset({label}), float(rng.uniform(0.5, 1.0))
+                ))
                 next_id += 1
-        observations.extend(extra)
 
     return VideoRecord(video_id=gt.video_id, observations=tuple(observations))

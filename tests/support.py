@@ -3,7 +3,10 @@
 The oracles are the reference checks of the parser, of the CSV writer
 (``csv.writer``), of `iou_matrix`, of AP (its greedy flags and the cutoff
 sweep), of the assignment solver (brute force), of IDTP (brute force) and
-of the switch count (scalar). Random
+of the switch count (scalar). `generate_reference` and `perturb_reference`
+are the synthetic generator's and perturbations' object-building loops, one
+`ActorObservation` per row and one branch per perturbation kind, calling
+`synthetic`'s own helpers, so that only the loops are compared. Random
 instance and record builders that several test modules draw from live here
 too.
 """
@@ -11,11 +14,13 @@ too.
 import csv
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from asadeval import synthetic
+from asadeval.association import DetectionStream
 from asadeval.matching import build_cost_matrix, solve_assignment
 from asadeval.model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 
@@ -471,3 +476,176 @@ def frame_pairs(corpus) -> list[dict[int, tuple[tuple[int, int], ...]]]:
         rows = range(found.bounds[key], found.bounds[key + 1])
         pairs[v][keyframe] = tuple((int(found.gt[x] - gt_first), int(found.pred[x] - pred_first)) for x in rows)
     return pairs
+
+
+def generate_reference(spec) -> tuple[VideoRecord, DetectionStream]:
+    """`synthetic.generate` as one loop that builds an `ActorObservation` and a `BoundingBox` per GT row."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n_actors
+
+    bases = synthetic._sample_appearance_bases(rng, n, spec.appearance_dim)
+    widths = rng.uniform(spec.min_box_size, spec.max_box_size, size=n)
+    heights = rng.uniform(spec.min_box_size, spec.max_box_size, size=n)
+    half_w = widths / 2.0
+    half_h = heights / 2.0
+    labels = [synthetic._sample_labels(rng, spec.n_labels) for _ in range(n)]
+
+    if spec.n_cuts > 0:
+        cuts = set(
+            int(x)
+            for x in rng.choice(
+                np.arange(1, spec.n_keyframes), size=spec.n_cuts, replace=False
+            )
+        )
+    else:
+        cuts = set()
+
+    cx, cy, vx, vy = synthetic._spawn(rng, half_w, half_h, spec.max_speed)
+    noise_scale = spec.appearance_noise / math.sqrt(spec.appearance_dim)
+
+    gt_observations: list[ActorObservation] = []
+    rows: list[tuple] = []
+    for keyframe in range(spec.n_keyframes):
+        if keyframe in cuts:
+            cx, cy, vx, vy = synthetic._spawn(rng, half_w, half_h, spec.max_speed)
+        elif keyframe > 0:
+            for a in range(n):
+                cx[a], vx[a] = synthetic._reflect(cx[a], vx[a], half_w[a])
+                cy[a], vy[a] = synthetic._reflect(cy[a], vy[a], half_h[a])
+
+        for a in range(n):
+            if keyframe > 0 and rng.random() < spec.label_switch_rate:
+                labels[a] = synthetic._sample_labels(rng, spec.n_labels)
+            box = BoundingBox(
+                cx[a] - half_w[a], cy[a] - half_h[a], cx[a] + half_w[a], cy[a] + half_h[a]
+            )
+            gt_observations.append(
+                ActorObservation(
+                    video_id=spec.video_id,
+                    keyframe=keyframe,
+                    box=box,
+                    actor_id=a + 1,
+                    actions=labels[a],
+                    score=1.0,
+                )
+            )
+            missed = rng.random() < spec.miss_rate
+            if not missed:
+                det_box = synthetic._jittered_box(
+                    rng, float(cx[a]), float(cy[a]), widths[a], heights[a], spec.box_jitter
+                )
+                score = float(rng.uniform(0.5, 1.0))
+                embedding = bases[a] + noise_scale * rng.standard_normal(spec.appearance_dim)
+                rows.append((keyframe, det_box, score, embedding / np.linalg.norm(embedding)))
+
+        for _ in range(n):
+            if rng.random() < spec.fp_rate:
+                w = float(rng.uniform(spec.min_box_size, spec.max_box_size))
+                h = float(rng.uniform(spec.min_box_size, spec.max_box_size))
+                fcx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
+                fcy = float(rng.uniform(h / 2.0, 1.0 - h / 2.0))
+                score = float(rng.uniform(0.5, 1.0))
+                embedding = rng.standard_normal(spec.appearance_dim)
+                box = (fcx - w / 2.0, fcy - h / 2.0, fcx + w / 2.0, fcy + h / 2.0)
+                rows.append((keyframe, box, score, embedding / np.linalg.norm(embedding)))
+
+    record = VideoRecord(video_id=spec.video_id, observations=tuple(gt_observations))
+    return record, DetectionStream.from_rows(spec.video_id, spec.appearance_dim, rows)
+
+
+def perturb_reference(gt: VideoRecord, p) -> VideoRecord:
+    """`synthetic.perturb` with one branch per kind and its false-positive boxes drawn inline."""
+    rng = np.random.default_rng(p.seed)
+    observations = list(gt.observations)
+
+    if p.kind == "drop_detections":
+        observations = [obs for obs in observations if not (rng.random() < p.rate)]
+
+    elif p.kind == "jitter_boxes":
+        jittered = []
+        for obs in observations:
+            if p.sigma == 0.0:
+                jittered.append(obs)
+                continue
+            box = obs.box
+            new_box = synthetic._jittered_box(
+                rng,
+                (box.x1 + box.x2) / 2.0,
+                (box.y1 + box.y2) / 2.0,
+                box.width,
+                box.height,
+                p.sigma,
+            )
+            jittered.append(replace(obs, box=BoundingBox(*new_box)))
+        observations = jittered
+
+    elif p.kind == "split_track":
+        if p.actor_id not in {obs.actor_id for obs in observations}:
+            raise ValueError(f"split_track: actor_id {p.actor_id} not present")
+        new_id = max(obs.actor_id for obs in observations) + 1
+        observations = [
+            replace(obs, actor_id=new_id)
+            if obs.actor_id == p.actor_id and obs.keyframe >= p.keyframe
+            else obs
+            for obs in observations
+        ]
+
+    elif p.kind == "swap_ids":
+        present = {obs.actor_id for obs in observations}
+        for actor in (p.actor_id, p.other_actor_id):
+            if actor not in present:
+                raise ValueError(f"swap_ids: actor_id {actor} not present")
+        swapped = []
+        for obs in observations:
+            if obs.keyframe >= p.keyframe and obs.actor_id == p.actor_id:
+                swapped.append(replace(obs, actor_id=p.other_actor_id))
+            elif obs.keyframe >= p.keyframe and obs.actor_id == p.other_actor_id:
+                swapped.append(replace(obs, actor_id=p.actor_id))
+            else:
+                swapped.append(obs)
+        observations = swapped
+
+    elif p.kind == "flip_labels":
+        universe = len(observations) * p.n_labels
+        if p.bits > universe:
+            raise ValueError(
+                f"flip_labels: {p.bits} bits exceed the {universe}-bit label universe"
+            )
+        if p.bits > 0:
+            positions = rng.choice(universe, size=p.bits, replace=False)
+            flips: dict[int, set[int]] = {}
+            for position in sorted(int(x) for x in positions):
+                obs_idx, label = divmod(position, p.n_labels)
+                flips.setdefault(obs_idx, set()).add(label + 1)
+            for obs_idx, labels in flips.items():
+                obs = observations[obs_idx]
+                observations[obs_idx] = replace(
+                    obs, actions=obs.actions.symmetric_difference(labels)
+                )
+
+    elif p.kind == "inject_fp":
+        next_id = max((obs.actor_id for obs in observations), default=0) + 1
+        extra: list[ActorObservation] = []
+        for keyframe in sorted({obs.keyframe for obs in observations}):
+            if rng.random() < p.rate:
+                w = float(rng.uniform(0.05, 0.15))
+                h = float(rng.uniform(0.05, 0.15))
+                fcx = float(rng.uniform(w / 2.0, 1.0 - w / 2.0))
+                fcy = float(rng.uniform(h / 2.0, 1.0 - h / 2.0))
+                label = int(rng.integers(1, p.n_labels + 1))
+                extra.append(
+                    ActorObservation(
+                        video_id=gt.video_id,
+                        keyframe=keyframe,
+                        box=BoundingBox(
+                            fcx - w / 2.0, fcy - h / 2.0, fcx + w / 2.0, fcy + h / 2.0
+                        ),
+                        actor_id=next_id,
+                        actions=frozenset({label}),
+                        score=float(rng.uniform(0.5, 1.0)),
+                    )
+                )
+                next_id += 1
+        observations.extend(extra)
+
+    return VideoRecord(video_id=gt.video_id, observations=tuple(observations))

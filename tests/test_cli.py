@@ -732,9 +732,20 @@ def test_flag_beats_config_file_beats_default(
     assert [type(value) for value in seen] == [type(file_value), type(flag_value), type(default)]
 
 
+def test_synth_keeps_jittered_boxes_inside_the_unit_square(tmp_path, capsys):
+    # At this jitter some extents pass 1; each box must still lie in the unit
+    # square, so that the writer takes every scene ScenarioSpec accepts.
+    out = tmp_path / "d"
+    command = ["synth", "--out", str(out), "--box-jitter", "0.6", "--actors", "3", "--keyframes", "5", "--cuts", "0"]
+    assert main(command) == EXIT_OK
+    stream = parse_detection_stream(str(out / "detections.csv"))
+    assert len(stream.row_keyframes) and 0.0 <= stream.boxes.min() and stream.boxes.max() <= 1.0
+    assert len(parse_annotations(str(out / "gt.csv"), role="gt")[0]) == 15
+
+
 def test_evaluate_and_track_build_no_observation_objects(tmp_path, monkeypatch, capsys):
-    # Parsed and tracked records hold column tables and build their
-    # observations only when read; scoring and writing them reads none.
+    # Parsed, tracked and generated records hold column tables and build
+    # their observations only when read; scoring and writing them reads none.
     gts, preds = [], []
     for seed in range(3):
         spec = scenario_preset("camera-cut", seed=seed, video_id=f"v{seed}", n_actors=3, n_keyframes=12, n_cuts=1)
@@ -759,6 +770,8 @@ def test_evaluate_and_track_build_no_observation_objects(tmp_path, monkeypatch, 
          "--report", str(tmp_path / "report.json"), "--pr-curve", str(tmp_path / "pr.csv")],
         *(["track", "--detections", str(tmp_path / "scene" / "detections.csv"), "--mode", mode,
            "--out", str(tmp_path / f"{mode}.csv")] for mode in ("online", "offline")),
+        ["synth", "--scenario", "camera-cut", "--seed", "1", "--out", str(tmp_path / "again")],
+        ["bench", "--seeds", "1", "--out", str(tmp_path / "bench")],
     ]
     for command in commands:
         assert main(command) == EXIT_OK

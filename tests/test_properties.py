@@ -24,11 +24,11 @@ from asadeval.io_formats import (
     GT_COLUMNS, PRED_COLUMNS, FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
 )
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
-from asadeval.synthetic import Perturbation, generate, perturb, scenario_preset
+from asadeval.synthetic import Perturbation, ScenarioSpec, generate, perturb, scenario_preset
 from csv_mutations import KINDS, N_LABELS, mutate, raw_input, valid_inputs
 from support import (
-    LEFT, RIGHT, assert_same_table, brute_force_idtp, frames_reference, obs, record, scalar_id_switches, sweep_ap,
-    validate_record,
+    LEFT, RIGHT, assert_same_table, brute_force_idtp, frames_reference, generate_reference, obs, perturb_reference,
+    record, scalar_id_switches, sweep_ap, track_obs, validate_record,
 )
 
 
@@ -414,3 +414,128 @@ def test_malformed_files_give_records_or_located_errors(case):
         for command in commands:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 assert main(command) in (0, 2), command
+
+
+# Labels that share a slot of a small set's hash table, so that a label
+# set's iteration order, and so its repr, follows the order it was built in.
+SYNTH_LABELS = (1, 2, 9, 10, 17)
+SYNTH_N_LABELS = 20
+
+
+def parsed_record(rows) -> VideoRecord:
+    """The record `parse_annotations` reads from ``rows``, each label set written as its rows in their order."""
+    lines = [",".join(PRED_COLUMNS)]
+    for keyframe, actor, box, labels, score in rows:
+        for label in labels or (0,):
+            lines.append(",".join(map(str, ("v", keyframe, *box, label, actor, score))))
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "pred.csv"
+        path.write_text("\n".join(lines) + "\n")
+        records = parse_annotations(str(path), role="pred", n_labels=SYNTH_N_LABELS)
+    return records[0] if records else VideoRecord("v")
+
+
+@st.composite
+def source_records(draw):
+    """A generated GT record, or 0-10 rows built through the API or parsed, ids and keyframes maybe past int64."""
+    source = draw(st.sampled_from(("generated", "api", "parsed")))
+    if source == "generated":
+        n_keyframes = draw(st.integers(2, 8))
+        return generate(ScenarioSpec(
+            seed=draw(st.integers(0, 2**32)), n_actors=draw(st.integers(1, 4)), n_keyframes=n_keyframes,
+            n_cuts=draw(st.integers(0, n_keyframes - 1)), n_labels=SYNTH_N_LABELS,
+        ))[0]
+    offset = draw(st.sampled_from((0, 0, 2**63 - 3, 2**70)))
+    keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 4)), max_size=10, unique=True))
+    rows = [
+        (offset + keyframe, offset + actor, draw(boxes()),
+         draw(st.lists(st.sampled_from(SYNTH_LABELS), unique=True, max_size=3)), draw(st.sampled_from((0.25, 0.5, 1.0))))
+        for keyframe, actor in keys
+    ]
+    if source == "parsed":
+        return parsed_record(rows)
+    return record("v", [obs("v", keyframe, actor, box, labels, score) for keyframe, actor, box, labels, score in rows])
+
+
+@st.composite
+def perturbation_cases(draw):
+    """A source record and a perturbation of any kind, its ids and keyframes drawn from the record's and past them."""
+    gt = draw(source_records())
+    ids = sorted({*gt.actor_ids, 0, max(gt.actor_ids, default=0) + 1})
+    keyframes = sorted({0, *(o.keyframe for o in gt.observations)})
+    keyframes.append(keyframes[-1] + 1)
+    return gt, Perturbation(
+        draw(st.sampled_from(Perturbation._KINDS)),
+        rate=draw(st.sampled_from((0.0, 0.3, 1.0))),
+        sigma=draw(st.sampled_from((0.0, 0.02, 0.5, 3.0))),
+        actor_id=draw(st.sampled_from(ids)),
+        other_actor_id=draw(st.sampled_from(ids)),
+        keyframe=draw(st.sampled_from(keyframes)),
+        bits=draw(st.integers(0, len(gt) * SYNTH_N_LABELS + 1)),
+        seed=draw(st.integers(0, 2**32)),
+        n_labels=SYNTH_N_LABELS,
+    )
+
+
+def outcome(function, *args):
+    """The ``repr`` of what ``function`` returns, or the type and message of the exception it raises."""
+    try:
+        return repr(function(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+TWO_TRACKS = record("v", track_obs("v", 1, range(4), LEFT, actions=(9, 1)) + track_obs("v", 2, range(4), RIGHT))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(perturbation_cases())
+@example((TWO_TRACKS, Perturbation("split_track", actor_id=1, keyframe=0)))
+@example((TWO_TRACKS, Perturbation("split_track", actor_id=2, keyframe=4)))  # past the last keyframe
+@example((TWO_TRACKS, Perturbation("swap_ids", actor_id=2, other_actor_id=2, keyframe=1)))
+@example((TWO_TRACKS, Perturbation("swap_ids", actor_id=1, other_actor_id=3, keyframe=1)))
+@example((TWO_TRACKS, Perturbation("inject_fp", rate=1.0, seed=5, n_labels=SYNTH_N_LABELS)))
+@example((VideoRecord("v"), Perturbation("split_track", actor_id=1, keyframe=0)))
+@example((VideoRecord("v"), Perturbation("inject_fp", rate=1.0)))
+@example((VideoRecord("v"), Perturbation("flip_labels", bits=1)))
+def test_perturb_equals_the_reference_loops(case):
+    gt, p = case
+    assert outcome(perturb, gt, p) == outcome(perturb_reference, gt, p)
+
+
+def generated(function, spec) -> tuple:
+    """The ``repr`` of ``function``'s record and its stream's fields and array bytes, or the exception raised."""
+    try:
+        gt, stream = function(spec)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    arrays = (stream.boxes, stream.scores, stream.embeddings)
+    return repr(gt), stream.video_id, stream.dim, stream.row_keyframes, [(a.shape, a.tobytes()) for a in arrays]
+
+
+@st.composite
+def scenario_specs(draw):
+    n_keyframes = draw(st.integers(2, 8))
+    rates = st.sampled_from((0.0, 0.0, 0.3, 1.0, 1.0))
+    return ScenarioSpec(
+        video_id="g", seed=draw(st.integers(0, 2**32)), n_actors=draw(st.integers(1, 5)), n_keyframes=n_keyframes,
+        n_cuts=draw(st.sampled_from((0, draw(st.integers(0, n_keyframes - 1))))),
+        appearance_dim=draw(st.sampled_from((2, 8, 16))), box_jitter=draw(st.sampled_from((0.0, 0.01, 0.6))),
+        miss_rate=draw(rates), fp_rate=draw(rates), label_switch_rate=draw(rates),
+        n_labels=draw(st.sampled_from((1, 3, SYNTH_N_LABELS, 80))),
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(scenario_specs())
+@example(ScenarioSpec(n_actors=3, n_keyframes=10, n_cuts=0))
+@example(ScenarioSpec(n_actors=3, n_keyframes=10, n_cuts=4, miss_rate=1.0, fp_rate=1.0, label_switch_rate=1.0))
+def test_generate_equals_the_reference_loop(spec):
+    assert generated(generate, spec) == generated(generate_reference, spec)
+    try:
+        gt, _ = generate(spec)
+    except ValueError:
+        return
+    # The generator builds its table directly; it is the one its observations build.
+    assert "observations" not in vars(gt)
+    assert_same_table(gt._table, VideoRecord(gt.video_id, generate_reference(spec)[0].observations)._table)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from asadeval.evaluation import evaluate_records
 from asadeval.io_formats import write_detection_stream
@@ -204,3 +206,15 @@ def test_negative_seeds_rejected_naming_the_field():
 def test_spec_rejects_an_empty_video_id():
     with pytest.raises(ValueError, match="^video_id must be non-empty$"):
         ScenarioSpec(video_id="")
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.integers(0, 2**32), st.integers(0, 2**32))
+@example(0.6, 2.0, 0, 1)  # jittered extents that pass 1
+def test_jittered_boxes_stay_inside_the_unit_square(box_jitter, sigma, spec_seed, seed):
+    spec = ScenarioSpec(n_actors=3, n_keyframes=5, n_cuts=0, seed=spec_seed, box_jitter=box_jitter)
+    gt, stream = generate(spec)
+    jittered = perturb(gt, Perturbation("jitter_boxes", sigma=sigma, seed=seed))
+    for boxes in (stream.boxes, jittered._table.boxes):
+        x1, y1, x2, y2 = boxes.T
+        assert ((0.0 <= x1) & (x1 < x2) & (x2 <= 1.0) & (0.0 <= y1) & (y1 < y2) & (y2 <= 1.0)).all()

@@ -14,7 +14,13 @@ swapped and split identities, flipped labels, every label in [1,
 `N_LABELS`]), plus duplicated boxes under
 fresh identities, and rescored from a few values so that scores tie within
 and across videos. Some videos keep only one side. Many videos thus share
-keyframe shapes, which the evaluation batches across the corpus. Both copies
+keyframe shapes, which the evaluation batches across the corpus. Each corpus
+is built twice from the same draws: with this checkout's `generate` and
+`perturb`, then with the other checkout's; every record's ``repr`` (the GT
+as generated too, before its labels are mapped into [1, `N_LABELS`]) and
+every stream's fields and array bytes must match, so a change in the generator's
+draws or in a perturbation counts as a difference. The checks below then
+read this checkout's corpus. Both copies
 evaluate every corpus at gates 0.3, 0.5 and 0.7, with ID persistence on and
 off; the `report_to_dict` JSON, the `write_pr_curve` bytes and the
 `write_report` CSV bytes must match exactly, or else the exception's type
@@ -51,7 +57,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 import asadeval  # noqa: E402
-from asadeval import io_formats, synthetic  # noqa: E402
+from asadeval import io_formats  # noqa: E402
 from other_checkout import load_other  # noqa: E402
 
 GATES = (0.3, 0.5, 0.7)
@@ -61,12 +67,12 @@ SHOWN_DIFFERENCES = 20
 VIDEO_IDS = ("v{}", "v,{}", 'v"{}', "v\r\n{}", "é\t{}")
 
 
-def prediction(rng: np.random.Generator, gt):
-    """``gt`` perturbed, with some boxes duplicated and every score drawn from `SCORES`."""
+def prediction(rng: np.random.Generator, gt, package):
+    """``gt`` perturbed by ``package``, with some boxes duplicated and every score drawn from `SCORES`."""
     seed = int(rng.integers(2**31))
 
     def perturbed(record, kind, **parameters):
-        return synthetic.perturb(record, asadeval.Perturbation(kind, seed=seed, **parameters))
+        return package.synthetic.perturb(record, package.Perturbation(kind, seed=seed, **parameters))
 
     pred = perturbed(gt, "jitter_boxes", sigma=float(rng.uniform(0, 0.03)))
     pred = perturbed(pred, "drop_detections", rate=float(rng.uniform(0, 0.3)))
@@ -83,16 +89,19 @@ def prediction(rng: np.random.Generator, gt):
         observations.append(replace(observations[index], actor_id=fresh))
         fresh += 1
     scores = rng.choice(SCORES, size=len(observations)).tolist()
-    pred = asadeval.VideoRecord(gt.video_id, tuple(replace(o, score=s) for o, s in zip(observations, scores)))
+    pred = package.VideoRecord(gt.video_id, tuple(replace(o, score=s) for o, s in zip(observations, scores)))
     return perturbed(pred, "flip_labels", bits=int(rng.integers(0, len(observations) + 1)), n_labels=N_LABELS)
 
 
-def corpus(rng: np.random.Generator):
-    """The GT and prediction records of 1 to 8 generated videos, and their streams; a video may keep one side only."""
-    gts, preds, streams = [], [], []
+def corpus(rng: np.random.Generator, package=asadeval):
+    """The GT and prediction records of 1 to 8 videos ``package`` generates, their streams, and their GT as generated.
+
+    A video may keep one side only.
+    """
+    gts, preds, streams, generated = [], [], [], []
     for index in range(int(rng.integers(1, 9))):
         n_keyframes = int(rng.integers(2, 17))
-        spec = synthetic.scenario_preset(
+        spec = package.synthetic.scenario_preset(
             "camera-cut",
             seed=int(rng.integers(2**31)),
             video_id=VIDEO_IDS[index % len(VIDEO_IDS)].format(index),
@@ -100,17 +109,24 @@ def corpus(rng: np.random.Generator):
             n_keyframes=n_keyframes,
             n_cuts=int(rng.integers(0, n_keyframes)),
         )
-        gt, stream = synthetic.generate(spec)
+        gt, stream = package.synthetic.generate(spec)
+        generated.append(gt)
         streams.append(stream)
-        gt = asadeval.VideoRecord(gt.video_id, tuple(
+        gt = package.VideoRecord(gt.video_id, tuple(
             replace(o, actions=frozenset(a % N_LABELS + 1 for a in o.actions)) for o in gt.observations
         ))
         side = rng.choice(("both", "both", "both", "gt", "pred"))
         if side != "pred":
             gts.append(gt)
         if side != "gt":
-            preds.append(prediction(rng, gt))
-    return gts, preds, streams
+            preds.append(prediction(rng, gt, package))
+    return gts, preds, streams, generated
+
+
+def built(gts, preds, streams, generated) -> tuple:
+    """Each record's ``repr``, and each stream's fields and array bytes."""
+    arrays = [(s.video_id, s.dim, s.row_keyframes, *(a.tobytes() for a in (s.boxes, s.scores, s.embeddings))) for s in streams]
+    return [repr(record) for record in generated + gts + preds], arrays
 
 
 def converted(package, records):
@@ -224,7 +240,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as directory:
         path = str(Path(directory) / "pr.csv")
         for index in range(args.corpora):
-            gts, preds, streams = corpus(rng)
+            state = rng.bit_generator.state
+            gts, preds, streams, generated = corpus(rng)
+            again = np.random.default_rng()
+            again.bit_generator.state = state
+            generator_differs = built(gts, preds, streams, generated) != built(*corpus(again, other))
+            tally["generated alike"] += not generator_differs
             sides = []
             for package, io in ((other, other_io), (asadeval, io_formats)):  # this checkout's files last
                 records = converted(package, gts), converted(package, preds)
@@ -240,15 +261,18 @@ def main(argv=None) -> int:
                 here += outcomes(asadeval, io_formats, *round_trip(io_formats, directory), path)
                 there += outcomes(other, other_io, *round_trip(other_io, directory), path)
             tally.update(result[0] for result in here)
-            if here != there:
+            if here != there or generator_differs:
                 differences += 1
                 if differences <= SHOWN_DIFFERENCES:
                     print(f"corpus {index} differs")
+                    if generator_differs:
+                        print("  the other checkout's generate and perturb build it otherwise")
                     for mine, theirs in zip(here, there):
                         if mine != theirs:
                             print(f"  here:  {mine!r:.300}\n  other: {theirs!r:.300}")
     print(
         f"{args.corpora} corpora ({tally['videos']} videos, {tally['predictions']} predictions), "
+        f"{tally['generated alike']} built alike by the other checkout's generator; "
         f"{len(GATES) * 2} evaluations per corpus, side and source: {tally['report']} reports and "
         f"{tally['video']} per-video family checks, {tally['raised']} raised; {tally['written']} CSV files "
         f"written (annotations and streams); {tally['round trips']} corpora "
