@@ -114,7 +114,7 @@ def id_counts(corpus: _CorpusMatch) -> list[IdMatchResult]:
     exact and ties take the lexicographically smallest assignment in
     ascending actor ids. A pairing of at most 3 identities with hits on one
     side and at most 10 on the other, such as a three-actor scene's, is thus
-    enumerated without importing scipy; one of 4 or more on both sides takes
+    enumerated without loading the solver; one of 4 or more on both sides takes
     the LSA route, unless each identity hits exactly one on the other side,
     as in a clean tracking, whose pairing is those hits (`solve_assignment`'s
     sole optimum).

@@ -31,14 +31,17 @@ optimal duals rule out every pair no optimum can hold, and the tie search
 confirms each remaining pair by comparing `math.fsum` totals with the
 optimum's. There is no fallback to the solver's own order.
 
-scipy is imported by the first `linear_sum_assignment` call, not by this
-module: `import scipy.optimize` takes about 0.63 s and about 47 MB, most of
-what `import asadeval` would cost with it. Commands that never solve an
-assignment too large to enumerate never pay it: `synth`, `track --mode
-offline`, `--help`, `--version`, input errors, and an `evaluate` whose
-every keyframe and identity pairing fits in 3 x 10 or 10 x 3, such as a
-corpus of three-actor scenes, or has a sole optimum, such as a perfect
-prediction.
+The solver is scipy's shortest-augmenting-path routine (Crouse 2016), the C
+extension `scipy.optimize._lsap`, which the first `linear_sum_assignment`
+call loads from its file (`_solver`), not this module. Loading it alone
+takes under a millisecond and well under 1 MB; `import scipy.optimize`,
+which runs the whole package's `__init__` to reach the same function, takes
+about 0.4 s and about 48 MB, half of a solving command's peak memory.
+Commands that never solve an assignment too large to enumerate load no
+scipy module at all: `synth`, `track --mode offline`, `--help`,
+`--version`, input errors, and an `evaluate` whose every keyframe and
+identity pairing fits in 3 x 10 or 10 x 3, such as a corpus of three-actor
+scenes, or has a sole optimum, such as a perfect prediction.
 
 The pairs the duals leave (the tight graph, zero-padded to a square) still
 include many that no optimum holds: in a crowded keyframe, a gated pair in a
@@ -55,8 +58,12 @@ from __future__ import annotations
 
 import bisect
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -79,27 +86,66 @@ _ENUMERATED_BATCH_ENTRIES = 2**15
 # Largest |cost| enumerated: a sum of three such terms, and the difference of
 # two such sums, stay below the largest float.
 _ENUMERATED_MAX_COST = 2.0**1021
+# The C extension that holds scipy's `linear_sum_assignment`.
+_LSAP = "scipy.optimize._lsap"
 
 
 def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
-    """`scipy.optimize.linear_sum_assignment`, with scipy imported on the first call.
+    """`scipy.optimize.linear_sum_assignment`, with its C extension loaded on the first call (`_solver`).
 
-    The import takes about 0.63 s, so it waits until a problem needs the
-    solver: `evaluate` and `track --mode online` pay it at their first
-    assignment too large to enumerate (one with 4 or more pairs, or with
-    more than `_ENUMERATED_SIDE` rows or columns). `synth`, `track --mode
-    offline`, `--help`, `--version` and input errors never do, nor does an
-    `evaluate` of scenes with at most 3 actors, at most 10 predictions a
-    keyframe and at most 10 predicted identities overlapping the actors,
-    nor one whose larger problems all have a `_sole_optimum`.
-    This is the package's one scipy import, and `solve_assignment` its only
-    caller.
-    After the first call the import is a `sys.modules` lookup, well under a
-    microsecond beside a solve.
+    The solver waits until a problem needs it: `evaluate` and `track --mode
+    online` load it at their first assignment too large to enumerate (one
+    with 4 or more pairs, or with more than `_ENUMERATED_SIDE` rows or
+    columns). `synth`, `track --mode offline`, `--help`, `--version` and
+    input errors never do, nor does an `evaluate` of scenes with at most 3
+    actors, at most 10 predictions a keyframe and at most 10 predicted
+    identities overlapping the actors, nor one whose larger problems all
+    have a `_sole_optimum`.
+    This is the package's only use of scipy, and `solve_assignment` its
+    only caller. After the first call, `_solver` is a cache lookup.
     """
+    return _solver()(cost)
+
+
+@functools.cache
+def _solver():
+    """scipy's C solver, `_LSAP`'s `linear_sum_assignment`, loaded once from its file (`_lsap_file`).
+
+    The extension is loaded under its own dotted name without running
+    `scipy/optimize/__init__.py`, and put in `sys.modules`, so a later
+    `import scipy.optimize` reuses it: its `linear_sum_assignment` is then
+    this same function. Where `scipy.optimize` is already imported, or the
+    file is missing or fails to load, the solver is `scipy.optimize`'s.
+    """
+    if "scipy.optimize" not in sys.modules:
+        try:
+            path = _lsap_file()
+            if path is not None:
+                spec = importlib.util.spec_from_file_location(_LSAP, path)
+                module = importlib.util.module_from_spec(spec)
+                spec.loader.exec_module(module)
+                sys.modules[_LSAP] = module
+                return module.linear_sum_assignment
+        except (ImportError, OSError):
+            pass
     from scipy.optimize import linear_sum_assignment as solve
 
-    return solve(cost)
+    return solve
+
+
+def _lsap_file() -> Optional[str]:
+    """The `_LSAP` extension's file in scipy's `optimize` folder, or None if there is none.
+
+    scipy is found without being imported, and each suffix of
+    `importlib.machinery.EXTENSION_SUFFIXES` is tried in turn.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for folder in (spec.submodule_search_locations or ()) if spec else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
 
 
 def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:

@@ -426,11 +426,12 @@ def validate_record(
 def assert_same_table(table, other) -> None:
     """Two records' column tables (`model._Table`) hold equal, read-only arrays of one dtype and shape.
 
-    Their label sets must repr alike, so iterate in one order.
+    Their label sets must repr alike, so iterate in one order. Whether the
+    parser checked the labels (``labels_checked_at``) is not compared.
     """
     assert table.keyframes == other.keyframes
     assert repr(table.labels) == repr(other.labels)
-    for name in table._fields[1:-1]:
+    for name in table._fields[1:-2]:
         mine, theirs = getattr(table, name), getattr(other, name)
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
         assert np.array_equal(mine, theirs), name

@@ -451,7 +451,8 @@ def _cold_start_tool():
 def test_only_commands_that_solve_import_scipy(tmp_path):
     # The cold-start tool's set-up in one interpreter, then its table up to
     # its first path that solves in another (keeps the suite's time flat);
-    # "loaded" is cumulative within an interpreter.
+    # "loaded" is cumulative within an interpreter. A solving command loads
+    # scipy's C solver alone, not `scipy.optimize` nor even `scipy`.
     tool = _cold_start_tool()
     table = tool.paths(tmp_path)
     first_solve = next(i for i, (*_, scipy_free) in enumerate(table) if not scipy_free)
@@ -466,15 +467,17 @@ def test_only_commands_that_solve_import_scipy(tmp_path):
     setup = tool.setup(tmp_path)
     _, results, returncode = tool.probe(setup, env, tmp_path)
     assert returncode == 0
-    assert results == [[EXIT_OK, []]] * len(setup)  # set-up never solves either
+    # set-up never solves either
+    assert [[code, loaded] for code, loaded, _ in results] == [[EXIT_OK, []]] * len(setup)
     tool.write_corpus(tmp_path)
     tool.write_clean_scene(tmp_path)
     _, results, returncode = tool.probe([argv for _, argv, _, _ in table], env, tmp_path)
     assert returncode == 0
-    assert results == [
-        [code, [] if scipy_free else ["scipy", "scipy.optimize"]]
+    assert [[code, loaded] for code, loaded, _ in results] == [
+        [code, [] if scipy_free else ["scipy.optimize._lsap"]]
         for _, _, code, scipy_free in table
     ]
+    assert all(maxrss > 0 for *_, maxrss in results)
 
 
 def test_every_public_name_resolves():

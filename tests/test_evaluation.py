@@ -244,3 +244,29 @@ def test_a_bool_label_beside_an_equal_integer_set_is_refused():
         evaluate_records([gt], [pred], n_labels=8)
     with pytest.raises(ValueError, match="keyframe 1, actor 2: action label True is not"):
         hamming_loss(match_pairs(gt, pred), 8)
+
+
+def test_parsed_labels_skip_the_check_only_at_the_n_labels_they_were_parsed_at(tmp_path):
+    # The parser checks labels as `check_labels` does; at another n_labels, or
+    # beside an API-built record, the check runs with the API's message.
+    gt = record("a", [obs("a", kf, 1, LEFT, actions=(1, 5)) for kf in range(3)])
+    pred = record("a", [obs("a", kf, 2, LEFT, actions=(5,), score=0.9) for kf in range(3)])
+    paths = {role: str(tmp_path / f"{role}.csv") for role in ("gt", "pred")}
+    write_annotations([gt], paths["gt"], role="gt")
+    write_annotations([pred], paths["pred"], role="pred")
+    [parsed_gt], [parsed_pred] = (parse_annotations(paths[role], role=role, n_labels=8) for role in ("gt", "pred"))
+    assert parsed_gt._table.labels_checked_at == parsed_pred._table.labels_checked_at == 8
+    assert gt._table.labels_checked_at is None
+    assert evaluate_records([parsed_gt], [parsed_pred], n_labels=8) == evaluate_records([gt], [pred], n_labels=8)
+    message = re.escape("video 'a', keyframe 0, actor 1: action label 5 is not an integer in [1, 4]")
+    for gts, preds in (([gt], [pred]), ([parsed_gt], [parsed_pred])):
+        with pytest.raises(ValueError, match=message):
+            evaluate_records(gts, preds, n_labels=4)
+        with pytest.raises(ValueError, match="n_labels must be positive"):
+            evaluate_records(gts, preds, n_labels=0)
+    # {True} == {1}: an API-built record's bool is refused beside parsed {1, 5} sets.
+    bad = record("b", [obs("b", kf, 3, RIGHT, actions=labels) for kf, labels in enumerate([(1,), (True,)])])
+    message = re.escape("video 'b', keyframe 1, actor 3: action label True is not an integer in [1, 8]")
+    for gts, preds in (([gt, bad], [pred]), ([parsed_gt, bad], [parsed_pred])):
+        with pytest.raises(ValueError, match=message):
+            evaluate_records(gts, preds, n_labels=8)

@@ -1,4 +1,4 @@
-"""Time each asadeval CLI path in fresh interpreters and check which import scipy.
+"""Time each asadeval CLI path in fresh interpreters, with its max RSS, and check which load scipy.
 
     python tools/check_cold_start.py [--runs 5] [--src OTHER/src]
 
@@ -11,18 +11,23 @@ three-actor scenes (30 keyframes, seeds 0-2) whose offline tracking, at
 prediction of five actors, all five on every keyframe, written by hand
 (`write_clean_scene`); then each path below runs ``--runs`` times,
 each in a fresh interpreter, and the tool prints its median wall seconds
-(interpreter start included) and whether `scipy` was in `sys.modules` when
-the command returned ("?" when a run died before returning and no other
-run imported it).
-`scipy.optimize` costs about 0.63 s and about 47 MB to import and is needed
-only by an assignment too large to enumerate, so the paths marked scipy-free
-must never import it. A one-actor `evaluate` solves only one-row problems;
-the corpus's identity pairings are 3 x 8 and 3 x 9 and its keyframes 3 x 5
-at most, all within the enumeration's 3 x 10. The clean scene's keyframes
-and its identity pairing are 5 x 5, each with one gated hit per row and
-column, a sole optimum that needs no solve. Exits 1 when one does import it, or when a path
-exits with an unexpected code or dies before returning.
-``--src`` times another checkout's `src` instead of this one's.
+(interpreter start included), its median max RSS (the interpreter's
+``ru_maxrss`` when the command returned), and whether any scipy module
+and whether `scipy.optimize` itself were in `sys.modules` then ("?" when a
+run died before returning and no other run loaded one).
+A solving path loads only scipy's C solver, `scipy.optimize._lsap`, which
+takes under a millisecond and well under 1 MB; `import scipy.optimize`
+takes about 0.4 s and about 48 MB, and a solving path of a checkout that
+imports it shows "yes" in that column. The paths marked scipy-free must
+load no scipy module at all. A one-actor `evaluate` solves only one-row
+problems; the corpus's identity pairings are 3 x 8 and 3 x 9 and its
+keyframes 3 x 5 at most, all within the enumeration's 3 x 10. The clean
+scene's keyframes and its identity pairing are 5 x 5, each with one gated
+hit per row and column, a sole optimum that needs no solve. Exits 1 when
+one does load one, or when a path exits with an unexpected code or dies
+before returning.
+``--src`` times another checkout's `src` instead of this one's, so runs
+with and without it give a before/after table of cold start and RSS.
 
 `tests/test_cli.py` runs the same set-up in one interpreter, then the same
 table, up to its first path that solves, in another.
@@ -37,27 +42,30 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
 # Runs commands in order as `asadeval` would and writes, per command, its exit
-# code and which of scipy and scipy.optimize were loaded when it returned.
+# code, the scipy modules loaded when it returned, and the max RSS so far in KiB.
 _PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, json, resource, sys
 from asadeval.cli import main
 results = []
 for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    results.append([code, [name for name in ("scipy", "scipy.optimize") if name in sys.modules]])
+    scipy = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+    results.append([code, scipy, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss])
 with open(sys.argv[1], "w") as handle:
     json.dump(results, handle)
 """
 
 
 CORPUS_SEEDS = (0, 1, 2)
+PROBE_TIMEOUT_S = 300
 
 
 def setup(work: Path) -> list[list[str]]:
@@ -139,17 +147,28 @@ def paths(work: Path) -> list[tuple[str, list[str], int, bool]]:
 
 def probe(argvs: list[list[str]], env: dict, work: Path) -> tuple[float, list | None, int]:
     """Wall seconds, the per-command results (None if the interpreter died first)
-    and the exit code, for one fresh interpreter running ``argvs`` in order."""
+    and the exit code, for one fresh interpreter running ``argvs`` in order.
+
+    The interpreter is killed after `PROBE_TIMEOUT_S`. The wait blocks
+    rather than polls: `subprocess.run`'s timeout polls at up to 50 ms,
+    which rounded every wall time up to a 50 ms step.
+    """
     out = work / "probe.json"
     out.unlink(missing_ok=True)
     start = time.perf_counter()
-    done = subprocess.run(
+    process = subprocess.Popen(
         [sys.executable, "-c", _PROBE, str(out), json.dumps(argvs)],
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, cwd=work, timeout=300,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env, cwd=work,
     )
+    timer = threading.Timer(PROBE_TIMEOUT_S, process.kill)
+    timer.start()
+    try:
+        returncode = process.wait()
+    finally:
+        timer.cancel()
     wall = time.perf_counter() - start
     results = json.loads(out.read_text()) if out.exists() else None
-    return wall, results, done.returncode
+    return wall, results, returncode
 
 
 def main(argv=None) -> int:
@@ -168,14 +187,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _, results, returncode = probe(setup(work), env, work)
-        if results is None or any(code != 0 for code, _ in results):
+        if results is None or any(code != 0 for code, *_ in results):
             print(f"set-up failed (exit {returncode}, results {results})", file=sys.stderr)
             return 1
         write_corpus(work)
         write_clean_scene(work)
-        print(f"{'path':<22} {'median s':>9}  scipy  expected")
+        print(f"{'path':<22} {'median s':>9} {'max MB':>7}  scipy  scipy.optimize  expected")
         for name, path_argv, expected_code, scipy_free in paths(work):
-            walls, imported, died = [], False, False
+            walls, rss, loaded, died = [], [], set(), False
             for _ in range(args.runs):
                 wall, results, returncode = probe([path_argv], env, work)
                 walls.append(wall)
@@ -183,14 +202,16 @@ def main(argv=None) -> int:
                     died = True
                     failures.append(f"{name}: died before returning (exit {returncode})")
                     continue
-                [(code, loaded)] = results
+                [(code, modules, maxrss)] = results
                 if code != expected_code:
                     failures.append(f"{name}: exited with {code}, expected {expected_code}")
-                imported |= bool(loaded)
-            if scipy_free and imported:
-                failures.append(f"{name}: imported scipy, though it never solves a large assignment")
-            shown = "yes" if imported else "?" if died else "no"
-            print(f"{name:<22} {statistics.median(walls):>9.3f}  {shown:<5}  "
+                loaded.update(modules)
+                rss.append(maxrss / 1024)
+            if scipy_free and loaded:
+                failures.append(f"{name}: loaded scipy, though it never solves a large assignment")
+            shown = ["yes" if held else "?" if died else "no" for held in (loaded, "scipy.optimize" in loaded)]
+            print(f"{name:<22} {statistics.median(walls):>9.3f} "
+                  f"{statistics.median(rss) if rss else float('nan'):>7.1f}  {shown[0]:<5}  {shown[1]:<14}  "
                   f"{'no' if scipy_free else 'yes (solves)'}")
     for failure in failures:
         print(f"FAIL {failure}", file=sys.stderr)
