@@ -159,9 +159,7 @@ def evaluate_records(
     """
     aligned = aligned_records(gt_records, pred_records)
     corpus = match_corpus(aligned, iou_threshold)
-    # The parser checked a parsed table's labels at its `labels_checked_at`:
-    # at the same n_labels they pass again.
-    records = [record for pair in aligned for record in pair if record._table.labels_checked_at != n_labels]
+    records = [record for pair in aligned for record in pair]
     check_labels([labels for record in records for labels in record._table.labels], n_labels,
                  lambda row: [obs for record in records for obs in record.observations][row])
     found = corpus.pair_rows

@@ -115,9 +115,8 @@ def id_counts(corpus: _CorpusMatch) -> list[IdMatchResult]:
     ascending actor ids. A pairing of at most 3 identities with hits on one
     side and at most 10 on the other, such as a three-actor scene's, is thus
     enumerated without loading the solver; one of 4 or more on both sides takes
-    the LSA route, unless each identity hits exactly one on the other side,
-    as in a clean tracking, whose pairing is those hits (`solve_assignment`'s
-    sole optimum).
+    the LSA route. Where each identity hits exactly one on the other side, as
+    in a clean tracking, that route makes one solve and no sub-solve.
     """
     n_gt_ids = np.array([len(gt.actor_ids) for gt, _ in corpus.videos], np.int64)
     n_pred_ids = np.array([len(pred.actor_ids) for _, pred in corpus.videos], np.int64)

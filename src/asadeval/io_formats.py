@@ -462,7 +462,7 @@ def _records(path: str, role: str, n_labels: int, cells: _Cells) -> list[VideoRe
         actor_ids = tuple(sorted(set(actors[start:stop])))
         table = _table_of(
             keyframes[start:stop], actors[start:stop], actor_ids, boxes[start:stop], scores[start:stop],
-            labels[start:stop], n_labels,
+            labels[start:stop],
         )
         records.append(VideoRecord._from_table(name, table, actor_ids))
     return records

@@ -15,17 +15,13 @@ included), returns the exact optimum and, among equal-cost optima, the
 lexicographically smallest (row, col) pair list so results are identical
 across platforms.
 
-Four routes reach that answer. A single-row or single-column problem takes
+Three routes reach that answer. A single-row or single-column problem takes
 its first smallest entry. A problem of 2 or 3 pairs with at most
 `_ENUMERATED_SIDE` rows and columns enumerates every assignment from a
 per-shape table: numpy sums rule out all but the candidates within a
 rounding bound of the minimum, and `math.fsum` picks among those.
 A corpus's gated pairs take one such call per chunk of same-shape
 keyframes, across videos.
-A larger problem whose entries below its largest form a full assignment,
-one to a row and one to a column, has that assignment as its sole optimum
-(`_sole_optimum`): a keyframe where each actor passes the gate with its own
-prediction only, or the identity counts of a clean tracking.
 Any other problem takes one `linear_sum_assignment`; the reduced costs of its
 optimal duals rule out every pair no optimum can hold, and the tie search
 confirms each remaining pair by comparing `math.fsum` totals with the
@@ -41,7 +37,7 @@ Commands that never solve an assignment too large to enumerate load no
 scipy module at all: `synth`, `track --mode offline`, `--help`,
 `--version`, input errors, and an `evaluate` whose every keyframe and
 identity pairing fits in 3 x 10 or 10 x 3, such as a corpus of three-actor
-scenes, or has a sole optimum, such as a perfect prediction.
+scenes.
 
 The pairs the duals leave (the tight graph, zero-padded to a square) still
 include many that no optimum holds: in a crowded keyframe, a gated pair in a
@@ -51,7 +47,11 @@ sub-solves only the tight pairs that some such matching holds, the pairs on
 an alternating cycle (Tassa 2012), and skips the rest unsolved. A skipped
 candidate's completion is a full assignment holding a pair outside every
 tight perfect matching; padded, it holds a non-tight pair, so the reduced-cost
-bound puts its fsum above the optimum's.
+bound puts its fsum above the optimum's. A problem whose entries well below
+its largest form one full assignment, such as a keyframe where each actor
+passes the gate with its own prediction only or the identity counts of a
+clean tracking, has that assignment as its only optimum: no other pair is
+holdable, so its one solve takes no sub-solve.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     columns). `synth`, `track --mode offline`, `--help`, `--version` and
     input errors never do, nor does an `evaluate` of scenes with at most 3
     actors, at most 10 predictions a keyframe and at most 10 predicted
-    identities overlapping the actors, nor one whose larger problems all
-    have a `_sole_optimum`.
+    identities overlapping the actors.
     This is the package's only use of scipy, and `solve_assignment` its
     only caller. After the first call, `_solver` is a cache lookup.
     """
@@ -424,8 +423,7 @@ def solve_assignment(cost, drop_gated: bool = True) -> Assignment:
     equal-cost optima the lexicographically smallest (row, col) pair list is
     chosen. A single-row or single-column problem takes its first smallest
     entry, and a shape the enumeration covers takes `_enumerated_optima`
-    unless a cost exceeds `_ENUMERATED_MAX_COST`. Another problem with a
-    `_sole_optimum` takes it. Otherwise one
+    unless a cost exceeds `_ENUMERATED_MAX_COST`. Otherwise one
     `linear_sum_assignment` finds the optimum; its optimal duals rule out the
     pairs no optimum can hold, and `math.fsum` confirms each remaining pair
     the tie search keeps (see `_lexicographic_optimal_pairs`). There is no
@@ -461,8 +459,6 @@ def solve_assignment(cost, drop_gated: bool = True) -> Assignment:
         (index,) = _enumerated_optima(cost[None], scale)
         pairs = candidates[index]
         best = math.fsum([float(cost[pair]) for pair in pairs])
-    elif (sole := _sole_optimum(cost)) is not None:
-        pairs, best = sole
     else:
         rows, cols = linear_sum_assignment(cost)
         optimum = list(zip(rows.tolist(), cols.tolist()))
@@ -473,35 +469,6 @@ def solve_assignment(cost, drop_gated: bool = True) -> Assignment:
     else:
         kept = tuple(pairs)
     return Assignment(pairs=kept, total_cost=best)
-
-
-def _sole_optimum(cost: np.ndarray) -> Optional[tuple[list[tuple[int, int]], float]]:
-    """The pairs and fsum total of the one least-fsum assignment, when the entries below the largest form it.
-
-    Such entries, one in every line of the shorter side and at most one in
-    any line, are a full assignment. Any other assignment holds, in place of
-    one of them, an entry equal to the largest, so its exact total is at
-    least theirs with that one entry raised to the largest, which is at
-    least theirs with their own largest entry raised. fsum rounds
-    monotonically, so when that last total still rounds above theirs, every
-    other assignment's fsum does too, and theirs is the least and the only
-    one of its total. Otherwise, and when an fsum overflows, None.
-    """
-    top = cost.max()
-    rows, cols = np.nonzero(cost < top)
-    k = min(cost.shape)
-    if len(rows) != k or len(set(rows.tolist())) != k or len(set(cols.tolist())) != k:
-        return None
-    values = cost[rows, cols].tolist()
-    dearer = values.copy()
-    dearer[values.index(max(values))] = float(top)
-    try:
-        best = math.fsum(values)
-        if math.fsum(dearer) <= best:
-            return None
-    except OverflowError:
-        return None
-    return list(zip(rows.tolist(), cols.tolist())), best  # row-major, so sorted
 
 
 def _enumerable(shape: tuple[int, ...]) -> bool:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,8 +103,6 @@ class _Table(NamedTuple):
     codes, so a keyframe or actor id past int64 needs no int64 column.
     ``labels`` holds each row's label set, the frozenset its observation
     holds, so that its iteration order, and so its repr, is the same.
-    ``labels_checked_at`` is the ``n_labels`` the parser checked every label
-    against, or None for a table whose labels nothing checked.
     """
 
     keyframes: tuple[int, ...]
@@ -114,19 +112,17 @@ class _Table(NamedTuple):
     boxes: np.ndarray  # (n, 4) float: x1, y1, x2, y2
     scores: np.ndarray  # (n,) float
     labels: tuple[frozenset[int], ...]
-    labels_checked_at: Optional[int] = None
 
 
 def _table_of(
     keyframes: Sequence[int], actors: Sequence[int], actor_ids: tuple[int, ...], boxes, scores,
-    labels: Sequence[frozenset[int]], labels_checked_at: Optional[int] = None,
+    labels: Sequence[frozenset[int]],
 ) -> _Table:
     """The one builder of a record's table, from its rows sorted by (keyframe, actor_id).
 
     ``keyframes`` and ``actors`` hold each row's keyframe and actor id as
     Python ints, ``actor_ids`` the record's, and ``boxes``, ``scores`` and
-    ``labels`` each row's corners, score and label set; the parser passes
-    the ``n_labels`` it checked the labels at.
+    ``labels`` each row's corners, score and label set.
     """
     distinct = tuple(dict.fromkeys(keyframes))
     frame_of = {keyframe: code for code, keyframe in enumerate(distinct)}
@@ -140,9 +136,8 @@ def _table_of(
         np.asarray(boxes, float).reshape(-1, 4),
         np.asarray(scores, float),
         tuple(labels),
-        labels_checked_at,
     )
-    for column in table[1:-2]:
+    for column in table[1:-1]:
         column.setflags(write=False)
     return table
 

@@ -6,7 +6,9 @@ with some all-1.0 (fully gated) rows and columns; duplicated rows and
 columns; `build_cost_matrix` on repeated boxes; dense continuous costs in
 the trackers' range [0, 1.3]; `crowded_boxes_cost`, a crowded keyframe
 whose detections are jittered, missed and duplicated copies of its ground
-truth; and negated integer hit counts shaped like IDF1's identity pairing.
+truth; negated integer hit counts shaped like IDF1's identity pairing; and
+a permutation, one full assignment of entries well below a common top with
+every other entry at that top, whose optimum is unique.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from asadeval.matching import build_cost_matrix
 from asadeval.model import BoundingBox
 
-KINDS = ("grid", "duplicates", "boxes", "dense", "crowded", "counts")
+KINDS = ("grid", "duplicates", "boxes", "dense", "crowded", "counts", "permutation")
 COST_GRID = np.array([0.0, 0.25, 0.5, 1.0])
 
 
@@ -56,6 +58,19 @@ def tie_heavy_cost(rng: np.random.Generator, kind: str, n_rows: int, n_cols: int
         counts = rng.choice([0, 0, 0, 1, 2, 3], size=(n_rows, n_cols))
         counts[np.arange(n_rows), rng.integers(0, n_cols, n_rows)] += rng.choice([10, 20, 30], n_rows)
         return -counts.astype(float)
+    if kind == "permutation":
+        # One entry per row and column at least 0.01 below a common top: a gated
+        # keyframe where each actor passes only with its own box (top 1, costs
+        # 1 - IoU), or the negated counts of a clean tracking (top 0).
+        k = min(n_rows, n_cols)
+        rows, cols = rng.permutation(n_rows)[:k], rng.permutation(n_cols)[:k]
+        if rng.random() < 0.5:
+            top, below = 1.0, rng.uniform(0.0, 0.5, k)
+        else:
+            top, below = 0.0, -rng.integers(1, 31, k).astype(float)
+        cost = np.full((n_rows, n_cols), top)
+        cost[rows, cols] = below
+        return cost
     raise ValueError(f"unknown cost kind {kind!r}")
 
 

@@ -2,13 +2,14 @@
 
 The oracles are the reference checks of the parser, of the CSV writer
 (``csv.writer``), of `iou_matrix`, of AP (its greedy flags and the cutoff
-sweep), of the assignment solver (brute force), of IDTP (brute force) and
-of the switch count (scalar). `generate_reference` and `perturb_reference`
-are the synthetic generator's and perturbations' object-building loops, one
-`ActorObservation` per row and one branch per perturbation kind, calling
-`synthetic`'s own helpers, so that only the loops are compared. Random
-instance and record builders that several test modules draw from live here
-too.
+sweep), of the assignment solver (brute force), of IDTP (brute force), of
+the switch count (scalar) and of the two trackers (one scalar cost per pair
+online, one `_affinity` call per keyframe pair offline).
+`generate_reference` and `perturb_reference` are the synthetic generator's
+and perturbations' object-building loops, one `ActorObservation` per row
+and one branch per perturbation kind, calling `synthetic`'s own helpers, so
+that only the loops are compared. Random instance and record builders that
+several test modules draw from live here too.
 """
 
 import csv
@@ -20,8 +21,18 @@ from typing import Optional
 import numpy as np
 
 from asadeval import synthetic
-from asadeval.association import DetectionStream
-from asadeval.matching import build_cost_matrix, solve_assignment
+from asadeval.association import (
+    DEFAULT_MATCH_THRESHOLD,
+    DEFAULT_MAX_GAP,
+    DEFAULT_MERGE_THRESHOLD,
+    OFFLINE_IOU_WEIGHT,
+    ONLINE_IOU_WEIGHT,
+    DetectionStream,
+    _UnionFind,
+    _affinity,
+    _unit_rows,
+)
+from asadeval.matching import boxes_to_array, build_cost_matrix, solve_assignment
 from asadeval.model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 
 # Two comfortably disjoint boxes used all over the fixtures.
@@ -260,6 +271,133 @@ def scalar_id_switches(gt: VideoRecord, pred: VideoRecord, iou_threshold=0.5, pe
     return switches
 
 
+def cosine_distance(u: np.ndarray, v: np.ndarray) -> float:
+    """1 - cosine similarity, clipped to [0, 1]; zero vectors are maximally far."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 1.0
+    sim = float(np.dot(u, v)) / (nu * nv)
+    return float(min(1.0, max(0.0, 1.0 - sim)))
+
+
+@dataclass
+class _RefTrack:
+    track_id: int
+    last_box: BoundingBox
+    last_seen: int
+    appearance_sum: np.ndarray
+    count: int
+
+
+def reference_track_online(
+    stream: DetectionStream,
+    iou_weight: float = ONLINE_IOU_WEIGHT,
+    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
+    max_gap: int = DEFAULT_MAX_GAP,
+    costs=None,
+) -> VideoRecord:
+    """The per-pair scalar online tracker; appends each keyframe's cost matrix to ``costs``."""
+    tracks: list[_RefTrack] = []
+    next_id = 1
+    observations: list[ActorObservation] = []
+    for keyframe in stream.keyframes:
+        detections = stream.frames[keyframe]
+        active = [t for t in tracks if keyframe - t.last_seen <= max_gap]
+
+        assigned: dict[int, int] = {}
+        if active and detections:
+            cost = np.empty((len(active), len(detections)))
+            for i, track in enumerate(active):
+                mean_app = track.appearance_sum / track.count
+                for j, det in enumerate(detections):
+                    box_term = 1.0 - iou(track.last_box, det.box)
+                    app_term = cosine_distance(mean_app, det.appearance)
+                    cost[i, j] = iou_weight * box_term + (1.0 - iou_weight) * app_term
+            if costs is not None:
+                costs.append(cost)
+            solution = solve_assignment(cost, drop_gated=False)
+            for i, j in solution.pairs:
+                if cost[i, j] <= match_threshold:
+                    assigned[j] = i
+
+        for j, det in enumerate(detections):
+            if j in assigned:
+                track = active[assigned[j]]
+                track.last_box = det.box
+                track.last_seen = keyframe
+                track.appearance_sum = track.appearance_sum + det.appearance
+                track.count += 1
+                track_id = track.track_id
+            else:
+                track_id = next_id
+                next_id += 1
+                tracks.append(
+                    _RefTrack(track_id, det.box, keyframe, det.appearance.astype(float).copy(), 1)
+                )
+            observations.append(
+                ActorObservation(
+                    stream.video_id, keyframe, det.box, track_id, frozenset(), det.score
+                )
+            )
+    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
+
+
+def reference_track_offline(
+    stream: DetectionStream,
+    iou_weight: float = OFFLINE_IOU_WEIGHT,
+    merge_threshold: float = DEFAULT_MERGE_THRESHOLD,
+    max_gap: int = DEFAULT_MAX_GAP,
+) -> VideoRecord:
+    """The offline tracker with one `_affinity` call per (keyframe, later keyframe) pair."""
+    flat = [(kf, det) for kf in stream.keyframes for det in stream.frames[kf]]
+    if not flat:
+        return VideoRecord(video_id=stream.video_id, observations=())
+
+    keyframes = [kf for kf, _ in flat]
+    boxes = boxes_to_array([d.box for _, d in flat])
+    unit = _unit_rows(np.array([d.appearance for _, d in flat], dtype=float))
+
+    bounds = np.cumsum([0] + [len(stream.frames[kf]) for kf in stream.keyframes]).tolist()
+    frames = list(zip(stream.keyframes, map(slice, bounds, bounds[1:])))
+
+    edges: list[tuple[float, int, int]] = []
+    for a_pos, (kf_a, rows) in enumerate(frames):
+        for kf_b, cols in frames[a_pos + 1 :]:
+            gap = kf_b - kf_a
+            if gap > max_gap:
+                break
+            if max_gap == 1:
+                decay = 1.0
+            else:
+                decay = (max_gap - gap) / (max_gap - 1)
+            affinity = _affinity(
+                boxes[rows], unit[rows], boxes[cols], unit[cols], iou_weight * decay
+            )
+            i, j = np.nonzero(affinity >= merge_threshold)
+            edges.extend(
+                zip(affinity[i, j].tolist(), (i + rows.start).tolist(), (j + cols.start).tolist())
+            )
+
+    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
+    clusters = _UnionFind(keyframes)
+    for _, a, b in edges:
+        if clusters.can_merge(a, b):
+            clusters.merge(a, b)
+
+    members: dict[int, list[int]] = {}
+    for idx in range(len(flat)):
+        members.setdefault(clusters.find(idx), []).append(idx)
+    roots = sorted(members, key=lambda root: min(members[root]))
+    observations = [
+        ActorObservation(stream.video_id, flat[idx][0], flat[idx][1].box, actor_id, frozenset(),
+                         flat[idx][1].score)
+        for actor_id, root in enumerate(roots, start=1)
+        for idx in members[root]
+    ]
+    return VideoRecord(video_id=stream.video_id, observations=tuple(observations))
+
+
 def random_instance(rng: np.random.Generator) -> tuple[VideoRecord, VideoRecord]:
     n_gt = int(rng.integers(1, 7))
     n_pred = int(rng.integers(1, 7))
@@ -426,12 +564,11 @@ def validate_record(
 def assert_same_table(table, other) -> None:
     """Two records' column tables (`model._Table`) hold equal, read-only arrays of one dtype and shape.
 
-    Their label sets must repr alike, so iterate in one order. Whether the
-    parser checked the labels (``labels_checked_at``) is not compared.
+    Their label sets must repr alike, so iterate in one order.
     """
     assert table.keyframes == other.keyframes
     assert repr(table.labels) == repr(other.labels)
-    for name in table._fields[1:-2]:
+    for name in ("bounds", "frame_codes", "actors", "boxes", "scores"):
         mine, theirs = getattr(table, name), getattr(other, name)
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
         assert np.array_equal(mine, theirs), name

@@ -459,7 +459,7 @@ def test_only_commands_that_solve_import_scipy(tmp_path):
     table = table[: first_solve + 1]
     assert [name for name, *_ in table] == [
         "--version", "synth", "track --mode offline", "evaluate (exit 2)", "evaluate (1 actor)",
-        "evaluate (3 actors)", "evaluate (5 clean)", "track --mode online",
+        "evaluate (3 actors)", "evaluate (5 clean)",
     ]
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")

@@ -246,17 +246,15 @@ def test_a_bool_label_beside_an_equal_integer_set_is_refused():
         hamming_loss(match_pairs(gt, pred), 8)
 
 
-def test_parsed_labels_skip_the_check_only_at_the_n_labels_they_were_parsed_at(tmp_path):
-    # The parser checks labels as `check_labels` does; at another n_labels, or
-    # beside an API-built record, the check runs with the API's message.
+def test_parsed_and_api_built_labels_meet_the_same_check(tmp_path):
+    # The parser checks labels as `check_labels` does, and `evaluate_records`
+    # checks every record's again, with the API's message.
     gt = record("a", [obs("a", kf, 1, LEFT, actions=(1, 5)) for kf in range(3)])
     pred = record("a", [obs("a", kf, 2, LEFT, actions=(5,), score=0.9) for kf in range(3)])
     paths = {role: str(tmp_path / f"{role}.csv") for role in ("gt", "pred")}
     write_annotations([gt], paths["gt"], role="gt")
     write_annotations([pred], paths["pred"], role="pred")
     [parsed_gt], [parsed_pred] = (parse_annotations(paths[role], role=role, n_labels=8) for role in ("gt", "pred"))
-    assert parsed_gt._table.labels_checked_at == parsed_pred._table.labels_checked_at == 8
-    assert gt._table.labels_checked_at is None
     assert evaluate_records([parsed_gt], [parsed_pred], n_labels=8) == evaluate_records([gt], [pred], n_labels=8)
     message = re.escape("video 'a', keyframe 0, actor 1: action label 5 is not an integer in [1, 4]")
     for gts, preds in (([gt], [pred]), ([parsed_gt], [parsed_pred])):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from asadeval import identity, matching
 from asadeval.actions import match_pairs
@@ -310,15 +311,15 @@ def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
 
 
 
-def test_clean_five_actor_tracking_pairs_identities_without_scipy(monkeypatch):
+def test_clean_five_actor_tracking_pairs_identities_in_one_solve(monkeypatch):
     # Five actors on every keyframe, apart from each other; predicted ids are the
     # actor ids plus 10, so the 5 x 5 counts hold one hit per row and column,
-    # a pairing too large to enumerate that has a sole optimum.
+    # a pairing too large to enumerate whose only optimum is those hits.
     calls = []
 
     def counting(cost):
         calls.append(cost.shape)
-        raise AssertionError("a clean pairing reached linear_sum_assignment")
+        return linear_sum_assignment(cost)
 
     monkeypatch.setattr(matching, "linear_sum_assignment", counting)
     boxes = [(0.02 + 0.19 * a, 0.2, 0.17 + 0.19 * a, 0.6) for a in range(5)]
@@ -327,4 +328,4 @@ def test_clean_five_actor_tracking_pairs_identities_without_scipy(monkeypatch):
     score, result = idf1(gt, pred)
     assert score == 1.0 and result.idtp == brute_force_idtp(gt, pred) == 30
     assert result.pairing == tuple((a, a + 10) for a in range(5))
-    assert calls == []
+    assert calls == [(5, 5)]

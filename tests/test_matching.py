@@ -376,9 +376,8 @@ def sole_optimum_costs(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(sole_optimum_costs())
-def test_sole_optimum_is_the_oracles_answer_without_lsa(cost):
+def test_sole_optimum_costs_match_oracle_and_reference(cost):
     for matrix in (cost, cost.T):
-        assert matching._sole_optimum(matrix) is not None
         expected = [reference_lex_pairs(matrix, solve_assignment(matrix).total_cost)]
         if max(matrix.shape) <= 6:
             oracle_pairs, oracle_total = brute_force_lex_pairs(matrix)
@@ -390,30 +389,40 @@ def test_sole_optimum_is_the_oracles_answer_without_lsa(cost):
                 assert solution.pairs == tuple(p for p in pairs if not drop_gated or matrix[p] != 1.0)
 
 
-def test_sole_optimum_route_makes_no_lsa_call(monkeypatch):
+def test_a_permutation_below_a_common_top_takes_one_lsa_call(monkeypatch):
     # A crowded keyframe where each actor passes the gate with its own
-    # prediction only, and the negated identity counts of a clean tracking.
-    calls = counted_lsa(monkeypatch)
+    # prediction only, the negated identity counts of a clean tracking, and
+    # generated `permutation` costs of 4 x 4 to 40 x 40, in both orientations.
+    # The permutation is the only optimum, so no other pair is holdable and
+    # the tie search makes no sub-solve.
     overlaps = np.zeros((12, 14))
     overlaps[np.arange(12), np.arange(2, 14)] = np.linspace(0.55, 0.95, 12)
     counts = np.diag([3.0, 7.0, 1.0, 4.0, 2.0])[[2, 0, 4, 1, 3]]
-    for cost in (matching.gated_cost(overlaps), -counts):
-        solution = solve_assignment(cost, drop_gated=False)
-        assert list(solution.pairs) == sorted(zip(*np.nonzero(cost < cost.max())))
-    assert calls == []
+    rng = np.random.default_rng(32)
+    sides = [4, 5, 8, 13, 21, 34, 40]
+    costs = [matching.gated_cost(overlaps), -counts]
+    costs += [tie_heavy_cost(rng, "permutation", r, c) for r in sides for c in sides for _ in range(2)]
+    calls = counted_lsa(monkeypatch)
+    for cost in costs:
+        for matrix in (cost, cost.T):
+            calls.clear()
+            solution = solve_assignment(matrix, drop_gated=False)
+            assert calls == [matrix.shape]
+            assert list(solution.pairs) == sorted(zip(*np.nonzero(matrix < matrix.max()))), matrix.shape
 
 
-def test_sole_optimum_declines_where_rounding_ties_another_assignment():
+def test_a_rounding_tie_matches_oracle_and_reference():
     # Below-largest entries on (0, 0), (1, 3), (2, 2), (3, 1): in exact arithmetic
-    # the sole optimum, but its fsum rounds to -1e20, as does the diagonal's, and
+    # the only optimum, but its fsum rounds to -1e20, as does the diagonal's, and
     # the diagonal is the lexicographically smaller.
     cost = np.zeros((4, 4))
     cost[0, 0] = -1e20
     cost[1, 3] = cost[2, 2] = cost[3, 1] = -1e-20
-    assert matching._sole_optimum(cost) is None
     oracle_pairs, oracle_total = brute_force_lex_pairs(cost)
+    assert oracle_pairs == [(0, 0), (1, 1), (2, 2), (3, 3)]
     solution = solve_assignment(cost, drop_gated=False)
     assert (list(solution.pairs), solution.total_cost) == (oracle_pairs, oracle_total)
+    assert list(solution.pairs) == reference_lex_pairs(cost, solution.total_cost)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (2, 11), (3, 11), (11, 3)])
