@@ -9,14 +9,7 @@ baseline trackers plus a seeded synthetic benchmark comparing them.
 
 from .actions import HammingResult, MatchedPair, MatchedPairSet, hamming_loss, match_pairs
 from .association import Detection, DetectionStream, track_offline, track_online
-from .detection import (
-    APResult,
-    DetectionTally,
-    PRCurve,
-    average_precision,
-    precision_recall,
-    tally_frame,
-)
+from .detection import APResult, DetectionTally, PRCurve, average_precision
 from .evaluation import EvalReport, MetricBlock, evaluate_records
 from .identity import IdMatchResult, MtMlResult, TrackCoverage, id_switches, idf1, mt_ml
 from .io_formats import (
@@ -29,7 +22,7 @@ from .io_formats import (
     write_report,
 )
 from .matching import Assignment, build_cost_matrix, solve_assignment
-from .model import ActorObservation, BoundingBox, VideoRecord, build_tracklets
+from .model import ActorObservation, BoundingBox, VideoRecord
 from .synthetic import Perturbation, ScenarioSpec, generate, perturb, scenario_preset
 from .version import __version__
 
@@ -57,7 +50,6 @@ __all__ = [
     "VideoRecord",
     "average_precision",
     "build_cost_matrix",
-    "build_tracklets",
     "evaluate_records",
     "generate",
     "hamming_loss",
@@ -68,11 +60,9 @@ __all__ = [
     "parse_annotations",
     "parse_detection_stream",
     "perturb",
-    "precision_recall",
     "read_report",
     "scenario_preset",
     "solve_assignment",
-    "tally_frame",
     "track_offline",
     "track_online",
     "write_annotations",

@@ -11,12 +11,15 @@ table rows, with no pair objects: MT/ML counts each GT actor's covered rows
 (`track_coverage`, which `mt_ml` calls too), and HL counts the paired rows'
 label-set differences (`wrong_bits`), once `check_labels` has passed them.
 Each video's AP comes from its slice of the corpus's prediction scores and
-flags (`_ranked_ap`), with no curve; the aggregate detection curve ranks
-both arrays whole, and the report carries that pooled `APResult` (outside
-its JSON) for whoever writes the PR curve. Identification, MT/ML, switch
-and matched action-pair tallies sum across videos. One builder makes every
-`MetricBlock`, per video and aggregate, so every reported ratio can be
-recomputed from the tallies carried next to it.
+flags (`_ranked_ap`); the aggregate's ranks both arrays whole, and the
+report carries that pooled `APResult` (outside its JSON) for whoever writes
+the PR curve. Every other aggregate tally is the sum of the videos'.
+
+A block is made from its integer tallies, by one builder (`_metric_block`)
+for a video and for the aggregate alike: IDF1, MT%, ML%, HL and the tally
+flags follow from them, and only the AP value and its score-tie flag come
+from the AP result. `io_formats.report_from_dict` calls the same builder to
+check a report it reads.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .actions import HammingResult, _hamming_result, check_labels, wrong_bits
-from .detection import APResult, _APSummary, _ranked_ap, curve_from_ranked
-from .identity import IdMatchResult, MtMlResult, id_counts, switch_counts, track_coverage
+from .actions import _hamming_result, check_labels, wrong_bits
+from .detection import AP_NO_GROUND_TRUTH, APResult, _ranked_ap
+from .identity import id_counts, switch_counts, track_coverage
 from .matching import DEFAULT_IOU_GATE, match_corpus
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
 from .version import __version__
@@ -63,8 +66,7 @@ class MetricBlock:
     flags: tuple[str, ...] = ()
 
 
-# Every int field of a block is a tally, and `_aggregate_block` makes the
-# aggregate's the sum of the videos'.
+# Every int field of a block is a tally, and the aggregate's is the sum of the videos'.
 SUMMED_TALLIES = tuple(f.name for f in fields(MetricBlock) if f.type == "int")
 
 
@@ -81,56 +83,37 @@ class EvalReport:
 
 
 def _metric_block(
-    ap: APResult | _APSummary, ids: IdMatchResult, tracks: MtMlResult, switches: int, hl: HammingResult
+    ap: Optional[float], ap_reason: Optional[str], score_ties: bool, n_labels: int, **tallies: int
 ) -> MetricBlock:
-    """The one place a `MetricBlock` is made, for a video or the aggregate."""
+    """The one place a `MetricBlock` is made, from its int ``tallies`` (`SUMMED_TALLIES`) and its AP.
+
+    ``ap``, ``ap_reason`` and ``score_ties`` are the AP result's value,
+    reason and ``had_score_ties``. Every other field follows from the
+    tallies and, for HL, ``n_labels``; so do ``ap`` and ``ap_reason``
+    where there is no ground truth (tp + fn == 0).
+    """
+    idtp, idfp, idfn = tallies["idtp"], tallies["idfp"], tallies["idfn"]
+    ids_denominator = 2 * idtp + idfp + idfn
+    n_tracklets = tallies["n_gt_tracklets"]
+    hl = _hamming_result(tallies["wrong_label_bits"], tallies["n_matched_pairs"], n_labels)
     flag_conditions = (
-        ("identity_vacuous", ids.vacuous),
-        ("score_ties", ap.had_score_ties),
-        ("no_predictions", ids.idtp + ids.idfp == 0),
-        ("no_ground_truth", ids.idtp + ids.idfn == 0),
+        ("identity_vacuous", ids_denominator == 0),  # no observation on either side
+        ("score_ties", score_ties),
+        ("no_predictions", idtp + idfp == 0),
+        ("no_ground_truth", idtp + idfn == 0),
     )
+    has_gt = tallies["tp"] + tallies["fn"] > 0
     return MetricBlock(
-        ap=ap.ap,
-        ap_reason=ap.reason,
+        ap=ap if has_gt else None,
+        ap_reason=ap_reason if has_gt else AP_NO_GROUND_TRUTH,
         hl=hl.value,
         hl_reason=hl.reason,
-        idf1=ids.idf1,
-        idtp=ids.idtp,
-        idfp=ids.idfp,
-        idfn=ids.idfn,
-        mt_count=tracks.mt_count,
-        ml_count=tracks.ml_count,
-        n_gt_tracklets=tracks.n_tracklets,
-        mt_pct=tracks.mt_pct,
-        ml_pct=tracks.ml_pct,
-        id_switches=switches,
-        tp=ap.tally.tp,
-        fp=ap.tally.fp,
-        fn=ap.tally.fn,
-        n_matched_pairs=hl.n_pairs,
-        wrong_label_bits=hl.wrong_bits,
+        idf1=2 * idtp / ids_denominator if ids_denominator else 1.0,
+        mt_pct=100.0 * tallies["mt_count"] / n_tracklets if n_tracklets else 0.0,
+        ml_pct=100.0 * tallies["ml_count"] / n_tracklets if n_tracklets else 0.0,
         flags=tuple(name for name, holds in flag_conditions if holds),
+        **tallies,
     )
-
-
-def _aggregate_block(
-    blocks: Sequence[MetricBlock], scores: np.ndarray, flags: np.ndarray, n_labels: int
-) -> tuple[MetricBlock, APResult]:
-    """Reduce per-video blocks, in video_id order, and every prediction's score and flag to the aggregate and its AP."""
-
-    def total(name: str) -> int:
-        return sum(getattr(block, name) for block in blocks)
-
-    # Every video is vacuous (no observation on either side) iff every count
-    # is 0: idtp + idfn and idtp + idfp count the two sides' observations.
-    idtp, idfp, idfn = total("idtp"), total("idfp"), total("idfn")
-    ids = IdMatchResult(idtp, idfp, idfn, pairing=(), vacuous=idtp + idfp + idfn == 0)
-    tracks = MtMlResult(total("mt_count"), total("ml_count"), total("n_gt_tracklets"), coverage=())
-    # The pooled ranking of every prediction against every GT observation.
-    pooled = curve_from_ranked(scores, flags, idtp + idfn)
-    hl = _hamming_result(total("wrong_label_bits"), total("n_matched_pairs"), n_labels)
-    return _metric_block(pooled, ids, tracks, total("id_switches"), hl), pooled
 
 
 def evaluate_records(
@@ -153,10 +136,26 @@ def evaluate_records(
     a video_id repeated on either side, or a label `check_labels` refuses is
     a ValueError. Each video's block equals that video's evaluated alone.
 
+    The report's ``config`` echoes the settings the evaluation used, then
+    the items of ``config``; a ``config`` key naming one of those settings
+    is a ValueError, so the echo cannot misstate them.
+
     ``max_workers`` is accepted and ignored: videos are always evaluated
     serially, since a thread pool gained nothing here. The keyword stays only
     because the committed benchmark still passes ``max_workers=1``.
     """
+    resolved = {
+        "tool": "asadeval",
+        "version": __version__,
+        "iou_threshold": iou_threshold,
+        "n_labels": n_labels,
+        "id_persistence": id_persistence,
+        "ap_label": f"AP@{iou_threshold:g}",
+        "hl_label": f"HL@{iou_threshold:g}",
+    }
+    clashes = sorted(resolved.keys() & (config or {}).keys())
+    if clashes:
+        raise ValueError(f"config key {clashes[0]!r} would overwrite a setting the evaluation used")
     aligned = aligned_records(gt_records, pred_records)
     corpus = match_corpus(aligned, iou_threshold)
     records = [record for pair in aligned for record in pair]
@@ -167,29 +166,25 @@ def evaluate_records(
     covered[found.gt] = True
     wrong = list(accumulate(wrong_bits(corpus), initial=0))
     gt_rows, pred_rows, pair_bounds = corpus.gt.offsets.tolist(), corpus.pred.offsets.tolist(), corpus.video_pairs
-    results = zip(aligned, id_counts(corpus), switch_counts(corpus, found, id_persistence))
+    results = zip(aligned, id_counts(corpus), switch_counts(corpus, id_persistence))
     per_video = {}
     for v, ((gt, _), ids, switches) in enumerate(results):
         start, stop = pair_bounds[v], pair_bounds[v + 1]
         preds = slice(pred_rows[v], pred_rows[v + 1])
+        ap = _ranked_ap(corpus.pred.scores[preds], corpus.flags[preds], len(gt))
+        tracks = track_coverage(gt, covered[gt_rows[v] : gt_rows[v + 1]])
         per_video[gt.video_id] = _metric_block(
-            _ranked_ap(corpus.pred.scores[preds], corpus.flags[preds], len(gt))[0],
-            ids,
-            track_coverage(gt, covered[gt_rows[v] : gt_rows[v + 1]]),
-            switches,
-            _hamming_result(wrong[stop] - wrong[start], stop - start, n_labels),
+            ap.ap, ap.reason, ap.had_score_ties, n_labels,
+            tp=ap.tally.tp, fp=ap.tally.fp, fn=ap.tally.fn,
+            idtp=ids.idtp, idfp=ids.idfp, idfn=ids.idfn,
+            mt_count=tracks.mt_count, ml_count=tracks.ml_count, n_gt_tracklets=tracks.n_tracklets,
+            id_switches=switches,
+            n_matched_pairs=stop - start, wrong_label_bits=wrong[stop] - wrong[start],
         )
-    aggregate, pooled_ap = _aggregate_block(list(per_video.values()), corpus.pred.scores, corpus.flags, n_labels)
-
-    resolved = {
-        "tool": "asadeval",
-        "version": __version__,
-        "iou_threshold": iou_threshold,
-        "n_labels": n_labels,
-        "id_persistence": id_persistence,
-        "ap_label": f"AP@{iou_threshold:g}",
-        "hl_label": f"HL@{iou_threshold:g}",
-    }
-    if config:
-        resolved.update(config)
-    return EvalReport(config=resolved, aggregate=aggregate, per_video=per_video, pooled_ap=pooled_ap)
+    totals = {name: sum(getattr(block, name) for block in per_video.values()) for name in SUMMED_TALLIES}
+    # The pooled ranking of every prediction against every GT observation.
+    pooled_ap = _ranked_ap(corpus.pred.scores, corpus.flags, totals["tp"] + totals["fn"])
+    aggregate = _metric_block(pooled_ap.ap, pooled_ap.reason, pooled_ap.had_score_ties, n_labels, **totals)
+    return EvalReport(
+        config={**resolved, **(config or {})}, aggregate=aggregate, per_video=per_video, pooled_ap=pooled_ap
+    )

@@ -16,18 +16,20 @@ families share, and `idf1` and `id_switches` on a corpus of one. Both read
 the records' column tables (`model._Table`) at each shape chunk's rows:
 IDF1's gated hits take one `np.nonzero` per chunk, mapped to actor codes,
 and the switch counter reads each chunk's actor codes and gate hits as
-lists. `track_coverage` counts each GT actor's rows that the gated pairs
-cover, for `mt_ml` and the report alike.
+lists. It has one route, with persistence or without: a keyframe where no
+actor kept its match takes the corpus's gated pairs (`pair_rows`), which
+the report reads anyway, and only a keyframe where some actors persisted
+solves its residual. `track_coverage` counts each GT actor's rows that
+the gated pairs cover, for `mt_ml` and the report alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .matching import DEFAULT_IOU_GATE, _CorpusMatch, _Pairs, gated_cost, match_corpus, solve_assignment
+from .matching import DEFAULT_IOU_GATE, _CorpusMatch, gated_cost, match_corpus, solve_assignment
 from .model import VideoRecord, _check_no_repeat
 
 MT_THRESHOLD = 0.8
@@ -154,7 +156,7 @@ def id_counts(corpus: _CorpusMatch) -> list[IdMatchResult]:
 def track_coverage(gt: VideoRecord, covered: np.ndarray) -> MtMlResult:
     """MT/ML of ``gt``'s tracklets, a keyframe covered where ``covered`` (one bool per table row) holds.
 
-    A duplicate (keyframe, actor_id) is a ValueError, as in `build_tracklets`.
+    A duplicate (keyframe, actor_id) is a ValueError (`model._check_no_repeat`).
     """
     _check_no_repeat(gt)
     table = gt._table
@@ -203,30 +205,28 @@ def id_switches(
     where a tracklet's matched predicted identity differs from the identity
     at its previous matched keyframe.
     """
-    corpus = match_corpus([(gt, pred)], iou_threshold)
-    # With persistence, a keyframe's full problem is read only where nothing
-    # persisted, so it is solved there, as that keyframe's residual.
-    (count,) = switch_counts(corpus, None if persistence else corpus.pair_rows, persistence)
+    (count,) = switch_counts(match_corpus([(gt, pred)], iou_threshold), persistence)
     return count
 
 
-def switch_counts(corpus: _CorpusMatch, solved: Optional[_Pairs], persistence: bool) -> list[int]:
+def switch_counts(corpus: _CorpusMatch, persistence: bool) -> list[int]:
     """Each video's `id_switches`, from the corpus's IoU chunks: only their keyframes can match.
 
-    ``solved`` holds every keyframe's gated pairs (the corpus's `pair_rows`),
-    or is None. Where nothing persisted at a keyframe, the residual problem
-    is that keyframe's full problem, so its pairs are read from ``solved``
-    instead of solved again. Every other residual is solved here: where some
-    actors persisted and others did not, or everywhere nothing persisted
-    when ``solved`` is None. Actors are read as their codes in their record
-    (`_Table`), equal where the ids are, once per chunk, as are gate hits.
+    Where nothing persisted at a keyframe, as everywhere without
+    ``persistence``, the residual problem is that keyframe's full problem,
+    so its pairs are read from the corpus's gated pairs (`pair_rows`)
+    instead of solved again. Every other residual, where some actors
+    persisted and others did not, is solved here. Actors are read as their
+    codes in their record (`_Table`), equal where the ids are, once per
+    chunk, as are gate hits.
     """
     gt_actors = [corpus.gt.actors[chunk.rows].tolist() for chunk in corpus.chunks]
     pred_actors = [corpus.pred.actors[chunk.cols].tolist() for chunk in corpus.chunks]
     hits = [(chunk.ious >= corpus.gate).tolist() for chunk in corpus.chunks]
-    if solved is not None:  # each solved pair as its (GT actor, predicted actor)
-        known = list(zip(corpus.gt.actors[solved.gt].tolist(), corpus.pred.actors[solved.pred].tolist()))
-        bounds = solved.bounds.tolist()
+    solved = corpus.pair_rows
+    # Each solved pair as its (GT actor, predicted actor).
+    known = list(zip(corpus.gt.actors[solved.gt].tolist(), corpus.pred.actors[solved.pred].tolist()))
+    bounds = solved.bounds.tolist()
     counts = [0] * len(corpus.videos)
     last_match: dict[int, int] = {}
     video = -1
@@ -246,7 +246,7 @@ def switch_counts(corpus: _CorpusMatch, solved: Optional[_Pairs], persistence: b
                     matches[gt_actor] = prev
                     claimed.add(prev)
 
-        if not matches and solved is not None:
+        if not matches:
             matches = dict(known[bounds[key] : bounds[key + 1]])
         elif len(matches) < len(g_frame) and len(claimed) < len(p_frame):  # else every row or every column is taken
             rows = [i for i, actor in enumerate(g_frame) if actor not in matches]

@@ -64,7 +64,7 @@ import numpy as np
 
 from .association import DetectionStream
 from .detection import APResult
-from .evaluation import AGGREGATE_KEY, SUMMED_TALLIES, EvalReport, MetricBlock
+from .evaluation import AGGREGATE_KEY, SUMMED_TALLIES, EvalReport, MetricBlock, _metric_block
 from .model import DEFAULT_N_LABELS, VideoRecord, _check_no_repeat, _table_of
 from .synthetic import GENERATOR_ALGORITHM, ScenarioSpec
 from .version import __version__
@@ -750,6 +750,55 @@ def _required(data, keys: Sequence[str], where: str) -> dict:
     return {key: data[key] for key in keys}
 
 
+# The tallies each field `_metric_block` derives follows from, named in a read report's errors.
+_DERIVED_FROM = {
+    "ap": ("tp", "fn"),
+    "ap_reason": ("tp", "fn"),
+    "hl": ("wrong_label_bits", "n_matched_pairs", "n_labels"),
+    "hl_reason": ("n_matched_pairs",),
+    "idf1": ("idtp", "idfp", "idfn"),
+    "mt_pct": ("mt_count", "n_gt_tracklets"),
+    "ml_pct": ("ml_count", "n_gt_tracklets"),
+    "flags": ("idtp", "idfp", "idfn"),
+}
+
+
+def _check_arithmetic(block: MetricBlock, n_labels: int, where: str) -> None:
+    """FormatError at ``where`` unless the block's tallies agree and give its derived fields.
+
+    GT boxes and predictions are counted twice, by detection (tp + fn,
+    tp + fp) and by identity (idtp + idfn, idtp + idfp), and must agree;
+    a tracklet is at most one of MT and ML; a pair has at most ``n_labels``
+    wrong bits. Then `_metric_block` of the tallies, the AP value and
+    reason, and the score_ties flag must give every field exactly (JSON
+    floats round-trip, so there is no tolerance).
+    """
+    values = {**vars(block), "n_labels": n_labels}
+
+    def sources(keys) -> str:
+        return ", ".join(f"{key}={values[key]}" for key in keys)
+
+    checks = (  # one side's keys and value, the other side's, and whether the two must be equal or ordered
+        (("tp", "fn"), block.tp + block.fn, ("idtp", "idfn"), block.idtp + block.idfn, True),
+        (("tp", "fp"), block.tp + block.fp, ("idtp", "idfp"), block.idtp + block.idfp, True),
+        (("mt_count", "ml_count"), block.mt_count + block.ml_count, ("n_gt_tracklets",), block.n_gt_tracklets, False),
+        (("wrong_label_bits",), block.wrong_label_bits, ("n_matched_pairs", "n_labels"),
+         block.n_matched_pairs * n_labels, False),
+    )
+    for keys, value, other_keys, other, equal in checks:
+        if value != other if equal else value > other:
+            left, right = " + ".join(map(repr, keys)), (" + " if equal else " * ").join(map(repr, other_keys))
+            relation = f"but {right} is" if equal else f"more than {right},"
+            raise FormatError([f"{where}: {left} is {value}, {relation} {other} ({sources(keys + other_keys)})"])
+    tallies = {key: getattr(block, key) for key in SUMMED_TALLIES}
+    expected = _metric_block(block.ap, block.ap_reason, "score_ties" in block.flags, n_labels, **tallies)
+    for key, keys in _DERIVED_FROM.items():
+        value, derived = getattr(block, key), getattr(expected, key)
+        if value != derived:
+            raise FormatError([f"{where}: key {key!r} is {json.dumps(value)}, but its tallies give "
+                               f"{json.dumps(derived)} ({sources(keys)})"])
+
+
 def report_to_dict(report: EvalReport) -> dict:
     return {
         "schema": REPORT_SCHEMA,
@@ -766,8 +815,10 @@ def report_from_dict(data: dict) -> EvalReport:
     """The report of a `report_to_dict` dict.
 
     FormatError on another schema, a missing key, a value of the wrong
-    JSON type, a repeated video_id, or an aggregate tally (`SUMMED_TALLIES`)
-    that is not the sum of the videos'.
+    JSON type, a repeated video_id, an aggregate tally (`SUMMED_TALLIES`)
+    that is not the sum of the videos', a config without a positive integer
+    ``n_labels``, or a block whose arithmetic does not hold
+    (`_check_arithmetic`), checked in that order.
     """
     _required(data, [], "report")
     if data.get("schema") != REPORT_SCHEMA:
@@ -792,6 +843,13 @@ def report_from_dict(data: dict) -> EvalReport:
             raise FormatError(
                 [f"aggregate: key {key!r} is {getattr(aggregate, key)}, but the videos' sum to {total}"]
             )
+    n_labels = _required(config, ["n_labels"], "config")["n_labels"]
+    _check_type(n_labels, "int", "config: key 'n_labels'")
+    if n_labels < 1:
+        raise FormatError([f"config: key 'n_labels': expected a positive integer, got {n_labels}"])
+    for i, block in enumerate(per_video.values()):  # in the order of ``videos``, which repeats none
+        _check_arithmetic(block, n_labels, f"videos[{i}]")
+    _check_arithmetic(aggregate, n_labels, "aggregate")
     return EvalReport(config=dict(config), aggregate=aggregate, per_video=per_video)
 
 
@@ -873,11 +931,13 @@ def write_pr_curve(result: APResult, path: str) -> None:
     """The ranked PR curve, one row per prediction, for offline inspection.
 
     The recall, precision and p_interp columns are the curve's ``columns``,
-    the ones its AP was summed from; a curve without ground truth has no rows.
-    Every cell is a number, so no cell needs quoting (`_write_rows`).
+    the ones its AP was summed from; a curve without ground truth has none,
+    and so no rows. Every cell is a number, so no cell needs quoting
+    (`_write_rows`).
     """
-    columns = [column.tolist() for column in result.curve.columns]
+    curve = result.curve
+    columns = [column.tolist() for column in (curve.scores, curve.flags, *curve.columns)]
     _write_rows(path, PR_CURVE_COLUMNS, "%d,%r,%d,%d,%r,%r,%r\r\n", (
-        (rank, float(score), is_tp, not is_tp, *values)
-        for rank, ((score, is_tp), *values) in enumerate(zip(result.curve.ranked, *columns), start=1)
+        (rank, score, is_tp, not is_tp, *values)
+        for rank, (score, is_tp, *values) in enumerate(zip(*columns), start=1)
     ))

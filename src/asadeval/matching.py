@@ -246,10 +246,11 @@ class _CorpusMatch:
     their IoU matrices were computed in, GT x prediction, rows and columns in
     frame order. `pair_rows` and `flags` are computed for the whole corpus
     on first read, one batched call per chunk, so a reader that needs
-    neither costs neither. The object spans the corpus rather than one
-    video so that both stay lazy and still take one call per chunk across
-    videos: a per-video object would have to compute them eagerly or refer
-    back to its corpus.
+    neither costs neither: `idf1` reads neither, `average_precision` only
+    `flags`, and `match_pairs`, `mt_ml` and `id_switches` only `pair_rows`.
+    The object spans the corpus rather than one video so that both stay
+    lazy and still take one call per chunk across videos: a per-video object
+    would have to compute them eagerly or refer back to its corpus.
     """
 
     videos: Sequence[tuple[VideoRecord, VideoRecord]]
@@ -365,11 +366,12 @@ def match_corpus(videos: Sequence[tuple[VideoRecord, VideoRecord]], gate: float)
 
 
 def _greedy_flags(overlaps: np.ndarray, scores: np.ndarray, iou_threshold: float) -> np.ndarray:
-    """`detection.tally_frame`'s TP flags, (B, n_pred), of a (B, n_gt, n_pred) IoU stack and its (B, n_pred) scores.
+    """AP's TP flags, (B, n_pred), of a (B, n_gt, n_pred) IoU stack and its (B, n_pred) scores.
 
     Each keyframe's predictions are visited in descending score, equal
-    scores in column order (a stable sort), one numpy step per rank position
-    for the whole stack.
+    scores in column order (a stable sort), and each claims the unclaimed
+    ground-truth row of highest IoU if that IoU reaches the gate; one numpy
+    step per rank position for the whole stack.
     """
     count, n_gt, n_pred = overlaps.shape
     flags = np.zeros((count, n_pred), dtype=bool)

@@ -23,8 +23,10 @@ read: then `_observations_of` builds them from the table, one
 `ActorObservation` and one `BoundingBox` per row, holding the table's own
 label sets. ``actor_ids`` stays a property of its own, which the parser and
 the trackers seed too, so that reading it never builds a table.
-`_check_no_repeat` is the one duplicate rule, which `build_tracklets`,
-`identity.track_coverage` and `io_formats.write_annotations` apply.
+`_check_no_repeat` is the one duplicate rule, which
+`identity.track_coverage` and `io_formats.write_annotations` apply; a
+record's tracklets are read as the table's actor codes, with no tracklet
+objects.
 """
 
 from __future__ import annotations
@@ -242,19 +244,6 @@ def aligned_records(
         tuple(side.get(video_id, VideoRecord(video_id)) for side in sides)
         for video_id in sorted(sides[0].keys() | sides[1].keys())
     ]
-
-
-def build_tracklets(record: VideoRecord) -> dict[int, tuple[ActorObservation, ...]]:
-    """Each actor's keyframe-ordered observations, by ascending actor_id.
-
-    Gaps are permitted. Rejects records containing duplicate (keyframe,
-    actor_id) pairs, which would make tracklet order ill-defined.
-    """
-    _check_no_repeat(record)
-    per_actor: dict[int, list[ActorObservation]] = {}
-    for obs in record.observations:
-        per_actor.setdefault(obs.actor_id, []).append(obs)
-    return {actor_id: tuple(per_actor[actor_id]) for actor_id in sorted(per_actor)}
 
 
 def _check_no_repeat(record: VideoRecord) -> None:

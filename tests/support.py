@@ -1,10 +1,11 @@
 """Shared builders for test fixtures, and the test oracles.
 
 The oracles are the reference checks of the parser, of the CSV writer
-(``csv.writer``), of `iou_matrix`, of AP (its greedy flags and the cutoff
-sweep), of the assignment solver (brute force), of IDTP (brute force), of
-the switch count (scalar) and of the two trackers (one scalar cost per pair
-online, one `_affinity` call per keyframe pair offline).
+(``csv.writer``), of `iou_matrix`, of AP (its greedy flags, one keyframe's
+tally with precision and recall, and the cutoff sweep), of a record's
+tracklets, of the assignment solver (brute force), of IDTP (brute force),
+of the switch count (scalar) and of the two trackers (one scalar cost per
+pair online, one `_affinity` call per keyframe pair offline).
 `generate_reference` and `perturb_reference` are the synthetic generator's
 and perturbations' object-building loops, one `ActorObservation` per row
 and one branch per perturbation kind, calling `synthetic`'s own helpers, so
@@ -32,6 +33,7 @@ from asadeval.association import (
     _affinity,
     _unit_rows,
 )
+from asadeval.detection import DetectionTally
 from asadeval.matching import boxes_to_array, build_cost_matrix, solve_assignment
 from asadeval.model import DEFAULT_N_LABELS, ActorObservation, BoundingBox, VideoRecord
 
@@ -119,6 +121,40 @@ def greedy_flags(overlaps, scores, iou_threshold: float) -> list[bool]:
                 overlaps[best_gt, :] = -1.0
                 flags[idx] = True
     return flags
+
+
+def tally_frame(gt, pred, iou_threshold: float = 0.5) -> tuple[DetectionTally, list[bool]]:
+    """One keyframe's TP/FP/FN tally and per-prediction TP flags, in input order: AP's matching, by scalars.
+
+    ``gt`` holds the keyframe's boxes and ``pred`` its ``(box, score)``
+    predictions; the flags are `greedy_flags` of their pairwise `iou`.
+    """
+    overlaps = np.array([[iou(box, other) for other, _ in pred] for box in gt]).reshape(len(gt), len(pred))
+    flags = greedy_flags(overlaps, [score for _, score in pred], iou_threshold)
+    tp = sum(flags)
+    return DetectionTally(tp=tp, fp=len(pred) - tp, fn=len(gt) - tp), flags
+
+
+def precision_recall(tally: DetectionTally) -> tuple[float, float]:
+    """Precision and recall of a tally; 0 where no predictions or no ground truth make a denominator 0."""
+    precision = tally.tp / (tally.tp + tally.fp) if tally.tp + tally.fp > 0 else 0.0
+    recall = tally.tp / (tally.tp + tally.fn) if tally.tp + tally.fn > 0 else 0.0
+    return precision, recall
+
+
+def build_tracklets(record: VideoRecord) -> dict[int, tuple[ActorObservation, ...]]:
+    """Each actor's keyframe-ordered observations, by ascending actor_id; gaps are permitted.
+
+    A (keyframe, actor_id) the record holds twice is a ValueError, worded
+    as `model._check_no_repeat` words it.
+    """
+    per_actor: dict[int, list[ActorObservation]] = {}
+    for o in record.observations:  # in (keyframe, actor_id) order
+        tracklet = per_actor.setdefault(o.actor_id, [])
+        if tracklet and tracklet[-1].keyframe == o.keyframe:
+            raise ValueError(f"duplicate (keyframe={o.keyframe}, actor_id={o.actor_id}) in video {record.video_id!r}")
+        tracklet.append(o)
+    return {actor_id: tuple(per_actor[actor_id]) for actor_id in sorted(per_actor)}
 
 
 def brute_force_min_cost(cost: np.ndarray) -> float:

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -486,6 +487,57 @@ def test_every_public_name_resolves():
     exec("from asadeval import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(asadeval.__all__)
+
+
+PUBLIC_NAMES = [
+    "APResult", "ActorObservation", "Assignment", "BoundingBox", "Detection", "DetectionStream",
+    "DetectionTally", "EvalReport", "FormatError", "HammingResult", "IdMatchResult", "MatchedPair",
+    "MatchedPairSet", "MetricBlock", "MtMlResult", "PRCurve", "Perturbation", "ScenarioSpec", "TrackCoverage",
+    "VideoRecord", "__version__", "average_precision", "build_cost_matrix", "evaluate_records", "generate",
+    "hamming_loss", "id_switches", "idf1", "match_pairs", "mt_ml", "parse_annotations", "parse_detection_stream",
+    "perturb", "read_report", "scenario_preset", "solve_assignment", "track_offline", "track_online",
+    "write_annotations", "write_detection_stream", "write_report",
+]
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    # The benchmark's files are parsed, never imported or edited: every
+    # `ad.<name>` (``ad`` is the imported package), every name imported from
+    # asadeval or a submodule and every attribute read on one, and every
+    # function its tracer wraps (CLI_SPANS on asadeval.cli, SETUP_SPANS on the
+    # package) must exist. The public names are pinned, so that removing one
+    # is a deliberate edit here.
+    assert sorted(asadeval.__all__) == PUBLIC_NAMES
+    bench = Path(__file__).resolve().parents[1] / "asadbench"
+    missing, read = [], 0
+    for path in sorted(bench.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {"ad": asadeval}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "asadeval":
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    read += 1
+                    if hasattr(module, alias.name):
+                        bound[alias.asname or alias.name] = getattr(module, alias.name)
+                    else:
+                        missing.append(f"{path.name}:{node.lineno}: {node.module}.{alias.name}")
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] in (
+                ["CLI_SPANS"], ["SETUP_SPANS"]
+            ):
+                owner = cli if node.targets[0].id == "CLI_SPANS" else asadeval
+                for name in ast.literal_eval(node.value):
+                    read += 1
+                    if not hasattr(owner, name):
+                        missing.append(f"{path.name}:{node.lineno}: {owner.__name__}.{name}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                owner = bound[node.value.id]
+                if type(owner) is type(asadeval):  # a module; names read on a class or function are its own
+                    read += 1
+                    if not hasattr(owner, node.attr):
+                        missing.append(f"{path.name}:{node.lineno}: {owner.__name__}.{node.attr}")
+    assert read > 30 and missing == []
 
 
 def test_bench_single_seed_deterministic_table(tmp_path):

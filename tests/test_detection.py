@@ -8,17 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asadeval import matching
-from asadeval.detection import (
-    DetectionTally,
-    average_precision,
-    curve_from_ranked,
-    precision_recall,
-    tally_frame,
-)
+from asadeval.detection import DetectionTally, _ranked_ap, average_precision
 from asadeval.cli import EXIT_OK, main
 from asadeval.io_formats import write_annotations
 from asadeval.model import BoundingBox, VideoRecord
-from support import LEFT, RIGHT, greedy_flags, iou_tables, obs, record, sweep_ap
+from support import LEFT, RIGHT, greedy_flags, iou_tables, obs, precision_recall, record, sweep_ap, tally_frame
 
 FAR = (0.05, 0.7, 0.25, 0.9)  # disjoint from LEFT and RIGHT
 
@@ -213,7 +207,7 @@ def test_pooled_ap_matches_within_video_and_keyframe():
         record("b", [obs("b", 0, 1, LEFT, score=0.9)]),
     ]
     result = average_precision(gts, preds)
-    assert [is_tp for _, is_tp in result.curve.ranked] == [False, True]
+    assert result.curve.flags.tolist() == [False, True]
     assert result.tally == DetectionTally(tp=1, fp=1, fn=1)
     assert result.ap == pytest.approx(sweep_ap(gts, preds), abs=1e-12)
 
@@ -226,7 +220,7 @@ def test_tied_scores_earlier_prediction_claims_the_box():
     pred = record("v", [obs("v", 0, 5, LEFT, score=0.7), obs("v", 0, 3, near, score=0.7)])
     result = average_precision([gt], [pred])
     assert result.had_score_ties
-    assert [is_tp for _, is_tp in result.curve.ranked] == [True, False]
+    assert result.curve.flags.tolist() == [True, False]
     assert result.tally == DetectionTally(tp=1, fp=1, fn=0)
     tally, flags = tally_frame(
         [BoundingBox(*LEFT)], [(BoundingBox(*near), 0.7), (BoundingBox(*LEFT), 0.7)]
@@ -277,12 +271,14 @@ def test_columns_and_ap_equal_the_eager_oracle(videos, missed):
     flags = np.array([is_tp for _, is_tp in pooled], dtype=bool)
     ranked = ranked_together(videos)
     n_tp = sum(is_tp for _, is_tp in ranked)
-    result = curve_from_ranked(scores, flags, n_tp + missed)
+    result = _ranked_ap(scores, flags, n_tp + missed)
+    curve = result.curve
+    assert list(zip(curve.scores.tolist(), curve.flags.tolist())) == ranked
+    assert not (curve.scores.flags.writeable or curve.flags.flags.writeable)
     if n_tp + missed == 0:
         assert result.ap is None and all(len(column) == 0 for column in result.curve.columns)
         return
     points, ap = eager_curve(ranked, n_tp + missed)
-    assert result.curve.ranked == tuple(ranked)
     columns = [column.tolist() for column in result.curve.columns]
     assert [repr(point[3:]) for point in points] == [repr(values) for values in zip(*columns)]
     assert result.ap.hex() == ap.hex()

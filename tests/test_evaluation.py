@@ -86,6 +86,15 @@ def test_config_echo_carries_tool_metadata():
     assert report.config["cli_report"] == "x.json"
 
 
+@pytest.mark.parametrize("key", ["tool", "version", "iou_threshold", "n_labels", "id_persistence", "ap_label", "hl_label"])
+def test_config_may_not_overwrite_a_setting_the_evaluation_used(key):
+    # The echo used to take the caller's value: iou_threshold 0.9 and
+    # n_labels 3 beside AP@0.5, over an HL computed on 80 labels.
+    gts, preds = two_video_fixture()
+    with pytest.raises(ValueError, match=f"^config key '{key}' would overwrite a setting the evaluation used$"):
+        evaluate_records(gts, preds, iou_threshold=0.5, n_labels=80, config={"cli_report": "x.json", key: 0.9})
+
+
 def test_persistence_flag_is_plumbed():
     base = (0.1, 0.1, 0.3, 0.3)
     nudged = (0.11, 0.1, 0.31, 0.3)

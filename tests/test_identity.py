@@ -153,7 +153,7 @@ def test_per_family_functions_check_the_gate(metric, gate):
     pytest.param(lambda gt, pred: average_precision([gt], [pred]), ("pair_rows",), id="average_precision"),
     pytest.param(match_pairs, ("flags",), id="match_pairs"),
     pytest.param(mt_ml, ("flags",), id="mt_ml"),
-    pytest.param(lambda gt, pred: id_switches(gt, pred, persistence=True), ("pair_rows", "flags"), id="id_switches"),
+    pytest.param(lambda gt, pred: id_switches(gt, pred, persistence=True), ("flags",), id="id_switches"),
 ])
 def test_per_family_functions_read_only_the_members_they_need(metric, unread, monkeypatch):
     # A corpus's gated pairs and AP flags are computed on first read, so a
@@ -277,8 +277,9 @@ def test_switches_without_persistence_reuse_the_gated_pairs(monkeypatch):
 
 def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
     # Three jittered actors; predicted ids 1 and 2 swap boxes from keyframe 6 on.
-    # Only keyframe 0 (nothing to persist yet) and keyframe 6 (ids 1 and 2 lost
-    # their boxes) leave a residual; every other keyframe persists every actor.
+    # Keyframe 0 (nothing to persist yet) takes its pairs from the corpus's one
+    # batched solve, and keyframe 6 (ids 1 and 2 lost their boxes, id 3 kept
+    # its own) solves a residual; every other keyframe persists every actor.
     residual_solves, batched_reads = [], []
 
     def counting(*args, **kwargs):
@@ -307,7 +308,7 @@ def test_switches_solve_only_where_an_actor_did_not_persist(monkeypatch):
         "v", [jittered(kf, a, swap[a] if kf >= 6 else a) for kf in range(12) for a in corners]
     )
     assert id_switches(gt, pred) == scalar_id_switches(gt, pred) == 2
-    assert (len(batched_reads), len(residual_solves)) == (0, 2)
+    assert (len(batched_reads), len(residual_solves)) == (1, 1)
 
 
 

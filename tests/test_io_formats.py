@@ -689,6 +689,68 @@ def test_report_reads_back_only_with_every_tally_summed(key):
         report_from_dict(data)
 
 
+def mixed_report():
+    """A generated scene "v" with a perturbed prediction, "w" with ground truth only and "x" with predictions only."""
+    gt, _ = generate(scenario_preset("camera-cut", seed=5, video_id="v", n_actors=4, n_keyframes=12, n_cuts=2))
+    pred = perturb(gt, Perturbation("jitter_boxes", sigma=0.03, seed=1))
+    pred = perturb(pred, Perturbation("inject_fp", rate=0.5, seed=2))
+    pred = perturb(pred, Perturbation("swap_ids", actor_id=1, other_actor_id=2, keyframe=6))
+    pred = perturb(pred, Perturbation("flip_labels", bits=9, seed=3))
+    pred = record("v", [replace(o, score=(0.5, 0.9)[o.keyframe % 2]) for o in pred.observations])
+    gt_only = record("w", [obs("w", kf, 1, LEFT) for kf in range(3)])
+    pred_only = record("x", [obs("x", 0, 1, RIGHT, score=0.7)])
+    return evaluate_records([gt, gt_only], [pred, pred_only])
+
+
+def mutated(value):
+    """Another value of a block field's JSON type: a number for a null, one more tally flag for the flags."""
+    if value is None:
+        return 0.5
+    if isinstance(value, list):
+        return value + ["no_predictions"]
+    if isinstance(value, str):
+        return value + "!"
+    return value + (1 if isinstance(value, int) else 0.125)
+
+
+# The video whose field changes: AP is free where there is ground truth, and a
+# reason is changed where it is not null.
+MUTATED_VIDEO = {"ap": "x", "ap_reason": "x", "hl_reason": "w"}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(MetricBlock) if f.name != "id_switches"])
+def test_report_whose_arithmetic_does_not_hold_is_a_format_error(key):
+    # One field of one block changes; a tally changes in the aggregate too, so
+    # that it still sums and the arithmetic check is the one that fails. ID
+    # switches determine no other field: only their sum is checked.
+    data = report_to_dict(mixed_report())
+    assert report_from_dict(json.loads(json.dumps(data))) == mixed_report()
+    index = [video["video_id"] for video in data["videos"]].index(MUTATED_VIDEO.get(key, "v"))
+    block = data["videos"][index]
+    assert "score_ties" in data["videos"][0]["flags"] and data["videos"][0]["hl"] > 0
+    before = block[key]
+    block[key] = mutated(before)
+    if key in SUMMED_TALLIES:
+        data["aggregate"][key] += block[key] - before
+    with pytest.raises(FormatError, match=rf"^videos\[{index}\]: .*('{key}'|\b{key}=)"):
+        report_from_dict(data)
+
+
+@pytest.mark.parametrize("n_labels, expected", [
+    (None, "config: missing key 'n_labels'"),
+    ("80", 'config: key \'n_labels\': expected an integer, got "80"'),
+    (0, "config: key 'n_labels': expected a positive integer, got 0"),
+])
+def test_report_without_its_label_count_is_a_format_error(n_labels, expected):
+    data = report_to_dict(sample_report())
+    if n_labels is None:
+        del data["config"]["n_labels"]
+    else:
+        data["config"]["n_labels"] = n_labels
+    with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+        report_from_dict(data)
+
+
 def test_report_csv_has_aggregate_and_video_rows(tmp_path):
     report = sample_report()
     path = tmp_path / "report.csv"
@@ -891,11 +953,13 @@ REPR_SCORES = (5e-324, 1e-05, 0.1 + 0.2, 1.0, 0.0, 0.12345678901234568, 0.999999
 @pytest.mark.parametrize("n_gt", [7, 1, 0])
 def test_pr_curve_rows_are_the_bytes_csv_writer_writes(tmp_path, n_gt):
     # write_pr_curve joins each row with one format string, to the bytes
-    # csv.writer writes. A curve without ground truth has no rows.
-    flags = (True, False, True, True, False, False, True)[: max(n_gt, 1)] if n_gt else ()
+    # csv.writer writes. A curve without ground truth has no rows, though it
+    # ranks predictions.
+    flags = (True, False, True, True, False, False, True)[: max(n_gt, 1)] if n_gt else (False,) * 3
     ranked = tuple(zip(REPR_SCORES, flags))
     tally = DetectionTally(tp=sum(flags), fp=len(flags) - sum(flags), fn=max(n_gt - sum(flags), 0))
-    result = APResult(None, None, PRCurve(ranked=ranked, n_gt=n_gt), tally, had_score_ties=False)
+    curve = PRCurve(np.array(REPR_SCORES[: len(flags)]), np.array(flags), n_gt)
+    result = APResult(None, None, curve, tally, had_score_ties=False)
     columns = [column.tolist() for column in result.curve.columns]
     expected = tmp_path / "expected.csv"
     write_csv_reference(str(expected), io_formats.PR_CURVE_COLUMNS, (

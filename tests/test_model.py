@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from asadeval.model import ActorObservation, BoundingBox, VideoRecord, build_tracklets
-from support import LEFT, RIGHT, obs, record, validate_record
+from asadeval.model import ActorObservation, BoundingBox, VideoRecord
+from asadeval.identity import mt_ml
+from support import LEFT, RIGHT, build_tracklets, obs, record, validate_record
 
 
 def test_duplicate_identity_is_one_violation():
@@ -78,9 +79,13 @@ def test_build_tracklets_empty_record():
 
 
 def test_build_tracklets_rejects_duplicates():
+    # The oracle words the refusal as the library's duplicate rule does.
     rec = record("v", [obs("v", 0, 1, LEFT), obs("v", 0, 1, RIGHT)])
-    with pytest.raises(ValueError, match="duplicate"):
+    message = r"^duplicate \(keyframe=0, actor_id=1\) in video 'v'$"
+    with pytest.raises(ValueError, match=message):
         build_tracklets(rec)
+    with pytest.raises(ValueError, match=message):
+        mt_ml(rec, rec)
 
 
 def test_tracklet_flattening_round_trip():

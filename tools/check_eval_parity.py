@@ -30,7 +30,8 @@ stream. At each gate, both copies
 also run the public per-family functions on every video of the corpus:
 `idf1`, `mt_ml`, `id_switches` with persistence on and off, `match_pairs`
 with `hamming_loss` of its pairs, and `average_precision` of the video
-alone; their results must match as plain values. Each corpus is checked
+alone; their results must match as plain values, an AP's curve as its
+ranked rows (`ap_values`). Each corpus is checked
 twice: as generated, so that this checkout builds each record's column table
 from its observations, and after this checkout's `write_annotations` and
 each checkout's `parse_annotations`, so that the parser seeds the tables.
@@ -184,7 +185,26 @@ def family_values(package, gt, pred, gate: float) -> tuple:
         [package.id_switches(gt, pred, gate, persistence) for persistence in (True, False)],
         [(pair.gt.keyframe, pair.gt.actor_id, pair.pred.actor_id) for pair in pairs.pairs],
         dataclasses.astuple(package.hamming_loss(pairs, N_LABELS)),
-        dataclasses.astuple(package.average_precision([gt], [pred], gate)),
+        ap_values(package.average_precision([gt], [pred], gate)),
+    )
+
+
+def ap_values(result) -> tuple:
+    """An `APResult` as plain values, its curve as ranked ``(score, is_tp)`` rows, whichever way a checkout holds them.
+
+    A curve holds either a ``ranked`` tuple of rows or ``scores`` and
+    ``flags`` arrays. A ``ranked`` curve kept no rows without ground truth,
+    and a written curve has none then either, so such a curve is compared
+    as no rows.
+    """
+    curve = result.curve
+    if hasattr(curve, "ranked"):
+        rows = list(curve.ranked)
+    else:
+        rows = list(zip(curve.scores.tolist(), curve.flags.tolist()))
+    return (
+        result.ap, result.reason, rows if curve.n_gt else [], curve.n_gt,
+        dataclasses.astuple(result.tally), result.had_score_ties,
     )
 
 
