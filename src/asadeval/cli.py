@@ -28,7 +28,9 @@ from .association import (
 from .detection import average_precision  # noqa: F401
 from .evaluation import EvalReport, evaluate_records
 from .io_formats import (
+    _JSON_TYPES,
     FormatError,
+    _has_json_type,
     parse_annotations,
     parse_detection_stream,
     sidecar_n_labels,
@@ -138,21 +140,20 @@ def _flags(command: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 
 def _check_config_value(path: str, key: str, value, flag: argparse.Action) -> None:
-    """Raise a usage error unless a config-file value could have come from ``flag``."""
-    if isinstance(flag, argparse.BooleanOptionalAction):
-        expected, ok = "true or false", isinstance(value, bool)
-    elif flag.type is int:
-        expected, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif flag.type is float:
-        expected, ok = "a number", isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        expected, ok = "a string", isinstance(value, str)
+    """Raise a usage error unless a config-file value could have come from ``flag``.
+
+    The value takes the JSON type of the flag (a switch's bool, an int flag's
+    integer, a float flag's number, any other flag's string) by the type
+    table and predicate a report is read with (`io_formats._has_json_type`),
+    then, where the flag has choices, must be one of them.
+    """
+    switch = isinstance(flag, argparse.BooleanOptionalAction)
+    annotation = "bool" if switch else {int: "int", float: "float"}.get(flag.type, "str")
+    expected, ok = _JSON_TYPES[annotation][0], _has_json_type(value, annotation)
     if ok and flag.choices is not None and value not in flag.choices:
         expected, ok = f"one of {sorted(flag.choices)}", False
     if not ok:
-        raise _UsageError(
-            f"config file {path}: key {key!r}: expected {expected}, got {json.dumps(value)}"
-        )
+        raise _UsageError(f"config file {path}: key {key!r}: expected {expected}, got {json.dumps(value)}")
 
 
 def _load_config_file(path: str, flags: dict[str, argparse.Action]) -> dict:

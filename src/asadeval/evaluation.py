@@ -32,7 +32,7 @@ import numpy as np
 
 from .actions import _hamming_result, check_labels, wrong_bits
 from .detection import AP_NO_GROUND_TRUTH, APResult, _ranked_ap
-from .identity import id_counts, switch_counts, track_coverage
+from .identity import _idf1_value, _tracklet_pct, id_counts, switch_counts, track_coverage
 from .matching import DEFAULT_IOU_GATE, match_corpus
 from .model import DEFAULT_N_LABELS, VideoRecord, aligned_records
 from .version import __version__
@@ -90,14 +90,15 @@ def _metric_block(
     ``ap``, ``ap_reason`` and ``score_ties`` are the AP result's value,
     reason and ``had_score_ties``. Every other field follows from the
     tallies and, for HL, ``n_labels``; so do ``ap`` and ``ap_reason``
-    where there is no ground truth (tp + fn == 0).
+    where there is no ground truth (tp + fn == 0). IDF1, MT% and ML% take
+    the formulas `IdMatchResult` and `MtMlResult` take (`identity._idf1_value`,
+    `identity._tracklet_pct`), and HL the one `hamming_loss` takes.
     """
     idtp, idfp, idfn = tallies["idtp"], tallies["idfp"], tallies["idfn"]
-    ids_denominator = 2 * idtp + idfp + idfn
     n_tracklets = tallies["n_gt_tracklets"]
     hl = _hamming_result(tallies["wrong_label_bits"], tallies["n_matched_pairs"], n_labels)
     flag_conditions = (
-        ("identity_vacuous", ids_denominator == 0),  # no observation on either side
+        ("identity_vacuous", 2 * idtp + idfp + idfn == 0),  # no observation on either side
         ("score_ties", score_ties),
         ("no_predictions", idtp + idfp == 0),
         ("no_ground_truth", idtp + idfn == 0),
@@ -108,9 +109,9 @@ def _metric_block(
         ap_reason=ap_reason if has_gt else AP_NO_GROUND_TRUTH,
         hl=hl.value,
         hl_reason=hl.reason,
-        idf1=2 * idtp / ids_denominator if ids_denominator else 1.0,
-        mt_pct=100.0 * tallies["mt_count"] / n_tracklets if n_tracklets else 0.0,
-        ml_pct=100.0 * tallies["ml_count"] / n_tracklets if n_tracklets else 0.0,
+        idf1=_idf1_value(idtp, idfp, idfn),
+        mt_pct=_tracklet_pct(tallies["mt_count"], n_tracklets),
+        ml_pct=_tracklet_pct(tallies["ml_count"], n_tracklets),
         flags=tuple(name for name, holds in flag_conditions if holds),
         **tallies,
     )

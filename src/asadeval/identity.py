@@ -21,6 +21,13 @@ actor kept its match takes the corpus's gated pairs (`pair_rows`), which
 the report reads anyway, and only a keyframe where some actors persisted
 solves its residual. `track_coverage` counts each GT actor's rows that
 the gated pairs cover, for `mt_ml` and the report alike.
+
+Each ratio has one formula, here: `_idf1_value` (1.0 on a zero
+denominator, where neither side has an observation) and `_tracklet_pct`
+(0.0 where there is no tracklet). `IdMatchResult.idf1`, `MtMlResult.mt_pct`
+and ``ml_pct`` call them on their counts, and `evaluation._metric_block`
+on a block's tallies, so a report and the per-video functions cannot
+disagree.
 """
 
 from __future__ import annotations
@@ -36,6 +43,17 @@ MT_THRESHOLD = 0.8
 ML_THRESHOLD = 0.2
 
 
+def _idf1_value(idtp: int, idfp: int, idfn: int) -> float:
+    """2*IDTP / (2*IDTP + IDFP + IDFN), and 1.0 where no observation is on either side (a zero denominator)."""
+    denominator = 2 * idtp + idfp + idfn
+    return 2 * idtp / denominator if denominator else 1.0
+
+
+def _tracklet_pct(count: int, n_tracklets: int) -> float:
+    """``count`` as a percentage of ``n_tracklets``, and 0.0 where there is no tracklet."""
+    return 100.0 * count / n_tracklets if n_tracklets else 0.0
+
+
 @dataclass(frozen=True)
 class IdMatchResult:
     """Observation-level identification counts under the optimal identity pairing."""
@@ -48,11 +66,8 @@ class IdMatchResult:
 
     @property
     def idf1(self) -> float:
-        """2*IDTP / (2*IDTP + IDFP + IDFN); 1.0 when vacuous (both sides empty)."""
-        if self.vacuous:
-            return 1.0
-        denom = 2 * self.idtp + self.idfp + self.idfn
-        return 2 * self.idtp / denom if denom else 0.0
+        """`_idf1_value` of the counts; 1.0 when vacuous (both sides empty)."""
+        return 1.0 if self.vacuous else _idf1_value(self.idtp, self.idfp, self.idfn)
 
 
 @dataclass(frozen=True)
@@ -77,11 +92,11 @@ class MtMlResult:
 
     @property
     def mt_pct(self) -> float:
-        return 100.0 * self.mt_count / self.n_tracklets if self.n_tracklets else 0.0
+        return _tracklet_pct(self.mt_count, self.n_tracklets)
 
     @property
     def ml_pct(self) -> float:
-        return 100.0 * self.ml_count / self.n_tracklets if self.n_tracklets else 0.0
+        return _tracklet_pct(self.ml_count, self.n_tracklets)
 
 
 def idf1(

@@ -21,8 +21,14 @@ row with one string, under one cell rule: a float (a numpy float included)
 is written as the ``repr`` of the Python float, so parsing reproduces it
 bit-exactly; None is an empty cell; a str is quoted as the csv module
 quotes it (`_quoted`), so the bytes are the ones its writer would write.
-Reports serialize to JSON (exact round trip) or a flattened CSV table.
-Parsing is locale independent (decimal point only).
+Reports serialize to JSON (exact round trip) or a flattened CSV table; both
+forms take a block's values from one field map (`_block_to_dict`, flags as
+a list, which the CSV joins with ``;``). Every JSON value read is checked
+against one type table (`_JSON_TYPES`) by one predicate (`_has_json_type`:
+a bool is only ``true or false``, an int is also a number): a report's
+values, a config file's (`cli._check_config_value`) and a manifest's
+``n_labels`` (`sidecar_n_labels`). Parsing is locale independent (decimal
+point only).
 
 An input file is read by one of two readers, which return the same
 `_Cells`: each row's video id, its other cells as typed columns, and its
@@ -705,15 +711,19 @@ def _check_parsable(stream: DetectionStream) -> list[int]:
     return keyframes
 
 
+_BLOCK_FIELDS = [f.name for f in fields(MetricBlock)]
+
+
 def _block_to_dict(block: MetricBlock) -> dict:
-    data = asdict(block)
-    data["flags"] = list(block.flags)
-    return data
+    """The block's fields by name, its flags as a list: the one map both report forms write."""
+    return {name: getattr(block, name) for name in _BLOCK_FIELDS} | {"flags": list(block.flags)}
 
 
-# A report value's JSON type, by the annotation of the field it fills: its name
-# and the Python types `json.load` gives for it. No field takes a bool.
+# A JSON value's type, by the annotation of the field it fills: its name and
+# the Python types `json.load` gives for it. Report fields, config-file flags
+# (`cli._check_config_value`) and a manifest's n_labels read it.
 _JSON_TYPES = {
+    "bool": ("true or false", bool),
     "str": ("a string", str),
     "int": ("an integer", int),
     "float": ("a number", (int, float)),
@@ -723,17 +733,22 @@ _JSON_TYPES = {
 }
 
 
+def _has_json_type(value, annotation: str) -> bool:
+    """Whether ``value`` has the JSON type of ``annotation``: a bool only "bool"'s, an int also a number's."""
+    types = _JSON_TYPES[annotation][1]
+    of_strings = not isinstance(value, list) or all(isinstance(x, str) for x in value)
+    return isinstance(value, types) and isinstance(value, bool) == (types is bool) and of_strings
+
+
 def _check_type(value, annotation: str, where: str) -> None:
     """FormatError at ``where`` unless ``value`` has the JSON type of ``annotation``."""
-    expected, types = _JSON_TYPES[annotation]
-    items = value if isinstance(value, list) else []
-    if isinstance(value, bool) or not isinstance(value, types) or not all(isinstance(x, str) for x in items):
-        raise FormatError([f"{where}: expected {expected}, got {json.dumps(value)}"])
+    if not _has_json_type(value, annotation):
+        raise FormatError([f"{where}: expected {_JSON_TYPES[annotation][0]}, got {json.dumps(value)}"])
 
 
 def _block_from_dict(data: dict, where: str) -> MetricBlock:
     """The block of a report's JSON; FormatError naming the key of a missing or mistyped value."""
-    kwargs = _required(data, [f.name for f in fields(MetricBlock)], where)
+    kwargs = _required(data, _BLOCK_FIELDS, where)
     for f in fields(MetricBlock):
         _check_type(kwargs[f.name], f.type, f"{where}: key {f.name!r}")
     kwargs["flags"] = tuple(kwargs["flags"])
@@ -865,12 +880,12 @@ def write_report(report: EvalReport, path: str, fmt: str = "json") -> None:
             json.dump(report_to_dict(report), handle, indent=2, sort_keys=True)
             handle.write("\n")
     elif fmt == "csv":
-        names = [f.name for f in fields(MetricBlock)]
+        columns = ["video_id"] + _BLOCK_FIELDS
         rows = []
         for video_id, block in [(AGGREGATE_KEY, report.aggregate)] + sorted(report.per_video.items()):
-            data = {**asdict(block), "flags": ";".join(block.flags)}
-            rows.append(tuple(map(_quoted, [video_id] + [data[name] for name in names])))
-        _write_rows(path, ["video_id"] + names, ",".join(["%s"] * (1 + len(names))) + "\r\n", rows)
+            data = {"video_id": video_id, **_block_to_dict(block), "flags": ";".join(block.flags)}
+            rows.append(tuple(map(_quoted, data.values())))
+        _write_rows(path, columns, ",".join(["%s"] * len(columns)) + "\r\n", rows)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -916,7 +931,7 @@ def sidecar_n_labels(annotation_path: str) -> Optional[int]:
         return None
     spec = data.get("spec")
     for value in (data.get("n_labels"), spec.get("n_labels") if isinstance(spec, dict) else None):
-        if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+        if _has_json_type(value, "int") and value >= 1:
             return value
     return None
 

@@ -160,6 +160,9 @@ def test_evaluate_rejects_unknown_config_keys(identity_fixture, tmp_path, capsys
         ("synth", {"actors": "2"}, "actors"),
         ("synth", {"actors": 2.5}, "actors"),
         ("bench", {"seeds": "2"}, "seeds"),
+        ("evaluate", {"iou": True}, "iou"),  # a bool is no number
+        ("evaluate", {"per_video": 1}, "per_video"),  # 1 is not true or false
+        ("evaluate", {"gt": True}, "gt"),  # a bool is no string
     ],
 )
 def test_config_value_unlike_its_flag_is_usage_error(tmp_path, capsys, command, config, key):
@@ -168,6 +171,22 @@ def test_config_value_unlike_its_flag_is_usage_error(tmp_path, capsys, command, 
     assert main([command, "--config", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert str(path) in err and repr(key) in err
+
+
+@pytest.mark.parametrize("config, expected", [
+    ({"per_video": 1}, "key 'per_video': expected true or false, got 1"),
+    ({"labels": True}, "key 'labels': expected an integer, got true"),
+    ({"iou": True}, "key 'iou': expected a number, got true"),
+    ({"gt": True}, "key 'gt': expected a string, got true"),
+    ({"format": "xml"}, 'key \'format\': expected one of [\'csv\', \'json\'], got "xml"'),
+    ([1], "expected a JSON object"),
+])
+def test_config_file_refusal_is_one_whole_line(tmp_path, capsys, config, expected):
+    # One case of each flag type, a choice, and a file that holds no object.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["evaluate", "--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"asadeval: error: config file {path}: {expected}\n"
 
 
 def test_config_null_is_an_absent_key(identity_fixture, tmp_path, capsys):

@@ -52,6 +52,8 @@ def test_idf1_empty_cases():
     empty = record("v", [])
     value, counts = idf1(empty, empty)
     assert value == 1.0 and counts.vacuous
+    # Zero counts score 1.0 whether or not they are flagged, as a report block's do.
+    assert identity.IdMatchResult(0, 0, 0, ()).idf1 == 1.0
     some = record("v", track_obs("v", 1, range(3), LEFT))
     assert idf1(empty, some)[0] == 0.0
     assert idf1(some, empty)[0] == 0.0

@@ -558,6 +558,15 @@ def test_writer_refuses_a_stream_its_parser_rejects(tmp_path):
     assert not path.exists()
 
 
+def test_writer_refuses_a_stream_without_an_embedding_column(tmp_path):
+    # Its header would be no stream's, so nothing is written.
+    stream = DetectionStream("v", 0, (0,), [LEFT], [0.5], np.empty((1, 0)))
+    path = tmp_path / "stream.csv"
+    with pytest.raises(ValueError, match="^a stream needs at least one embedding column, got dim 0$"):
+        write_detection_stream(stream, str(path))
+    assert not path.exists()
+
+
 # Edge values of every rule the parser applies to a stream row's cells.
 STREAM_CELLS = (0.0, -0.0, 1.0, 0.25, 0.5, 0.75, 1.0 + 2.0**-52, -5e-324, 1e308, np.nan, np.inf, -np.inf)
 
@@ -796,6 +805,24 @@ def test_report_without_videos_is_a_format_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(FormatError, match="report: missing key 'videos'"):
         read_report(str(path))
+
+
+def test_report_whose_videos_is_no_list_is_a_format_error():
+    data = report_to_dict(sample_report())
+    data["videos"] = {"v": data["videos"][0]}
+    with pytest.raises(FormatError, match="^videos: expected a list, got dict$"):
+        report_from_dict(data)
+
+
+def test_an_unknown_role_or_report_format_is_a_value_error(tmp_path):
+    path = tmp_path / "gt.csv"
+    write_annotations([record("v", [obs("v", 0, 1, LEFT)])], str(path), role="gt")
+    with pytest.raises(ValueError, match="^role must be 'gt' or 'pred', got 'x'$"):
+        parse_annotations(str(path), role="x")
+    report_path = tmp_path / "report.xml"
+    with pytest.raises(ValueError, match="^unknown report format 'xml'$"):
+        write_report(sample_report(), str(report_path), fmt="xml")
+    assert not report_path.exists()
 
 
 def test_report_block_without_ap_is_a_format_error(tmp_path):

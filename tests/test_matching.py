@@ -209,6 +209,12 @@ def test_solve_rejects_non_finite():
         solve_assignment(np.array([[np.inf]]))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+def test_solve_rejects_a_cost_that_is_no_matrix(shape):
+    with pytest.raises(ValueError, match="^cost matrix must be two-dimensional$"):
+        solve_assignment(np.zeros(shape))
+
+
 def test_lexicographic_tie_break():
     # Both diagonals cost 0.6; the smaller pair list wins.
     cost = np.array([[0.1, 0.2], [0.4, 0.5]])

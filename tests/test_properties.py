@@ -19,7 +19,7 @@ from asadeval.association import DetectionStream
 from asadeval.cli import main
 from asadeval.detection import average_precision
 from asadeval.evaluation import evaluate_records
-from asadeval.identity import mt_ml
+from asadeval.identity import idf1, mt_ml
 from asadeval.io_formats import (
     GT_COLUMNS, PRED_COLUMNS, FormatError, parse_annotations, parse_detection_stream, report_from_dict, report_to_dict,
 )
@@ -225,6 +225,10 @@ def test_each_video_block_is_that_video_evaluated_alone(corpus, gate, persistenc
             iou_threshold=gate, id_persistence=persistence,
         )
         assert alone.aggregate == block
+        # The per-video functions give the block's ratios: each is one formula.
+        g, p = (side.get(video_id, VideoRecord(video_id)) for side in (gt_by_video, pred_by_video))
+        tracks = mt_ml(g, p, gate)
+        assert (idf1(g, p, gate)[0], tracks.mt_pct, tracks.ml_pct) == (block.idf1, block.mt_pct, block.ml_pct)
     pooled = average_precision(gts, preds, gate)
     assert report.pooled_ap.curve == pooled.curve
     assert report.pooled_ap == pooled

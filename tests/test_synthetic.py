@@ -36,6 +36,10 @@ def test_spec_validation():
         ScenarioSpec(n_labels=0)
     with pytest.raises(ValueError, match="appearance_dim"):
         ScenarioSpec(appearance_dim=0)
+    with pytest.raises(ValueError, match="^n_keyframes must be >= 2$"):
+        ScenarioSpec(n_keyframes=1, n_cuts=0)
+    with pytest.raises(ValueError, match="^box size range must satisfy 0 < min <= max <= 0.5$"):
+        ScenarioSpec(min_box_size=0.3, max_box_size=0.2)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -111,6 +115,10 @@ def test_perturbation_validation():
         Perturbation(kind="drop_detections", rate=2.0)
     with pytest.raises(ValueError, match="split_track"):
         Perturbation(kind="split_track")
+    with pytest.raises(ValueError, match="^swap_ids requires actor_id, other_actor_id, and keyframe$"):
+        Perturbation(kind="swap_ids", actor_id=1, keyframe=0)
+    with pytest.raises(ValueError, match="^bits must be >= 0$"):
+        Perturbation(kind="flip_labels", bits=-1)
 
 
 def test_drop_zero_rate_is_identity():
