@@ -239,18 +239,16 @@ class _UnionFind:
             x = self.parent[x]
         return x
 
-    def can_merge(self, a: int, b: int) -> bool:
+    def union(self, a: int, b: int) -> bool:
+        """Merge the clusters of ``a`` and ``b`` unless they are one or share a keyframe; whether it merged."""
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        if ra == rb or not self.keyframe_sets[ra].isdisjoint(self.keyframe_sets[rb]):
             return False
-        return not (self.keyframe_sets[ra] & self.keyframe_sets[rb])
-
-    def merge(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
         if len(self.keyframe_sets[ra]) < len(self.keyframe_sets[rb]):
             ra, rb = rb, ra
         self.parent[rb] = ra
         self.keyframe_sets[ra] |= self.keyframe_sets[rb]
+        return True
 
 
 def track_offline(
@@ -304,8 +302,7 @@ def track_offline(
         # Highest affinity first, ties by (a, b): every (a, b) pair occurs once.
         order = np.lexsort((b, a, -value))
         for x, y in zip(a[order].tolist(), b[order].tolist()):
-            if clusters.can_merge(x, y):
-                clusters.merge(x, y)
+            clusters.union(x, y)
 
     # Clusters are numbered in the order of their first row.
     first_row: dict[int, int] = {}

@@ -98,7 +98,6 @@ def _build_parser() -> _Parser:
     evaluate.add_argument("--id-persistence", action=argparse.BooleanOptionalAction, default=True,
                           help="keep a track's previous identity when still matchable (default on)")
     evaluate.add_argument("--pr-curve", help="dump the pooled precision-recall curve CSV here")
-    evaluate.add_argument("--config", help="JSON config file whose keys mirror the flags")
 
     track = sub.add_parser("track", help="assign actor identities to a detection stream")
     track.add_argument("--detections", help="detection-stream CSV")
@@ -112,7 +111,6 @@ def _build_parser() -> _Parser:
     track.add_argument("--gap", type=int,
                        help=f"max keyframe gap for linking/retirement (default {DEFAULT_MAX_GAP})")
     track.add_argument("--out", help="output prediction CSV")
-    track.add_argument("--config", help="JSON config file whose keys mirror the flags")
 
     synth = sub.add_parser("synth", help="generate a synthetic scenario")
     synth.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS), default="default",
@@ -121,15 +119,14 @@ def _build_parser() -> _Parser:
     synth.add_argument("--out", help="output directory for gt.csv, detections.csv, manifest.json")
     for dest, (_, kind, text) in _SYNTH_OVERRIDES.items():
         synth.add_argument(f"--{dest.replace('_', '-')}", type=kind, help=text)
-    synth.add_argument("--config", help="JSON config file whose keys mirror the flags")
 
     bench = sub.add_parser("bench", help="run the online/offline association comparison")
     bench.add_argument("--seeds", type=int, default=10, help="number of seeds (default 10)")
     bench.add_argument("--out", help="output directory for comparison.csv")
     bench.add_argument("--scenario", choices=sorted(SCENARIO_PRESETS), default="camera-cut",
                        help="scenario preset (default 'camera-cut')")
-    bench.add_argument("--config", help="JSON config file whose keys mirror the flags")
     for command in (evaluate, track, synth, bench):
+        command.add_argument("--config", help="JSON config file whose keys mirror the flags")
         command.set_defaults(parser=command)
     return parser
 

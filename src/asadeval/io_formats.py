@@ -32,7 +32,8 @@ point only).
 
 An input file is read by one of two readers, which return the same
 `_Cells`: each row's video id, its other cells as typed columns, and its
-line number. Then one checker per schema (`_records`, `_stream_errors`)
+line number. One function, `_read_cells`, chooses the reader for every
+schema. Then one checker per schema (`_records`, `_stream_errors`)
 applies every rule as an array test and raises the line-numbered
 `FormatError`, or builds the records or the stream. Each record it builds
 is made from its column table, which `model._table_of` builds from the
@@ -184,6 +185,16 @@ def _converted(convert: Callable, text: str, row: int, column: int, failed: dict
     except ValueError as exc:
         failed.setdefault(row, (column, str(exc)))
         return 0
+
+
+def _read_cells(path: str, dtype_of: Callable[[list[str]], np.dtype], expected: str, note: str = "") -> _Cells:
+    """The `_Cells` of a CSV file, by numpy's reader or, where it declines, by the csv reader.
+
+    The one choice of reader, for every schema: `_read_arrays`, else
+    `_read_csv`, to which ``expected`` and ``note`` go.
+    """
+    cells = _read_arrays(path, dtype_of)
+    return _read_csv(path, dtype_of, expected, note) if cells is None else cells
 
 
 def _read_csv(path: str, dtype_of: Callable[[list[str]], np.dtype], expected: str, note: str = "") -> _Cells:
@@ -510,24 +521,11 @@ def parse_annotations(path: str, role: str, n_labels: int = DEFAULT_N_LABELS) ->
     [0, 1], labels in [1, n_labels], and a non-empty label set on ground
     truth. Each row that breaks a rule is reported with its line number and
     its first broken rule, and any problem aborts the parse. numpy's reader
-    reads the file, or the csv reader one it declines (see the module
-    docstring); `_records` checks either's cells.
+    reads the file, or the csv reader one it declines (`_read_cells`; see the
+    module docstring); `_records` checks either's cells.
     """
-    records = _annotations_from_arrays(path, role, n_labels)
-    return _annotations_from_rows(path, role, n_labels) if records is None else records
-
-
-def _annotations_from_arrays(path: str, role: str, n_labels: int) -> Optional[list[VideoRecord]]:
-    """`parse_annotations` by numpy's reader, or None when it declines the file."""
-    cells = _read_arrays(path, partial(_annotation_dtype, path, role))
-    return None if cells is None else _records(path, role, n_labels, cells)
-
-
-def _annotations_from_rows(path: str, role: str, n_labels: int) -> list[VideoRecord]:
-    """`parse_annotations` by the csv reader, which reads any file."""
     expected = f"header {','.join(_columns(role))}"  # a ValueError on another role comes before any read
-    cells = _read_csv(path, partial(_annotation_dtype, path, role), expected)
-    return _records(path, role, n_labels, cells)
+    return _records(path, role, n_labels, _read_cells(path, partial(_annotation_dtype, path, role), expected))
 
 
 def _cell(value) -> str:
@@ -652,21 +650,10 @@ def parse_detection_stream(path: str) -> DetectionStream:
     first broken rule: a non-empty video_id, the same as the first row's that
     has one; an integer keyframe >= 0; corners in [0, 1] with x1 < x2 and
     y1 < y2; a score in [0, 1]; finite embedding values. numpy's reader reads
-    the file, or the csv reader one it declines (see the module docstring).
+    the file, or the csv reader one it declines (`_read_cells`; see the
+    module docstring); `_stream` checks either's cells.
     """
-    stream = _stream_from_arrays(path)
-    return _stream_from_rows(path) if stream is None else stream
-
-
-def _stream_from_arrays(path: str) -> Optional[DetectionStream]:
-    """`parse_detection_stream` by numpy's reader, or None when it declines the file."""
-    cells = _read_arrays(path, partial(_stream_dtype, path))
-    return None if cells is None else _stream(path, cells)
-
-
-def _stream_from_rows(path: str) -> DetectionStream:
-    """`parse_detection_stream` by the csv reader, which reads any file."""
-    cells = _read_csv(path, partial(_stream_dtype, path), "a stream header", " (ragged embedding width)")
+    cells = _read_cells(path, partial(_stream_dtype, path), "a stream header", " (ragged embedding width)")
     return _stream(path, cells)
 
 
@@ -706,7 +693,7 @@ def _check_parsable(stream: DetectionStream) -> list[int]:
     if errors:
         row, message = errors[0]
         raise ValueError(
-            f"{stream.video_id}: row at keyframe {stream.row_keyframes[row]} would not parse back: {message}"
+            f"{stream.video_id!r}: row at keyframe {stream.row_keyframes[row]} would not parse back: {message}"
         )
     return keyframes
 

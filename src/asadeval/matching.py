@@ -10,22 +10,23 @@ so a corpus of short videos of a few shapes takes a few numpy calls, not a
 few per video, and the pairs and flags one call per chunk. `gated_cost` puts
 exactly 1.0 wherever the IoU gate fails, so a surviving pair can always be
 recognized by cost < 1.
-`solve_assignment`, the package's one solver (IDF1's identity pairing
-included), returns the exact optimum and, among equal-cost optima, the
-lexicographically smallest (row, col) pair list so results are identical
-across platforms.
+Every assignment the package solves (IDF1's identity pairing and the online
+tracker's included) gets the exact optimum and, among equal-cost optima, the
+lexicographically smallest (row, col) pair list, so results are identical
+across platforms. `solve_assignment` solves one problem, and a corpus's gated
+pairs are solved a chunk of same-shape keyframes at a time, across videos;
+both go through `_optimal_pairs`, which takes a stack of same-shape problems.
 
-Three routes reach that answer. A single-row or single-column problem takes
-its first smallest entry. A problem of 2 or 3 pairs with at most
+Three routes reach that answer, and `_optimal_pairs` alone chooses among
+them. A single-row or single-column problem takes its first smallest entry,
+one `argmin` for the whole stack. A problem of 2 or 3 pairs with at most
 `_ENUMERATED_SIDE` rows and columns enumerates every assignment from a
-per-shape table: numpy sums rule out all but the candidates within a
-rounding bound of the minimum, and `math.fsum` picks among those.
-A corpus's gated pairs take one such call per chunk of same-shape
-keyframes, across videos.
-Any other problem takes one `linear_sum_assignment`; the reduced costs of its
-optimal duals rule out every pair no optimum can hold, and the tie search
-confirms each remaining pair by comparing `math.fsum` totals with the
-optimum's. There is no fallback to the solver's own order.
+per-shape table, one call for the whole stack: numpy sums rule out all but
+the candidates within a rounding bound of the minimum, and `math.fsum` picks
+among those. Any other problem takes one `linear_sum_assignment`; the
+reduced costs of its optimal duals rule out every pair no optimum can hold,
+and the tie search confirms each remaining pair by comparing `math.fsum`
+totals with the optimum's. There is no fallback to the solver's own order.
 
 The solver is scipy's shortest-augmenting-path routine (Crouse 2016), the C
 extension `scipy.optimize._lsap`, which the first `linear_sum_assignment`
@@ -100,8 +101,10 @@ def linear_sum_assignment(cost) -> tuple[np.ndarray, np.ndarray]:
     input errors never do, nor does an `evaluate` of scenes with at most 3
     actors, at most 10 predictions a keyframe and at most 10 predicted
     identities overlapping the actors.
-    This is the package's only use of scipy, and `solve_assignment` its
-    only caller. After the first call, `_solver` is a cache lookup.
+    This is the package's only use of scipy. `_optimal_pairs` calls it once
+    per problem its LSA route takes, and the tie search
+    (`_lexicographic_optimal_pairs`) once per sub-solve. After the first
+    call, `_solver` is a cache lookup.
     """
     return _solver()(cost)
 
@@ -264,32 +267,23 @@ class _CorpusMatch:
     def pair_rows(self) -> _Pairs:
         """Every keyframe's gated pairs, `solve_assignment(gated_cost(overlaps, gate)).pairs`, as `_Pairs`.
 
-        A chunk of a shape the enumeration covers is solved in one
-        `_enumerated_optima` call, whatever videos it mixes: the chunk's
-        largest cost only widens the candidates that `math.fsum` decides
-        among, so a keyframe's pairs do not depend on its chunk. The chunks'
-        bound keeps peak memory level however long the corpus. The other
-        keyframes go through `solve_assignment` one by one.
+        One `_optimal_pairs` call per chunk, whatever its shape and whatever
+        videos it mixes, then one gate filter over the chunk's pairs. On the
+        enumeration route the chunk's largest cost only widens the candidates
+        that `math.fsum` decides among, and the other routes solve each
+        keyframe alone, so a keyframe's pairs do not depend on its chunk. The
+        chunks' bound keeps peak memory level however long the corpus.
         """
         members, gts, preds = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
         for chunk in self.chunks:
             costs = gated_cost(chunk.ious, self.gate)
-            shape = costs.shape[1:]
-            if _enumerable(shape):
-                # Gated costs lie in [0, 1], far below `_ENUMERATED_MAX_COST`.
-                rows, cols, _ = _assignment_table(*shape)
-                optima = _enumerated_optima(costs, float(costs.max()))
-                rows, cols = rows[optima], cols[optima]
-                kept = costs[np.arange(len(costs))[:, None], rows, cols] != 1.0
-                member = np.nonzero(kept)[0]
-                rows, cols = rows[kept], cols[kept]
-            else:
-                solved = [solve_assignment(cost).pairs for cost in costs]
-                member = np.repeat(np.arange(len(solved)), list(map(len, solved)))
-                rows, cols = np.array([pair for pairs in solved for pair in pairs], np.int64).reshape(-1, 2).T
+            # Gated costs lie in [0, 1], far below `_ENUMERATED_MAX_COST`.
+            rows, cols = _optimal_pairs(costs, float(costs.max()))
+            kept = costs[np.arange(len(costs))[:, None], rows, cols] != 1.0
+            member = np.nonzero(kept)[0]
             members.append(chunk.index[member])
-            gts.append(chunk.rows[member, rows])
-            preds.append(chunk.cols[member, cols])
+            gts.append(chunk.rows[member, rows[kept]])
+            preds.append(chunk.cols[member, cols[kept]])
         keys = np.concatenate(members)
         order = np.argsort(keys, kind="stable")
         bounds = np.searchsorted(keys[order], np.arange(len(self.keys.video) + 1))
@@ -423,16 +417,13 @@ def solve_assignment(cost, drop_gated: bool = True) -> Assignment:
 
     Minimizes total cost over all assignments of size min(rows, cols); among
     equal-cost optima the lexicographically smallest (row, col) pair list is
-    chosen. A single-row or single-column problem takes its first smallest
-    entry, and a shape the enumeration covers takes `_enumerated_optima`
-    unless a cost exceeds `_ENUMERATED_MAX_COST`. Otherwise one
-    `linear_sum_assignment` finds the optimum; its optimal duals rule out the
-    pairs no optimum can hold, and `math.fsum` confirms each remaining pair
-    the tie search keeps (see `_lexicographic_optimal_pairs`). There is no
-    fallback: every route returns a pair list. With ``drop_gated`` (the
-    default), pairs whose cost is exactly 1 are then removed from the result,
-    so every surviving pair of a `gated_cost` array passed the IoU gate.
-    Callers with other costs (trackers, IDF1's pairing) pass False.
+    chosen. The array is checked, then solved as a stack of one by
+    `_optimal_pairs`, which chooses the route (one pair, enumeration, or one
+    `linear_sum_assignment` and the tie search), and ``total_cost`` is the
+    `math.fsum` of the pairs' costs. With ``drop_gated`` (the default), pairs
+    whose cost is exactly 1 are then removed from the result, so every
+    surviving pair of a `gated_cost` array passed the IoU gate. Callers with
+    other costs (trackers, IDF1's pairing) pass False.
 
     One limit: the LSA route takes the fsum of `linear_sum_assignment`'s
     optimum as the least total, but LSA compares rounded sums. Where
@@ -444,33 +435,49 @@ def solve_assignment(cost, drop_gated: bool = True) -> Assignment:
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2:
         raise ValueError("cost matrix must be two-dimensional")
-    n_rows, n_cols = cost.shape
-    if min(n_rows, n_cols) == 0:
+    if min(cost.shape) == 0:
         return Assignment(pairs=(), total_cost=0.0)
     scale = float(np.abs(cost).max())
     if not math.isfinite(scale):
         raise ValueError("cost matrix must be finite")
 
+    (rows,), (cols,) = _optimal_pairs(cost[None], scale)
+    kept = tuple(pair for pair in zip(rows.tolist(), cols.tolist()) if not drop_gated or cost[pair] != 1.0)
+    return Assignment(pairs=kept, total_cost=math.fsum(cost[rows, cols].tolist()))
+
+
+def _optimal_pairs(stack: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The rows and the columns, each (B, k), of the answer to each problem of a (B, rows, cols) stack.
+
+    k = min(rows, cols) >= 1, and ``scale`` bounds every |cost| in the
+    stack. A problem's answer is its lexicographically smallest minimum-cost
+    assignment, its pairs in order. This is the one place a route is chosen,
+    by the stack's shape and ``scale``. One pair: each problem's first
+    smallest entry in row-major order, by one ``argmin`` over the stack. A
+    shape the enumeration covers, with ``scale`` at most
+    `_ENUMERATED_MAX_COST`: one `_enumerated_optima` call. Any other: per
+    problem, one `linear_sum_assignment`, whose optimum's fsum the tie search
+    (`_lexicographic_optimal_pairs`) keeps while it finds the smallest pair
+    list of that total. On every route the fsum of a problem's pairs is the
+    total its route takes as the optimum's.
+    """
+    count, n_rows, n_cols = stack.shape
     if min(n_rows, n_cols) == 1:
-        # One pair: the optimum is a smallest entry, and the lexicographically
-        # smallest among them is the first in row-major order.
-        pairs = [divmod(int(np.argmin(cost)), n_cols)]
-        best = math.fsum([float(cost[pairs[0]])])
-    elif _enumerable(cost.shape) and scale <= _ENUMERATED_MAX_COST:
-        _, _, candidates = _assignment_table(n_rows, n_cols)
-        (index,) = _enumerated_optima(cost[None], scale)
-        pairs = candidates[index]
-        best = math.fsum([float(cost[pair]) for pair in pairs])
-    else:
+        # The optimum is a smallest entry, and the lexicographically smallest
+        # among them is the first in row-major order.
+        rows, cols = np.divmod(stack.reshape(count, -1).argmin(axis=1), n_cols)
+        return rows[:, None], cols[:, None]
+    if _enumerable(stack.shape[1:]) and scale <= _ENUMERATED_MAX_COST:
+        rows, cols = _assignment_table(n_rows, n_cols)
+        optima = _enumerated_optima(stack, scale)
+        return rows[optima], cols[optima]
+    solved = []
+    for cost in stack:
         rows, cols = linear_sum_assignment(cost)
         optimum = list(zip(rows.tolist(), cols.tolist()))
-        best = math.fsum(float(cost[r, c]) for r, c in optimum)
-        pairs = _lexicographic_optimal_pairs(cost, best, optimum)
-    if drop_gated:
-        kept = tuple((i, j) for i, j in pairs if cost[i, j] != 1.0)
-    else:
-        kept = tuple(pairs)
-    return Assignment(pairs=kept, total_cost=best)
+        solved.append(_lexicographic_optimal_pairs(cost, math.fsum(cost[rows, cols].tolist()), optimum))
+    pairs = np.array(solved, np.int64).reshape(count, min(n_rows, n_cols), 2)
+    return pairs[..., 0], pairs[..., 1]
 
 
 def _enumerable(shape: tuple[int, ...]) -> bool:
@@ -479,23 +486,19 @@ def _enumerable(shape: tuple[int, ...]) -> bool:
 
 
 @functools.cache
-def _assignment_table(
-    n_rows: int, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, tuple[tuple[tuple[int, int], ...], ...]]:
+def _assignment_table(n_rows: int, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
     """Every assignment of size k = min(n_rows, n_cols), ascending by sorted pair list.
 
-    Returns the row and the column indices, each (candidates, k), and the
-    pair lists themselves. The first of several equal totals is thus the
-    lexicographically smallest assignment.
+    Returns the row and the column indices, each (candidates, k). The first
+    of several equal totals is thus the lexicographically smallest assignment.
     """
     if n_rows <= n_cols:
         lists = (zip(range(n_rows), cols) for cols in itertools.permutations(range(n_cols), n_rows))
     else:
         lists = (zip(rows, range(n_cols)) for rows in itertools.permutations(range(n_rows), n_cols))
-    candidates = tuple(sorted(tuple(sorted(pairs)) for pairs in lists))
-    table = np.array(candidates)
+    table = np.array(sorted(sorted(pairs) for pairs in lists))
     table.setflags(write=False)
-    return table[..., 0], table[..., 1], candidates
+    return table[..., 0], table[..., 1]
 
 
 def _enumerated_optima(stack: np.ndarray, scale: float) -> list[int]:
@@ -507,7 +510,7 @@ def _enumerated_optima(stack: np.ndarray, scale: float) -> list[int]:
     """
     _, n_rows, n_cols = stack.shape
     k = min(n_rows, n_cols)
-    rows, cols, _ = _assignment_table(n_rows, n_cols)
+    rows, cols = _assignment_table(n_rows, n_cols)
     entries = stack[:, rows, cols]
     sums = entries.sum(axis=2)
     # Keep every candidate whose fsum may be the least. With u = 2**-53 and

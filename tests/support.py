@@ -418,8 +418,7 @@ def reference_track_offline(
     edges.sort(key=lambda e: (-e[0], e[1], e[2]))
     clusters = _UnionFind(keyframes)
     for _, a, b in edges:
-        if clusters.can_merge(a, b):
-            clusters.merge(a, b)
+        clusters.union(a, b)
 
     members: dict[int, list[int]] = {}
     for idx in range(len(flat)):

@@ -5,6 +5,7 @@ import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -334,13 +335,37 @@ PATH_ROWS = {
              "v,1,0.2,0.2,0.4,0.4,1,1,0.75"],
     "stream": [STREAM_HEADER, "v,1,0.1,0.1,0.3,0.3,0.5,0.25,-1.5", "v,0,0.2,0.2,0.4,0.4,0.75,1.0,2.0"],
 }
+
+
+def schema(kind, path):
+    """How ``path`` is read as ``kind``: its header check, the csv reader's two message texts, its cell check."""
+    if kind == "pred":
+        return (partial(io_formats._annotation_dtype, path, "pred"), ("header " + PRED_HEADER,),
+                partial(io_formats._records, path, "pred", 80))
+    return (partial(io_formats._stream_dtype, path), ("a stream header", " (ragged embedding width)"),
+            partial(io_formats._stream, path))
+
+
+def by_arrays(kind):
+    """The parse of a ``kind`` file by numpy's reader (`_read_arrays`) alone, or None where it declines the file."""
+    def parse(path):
+        dtype_of, _, checked = schema(kind, path)
+        cells = io_formats._read_arrays(path, dtype_of)
+        return None if cells is None else checked(cells)
+    return parse
+
+
+def by_csv(kind):
+    """The parse of a ``kind`` file by the csv reader (`_read_csv`) alone, which reads any file."""
+    def parse(path):
+        dtype_of, texts, checked = schema(kind, path)
+        return checked(io_formats._read_csv(path, dtype_of, *texts))
+    return parse
+
+
 PATH_PARSERS = {
-    "pred": (
-        lambda path: io_formats._annotations_from_arrays(path, "pred", 80),
-        lambda path: io_formats._annotations_from_rows(path, "pred", 80),
-        lambda path: parse_annotations(path, role="pred"),
-    ),
-    "stream": (io_formats._stream_from_arrays, io_formats._stream_from_rows, parse_detection_stream),
+    "pred": (by_arrays("pred"), by_csv("pred"), lambda path: parse_annotations(path, role="pred")),
+    "stream": (by_arrays("stream"), by_csv("stream"), parse_detection_stream),
 }
 
 
@@ -427,7 +452,7 @@ def test_a_numpy_warning_declines_the_file_whatever_the_warning_filters(tmp_path
     path = write_text(tmp_path / "in.csv", with_cell("pred", 3, 1, "5.5"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert io_formats._annotations_from_arrays(path, "pred", 80) is None
+        assert by_arrays("pred")(path) is None
         with pytest.raises(FormatError, match=r":4: invalid literal for int\(\) with base 10: '5.5'$"):
             parse_annotations(path, role="pred")
 
@@ -454,9 +479,9 @@ def test_array_pass_reads_a_file_of_many_chunks_as_the_row_parser_does(tmp_path,
     path = str(tmp_path / "pred.csv")
     write_annotations(records, path, role="pred")
     monkeypatch.setattr(io_formats, "_CHUNK_BYTES", 200)
-    by_arrays = io_formats._annotations_from_arrays(path, "pred", 80)
-    assert repr(by_arrays) == repr(io_formats._annotations_from_rows(path, "pred", 80))
-    assert by_arrays == sorted(records, key=lambda r: r.video_id)
+    read = by_arrays("pred")(path)
+    assert repr(read) == repr(by_csv("pred")(path))
+    assert read == sorted(records, key=lambda r: r.video_id)
 
 
 def quoted(text):
@@ -511,7 +536,7 @@ def test_numpy_reader_reports_a_plain_files_rule_errors_without_a_second_read(tm
     def second_read(*args):
         raise AssertionError("the csv reader read a file numpy's reader had read")
 
-    monkeypatch.setattr(io_formats, f"_{'annotations' if kind == 'pred' else 'stream'}_from_rows", second_read)
+    monkeypatch.setattr(io_formats, "_read_csv", second_read)
     monkeypatch.setattr(io_formats, "_CHUNK_BYTES", 64)  # two or three lines a chunk
     with pytest.raises(FormatError) as by_numpy:
         parse(write_text(path, text))
@@ -552,7 +577,21 @@ def test_writer_refuses_a_stream_its_parser_rejects(tmp_path):
     # Once written as v,0,0.3,0.1,0.1,0.3,1.5,nan, which the parser rejected.
     stream = DetectionStream("v", 1, (0,), [[0.3, 0.1, 0.1, 0.3]], [1.5], [[np.nan]])
     path = tmp_path / "stream.csv"
-    message = "v: row at keyframe 0 would not parse back: degenerate box: requires x1 < x2 and y1 < y2"
+    message = "'v': row at keyframe 0 would not parse back: degenerate box: requires x1 < x2 and y1 < y2"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_detection_stream(stream, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("video_id, message", [
+    ("", "'': row at keyframe 0 would not parse back: video_id: must be non-empty"),
+    ("a,b", "'a,b': row at keyframe 0 would not parse back: degenerate box: requires x1 < x2 and y1 < y2"),
+], ids=["empty", "comma"])
+def test_stream_writer_names_the_video_by_its_repr(tmp_path, video_id, message):
+    # As `write_annotations` names it: a bare id would read ": row ..." when
+    # empty, and "a,b: row ..." leaves unclear where the id ends.
+    stream = DetectionStream(video_id, 1, (0,), [[0.3, 0.1, 0.1, 0.3]], [1.5], [[np.nan]])
+    path = tmp_path / "stream.csv"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         write_detection_stream(stream, str(path))
     assert not path.exists()

@@ -438,8 +438,49 @@ def test_uncovered_shapes_still_use_lsa(shape, monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)])
+def test_one_pair_stack_takes_each_first_smallest_entry(shape):
+    # Two values only, so most problems tie at their minimum; one argmin over
+    # the stack answers each with its first smallest entry in row-major order.
+    stack = np.random.default_rng(sum(shape)).choice([0.25, 0.5], size=(60, *shape))
+    rows, cols = matching._optimal_pairs(stack, 0.5)
+    assert rows.shape == cols.shape == (60, 1)
+    ties = 0
+    for cost, (row,), (col,) in zip(stack, rows.tolist(), cols.tolist()):
+        smallest = [(i, j) for i in range(shape[0]) for j in range(shape[1]) if cost[i, j] == cost.min()]
+        assert (row, col) == smallest[0]
+        ties += len(smallest) > 1
+    assert ties > 20 or shape == (1, 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_solve_assignment_is_its_stack_of_one(kind):
+    # Every route: one pair, enumeration and LSA. A problem's pairs are the
+    # same alone, in a stack of one, and in a stack of six; its total is the
+    # least fsum where it is enumerated (the oracle's), and the fsum of
+    # scipy's optimum on the LSA route.
+    rng = np.random.default_rng(23)
+    for shape in [(1, 6), (6, 1), (3, 3), (3, 10), (10, 2), (4, 4), (5, 7), (8, 3)]:
+        stack = np.array([tie_heavy_cost(rng, kind, *shape) for _ in range(6)])
+        batch = matching._optimal_pairs(stack, float(np.abs(stack).max()))
+        for cost, rows, cols in zip(stack, *batch):
+            pairs = list(zip(rows.tolist(), cols.tolist()))
+            (rows,), (cols,) = matching._optimal_pairs(cost[None], float(np.abs(cost).max()))
+            assert list(zip(rows.tolist(), cols.tolist())) == pairs
+            solution = solve_assignment(cost, drop_gated=False)
+            assert list(solution.pairs) == pairs
+            assert solve_assignment(cost).pairs == tuple(p for p in pairs if cost[p] != 1.0)
+            if min(shape) > 1 and not matching._enumerable(shape):
+                total = math.fsum(cost[linear_sum_assignment(cost)].tolist())
+            else:
+                total = brute_force_lex_pairs(cost)[1]
+            assert solution.total_cost.hex() == total.hex()
+
+
 def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
-    # Covered keyframes are solved in stacked calls; only the rest reach solve_assignment.
+    # One `_optimal_pairs` call per chunk: only the keyframes too large to
+    # enumerate reach the tie search, once each, and no keyframe's pairs
+    # differ from `solve_assignment`'s.
     rng = np.random.default_rng(4)
     videos = []
     for _ in range(3):
@@ -449,20 +490,21 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
             pred[kf] = gt[kf] + gt[kf][:1]
         videos.append((boxes_record(gt), boxes_record(pred)))
     corpus = match_corpus(videos, 0.5)
-    singly = []
+    searched = []
+    search = matching._lexicographic_optimal_pairs
 
-    def counting(cost, drop_gated=True):
-        singly.append(cost.shape)
-        return solve_assignment(cost, drop_gated)
+    def counting(cost, best, optimum):
+        searched.append(cost.shape)
+        return search(cost, best, optimum)
 
-    monkeypatch.setattr(matching, "solve_assignment", counting)
+    monkeypatch.setattr(matching, "_lexicographic_optimal_pairs", counting)
     corpus.pair_rows
     monkeypatch.undo()
     pairs, tables = frame_pairs(corpus), iou_tables(corpus)
     every = [overlaps for table in tables for overlaps in table.values()]
-    uncovered = [overlaps.shape for overlaps in every if not matching._enumerable(overlaps.shape)]
-    assert sorted(singly) == sorted(uncovered)
-    assert 0 < len(uncovered) < len(every)
+    lsa_sized = [o.shape for o in every if min(o.shape) > 1 and not matching._enumerable(o.shape)]
+    assert sorted(searched) == sorted(lsa_sized)
+    assert 0 < len(lsa_sized) < len(every)
     assert [list(video_pairs) for video_pairs in pairs] == [list(table) for table in tables]
     for video_pairs, table in zip(pairs, tables):
         for kf, overlaps in table.items():

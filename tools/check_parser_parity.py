@@ -19,10 +19,10 @@ by `track_online` and `track_offline` at their default parameters: the bytes
 of the stream and of both trackers' `write_annotations` output must match
 too, and so must the tracked records, compared as parsed records are. Any
 other exception is compared by type and message, and counted. The summary
-also counts the parses this checkout's numpy reader read without its csv
-reader, records or a `FormatError` alike, so that agreement shows which
-reader it covered. Prints the first differences and a summary, and exits 1
-on any difference.
+also counts the parses whose file this checkout's numpy reader
+(`io_formats._read_arrays`) read rather than declined, records or a
+`FormatError` alike, so that agreement shows which reader it covered.
+Prints the first differences and a summary, and exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -110,23 +110,15 @@ def outcomes(io, tracking, path: str) -> list[tuple]:
 def array_pass_reads(path: str) -> int:
     """How many of this checkout's parses of ``path`` its numpy reader reads, of those `outcomes` makes.
 
-    A parse counts when the numpy reader does not decline the file, whether
-    its cells then make records or a `FormatError`.
+    A parse counts when `_read_arrays` does not decline the file, whether the
+    cells it returns then make records or a `FormatError`. Whether it declines
+    depends on the header's schema, not on the label universe, so one read
+    per role stands for that role's parses under every `N_LABELS`.
     """
-    parses = [
-        functools.partial(io_formats._annotations_from_arrays, path, role, n_labels)
-        for role in ("gt", "pred")
-        for n_labels in N_LABELS
-    ]
-    parses.append(functools.partial(io_formats._stream_from_arrays, path))
-    return sum(map(read_by_arrays, parses))
-
-
-def read_by_arrays(parse) -> bool:
-    try:
-        return parse() is not None
-    except io_formats.FormatError:
-        return True
+    roles = [functools.partial(io_formats._annotation_dtype, path, role) for role in ("gt", "pred")]
+    annotations = sum(io_formats._read_arrays(path, dtype_of) is not None for dtype_of in roles)
+    stream = io_formats._read_arrays(path, functools.partial(io_formats._stream_dtype, path)) is not None
+    return annotations * len(N_LABELS) + stream
 
 
 def main(argv=None) -> int:
