@@ -5,8 +5,8 @@ ground-truth boxes are first paired one-to-one per keyframe by the optimal
 gated assignment; pairs failing the gate are excluded. The Hamming loss then
 averages per-label disagreement (XOR of the two boolean label vectors) over
 all surviving pairs, so the reported quantity is HL@gate. The pairs are a
-`match_corpus` result's gated pairs, which `pair_sets` reads as
-observations for `match_pairs`; MT/ML counts their GT side. A report counts
+`match_corpus` result's gated pairs, which `match_pairs` reads as
+observations; MT/ML counts their GT side. A report counts
 each pair's wrong bits from the label sets of its two rows, which the
 records' column tables hold (`wrong_bits`), without building the pair or
 observation objects; `hamming_loss` counts a `MatchedPairSet`'s pairs by
@@ -73,24 +73,11 @@ def match_pairs(
     play no role in the pairing; only geometry does. This is the one gated
     matching per keyframe: HL scores its pairs and MT/ML counts their GT side.
     """
-    (pairs,) = pair_sets(match_corpus([(gt, pred)], iou_threshold))
-    return pairs
-
-
-def pair_sets(corpus: _CorpusMatch) -> list[MatchedPairSet]:
-    """Each video's gated pairs, the corpus's `pair_rows`, as a `MatchedPairSet` of its observations."""
-    found = corpus.pair_rows
-    bounds = corpus.video_pairs
-    return [
-        MatchedPairSet(pairs=tuple(
-            MatchedPair(gt=gt.observations[i], pred=pred.observations[j])
-            for i, j in zip(
-                (found.gt[start:stop] - corpus.gt.offsets[v]).tolist(),
-                (found.pred[start:stop] - corpus.pred.offsets[v]).tolist(),
-            )
-        ))
-        for v, ((gt, pred), start, stop) in enumerate(zip(corpus.videos, bounds, bounds[1:]))
-    ]
+    found = match_corpus([(gt, pred)], iou_threshold).pair_rows  # a corpus of one: its rows are the records'
+    return MatchedPairSet(pairs=tuple(
+        MatchedPair(gt=gt.observations[i], pred=pred.observations[j])
+        for i, j in zip(found.gt.tolist(), found.pred.tolist())
+    ))
 
 
 def wrong_bits(corpus: _CorpusMatch) -> list[int]:

@@ -771,9 +771,10 @@ def _check_arithmetic(block: MetricBlock, n_labels: int, where: str) -> None:
     GT boxes and predictions are counted twice, by detection (tp + fn,
     tp + fp) and by identity (idtp + idfn, idtp + idfp), and must agree;
     a tracklet is at most one of MT and ML; a pair has at most ``n_labels``
-    wrong bits. Then `_metric_block` of the tallies, the AP value and
-    reason, and the score_ties flag must give every field exactly (JSON
-    floats round-trip, so there is no tolerance).
+    wrong bits. A non-null AP must be a number in [0, 1]. Then
+    `_metric_block` of the tallies, the AP value and reason, and the
+    score_ties flag must give every field exactly (JSON floats round-trip,
+    so there is no tolerance).
     """
     values = {**vars(block), "n_labels": n_labels}
 
@@ -792,6 +793,8 @@ def _check_arithmetic(block: MetricBlock, n_labels: int, where: str) -> None:
             left, right = " + ".join(map(repr, keys)), (" + " if equal else " * ").join(map(repr, other_keys))
             relation = f"but {right} is" if equal else f"more than {right},"
             raise FormatError([f"{where}: {left} is {value}, {relation} {other} ({sources(keys + other_keys)})"])
+    if block.ap is not None and not 0 <= block.ap <= 1:  # NaN too
+        raise FormatError([f"{where}: key 'ap' is {json.dumps(block.ap)}, but an AP lies in [0, 1]"])
     tallies = {key: getattr(block, key) for key in SUMMED_TALLIES}
     expected = _metric_block(block.ap, block.ap_reason, "score_ties" in block.flags, n_labels, **tallies)
     for key, keys in _DERIVED_FROM.items():
@@ -820,7 +823,8 @@ def report_from_dict(data: dict) -> EvalReport:
     JSON type, a repeated video_id, an aggregate tally (`SUMMED_TALLIES`)
     that is not the sum of the videos', a config without a positive integer
     ``n_labels``, or a block whose arithmetic does not hold
-    (`_check_arithmetic`), checked in that order.
+    (`_check_arithmetic`: its tallies, then its AP's range, then its
+    derived fields), checked in that order.
     """
     _required(data, [], "report")
     if data.get("schema") != REPORT_SCHEMA:

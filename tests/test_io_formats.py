@@ -784,6 +784,20 @@ def test_report_whose_arithmetic_does_not_hold_is_a_format_error(key):
         report_from_dict(data)
 
 
+@pytest.mark.parametrize("ap, shown", [
+    (7.0, "7.0"), (-3.0, "-3.0"), (float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity"),
+])
+def test_report_whose_ap_lies_outside_zero_to_one_is_a_format_error(ap, shown):
+    # Where there is ground truth the tallies do not fix the AP, but its range
+    # does, and the message names that range for a NaN too.
+    data = report_to_dict(mixed_report())
+    index = [video["video_id"] for video in data["videos"]].index("v")
+    data["videos"][index]["ap"] = ap
+    message = f"videos[{index}]: key 'ap' is {shown}, but an AP lies in [0, 1]"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        report_from_dict(json.loads(json.dumps(data)))
+
+
 @pytest.mark.parametrize("n_labels, expected", [
     (None, "config: missing key 'n_labels'"),
     ("80", 'config: key \'n_labels\': expected an integer, got "80"'),
