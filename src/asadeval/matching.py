@@ -48,11 +48,17 @@ sub-solves only the tight pairs that some such matching holds, the pairs on
 an alternating cycle (Tassa 2012), and skips the rest unsolved. A skipped
 candidate's completion is a full assignment holding a pair outside every
 tight perfect matching; padded, it holds a non-tight pair, so the reduced-cost
-bound puts its fsum above the optimum's. A problem whose entries well below
-its largest form one full assignment, such as a keyframe where each actor
-passes the gate with its own prediction only or the identity counts of a
-clean tracking, has that assignment as its only optimum: no other pair is
-holdable, so its one solve takes no sub-solve.
+bound puts its fsum above the optimum's. Which pairs lie on a cycle is found
+only once a candidate needs it, and only among the rows with a tight step in
+and out besides their own pair (the cycle core), a few rows of a crowded
+keyframe. A problem whose tight graph holds the optimum's pairs alone has
+that optimum as its answer at once, with no sub-solve and no closure; a
+keyframe where each actor passes the gate with its own prediction only, or
+the identity counts of a clean tracking, usually is one. Otherwise the
+search is one sorted pass over the candidates: a rejected sub-solve changes
+neither the pairs fixed so far nor the known optimal completion, so the
+candidates to try are all known before the first sub-solve, and only an
+accepted one starts a new pass, over the rows past it.
 """
 
 from __future__ import annotations
@@ -388,8 +394,10 @@ def _greedy_flags(overlaps: np.ndarray, scores: np.ndarray, iou_threshold: float
 class Assignment:
     """A one-to-one assignment after the gate filter.
 
-    ``pairs`` holds the surviving (row, col) matches sorted lexicographically;
-    pairs whose cost is exactly 1 (failed gate) have been removed.
+    ``pairs`` holds the (row, col) matches sorted lexicographically. Unless
+    `solve_assignment` was called with ``drop_gated=False``, as the
+    trackers and IDF1's identity pairing call it, pairs whose cost is
+    exactly 1 (failed gate) have been removed.
     ``total_cost`` is the solver objective: the minimum total cost over all
     assignments of size min(rows, cols), measured before the gate filter.
     """
@@ -471,13 +479,10 @@ def _optimal_pairs(stack: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndar
         rows, cols = _assignment_table(n_rows, n_cols)
         optima = _enumerated_optima(stack, scale)
         return rows[optima], cols[optima]
-    solved = []
-    for cost in stack:
-        rows, cols = linear_sum_assignment(cost)
-        optimum = list(zip(rows.tolist(), cols.tolist()))
-        solved.append(_lexicographic_optimal_pairs(cost, math.fsum(cost[rows, cols].tolist()), optimum))
-    pairs = np.array(solved, np.int64).reshape(count, min(n_rows, n_cols), 2)
-    return pairs[..., 0], pairs[..., 1]
+    rows, cols = np.empty((2, count, min(n_rows, n_cols)), np.int64)
+    for b, cost in enumerate(stack):
+        rows[b], cols[b] = _lexicographic_optimal_pairs(cost, *linear_sum_assignment(cost))
+    return rows, cols
 
 
 def _enumerable(shape: tuple[int, ...]) -> bool:
@@ -533,32 +538,39 @@ def _enumerated_optima(stack: np.ndarray, scale: float) -> list[int]:
     return answers
 
 
-def _tight_graph(cost: np.ndarray, optimum: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+def _tight_graph(
+    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The pairs of the zero-padded square problem that some minimum-cost assignment may hold.
 
-    Returns an (n, n) mask of those pairs, n = max(rows, cols), and the
-    perfect matching ``col_of`` (row -> column) that ``optimum``, an optimal
-    assignment, extends to with the spare columns in ascending order. Optimal
-    duals u, v come from that matching: row potentials are shortest distances
-    in its residual graph (Bellman-Ford from a virtual source, at most n
-    vectorised relaxations) and column potentials make every matched pair
-    tight. Every assignment, extended by padding to a perfect matching, costs
-    the optimum plus the sum of its pairs' reduced costs ``c_ij - u_i - v_j``,
-    so a pair whose reduced cost exceeds a tolerance far above the duals'
-    rounding error lies on no optimum. The mask holds the other pairs: the
-    tight graph.
+    ``rows`` and ``cols`` are an optimal assignment as `linear_sum_assignment`
+    returns it, rows ascending, and ``scale`` is the largest |cost|. Returns
+    an (n, n) mask of those pairs, n = max(rows, cols), and the perfect
+    matching ``col_of`` (row -> column), an array, that the assignment
+    extends to: its unmatched rows take the spare columns, both in ascending
+    order. Optimal duals u, v come from that matching: row potentials are
+    shortest distances in its residual graph (Bellman-Ford from a virtual
+    source, at most n vectorised relaxations) and column potentials make
+    every matched pair tight. Every assignment, extended by padding to a
+    perfect matching, costs the optimum plus the sum of its pairs' reduced
+    costs ``c_ij - u_i - v_j``, so a pair whose reduced cost exceeds a
+    tolerance far above the duals' rounding error lies on no optimum. The
+    mask holds the other pairs: the tight graph.
     """
     n_rows, n_cols = cost.shape
     n = max(n_rows, n_cols)
     square = np.zeros((n, n))
     square[:n_rows, :n_cols] = cost
-    matched_col = dict(optimum)
-    spare_cols = iter(sorted(set(range(n)).difference(matched_col.values())))
-    col_of = [matched_col[i] if i in matched_col else next(spare_cols) for i in range(n)]
-    matched = square[range(n), col_of]
+    col_of = np.empty(n, np.int64)
+    col_of[rows] = cols
+    unmatched, spare = np.ones(n, bool), np.ones(n, bool)
+    unmatched[rows] = spare[cols] = False
+    col_of[unmatched] = np.flatnonzero(spare)
+    permuted = square[:, col_of]
+    matched = permuted.diagonal()
     # shift[i, k]: cost change of moving row i onto row k's column; shift[i, i] == 0,
     # so a relaxation never raises a potential.
-    shift = square[:, col_of] - matched
+    shift = permuted - matched
     u = np.zeros(n)
     for _ in range(n):
         relaxed = (shift + u).min(axis=1)
@@ -567,103 +579,164 @@ def _tight_graph(cost: np.ndarray, optimum: list[tuple[int, int]]) -> tuple[np.n
         u = relaxed
     v = np.empty(n)
     v[col_of] = matched - u
-    tolerance = 1e-9 * (1.0 + float(np.abs(cost).max())) * n
+    tolerance = 1e-9 * (1.0 + scale) * n
     return square - u[:, None] - v <= tolerance, col_of
 
 
-def _holdable_pairs(tight: np.ndarray, col_of: list[int]) -> list[list[bool]]:
-    """Which pairs of the tight graph some perfect matching of it holds, as nested lists.
+def _cycle_core(tight: np.ndarray, col_of: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The steps between the rows of the tight graph, as a 0/1 matrix, its cycle core, and the row of each column.
 
     ``col_of`` is one perfect matching of ``tight`` (every matched pair is
-    tight). Row a steps to row b when (a, col_of[b]) is tight, and a tight
-    pair (i, j) lies on a perfect matching iff it is matched or closes an
-    alternating cycle: iff the row matched to column j reaches row i (Kuhn
-    1955; Tassa 2012). Reachability is the transitive closure of the steps,
-    by repeated squaring of a 0/1 matrix; each entry of a product counts at
-    most n intermediate rows, so the float products are exact.
+    tight), and ``row_of`` inverts it. Row a steps to row b when
+    (a, col_of[b]) is tight. A tight pair (i, j) off the matching lies on a
+    perfect matching iff it closes an alternating cycle, i -> row_of[j] ->
+    ... -> i (Kuhn 1955; Tassa 2012). Every row of such a cycle has a step
+    in and a step out besides its own pair: ``core`` marks those rows, a
+    few of a crowded keyframe's, about half of a padded problem's. So only a
+    pair off the matching whose two rows lie in the core can be held.
     """
-    reach = tight[:, col_of].astype(float)
+    n = len(col_of)
+    steps = tight[:, col_of].astype(float)
+    core = (steps.sum(axis=0) > 1) & (steps.sum(axis=1) > 1)
+    row_of = np.empty(n, np.int64)
+    row_of[col_of] = np.arange(n)
+    return steps, core, row_of
+
+
+def _holdable(
+    steps: np.ndarray, core: np.ndarray, row_of: np.ndarray, ti: np.ndarray, tj: np.ndarray
+) -> np.ndarray:
+    """Which of the tight pairs ``(ti[e], tj[e])`` some perfect matching of the tight graph holds, as a mask.
+
+    ``steps``, ``core`` and ``row_of`` are `_cycle_core`'s. A matched pair
+    is held, and a pair (i, j) off the matching is held iff row_of[j]
+    reaches row i, which only a path through core rows can do. Reachability
+    is the transitive closure of the core's steps, by repeated squaring of
+    a 0/1 matrix; each entry of a product counts at most n intermediate
+    rows, so the float products are exact.
+    """
+    index = np.flatnonzero(core)
+    reach = steps[index[:, None], index]
     while True:
         longer = (reach @ reach > 0).astype(float)
         if (longer == reach).all():
             break
         reach = longer
-    row_of = np.argsort(col_of)
-    return (tight & (reach[row_of].T > 0)).tolist()
+    closure = np.eye(len(row_of), dtype=bool)
+    closure[index[:, None], index] = reach > 0
+    return closure[row_of[tj], ti]
 
 
 def _lexicographic_optimal_pairs(
-    cost: np.ndarray, best: float, optimum: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """Smallest (row, col) pair list among all minimum-cost assignments.
+    cost: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest (row, col) pair list among all minimum-cost assignments, as its rows and its columns.
 
-    Fixes pairs greedily in lexicographic order, keeping a candidate only if
-    the remaining submatrix still completes to the optimal total ``best``.
-    Totals are compared through math.fsum, so assignments with equal
-    real-valued cost compare equal regardless of summation order.
+    ``rows`` and ``cols`` are `linear_sum_assignment`'s optimum, whose
+    `math.fsum` total ``best`` the answer keeps. Pairs are fixed greedily in
+    lexicographic order: a candidate is kept only if the remaining submatrix
+    still completes to ``best``. Totals are compared through math.fsum, so
+    assignments with equal real-valued cost compare equal regardless of
+    summation order.
 
     Three facts spare almost every sub-solve. A candidate outside the tight
-    graph (`_tight_graph`) lies on no optimum, so it is skipped. A known
-    optimal completion of the pairs fixed so far is carried along:
-    ``optimum`` at first, then the sub-solve of the last candidate kept. Its
-    smallest pair completes to ``best`` by that same fsum, so the scan accepts
-    it without a solve once every earlier candidate has failed; it always gets
-    that far. And before the first candidate is tested, `_holdable_pairs`
-    finds the tight pairs that some perfect matching of the tight graph
-    holds; every other candidate is skipped. That skip is exact: a
-    candidate's completion is a full assignment (the scan stops at the known
-    pair, whose completion needs ``need + 1`` rows at or below it), and any
-    assignment holding a pair no tight perfect matching holds extends by
-    padding to a perfect matching that also holds a non-tight pair, so by the
-    bound above its fsum cannot equal ``best``. The bound needs duals that
-    did not overflow, so costs of magnitude near the largest float skip
-    nothing this way.
+    graph (`_tight_graph`) lies on no optimum, so only tight pairs are
+    candidates; where the tight pairs are the optimum's alone, the optimum
+    is the answer at once. A known optimal completion of the pairs fixed so
+    far is carried along: the optimum at first, then the sub-solve of the
+    last candidate kept. Its pairs are fixed in turn, each after the
+    candidates that sort between it and the pair fixed last and whose
+    column is still free; the first candidate that completes to ``best`` is
+    kept, and if none does, the completion's pair is fixed by that same
+    fsum, without a solve. And before the first candidate is tried,
+    `_holdable` finds which tight pairs some perfect matching of the tight
+    graph holds, and the rest are skipped. That skip is exact: a
+    candidate's completion is a full assignment (the candidate sorts before
+    a completion pair in its own row or below, so the rows below it can
+    hold the rest), and any assignment holding a pair no tight perfect
+    matching holds extends by padding to a perfect matching that also
+    holds a non-tight pair, so by the bound above its fsum cannot equal
+    ``best``. The bound needs duals that did not overflow, so costs of
+    magnitude near the largest float skip nothing this way: every tight
+    pair is a candidate.
+
+    A rejected candidate changes neither the fixed pairs nor the
+    completion, so the scan is one sorted pass over the candidates, not a
+    step per row. Candidate (i, j) comes up before completion pair t, where
+    t counts the completion pairs in rows above i, if row i's own
+    completion pair, if any, sorts after it, t is within the completion,
+    and no completion pair before t takes column j. Every candidate of a
+    completion is thus found in one vectorised test and tried in order.
+    Only a kept candidate starts a new pass, over the candidates past its
+    row; when none is kept, the completion is the rest of the answer.
+
+    The holdable pairs are found lazily, when a first candidate passes that
+    test, and only over the cycle core (`_cycle_core`). If no candidate of
+    that first pass has both rows in the core, none is held, and the
+    optimum is the answer without the closure. Otherwise the closure
+    narrows the pass, and every later one, to the holdable pairs.
     """
     n_rows, n_cols = cost.shape
-    k = min(n_rows, n_cols)
+    comp_rows, comp_cols, comp_costs = rows, cols, cost[rows, cols].tolist()
+    best = math.fsum(comp_costs)
+    scale = float(np.abs(cost).max())
     # Costs near the largest float can overflow the duals. numpy's warnings
     # about that change no value, so they are silenced rather than raised
-    # (the overflow guard before `_holdable_pairs` handles those duals).
+    # (the overflow guard before `_cycle_core` handles those duals).
     with np.errstate(over="ignore", invalid="ignore"):
-        tight_mask, col_of = _tight_graph(cost, optimum)
-    tight = list(zip(*(index.tolist() for index in np.nonzero(tight_mask[:n_rows, :n_cols]))))
-    holdable: list[list[bool]] | None = None
-    completion = sorted(optimum)
-    pairs: list[tuple[int, int]] = []
-    fixed: list[float] = []
-    free_cols = list(range(n_cols))
-    row_start = 0
-    while len(pairs) < k:
-        need = k - len(pairs) - 1
-        known = completion[0]
-        accepted, completion = known, completion[1:]
-        for i, j in itertools.islice(tight, bisect.bisect_left(tight, (row_start, 0)), None):
-            if (i, j) >= known:
+        tight, col_of = _tight_graph(cost, rows, cols, scale)
+    ti, tj = np.nonzero(tight[:n_rows, :n_cols])
+    if len(ti) == len(rows) and tight[rows, cols].all():
+        return rows, cols
+    # The pairs fixed so far, then the known optimal completion of them, rows ascending.
+    fixed_rows: list[int] = []
+    fixed_cols: list[int] = []
+    fixed_costs: list[float] = []
+    while len(comp_rows):
+        m = len(comp_rows)
+        # Candidate e comes up before completion pair step[e] if it sorts
+        # before its row's completion pair (row_col) and its column is free
+        # until then (last_free).
+        row_col = np.full(n_rows, n_cols)
+        row_col[comp_rows] = comp_cols
+        last_free = np.full(n_cols, m - 1)
+        last_free[fixed_cols] = -1
+        last_free[comp_cols] = np.arange(m)
+        step = np.searchsorted(comp_rows, ti)
+        examined = (tj < row_col[ti]) & (step <= last_free[tj])
+        # The first pass narrows the candidates to the holdable pairs, if one
+        # is examined. The skip's bound needs duals that did not overflow:
+        # every potential and reduced cost lies within (4n + 2) * max |cost|.
+        if not fixed_rows and examined.any() and scale * (4 * len(col_of) + 2) < 2.0**1023:
+            steps, core, row_of = _cycle_core(tight, col_of)
+            # The first pass's candidates are all off the matching: if none
+            # has both rows in the core, none is held.
+            if not (examined & core[ti] & core[row_of[tj]]).any():
                 break
-            if j not in free_cols:
-                continue
-            if holdable is None:
-                # The skip's bound needs duals that did not overflow: every
-                # potential and reduced cost lies within (4n + 2) * max |cost|.
-                if float(np.abs(cost).max()) * (4 * len(col_of) + 2) < 2.0**1023:
-                    holdable = _holdable_pairs(tight_mask, col_of)
-                else:
-                    holdable = tight_mask.tolist()
-            if not holdable[i][j]:
-                continue
-            candidate = fixed + [float(cost[i, j])]
-            rest: list[tuple[int, int]] = []
-            if need:
-                rest_cols = [c for c in free_cols if c != j]
-                sub = cost[i + 1 :, rest_cols]
+            holdable = _holdable(steps, core, row_of, ti, tj)
+            ti, tj, step, examined = ti[holdable], tj[holdable], step[holdable], examined[holdable]
+        for i, j, t in zip(ti[examined].tolist(), tj[examined].tolist(), step[examined].tolist()):
+            prefix = fixed_costs + comp_costs[:t] + [float(cost[i, j])]
+            rest_rows = rest_cols = np.zeros(0, np.int64)
+            rest_costs: list[float] = []
+            if t < m - 1:
+                free = last_free >= t
+                free[j] = False
+                free_cols = np.flatnonzero(free)
+                sub = cost[i + 1 :, free_cols]
                 sr, sc = linear_sum_assignment(sub)
-                candidate += [float(sub[r, c]) for r, c in zip(sr, sc)]
-                rest = [(i + 1 + r, rest_cols[c]) for r, c in zip(sr.tolist(), sc.tolist())]
-            if math.fsum(candidate) == best:
-                accepted, completion = (i, j), sorted(rest)
+                rest_rows, rest_cols, rest_costs = i + 1 + sr, free_cols[sc], sub[sr, sc].tolist()
+            if math.fsum(prefix + rest_costs) == best:
+                fixed_rows += comp_rows[:t].tolist() + [i]
+                fixed_cols += comp_cols[:t].tolist() + [j]
+                fixed_costs = prefix
+                comp_rows, comp_cols, comp_costs = rest_rows, rest_cols, rest_costs
+                past = np.searchsorted(ti, i + 1)
+                ti, tj = ti[past:], tj[past:]
                 break
-        pairs.append(accepted)
-        fixed.append(float(cost[accepted]))
-        free_cols.remove(accepted[1])
-        row_start = accepted[0] + 1
-    return pairs
+        else:
+            # No candidate kept: the completion is the rest of the answer.
+            break
+    if not fixed_rows:
+        return comp_rows, comp_cols
+    return np.concatenate((fixed_rows, comp_rows)), np.concatenate((fixed_cols, comp_cols))

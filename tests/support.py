@@ -3,7 +3,8 @@
 The oracles are the reference checks of the parser, of the CSV writer
 (``csv.writer``), of `iou_matrix`, of AP (its greedy flags, one keyframe's
 tally with precision and recall, and the cutoff sweep), of a record's
-tracklets, of the assignment solver (brute force), of IDTP (brute force),
+tracklets, of the assignment solver (brute force, and the LSA route's
+tie search as a k-step scan over a full closure), of IDTP (brute force),
 of the switch count (scalar) and of the two trackers (one scalar cost per
 pair online, one `_affinity` call per keyframe pair offline).
 `generate_reference` and `perturb_reference` are the synthetic generator's
@@ -13,6 +14,7 @@ that only the loops are compared. Random instance and record builders that
 several test modules draw from live here too.
 """
 
+import bisect
 import csv
 import itertools
 import math
@@ -21,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from asadeval import synthetic
+from asadeval import matching, synthetic
 from asadeval.association import (
     DEFAULT_MATCH_THRESHOLD,
     DEFAULT_MAX_GAP,
@@ -177,6 +179,112 @@ def brute_force_lex_pairs(cost: np.ndarray) -> tuple[list[tuple[int, int]], floa
     totals = [math.fsum(float(cost[pair]) for pair in pairs) for pairs in assignments]
     best = min(totals)
     return min(pairs for pairs, total in zip(assignments, totals) if total == best), best
+
+
+def reference_tie_search(cost: np.ndarray) -> tuple[list[tuple[int, int]], float]:
+    """The LSA route's answer by a k-step scan: the smallest optimal pair list, and the fsum of LSA's optimum.
+
+    One `matching.linear_sum_assignment` call on ``cost``, then the tie
+    search as one step per fixed pair: step by step, the tight pairs between
+    the last fixed pair and the known completion's next pair are tried in
+    order, each with its own sub-solve unless its column is taken or the
+    full n x n closure (`holdable_pairs_reference`) rules it out; the first
+    whose sub-solve completes to the optimum's fsum is fixed, else that
+    next pair. The tight graph is built from the optimum as a pair list.
+    Every solver call goes through `matching.linear_sum_assignment`, so a
+    test that counts them counts these too.
+    """
+    n_rows, n_cols = cost.shape
+    k = min(n_rows, n_cols)
+    lsa_rows, lsa_cols = matching.linear_sum_assignment(cost)
+    optimum = list(zip(lsa_rows.tolist(), lsa_cols.tolist()))
+    best = math.fsum(cost[lsa_rows, lsa_cols].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        tight_mask, col_of = tight_graph_reference(cost, optimum)
+    tight = list(zip(*(index.tolist() for index in np.nonzero(tight_mask[:n_rows, :n_cols]))))
+    holdable: Optional[list[list[bool]]] = None
+    completion = sorted(optimum)
+    pairs: list[tuple[int, int]] = []
+    fixed: list[float] = []
+    free_cols = list(range(n_cols))
+    row_start = 0
+    while len(pairs) < k:
+        need = k - len(pairs) - 1
+        known = completion[0]
+        accepted, completion = known, completion[1:]
+        for i, j in itertools.islice(tight, bisect.bisect_left(tight, (row_start, 0)), None):
+            if (i, j) >= known:
+                break
+            if j not in free_cols:
+                continue
+            if holdable is None:
+                if float(np.abs(cost).max()) * (4 * len(col_of) + 2) < 2.0**1023:
+                    holdable = holdable_pairs_reference(tight_mask, col_of)
+                else:
+                    holdable = tight_mask.tolist()
+            if not holdable[i][j]:
+                continue
+            candidate = fixed + [float(cost[i, j])]
+            rest: list[tuple[int, int]] = []
+            if need:
+                rest_cols = [c for c in free_cols if c != j]
+                sub = cost[i + 1 :, rest_cols]
+                sr, sc = matching.linear_sum_assignment(sub)
+                candidate += [float(sub[r, c]) for r, c in zip(sr, sc)]
+                rest = [(i + 1 + r, rest_cols[c]) for r, c in zip(sr.tolist(), sc.tolist())]
+            if math.fsum(candidate) == best:
+                accepted, completion = (i, j), sorted(rest)
+                break
+        pairs.append(accepted)
+        fixed.append(float(cost[accepted]))
+        free_cols.remove(accepted[1])
+        row_start = accepted[0] + 1
+    return pairs, best
+
+
+def tight_graph_reference(cost: np.ndarray, optimum: list[tuple[int, int]]) -> tuple[np.ndarray, list[int]]:
+    """`matching._tight_graph`'s (n, n) mask and ``col_of``, with ``col_of`` built from a pair list.
+
+    The matching pads ``optimum`` with the spare columns in ascending order;
+    the duals and the tolerance are the same float operations.
+    """
+    n_rows, n_cols = cost.shape
+    n = max(n_rows, n_cols)
+    square = np.zeros((n, n))
+    square[:n_rows, :n_cols] = cost
+    matched_col = dict(optimum)
+    spare_cols = iter(sorted(set(range(n)).difference(matched_col.values())))
+    col_of = [matched_col[i] if i in matched_col else next(spare_cols) for i in range(n)]
+    matched = square[range(n), col_of]
+    shift = square[:, col_of] - matched
+    u = np.zeros(n)
+    for _ in range(n):
+        relaxed = (shift + u).min(axis=1)
+        if not (relaxed < u).any():
+            break
+        u = relaxed
+    v = np.empty(n)
+    v[col_of] = matched - u
+    tolerance = 1e-9 * (1.0 + float(np.abs(cost).max())) * n
+    return square - u[:, None] - v <= tolerance, col_of
+
+
+def holdable_pairs_reference(tight: np.ndarray, col_of) -> list[list[bool]]:
+    """Which pairs of the tight graph some perfect matching of it holds, by the closure over all n rows.
+
+    Row a steps to row b when (a, col_of[b]) is tight; a tight pair (i, j) is
+    holdable iff the row matched to column j reaches row i. Reachability is
+    the transitive closure of the steps, by repeated squaring of the whole
+    n x n 0/1 matrix.
+    """
+    reach = tight[:, col_of].astype(float)
+    while True:
+        longer = (reach @ reach > 0).astype(float)
+        if (longer == reach).all():
+            break
+        reach = longer
+    row_of = np.argsort(col_of)
+    return (tight & (reach[row_of].T > 0)).tolist()
 
 
 def sweep_ap(gt_records, pred_records, iou_threshold=0.5):

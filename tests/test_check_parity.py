@@ -34,13 +34,15 @@ def test_this_checkout_agrees_with_itself():
 @pytest.mark.parametrize("module, before, after, counts, differ", [
     ("matching", "sorted(sorted(pairs) for pairs in lists)",
      "sorted((sorted(pairs) for pairs in lists), reverse=True)", (100, 0, 0), "problems"),
+    ("matching", "if math.fsum(prefix + rest_costs) == best:", "if False:", (100, 0, 0), "problems"),
     ("detection", '"no ground truth boxes"', '"no ground-truth boxes"', (0, 3, 0), "corpora"),
     ("io_formats", "outside [1, {n_labels}]", "not in [1, {n_labels}]", (0, 0, 30), "inputs"),
-], ids=["solver", "evaluation", "parsers"])
+], ids=["solver", "tie_search", "evaluation", "parsers"])
 def test_each_check_catches_a_one_line_change(tmp_path, module, before, after, counts, differ):
     # The other checkout is a copy of this src with one line changed: the
-    # enumeration's candidate order, the no-ground-truth AP reason, or the
-    # parsers' out-of-range label message.
+    # enumeration's candidate order, the LSA route's tie search accepting no
+    # sub-solve (so it answers with the solver's own optimum), the
+    # no-ground-truth AP reason, or the parsers' out-of-range label message.
     other = tmp_path / "src"
     shutil.copytree(REPO / "src", other, ignore=shutil.ignore_patterns("__pycache__"))
     path = other / "asadeval" / f"{module}.py"

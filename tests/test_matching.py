@@ -1,5 +1,7 @@
 import math
 import warnings
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,17 @@ from asadeval import matching
 from asadeval.matching import build_cost_matrix, iou_matrix, match_corpus, solve_assignment
 from asadeval.model import ActorObservation, BoundingBox, VideoRecord
 from cost_kinds import KINDS, crowded_boxes_cost, random_boxes, tie_heavy_cost
-from support import LEFT, brute_force_lex_pairs, brute_force_min_cost, frame_pairs, iou, iou_tables
+from support import (
+    LEFT,
+    brute_force_lex_pairs,
+    brute_force_min_cost,
+    frame_pairs,
+    holdable_pairs_reference,
+    iou,
+    iou_tables,
+    reference_tie_search,
+    tight_graph_reference,
+)
 
 
 def grid_iou(a: BoundingBox, b: BoundingBox, n: int = 1000) -> float:
@@ -347,6 +359,141 @@ def counted_lsa(monkeypatch) -> list:
     return calls
 
 
+def recorded_lsa(solve, cost):
+    """``solve(cost)``, and the shape and bytes of every `linear_sum_assignment` call `matching` made in it."""
+    calls = []
+
+    def recording(sub):
+        calls.append((sub.shape, sub.tobytes()))
+        return linear_sum_assignment(sub)
+
+    with mock.patch.object(matching, "linear_sum_assignment", recording):
+        return solve(cost), calls
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["crowded", "grid", "duplicates", "counts", "dense"]),
+    st.integers(4, 45),
+    st.integers(4, 45),
+    st.integers(0, 2**32 - 1),
+)
+def test_tie_search_equals_the_reference_scan(kind, n_rows, n_cols, seed):
+    # The one-pass search against the k-step scan over the full closure, in
+    # both orientations: the same pairs, the same total bits, and the same
+    # solver calls on the same sub-matrices in the same order.
+    cost = tie_heavy_cost(np.random.default_rng(seed), kind, n_rows, n_cols)
+    for matrix in (cost, cost.T):
+        solution, calls = recorded_lsa(partial(solve_assignment, drop_gated=False), matrix)
+        (pairs, total), reference_calls = recorded_lsa(reference_tie_search, matrix)
+        assert list(solution.pairs) == pairs
+        assert solution.total_cost.hex() == total.hex()
+        assert [shape for shape, _ in calls] == [shape for shape, _ in reference_calls]
+        assert calls == reference_calls
+
+
+def matching_graph(rng, n):
+    """An n x n tight mask holding only a random perfect matching, and that matching as ``col_of``."""
+    col_of = rng.permutation(n)
+    tight = np.zeros((n, n), bool)
+    tight[np.arange(n), col_of] = True
+    return tight, col_of
+
+
+def add_steps(tight, col_of, steps):
+    """Make row a step to row b, for each (a, b) of ``steps``: (a, col_of[b]) becomes tight."""
+    for a, b in steps:
+        tight[a, col_of[b]] = True
+
+
+def assert_core_closure_is_the_full_closure(tight, col_of):
+    ti, tj = np.nonzero(tight)
+    expected = np.array(holdable_pairs_reference(tight, col_of), bool)[ti, tj]
+    steps, core, row_of = matching._cycle_core(tight, col_of)
+    assert matching._holdable(steps, core, row_of, ti, tj).tolist() == expected.tolist()
+    # Off the matching, only pairs with both rows in the core are held.
+    off = row_of[tj] != ti
+    assert not (expected & off & ~(core[ti] & core[row_of[tj]])).any()
+    return dict(zip(zip(ti.tolist(), tj.tolist()), expected.tolist()))
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_core_closure_equals_the_full_closure(n):
+    rng = np.random.default_rng(n)
+    # No pair off the matching: every row lies outside the core.
+    tight, col_of = matching_graph(rng, n)
+    assert all(assert_core_closure_is_the_full_closure(tight, col_of).values())
+    # One n-long cycle: every row is in the core, and every tight pair holdable.
+    tight, col_of = matching_graph(rng, n)
+    order = rng.permutation(n).tolist()
+    add_steps(tight, col_of, zip(order, order[1:] + order[:1]))
+    assert all(assert_core_closure_is_the_full_closure(tight, col_of).values())
+    # Disjoint cycles joined by one-way steps from each group to later ones:
+    # the pairs of those steps lie on no cycle, so none is holdable.
+    tight, col_of = matching_graph(rng, n)
+    order = rng.permutation(n).tolist()
+    cuts = sorted(rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(1, 5))), replace=False).tolist())
+    groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    for group in groups:
+        add_steps(tight, col_of, zip(group, group[1:] + group[:1]))
+    one_way = [(rng.choice(groups[g]), rng.choice(groups[h])) for g in range(len(groups))
+               for h in range(g + 1, len(groups)) for _ in range(2)]
+    add_steps(tight, col_of, one_way)
+    holdable = assert_core_closure_is_the_full_closure(tight, col_of)
+    for a, b in one_way:
+        assert not holdable[(a, col_of[b])]
+    # Random steps on top of a matching, sparse to dense.
+    for density in (0.02, 0.1, 0.3):
+        tight, col_of = matching_graph(rng, n)
+        tight |= rng.random((n, n)) < density
+        assert_core_closure_is_the_full_closure(tight, col_of)
+    # The tight graphs of gated and grid costs with n rows and fewer
+    # columns, or the reverse: padded columns, or padded rows.
+    for kind in ("crowded", "grid"):
+        short = int(rng.integers(1, n + 1))
+        for shape in ((n, short), (short, n)):
+            cost = tie_heavy_cost(rng, kind, *shape)
+            rows, cols = linear_sum_assignment(cost)
+            tight, col_of = matching._tight_graph(cost, rows, cols, float(np.abs(cost).max()))
+            reference_tight, reference_col_of = tight_graph_reference(cost, list(zip(rows.tolist(), cols.tolist())))
+            assert (col_of.tolist(), tight.tolist()) == (reference_col_of, reference_tight.tolist())
+            assert_core_closure_is_the_full_closure(tight, col_of)
+
+
+# Duals of this 4 x 4 problem may overflow, so the tie search takes every
+# tight pair as a candidate, with no cycle core or closure: here three
+# sub-solves follow the first solve.
+NEAR_LARGEST_FLOAT = np.array([
+    [0.25, 1e308, -1e308, 1.0],
+    [1e308, 1e308, 1.0, 1e308],
+    [0.0, 1e308, 0.5, 0.25],
+    [-1e308, 0.0, 1.0, 0.25],
+])
+
+
+def test_costs_near_the_largest_float_make_every_tight_pair_a_candidate():
+    cores = []
+    cycle_core = matching._cycle_core
+
+    def recording(*args):
+        cores.append(args)
+        return cycle_core(*args)
+
+    with mock.patch.object(matching, "_cycle_core", recording):
+        for matrix in (NEAR_LARGEST_FLOAT, NEAR_LARGEST_FLOAT.T):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                solution, calls = recorded_lsa(partial(solve_assignment, drop_gated=False), matrix)
+            (pairs, total), reference_calls = recorded_lsa(reference_tie_search, matrix)
+            assert (list(solution.pairs), solution.total_cost.hex()) == (pairs, total.hex())
+            assert calls == reference_calls
+        assert cores == []
+        assert len(recorded_lsa(reference_tie_search, NEAR_LARGEST_FLOAT)[1]) == 4
+        # Scaled to 1e300 the duals cannot overflow, and the core is found.
+        solve_assignment(np.where(np.abs(NEAR_LARGEST_FLOAT) > 1.0, NEAR_LARGEST_FLOAT * 1e-8, NEAR_LARGEST_FLOAT))
+    assert len(cores) == 1
+
+
 COVERED_SHAPES = [(k, n) for k in (2, 3) for n in range(k, 11)]
 
 
@@ -493,9 +640,9 @@ def test_gated_pairs_match_solve_assignment_per_keyframe(monkeypatch):
     searched = []
     search = matching._lexicographic_optimal_pairs
 
-    def counting(cost, best, optimum):
+    def counting(cost, rows, cols):
         searched.append(cost.shape)
-        return search(cost, best, optimum)
+        return search(cost, rows, cols)
 
     monkeypatch.setattr(matching, "_lexicographic_optimal_pairs", counting)
     corpus.pair_rows
